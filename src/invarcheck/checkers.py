@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySet, InputError
+from .errors import EmptySet, InputError, NumericalFailure
 from .numerics import (
     DEFAULT_TOLS,
     Tolerances,
@@ -34,7 +34,6 @@ from .sets import (
     LorenzCone,
     VCone,
     VPolytope,
-    outside_violation,
     sample_boundary,
 )
 from .solvers import (
@@ -45,7 +44,7 @@ from .solvers import (
     solve_inequality_lp,
 )
 from .systems import DynamicalSystem, LinearSystem
-from .tangent import GENERATED, SELF_CONE, TangentCone, cone_contains, tangent_cone_at
+from .tangent import cone_contains, cone_test, tangent_cone_at
 
 _UNBOUNDED_BOX = 1e6
 
@@ -83,8 +82,11 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
 
     The pointwise facet condition is reduced to one LP per facet: maximize
     the outward flux g_i'Ax over the facet. Unbounded facets are re-solved
-    inside an artificial box and flagged when the maximizer touches it,
-    since the true supremum may be infinite.
+    inside the artificial box |x_i| <= 1e6 * max(1, max|b|) and flagged when
+    the maximizer touches it, since the true supremum may be infinite. A
+    facet that lies outside that box (far from the origin because a row of
+    G is tiny next to its b) makes the re-solve infeasible and raises
+    NumericalFailure.
     """
     a = as_square(a, "A")
     if a.shape[0] != p.dim:
@@ -111,10 +113,13 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
             continue
         if status == "unbounded":
             boxed = True
+            box = _UNBOUNDED_BOX * max(1.0, float(np.max(np.abs(p.b))))
             status, x, val = solve_inequality_lp(
                 c, g_ub=p.G, h_ub=p.b, a_eq=p.G[i].reshape(1, -1), b_eq=[p.b[i]],
-                box=_UNBOUNDED_BOX, maximize=True, tols=tols)
-            on_box = bool(np.any(np.abs(x) >= _UNBOUNDED_BOX * (1.0 - 1e-9)))
+                box=box, maximize=True, tols=tols)
+            if status != "optimal":
+                raise NumericalFailure(f"boxed re-solve of facet {i} returned {status}")
+            on_box = bool(np.any(np.abs(x) >= box * (1.0 - 1e-9)))
         facets.append({
             "index": i,
             "optimum": float(val),
@@ -164,26 +169,13 @@ def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0,
 
     Exact for linear systems. For general systems a failing vertex still
     refutes invariance, but an all-pass cannot certify the faces between
-    vertices, so the verdict caps at Unknown.
+    vertices, so the verdict caps at Unknown. A failing vertex reports half
+    the squared distance of its field to the admissible cone.
     """
-    x_cols = p.vertices.T
-    l1 = x_cols.shape[1]
-    records = []
-    for i in range(l1):
-        f = np.asarray(sys.field(t0, p.vertices[i]), dtype=float)
-        res = lp_feasible(LPFeasibilityProblem.for_vertex(x_cols, f, i), tols)
-        if res.status != "feasible":
-            qp = qp_nearest(QPProblem(x_cols, f, i), tols)
-            return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(p.vertices[i].copy(),
-                                                         float(qp.objective)),
-                           notes={"vertex": i})
-        records.append({"index": i, "alpha": [float(v) for v in res.alpha]})
-    cert = Certificate("vertex-decomposition", {"vertices": records})
-    if isinstance(sys, LinearSystem):
-        return Verdict(Decision.INVARIANT, certificate=cert)
-    return Verdict(Decision.UNKNOWN,
-                   notes={"vertex_conditions": "passed", "payload": cert.data})
+    return _check_decomposition(
+        p.vertices, "vertex", "vertices", LPFeasibilityProblem.for_vertex,
+        lambda f, i, res: qp_nearest(QPProblem(p.vertices.T, f, i), tols).objective,
+        sys, t0, tols)
 
 
 def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0,
@@ -191,23 +183,33 @@ def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0,
     """Ray decomposition test: at every extreme ray the field must combine
     the other rays nonnegatively with a sign-free coefficient on the ray
     itself. Exact for linear systems; Unknown-capped otherwise."""
-    r_cols = c.rays.T
-    l = r_cols.shape[1]
+    return _check_decomposition(
+        c.rays, "ray", "rays", LPFeasibilityProblem.for_ray,
+        lambda f, i, res: res.objective, sys, t0, tols)
+
+
+def _check_decomposition(gens, name, plural, problem, miss, sys, t0, tols) -> Verdict:
+    """Decomposition feasibility at every row of gens (vertices or rays).
+
+    problem(columns, f, i) builds the LP at row i; the first infeasible row
+    refutes with violation miss(f, i, lp result). name and plural key the
+    notes and the certificate ("vertex"/"vertices", "ray"/"rays").
+    """
     records = []
-    for i in range(l):
-        f = np.asarray(sys.field(t0, c.rays[i]), dtype=float)
-        res = lp_feasible(LPFeasibilityProblem.for_ray(r_cols, f, i), tols)
+    for i in range(gens.shape[0]):
+        f = np.asarray(sys.field(t0, gens[i]), dtype=float)
+        res = lp_feasible(problem(gens.T, f, i), tols)
         if res.status != "feasible":
             return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(c.rays[i].copy(),
-                                                         float(res.objective)),
-                           notes={"ray": i})
+                           counterexample=Counterexample(gens[i].copy(),
+                                                         float(miss(f, i, res))),
+                           notes={name: i})
         records.append({"index": i, "alpha": [float(v) for v in res.alpha]})
-    cert = Certificate("ray-decomposition", {"rays": records})
+    cert = Certificate(f"{name}-decomposition", {plural: records})
     if isinstance(sys, LinearSystem):
         return Verdict(Decision.INVARIANT, certificate=cert)
     return Verdict(Decision.UNKNOWN,
-                   notes={"ray_conditions": "passed", "payload": cert.data})
+                   notes={f"{name}_conditions": "passed", "payload": cert.data})
 
 
 def check_ellipsoid_linear(e: Ellipsoid, a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
@@ -280,28 +282,6 @@ def check_lorenz_linear(c: LorenzCone, a, n_samples: int = 10000, seed: int = 0,
                    notes={"certificate_gap": phi_star, "samples_checked": len(samples)})
 
 
-def _cone_violation(t_cone: TangentCone, y: np.ndarray,
-                    tols: Tolerances = DEFAULT_TOLS) -> float:
-    if t_cone.kind == GENERATED:
-        cols = [t_cone.generators.T]
-        free: tuple[int, ...] = ()
-        if t_cone.free_generator is not None:
-            cols.append(t_cone.free_generator.reshape(-1, 1))
-            free = (t_cone.generators.shape[0],)
-        from .solvers import phase_one_feasibility
-
-        opt, _ = phase_one_feasibility(np.hstack(cols), y, free, tols)
-        return float(opt)
-    if t_cone.kind == SELF_CONE:
-        return outside_violation(t_cone.set_ref, y, tols)
-    rows = t_cone.normals if t_cone.normals is not None else t_cone.q_normal.reshape(1, -1)
-    ny = float(np.linalg.norm(y))
-    worst = 0.0
-    for g in rows:
-        worst = max(worst, float(g @ y) / (1.0 + float(np.linalg.norm(g)) * ny))
-    return worst
-
-
 def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
                             n_samples: int, seed: int,
                             tols: Tolerances = DEFAULT_TOLS) -> Verdict:
@@ -313,12 +293,30 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
         t_cone = tangent_cone_at(s, bp, tols)
         y = np.asarray(sys.field(t0, bp.point), dtype=float)
         if not cone_contains(t_cone, y, tols.cone, tols):
+            _, residual = cone_test(t_cone, y, tols.cone, tols)
             return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(bp.point.copy(),
-                                                         _cone_violation(t_cone, y, tols)),
+                           counterexample=Counterexample(bp.point.copy(), residual),
                            notes={"active": bp.active if isinstance(bp.active, str)
                                   else list(map(int, bp.active or []))})
     return Verdict(Decision.UNKNOWN, notes={"samples_checked": len(samples)})
+
+
+# The deciders keyed by set tag. Each entry looks its decider up as a module
+# global at call time, so that a wrapper patched onto the module (a tracer,
+# a mock) still sees the call.
+# The vertex/ray deciders are exact for x' = A x and are necessary conditions
+# for any field, so they also refute general systems before the sampled check.
+_DECOMPOSITION = {
+    "vpolytope": lambda s, sys, t0, tols: check_vpolytope(s, sys, t0, tols),
+    "vcone": lambda s, sys, t0, tols: check_vcone(s, sys, t0, tols),
+}
+# the exact deciders of the other families for x' = A x
+_LINEAR = {
+    "hpolyhedron": lambda s, a, n_samples, seed, tols: check_hpoly_linear(s, a, tols),
+    "ellipsoid": lambda s, a, n_samples, seed, tols: check_ellipsoid_linear(s, a, tols),
+    "lorenz": lambda s, a, n_samples, seed, tols: check_lorenz_linear(
+        s, a, n_samples, seed, tols),
+}
 
 
 def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
@@ -331,32 +329,21 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
     systems on vertex forms run the vertex/ray refutation first and then the
     sampled check, reporting both phases in the verdict notes.
     """
+    tag = getattr(s, "TAG", None)
+    decompose = _DECOMPOSITION.get(tag)
     if isinstance(sys, LinearSystem):
         if orthant:
             return check_orthant_linear(sys.a, tols)
-        if isinstance(s, HPolyhedron):
-            return check_hpoly_linear(s, sys.a, tols)
-        if isinstance(s, VPolytope):
-            return check_vpolytope(s, sys, t0, tols)
-        if isinstance(s, VCone):
-            return check_vcone(s, sys, t0, tols)
-        if isinstance(s, Ellipsoid):
-            return check_ellipsoid_linear(s, sys.a, tols)
-        if isinstance(s, LorenzCone):
-            return check_lorenz_linear(s, sys.a, n_samples, seed, tols)
-        raise InputError(f"unsupported set type {type(s).__name__}")
-    if isinstance(s, VPolytope):
-        first = check_vpolytope(s, sys, t0, tols)
-        if first.decision is Decision.NOT_INVARIANT:
-            return first
-        sampled = check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
-        sampled.notes.update(first.notes)
-        return sampled
-    if isinstance(s, VCone):
-        first = check_vcone(s, sys, t0, tols)
-        if first.decision is Decision.NOT_INVARIANT:
-            return first
-        sampled = check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
-        sampled.notes.update(first.notes)
-        return sampled
-    return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
+        if decompose is not None:
+            return decompose(s, sys, t0, tols)
+        if tag not in _LINEAR:
+            raise InputError(f"unsupported set type {type(s).__name__}")
+        return _LINEAR[tag](s, sys.a, n_samples, seed, tols)
+    if decompose is None:
+        return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
+    first = decompose(s, sys, t0, tols)
+    if first.decision is Decision.NOT_INVARIANT:
+        return first
+    sampled = check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
+    sampled.notes.update(first.notes)
+    return sampled

@@ -7,7 +7,7 @@ timing block, which --no-timing drops) with a human summary on stderr.
 
 Exit codes: 0 invariant / no exit found, 1 not invariant / exit found,
 2 unknown, 64 input error, 65 point not on the boundary, 70 numerical
-failure.
+failure or internal error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -33,13 +34,9 @@ from .errors import (
 from .expressions import build_expression_system
 from .numerics import DEFAULT_TOLS, Tolerances
 from .sets import (
+    FAMILIES,
     BoundaryPoint,
-    Ellipsoid,
-    HPolyhedron,
-    LorenzCone,
     Membership,
-    VCone,
-    VPolytope,
     membership,
     orthant_h,
 )
@@ -51,10 +48,6 @@ from .tangent import (
     QUADRATIC,
     SELF_CONE,
     tangent_cone_at,
-    tangent_h,
-    tangent_polytope,
-    tangent_quadratic,
-    tangent_vcone,
 )
 
 SCHEMA = "nagumo/1"
@@ -100,26 +93,25 @@ def _require_matrix(obj, path):
     return rows
 
 
+def _require_field(d: dict, name: str, kind: str):
+    """Parse set field name as kind: "matrix", "vector" or "optional vector"."""
+    value = d.get(name)
+    if kind == "optional vector" and value is None:
+        return None
+    parse = _require_matrix if kind == "matrix" else _require_vector
+    return parse(value, f"set.{name}")
+
+
 def set_from_dict(d: dict):
     """Build (set object, tag) from a tagged JSON object."""
     if not isinstance(d, dict) or "type" not in d:
         raise InputError("set: expected an object with a 'type' tag")
     tag = d["type"]
+    family = FAMILIES.get(tag) if isinstance(tag, str) else None
     try:
-        if tag == "hpolyhedron":
-            return HPolyhedron(_require_matrix(d.get("G"), "set.G"),
-                               _require_vector(d.get("b"), "set.b")), tag
-        if tag == "vpolytope":
-            return VPolytope(_require_matrix(d.get("vertices"), "set.vertices")), tag
-        if tag == "vcone":
-            return VCone(_require_matrix(d.get("rays"), "set.rays")), tag
-        if tag == "ellipsoid":
-            return Ellipsoid(_require_matrix(d.get("Q"), "set.Q")), tag
-        if tag == "lorenz":
-            u_n = d.get("u_n")
-            if u_n is not None:
-                u_n = _require_vector(u_n, "set.u_n")
-            return LorenzCone(_require_matrix(d.get("Q"), "set.Q"), u_n=u_n), tag
+        if family is not None:
+            return family(*[_require_field(d, name, kind)
+                            for name, kind in family.FIELDS.items()]), tag
         if tag == "orthant":
             n = d.get("n")
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -134,17 +126,7 @@ def set_to_dict(s, tag: str) -> dict:
     """Canonical JSON form of a set (the quadratic cone exposes its axis sign)."""
     if tag == "orthant":
         return {"type": "orthant", "n": s.dim}
-    if isinstance(s, HPolyhedron):
-        return {"type": "hpolyhedron", "G": s.G.tolist(), "b": s.b.tolist()}
-    if isinstance(s, VPolytope):
-        return {"type": "vpolytope", "vertices": s.vertices.tolist()}
-    if isinstance(s, VCone):
-        return {"type": "vcone", "rays": s.rays.tolist()}
-    if isinstance(s, Ellipsoid):
-        return {"type": "ellipsoid", "Q": s.Q.tolist()}
-    if isinstance(s, LorenzCone):
-        return {"type": "lorenz", "Q": s.Q.tolist(), "u_n": s.u_n.tolist()}
-    raise InputError(f"unsupported set type {type(s).__name__}")
+    return {"type": s.TAG, **{name: getattr(s, name).tolist() for name in s.FIELDS}}
 
 
 def system_from_dict(d: dict, dim: int):
@@ -323,25 +305,6 @@ def _cone_to_dict(t_cone) -> dict:
     raise InputError(f"unknown cone kind {t_cone.kind}")
 
 
-def _tangent_at(s, x, tols) -> dict:
-    if isinstance(s, HPolyhedron):
-        return _cone_to_dict(tangent_h(s, x, tols))
-    if isinstance(s, VPolytope):
-        for i, v in enumerate(s.vertices):
-            if np.max(np.abs(v - x)) <= 1e-8 * (1.0 + np.max(np.abs(v))):
-                return _cone_to_dict(tangent_polytope(s, i))
-        return _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, None), tols))
-    if isinstance(s, VCone):
-        for i, r in enumerate(s.rays):
-            cross = np.linalg.norm(x) * np.linalg.norm(r)
-            if cross > 0 and float(x @ r) >= (1.0 - 1e-10) * cross:
-                return _cone_to_dict(tangent_vcone(s, i))
-        return _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, None), tols))
-    if isinstance(s, LorenzCone) and float(np.linalg.norm(x)) <= 1e-10:
-        return _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, "apex"), tols))
-    return _cone_to_dict(tangent_quadratic(s, x))
-
-
 def cmd_tangent(args) -> int:
     s, tag, _, _, opts = load_problem(args.file, args)
     try:
@@ -355,7 +318,7 @@ def cmd_tangent(args) -> int:
     if membership(s, x, tols) is not Membership.BOUNDARY:
         print("point is not on the set boundary", file=sys.stderr)
         return EXIT_NOT_BOUNDARY
-    cone = _tangent_at(s, x, tols)
+    cone = _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, None), tols))
     report = {
         "schema": SCHEMA,
         "tool_version": __version__,
@@ -423,6 +386,10 @@ def main(argv=None) -> int:
         return EXIT_NOT_BOUNDARY
     except ToolkitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except Exception as exc:  # a bug must never read as a verdict
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -16,7 +16,13 @@ import numpy as np
 
 from .errors import InputError
 from .numerics import DEFAULT_TOLS, Tolerances, as_square, as_vector, solve_linear
-from .sets import ConvexSet, inward_direction, outside_violation_batch, sample_boundary
+from .sets import (
+    BoundaryPoint,
+    ConvexSet,
+    inward_direction,
+    outside_violation_batch,
+    sample_boundary,
+)
 from .systems import DynamicalSystem, LinearSystem, field_batch
 
 
@@ -163,8 +169,6 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     samples = sample_boundary(s, n_starts, seed, tols)
     starts: list[np.ndarray] = []
     if extra_starts is not None:
-        from .sets import BoundaryPoint  # local alias for wrapping raw points
-
         wrapped = [p if isinstance(p, BoundaryPoint) else BoundaryPoint(as_vector(p, "x0"), None)
                    for p in extra_starts]
         starts.extend(_nudged_starts(s, wrapped, tols))

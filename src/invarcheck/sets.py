@@ -8,16 +8,25 @@ negative eigenvalue. Membership for the vertex/ray forms is decided by
 linear programming over the combination coefficients; "inside" for them
 means the relative interior (for full-dimensional sets this is the
 topological interior).
+
+Each family is one class that owns what only it knows: its JSON tag
+(TAG) and fields (FIELDS, attribute name -> "matrix", "vector" or
+"optional vector", in constructor order), and the methods
+membership(x, tols), violation(states, tols), sample(count, rng, tols)
+and inward(bp). The module-level functions below validate their
+arguments and call those methods; the rest of the package calls the
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBoundary, InputError
+from .errors import ApexPoint, DimensionMismatch, EmptyBoundary, InputError
 from .numerics import (
     DEFAULT_TOLS,
     Tolerances,
@@ -54,6 +63,9 @@ class BoundaryPoint:
 class HPolyhedron:
     """{x : G x <= b}; with b = 0 this is a polyhedral cone."""
 
+    TAG = "hpolyhedron"
+    FIELDS = {"G": "matrix", "b": "vector"}
+
     def __init__(self, g, b):
         self.G = as_matrix(g, "G")
         self.b = as_vector(b, "b")
@@ -64,9 +76,187 @@ class HPolyhedron:
     def dim(self):
         return self.G.shape[1]
 
+    def membership(self, x, tols: Tolerances) -> Membership:
+        if self.G.shape[0] == 0:
+            return Membership.INSIDE
+        slack = self.G @ x - self.b
+        bands = tols.boundary_band * (1.0 + np.abs(self.b))
+        if np.any(slack > bands):
+            return Membership.OUTSIDE
+        if np.any(slack >= -bands):
+            return Membership.BOUNDARY
+        return Membership.INSIDE
 
-class VPolytope:
+    def violation(self, states, tols: Tolerances) -> np.ndarray:
+        if self.G.shape[0] == 0:
+            return np.zeros(states.shape[1])
+        slack = (self.G @ states - self.b[:, None]) / (1.0 + np.abs(self.b))[:, None]
+        return np.maximum(slack.max(axis=0), 0.0)
+
+    def _facet_anchor(self, i: int, tols: Tolerances):
+        """A point in the relative interior of facet i, or None if unattained.
+
+        An LP point that lies outside the set or off the facet by more than
+        the boundary band is rejected too, so every anchor is a boundary point.
+        """
+        m, n = self.G.shape
+        g_rows = []
+        h_vals = []
+        for j in range(m):
+            if j != i:
+                g_rows.append(np.concatenate([self.G[j], [1.0]]))
+                h_vals.append(self.b[j])
+        g_rows.append(np.concatenate([np.zeros(n), [1.0]]))
+        h_vals.append(1.0)
+        g_rows.append(np.concatenate([np.zeros(n), [-1.0]]))
+        h_vals.append(0.0)
+        c = np.concatenate([np.zeros(n), [1.0]])
+        status, z, _ = solve_inequality_lp(
+            c, g_ub=np.array(g_rows), h_ub=np.array(h_vals),
+            a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]],
+            box=_FACET_BOX, maximize=True, tols=tols)
+        if status != "optimal":
+            return None
+        slack = self.G @ z[:n] - self.b
+        bands = tols.boundary_band * (1.0 + np.abs(self.b))
+        if np.any(slack > bands) or slack[i] < -bands[i]:
+            return None
+        return z[:n]
+
+    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+        anchors = [(i, self._facet_anchor(i, tols)) for i in range(self.G.shape[0])]
+        anchors = [(i, a) for i, a in anchors if a is not None]
+        if not anchors:
+            raise EmptyBoundary("no facet of the polyhedron is attained")
+        bands = tols.boundary_band * (1.0 + np.abs(self.b))
+        out = []
+        for k in range(count):
+            i, anchor = anchors[k % len(anchors)]
+            g = self.G[i]
+            gg = float(g @ g)
+            point = anchor
+            radius = 1.0 + float(np.linalg.norm(anchor))
+            for attempt in range(50):
+                y = rng.normal(size=self.dim)
+                y -= g * (float(g @ y) / gg)
+                ny = float(np.linalg.norm(y))
+                if ny < 1e-12:
+                    continue
+                cand = anchor + (radius * 0.5 ** (attempt // 2)) * y / ny
+                if np.all(self.G @ cand - self.b <= bands):
+                    point = cand
+                    break
+            out.append(BoundaryPoint(point, active_constraints(self, point, tols)))
+        return out
+
+    def inward(self, bp: BoundaryPoint) -> np.ndarray:
+        rows = bp.active if isinstance(bp.active, list) else []
+        d = np.zeros(self.dim)
+        for i in rows:
+            g = self.G[i]
+            d -= g / (np.linalg.norm(g) + 1e-300)
+        return d
+
+
+class _VForm:
+    """What the vertex and ray forms share, over homogenised columns.
+
+    x is a member when  columns @ theta = lift(x)  has a solution theta >= 0;
+    the relative interior is where some solution has every theta_j > 0. A
+    polytope's columns are its vertices with a trailing 1 (the weights sum to
+    one); a cone's are its rays, and its interior margin is capped at
+    scale(x) = 1 + ||x||, since it is otherwise unbounded whenever the rays
+    admit a positive circuit. Subclasses set the sampled points (vertices or
+    unit rays) and columns, and define lift, scale, cap and combine.
+    """
+
+    def __init__(self, points, columns):
+        self._points = points
+        self._columns = columns
+
+    @property
+    def dim(self):
+        return self._points.shape[1]
+
+    @cached_property
+    def _inverse(self):
+        """Inverse of the columns when they are square (a simplicial form), else None."""
+        if self._columns.shape[0] != self._columns.shape[1]:
+            return None
+        try:
+            return np.linalg.inv(self._columns)
+        except np.linalg.LinAlgError:
+            return None
+
+    def _lp(self, x, tols: Tolerances):
+        """Feasibility plus relative-interior margin of the combination
+        coefficients, via  theta = delta*1 + sigma  and maximizing delta.
+
+        Returns (feasible, delta, infeasibility).
+        """
+        n_rows, k = self._columns.shape
+        cap = self._cap(x)
+        extra = 1 if cap is not None else 0
+        a_std = np.zeros((n_rows + extra, 1 + k + extra))
+        a_std[:n_rows, 0] = self._columns @ np.ones(k)
+        a_std[:n_rows, 1:1 + k] = self._columns
+        rhs = self._lift(x)
+        if cap is not None:
+            a_std[n_rows, 0] = 1.0
+            a_std[n_rows, 1 + k] = 1.0
+            rhs = np.concatenate([rhs, [float(cap)]])
+        c = np.zeros(1 + k + extra)
+        c[0] = -1.0
+        status, z, obj = simplex_standard(c, a_std, rhs, tols)
+        if status == "infeasible":
+            return False, 0.0, obj
+        return True, float(z[0]), 0.0
+
+    def membership(self, x, tols: Tolerances) -> Membership:
+        feasible, delta, _ = self._lp(x, tols)
+        if not feasible:
+            return Membership.OUTSIDE
+        return Membership.INSIDE if delta > _RELINT_TOL * self._scale(x) else Membership.BOUNDARY
+
+    def violation(self, states, tols: Tolerances) -> np.ndarray:
+        """Most negative combination coefficient, from a direct solve for a
+        simplicial form; otherwise the LP's infeasibility, column by column."""
+        if self._inverse is not None:
+            coords = self._inverse @ self._lift(states)
+            return np.maximum(-coords.min(axis=0), 0.0)
+        out = np.zeros(states.shape[1])
+        for k in range(states.shape[1]):
+            feasible, _, infeas = self._lp(states[:, k], tols)
+            out[k] = 0.0 if feasible else infeas
+        return out
+
+    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+        pts = self._points
+        l = pts.shape[0]
+        out = []
+        for k in range(count):
+            if k < l:
+                out.append(BoundaryPoint(pts[k].copy(), [k]))
+                continue
+            for _ in range(30 if l >= 2 else 0):
+                i, j = rng.choice(l, size=2, replace=False)
+                cand = self._combine(rng, pts[i], pts[j])
+                if cand is not None and membership(self, cand, tols) is Membership.BOUNDARY:
+                    out.append(BoundaryPoint(cand, sorted([int(i), int(j)])))
+                    break
+            else:
+                out.append(BoundaryPoint(pts[k % l].copy(), [k % l]))
+        return out
+
+    def inward(self, bp: BoundaryPoint) -> np.ndarray:
+        return np.mean(self._points, axis=0) * self._scale(bp.point) - bp.point
+
+
+class VPolytope(_VForm):
     """Convex hull of finitely many pairwise-distinct vertices."""
+
+    TAG = "vpolytope"
+    FIELDS = {"vertices": "matrix"}
 
     def __init__(self, vertices):
         vs = as_matrix(np.atleast_2d(vertices), "vertices")
@@ -77,29 +267,27 @@ class VPolytope:
                 if np.max(np.abs(vs[i] - vs[j])) <= 1e-9:
                     raise InputError(f"vertices {i} and {j} coincide")
         self.vertices = vs
-        self._bary = None  # lazy simplicial barycentric factorization
+        super().__init__(vs, np.vstack([vs.T, np.ones((1, vs.shape[0]))]))
 
-    @property
-    def dim(self):
-        return self.vertices.shape[1]
+    def _lift(self, x):
+        return np.concatenate([x, np.ones((1,) + x.shape[1:])])
 
-    def _barycentric(self):
-        """(v0, inv(T)) when the polytope is a nondegenerate simplex, else None."""
-        if self._bary is None:
-            l1, n = self.vertices.shape
-            if l1 == n + 1:
-                t = (self.vertices[1:] - self.vertices[0]).T
-                try:
-                    self._bary = (self.vertices[0].copy(), np.linalg.inv(t))
-                except np.linalg.LinAlgError:
-                    self._bary = False
-            else:
-                self._bary = False
-        return None if self._bary is False else self._bary
+    def _scale(self, x):
+        return 1.0
+
+    def _cap(self, x):
+        return None
+
+    def _combine(self, rng, a, b):
+        lam = rng.uniform(0.1, 0.9)
+        return lam * a + (1.0 - lam) * b
 
 
-class VCone:
+class VCone(_VForm):
     """Conic hull of finitely many nonzero generator rays."""
+
+    TAG = "vcone"
+    FIELDS = {"rays": "matrix"}
 
     def __init__(self, rays):
         rs = as_matrix(np.atleast_2d(rays), "rays")
@@ -109,27 +297,28 @@ class VCone:
             if np.linalg.norm(row) < 1e-9:
                 raise InputError(f"ray {i} is numerically zero")
         self.rays = rs
-        self._coords = None  # lazy simplicial inverse
+        super().__init__(rs / np.linalg.norm(rs, axis=1)[:, None], rs.T)
 
-    @property
-    def dim(self):
-        return self.rays.shape[1]
+    def _lift(self, x):
+        return x
 
-    def _ray_inverse(self):
-        if self._coords is None:
-            l, n = self.rays.shape
-            if l == n:
-                try:
-                    self._coords = np.linalg.inv(self.rays.T)
-                except np.linalg.LinAlgError:
-                    self._coords = False
-            else:
-                self._coords = False
-        return None if self._coords is False else self._coords
+    def _scale(self, x):
+        return 1.0 + float(np.linalg.norm(x))
+
+    _cap = _scale
+
+    def _combine(self, rng, a, b):
+        w = rng.uniform(0.2, 1.0, size=2)
+        cand = w[0] * a + w[1] * b
+        nrm = float(np.linalg.norm(cand))
+        return None if nrm < 1e-9 else cand / nrm
 
 
 class Ellipsoid:
     """{x : x'Qx <= 1} with Q symmetric positive definite."""
+
+    TAG = "ellipsoid"
+    FIELDS = {"Q": "matrix"}
 
     def __init__(self, q, tols: Tolerances = DEFAULT_TOLS):
         q = as_matrix(q, "Q")
@@ -146,6 +335,35 @@ class Ellipsoid:
     def dim(self):
         return self.Q.shape[0]
 
+    def membership(self, x, tols: Tolerances) -> Membership:
+        v = float(x @ self.Q @ x)
+        b = tols.boundary_band * 2.0
+        if v - 1.0 > b:
+            return Membership.OUTSIDE
+        if abs(v - 1.0) <= b:
+            return Membership.BOUNDARY
+        return Membership.INSIDE
+
+    def violation(self, states, tols: Tolerances) -> np.ndarray:
+        quad = np.sum(states * (self.Q @ states), axis=0)
+        return np.maximum(quad - 1.0, 0.0)
+
+    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+        vecs = self.eigenvectors
+        inv_half = vecs @ np.diag(1.0 / np.sqrt(self.eigenvalues)) @ vecs.T
+        u = _unit_rows(rng, count, self.dim)
+        y = u @ inv_half.T
+        scale = np.sqrt(np.sum(y * (y @ self.Q.T), axis=1))
+        pts = y / scale[:, None]
+        return [BoundaryPoint(pts[k], "quadratic-surface") for k in range(count)]
+
+    def inward(self, bp: BoundaryPoint) -> np.ndarray:
+        return -(self.Q @ bp.point)
+
+    def normal(self, x) -> np.ndarray:
+        """Outward normal Qx of the surface at x."""
+        return self.Q @ x
+
 
 class LorenzCone:
     """One branch of {x : x'Qx <= 0} for Q with a single negative eigenvalue.
@@ -155,6 +373,9 @@ class LorenzCone:
     largest-magnitude entry positive is used; the stored sign is part of the
     serialized form.
     """
+
+    TAG = "lorenz"
+    FIELDS = {"Q": "matrix", "u_n": "optional vector"}
 
     def __init__(self, q, u_n=None, tols: Tolerances = DEFAULT_TOLS):
         q = as_matrix(q, "Q")
@@ -190,8 +411,52 @@ class LorenzCone:
     def dim(self):
         return self.Q.shape[0]
 
+    def membership(self, x, tols: Tolerances) -> Membership:
+        nx = float(np.linalg.norm(x))
+        qv = float(x @ self.Q @ x)
+        lv = float(x @ self.Q @ self.u_n)
+        band_q = tols.boundary_band * (1.0 + nx * nx)
+        band_l = tols.boundary_band * (1.0 + nx)
+        if qv > band_q or lv > band_l:
+            return Membership.OUTSIDE
+        if abs(qv) <= band_q:
+            return Membership.BOUNDARY
+        return Membership.INSIDE
+
+    def violation(self, states, tols: Tolerances) -> np.ndarray:
+        quad = np.sum(states * (self.Q @ states), axis=0)
+        lin = (self.Q @ self.u_n) @ states
+        nrm2 = np.sum(states * states, axis=0)
+        v_q = quad / (1.0 + nrm2)
+        v_l = lin / (1.0 + np.sqrt(nrm2))
+        return np.maximum(np.maximum(v_q, v_l), 0.0)
+
+    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+        n = self.dim
+        out = [BoundaryPoint(np.zeros(n), "apex")]
+        extra = count - 1
+        if extra > 0:
+            v = _unit_rows(rng, extra, n - 1)
+            pos = self.eigenvectors[:, :n - 1] / np.sqrt(self.eigenvalues[:n - 1])
+            axis_part = self.u_n / np.sqrt(-self.eigenvalues[-1])
+            pts = v @ pos.T + axis_part
+            pts /= np.linalg.norm(pts, axis=1)[:, None]
+            out.extend(BoundaryPoint(pts[k], "quadratic-surface") for k in range(extra))
+        return out
+
+    def inward(self, bp: BoundaryPoint) -> np.ndarray:
+        return self.u_n.copy() if bp.active == "apex" else -(self.Q @ bp.point)
+
+    def normal(self, x) -> np.ndarray:
+        """Outward normal Qx of the surface at x; the apex has none."""
+        if float(np.linalg.norm(x)) <= 1e-12:
+            raise ApexPoint("tangent cone at the apex is the cone itself")
+        return self.Q @ x
+
 
 ConvexSet = HPolyhedron | VPolytope | VCone | Ellipsoid | LorenzCone
+
+FAMILIES = {cls.TAG: cls for cls in (HPolyhedron, VPolytope, VCone, Ellipsoid, LorenzCone)}
 
 
 def orthant_h(n: int) -> HPolyhedron:
@@ -208,43 +473,11 @@ def orthant_v(n: int) -> VCone:
     return VCone(np.eye(n))
 
 
-def ambient_dim(s: ConvexSet) -> int:
-    return s.dim
-
-
 def _check_dim(s, x):
     x = as_vector(x, "x")
     if x.shape[0] != s.dim:
         raise DimensionMismatch(f"point has dimension {x.shape[0]}, set has {s.dim}")
     return x
-
-
-def _vform_lp(columns, rhs, cap_delta, tols):
-    """Feasibility plus relative-interior margin of  columns @ theta = rhs,
-    theta >= 0, via  theta = delta*1 + sigma  and maximizing delta.
-
-    cap_delta bounds the margin for conic systems, where it would otherwise
-    be unbounded whenever the generators admit a positive circuit. Returns
-    (feasible, delta, infeasibility, theta).
-    """
-    n_rows, k = columns.shape
-    extra = 1 if cap_delta is not None else 0
-    a_std = np.zeros((n_rows + extra, 1 + k + extra))
-    a_std[:n_rows, 0] = columns @ np.ones(k)
-    a_std[:n_rows, 1:1 + k] = columns
-    rhs_full = np.asarray(rhs, dtype=float)
-    if cap_delta is not None:
-        a_std[n_rows, 0] = 1.0
-        a_std[n_rows, 1 + k] = 1.0
-        rhs_full = np.concatenate([rhs_full, [float(cap_delta)]])
-    c = np.zeros(1 + k + extra)
-    c[0] = -1.0
-    status, z, obj = simplex_standard(c, a_std, rhs_full, tols)
-    if status == "infeasible":
-        return False, 0.0, obj, None
-    delta = float(z[0])
-    theta = delta + z[1:1 + k]
-    return True, delta, 0.0, theta
 
 
 def membership(s: ConvexSet, x, tols: Tolerances = DEFAULT_TOLS) -> Membership:
@@ -255,58 +488,7 @@ def membership(s: ConvexSet, x, tols: Tolerances = DEFAULT_TOLS) -> Membership:
     LP feasibility of the combination coefficients, with "inside" meaning
     the relative interior.
     """
-    x = _check_dim(s, x)
-    band = tols.boundary_band
-
-    if isinstance(s, HPolyhedron):
-        if s.G.shape[0] == 0:
-            return Membership.INSIDE
-        slack = s.G @ x - s.b
-        bands = band * (1.0 + np.abs(s.b))
-        if np.any(slack > bands):
-            return Membership.OUTSIDE
-        if np.any(slack >= -bands):
-            return Membership.BOUNDARY
-        return Membership.INSIDE
-
-    if isinstance(s, Ellipsoid):
-        v = float(x @ s.Q @ x)
-        b = band * 2.0
-        if v - 1.0 > b:
-            return Membership.OUTSIDE
-        if abs(v - 1.0) <= b:
-            return Membership.BOUNDARY
-        return Membership.INSIDE
-
-    if isinstance(s, LorenzCone):
-        nx = float(np.linalg.norm(x))
-        qv = float(x @ s.Q @ x)
-        lv = float(x @ s.Q @ s.u_n)
-        band_q = band * (1.0 + nx * nx)
-        band_l = band * (1.0 + nx)
-        if qv > band_q or lv > band_l:
-            return Membership.OUTSIDE
-        if abs(qv) <= band_q:
-            return Membership.BOUNDARY
-        return Membership.INSIDE
-
-    if isinstance(s, VPolytope):
-        columns = np.vstack([s.vertices.T, np.ones((1, s.vertices.shape[0]))])
-        rhs = np.concatenate([x, [1.0]])
-        feasible, delta, _, _ = _vform_lp(columns, rhs, cap_delta=None, tols=tols)
-        if not feasible:
-            return Membership.OUTSIDE
-        return Membership.INSIDE if delta > _RELINT_TOL else Membership.BOUNDARY
-
-    if isinstance(s, VCone):
-        cap = 1.0 + float(np.linalg.norm(x))
-        feasible, delta, _, _ = _vform_lp(s.rays.T, x, cap_delta=cap, tols=tols)
-        if not feasible:
-            return Membership.OUTSIDE
-        thresh = _RELINT_TOL * (1.0 + float(np.linalg.norm(x)))
-        return Membership.INSIDE if delta > thresh else Membership.BOUNDARY
-
-    raise InputError(f"unsupported set type {type(s).__name__}")
+    return s.membership(_check_dim(s, x), tols)
 
 
 def active_constraints(p: HPolyhedron, x, tols: Tolerances = DEFAULT_TOLS) -> list[int]:
@@ -332,72 +514,7 @@ def outside_violation_batch(s: ConvexSet, states, tols: Tolerances = DEFAULT_TOL
     coefficients come from a direct linear solve; otherwise each column
     falls back to the LP used by membership.
     """
-    states = np.asarray(states, dtype=float)
-    if isinstance(s, HPolyhedron):
-        if s.G.shape[0] == 0:
-            return np.zeros(states.shape[1])
-        slack = (s.G @ states - s.b[:, None]) / (1.0 + np.abs(s.b))[:, None]
-        return np.maximum(slack.max(axis=0), 0.0)
-    if isinstance(s, Ellipsoid):
-        quad = np.sum(states * (s.Q @ states), axis=0)
-        return np.maximum(quad - 1.0, 0.0)
-    if isinstance(s, LorenzCone):
-        quad = np.sum(states * (s.Q @ states), axis=0)
-        lin = (s.Q @ s.u_n) @ states
-        nrm2 = np.sum(states * states, axis=0)
-        v_q = quad / (1.0 + nrm2)
-        v_l = lin / (1.0 + np.sqrt(nrm2))
-        return np.maximum(np.maximum(v_q, v_l), 0.0)
-    if isinstance(s, VPolytope):
-        bary = s._barycentric()
-        if bary is not None:
-            v0, t_inv = bary
-            lam = t_inv @ (states - v0[:, None])
-            first = 1.0 - lam.sum(axis=0)
-            coords = np.vstack([first, lam])
-            return np.maximum(-coords.min(axis=0), 0.0)
-        columns = np.vstack([s.vertices.T, np.ones((1, s.vertices.shape[0]))])
-        out = np.zeros(states.shape[1])
-        for k in range(states.shape[1]):
-            rhs = np.concatenate([states[:, k], [1.0]])
-            feasible, _, infeas, _ = _vform_lp(columns, rhs, cap_delta=None, tols=tols)
-            out[k] = 0.0 if feasible else infeas
-        return out
-    if isinstance(s, VCone):
-        inv = s._ray_inverse()
-        if inv is not None:
-            coords = inv @ states
-            return np.maximum(-coords.min(axis=0), 0.0)
-        out = np.zeros(states.shape[1])
-        for k in range(states.shape[1]):
-            cap = 1.0 + float(np.linalg.norm(states[:, k]))
-            feasible, _, infeas, _ = _vform_lp(s.rays.T, states[:, k], cap_delta=cap, tols=tols)
-            out[k] = 0.0 if feasible else infeas
-        return out
-    raise InputError(f"unsupported set type {type(s).__name__}")
-
-
-def _facet_anchor(p: HPolyhedron, i: int, tols: Tolerances):
-    """A point in the relative interior of facet i, or None if unattained."""
-    m, n = p.G.shape
-    g_rows = []
-    h_vals = []
-    for j in range(m):
-        if j != i:
-            g_rows.append(np.concatenate([p.G[j], [1.0]]))
-            h_vals.append(p.b[j])
-    g_rows.append(np.concatenate([np.zeros(n), [1.0]]))
-    h_vals.append(1.0)
-    g_rows.append(np.concatenate([np.zeros(n), [-1.0]]))
-    h_vals.append(0.0)
-    c = np.concatenate([np.zeros(n), [1.0]])
-    status, z, _ = solve_inequality_lp(
-        c, g_ub=np.array(g_rows), h_ub=np.array(h_vals),
-        a_eq=np.concatenate([p.G[i], [0.0]]).reshape(1, -1), b_eq=[p.b[i]],
-        box=_FACET_BOX, maximize=True, tols=tols)
-    if status != "optimal":
-        return None
-    return z[:n]
+    return s.violation(np.asarray(states, dtype=float), tols)
 
 
 def _unit_rows(rng, rows, cols):
@@ -423,125 +540,11 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     """
     if count < 1:
         raise InputError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(s, Ellipsoid):
-        inv_half = s.eigenvectors @ np.diag(1.0 / np.sqrt(s.eigenvalues)) @ s.eigenvectors.T
-        u = _unit_rows(rng, count, s.dim)
-        y = u @ inv_half.T
-        scale = np.sqrt(np.sum(y * (y @ s.Q.T), axis=1))
-        pts = y / scale[:, None]
-        return [BoundaryPoint(pts[k], "quadratic-surface") for k in range(count)]
-
-    if isinstance(s, LorenzCone):
-        n = s.dim
-        out = [BoundaryPoint(np.zeros(n), "apex")]
-        extra = count - 1
-        if extra > 0:
-            v = _unit_rows(rng, extra, n - 1)
-            pos = s.eigenvectors[:, :n - 1] / np.sqrt(s.eigenvalues[:n - 1])
-            axis_part = s.u_n / np.sqrt(-s.eigenvalues[-1])
-            pts = v @ pos.T + axis_part
-            pts /= np.linalg.norm(pts, axis=1)[:, None]
-            out.extend(BoundaryPoint(pts[k], "quadratic-surface") for k in range(extra))
-        return out
-
-    if isinstance(s, HPolyhedron):
-        m = s.G.shape[0]
-        anchors = [(i, _facet_anchor(s, i, tols)) for i in range(m)]
-        anchors = [(i, a) for i, a in anchors if a is not None]
-        if not anchors:
-            raise EmptyBoundary("no facet of the polyhedron is attained")
-        bands = tols.boundary_band * (1.0 + np.abs(s.b))
-        out = []
-        for k in range(count):
-            i, anchor = anchors[k % len(anchors)]
-            g = s.G[i]
-            gg = float(g @ g)
-            point = anchor
-            radius = 1.0 + float(np.linalg.norm(anchor))
-            for attempt in range(50):
-                y = rng.normal(size=s.dim)
-                y -= g * (float(g @ y) / gg)
-                ny = float(np.linalg.norm(y))
-                if ny < 1e-12:
-                    continue
-                cand = anchor + (radius * 0.5 ** (attempt // 2)) * y / ny
-                if np.all(s.G @ cand - s.b <= bands):
-                    point = cand
-                    break
-            out.append(BoundaryPoint(point, active_constraints(s, point, tols)))
-        return out
-
-    if isinstance(s, VPolytope):
-        l1 = s.vertices.shape[0]
-        out = []
-        for k in range(count):
-            if k < l1:
-                out.append(BoundaryPoint(s.vertices[k].copy(), [k]))
-                continue
-            placed = False
-            if l1 >= 2:
-                for _ in range(30):
-                    i, j = rng.choice(l1, size=2, replace=False)
-                    lam = rng.uniform(0.1, 0.9)
-                    cand = lam * s.vertices[i] + (1.0 - lam) * s.vertices[j]
-                    if membership(s, cand, tols) is Membership.BOUNDARY:
-                        out.append(BoundaryPoint(cand, sorted([int(i), int(j)])))
-                        placed = True
-                        break
-            if not placed:
-                out.append(BoundaryPoint(s.vertices[k % l1].copy(), [k % l1]))
-        return out
-
-    if isinstance(s, VCone):
-        l = s.rays.shape[0]
-        unit = s.rays / np.linalg.norm(s.rays, axis=1)[:, None]
-        out = []
-        for k in range(count):
-            if k < l:
-                out.append(BoundaryPoint(unit[k].copy(), [k]))
-                continue
-            placed = False
-            if l >= 2:
-                for _ in range(30):
-                    i, j = rng.choice(l, size=2, replace=False)
-                    w = rng.uniform(0.2, 1.0, size=2)
-                    cand = w[0] * unit[i] + w[1] * unit[j]
-                    nrm = float(np.linalg.norm(cand))
-                    if nrm < 1e-9:
-                        continue
-                    cand /= nrm
-                    if membership(s, cand, tols) is Membership.BOUNDARY:
-                        out.append(BoundaryPoint(cand, sorted([int(i), int(j)])))
-                        placed = True
-                        break
-            if not placed:
-                out.append(BoundaryPoint(unit[k % l].copy(), [k % l]))
-        return out
-
-    raise InputError(f"unsupported set type {type(s).__name__}")
+    return s.sample(count, np.random.default_rng(seed), tols)
 
 
 def inward_direction(s: ConvexSet, bp: BoundaryPoint) -> np.ndarray | None:
     """A unit direction from the boundary point toward the set, if one is clear."""
-    x = bp.point
-    if isinstance(s, HPolyhedron):
-        rows = bp.active if isinstance(bp.active, list) else []
-        d = np.zeros(s.dim)
-        for i in rows:
-            g = s.G[i]
-            d -= g / (np.linalg.norm(g) + 1e-300)
-    elif isinstance(s, Ellipsoid):
-        d = -(s.Q @ x)
-    elif isinstance(s, LorenzCone):
-        d = s.u_n.copy() if bp.active == "apex" else -(s.Q @ x)
-    elif isinstance(s, VPolytope):
-        d = np.mean(s.vertices, axis=0) - x
-    elif isinstance(s, VCone):
-        unit = s.rays / np.linalg.norm(s.rays, axis=1)[:, None]
-        d = np.mean(unit, axis=0) * (1.0 + float(np.linalg.norm(x))) - x
-    else:
-        return None
+    d = s.inward(bp)
     nrm = float(np.linalg.norm(d))
     return None if nrm < 1e-12 else d / nrm

@@ -60,6 +60,23 @@ def _simplex_iterate(tab, basis, ncols):
     raise NumericalFailure("simplex exceeded its pivot budget")
 
 
+def _rows_within_scale(tab, basis, a_work, b_work, tols: Tolerances) -> bool:
+    """Whether every row's phase-one residual is within the feasibility
+    tolerance relative to the size of that row's own terms.
+
+    The residual of row i is the value of its artificial variable n + i; it
+    is judged against 1 + |b_i| + sum_j |A_ij z_j| at the phase-one point z.
+    Rounding grows with the terms a row sums, so feasible LPs with large
+    data are not rejected, while a row whose terms are small still has to
+    hold tightly beside large ones (such as an artificial box).
+    """
+    m, n = a_work.shape
+    z = np.zeros(n + m)
+    z[basis] = tab[:m, -1]
+    scale = 1.0 + b_work + np.abs(a_work) @ np.abs(z[:n])
+    return bool(np.all(z[n:] <= tols.feasibility * scale))
+
+
 def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS):
     """min c'z subject to A z = b, z >= 0, by two-phase simplex (Bland).
 
@@ -90,7 +107,8 @@ def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS):
     basis = list(range(n, n + m))
     status = _simplex_iterate(tab, basis, n + m)
     phase1 = -tab[m, -1]
-    if status != "optimal" or phase1 > tols.feasibility:
+    if status != "optimal" or (phase1 > tols.feasibility and
+                               not _rows_within_scale(tab, basis, a_work, b_eq, tols)):
         return "infeasible", None, float(max(phase1, 0.0))
 
     # drive artificial variables out of the basis; drop redundant rows

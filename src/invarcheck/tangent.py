@@ -57,20 +57,6 @@ class TangentCone:
     q_normal: np.ndarray | None = None
     set_ref: object = None
 
-    @property
-    def dim(self) -> int:
-        if self.kind == HALFSPACES:
-            return self.normals.shape[1]
-        if self.kind == GENERATED:
-            if self.free_generator is not None:
-                return self.free_generator.shape[0]
-            return self.generators.shape[1]
-        if self.kind == QUADRATIC:
-            return self.q_normal.shape[0]
-        if self.kind == SELF_CONE:
-            return self.set_ref.dim
-        return -1  # fullspace: any dimension
-
 
 def _resolve_point(x) -> np.ndarray:
     if isinstance(x, BoundaryPoint):
@@ -115,71 +101,101 @@ def tangent_quadratic(s: Ellipsoid | LorenzCone, x) -> TangentCone:
     """Halfspace under the outward normal Qx on the smooth quadratic surface."""
     if isinstance(x, BoundaryPoint) and x.active == "apex":
         raise ApexPoint("tangent cone at the apex is the cone itself")
-    pt = _resolve_point(x)
-    if isinstance(s, LorenzCone) and float(np.linalg.norm(pt)) <= 1e-12:
-        raise ApexPoint("tangent cone at the apex is the cone itself")
-    return TangentCone(QUADRATIC, q_normal=s.Q @ pt)
+    return TangentCone(QUADRATIC, q_normal=s.normal(_resolve_point(x)))
+
+
+def _vertex_at(p: VPolytope, pt: np.ndarray) -> list[int]:
+    """[i] for the first vertex i that pt coincides with, else []."""
+    for i, v in enumerate(p.vertices):
+        if np.max(np.abs(v - pt)) <= 1e-8 * (1.0 + np.max(np.abs(v))):
+            return [i]
+    return []
+
+
+def _ray_through(c: VCone, pt: np.ndarray) -> list[int]:
+    """[i] for the first ray i that pt points along, else []."""
+    for i, r in enumerate(c.rays):
+        cross = np.linalg.norm(pt) * np.linalg.norm(r)
+        if cross > 0 and float(pt @ r) >= (1.0 - 1e-10) * cross:
+            return [i]
+    return []
 
 
 def tangent_cone_at(s, bp: BoundaryPoint, tols: Tolerances = DEFAULT_TOLS) -> TangentCone:
-    """Tangent cone at a sampled boundary point of any supported set.
+    """Tangent cone at a boundary point of any supported set.
 
-    Vertex-form points that are not vertices/rays get the general
-    finitely-generated cone (differences to all vertices; all rays plus the
-    point itself sign-free), which reduces to the vertex/ray formulas there.
+    A point given with active=None is located first: the vertex or ray it
+    coincides with, or the apex of a quadratic cone. Vertex-form points that
+    are not vertices/rays get the general finitely-generated cone
+    (differences to all vertices; all rays plus the point itself
+    sign-free), which reduces to the vertex/ray formulas there.
     """
     if isinstance(s, HPolyhedron):
         return tangent_h(s, bp, tols)
+    pt = _resolve_point(bp)
     if isinstance(s, VPolytope):
-        if isinstance(bp.active, list) and len(bp.active) == 1:
-            return tangent_polytope(s, bp.active[0])
-        pt = _resolve_point(bp)
+        active = _vertex_at(s, pt) if bp.active is None else bp.active
+        if isinstance(active, list) and len(active) == 1:
+            return tangent_polytope(s, active[0])
         gens = [v - pt for v in s.vertices if np.max(np.abs(v - pt)) > 1e-12]
         gens = np.array(gens) if gens else np.zeros((0, s.dim))
         return TangentCone(GENERATED, generators=gens)
     if isinstance(s, VCone):
-        if isinstance(bp.active, list) and len(bp.active) == 1:
-            return tangent_vcone(s, bp.active[0])
-        pt = _resolve_point(bp)
+        active = _ray_through(s, pt) if bp.active is None else bp.active
+        if isinstance(active, list) and len(active) == 1:
+            return tangent_vcone(s, active[0])
         return TangentCone(GENERATED, generators=s.rays.copy(), free_generator=pt)
     if isinstance(s, Ellipsoid):
         return tangent_quadratic(s, bp)
     if isinstance(s, LorenzCone):
-        pt = _resolve_point(bp)
-        if bp.active == "apex" or float(np.linalg.norm(pt)) <= 1e-12:
+        if bp.active == "apex" or float(np.linalg.norm(pt)) <= 1e-10:
             return TangentCone(SELF_CONE, set_ref=s)
         return tangent_quadratic(s, bp)
     raise InputError(f"unsupported set type {type(s).__name__}")
 
 
-def cone_contains(t: TangentCone, y, tol: float | None = None,
-                  tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """Whether direction y lies in the tangent cone, within tolerance.
+def cone_test(t: TangentCone, y, tol: float | None = None,
+              tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, float]:
+    """Whether direction y lies in the tangent cone within tol, and by how
+    much it misses.
 
-    Halfspace kinds test every normal against tol scaled by the norms;
-    generated kinds solve the coefficient feasibility LP and accept an L1
-    residual up to tol*(1 + ||y||).
+    Halfspace kinds test every normal against tol scaled by the norms; the
+    residual is the largest normalized inner product. Generated kinds solve
+    the coefficient feasibility LP once and accept an L1 residual up to
+    tol*(1 + ||y||). The apex kind uses the cone's own violation measure.
     """
     tol = tols.cone if tol is None else float(tol)
     y = as_vector(y, "y")
     if t.kind == FULLSPACE:
-        return True
+        return True, 0.0
     if t.kind == HALFSPACES or t.kind == QUADRATIC:
         rows = t.normals if t.kind == HALFSPACES else t.q_normal.reshape(1, -1)
         ny = float(np.linalg.norm(y))
+        inside = True
+        worst = 0.0
         for g in rows:
-            if float(g @ y) > tol * (1.0 + float(np.linalg.norm(g)) * ny):
-                return False
-        return True
+            flux = float(g @ y)
+            scale = 1.0 + float(np.linalg.norm(g)) * ny
+            if flux > tol * scale:
+                inside = False
+            worst = max(worst, flux / scale)
+        return inside, worst
     if t.kind == GENERATED:
         cols = [t.generators.T]
         free: tuple[int, ...] = ()
         if t.free_generator is not None:
             cols.append(t.free_generator.reshape(-1, 1))
             free = (t.generators.shape[0],)
-        matrix = np.hstack(cols)
-        opt, _ = phase_one_feasibility(matrix, y, free, tols)
-        return opt <= tol * (1.0 + float(np.linalg.norm(y)))
+        opt, _ = phase_one_feasibility(np.hstack(cols), y, free, tols)
+        return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
-        return outside_violation(t.set_ref, y, tols) <= tol
+        violation = outside_violation(t.set_ref, y, tols)
+        return violation <= tol, violation
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
+
+
+def cone_contains(t: TangentCone, y, tol: float | None = None,
+                  tols: Tolerances = DEFAULT_TOLS) -> bool:
+    """Whether direction y lies in the tangent cone, within tolerance (see
+    cone_test)."""
+    return cone_test(t, y, tol, tols)[0]

@@ -13,15 +13,18 @@ from invarcheck.checkers import (
     check_vpolytope,
 )
 from invarcheck.dynamics import falsify
-from invarcheck.errors import EmptySet
+from invarcheck.errors import EmptySet, InputError
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
     LorenzCone,
+    Membership,
     VCone,
     VPolytope,
+    membership,
     orthant_h,
     orthant_v,
+    sample_boundary,
 )
 from invarcheck.systems import GeneralSystem, LinearSystem
 
@@ -52,6 +55,29 @@ def test_box_expansion_not_invariant():
     assert v.counterexample.violation == pytest.approx(1.0, abs=1e-9)
     assert v.counterexample.point[0] == pytest.approx(1.0, abs=1e-9)
     assert v.notes["facet"] == 0
+
+
+def test_unbounded_facet_outside_default_box_refuted():
+    # x1 <= 2e6 under x1' = x2: the flux x2 is unbounded on the facet, which
+    # lies outside a box of half-width 1e6
+    v = check_hpoly_linear(HPolyhedron([[1.0, 0.0]], [2e6]), [[0.0, 1.0], [0.0, 0.0]])
+    assert v.decision is Decision.NOT_INVARIANT
+    assert v.notes["facet"] == 0
+    assert v.counterexample.point[0] == pytest.approx(2e6)
+    assert v.counterexample.violation > 0.0
+    assert v.counterexample.violation == pytest.approx(v.counterexample.point[1])
+
+
+def test_unattained_parallel_facet_not_sampled():
+    # x1 <= 1.0005 beside x1 <= 1 is never attained; its facet LP, boxed at
+    # 1e6, ends phase one 5e-4 short, which must not pass as rounding
+    box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]],
+                      [1.0, 1.0, 1.0, 1.0, 1.0005])
+    for bp in sample_boundary(box, 60, 0):
+        assert membership(box, bp.point) is not Membership.OUTSIDE
+    assert falsify(box, LinearSystem(-np.eye(2)), 40, horizon=1.0, step=1e-2, seed=0) is None
+    sampled = check_nonlinear_sampled(box, GeneralSystem(lambda t, x: -x), 0.0, 60, 0)
+    assert sampled.decision is Decision.UNKNOWN
 
 
 def test_orthant_h_equals_metzler_test():
@@ -213,6 +239,11 @@ def test_dispatch_orthant_flag():
     v = check(orthant_h(2), LinearSystem([[-1.0, 2.0], [0.0, -3.0]]), orthant=True)
     assert v.decision is Decision.INVARIANT
     assert v.certificate.kind == "metzler"
+
+
+def test_dispatch_unsupported_set_is_input_error():
+    with pytest.raises(InputError, match="unsupported set type"):
+        check(object(), LinearSystem(-np.eye(2)))
 
 
 def test_cube_h_v_checker_agreement():

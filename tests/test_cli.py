@@ -16,6 +16,7 @@ from invarcheck.cli import (
     set_from_dict,
     set_to_dict,
 )
+from invarcheck.errors import NumericalFailure
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -230,17 +231,19 @@ def test_set_serialization_round_trip():
         assert set_to_dict(s2, tag2) == back
 
 
-def test_numerical_failure_maps_to_70(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error, message", [(NumericalFailure, "numerical failure"),
+                                            (TypeError, "internal error: TypeError")],
+                         ids=["NumericalFailure", "TypeError"])
+def test_numerical_failure_maps_to_70(tmp_path, capsys, monkeypatch, error, message):
     from invarcheck import cli
-    from invarcheck.errors import NumericalFailure
 
     def boom(*args, **kwargs):
-        raise NumericalFailure("synthetic")
+        raise error("synthetic")
 
     monkeypatch.setattr(cli, "check", boom)
     code, _, err = run_cli(capsys, "check", str(PROBLEMS / "hpolyhedron_box.json"))
     assert code == 70
-    assert "numerical failure" in err
+    assert message in err
 
 
 def test_expression_and_linear_agree_on_sampled_path():

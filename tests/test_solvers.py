@@ -218,6 +218,16 @@ def test_inequality_lp_box_and_equality():
     assert v == pytest.approx(1e6)
 
 
+def test_phase_one_acceptance_relative_to_rhs():
+    # the 1e6 box puts the right-hand side near 1e6; phase one then ends
+    # about 1e-9 above zero on a feasible LP, which an absolute test rejects
+    g = np.random.default_rng(0).normal(size=(6, 2))
+    status, x, _ = solve_inequality_lp(np.zeros(2), g, np.ones(6), a_eq=g[1:2], b_eq=[1.0],
+                                       box=1e6)
+    assert status == "optimal"
+    assert float(g[1] @ x) == pytest.approx(1.0, abs=1e-6)
+
+
 def test_phase_one_free_split():
     # x free with x = -2 is the only solution of 1*x = -2
     opt, a = phase_one_feasibility(np.array([[1.0]]), np.array([-2.0]), free_indices=(0,))
