@@ -273,11 +273,12 @@ def check_lorenz_linear(c: LorenzCone, a, n_samples: int = 10000, seed: int = 0,
     pts = np.array([bp.point for bp in samples])
     flux = np.sum(pts * (pts @ qa.T), axis=1)
     threshold = 1e-8 * (1.0 + float(np.linalg.norm(qa)))
-    for k in range(len(samples)):
-        if flux[k] > threshold:
-            return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(pts[k], float(flux[k])),
-                           notes={"certificate_gap": phi_star})
+    above = np.flatnonzero(flux > threshold)
+    if above.size:
+        k = int(above[0])
+        return Verdict(Decision.NOT_INVARIANT,
+                       counterexample=Counterexample(pts[k], float(flux[k])),
+                       notes={"certificate_gap": phi_star})
     return Verdict(Decision.UNKNOWN,
                    notes={"certificate_gap": phi_star, "samples_checked": len(samples)})
 

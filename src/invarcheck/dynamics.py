@@ -164,13 +164,22 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     Integrates from boundary samples (and any extra starts, tried first);
     returns (x0, t_exit) for the lowest-index start whose violation exceeds
     the strict exit band within the horizon, or None if no exit is seen.
-    Deterministic for a given seed.
+    An extra start already outside the set by more than that band raises
+    InputError. Deterministic for a given seed.
     """
     samples = sample_boundary(s, n_starts, seed, tols)
     starts: list[np.ndarray] = []
     if extra_starts is not None:
         wrapped = [p if isinstance(p, BoundaryPoint) else BoundaryPoint(as_vector(p, "x0"), None)
                    for p in extra_starts]
+        if wrapped:
+            viol = outside_violation_batch(
+                s, np.column_stack([bp.point for bp in wrapped]), tols)
+            outside = np.flatnonzero(viol > tols.exit_band)
+            if outside.size:
+                k = int(outside[0])
+                raise InputError(f"extra start {k} lies outside the set "
+                                 f"(violation {float(viol[k]):.3e})")
         starts.extend(_nudged_starts(s, wrapped, tols))
     starts.extend(_nudged_starts(s, samples, tols))
     if not starts:

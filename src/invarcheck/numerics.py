@@ -1,8 +1,8 @@
 """Dense real linear-algebra kernels used by every other module.
 
 Everything here is pure and operates on plain numpy arrays validated at
-entry: linear solves with partial pivoting, a cyclic-Jacobi symmetric
-eigensolver, generalized symmetric eigenvalues through a Cholesky
+entry: linear solves with partial pivoting, a symmetric eigensolver on
+LAPACK's eigh, generalized symmetric eigenvalues through a Cholesky
 reduction, and a golden-section minimizer for convex scalar functions.
 """
 
@@ -28,8 +28,6 @@ class Tolerances:
     """Central numeric-tolerance record; defaults serve the desk scale (n <= ~50)."""
 
     pivot: float = 1e-12            # elimination pivot below this is singular
-    jacobi_sweeps: int = 100        # cyclic Jacobi sweep budget
-    jacobi_off: float = 1e-12       # off-diagonal convergence, relative to ||M||_F
     cholesky_pivot: float = 1e-10   # Cholesky pivot floor for positive definiteness
     spd_min_eig: float = 1e-10      # minimum eigenvalue accepted as positive definite
     feasibility: float = 1e-9       # LP phase-one / residual acceptance
@@ -75,11 +73,15 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip v so its largest-magnitude entry is positive (ties: lowest index)."""
+    """Flip v so its largest-magnitude entry is positive (ties: lowest index).
+
+    A matrix is flipped column by column.
+    """
     if v.size == 0:
         return v
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
+    cols = v.reshape(v.shape[0], -1)
+    k = np.argmax(np.abs(cols), axis=0)
+    return np.where(cols[k, np.arange(cols.shape[1])] < 0, -v, v)
 
 
 @dataclass
@@ -139,12 +141,13 @@ def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 
 
 def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix by LAPACK's eigh.
 
     The input is symmetrized as (M + M')/2 after a near-symmetry check.
     Eigenvalues come back sorted descending with orthonormal eigenvector
-    columns aligned to them; raises NoConvergence if the sweep budget is
-    exhausted before the off-diagonal mass falls under threshold.
+    columns aligned to them, each column sign-normalized by canonical_sign;
+    raises NoConvergence if LAPACK reports a failure to converge. No field of
+    tols applies; it is accepted like in the other kernels.
     """
     m = as_square(m, "M")
     n = m.shape[0]
@@ -152,62 +155,14 @@ def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
     if n and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + scale):
         raise InputError("matrix is not symmetric within tolerance")
     a = 0.5 * (m + m.T)
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a, "fro"))
-    if n == 0 or fro == 0.0:
-        return EigenResult(np.zeros(n), v)
-    thresh = tols.jacobi_off * fro
-
-    def offdiag(mat):
-        stripped = mat.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.linalg.norm(stripped, "fro"))
-
-    converged = False
-    for _ in range(tols.jacobi_sweeps):
-        if offdiag(a) <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(diff) > 2.0e150 * abs(apq):
-                    # rotation angle ~ apq/diff; avoid overflow in tau*tau
-                    t = apq / diff
-                else:
-                    tau = diff / (2.0 * apq)
-                    if tau >= 0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    else:
-        converged = offdiag(a) <= thresh
-    if not converged:
-        raise NoConvergence(f"Jacobi did not converge within {tols.jacobi_sweeps} sweeps")
-
-    w = np.diag(a).copy()
+    if n == 0 or not a.any():
+        return EigenResult(np.zeros(n), np.eye(n))
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(n):
-        v[:, j] = canonical_sign(v[:, j])
-    return EigenResult(w, v)
+    return EigenResult(w[order], canonical_sign(v[:, order]))
 
 
 def cholesky_lower(q, pivot_floor: float | None = None,
@@ -293,6 +248,8 @@ def minimize_scalar_convex(f, bracket, tol: float = 1e-8):
     """Golden-section minimum of a convex scalar function over a finite bracket.
 
     Returns (argmin, value at argmin); argmin is within tol of a minimizer.
+    When tol is below the float spacing of the bracket, the search stops once
+    the bracket no longer shrinks and returns the best point evaluated.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
@@ -309,13 +266,16 @@ def minimize_scalar_convex(f, bracket, tol: float = 1e-8):
     while h > tol:
         if yc < yd:
             hi, d, yd = d, c, yc
-            h = hi - lo
-            c = hi - _INVPHI * h
+            c = hi - _INVPHI * (hi - lo)
             yc = float(f(c))
         else:
             lo, c, yc = c, d, yd
-            h = hi - lo
-            d = lo + _INVPHI * h
+            d = lo + _INVPHI * (hi - lo)
             yd = float(f(d))
+        if hi - lo >= h:
+            # tol is below the float spacing of the bracket, which no longer
+            # shrinks: return the best point evaluated
+            return (c, yc) if yc <= yd else (d, yd)
+        h = hi - lo
     x = 0.5 * (lo + hi)
     return x, float(f(x))

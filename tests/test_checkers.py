@@ -207,6 +207,13 @@ def test_lorenz_flank_weighted_not_invariant():
     assert x @ np.diag([1.0, 1.0, -1.0]) @ np.diag([3.0, 3.0, 1.0]) @ x > 0.0
 
 
+def test_lorenz_large_field_terminates():
+    # eta* = 2e6: the eta-search tolerance lies below the float spacing there
+    v = check(LorenzCone(np.diag([1.0, 1.0, -1.0])), LinearSystem(1e6 * np.eye(3)))
+    assert v.decision is Decision.INVARIANT
+    assert v.certificate.data["eta"] == pytest.approx(2e6, rel=1e-12)
+
+
 def test_sampled_quartic_contraction_unknown():
     disk = Ellipsoid(np.eye(2))
     sys = GeneralSystem(lambda t, x: -x ** 3, vectorized=True)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from invarcheck.dynamics import expm, falsify, integrate, integrate_exact
-from invarcheck.sets import Ellipsoid, orthant_h
+from invarcheck.errors import InputError
+from invarcheck.sets import Ellipsoid, LorenzCone, orthant_h
 from invarcheck.systems import GeneralSystem, LinearSystem
 
 
@@ -138,3 +139,12 @@ def test_falsify_extra_starts_take_priority():
     assert hit is not None
     x0, _ = hit
     assert np.allclose(x0, [1.0, 0.0], atol=1e-6)
+
+
+def test_falsify_rejects_extra_start_outside_set():
+    # x'Qx = 0.01 > 0: the point lies outside the cone, which -I keeps invariant
+    cone = LorenzCone(np.diag([1.0, 1.0, -1.0]))
+    sys = LinearSystem(-np.eye(3))
+    with pytest.raises(InputError, match="extra start 1"):
+        falsify(cone, sys, 20, horizon=0.5, step=0.01, seed=2,
+                extra_starts=[[0.0, 0.0, 1.0], [0.1, 0.1, 0.1]])

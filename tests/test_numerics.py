@@ -94,13 +94,16 @@ def test_sym_eig_reconstruction_property():
         assert np.all(np.diff(r.eigenvalues) <= 1e-12)
 
 
-def test_sym_eig_sweep_budget_enforced():
+def test_sym_eig_lapack_failure_is_no_convergence(monkeypatch):
+    from invarcheck import numerics
     from invarcheck.errors import NoConvergence
-    from invarcheck.numerics import Tolerances
 
-    starved = Tolerances(jacobi_sweeps=0)
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(numerics.np.linalg, "eigh", failing_eigh)
     with pytest.raises(NoConvergence):
-        sym_eig([[0.0, 1.0], [1.0, 0.0]], starved)
+        sym_eig([[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_gen_eig_standard_case():
@@ -145,6 +148,13 @@ def test_minimize_quadratic():
 def test_minimize_kink():
     x, _ = minimize_scalar_convex(abs, (-1.0, 2.0), 1e-9)
     assert x == pytest.approx(0.0, abs=1e-8)
+
+
+def test_minimize_terminates_below_float_spacing():
+    # tol 5e-11 is below the spacing of doubles near 2e6 (about 2.3e-10)
+    x, v = minimize_scalar_convex(lambda e: abs(e - 2e6), (-2e7, 2e7), 5e-11)
+    assert abs(x - 2e6) <= np.spacing(2e6)
+    assert v == abs(x - 2e6)
 
 
 def test_minimize_pencil_max_eigenvalue():
