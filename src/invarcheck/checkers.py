@@ -81,12 +81,13 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
     """Decide invariance of a halfspace-form polyhedron under x' = A x.
 
     The pointwise facet condition is reduced to one LP per facet: maximize
-    the outward flux g_i'Ax over the facet. Unbounded facets are re-solved
-    inside the artificial box |x_i| <= 1e6 * max(1, max|b|) and flagged when
-    the maximizer touches it, since the true supremum may be infinite. A
-    facet that lies outside that box (far from the origin because a row of
-    G is tiny next to its b) makes the re-solve infeasible and raises
-    NumericalFailure.
+    the outward flux g_i'Ax over the facet; the first facet with a positive
+    optimum refutes, and the facets after it are not solved. Unbounded
+    facets are re-solved inside the artificial box |x_i| <= 1e6 * max(1,
+    max|b|) and flagged when the maximizer touches it, since the true
+    supremum may be infinite. A facet that lies outside that box (far from
+    the origin because a row of G is tiny next to its b) makes the re-solve
+    infeasible and raises NumericalFailure.
     """
     a = as_square(a, "A")
     if a.shape[0] != p.dim:
@@ -94,7 +95,6 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
     m = p.G.shape[0]
     facets = []
     nonempty_checked = False
-    worst = None  # (optimum, index, point)
     for i in range(m):
         c = a.T @ p.G[i]
         status, x, val = solve_inequality_lp(
@@ -120,6 +120,10 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
             if status != "optimal":
                 raise NumericalFailure(f"boxed re-solve of facet {i} returned {status}")
             on_box = bool(np.any(np.abs(x) >= box * (1.0 - 1e-9)))
+        if val > tols.facet_optimum:
+            return Verdict(Decision.NOT_INVARIANT,
+                           counterexample=Counterexample(np.asarray(x), float(val)),
+                           notes={"facet": i})
         facets.append({
             "index": i,
             "optimum": float(val),
@@ -127,13 +131,6 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
             "boxed": boxed,
             "on_box": on_box,
         })
-        if val > tols.facet_optimum and (worst is None):
-            worst = (float(val), i, x)
-    if worst is not None:
-        val, i, x = worst
-        return Verdict(Decision.NOT_INVARIANT,
-                       counterexample=Counterexample(np.asarray(x), val),
-                       notes={"facet": i})
     return Verdict(Decision.INVARIANT,
                    certificate=Certificate("facet-lp", {"facets": facets}))
 

@@ -151,7 +151,6 @@ def system_from_dict(d: dict, dim: int):
     raise InputError(f"system.type: unknown tag {tag!r}")
 
 
-_OPTION_FIELDS = ("tolerance", "seed", "n_samples", "horizon", "step", "t0")
 _OPTION_DEFAULTS = {
     "tolerance": DEFAULT_TOLS.cone,
     "seed": 0,
@@ -179,9 +178,7 @@ def resolve_options(file_options, args) -> dict:
                 opts[key] = _require_number(value, f"options.{key}")
     for key, flag in (("tolerance", "tolerance"), ("seed", "seed"),
                       ("n_samples", "samples"), ("horizon", "horizon"),
-                      ("step", "step"), ("t0", None)):
-        if flag is None:
-            continue
+                      ("step", "step")):
         val = getattr(args, flag, None)
         if val is not None:
             opts[key] = val
@@ -375,10 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (EmptySet, EmptyBoundary) as exc:
+    except (InputError, EmptySet, EmptyBoundary) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotMember, ApexPoint) as exc:

@@ -86,6 +86,33 @@ def _rk4_step(sys_field, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_grid(x0, horizon: float, step: float):
+    """Validated start vector and step count of a fixed-step integration."""
+    x0 = as_vector(x0, "x0")
+    if step <= 0.0 or horizon < step:
+        raise InputError("need step > 0 and horizon >= step")
+    return x0, max(1, int(round(horizon / step)))
+
+
+def _step_loop(advance, x0, t0, nsteps, step, tols) -> Trajectory:
+    """Apply x <- advance(t, x) nsteps times from t0, truncating as integrate says."""
+    times = [t0]
+    states = [x0.copy()]
+    x = x0.copy()
+    diverged = False
+    for k in range(nsteps):
+        x = advance(t0 + k * step, x)
+        if not np.all(np.isfinite(x)):
+            diverged = True
+            break
+        times.append(t0 + (k + 1) * step)
+        states.append(x.copy())
+        if float(np.linalg.norm(x)) > tols.divergence:
+            diverged = True
+            break
+    return Trajectory(np.array(times), np.array(states), step, diverged)
+
+
 def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float,
               tols: Tolerances = DEFAULT_TOLS) -> Trajectory:
     """Classic fixed-step RK4 from t0 over the horizon.
@@ -93,51 +120,17 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float,
     Truncates with diverged=True when a state goes non-finite or its norm
     exceeds the divergence threshold.
     """
-    x0 = as_vector(x0, "x0")
-    if step <= 0.0 or horizon < step:
-        raise InputError("need step > 0 and horizon >= step")
-    nsteps = max(1, int(round(horizon / step)))
-    times = [t0]
-    states = [x0.copy()]
-    x = x0.copy()
-    diverged = False
-    for k in range(nsteps):
-        t = t0 + k * step
-        x = _rk4_step(sys.field, t, x, step)
-        if not np.all(np.isfinite(x)):
-            diverged = True
-            break
-        times.append(t0 + (k + 1) * step)
-        states.append(x.copy())
-        if float(np.linalg.norm(x)) > tols.divergence:
-            diverged = True
-            break
-    return Trajectory(np.array(times), np.array(states), step, diverged)
+    x0, nsteps = _step_grid(x0, horizon, step)
+    return _step_loop(lambda t, x: _rk4_step(sys.field, t, x, step),
+                      x0, t0, nsteps, step, tols)
 
 
 def integrate_exact(sys: LinearSystem, x0, t0: float, horizon: float, step: float,
                     tols: Tolerances = DEFAULT_TOLS) -> Trajectory:
     """Exact linear propagation x(t0 + k h) = exp(A h)^k x0."""
-    x0 = as_vector(x0, "x0")
-    if step <= 0.0 or horizon < step:
-        raise InputError("need step > 0 and horizon >= step")
+    x0, nsteps = _step_grid(x0, horizon, step)
     prop = expm(sys.a * step, tols)
-    nsteps = max(1, int(round(horizon / step)))
-    times = [t0]
-    states = [x0.copy()]
-    x = x0.copy()
-    diverged = False
-    for k in range(nsteps):
-        x = prop @ x
-        if not np.all(np.isfinite(x)):
-            diverged = True
-            break
-        times.append(t0 + (k + 1) * step)
-        states.append(x.copy())
-        if float(np.linalg.norm(x)) > tols.divergence:
-            diverged = True
-            break
-    return Trajectory(np.array(times), np.array(states), step, diverged)
+    return _step_loop(lambda t, x: prop @ x, x0, t0, nsteps, step, tols)
 
 
 def _nudged_starts(s: ConvexSet, points, tols: Tolerances) -> list[np.ndarray]:

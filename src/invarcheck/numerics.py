@@ -38,7 +38,6 @@ class Tolerances:
     pencil: float = 1e-9            # eigenvalue-certificate acceptance
     exit_band: float = 1e-6         # falsifier "strictly outside" band
     inward_push: float = 1e-9       # boundary starts get pushed inside by this
-    eta_interval: float = 1e-11     # golden-section interval width for eta searches
     divergence: float = 1e12        # state norm treated as divergence
 
 
@@ -165,11 +164,10 @@ def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
     return EigenResult(w[order], canonical_sign(v[:, order]))
 
 
-def cholesky_lower(q, pivot_floor: float | None = None,
-                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def cholesky_lower(q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Lower Cholesky factor of an SPD matrix; NotPositiveDefinite on small pivots."""
     q = as_square(q, "Q")
-    floor = tols.cholesky_pivot if pivot_floor is None else pivot_floor
+    floor = tols.cholesky_pivot
     n = q.shape[0]
     low = np.zeros((n, n))
     for i in range(n):

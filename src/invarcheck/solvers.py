@@ -1,12 +1,12 @@
 """Certification solvers: linear feasibility and nearest-point programs.
 
-Two backends decide whether a sampled field vector decomposes over a vertex
-or ray system: an equality-form linear feasibility model solved by a
-two-phase simplex with Bland's rule, and an equality-constrained
-nonnegative least-squares model whose optimal objective is half the squared
-distance to the generated cone. A small general-purpose inequality LP
-wrapper built on the same simplex serves the facet checks and boundary
-sampling elsewhere in the package.
+Every LP in the package runs on one core: a two-phase simplex with Bland's
+rule over a standard-form tableau, with one pivot routine for both phases.
+LPs with free variables (the vertex and ray decomposition systems, and the
+inequality LPs of the facet checks and boundary sampling) reach it through
+one builder that splits each free variable and adds the slacks. Beside it
+sits an equality-constrained nonnegative least-squares model whose optimal
+objective is half the squared distance to the generated cone.
 """
 
 from __future__ import annotations
@@ -51,13 +51,18 @@ def _simplex_iterate(tab, basis, ncols):
                     leave = i
         if leave < 0:
             return "unbounded"
-        piv = tab[leave, enter]
-        tab[leave, :] /= piv
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i, :] -= tab[i, enter] * tab[leave, :]
-        basis[leave] = enter
+        _pivot(tab, basis, leave, enter)
     raise NumericalFailure("simplex exceeded its pivot budget")
+
+
+def _pivot(tab, basis, i, j):
+    """Pivot the tableau on entry (i, j): column j enters the basis at row i."""
+    piv = tab[i, j]
+    tab[i, :] /= piv
+    for k in range(tab.shape[0]):
+        if k != i and tab[k, j] != 0.0:
+            tab[k, :] -= tab[k, j] * tab[i, :]
+    basis[i] = j
 
 
 def _rows_within_scale(tab, basis, a_work, b_work, tols: Tolerances) -> bool:
@@ -122,12 +127,7 @@ def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS):
                     break
             if pivot_col < 0:
                 continue  # redundant constraint row
-            piv = tab[i, pivot_col]
-            tab[i, :] /= piv
-            for k in range(m + 1):
-                if k != i and tab[k, pivot_col] != 0.0:
-                    tab[k, :] -= tab[k, pivot_col] * tab[i, :]
-            basis[i] = pivot_col
+            _pivot(tab, basis, i, pivot_col)
         keep_rows.append(i)
 
     rows = keep_rows
@@ -151,6 +151,38 @@ def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS):
     return "optimal", z, float(-tab2[m2, n])
 
 
+def _solve_split(c, free, a_eq, b_eq, g=None, h=None, tols: Tolerances = DEFAULT_TOLS):
+    """min c'x (zero for c None) over G x <= h, A x = b, x_j >= 0 unless j is free.
+
+    Standard form: columns x, -x_j per free j (sorted, distinct), one slack
+    per row of G; rows G, then A. Returns (status, unsplit x, objective).
+    """
+    m_eq, n = a_eq.shape
+    m_ub = 0 if g is None else g.shape[0]
+    k = len(free)
+    cols = slice(None) if k == n else free  # a slice copies less than a gather
+    a_std, b_std = a_eq, b_eq
+    if k or m_ub:
+        a_std = np.zeros((m_ub + m_eq, n + k + m_ub))
+        if m_ub:
+            a_std[:m_ub, :n] = g
+            a_std[:m_ub, n:n + k] = -g[:, cols]
+            a_std[:m_ub, n + k:] = np.eye(m_ub)
+            b_std = np.concatenate([h, b_eq])
+        if m_eq:
+            a_std[m_ub:, :n] = a_eq
+            a_std[m_ub:, n:n + k] = -a_eq[:, cols]
+    c_std = np.zeros(n + k + m_ub)
+    if c is not None:
+        c_std[:n] = c
+        c_std[n:n + k] = -c[cols]
+    status, z, obj = simplex_standard(c_std, a_std, b_std, tols)
+    x = None if z is None else z[:n].copy()
+    if x is not None and k:
+        x[cols] -= z[n:n + k]
+    return status, x, obj
+
+
 def phase_one_feasibility(matrix, rhs, free_indices=(), tols: Tolerances = DEFAULT_TOLS):
     """Feasibility of  matrix @ a = rhs  with a_j >= 0 except the free ones.
 
@@ -160,21 +192,12 @@ def phase_one_feasibility(matrix, rhs, free_indices=(), tols: Tolerances = DEFAU
     """
     matrix = as_matrix(matrix, "matrix")
     rhs = as_vector(rhs, "rhs")
-    m, k = matrix.shape
     free = sorted(set(int(j) for j in free_indices))
-    cols = [matrix]
-    for j in free:
-        cols.append(-matrix[:, j:j + 1])
-    a_std = np.hstack(cols) if free else matrix
-    c = np.zeros(a_std.shape[1])
-    status, z, opt = simplex_standard(c, a_std, rhs, tols)
+    status, a, opt = _solve_split(None, free, matrix, rhs, tols=tols)
     if status == "infeasible":
         return opt, None
     if status != "optimal":
         raise NumericalFailure(f"feasibility LP returned {status}")
-    a = z[:k].copy()
-    for pos, j in enumerate(free):
-        a[j] -= z[k + pos]
     return 0.0, a
 
 
@@ -187,46 +210,20 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
     """
     c = as_vector(c, "c")
     n = c.shape[0]
-    g_rows = []
-    h_vals = []
-    if g_ub is not None:
-        g_ub = as_matrix(g_ub, "G")
-        h_ub = as_vector(h_ub, "h")
-        g_rows.append(g_ub)
-        h_vals.append(h_ub)
+    g_rows = [] if g_ub is None else [as_matrix(g_ub, "G")]
+    h_vals = [] if g_ub is None else [as_vector(h_ub, "h")]
     if box is not None:
-        g_rows.append(np.eye(n))
-        h_vals.append(np.full(n, float(box)))
-        g_rows.append(-np.eye(n))
-        h_vals.append(np.full(n, float(box)))
-    g_all = np.vstack(g_rows) if g_rows else np.zeros((0, n))
-    h_all = np.concatenate(h_vals) if h_vals else np.zeros(0)
-    m_ub = g_all.shape[0]
-    if a_eq is not None:
-        a_eq = as_matrix(a_eq, "A_eq")
-        b_eq = as_vector(b_eq, "b_eq")
-    else:
-        a_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    m_eq = a_eq.shape[0]
-
-    # columns: u (n), v (n), slacks (m_ub); x = u - v
-    ncols = 2 * n + m_ub
-    a_std = np.zeros((m_ub + m_eq, ncols))
-    b_std = np.concatenate([h_all, b_eq])
-    a_std[:m_ub, :n] = g_all
-    a_std[:m_ub, n:2 * n] = -g_all
-    a_std[:m_ub, 2 * n:] = np.eye(m_ub)
-    a_std[m_ub:, :n] = a_eq
-    a_std[m_ub:, n:2 * n] = -a_eq
-    c_std = np.zeros(ncols)
+        g_rows += [np.eye(n), -np.eye(n)]
+        h_vals += [np.full(n, float(box))] * 2
+    g_all = np.vstack(g_rows) if g_rows else None
+    h_all = np.concatenate(h_vals) if h_vals else None
+    has_eq = a_eq is not None
+    a_eq = as_matrix(a_eq, "A_eq") if has_eq else np.zeros((0, n))
+    b_eq = as_vector(b_eq, "b_eq") if has_eq else np.zeros(0)
     sense = -1.0 if maximize else 1.0
-    c_std[:n] = sense * c
-    c_std[n:2 * n] = -sense * c
-    status, z, obj = simplex_standard(c_std, a_std, b_std, tols)
+    status, x, obj = _solve_split(sense * c, list(range(n)), a_eq, b_eq, g_all, h_all, tols)
     if status != "optimal":
         return status, None, (np.inf if maximize and status == "unbounded" else obj)
-    x = z[:n] - z[n:2 * n]
     return "optimal", x, float(sense * obj)
 
 
@@ -337,49 +334,19 @@ def lp_feasible(p: LPFeasibilityProblem, tols: Tolerances = DEFAULT_TOLS) -> Opt
     return OptResult("feasible", a, None, 0.0)
 
 
-def dual_system_violations(p: LPFeasibilityProblem, primal: OptResult,
-                           y: np.ndarray, s: np.ndarray,
-                           tol: float | None = None,
-                           tols: Tolerances = DEFAULT_TOLS) -> list[str]:
-    """Rows of the combined primal-dual optimality system violated beyond tol."""
-    tol = tols.kkt if tol is None else tol
-    bad: list[str] = []
-    if primal.alpha is None:
-        return ["no primal coefficients to check"]
-    a = primal.alpha
-    scale = 1.0 + float(np.max(np.abs(p.rhs))) if p.rhs.size else 1.0
-    resid = float(np.max(np.abs(p.matrix @ a - p.rhs))) if p.rhs.size else 0.0
-    if resid > tol * scale:
-        bad.append(f"primal equality residual {resid:.3e}")
-    for j in range(p.matrix.shape[1]):
-        if j != p.free_index and a[j] < -tol:
-            bad.append(f"coefficient {j} negative: {a[j]:.3e}")
-    col_free = p.matrix[:, p.free_index]
-    if abs(float(col_free @ y)) > tol * (1.0 + float(np.linalg.norm(y))):
-        bad.append("free column not orthogonal to dual vector")
-    for j in range(p.matrix.shape[1]):
-        if j == p.free_index:
-            continue
-        row = float(p.matrix[:, j] @ y) + s[j]
-        if abs(row) > tol * (1.0 + float(np.linalg.norm(y))):
-            bad.append(f"dual row {j} residual {row:.3e}")
-        if s[j] < -tol:
-            bad.append(f"dual slack {j} negative: {s[j]:.3e}")
-    return bad
-
-
 def lp_dual_check(p: LPFeasibilityProblem, primal: OptResult,
                   tols: Tolerances = DEFAULT_TOLS) -> bool:
     """Certify a feasible primal through the dual optimality system.
 
-    Because the primal objective is constant, the zero dual vector is always
-    optimal; the force of the check is the primal feasibility rows.
+    The primal objective is constant, so the zero dual vector is optimal and
+    every dual row holds; only the primal equality and sign rows can fail.
     """
-    if primal.status != "feasible":
+    if primal.status != "feasible" or primal.alpha is None:
         return False
-    y = np.zeros(p.matrix.shape[0])
-    s = np.zeros(p.matrix.shape[1])
-    return not dual_system_violations(p, primal, y, s, tols=tols)
+    a = primal.alpha
+    resid = float(np.max(np.abs(p.matrix @ a - p.rhs))) if p.rhs.size else 0.0
+    scale = 1.0 + float(np.max(np.abs(p.rhs))) if p.rhs.size else 1.0
+    return not (resid > tols.kkt * scale or np.any(np.delete(a, p.free_index) < -tols.kkt))
 
 
 def nnls(d_mat, f, max_changes=None, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -190,3 +190,52 @@ def dist_to_quadric_sublevel(q_mat, level, p, branch_vec=None, bisect_iters=200)
         else:
             d = min(d, float(np.linalg.norm(p)))
     return d
+
+
+def enumerate_lp(c, g=None, h=None, a_eq=None, b_eq=None, signed=(), box=None,
+                 far=1e3, tol=1e-9):
+    """min c'x over G x <= h, A x = b, x_j >= 0 for j in signed and, when box
+    is given, |x_i| <= box, by brute-force vertex enumeration.
+
+    Candidates solve the equality rows plus a choice of inequality rows held
+    tight, at rank n; the feasible ones are the vertices. Without a box the
+    region is clipped to |x_i| <= far and to |x_i| <= 2 far, so it always
+    has vertices; the LP is unbounded when the two clipped optima differ.
+    far must exceed every vertex coordinate of the unclipped region, which
+    small integer data in 2-3 variables keeps in the low hundreds. Returns
+    (status, value) with status "optimal", "infeasible" or "unbounded".
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    eye = np.eye(n)
+    signed = list(signed)
+    g = np.zeros((0, n)) if g is None else np.asarray(g, dtype=float)
+    h = np.zeros(0) if h is None else np.asarray(h, dtype=float)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+
+    def clipped(limit):
+        gg = np.vstack([g, -eye[signed], eye, -eye])
+        hh = np.concatenate([h, np.zeros(len(signed)), np.full(2 * n, limit)])
+        best = None
+        for s in range(max(0, n - a_eq.shape[0]), n + 1):
+            for tight in itertools.combinations(range(gg.shape[0]), s):
+                mat = np.vstack([a_eq, gg[list(tight)]])
+                vec = np.concatenate([b_eq, hh[list(tight)]])
+                if np.linalg.matrix_rank(mat) < n:
+                    continue
+                x = np.linalg.lstsq(mat, vec, rcond=None)[0]
+                if np.max(np.abs(mat @ x - vec)) > tol * (1.0 + np.max(np.abs(vec))):
+                    continue  # the tight rows and the equalities are inconsistent
+                if np.any(gg @ x - hh > tol * (1.0 + np.abs(hh))):
+                    continue
+                val = float(c @ x)
+                best = val if best is None else min(best, val)
+        return best
+
+    v1 = clipped(far if box is None else box)
+    if v1 is None:
+        return "infeasible", None
+    if box is None and clipped(2.0 * far) < v1 - 1e-6 * (1.0 + abs(v1)):
+        return "unbounded", -np.inf
+    return "optimal", v1

@@ -57,6 +57,26 @@ def test_box_expansion_not_invariant():
     assert v.notes["facet"] == 0
 
 
+def test_facet_check_stops_at_first_violating_facet(monkeypatch):
+    # every facet of the box [-1, 1]^2 is violated under x' = x; the first
+    # one refutes and no later facet LP is solved
+    import invarcheck.checkers as checkers
+
+    box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
+    calls = []
+    solve = checkers.solve_inequality_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(checkers, "solve_inequality_lp", counted)
+    v = check_hpoly_linear(box, np.eye(2))
+    assert v.decision is Decision.NOT_INVARIANT
+    assert v.notes == {"facet": 0}
+    assert len(calls) == 1
+
+
 def test_unbounded_facet_outside_default_box_refuted():
     # x1 <= 2e6 under x1' = x2: the flux x2 is unbounded on the facet, which
     # lies outside a box of half-width 1e6

@@ -15,7 +15,7 @@ from invarcheck.solvers import (
     solve_inequality_lp,
 )
 
-from oracles import enumerate_qp_nearest
+from oracles import enumerate_lp, enumerate_qp_nearest
 
 TRIANGLE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # columns are vertices
 
@@ -77,6 +77,10 @@ def test_dual_check_rejects_corrupted_primal():
     r = lp_feasible(p)
     corrupted = OptResult("feasible", r.alpha * np.array([1.0, -1.0, 1.0]), None, 0.0)
     assert not lp_dual_check(p, corrupted)
+    # doubling keeps every sign but breaks the equality rows
+    doubled = OptResult("feasible", 2.0 * r.alpha, None, 0.0)
+    assert np.min(doubled.alpha[1:]) >= 0.0
+    assert not lp_dual_check(p, doubled)
 
 
 def test_qp_triangle_clipped_coefficient():
@@ -233,6 +237,69 @@ def test_phase_one_free_split():
     opt, a = phase_one_feasibility(np.array([[1.0]]), np.array([-2.0]), free_indices=(0,))
     assert opt == 0.0
     assert a is not None and a[0] == pytest.approx(-2.0)
+
+
+def test_inequality_lp_matches_vertex_enumeration():
+    # free variables, equality rows and the box, on small integer data so
+    # that degenerate and parallel constraints are common
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(100):
+        n = int(rng.integers(2, 4))
+        m_ub = int(rng.integers(1, 6))
+        g = rng.integers(-3, 4, size=(m_ub, n)).astype(float)
+        h = rng.integers(-2, 5, size=m_ub).astype(float)
+        a_eq = b_eq = None
+        if rng.random() < 0.4:
+            a_eq = rng.integers(-3, 4, size=(int(rng.integers(1, 3)), n)).astype(float)
+            b_eq = rng.integers(-3, 4, size=a_eq.shape[0]).astype(float)
+        box = 4.0 if rng.random() < 0.3 else None
+        c = rng.integers(-3, 4, size=n).astype(float)
+        maximize = bool(rng.random() < 0.5)
+        status, x, value = solve_inequality_lp(c, g, h, a_eq, b_eq, box=box, maximize=maximize)
+        sense = -1.0 if maximize else 1.0
+        ref_status, ref_value = enumerate_lp(sense * c, g, h, a_eq, b_eq, box=box)
+        assert status == ref_status
+        seen.add(status)
+        if status == "optimal":
+            assert value == pytest.approx(sense * ref_value, abs=1e-7)
+            assert float(c @ x) == pytest.approx(value, abs=1e-7)
+            assert np.all(g @ x <= h + 1e-7)
+            if a_eq is not None:
+                assert np.allclose(a_eq @ x, b_eq, atol=1e-7)
+            if box is not None:
+                assert np.all(np.abs(x) <= box + 1e-7)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_phase_one_matches_vertex_enumeration():
+    # mixed free and sign-constrained columns; an infeasible system reports
+    # its least L1 residual, which is itself an LP: with the rows signed so
+    # that the rhs is nonnegative, min 1'(b - M a) subject to M a <= b
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(100):
+        k = int(rng.integers(2, 4))
+        m = int(rng.integers(1, 4))
+        mat = rng.integers(-3, 4, size=(m, k)).astype(float)
+        rhs = rng.integers(-3, 4, size=m).astype(float)
+        free = [j for j in range(k) if rng.random() < 0.4]
+        signed = [j for j in range(k) if j not in free]
+        opt, a = phase_one_feasibility(mat, rhs, free)
+        ref_status, _ = enumerate_lp(np.zeros(k), a_eq=mat, b_eq=rhs, signed=signed)
+        assert (a is not None) == (ref_status != "infeasible")
+        seen.add(a is not None)
+        if a is not None:
+            assert opt == 0.0
+            assert np.allclose(mat @ a, rhs, atol=1e-8)
+            assert np.all(a[signed] >= -1e-10)
+        else:
+            sign = np.where(rhs < 0, -1.0, 1.0)
+            ms, bs = sign[:, None] * mat, sign * rhs
+            _, low = enumerate_lp(-ms.sum(axis=0), ms, bs, signed=signed)
+            assert opt == pytest.approx(low + bs.sum(), abs=1e-7)
+            assert opt > 1e-9
+    assert seen == {True, False}
 
 
 def test_nnls_simple():
