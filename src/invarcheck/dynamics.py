@@ -133,20 +133,17 @@ def integrate_exact(sys: LinearSystem, x0, t0: float, horizon: float, step: floa
     return _step_loop(lambda t, x: prop @ x, x0, t0, nsteps, step, tols)
 
 
-def _nudged_starts(s: ConvexSet, points, tols: Tolerances) -> list[np.ndarray]:
-    """Push boundary points slightly inside; exact boundary starts can flag
-    spurious instant exits under floating point."""
-    out = []
-    for bp in points:
-        x = bp.point
+def _nudged_starts(s: ConvexSet, points, tols: Tolerances) -> np.ndarray:
+    """Push boundary points slightly inside, one start per column; exact
+    boundary starts can flag spurious instant exits under floating point. A
+    point whose push leaves the set starts unpushed."""
+    x = np.column_stack([bp.point for bp in points])
+    cand = x.copy()
+    for k, bp in enumerate(points):
         d = inward_direction(s, bp)
         if d is not None:
-            cand = x + tols.inward_push * (1.0 + float(np.linalg.norm(x))) * d
-            if outside_violation_batch(s, cand.reshape(-1, 1), tols)[0] == 0.0:
-                out.append(cand)
-                continue
-        out.append(x.copy())
-    return out
+            cand[:, k] = x[:, k] + tols.inward_push * (1.0 + float(np.linalg.norm(x[:, k]))) * d
+    return np.where(outside_violation_batch(s, cand, tols) == 0.0, cand, x)
 
 
 def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
@@ -154,14 +151,14 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
             tols: Tolerances = DEFAULT_TOLS):
     """Search for a trajectory that leaves the set.
 
-    Integrates from boundary samples (and any extra starts, tried first);
-    returns (x0, t_exit) for the lowest-index start whose violation exceeds
-    the strict exit band within the horizon, or None if no exit is seen.
+    Integrates from boundary samples (and any extra starts, tried first),
+    each distinct start once; returns (x0, t_exit) for the lowest-index
+    start whose violation exceeds the strict exit band within the horizon,
+    or None if no exit is seen.
     An extra start already outside the set by more than that band raises
     InputError. Deterministic for a given seed.
     """
-    samples = sample_boundary(s, n_starts, seed, tols)
-    starts: list[np.ndarray] = []
+    points = sample_boundary(s, n_starts, seed, tols)
     if extra_starts is not None:
         wrapped = [p if isinstance(p, BoundaryPoint) else BoundaryPoint(as_vector(p, "x0"), None)
                    for p in extra_starts]
@@ -173,10 +170,12 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
                 k = int(outside[0])
                 raise InputError(f"extra start {k} lies outside the set "
                                  f"(violation {float(viol[k]):.3e})")
-        starts.extend(_nudged_starts(s, wrapped, tols))
-    starts.extend(_nudged_starts(s, samples, tols))
-    if not starts:
-        return None
+        points = wrapped + points
+    starts = _nudged_starts(s, points, tols)
+    # a start repeated later exits exactly when its first copy does, so only
+    # first copies are integrated, in order, and the lowest index still wins
+    _, first = np.unique(starts, axis=1, return_index=True)
+    x0_all = starts[:, np.sort(first)]
     nsteps = max(1, int(round(horizon / step)))
     band = tols.exit_band
 
@@ -194,7 +193,6 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
             fact *= k
             rk4_map = rk4_map + power / fact
 
-    x0_all = np.column_stack(starts)
     n_cols = x0_all.shape[1]
     exit_time = np.full(n_cols, np.inf)
     best = n_cols  # columns with index >= best can no longer win

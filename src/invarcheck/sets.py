@@ -7,7 +7,11 @@ one branch by x'Q u_n <= 0 where u_n is the eigenvector of the single
 negative eigenvalue. Membership for the vertex/ray forms is decided by
 linear programming over the combination coefficients; "inside" for them
 means the relative interior (for full-dimensional sets this is the
-topological interior).
+topological interior). Their violation measure and boundary samples come
+instead from the facets of their generators, enumerated once per set
+(Blanchini, "Set invariance in control", Automatica 1999, states the
+facet conditions); a form with too many candidate facets uses the
+membership LP for both.
 
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector" or
@@ -20,6 +24,8 @@ functions.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -39,6 +45,8 @@ from .solvers import simplex_standard, solve_inequality_lp
 
 _FACET_BOX = 1e6
 _RELINT_TOL = 1e-9
+_FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
+_FACET_SUBSETS = 5000  # most candidate facet subsets enumerated; above, the LP path
 
 
 class Membership(Enum):
@@ -124,30 +132,35 @@ class HPolyhedron:
         return z[:n]
 
     def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+        """Sample k is the LP anchor of attained facet k (mod their number)
+        moved along a random direction within that facet by a random
+        fraction of the distance to the first other facet ahead, at most
+        1 + |anchor|. A point that leaves the set by more than the band
+        (rounding on a row nearly parallel to the direction) stays at the
+        anchor."""
         anchors = [(i, self._facet_anchor(i, tols)) for i in range(self.G.shape[0])]
         anchors = [(i, a) for i, a in anchors if a is not None]
         if not anchors:
             raise EmptyBoundary("no facet of the polyhedron is attained")
+        pick = np.arange(count) % len(anchors)
+        g = self.G[[i for i, _ in anchors]][pick]
+        base = np.array([a for _, a in anchors])[pick]
+        y = rng.normal(size=(count, self.dim))
+        y -= g * (np.sum(g * y, axis=1) / np.sum(g * g, axis=1))[:, None]
+        ny = np.linalg.norm(y, axis=1)
+        y = np.where((ny >= 1e-12)[:, None], y / np.maximum(ny, 1e-12)[:, None], 0.0)
+        rate = y @ self.G.T
+        room = np.maximum(self.b - base @ self.G.T, 0.0)
+        ahead = rate > 1e-12 * np.linalg.norm(self.G, axis=1)
+        limit = np.full(rate.shape, np.inf)
+        np.divide(room, rate, out=limit, where=ahead)
+        reach = np.minimum(limit.min(axis=1), 1.0 + np.linalg.norm(base, axis=1))
+        pts = base + (rng.uniform(size=count) * reach)[:, None] * y
         bands = tols.boundary_band * (1.0 + np.abs(self.b))
-        out = []
-        for k in range(count):
-            i, anchor = anchors[k % len(anchors)]
-            g = self.G[i]
-            gg = float(g @ g)
-            point = anchor
-            radius = 1.0 + float(np.linalg.norm(anchor))
-            for attempt in range(50):
-                y = rng.normal(size=self.dim)
-                y -= g * (float(g @ y) / gg)
-                ny = float(np.linalg.norm(y))
-                if ny < 1e-12:
-                    continue
-                cand = anchor + (radius * 0.5 ** (attempt // 2)) * y / ny
-                if np.all(self.G @ cand - self.b <= bands):
-                    point = cand
-                    break
-            out.append(BoundaryPoint(point, active_constraints(self, point, tols)))
-        return out
+        stray = np.any(pts @ self.G.T - self.b > bands, axis=1)
+        pts[stray] = base[stray]
+        active = np.abs(pts @ self.G.T - self.b) <= bands
+        return [BoundaryPoint(pts[k], np.flatnonzero(active[k]).tolist()) for k in range(count)]
 
     def inward(self, bp: BoundaryPoint) -> np.ndarray:
         rows = bp.active if isinstance(bp.active, list) else []
@@ -156,6 +169,22 @@ class HPolyhedron:
             g = self.G[i]
             d -= g / (np.linalg.norm(g) + 1e-300)
         return d
+
+
+@dataclass(frozen=True)
+class _Facets:
+    """Face description of the cone spanned by a V-form's columns.
+
+    A lifted point y lies in the cone exactly when eq @ y = 0 and
+    normals @ y >= 0. Row i of normals is facet i's inward normal, scaled so
+    that its largest value over the columns is 1 (for a simplex these are
+    the barycentric coordinates); on[i] holds the indices of the columns on
+    facet i. eq spans the orthogonal complement of the columns' span.
+    """
+
+    normals: np.ndarray
+    on: list
+    eq: np.ndarray
 
 
 class _VForm:
@@ -167,7 +196,11 @@ class _VForm:
     one); a cone's are its rays, and its interior margin is capped at
     scale(x) = 1 + ||x||, since it is otherwise unbounded whenever the rays
     admit a positive circuit. Subclasses set the sampled points (vertices or
-    unit rays) and columns, and define lift, scale, cap and combine.
+    unit rays) and columns, and define lift, scale, cap and face_points.
+
+    Violation and sampling use the facets of the columns' cone (_facets),
+    computed once; forms with too many candidate facets fall back to the
+    membership LP for both.
     """
 
     def __init__(self, points, columns):
@@ -179,14 +212,52 @@ class _VForm:
         return self._points.shape[1]
 
     @cached_property
-    def _inverse(self):
-        """Inverse of the columns when they are square (a simplicial form), else None."""
-        if self._columns.shape[0] != self._columns.shape[1]:
+    def _facets(self) -> _Facets | None:
+        """The columns' facets, or None above _FACET_SUBSETS candidate subsets.
+
+        Square invertible columns (a simplicial form) have the rows of their
+        inverse as normals. Otherwise every (r-1)-subset of the columns, in
+        their r-dimensional span, that spans a hyperplane with all columns on
+        one side of it is a facet.
+        """
+        cols = self._columns
+        rows, k = cols.shape
+        if rows == k:
+            try:
+                inverse = np.linalg.inv(cols)
+            except np.linalg.LinAlgError:
+                inverse = None
+            if inverse is not None:
+                on = [np.delete(np.arange(k), i) for i in range(k)]
+                return _Facets(inverse, on, np.zeros((0, rows)))
+        u, sv, _ = np.linalg.svd(cols)
+        r = int(np.sum(sv > _FACE_TOL * sv[0]))
+        if math.comb(k, r - 1) > _FACET_SUBSETS:
             return None
-        try:
-            return np.linalg.inv(self._columns)
-        except np.linalg.LinAlgError:
-            return None
+        basis = u[:, :r]
+        coords = basis.T @ cols
+        if r == 1:
+            cand = np.ones((1, 1))
+        else:
+            subsets = np.array(list(itertools.combinations(range(k), r - 1)))
+            _, s_sub, vt = np.linalg.svd(coords.T[subsets])
+            cand = vt[s_sub[:, -1] > _FACE_TOL * s_sub[:, 0], -1, :]
+        vals = cand @ coords
+        tol = _FACE_TOL * np.linalg.norm(coords, axis=0)
+        up = np.all(vals >= -tol, axis=1)
+        down = np.all(vals <= tol, axis=1)
+        sign = np.where(up, 1.0, -1.0)[up != down]
+        cand = cand[up != down] * sign[:, None]
+        vals = vals[up != down] * sign[:, None]
+        normals, on, seen = [], [], set()
+        for h, v in zip(cand, vals):
+            face = np.abs(v) <= tol
+            if face.tobytes() not in seen:
+                seen.add(face.tobytes())
+                normals.append(h / v.max())
+                on.append(np.flatnonzero(face))
+        normals = np.array(normals).reshape(-1, r) @ basis.T
+        return _Facets(normals, on, u[:, r:].T)
 
     def _lp(self, x, tols: Tolerances):
         """Feasibility plus relative-interior margin of the combination
@@ -219,33 +290,61 @@ class _VForm:
         return Membership.INSIDE if delta > _RELINT_TOL * self._scale(x) else Membership.BOUNDARY
 
     def violation(self, states, tols: Tolerances) -> np.ndarray:
-        """Most negative combination coefficient, from a direct solve for a
-        simplicial form; otherwise the LP's infeasibility, column by column."""
-        if self._inverse is not None:
-            coords = self._inverse @ self._lift(states)
-            return np.maximum(-coords.min(axis=0), 0.0)
+        """The most negative scaled facet value, or the distance of the lifted
+        state from the columns' span if larger; without facets, the
+        membership LP's infeasibility, column by column."""
+        facets = self._facets
         out = np.zeros(states.shape[1])
-        for k in range(states.shape[1]):
-            feasible, _, infeas = self._lp(states[:, k], tols)
-            out[k] = 0.0 if feasible else infeas
+        if facets is None:
+            for k in range(states.shape[1]):
+                feasible, _, infeas = self._lp(states[:, k], tols)
+                out[k] = 0.0 if feasible else infeas
+            return out
+        lifted = self._lift(states)
+        if facets.normals.shape[0]:
+            out = np.maximum(-(facets.normals @ lifted).min(axis=0), 0.0)
+        if facets.eq.shape[0]:
+            out = np.maximum(out, np.abs(facets.eq @ lifted).max(axis=0))
         return out
 
     def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+        """The generators on the relative boundary first, then random
+        combinations of one facet's generators (of two random generators,
+        kept only when the membership LP says boundary, without facets).
+        A form without a relative boundary (one vertex, or a cone that is a
+        linear subspace) repeats its generators."""
+        facets = self._facets
+        if facets is None:
+            return self._sample_lp(count, rng, tols)
+        faces = [f for f in facets.on if f.size or self._HAS_APEX]
+        pts = self._points
+        if not faces:
+            return [BoundaryPoint(pts[k % len(pts)].copy(), [k % len(pts)]) for k in range(count)]
+        firsts = sorted({int(j) for f in faces for j in f})
+        out = [BoundaryPoint(pts[j].copy(), [j]) for j in firsts[:count]]
+        picks = rng.integers(len(faces), size=count - len(out))
+        drawn = np.empty((picks.size, self.dim))
+        for f in np.unique(picks):
+            drawn[picks == f] = self._face_points(rng, faces[f], int(np.sum(picks == f)))
+        out.extend(BoundaryPoint(x, faces[f].tolist()) for x, f in zip(drawn, picks))
+        return out
+
+    def _sample_lp(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
         pts = self._points
         l = pts.shape[0]
-        out = []
-        for k in range(count):
-            if k < l:
-                out.append(BoundaryPoint(pts[k].copy(), [k]))
-                continue
+        firsts = [j for j in range(l) if membership(self, pts[j], tols) is Membership.BOUNDARY]
+        firsts = firsts or list(range(l))
+        out = [BoundaryPoint(pts[j].copy(), [j]) for j in firsts[:count]]
+        for k in range(len(out), count):
             for _ in range(30 if l >= 2 else 0):
-                i, j = rng.choice(l, size=2, replace=False)
-                cand = self._combine(rng, pts[i], pts[j])
-                if cand is not None and membership(self, cand, tols) is Membership.BOUNDARY:
-                    out.append(BoundaryPoint(cand, sorted([int(i), int(j)])))
+                pair = np.sort(rng.choice(l, size=2, replace=False))
+                cand = self._face_points(rng, pair, 1)[0]
+                if membership(self, cand, tols) is Membership.BOUNDARY:
+                    out.append(BoundaryPoint(cand, pair.tolist()))
                     break
             else:
-                out.append(BoundaryPoint(pts[k % l].copy(), [k % l]))
+                j = firsts[k % len(firsts)]
+                out.append(BoundaryPoint(pts[j].copy(), [j]))
         return out
 
     def inward(self, bp: BoundaryPoint) -> np.ndarray:
@@ -257,6 +356,7 @@ class VPolytope(_VForm):
 
     TAG = "vpolytope"
     FIELDS = {"vertices": "matrix"}
+    _HAS_APEX = False
 
     def __init__(self, vertices):
         vs = as_matrix(np.atleast_2d(vertices), "vertices")
@@ -278,9 +378,9 @@ class VPolytope(_VForm):
     def _cap(self, x):
         return None
 
-    def _combine(self, rng, a, b):
-        lam = rng.uniform(0.1, 0.9)
-        return lam * a + (1.0 - lam) * b
+    def _face_points(self, rng, idx, size):
+        """size random convex combinations of the vertices idx, one per row."""
+        return rng.dirichlet(np.ones(idx.size), size=size) @ self._points[idx]
 
 
 class VCone(_VForm):
@@ -288,6 +388,7 @@ class VCone(_VForm):
 
     TAG = "vcone"
     FIELDS = {"rays": "matrix"}
+    _HAS_APEX = True  # a facet on no ray is the apex of a single-ray cone
 
     def __init__(self, rays):
         rs = as_matrix(np.atleast_2d(rays), "rays")
@@ -307,11 +408,14 @@ class VCone(_VForm):
 
     _cap = _scale
 
-    def _combine(self, rng, a, b):
-        w = rng.uniform(0.2, 1.0, size=2)
-        cand = w[0] * a + w[1] * b
-        nrm = float(np.linalg.norm(cand))
-        return None if nrm < 1e-9 else cand / nrm
+    def _face_points(self, rng, idx, size):
+        """size random conic combinations of the unit rays idx at unit norm,
+        one per row (the apex for no rays, or a combination that cancels)."""
+        if idx.size == 0:
+            return np.zeros((size, self.dim))
+        cand = rng.dirichlet(np.ones(idx.size), size=size) @ self._points[idx]
+        nrm = np.linalg.norm(cand, axis=1)[:, None]
+        return np.where(nrm < 1e-12, cand, cand / np.maximum(nrm, 1e-12))
 
 
 class Ellipsoid:
@@ -510,9 +614,11 @@ def outside_violation(s: ConvexSet, x, tols: Tolerances = DEFAULT_TOLS) -> float
 def outside_violation_batch(s: ConvexSet, states, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Vectorized outside_violation over the columns of states (shape n x N).
 
-    For vertex/ray forms with a simplicial description the combination
-    coefficients come from a direct linear solve; otherwise each column
-    falls back to the LP used by membership.
+    For vertex/ray forms it is the most negative facet value (a barycentric
+    coordinate for a simplex, whose facet normals are the rows of the
+    inverse of its columns) or the distance from the generators' span, in
+    one product for all columns; only a form with too many candidate facets
+    solves the membership LP's phase one column by column.
     """
     return s.violation(np.asarray(states, dtype=float), tols)
 
@@ -534,9 +640,13 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     Ellipsoid: random directions mapped through the inverse square root of Q
     and rescaled onto the unit quadric. Quadratic cone: the apex first, then
     unit-norm points of the surface built from its spectral factorization.
-    Halfspace form: per-facet anchors found by LP with rejection-sampled
-    tangential offsets. Vertex forms: vertices (rays) first, then random
-    two-point combinations re-validated as boundary.
+    Halfspace form: per-facet anchors found by LP, each moved a random
+    distance along its facet, up to the nearest other facet. Vertex forms:
+    the vertices (rays) on the relative boundary first, then random convex
+    (conic, at unit norm) combinations of one facet's generators, boundary
+    points by construction. A vertex form with too many candidate facets
+    draws two-point combinations instead and keeps those the membership LP
+    calls boundary.
     """
     if count < 1:
         raise InputError("count must be at least 1")

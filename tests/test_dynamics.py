@@ -6,7 +6,7 @@ import pytest
 
 from invarcheck.dynamics import expm, falsify, integrate, integrate_exact
 from invarcheck.errors import InputError
-from invarcheck.sets import Ellipsoid, LorenzCone, orthant_h
+from invarcheck.sets import Ellipsoid, LorenzCone, VCone, orthant_h
 from invarcheck.systems import GeneralSystem, LinearSystem
 
 
@@ -148,3 +148,32 @@ def test_falsify_rejects_extra_start_outside_set():
     with pytest.raises(InputError, match="extra start 1"):
         falsify(cone, sys, 20, horizon=0.5, step=0.01, seed=2,
                 extra_starts=[[0.0, 0.0, 1.0], [0.1, 0.1, 0.1]])
+
+
+def test_falsify_integrates_each_distinct_start_once(monkeypatch):
+    import invarcheck.dynamics as dyn
+
+    widths = []
+
+    def recorded(s, states, tols=None):
+        widths.append(states.shape[1])
+        return real(s, states, tols)
+
+    real = dyn.outside_violation_batch
+    monkeypatch.setattr(dyn, "outside_violation_batch", recorded)
+    # a 2-ray cone in the plane has two boundary points, its rays
+    cone = VCone([[1.0, 0.0], [0.0, 1.0]])
+    assert falsify(cone, LinearSystem([[-1.0, 0.0], [0.0, -1.0]]), 50, 0.05, 0.01, seed=1) is None
+    assert widths[0] == 50  # one nudge for all starts
+    assert set(widths[1:]) == {2}  # then the two distinct starts, every step
+    sys = LinearSystem([[1.0, 0.0], [0.0, -1.0]])
+    stay, leave = [0.0, 0.5], [0.5, 0.5]
+    disk = Ellipsoid(np.eye(2))
+    single = falsify(disk, sys, 1, 1.0, 0.01, seed=3, extra_starts=[stay, leave])
+    widths.clear()
+    repeated = falsify(disk, sys, 1, 1.0, 0.01, seed=3,
+                       extra_starts=[stay, stay, leave, stay, leave])
+    assert widths[2] == 3  # stay, leave and the one boundary sample
+    assert single is not None and repeated is not None
+    assert np.allclose(single[0], leave, atol=1e-6)
+    assert np.array_equal(single[0], repeated[0]) and single[1] == repeated[1]

@@ -197,7 +197,7 @@ def test_outside_violation_measures():
 
 
 def test_batch_violation_matches_scalar_lp_path():
-    # square (non-simplicial) polytope exercises the LP fallback
+    # square (non-simplicial) polytope: facet violation against the membership LP
     square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     rng = np.random.default_rng(31)
     xs = rng.uniform(-0.5, 1.5, size=(2, 40))
@@ -219,3 +219,83 @@ def test_batch_simplicial_path_agrees_with_lp():
     for k in range(60):
         outside = membership(cone, xs[:, k]) is Membership.OUTSIDE
         assert (batch_c[k] > 1e-9) == outside
+
+
+@pytest.mark.parametrize("s", [
+    VCone([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]]),
+], ids=["cone-interior-ray", "triangle-interior-vertex"])
+def test_interior_generators_not_sampled(s):
+    pts = sample_boundary(s, 5, seed=0)
+    for bp in pts:
+        assert membership(s, bp.point) is Membership.BOUNDARY, bp.point
+
+
+def _random_forms(rng):
+    """V-forms of every kind the facet enumeration must get right."""
+    forms = []
+    for n in (2, 3):
+        for _ in range(4):
+            # full-dimensional, with interior vertices and edge midpoints
+            vs = rng.normal(size=(n + 3, n))
+            vs = np.vstack([vs, vs.mean(axis=0), 0.5 * (vs[0] + vs[1])])
+            forms.append(VPolytope(vs))
+            # flat: vertices in a random hyperplane
+            w = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :n - 1]
+            forms.append(VPolytope(rng.normal(size=n) + rng.normal(size=(n + 2, n - 1)) @ w.T))
+            # pointed cone with redundant rays
+            rays = np.abs(rng.normal(size=(n + 1, n))) + 0.1
+            forms.append(VCone(np.vstack([rays, rays[0] + rays[1], rays.sum(axis=0)])))
+            # cone with a lineality space
+            r = rng.normal(size=n)
+            forms.append(VCone(np.vstack([r, -r, rng.normal(size=(n - 1, n))])))
+        forms.append(VPolytope([rng.normal(size=n)]))
+        forms.append(VCone([rng.normal(size=n)]))
+    return forms
+
+
+def test_facet_violation_and_samples_match_lp():
+    rng = np.random.default_rng(41)
+    band = 1e-8
+    for s in _random_forms(rng):
+        gens = s.vertices if isinstance(s, VPolytope) else s.rays
+        # points around the set, and points in the span of the generators
+        xs = np.vstack([2.0 * rng.normal(size=(30, s.dim)),
+                        rng.dirichlet(np.ones(len(gens)), size=30) @ gens
+                        + 0.3 * rng.normal(size=(30, len(gens))) @ gens / len(gens)])
+        viol = outside_violation_batch(s, xs.T)
+        for x, v in zip(xs, viol):
+            outside = membership(s, x) is Membership.OUTSIDE
+            assert outside == (v > band), (s.TAG, gens.tolist(), x.tolist(), v)
+        pts = sample_boundary(s, 25, seed=int(rng.integers(1000)))
+        if isinstance(s, VPolytope) and len(gens) == 1:
+            # one vertex has no relative boundary: the samples repeat it
+            assert all(np.array_equal(bp.point, gens[0]) for bp in pts)
+            continue
+        for bp in pts:
+            assert membership(s, bp.point) is Membership.BOUNDARY, (s.TAG, gens.tolist(), bp)
+
+
+def test_facet_bound_falls_back_to_lp(monkeypatch):
+    import invarcheck.sets as sets_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    real = sets_mod.simplex_standard
+    monkeypatch.setattr(sets_mod, "simplex_standard", counted)
+    xs = np.random.default_rng(43).normal(scale=0.13, size=(8, 12))
+    small = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))  # C(8, 4) = 70 subsets
+    outside_violation_batch(small, xs[:4])
+    assert calls == []
+    big = VPolytope(np.vstack([np.eye(8), -np.eye(8)]))  # C(16, 8) = 12,870 subsets
+    viol = outside_violation_batch(big, xs)
+    assert len(calls) == 12
+    for x, v in zip(xs.T, viol):
+        assert (membership(big, x) is Membership.OUTSIDE) == (v > 0.0)
+    assert (np.abs(xs).sum(axis=0) > 1.0).any() and (np.abs(xs).sum(axis=0) < 1.0).any()
+    for bp in sample_boundary(big, 30, seed=4):
+        assert membership(big, bp.point) is Membership.BOUNDARY
