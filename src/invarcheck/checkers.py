@@ -141,20 +141,16 @@ def check_orthant_linear(a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
     ray e_i as counterexample with (A e_i)_j as the violation."""
     a = as_square(a, "A")
     n = a.shape[0]
-    min_off = np.inf if n > 1 else 0.0
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            min_off = min(min_off, float(a[j, i]))
-    for i in range(n):  # columns are rays; report the lowest ray index
-        for j in range(n):
-            if j != i and a[j, i] < -1e-10:
-                e_i = np.zeros(n)
-                e_i[i] = 1.0
-                return Verdict(Decision.NOT_INVARIANT,
-                               counterexample=Counterexample(e_i, float(a[j, i])),
-                               notes={"entry": [j, i]})
+    off = ~np.eye(n, dtype=bool)
+    min_off = float(np.min(a[off])) if n > 1 else 0.0
+    hits = np.argwhere(((a < -1e-10) & off).T)  # (ray i, row j), lowest ray first
+    if hits.size:
+        i, j = map(int, hits[0])
+        e_i = np.zeros(n)
+        e_i[i] = 1.0
+        return Verdict(Decision.NOT_INVARIANT,
+                       counterexample=Counterexample(e_i, float(a[j, i])),
+                       notes={"entry": [j, i]})
     return Verdict(Decision.INVARIANT,
                    certificate=Certificate("metzler", {"min_offdiagonal": float(min_off)}))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import DEFAULT_TOLS, Tolerances, as_square, as_vector, solve_linear
+from .numerics import DEFAULT_TOLS, Tolerances, as_square, as_vector
 from .sets import (
     BoundaryPoint,
     ConvexSet,
@@ -50,7 +50,7 @@ class Trajectory:
                 fh.write(text)
 
 
-def _pade6_expm(a: np.ndarray, tols: Tolerances) -> np.ndarray:
+def _pade6_expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by sixth-order Pade with scaling and squaring."""
     n = a.shape[0]
     nrm = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
@@ -66,16 +66,16 @@ def _pade6_expm(a: np.ndarray, tols: Tolerances) -> np.ndarray:
         power = power @ a_s
         num = num + coeff * power
         den = den + coeff * ((-1.0) ** k) * power
-    # solve den @ F = num column-wise
-    f = np.column_stack([solve_linear(den, num[:, j], tols) for j in range(n)]) if n else num
+    # den is the Pade denominator of a matrix of norm <= 0.5, so never singular
+    f = np.linalg.solve(den, num)
     for _ in range(squarings):
         f = f @ f
     return f
 
 
 def expm(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(A) for a square matrix."""
-    return _pade6_expm(as_square(a, "A"), tols)
+    """exp(A) for a square matrix; no field of tols applies."""
+    return _pade6_expm(as_square(a, "A"))
 
 
 def _rk4_step(sys_field, t, x, h):

@@ -1,9 +1,10 @@
 """Dense real linear-algebra kernels used by every other module.
 
 Everything here is pure and operates on plain numpy arrays validated at
-entry: linear solves with partial pivoting, a symmetric eigensolver on
-LAPACK's eigh, generalized symmetric eigenvalues through a Cholesky
-reduction, and a golden-section minimizer for convex scalar functions.
+entry: linear solves and Cholesky factors on LAPACK with conditioning and
+pivot checks, a symmetric eigensolver on LAPACK's eigh, generalized
+symmetric eigenvalues through a Cholesky reduction, and a golden-section
+minimizer for convex scalar functions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 class Tolerances:
     """Central numeric-tolerance record; defaults serve the desk scale (n <= ~50)."""
 
-    pivot: float = 1e-12            # elimination pivot below this is singular
+    pivot: float = 1e-12            # relative: condition number above 1/pivot is singular
     cholesky_pivot: float = 1e-10   # Cholesky pivot floor for positive definiteness
     spd_min_eig: float = 1e-10      # minimum eigenvalue accepted as positive definite
     feasibility: float = 1e-9       # LP phase-one / residual acceptance
@@ -94,49 +95,24 @@ class EigenResult:
         return self.eigenvectors @ np.diag(self.eigenvalues) @ self.eigenvectors.T
 
 
-def _lu_factor(a: np.ndarray, pivot_tol: float):
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < pivot_tol:
-            raise SingularMatrix(f"pivot {lu[p, k]:.3e} below {pivot_tol:.1e} at column {k}")
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = b[perm].astype(float)
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
 def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Solve Ax = b by partial-pivot elimination with one refinement pass.
-
-    Raises SingularMatrix when a pivot falls below the singularity threshold.
-    """
+    """Solve Ax = b by LAPACK; SingularMatrix if cond(A) > 1 / tols.pivot (inf if singular)."""
     a = as_square(a, "A")
     b = as_vector(b, "b")
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A is {a.shape} but b has dimension {b.shape[0]}")
     if a.shape[0] == 0:
         return np.zeros(0)
-    lu, perm = _lu_factor(a, tols.pivot)
-    x = _lu_solve(lu, perm, b)
-    r = b - a @ x
-    if np.any(r):
-        x = x + _lu_solve(lu, perm, r)
-    return x
+    cond = float(np.linalg.cond(a))
+    if not cond <= 1.0 / tols.pivot:
+        raise SingularMatrix(f"condition number {cond:.3e} above {1.0 / tols.pivot:.1e}")
+    return np.linalg.solve(a, b)
+
+
+def _require_symmetric(m: np.ndarray, name: str) -> None:
+    """Raise InputError unless m is symmetric within 1e-9 of its largest entry."""
+    if m.size and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + float(np.max(np.abs(m)))):
+        raise InputError(f"{name} is not symmetric within tolerance")
 
 
 def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
@@ -150,9 +126,7 @@ def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
     """
     m = as_square(m, "M")
     n = m.shape[0]
-    scale = float(np.max(np.abs(m))) if n else 0.0
-    if n and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + scale):
-        raise InputError("matrix is not symmetric within tolerance")
+    _require_symmetric(m, "M")
     a = 0.5 * (m + m.T)
     if n == 0 or not a.any():
         return EigenResult(np.zeros(n), np.eye(n))
@@ -165,63 +139,38 @@ def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
 
 
 def cholesky_lower(q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix; NotPositiveDefinite on small pivots."""
+    """Lower Cholesky factor of an SPD matrix by LAPACK, from its lower triangle;
+    NotPositiveDefinite if LAPACK fails or a pivot L[i, i]^2 is below tols.cholesky_pivot."""
     q = as_square(q, "Q")
-    floor = tols.cholesky_pivot
-    n = q.shape[0]
-    low = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            acc = q[i, j] - low[i, :j] @ low[j, :j]
-            if i == j:
-                if acc < floor:
-                    raise NotPositiveDefinite(f"Cholesky pivot {acc:.3e} below {floor:.1e}")
-                low[i, j] = math.sqrt(acc)
-            else:
-                low[i, j] = acc / low[j, j]
+    try:
+        low = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Q is not positive definite: {exc}") from exc
+    pivot = float(np.min(np.diag(low), initial=np.inf)) ** 2
+    if pivot < tols.cholesky_pivot:
+        raise NotPositiveDefinite(f"Cholesky pivot {pivot:.3e} below {tols.cholesky_pivot:.1e}")
     return low
-
-
-def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Solves L y = b for lower-triangular L; b may be a matrix of columns.
-    n = low.shape[0]
-    y = np.array(b, dtype=float)
-    for k in range(n):
-        if k:
-            y[k] -= low[k, :k] @ y[:k]
-        y[k] /= low[k, k]
-    return y
-
-
-def _back_solve_t(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Solves L' x = b for lower-triangular L.
-    n = low.shape[0]
-    x = np.array(b, dtype=float)
-    for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            x[k] -= low[k + 1:, k] @ x[k + 1:]
-        x[k] /= low[k, k]
-    return x
 
 
 def gen_eig_max_witness(m, q, tols: Tolerances = DEFAULT_TOLS):
     """Largest lambda with M x = lambda Q x for symmetric M and SPD Q, plus x.
 
-    Reduces to a standard symmetric problem through the Cholesky factor of Q.
+    Reduces to a standard symmetric problem through the Cholesky factor of Q,
+    which is also the positive-definiteness test. M is symmetrized.
     """
     m = as_square(m, "M")
     q = as_square(q, "Q")
     if m.shape != q.shape:
         raise DimensionMismatch("M and Q must have matching shapes")
-    eq = sym_eig(q, tols)
-    if eq.eigenvalues.size == 0 or eq.eigenvalues[-1] <= tols.spd_min_eig:
-        raise NotPositiveDefinite("Q is not positive definite")
+    if q.shape[0] == 0:
+        raise NotPositiveDefinite("Q is empty")
+    _require_symmetric(q, "Q")
     low = cholesky_lower(q, tols=tols)
-    y = _forward_solve(low, 0.5 * (m + m.T))
-    w = _forward_solve(low, y.T)
+    y = np.linalg.solve(low, 0.5 * (m + m.T))
+    w = np.linalg.solve(low, y.T)
     res = sym_eig(0.5 * (w + w.T), tols)
     lam = float(res.eigenvalues[0])
-    x = _back_solve_t(low, res.eigenvectors[:, 0])
+    x = np.linalg.solve(low.T, res.eigenvectors[:, 0])
     return lam, x
 
 

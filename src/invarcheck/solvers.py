@@ -318,10 +318,7 @@ def lp_feasible(p: LPFeasibilityProblem, tols: Tolerances = DEFAULT_TOLS) -> Opt
             resid = float(np.max(np.abs(p.matrix @ a - p.rhs))) if m_rows else 0.0
             scale = 1.0 + (float(np.max(np.abs(p.rhs))) if m_rows else 0.0)
             if resid <= 1e-8 * scale:
-                worst_sign = 0.0
-                for j in range(k):
-                    if j != p.free_index:
-                        worst_sign = min(worst_sign, a[j])
+                worst_sign = float(np.min(np.delete(a, p.free_index), initial=0.0))
                 if worst_sign >= -1e-10:
                     return OptResult("feasible", a, None, 0.0)
                 return OptResult("infeasible", None, None, float(-worst_sign))

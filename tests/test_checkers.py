@@ -129,6 +129,25 @@ def test_orthant_counterexample_second_ray():
     assert v.counterexample.violation == pytest.approx(-0.5)
 
 
+def test_orthant_reports_lowest_ray_then_row():
+    # violations at (2,0), (1,0) and (0,1)
+    v = check_orthant_linear([[-1.0, -0.5, 0.0], [-2.0, -1.0, 1.0], [-3.0, 0.0, -1.0]])
+    assert v.notes["entry"] == [1, 0]
+    assert np.array_equal(v.counterexample.point, [1.0, 0.0, 0.0])
+    assert v.counterexample.violation == -2.0
+    # reference: scan rays (columns) in order, rows in order within a ray
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a = rng.integers(-1, 3, size=(4, 4)).astype(float)
+        off = [(j, i) for i in range(4) for j in range(4) if j != i]
+        first = next(([j, i] for j, i in off if a[j, i] < 0), None)
+        v = check_orthant_linear(a)
+        if first is None:
+            assert v.certificate.data["min_offdiagonal"] == min(a[j, i] for j, i in off)
+        else:
+            assert v.notes["entry"] == first
+
+
 def test_orthant_diagonal_always_invariant():
     assert check_orthant_linear(np.diag([5.0, -7.0, 0.0])).decision is Decision.INVARIANT
 

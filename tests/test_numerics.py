@@ -10,6 +10,7 @@ from invarcheck.errors import (
 from invarcheck.numerics import (
     as_matrix,
     as_vector,
+    cholesky_lower,
     gen_eig_max,
     gen_eig_max_witness,
     gershgorin_radius,
@@ -53,8 +54,39 @@ def test_solve_residual_property():
 
 
 def test_solve_singular_raises():
-    with pytest.raises(SingularMatrix):
-        solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+    # LAPACK's solve alone raises LinAlgError on the first two and solves the third
+    for a in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
+              [[1.0, 1.0], [1.0, 1.0 + 1e-14]]):
+        with pytest.raises(SingularMatrix):
+            solve_linear(a, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e13])
+def test_solve_is_scale_invariant(c):
+    # the singularity test is relative, so scaling A and b by c changes nothing
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    b = np.array([1.0, -2.0, 3.0])
+    assert np.allclose(solve_linear(c * a, c * b), solve_linear(a, b), rtol=1e-12, atol=0.0)
+
+
+def test_cholesky_reproduces_spd_matrices():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        g = rng.normal(size=(n, n))
+        q = g @ g.T + 0.1 * np.eye(n)
+        low = cholesky_lower(q)
+        assert np.array_equal(low, np.tril(low))
+        assert np.max(np.abs(low @ low.T - q)) <= 1e-12 * np.max(np.abs(q))
+
+
+@pytest.mark.parametrize("q", [
+    np.diag([1.0, 1e-11]),  # positive definite, but its pivot is below the floor
+    np.diag([1.0, -1.0]),
+])
+def test_cholesky_rejects_small_or_negative_pivot(q):
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_lower(q)
 
 
 def test_sym_eig_diagonal():
@@ -124,6 +156,12 @@ def test_gen_eig_zero_matrix():
 def test_gen_eig_rejects_indefinite_q():
     with pytest.raises(NotPositiveDefinite):
         gen_eig_max(np.eye(2), np.diag([1.0, -1.0]))
+
+
+def test_gen_eig_rejects_asymmetric_q():
+    # the Cholesky factor reads only the lower triangle, which is the identity here
+    with pytest.raises(InputError):
+        gen_eig_max(np.eye(2), [[1.0, 0.5], [0.0, 1.0]])
 
 
 def test_gen_eig_matches_power_iteration_oracle():
