@@ -3,11 +3,12 @@
 Linear systems get exact verdicts: facet LPs for halfspace forms, the
 off-diagonal sign test for the orthant, per-vertex/per-ray decomposition
 feasibility for vertex forms, and eigenvalue criteria for the quadratic
-families. The quadratic-cone decision is sound but incomplete: it returns a
-semidefiniteness certificate, a sampled counterexample, or Unknown. General
-(nonlinear) systems are checked by sampling boundary points and testing the
-field against the local tangent cone, which can refute but never certify,
-so those verdicts cap at Unknown.
+families. The quadratic-cone decision is exact by the S-lemma: a shifted
+semidefiniteness certificate, or else a boundary ray with outward flux built
+from the pencil at the optimal shift. General (nonlinear) systems are
+checked by sampling boundary points and testing the field against the local
+tangent cone, which can refute but never certify, so those verdicts cap at
+Unknown.
 """
 
 from __future__ import annotations
@@ -233,24 +234,33 @@ def check_ellipsoid_linear(e: Ellipsoid, a, tols: Tolerances = DEFAULT_TOLS) -> 
                    notes={"pencil_max_eig": lam})
 
 
-def check_lorenz_linear(c: LorenzCone, a, n_samples: int = 10000, seed: int = 0,
-                        tols: Tolerances = DEFAULT_TOLS) -> Verdict:
-    """Two-stage quadratic-cone decision under x' = A x.
+def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+    """Exact quadratic-cone decision under x' = A x.
 
-    Stage one searches a shifted semidefiniteness certificate: if some eta
-    makes A'Q + QA - eta*Q negative semidefinite, every boundary point
-    (where x'Qx = 0) has nonpositive outward flux and the cone is invariant.
-    Stage two, when no certificate exists, samples the boundary (apex
-    included) for a direct violation x'QAx > 0. Neither finding anything
-    returns Unknown: the certificate is sufficient, not known necessary.
+    On the boundary x'Qx = 0 the outward flux is x'QAx = x'Mx/2 with
+    M = A'Q + QA, an even form, so both branches of the surface carry the
+    same flux. Q is indefinite, so by the S-lemma with equality (Polik &
+    Terlaky, SIAM Review 2007) the flux is nonpositive on the whole surface
+    exactly when some eta makes M - eta*Q negative semidefinite. The convex
+    phi(eta) = lambda_max(M - eta*Q) is minimized by golden section over
+    |eta| <= beta: with r the Gershgorin radius of M, phi(eta) >= -r +
+    |eta|*min|eig Q| and phi(0) <= r, so the minimizer lies in
+    |eta| <= 2r/min|eig Q| < beta.
+
+    phi* <= tols.pencil certifies invariance with eta*. Otherwise the
+    eigenvectors V of M - eta*Q with eigenvalue >= phi*/2 span a subspace
+    that, by optimality of eta*, holds a null vector x of Q, and there
+    x'QAx >= phi*/4 |x|^2. x is built from the extreme eigenpairs of V'QV,
+    moved onto the branch u_n'x >= 0 and onto the surface, and returned as
+    the counterexample. A built point without positive flux raises
+    NumericalFailure rather than return a verdict.
     """
     a = as_square(a, "A")
     if a.shape[0] != c.dim:
         raise InputError("system dimension does not match the set")
     m = a.T @ c.Q + c.Q @ a
     m = 0.5 * (m + m.T)
-    min_abs_eig_q = float(np.min(np.abs(c.eigenvalues)))
-    beta = 10.0 * (1.0 + gershgorin_radius(m)) / max(1e-6, min_abs_eig_q)
+    beta = 10.0 * (1.0 + gershgorin_radius(m)) / float(np.min(np.abs(c.eigenvalues)))
 
     def pencil_max(eta):
         return float(sym_eig(m - eta * c.Q, tols).eigenvalues[0])
@@ -261,19 +271,28 @@ def check_lorenz_linear(c: LorenzCone, a, n_samples: int = 10000, seed: int = 0,
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "cone-pencil", {"eta": eta_star, "witness_max_eig": phi_star}))
 
-    qa = c.Q @ a
-    samples = sample_boundary(c, n_samples, seed, tols)
-    pts = np.array([bp.point for bp in samples])
-    flux = np.sum(pts * (pts @ qa.T), axis=1)
-    threshold = 1e-8 * (1.0 + float(np.linalg.norm(qa)))
-    above = np.flatnonzero(flux > threshold)
-    if above.size:
-        k = int(above[0])
-        return Verdict(Decision.NOT_INVARIANT,
-                       counterexample=Counterexample(pts[k], float(flux[k])),
-                       notes={"certificate_gap": phi_star})
-    return Verdict(Decision.UNKNOWN,
-                   notes={"certificate_gap": phi_star, "samples_checked": len(samples)})
+    eig = sym_eig(m - eta_star * c.Q, tols)
+    v = eig.eigenvectors[:, eig.eigenvalues >= 0.5 * phi_star]
+    r = sym_eig(v.T @ c.Q @ v, tols)
+    hi, lo = float(r.eigenvalues[0]), float(r.eigenvalues[-1])
+    # a null vector of Q when lo <= 0 <= hi, else the eigenvector nearest null
+    x = v @ (np.sqrt(max(-lo, 0.0)) * r.eigenvectors[:, 0]
+             + np.sqrt(max(hi, 0.0)) * r.eigenvectors[:, -1])
+    axis = c.eigenvectors[:, -1] * np.sign(c.eigenvectors[:, -1] @ c.u_n)
+    t = float(axis @ x)
+    p = np.copysign(1.0, t) * (x - t * axis)
+    x = p + np.sqrt(max(float(p @ c.Q @ p), 0.0) / -float(c.eigenvalues[-1])) * axis
+    nx = float(np.linalg.norm(x))
+    if nx > 0.0:
+        x = x / nx
+    flux = float(x @ c.Q @ (a @ x))
+    if not flux > 0.0:
+        raise NumericalFailure(
+            f"no certificate (gap {phi_star:.3e}) and the built boundary ray has "
+            f"flux {flux:.3e}")
+    return Verdict(Decision.NOT_INVARIANT,
+                   counterexample=Counterexample(x, flux),
+                   notes={"certificate_gap": phi_star})
 
 
 def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
@@ -306,10 +325,9 @@ _DECOMPOSITION = {
 }
 # the exact deciders of the other families for x' = A x
 _LINEAR = {
-    "hpolyhedron": lambda s, a, n_samples, seed, tols: check_hpoly_linear(s, a, tols),
-    "ellipsoid": lambda s, a, n_samples, seed, tols: check_ellipsoid_linear(s, a, tols),
-    "lorenz": lambda s, a, n_samples, seed, tols: check_lorenz_linear(
-        s, a, n_samples, seed, tols),
+    "hpolyhedron": lambda s, a, tols: check_hpoly_linear(s, a, tols),
+    "ellipsoid": lambda s, a, tols: check_ellipsoid_linear(s, a, tols),
+    "lorenz": lambda s, a, tols: check_lorenz_linear(s, a, tols),
 }
 
 
@@ -332,7 +350,7 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
             return decompose(s, sys, t0, tols)
         if tag not in _LINEAR:
             raise InputError(f"unsupported set type {type(s).__name__}")
-        return _LINEAR[tag](s, sys.a, n_samples, seed, tols)
+        return _LINEAR[tag](s, sys.a, tols)
     if decompose is None:
         return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
     first = decompose(s, sys, t0, tols)

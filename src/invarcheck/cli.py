@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import traceback
@@ -162,7 +163,11 @@ _OPTION_DEFAULTS = {
 
 
 def resolve_options(file_options, args) -> dict:
-    """Defaults, overridden by the problem file, overridden by flags."""
+    """Defaults, overridden by the problem file, overridden by flags.
+
+    A non-finite number or a negative tolerance or seed is an InputError;
+    step and horizon are checked where falsify uses them.
+    """
     opts = dict(_OPTION_DEFAULTS)
     if file_options is not None:
         if not isinstance(file_options, dict):
@@ -182,6 +187,12 @@ def resolve_options(file_options, args) -> dict:
         val = getattr(args, flag, None)
         if val is not None:
             opts[key] = val
+    for key in ("tolerance", "horizon", "step", "t0"):
+        if not math.isfinite(opts[key]):
+            raise InputError(f"options.{key}: expected a finite number, got {opts[key]}")
+    for key in ("tolerance", "seed"):
+        if opts[key] < 0:
+            raise InputError(f"options.{key}: expected a nonnegative number, got {opts[key]}")
     return opts
 
 

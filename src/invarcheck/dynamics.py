@@ -86,12 +86,13 @@ def _rk4_step(sys_field, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_grid(x0, horizon: float, step: float):
-    """Validated start vector and step count of a fixed-step integration."""
-    x0 = as_vector(x0, "x0")
-    if step <= 0.0 or horizon < step:
-        raise InputError("need step > 0 and horizon >= step")
-    return x0, max(1, int(round(horizon / step)))
+def _step_grid(horizon: float, step: float) -> int:
+    """Step count of a fixed-step integration; InputError unless
+    0 < step <= horizon < inf (which also rejects NaN) and the count is finite."""
+    if not (0.0 < step <= horizon < math.inf and horizon / step < math.inf):
+        raise InputError(f"need 0 < step <= horizon < inf, got step {step} "
+                         f"and horizon {horizon}")
+    return int(round(horizon / step))
 
 
 def _step_loop(advance, x0, t0, nsteps, step, tols) -> Trajectory:
@@ -120,17 +121,17 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float,
     Truncates with diverged=True when a state goes non-finite or its norm
     exceeds the divergence threshold.
     """
-    x0, nsteps = _step_grid(x0, horizon, step)
+    nsteps = _step_grid(horizon, step)
     return _step_loop(lambda t, x: _rk4_step(sys.field, t, x, step),
-                      x0, t0, nsteps, step, tols)
+                      as_vector(x0, "x0"), t0, nsteps, step, tols)
 
 
 def integrate_exact(sys: LinearSystem, x0, t0: float, horizon: float, step: float,
                     tols: Tolerances = DEFAULT_TOLS) -> Trajectory:
     """Exact linear propagation x(t0 + k h) = exp(A h)^k x0."""
-    x0, nsteps = _step_grid(x0, horizon, step)
+    nsteps = _step_grid(horizon, step)
     prop = expm(sys.a * step, tols)
-    return _step_loop(lambda t, x: prop @ x, x0, t0, nsteps, step, tols)
+    return _step_loop(lambda t, x: prop @ x, as_vector(x0, "x0"), t0, nsteps, step, tols)
 
 
 def _nudged_starts(s: ConvexSet, points, tols: Tolerances) -> np.ndarray:
@@ -155,9 +156,11 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     each distinct start once; returns (x0, t_exit) for the lowest-index
     start whose violation exceeds the strict exit band within the horizon,
     or None if no exit is seen.
-    An extra start already outside the set by more than that band raises
-    InputError. Deterministic for a given seed.
+    An extra start already outside the set by more than that band, or a
+    step and horizon outside 0 < step <= horizon < inf, raises InputError.
+    Deterministic for a given seed.
     """
+    nsteps = _step_grid(horizon, step)
     points = sample_boundary(s, n_starts, seed, tols)
     if extra_starts is not None:
         wrapped = [p if isinstance(p, BoundaryPoint) else BoundaryPoint(as_vector(p, "x0"), None)
@@ -176,7 +179,6 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     # first copies are integrated, in order, and the lowest index still wins
     _, first = np.unique(starts, axis=1, return_index=True)
     x0_all = starts[:, np.sort(first)]
-    nsteps = max(1, int(round(horizon / step)))
     band = tols.exit_band
 
     rk4_map = None

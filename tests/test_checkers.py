@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invarcheck import checkers
 from invarcheck.checkers import (
     Decision,
     check,
@@ -13,7 +14,8 @@ from invarcheck.checkers import (
     check_vpolytope,
 )
 from invarcheck.dynamics import falsify
-from invarcheck.errors import EmptySet, InputError
+from invarcheck.errors import EmptySet, InputError, NumericalFailure
+from invarcheck.numerics import DEFAULT_TOLS
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -239,7 +241,7 @@ def test_lorenz_axis_weighted_invariant():
 
 
 def test_lorenz_flank_weighted_not_invariant():
-    v = check_lorenz_linear(ICE3, np.diag([3.0, 3.0, 1.0]), n_samples=500, seed=1)
+    v = check_lorenz_linear(ICE3, np.diag([3.0, 3.0, 1.0]))
     assert v.decision is Decision.NOT_INVARIANT
     x = v.counterexample.point
     assert v.counterexample.violation > 0.0
@@ -251,6 +253,94 @@ def test_lorenz_large_field_terminates():
     v = check(LorenzCone(np.diag([1.0, 1.0, -1.0])), LinearSystem(1e6 * np.eye(3)))
     assert v.decision is Decision.INVARIANT
     assert v.certificate.data["eta"] == pytest.approx(2e6, rel=1e-12)
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _narrow_cap(rng, n, eps):
+    """A random cone x'Qx <= 0 whose boundary flux is positive only near the
+    unit boundary ray d, where it peaks at eps: A = Q^-1 (S - I + (1+eps)dd')
+    + cI gives x'QAx = (1+eps)(d'x)^2 - |x|^2 on the surface."""
+    u = _orthogonal(rng, n)
+    w = np.concatenate([rng.uniform(0.5, 2.0, n - 1), [-rng.uniform(0.5, 2.0)]])
+    q = u @ np.diag(w) @ u.T
+    y = rng.normal(size=n - 1)
+    y *= np.sqrt(-w[-1] / np.sum(w[:-1] * y * y))
+    d = u @ np.append(y, 1.0)
+    d /= np.linalg.norm(d)
+    skew = rng.normal(size=(n, n))
+    a = (np.linalg.solve(q, skew - skew.T - np.eye(n) + (1.0 + eps) * np.outer(d, d))
+         + rng.uniform(-1.0, 1.0) * np.eye(n))
+    return LorenzCone(q), a
+
+
+def _assert_boundary_counterexample(cone, a, v):
+    x = v.counterexample.point
+    assert membership(cone, x, DEFAULT_TOLS) is Membership.BOUNDARY
+    assert cone.u_n @ x >= 0.0
+    assert x @ cone.Q @ a @ x > 0.0
+    assert v.counterexample.violation == pytest.approx(x @ cone.Q @ a @ x, rel=1e-9)
+
+
+def test_lorenz_narrow_cap_always_decided():
+    # the flux is positive only in a cap around one boundary ray
+    rng = np.random.default_rng(601)
+    for trial in range(150):
+        eps = 10.0 ** rng.uniform(-6.0, 0.0)
+        cone, a = _narrow_cap(rng, int(rng.integers(3, 15)), eps)
+        v = check_lorenz_linear(cone, a)
+        assert v.decision is Decision.NOT_INVARIANT, (trial, eps)
+        _assert_boundary_counterexample(cone, a, v)
+        assert v.counterexample.violation >= 0.25 * v.notes["certificate_gap"]
+
+
+def test_lorenz_wedges_match_two_ray_closed_form():
+    # a 2-D cone is the wedge between two boundary rays; it is invariant
+    # exactly when the flux at both rays is nonpositive
+    rng = np.random.default_rng(602)
+    for trial in range(300):
+        u = _orthogonal(rng, 2)
+        w = np.array([rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)])
+        cone = LorenzCone(u @ np.diag(w) @ u.T)
+        a = rng.normal(size=(2, 2))
+        rays = [u @ [s * np.sqrt(-w[1] / w[0]), 1.0] for s in (1.0, -1.0)]
+        top = max(r @ cone.Q @ a @ r / (r @ r) for r in rays)
+        v = check_lorenz_linear(cone, a)
+        if top <= 0.0:
+            assert v.decision is Decision.INVARIANT, (trial, top)
+        else:
+            assert v.decision is Decision.NOT_INVARIANT, (trial, top)
+            _assert_boundary_counterexample(cone, a, v)
+
+
+def test_lorenz_unconfirmed_ray_is_numerical_failure(monkeypatch):
+    # at eta = 10 the top eigenvector of A'Q + QA - eta*Q for A = I is the
+    # cone axis, so no boundary ray with outward flux can be built from it
+    monkeypatch.setattr(checkers, "minimize_scalar_convex",
+                        lambda f, bracket, tol: (10.0, f(10.0)))
+    with pytest.raises(NumericalFailure):
+        check_lorenz_linear(ICE3, np.eye(3))
+
+
+def test_quadratic_verdicts_survive_orthogonal_change_of_coordinates():
+    # x = T y maps (Q, A) to (T'QT, T'AT) and cannot change the answer
+    rng = np.random.default_rng(603)
+    for trial in range(60):
+        n = int(rng.integers(3, 9))
+        t = _orthogonal(rng, n)
+        # a negative eps makes the flux negative on the whole surface
+        cone, a = _narrow_cap(rng, n, (-1.0) ** trial * 10.0 ** rng.uniform(-6.0, 0.0))
+        moved = LorenzCone(t.T @ cone.Q @ t, t.T @ cone.u_n)
+        assert (check_lorenz_linear(moved, t.T @ a @ t).decision
+                is check_lorenz_linear(cone, a).decision), trial
+        p = rng.normal(size=(n, n))
+        q = p @ p.T + np.eye(n)
+        a = rng.normal(size=(n, n)) - rng.uniform(0.0, 3.0) * np.eye(n)
+        assert (check_ellipsoid_linear(Ellipsoid(t.T @ q @ t), t.T @ a @ t).decision
+                is check_ellipsoid_linear(Ellipsoid(q), a).decision), trial
 
 
 def test_sampled_quartic_contraction_unknown():
@@ -356,7 +446,7 @@ def test_lorenz_verdicts_sound_against_dense_boundary_scan():
         a = rng.normal(size=(n, n))
         if trial % 3 == 0:
             a = a - (1.0 + np.max(np.abs(np.linalg.eigvals(a)))) * np.eye(n)
-        v = check_lorenz_linear(cone, a, n_samples=400, seed=trial)
+        v = check_lorenz_linear(cone, a)
         pts = np.array([bp.point for bp in sample_boundary(cone, 5000, seed=900 + trial)[1:]])
         max_flux = float(np.max(np.einsum("ij,jk,ik->i", pts, cone.Q @ a, pts)))
         if v.decision is Decision.INVARIANT:

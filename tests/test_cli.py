@@ -109,6 +109,33 @@ def test_dimension_mismatch_exits_64(tmp_path, capsys):
     assert "system.A" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["falsify", "--step", "-0.1"],
+    ["falsify", "--step", "0"],
+    ["falsify", "--step", "nan"],
+    ["falsify", "--horizon", "-1"],
+    ["falsify", "--step", "1e-320"],
+    ["falsify", "--seed", "-1"],
+    ["check", "--tolerance", "-1"],
+    ["check", "--tolerance", "nan"],
+])
+def test_bad_numeric_options_exit_64(capsys, argv):
+    command, *flags = argv
+    code, _, err = run_cli(capsys, command, str(PROBLEMS / "hpolyhedron_box.json"), *flags)
+    assert code == EXIT_INPUT
+    assert "internal error" not in err
+
+
+def test_non_finite_option_in_file_exits_64(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"schema": "nagumo/1", "set": {"type": "orthant", "n": 2},
+                             "system": {"type": "linear", "A": [[1, 0], [0, 1]]},
+                             "options": {"horizon": float("nan")}}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "check", str(f))
+    assert code == EXIT_INPUT
+    assert "options.horizon" in err
+
+
 def test_tangent_box_corner(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"),
                            "[1.0, 1.0]", "--no-timing")

@@ -6,7 +6,7 @@ import pytest
 
 from invarcheck.dynamics import expm, falsify, integrate, integrate_exact
 from invarcheck.errors import InputError
-from invarcheck.sets import Ellipsoid, LorenzCone, VCone, orthant_h
+from invarcheck.sets import Ellipsoid, HPolyhedron, LorenzCone, VCone, orthant_h
 from invarcheck.systems import GeneralSystem, LinearSystem
 
 
@@ -148,6 +148,13 @@ def test_falsify_rejects_extra_start_outside_set():
     with pytest.raises(InputError, match="extra start 1"):
         falsify(cone, sys, 20, horizon=0.5, step=0.01, seed=2,
                 extra_starts=[[0.0, 0.0, 1.0], [0.1, 0.1, 0.1]])
+
+
+def test_falsify_rejects_negative_step():
+    # a negative step would integrate backward out of this invariant box
+    box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(InputError, match="step"):
+        falsify(box, LinearSystem(-np.eye(2)), 10, horizon=1.0, step=-0.1, seed=0)
 
 
 def test_falsify_integrates_each_distinct_start_once(monkeypatch):
