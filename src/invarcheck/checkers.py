@@ -252,8 +252,10 @@ def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
     that, by optimality of eta*, holds a null vector x of Q, and there
     x'QAx >= phi*/4 |x|^2. x is built from the extreme eigenpairs of V'QV,
     moved onto the branch u_n'x >= 0 and onto the surface, and returned as
-    the counterexample. A built point without positive flux raises
-    NumericalFailure rather than return a verdict.
+    the counterexample. The decision is exact in exact arithmetic only: a
+    built point whose flux is not above 1e-8*(1 + |QA|) raises
+    NumericalFailure rather than return a verdict, since at that size the
+    gap phi* and the flux may both be rounding noise.
     """
     a = as_square(a, "A")
     if a.shape[0] != c.dim:
@@ -285,11 +287,16 @@ def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
     nx = float(np.linalg.norm(x))
     if nx > 0.0:
         x = x / nx
-    flux = float(x @ c.Q @ (a @ x))
-    if not flux > 0.0:
+    qa = c.Q @ a
+    flux = float(x @ (qa @ x))
+    # at large |QA| the rounding in M - eta*Q alone exceeds tols.pencil, and
+    # the flux of a ray built from that noise is itself noise of size
+    # eps*|QA|: only a flux clear of this floor refutes
+    floor = 1e-8 * (1.0 + float(np.linalg.norm(qa)))
+    if not flux > floor:
         raise NumericalFailure(
             f"no certificate (gap {phi_star:.3e}) and the built boundary ray has "
-            f"flux {flux:.3e}")
+            f"flux {flux:.3e}, not above the rounding floor {floor:.3e}")
     return Verdict(Decision.NOT_INVARIANT,
                    counterexample=Counterexample(x, flux),
                    notes={"certificate_gap": phi_star})

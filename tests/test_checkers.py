@@ -325,6 +325,32 @@ def test_lorenz_unconfirmed_ray_is_numerical_failure(monkeypatch):
         check_lorenz_linear(ICE3, np.eye(3))
 
 
+def test_lorenz_scaled_identity_is_never_refuted():
+    # A = c*I only rescales states, so every cone is invariant. Near c = 1e8
+    # the rounding in A'Q + QA - eta*Q exceeds the pencil tolerance and the
+    # built ray's flux is noise of size eps*|QA|, which must not refute.
+    rng = np.random.default_rng(604)
+    for c in (1e7, 1e8):
+        for trial in range(40):
+            t = np.eye(3) if trial == 0 else _orthogonal(rng, 3)
+            cone = LorenzCone(t.T @ ICE3.Q @ t, t.T @ ICE3.u_n)
+            try:
+                v = check_lorenz_linear(cone, c * np.eye(3))
+            except NumericalFailure:
+                continue
+            assert v.decision is Decision.INVARIANT, (c, trial)
+
+
+@pytest.mark.parametrize("name, s", [("check_hpoly_linear", UNIT_BOX),
+                                     ("check_ellipsoid_linear", Ellipsoid(np.eye(2))),
+                                     ("check_lorenz_linear", ICE3)])
+def test_check_dispatches_through_module_globals(monkeypatch, name, s):
+    # wrappers patched onto the module (the benchmark's tracer) must see
+    # the calls that check() makes
+    monkeypatch.setattr(checkers, name, lambda *args: name)
+    assert check(s, LinearSystem(np.eye(s.dim))) == name
+
+
 def test_quadratic_verdicts_survive_orthogonal_change_of_coordinates():
     # x = T y maps (Q, A) to (T'QT, T'AT) and cannot change the answer
     rng = np.random.default_rng(603)
