@@ -165,8 +165,9 @@ _OPTION_DEFAULTS = {
 def resolve_options(file_options, args) -> dict:
     """Defaults, overridden by the problem file, overridden by flags.
 
-    A non-finite number or a negative tolerance or seed is an InputError;
-    step and horizon are checked where falsify uses them.
+    A non-finite number, a negative tolerance or seed, or a step and
+    horizon outside 0 < step <= horizon is an InputError, for every
+    command; falsify also caps the step count horizon / step.
     """
     opts = dict(_OPTION_DEFAULTS)
     if file_options is not None:
@@ -193,6 +194,9 @@ def resolve_options(file_options, args) -> dict:
     for key in ("tolerance", "seed"):
         if opts[key] < 0:
             raise InputError(f"options.{key}: expected a nonnegative number, got {opts[key]}")
+    if not 0.0 < opts["step"] <= opts["horizon"]:
+        raise InputError(f"options: need 0 < step <= horizon, got step {opts['step']} "
+                         f"and horizon {opts['horizon']}")
     return opts
 
 

@@ -25,6 +25,8 @@ from .sets import (
 )
 from .systems import DynamicalSystem, LinearSystem, field_batch
 
+MAX_STEPS = 1_000_000  # integration steps per trajectory; the defaults take 10,000
+
 
 @dataclass
 class Trajectory:
@@ -88,10 +90,14 @@ def _rk4_step(sys_field, t, x, h):
 
 def _step_grid(horizon: float, step: float) -> int:
     """Step count of a fixed-step integration; InputError unless
-    0 < step <= horizon < inf (which also rejects NaN) and the count is finite."""
-    if not (0.0 < step <= horizon < math.inf and horizon / step < math.inf):
+    0 < step <= horizon < inf (which also rejects NaN) and the count is at
+    most MAX_STEPS, so that every integration ends."""
+    if not 0.0 < step <= horizon < math.inf:
         raise InputError(f"need 0 < step <= horizon < inf, got step {step} "
                          f"and horizon {horizon}")
+    if not horizon / step <= MAX_STEPS:
+        raise InputError(f"horizon / step is {horizon / step:.3g} steps, "
+                         f"more than the cap of {MAX_STEPS}")
     return int(round(horizon / step))
 
 
@@ -156,8 +162,9 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     each distinct start once; returns (x0, t_exit) for the lowest-index
     start whose violation exceeds the strict exit band within the horizon,
     or None if no exit is seen.
-    An extra start already outside the set by more than that band, or a
-    step and horizon outside 0 < step <= horizon < inf, raises InputError.
+    An extra start already outside the set by more than that band, a step
+    and horizon outside 0 < step <= horizon < inf, or more than MAX_STEPS
+    steps, raises InputError.
     Deterministic for a given seed.
     """
     nsteps = _step_grid(horizon, step)

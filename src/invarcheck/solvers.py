@@ -1,12 +1,16 @@
 """Certification solvers: linear feasibility and nearest-point programs.
 
 Every LP in the package runs on one core: a two-phase simplex with Bland's
-rule over a standard-form tableau, with one pivot routine for both phases.
-LPs with free variables (the vertex and ray decomposition systems, and the
-inequality LPs of the facet checks and boundary sampling) reach it through
-one builder that splits each free variable and adds the slacks. Beside it
-sits an equality-constrained nonnegative least-squares model whose optimal
-objective is half the squared distance to the generated cone.
+rule over a standard-form tableau, with one pivot routine (a rank-1 update)
+for both phases. LPs with free variables (the vertex and ray decomposition
+systems, and the inequality LPs of the facet checks and boundary sampling)
+reach it through one builder that splits each free variable and adds the
+slacks. Phase one starts each row with a slack and a nonnegative rhs on
+that slack and only the other rows on artificial variables, so an
+infeasible inequality LP's phase-one value sums the residuals of those
+other rows only; equality-only LPs start every row on an artificial. Beside
+it sits an equality-constrained nonnegative least-squares model whose
+optimal objective is half the squared distance to the generated cone.
 """
 
 from __future__ import annotations
@@ -30,64 +34,73 @@ def _simplex_iterate(tab, basis, ncols):
     "optimal" or "unbounded"; raises NumericalFailure past the pivot cap.
     """
     m = tab.shape[0] - 1
+    redcost = tab[m, :ncols]  # views: pivots update tab in place
+    rhs = tab[:m, ncols]
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(ncols):
-            if tab[m, j] < -_REDCOST_TOL:
-                enter = j
-                break
-        if enter < 0:
+        neg = redcost < -_REDCOST_TOL
+        enter = int(neg.argmax())
+        if not neg[enter]:
             return "optimal"
+        col = tab[:m, enter]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded"
         leave = -1
         best_ratio = np.inf
-        for i in range(m):
-            if tab[i, enter] > _PIVOT_TOL:
-                ratio = tab[i, ncols] / tab[i, enter]
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         _pivot(tab, basis, leave, enter)
     raise NumericalFailure("simplex exceeded its pivot budget")
 
 
 def _pivot(tab, basis, i, j):
-    """Pivot the tableau on entry (i, j): column j enters the basis at row i."""
-    piv = tab[i, j]
-    tab[i, :] /= piv
-    for k in range(tab.shape[0]):
-        if k != i and tab[k, j] != 0.0:
-            tab[k, :] -= tab[k, j] * tab[i, :]
+    """Pivot the tableau on entry (i, j): column j enters the basis at row i.
+
+    One rank-1 update. Rows with a zero in column j are put back as they
+    were, since subtracting 0 * row could flip the sign of a zero entry.
+    """
+    row = tab[i, :] / tab[i, j]
+    idle = (tab[:, j] == 0.0).nonzero()[0]
+    kept = tab[idle]
+    tab -= tab[:, j, None] * row
+    tab[idle] = kept
+    tab[i, :] = row
     basis[i] = j
 
 
-def _rows_within_scale(tab, basis, a_work, b_work, tols: Tolerances) -> bool:
-    """Whether every row's phase-one residual is within the feasibility
-    tolerance relative to the size of that row's own terms.
+def _rows_within_scale(tab, basis, a_work, b_work, art, tols: Tolerances) -> bool:
+    """Whether every artificial row's phase-one residual is within the
+    feasibility tolerance relative to the size of that row's own terms.
 
-    The residual of row i is the value of its artificial variable n + i; it
-    is judged against 1 + |b_i| + sum_j |A_ij z_j| at the phase-one point z.
-    Rounding grows with the terms a row sums, so feasible LPs with large
-    data are not rejected, while a row whose terms are small still has to
-    hold tightly beside large ones (such as an artificial box).
+    The residual of artificial row art[k] is the value of its artificial
+    variable n + k; it is judged against 1 + |b_i| + sum_j |A_ij z_j| at the
+    phase-one point z. Rounding grows with the terms a row sums, so feasible
+    LPs with large data are not rejected, while a row whose terms are small
+    still has to hold tightly beside large ones (such as an artificial box).
     """
-    m, n = a_work.shape
-    z = np.zeros(n + m)
-    z[basis] = tab[:m, -1]
-    scale = 1.0 + b_work + np.abs(a_work) @ np.abs(z[:n])
+    n = a_work.shape[1]
+    z = np.zeros(n + art.size)
+    z[basis] = tab[:-1, -1]
+    scale = 1.0 + b_work[art] + np.abs(a_work[art]) @ np.abs(z[:n])
     return bool(np.all(z[n:] <= tols.feasibility * scale))
 
 
-def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS):
+def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS, slacks=()):
     """min c'z subject to A z = b, z >= 0, by two-phase simplex (Bland).
+
+    slacks[r] names the slack column of row r (a unit column with its 1 in
+    row r) for the leading len(slacks) rows. Phase one starts each of those
+    rows whose rhs is >= 0 on its slack, and every other row on an
+    artificial variable.
 
     Returns (status, z, objective) with status "optimal", "infeasible" or
     "unbounded"; for "infeasible" the objective is the phase-one optimum
-    (an L1 infeasibility measure) and z is None.
+    (the L1 infeasibility of the rows that got artificials) and z is None.
     """
     a_eq = as_matrix(a_eq, "A")
     b_eq = as_vector(b_eq, "b").copy()
@@ -101,54 +114,50 @@ def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS):
     a_work[neg, :] *= -1.0
     b_eq[neg] *= -1.0
 
-    # phase one: artificial identity basis, minimize their sum
-    tab = np.zeros((m + 1, n + m + 1))
+    # phase one: a row with a slack and rhs >= 0 starts on its slack, every
+    # other row on an artificial variable; minimize the artificials' sum
+    basis = np.full(m, -1)
+    slacks = np.asarray(slacks, dtype=int)
+    basis[:slacks.size] = np.where(neg[:slacks.size], -1, slacks)
+    art = (basis < 0).nonzero()[0]
+    basis[art] = np.arange(n, n + art.size)
+    tab = np.zeros((m + 1, n + art.size + 1))
     tab[:m, :n] = a_work
-    tab[:m, n:n + m] = np.eye(m)
+    tab[art, n:-1] = np.eye(art.size)
     tab[:m, -1] = b_eq
-    tab[m, n:n + m] = 1.0
-    for i in range(m):
-        tab[m, :] -= tab[i, :]
-    basis = list(range(n, n + m))
-    status = _simplex_iterate(tab, basis, n + m)
+    tab[m, n:-1] = 1.0
+    tab[m, :] -= tab[art].sum(axis=0)
+    basis = basis.tolist()
+    status = _simplex_iterate(tab, basis, n + art.size)
     phase1 = -tab[m, -1]
     if status != "optimal" or (phase1 > tols.feasibility and
-                               not _rows_within_scale(tab, basis, a_work, b_eq, tols)):
+                               not _rows_within_scale(tab, basis, a_work, b_eq, art, tols)):
         return "infeasible", None, float(max(phase1, 0.0))
 
     # drive artificial variables out of the basis; drop redundant rows
-    keep_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tab[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue  # redundant constraint row
-            _pivot(tab, basis, i, pivot_col)
-        keep_rows.append(i)
+    keep = np.ones(m + 1, dtype=bool)
+    for i in [i for i, col in enumerate(basis) if col >= n]:
+        cols = (np.abs(tab[i, :n]) > _PIVOT_TOL).nonzero()[0]
+        if cols.size:
+            _pivot(tab, basis, i, int(cols[0]))
+        else:
+            keep[i] = False  # redundant constraint row
 
-    rows = keep_rows
-    m2 = len(rows)
-    tab2 = np.zeros((m2 + 1, n + 1))
-    for r, i in enumerate(rows):
-        tab2[r, :n] = tab[i, :n]
-        tab2[r, n] = tab[i, -1]
-    basis2 = [basis[i] for i in rows]
-    tab2[m2, :n] = c
-    for r in range(m2):
-        cj = c[basis2[r]]
-        if cj != 0.0:
-            tab2[m2, :] -= cj * tab2[r, :]
+    # phase two on the kept rows and the columns of z; the reduced costs
+    # c - sum_r c_B[r] * row_r are subtracted in row order, as pivots would
+    tab2 = np.concatenate([tab[keep, :n], tab[keep, -1:]], axis=1)
+    basis2 = [col for col, k in zip(basis, keep) if k]
+    cb = c[basis2]
+    priced = cb.nonzero()[0]
+    tab2[-1, :n] = c
+    tab2[-1, n] = 0.0
+    tab2[-1] = np.subtract.reduce(np.concatenate([tab2[-1:], cb[priced, None] * tab2[priced]]))
     status = _simplex_iterate(tab2, basis2, n)
     if status == "unbounded":
         return "unbounded", None, -np.inf
     z = np.zeros(n)
-    for r in range(m2):
-        z[basis2[r]] = tab2[r, n]
-    return "optimal", z, float(-tab2[m2, n])
+    z[basis2] = tab2[:-1, n]
+    return "optimal", z, float(-tab2[-1, n])
 
 
 def _solve_split(c, free, a_eq, b_eq, g=None, h=None, tols: Tolerances = DEFAULT_TOLS):
@@ -176,7 +185,8 @@ def _solve_split(c, free, a_eq, b_eq, g=None, h=None, tols: Tolerances = DEFAULT
     if c is not None:
         c_std[:n] = c
         c_std[n:n + k] = -c[cols]
-    status, z, obj = simplex_standard(c_std, a_std, b_std, tols)
+    status, z, obj = simplex_standard(c_std, a_std, b_std, tols,
+                                      slacks=np.arange(n + k, n + k + m_ub))
     x = None if z is None else z[:n].copy()
     if x is not None and k:
         x[cols] -= z[n:n + k]

@@ -118,12 +118,22 @@ def test_dimension_mismatch_exits_64(tmp_path, capsys):
     ["falsify", "--seed", "-1"],
     ["check", "--tolerance", "-1"],
     ["check", "--tolerance", "nan"],
+    ["check", "--horizon", "-1"],
+    ["check", "--step", "20"],
 ])
 def test_bad_numeric_options_exit_64(capsys, argv):
     command, *flags = argv
     code, _, err = run_cli(capsys, command, str(PROBLEMS / "hpolyhedron_box.json"), *flags)
     assert code == EXIT_INPUT
     assert "internal error" not in err
+
+
+def test_step_count_cap_exits_64(capsys):
+    # 1e13 RK4 steps would not finish; the pair is rejected before any step
+    code, _, err = run_cli(capsys, "falsify", str(PROBLEMS / "hpolyhedron_box.json"),
+                           "--samples", "10", "--step", "1e-12")
+    assert code == EXIT_INPUT
+    assert "steps" in err
 
 
 def test_non_finite_option_in_file_exits_64(tmp_path, capsys):

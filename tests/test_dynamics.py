@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from invarcheck.dynamics import expm, falsify, integrate, integrate_exact
+from invarcheck.dynamics import MAX_STEPS, _step_grid, expm, falsify, integrate, integrate_exact
 from invarcheck.errors import InputError
 from invarcheck.sets import Ellipsoid, HPolyhedron, LorenzCone, VCone, orthant_h
 from invarcheck.systems import GeneralSystem, LinearSystem
@@ -148,6 +148,12 @@ def test_falsify_rejects_extra_start_outside_set():
     with pytest.raises(InputError, match="extra start 1"):
         falsify(cone, sys, 20, horizon=0.5, step=0.01, seed=2,
                 extra_starts=[[0.0, 0.0, 1.0], [0.1, 0.1, 0.1]])
+
+
+def test_integrate_caps_step_count():
+    assert _step_grid(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    with pytest.raises(InputError, match="cap"):
+        integrate(LinearSystem(-np.eye(2)), [1.0, 0.0], 0.0, 1.0, 0.5 / MAX_STEPS)
 
 
 def test_falsify_rejects_negative_step():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from invarcheck import solvers
+from invarcheck.checkers import Decision, check
+from invarcheck.sets import HPolyhedron
 from invarcheck.solvers import (
     LPFeasibilityProblem,
     OptResult,
@@ -14,6 +17,7 @@ from invarcheck.solvers import (
     simplex_standard,
     solve_inequality_lp,
 )
+from invarcheck.systems import LinearSystem
 
 from oracles import enumerate_lp, enumerate_qp_nearest
 
@@ -300,6 +304,24 @@ def test_phase_one_matches_vertex_enumeration():
             assert opt == pytest.approx(low + bs.sum(), abs=1e-7)
             assert opt > 1e-9
     assert seen == {True, False}
+
+
+def test_facet_lp_pivot_budget(monkeypatch):
+    # the rows of G x <= b with b >= 0 start phase one on their slacks; from
+    # an all-artificial start these 60 facet LPs take 11,498 pivots
+    n = 20
+    g = np.random.default_rng(0).normal(size=(3 * n, n))
+    pivots = []
+    pivot = solvers._pivot
+
+    def counting(*args):
+        pivots.append(args[2:])
+        pivot(*args)
+
+    monkeypatch.setattr(solvers, "_pivot", counting)
+    verdict = check(HPolyhedron(g, np.ones(3 * n)), LinearSystem(-np.eye(n)))
+    assert verdict.decision is Decision.INVARIANT
+    assert len(pivots) < 2000
 
 
 def test_nnls_simple():
