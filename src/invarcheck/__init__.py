@@ -23,9 +23,7 @@ from .checkers import (
 from .dynamics import Trajectory, expm, falsify, integrate, integrate_exact
 from .expressions import build_expression_system, parse_formula
 from .numerics import (
-    DEFAULT_TOLS,
     EigenResult,
-    Tolerances,
     gen_eig_max,
     minimize_scalar_convex,
     solve_linear,
@@ -69,10 +67,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryPoint", "Certificate", "Counterexample", "Decision",
-    "DEFAULT_TOLS", "DynamicalSystem", "EigenResult", "Ellipsoid",
-    "GeneralSystem", "HPolyhedron", "LPFeasibilityProblem", "LinearSystem",
-    "LorenzCone", "Membership", "OptResult", "QPProblem", "TangentCone",
-    "Tolerances", "Trajectory", "VCone", "VPolytope", "Verdict",
+    "DynamicalSystem", "EigenResult", "Ellipsoid", "GeneralSystem",
+    "HPolyhedron", "LPFeasibilityProblem", "LinearSystem", "LorenzCone",
+    "Membership", "OptResult", "QPProblem", "TangentCone", "Trajectory",
+    "VCone", "VPolytope", "Verdict",
     "active_constraints", "build_expression_system", "check",
     "check_ellipsoid_linear", "check_hpoly_linear", "check_lorenz_linear",
     "check_nonlinear_sampled", "check_orthant_linear", "check_vcone",

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import EmptySet, InputError, NumericalFailure
 from .numerics import (
-    DEFAULT_TOLS,
-    Tolerances,
     as_square,
     gen_eig_max_witness,
     gershgorin_radius,
@@ -29,6 +27,7 @@ from .numerics import (
     sym_eig,
 )
 from .sets import (
+    DEFAULT_TOL,
     ConvexSet,
     Ellipsoid,
     HPolyhedron,
@@ -48,6 +47,8 @@ from .systems import DynamicalSystem, LinearSystem
 from .tangent import cone_contains, cone_test, tangent_cone_at
 
 _UNBOUNDED_BOX = 1e6
+_FACET_OPTIMUM_TOL = 1e-8  # a facet optimum at or below this is non-positive
+_PENCIL_TOL = 1e-9         # a pencil eigenvalue at or below this certifies
 
 
 class Decision(Enum):
@@ -78,7 +79,7 @@ class Verdict:
     notes: dict = field(default_factory=dict)
 
 
-def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     """Decide invariance of a halfspace-form polyhedron under x' = A x.
 
     The pointwise facet condition is reduced to one LP per facet: maximize
@@ -100,13 +101,13 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
         c = a.T @ p.G[i]
         status, x, val = solve_inequality_lp(
             c, g_ub=p.G, h_ub=p.b, a_eq=p.G[i].reshape(1, -1), b_eq=[p.b[i]],
-            maximize=True, tols=tols)
+            maximize=True)
         boxed = False
         on_box = False
         if status == "infeasible":
             if not nonempty_checked:
                 st_all, _, _ = solve_inequality_lp(
-                    np.zeros(p.dim), g_ub=p.G, h_ub=p.b, tols=tols)
+                    np.zeros(p.dim), g_ub=p.G, h_ub=p.b)
                 if st_all != "optimal":
                     raise EmptySet("the polyhedron has no points")
                 nonempty_checked = True
@@ -117,11 +118,11 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
             box = _UNBOUNDED_BOX * max(1.0, float(np.max(np.abs(p.b))))
             status, x, val = solve_inequality_lp(
                 c, g_ub=p.G, h_ub=p.b, a_eq=p.G[i].reshape(1, -1), b_eq=[p.b[i]],
-                box=box, maximize=True, tols=tols)
+                box=box, maximize=True)
             if status != "optimal":
                 raise NumericalFailure(f"boxed re-solve of facet {i} returned {status}")
             on_box = bool(np.any(np.abs(x) >= box * (1.0 - 1e-9)))
-        if val > tols.facet_optimum:
+        if val > _FACET_OPTIMUM_TOL:
             return Verdict(Decision.NOT_INVARIANT,
                            counterexample=Counterexample(np.asarray(x), float(val)),
                            notes={"facet": i})
@@ -136,7 +137,7 @@ def check_hpoly_linear(p: HPolyhedron, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
                    certificate=Certificate("facet-lp", {"facets": facets}))
 
 
-def check_orthant_linear(a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def check_orthant_linear(a) -> Verdict:
     """The nonnegative orthant is invariant exactly when every off-diagonal
     entry of A is nonnegative; a violating entry A[j, i] yields the basis
     ray e_i as counterexample with (A e_i)_j as the violation."""
@@ -156,8 +157,7 @@ def check_orthant_linear(a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
                    certificate=Certificate("metzler", {"min_offdiagonal": float(min_off)}))
 
 
-def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0,
-                    tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0) -> Verdict:
     """Vertex decomposition test: at every vertex the field must be a
     nonnegative combination of the edges toward the other vertices.
 
@@ -168,21 +168,20 @@ def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0,
     """
     return _check_decomposition(
         p.vertices, "vertex", "vertices", LPFeasibilityProblem.for_vertex,
-        lambda f, i, res: qp_nearest(QPProblem(p.vertices.T, f, i), tols).objective,
-        sys, t0, tols)
+        lambda f, i, res: qp_nearest(QPProblem(p.vertices.T, f, i)).objective,
+        sys, t0)
 
 
-def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0,
-                tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0) -> Verdict:
     """Ray decomposition test: at every extreme ray the field must combine
     the other rays nonnegatively with a sign-free coefficient on the ray
     itself. Exact for linear systems; Unknown-capped otherwise."""
     return _check_decomposition(
         c.rays, "ray", "rays", LPFeasibilityProblem.for_ray,
-        lambda f, i, res: res.objective, sys, t0, tols)
+        lambda f, i, res: res.objective, sys, t0)
 
 
-def _check_decomposition(gens, name, plural, problem, miss, sys, t0, tols) -> Verdict:
+def _check_decomposition(gens, name, plural, problem, miss, sys, t0) -> Verdict:
     """Decomposition feasibility at every row of gens (vertices or rays).
 
     problem(columns, f, i) builds the LP at row i; the first infeasible row
@@ -192,7 +191,7 @@ def _check_decomposition(gens, name, plural, problem, miss, sys, t0, tols) -> Ve
     records = []
     for i in range(gens.shape[0]):
         f = np.asarray(sys.field(t0, gens[i]), dtype=float)
-        res = lp_feasible(problem(gens.T, f, i), tols)
+        res = lp_feasible(problem(gens.T, f, i))
         if res.status != "feasible":
             return Verdict(Decision.NOT_INVARIANT,
                            counterexample=Counterexample(gens[i].copy(),
@@ -206,7 +205,7 @@ def _check_decomposition(gens, name, plural, problem, miss, sys, t0, tols) -> Ve
                    notes={f"{name}_conditions": "passed", "payload": cert.data})
 
 
-def check_ellipsoid_linear(e: Ellipsoid, a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
     """Eigenvalue criterion for the ellipsoid x'Qx <= 1 under x' = A x.
 
     Invariant exactly when the largest generalized eigenvalue of
@@ -219,9 +218,9 @@ def check_ellipsoid_linear(e: Ellipsoid, a, tols: Tolerances = DEFAULT_TOLS) -> 
         raise InputError("system dimension does not match the set")
     m = a.T @ e.Q + e.Q @ a
     m = 0.5 * (m + m.T)
-    lam, x = gen_eig_max_witness(m, e.Q, tols)
-    if lam <= tols.pencil:
-        witness = float(sym_eig(m - lam * e.Q, tols).eigenvalues[0])
+    lam, x = gen_eig_max_witness(m, e.Q)
+    if lam <= _PENCIL_TOL:
+        witness = float(sym_eig(m - lam * e.Q).eigenvalues[0])
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "lyapunov-pencil",
             {"eta": lam, "witness_max_eig": witness,
@@ -234,7 +233,7 @@ def check_ellipsoid_linear(e: Ellipsoid, a, tols: Tolerances = DEFAULT_TOLS) -> 
                    notes={"pencil_max_eig": lam})
 
 
-def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     """Exact quadratic-cone decision under x' = A x.
 
     On the boundary x'Qx = 0 the outward flux is x'QAx = x'Mx/2 with
@@ -247,7 +246,7 @@ def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
     |eta|*min|eig Q| and phi(0) <= r, so the minimizer lies in
     |eta| <= 2r/min|eig Q| < beta.
 
-    phi* <= tols.pencil certifies invariance with eta*. Otherwise the
+    phi* <= _PENCIL_TOL certifies invariance with eta*. Otherwise the
     eigenvectors V of M - eta*Q with eigenvalue >= phi*/2 span a subspace
     that, by optimality of eta*, holds a null vector x of Q, and there
     x'QAx >= phi*/4 |x|^2. x is built from the extreme eigenpairs of V'QV,
@@ -265,17 +264,17 @@ def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
     beta = 10.0 * (1.0 + gershgorin_radius(m)) / float(np.min(np.abs(c.eigenvalues)))
 
     def pencil_max(eta):
-        return float(sym_eig(m - eta * c.Q, tols).eigenvalues[0])
+        return float(sym_eig(m - eta * c.Q).eigenvalues[0])
 
     tau = max(1e-12, min(1e-10, 1e-10 / (1.0 + gershgorin_radius(c.Q))))
     eta_star, phi_star = minimize_scalar_convex(pencil_max, (-beta, beta), tau)
-    if phi_star <= tols.pencil:
+    if phi_star <= _PENCIL_TOL:
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "cone-pencil", {"eta": eta_star, "witness_max_eig": phi_star}))
 
-    eig = sym_eig(m - eta_star * c.Q, tols)
+    eig = sym_eig(m - eta_star * c.Q)
     v = eig.eigenvectors[:, eig.eigenvalues >= 0.5 * phi_star]
-    r = sym_eig(v.T @ c.Q @ v, tols)
+    r = sym_eig(v.T @ c.Q @ v)
     hi, lo = float(r.eigenvalues[0]), float(r.eigenvalues[-1])
     # a null vector of Q when lo <= 0 <= hi, else the eigenvector nearest null
     x = v @ (np.sqrt(max(-lo, 0.0)) * r.eigenvectors[:, 0]
@@ -289,7 +288,7 @@ def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
         x = x / nx
     qa = c.Q @ a
     flux = float(x @ (qa @ x))
-    # at large |QA| the rounding in M - eta*Q alone exceeds tols.pencil, and
+    # at large |QA| the rounding in M - eta*Q alone exceeds _PENCIL_TOL, and
     # the flux of a ray built from that noise is itself noise of size
     # eps*|QA|: only a flux clear of this floor refutes
     floor = 1e-8 * (1.0 + float(np.linalg.norm(qa)))
@@ -304,16 +303,17 @@ def check_lorenz_linear(c: LorenzCone, a, tols: Tolerances = DEFAULT_TOLS) -> Ve
 
 def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
                             n_samples: int, seed: int,
-                            tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+                            tol: float = DEFAULT_TOL) -> Verdict:
     """Sampled Nagumo test: the field must lie in the tangent cone at every
     sampled boundary point. A violation refutes invariance; a clean pass
-    cannot certify the full boundary, so the verdict is Unknown."""
-    samples = sample_boundary(s, n_samples, seed, tols)
+    cannot certify the full boundary, so the verdict is Unknown. tol is both
+    the boundary band of the samples and the tangent-cone tolerance."""
+    samples = sample_boundary(s, n_samples, seed, tol)
     for bp in samples:
-        t_cone = tangent_cone_at(s, bp, tols)
+        t_cone = tangent_cone_at(s, bp, tol)
         y = np.asarray(sys.field(t0, bp.point), dtype=float)
-        if not cone_contains(t_cone, y, tols.cone, tols):
-            _, residual = cone_test(t_cone, y, tols.cone, tols)
+        if not cone_contains(t_cone, y, tol):
+            _, residual = cone_test(t_cone, y, tol)
             return Verdict(Decision.NOT_INVARIANT,
                            counterexample=Counterexample(bp.point.copy(), residual),
                            notes={"active": bp.active if isinstance(bp.active, str)
@@ -327,42 +327,43 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
 # The vertex/ray deciders are exact for x' = A x and are necessary conditions
 # for any field, so they also refute general systems before the sampled check.
 _DECOMPOSITION = {
-    "vpolytope": lambda s, sys, t0, tols: check_vpolytope(s, sys, t0, tols),
-    "vcone": lambda s, sys, t0, tols: check_vcone(s, sys, t0, tols),
+    "vpolytope": lambda s, sys, t0: check_vpolytope(s, sys, t0),
+    "vcone": lambda s, sys, t0: check_vcone(s, sys, t0),
 }
 # the exact deciders of the other families for x' = A x
 _LINEAR = {
-    "hpolyhedron": lambda s, a, tols: check_hpoly_linear(s, a, tols),
-    "ellipsoid": lambda s, a, tols: check_ellipsoid_linear(s, a, tols),
-    "lorenz": lambda s, a, tols: check_lorenz_linear(s, a, tols),
+    "hpolyhedron": lambda s, a: check_hpoly_linear(s, a),
+    "ellipsoid": lambda s, a: check_ellipsoid_linear(s, a),
+    "lorenz": lambda s, a: check_lorenz_linear(s, a),
 }
 
 
 def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
           n_samples: int = 10000, seed: int = 0, orthant: bool = False,
-          tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+          tol: float = DEFAULT_TOL) -> Verdict:
     """Dispatch to the right decider for the (set family, system kind) pair.
 
     With orthant=True and a linear system the exact off-diagonal sign test
     runs regardless of which orthant representation was built. General
     systems on vertex forms run the vertex/ray refutation first and then the
-    sampled check, reporting both phases in the verdict notes.
+    sampled check, reporting both phases in the verdict notes. Only the
+    sampled check reads tol; the exact linear deciders read none.
     """
     tag = getattr(s, "TAG", None)
     decompose = _DECOMPOSITION.get(tag)
     if isinstance(sys, LinearSystem):
         if orthant:
-            return check_orthant_linear(sys.a, tols)
+            return check_orthant_linear(sys.a)
         if decompose is not None:
-            return decompose(s, sys, t0, tols)
+            return decompose(s, sys, t0)
         if tag not in _LINEAR:
             raise InputError(f"unsupported set type {type(s).__name__}")
-        return _LINEAR[tag](s, sys.a, tols)
+        return _LINEAR[tag](s, sys.a)
     if decompose is None:
-        return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
-    first = decompose(s, sys, t0, tols)
+        return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tol)
+    first = decompose(s, sys, t0)
     if first.decision is Decision.NOT_INVARIANT:
         return first
-    sampled = check_nonlinear_sampled(s, sys, t0, n_samples, seed, tols)
+    sampled = check_nonlinear_sampled(s, sys, t0, n_samples, seed, tol)
     sampled.notes.update(first.notes)
     return sampled

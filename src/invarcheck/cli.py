@@ -33,8 +33,8 @@ from .errors import (
     ToolkitError,
 )
 from .expressions import build_expression_system
-from .numerics import DEFAULT_TOLS, Tolerances
 from .sets import (
+    DEFAULT_TOL,
     FAMILIES,
     BoundaryPoint,
     Membership,
@@ -153,7 +153,7 @@ def system_from_dict(d: dict, dim: int):
 
 
 _OPTION_DEFAULTS = {
-    "tolerance": DEFAULT_TOLS.cone,
+    "tolerance": DEFAULT_TOL,
     "seed": 0,
     "n_samples": 10000,
     "horizon": 10.0,
@@ -165,9 +165,10 @@ _OPTION_DEFAULTS = {
 def resolve_options(file_options, args) -> dict:
     """Defaults, overridden by the problem file, overridden by flags.
 
-    A non-finite number, a negative tolerance or seed, or a step and
-    horizon outside 0 < step <= horizon is an InputError, for every
-    command; falsify also caps the step count horizon / step.
+    A non-finite number, a negative tolerance or seed, a sample count
+    below 1, or a step and horizon outside 0 < step <= horizon is an
+    InputError, for every command; falsify also caps the step count
+    horizon / step.
     """
     opts = dict(_OPTION_DEFAULTS)
     if file_options is not None:
@@ -194,6 +195,8 @@ def resolve_options(file_options, args) -> dict:
     for key in ("tolerance", "seed"):
         if opts[key] < 0:
             raise InputError(f"options.{key}: expected a nonnegative number, got {opts[key]}")
+    if opts["n_samples"] < 1:
+        raise InputError(f"options.n_samples: expected at least 1, got {opts['n_samples']}")
     if not 0.0 < opts["step"] <= opts["horizon"]:
         raise InputError(f"options: need 0 < step <= horizon, got step {opts['step']} "
                          f"and horizon {opts['horizon']}")
@@ -222,12 +225,6 @@ def load_problem(path: str, args):
     return s, tag, sys_obj, sys_echo, opts
 
 
-def _tols_with(tolerance: float) -> Tolerances:
-    from dataclasses import replace
-
-    return replace(DEFAULT_TOLS, cone=tolerance, boundary_band=tolerance)
-
-
 def _emit(report: dict, summary: str, args) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
@@ -254,8 +251,7 @@ def cmd_check(args) -> int:
     s, tag, sys_obj, sys_echo, opts = load_problem(args.file, args)
     t_parsed = time.perf_counter()
     verdict = check(s, sys_obj, t0=opts["t0"], n_samples=opts["n_samples"],
-                    seed=opts["seed"], orthant=(tag == "orthant"),
-                    tols=_tols_with(opts["tolerance"]))
+                    seed=opts["seed"], orthant=(tag == "orthant"), tol=opts["tolerance"])
     t_done = time.perf_counter()
     report = {
         "schema": SCHEMA,
@@ -278,8 +274,7 @@ def cmd_falsify(args) -> int:
     s, tag, sys_obj, sys_echo, opts = load_problem(args.file, args)
     t_parsed = time.perf_counter()
     hit = falsify(s, sys_obj, n_starts=opts["n_samples"], horizon=opts["horizon"],
-                  step=opts["step"], seed=opts["seed"], t0=opts["t0"],
-                  tols=_tols_with(opts["tolerance"]))
+                  step=opts["step"], seed=opts["seed"], t0=opts["t0"], tol=opts["tolerance"])
     t_done = time.perf_counter()
     report = {
         "schema": SCHEMA,
@@ -326,11 +321,10 @@ def cmd_tangent(args) -> int:
     x = np.array(_require_vector(point, "point"))
     if x.shape[0] != s.dim:
         raise InputError(f"point: expected dimension {s.dim}, got {x.shape[0]}")
-    tols = _tols_with(opts["tolerance"])
-    if membership(s, x, tols) is not Membership.BOUNDARY:
+    if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
         print("point is not on the set boundary", file=sys.stderr)
         return EXIT_NOT_BOUNDARY
-    cone = _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, None), tols))
+    cone = _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, None), opts["tolerance"]))
     report = {
         "schema": SCHEMA,
         "tool_version": __version__,
@@ -357,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="problem JSON file")
-        p.add_argument("--tolerance", type=float, default=None)
+        p.add_argument("--tolerance", type=float, default=None, help=(
+            "boundary band (membership and boundary sampling) and tangent-cone "
+            "test tolerance; only the sampled checker, falsify and tangent read "
+            f"it, and exact linear verdicts read no user tolerance (default {DEFAULT_TOL:g})"))
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--horizon", type=float, default=None)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import DEFAULT_TOLS, Tolerances, as_square, as_vector
+from .numerics import as_square, as_vector
 from .sets import (
+    DEFAULT_TOL,
     BoundaryPoint,
     ConvexSet,
     inward_direction,
@@ -26,6 +27,9 @@ from .sets import (
 from .systems import DynamicalSystem, LinearSystem, field_batch
 
 MAX_STEPS = 1_000_000  # integration steps per trajectory; the defaults take 10,000
+_EXIT_BAND = 1e-6      # a violation above this is a strict exit
+_INWARD_PUSH = 1e-9    # boundary starts get pushed inside by this, relative
+_DIVERGENCE = 1e12     # a state norm above this ends the trajectory
 
 
 @dataclass
@@ -75,8 +79,8 @@ def _pade6_expm(a: np.ndarray) -> np.ndarray:
     return f
 
 
-def expm(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(A) for a square matrix; no field of tols applies."""
+def expm(a) -> np.ndarray:
+    """exp(A) for a square matrix."""
     return _pade6_expm(as_square(a, "A"))
 
 
@@ -101,7 +105,7 @@ def _step_grid(horizon: float, step: float) -> int:
     return int(round(horizon / step))
 
 
-def _step_loop(advance, x0, t0, nsteps, step, tols) -> Trajectory:
+def _step_loop(advance, x0, t0, nsteps, step) -> Trajectory:
     """Apply x <- advance(t, x) nsteps times from t0, truncating as integrate says."""
     times = [t0]
     states = [x0.copy()]
@@ -114,14 +118,13 @@ def _step_loop(advance, x0, t0, nsteps, step, tols) -> Trajectory:
             break
         times.append(t0 + (k + 1) * step)
         states.append(x.copy())
-        if float(np.linalg.norm(x)) > tols.divergence:
+        if float(np.linalg.norm(x)) > _DIVERGENCE:
             diverged = True
             break
     return Trajectory(np.array(times), np.array(states), step, diverged)
 
 
-def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float,
-              tols: Tolerances = DEFAULT_TOLS) -> Trajectory:
+def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) -> Trajectory:
     """Classic fixed-step RK4 from t0 over the horizon.
 
     Truncates with diverged=True when a state goes non-finite or its norm
@@ -129,18 +132,18 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float,
     """
     nsteps = _step_grid(horizon, step)
     return _step_loop(lambda t, x: _rk4_step(sys.field, t, x, step),
-                      as_vector(x0, "x0"), t0, nsteps, step, tols)
+                      as_vector(x0, "x0"), t0, nsteps, step)
 
 
-def integrate_exact(sys: LinearSystem, x0, t0: float, horizon: float, step: float,
-                    tols: Tolerances = DEFAULT_TOLS) -> Trajectory:
+def integrate_exact(sys: LinearSystem, x0, t0: float, horizon: float,
+                    step: float) -> Trajectory:
     """Exact linear propagation x(t0 + k h) = exp(A h)^k x0."""
     nsteps = _step_grid(horizon, step)
-    prop = expm(sys.a * step, tols)
-    return _step_loop(lambda t, x: prop @ x, as_vector(x0, "x0"), t0, nsteps, step, tols)
+    prop = expm(sys.a * step)
+    return _step_loop(lambda t, x: prop @ x, as_vector(x0, "x0"), t0, nsteps, step)
 
 
-def _nudged_starts(s: ConvexSet, points, tols: Tolerances) -> np.ndarray:
+def _nudged_starts(s: ConvexSet, points) -> np.ndarray:
     """Push boundary points slightly inside, one start per column; exact
     boundary starts can flag spurious instant exits under floating point. A
     point whose push leaves the set starts unpushed."""
@@ -149,13 +152,13 @@ def _nudged_starts(s: ConvexSet, points, tols: Tolerances) -> np.ndarray:
     for k, bp in enumerate(points):
         d = inward_direction(s, bp)
         if d is not None:
-            cand[:, k] = x[:, k] + tols.inward_push * (1.0 + float(np.linalg.norm(x[:, k]))) * d
-    return np.where(outside_violation_batch(s, cand, tols) == 0.0, cand, x)
+            cand[:, k] = x[:, k] + _INWARD_PUSH * (1.0 + float(np.linalg.norm(x[:, k]))) * d
+    return np.where(outside_violation_batch(s, cand) == 0.0, cand, x)
 
 
 def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
             step: float, seed: int, extra_starts=None, t0: float = 0.0,
-            tols: Tolerances = DEFAULT_TOLS):
+            tol: float = DEFAULT_TOL):
     """Search for a trajectory that leaves the set.
 
     Integrates from boundary samples (and any extra starts, tried first),
@@ -165,28 +168,28 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     An extra start already outside the set by more than that band, a step
     and horizon outside 0 < step <= horizon < inf, or more than MAX_STEPS
     steps, raises InputError.
+    tol is the boundary band of the sampled starts.
     Deterministic for a given seed.
     """
     nsteps = _step_grid(horizon, step)
-    points = sample_boundary(s, n_starts, seed, tols)
+    points = sample_boundary(s, n_starts, seed, tol)
     if extra_starts is not None:
         wrapped = [p if isinstance(p, BoundaryPoint) else BoundaryPoint(as_vector(p, "x0"), None)
                    for p in extra_starts]
         if wrapped:
             viol = outside_violation_batch(
-                s, np.column_stack([bp.point for bp in wrapped]), tols)
-            outside = np.flatnonzero(viol > tols.exit_band)
+                s, np.column_stack([bp.point for bp in wrapped]))
+            outside = np.flatnonzero(viol > _EXIT_BAND)
             if outside.size:
                 k = int(outside[0])
                 raise InputError(f"extra start {k} lies outside the set "
                                  f"(violation {float(viol[k]):.3e})")
         points = wrapped + points
-    starts = _nudged_starts(s, points, tols)
+    starts = _nudged_starts(s, points)
     # a start repeated later exits exactly when its first copy does, so only
     # first copies are integrated, in order, and the lowest index still wins
     _, first = np.unique(starts, axis=1, return_index=True)
     x0_all = starts[:, np.sort(first)]
-    band = tols.exit_band
 
     rk4_map = None
     if isinstance(sys, LinearSystem):
@@ -207,7 +210,7 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     best = n_cols  # columns with index >= best can no longer win
     cur = x0_all.copy()
     idx_map = np.arange(n_cols)
-    div2 = tols.divergence ** 2
+    div2 = _DIVERGENCE ** 2
     for k in range(nsteps):
         if idx_map.size == 0:
             break
@@ -219,8 +222,8 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
         finite = np.all(np.isfinite(cur), axis=0)
         if not np.all(finite):
             cur[:, ~finite] = 0.0
-        viol = outside_violation_batch(s, cur, tols)
-        exited = (viol > band) & finite
+        viol = outside_violation_batch(s, cur)
+        exited = (viol > _EXIT_BAND) & finite
         if np.any(exited):
             hit_idx = idx_map[exited]
             exit_time[hit_idx] = (k + 1) * step

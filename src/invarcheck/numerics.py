@@ -24,25 +24,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric-tolerance record; defaults serve the desk scale (n <= ~50)."""
-
-    pivot: float = 1e-12            # relative: condition number above 1/pivot is singular
-    cholesky_pivot: float = 1e-10   # Cholesky pivot floor for positive definiteness
-    spd_min_eig: float = 1e-10      # minimum eigenvalue accepted as positive definite
-    feasibility: float = 1e-9       # LP phase-one / residual acceptance
-    boundary_band: float = 1e-8     # set-boundary classification band (relative)
-    cone: float = 1e-8              # tangent-cone membership default
-    kkt: float = 1e-7               # KKT residual acceptance
-    facet_optimum: float = 1e-8     # facet-LP optimum accepted as non-positive
-    pencil: float = 1e-9            # eigenvalue-certificate acceptance
-    exit_band: float = 1e-6         # falsifier "strictly outside" band
-    inward_push: float = 1e-9       # boundary starts get pushed inside by this
-    divergence: float = 1e12        # state norm treated as divergence
-
-
-DEFAULT_TOLS = Tolerances()
+_COND_TOL = 1e-12            # relative: condition number above 1/_COND_TOL is singular
+_CHOLESKY_PIVOT_TOL = 1e-10  # Cholesky pivot floor for positive definiteness
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -95,8 +78,8 @@ class EigenResult:
         return self.eigenvectors @ np.diag(self.eigenvalues) @ self.eigenvectors.T
 
 
-def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Solve Ax = b by LAPACK; SingularMatrix if cond(A) > 1 / tols.pivot (inf if singular)."""
+def solve_linear(a, b) -> np.ndarray:
+    """Solve Ax = b by LAPACK; SingularMatrix if cond(A) > 1 / _COND_TOL (inf if singular)."""
     a = as_square(a, "A")
     b = as_vector(b, "b")
     if a.shape[0] != b.shape[0]:
@@ -104,8 +87,8 @@ def solve_linear(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     if a.shape[0] == 0:
         return np.zeros(0)
     cond = float(np.linalg.cond(a))
-    if not cond <= 1.0 / tols.pivot:
-        raise SingularMatrix(f"condition number {cond:.3e} above {1.0 / tols.pivot:.1e}")
+    if not cond <= 1.0 / _COND_TOL:
+        raise SingularMatrix(f"condition number {cond:.3e} above {1.0 / _COND_TOL:.1e}")
     return np.linalg.solve(a, b)
 
 
@@ -115,14 +98,13 @@ def _require_symmetric(m: np.ndarray, name: str) -> None:
         raise InputError(f"{name} is not symmetric within tolerance")
 
 
-def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
+def sym_eig(m) -> EigenResult:
     """Eigendecomposition of a symmetric matrix by LAPACK's eigh.
 
     The input is symmetrized as (M + M')/2 after a near-symmetry check.
     Eigenvalues come back sorted descending with orthonormal eigenvector
     columns aligned to them, each column sign-normalized by canonical_sign;
-    raises NoConvergence if LAPACK reports a failure to converge. No field of
-    tols applies; it is accepted like in the other kernels.
+    raises NoConvergence if LAPACK reports a failure to converge.
     """
     m = as_square(m, "M")
     n = m.shape[0]
@@ -138,21 +120,21 @@ def sym_eig(m, tols: Tolerances = DEFAULT_TOLS) -> EigenResult:
     return EigenResult(w[order], canonical_sign(v[:, order]))
 
 
-def cholesky_lower(q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def cholesky_lower(q) -> np.ndarray:
     """Lower Cholesky factor of an SPD matrix by LAPACK, from its lower triangle;
-    NotPositiveDefinite if LAPACK fails or a pivot L[i, i]^2 is below tols.cholesky_pivot."""
+    NotPositiveDefinite if LAPACK fails or a pivot L[i, i]^2 is below _CHOLESKY_PIVOT_TOL."""
     q = as_square(q, "Q")
     try:
         low = np.linalg.cholesky(q)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Q is not positive definite: {exc}") from exc
     pivot = float(np.min(np.diag(low), initial=np.inf)) ** 2
-    if pivot < tols.cholesky_pivot:
-        raise NotPositiveDefinite(f"Cholesky pivot {pivot:.3e} below {tols.cholesky_pivot:.1e}")
+    if pivot < _CHOLESKY_PIVOT_TOL:
+        raise NotPositiveDefinite(f"Cholesky pivot {pivot:.3e} below {_CHOLESKY_PIVOT_TOL:.1e}")
     return low
 
 
-def gen_eig_max_witness(m, q, tols: Tolerances = DEFAULT_TOLS):
+def gen_eig_max_witness(m, q):
     """Largest lambda with M x = lambda Q x for symmetric M and SPD Q, plus x.
 
     Reduces to a standard symmetric problem through the Cholesky factor of Q,
@@ -165,18 +147,18 @@ def gen_eig_max_witness(m, q, tols: Tolerances = DEFAULT_TOLS):
     if q.shape[0] == 0:
         raise NotPositiveDefinite("Q is empty")
     _require_symmetric(q, "Q")
-    low = cholesky_lower(q, tols=tols)
+    low = cholesky_lower(q)
     y = np.linalg.solve(low, 0.5 * (m + m.T))
     w = np.linalg.solve(low, y.T)
-    res = sym_eig(0.5 * (w + w.T), tols)
+    res = sym_eig(0.5 * (w + w.T))
     lam = float(res.eigenvalues[0])
     x = np.linalg.solve(low.T, res.eigenvectors[:, 0])
     return lam, x
 
 
-def gen_eig_max(m, q, tols: Tolerances = DEFAULT_TOLS) -> float:
+def gen_eig_max(m, q) -> float:
     """Largest generalized eigenvalue of the symmetric pencil (M, Q), Q SPD."""
-    lam, _ = gen_eig_max_witness(m, q, tols)
+    lam, _ = gen_eig_max_witness(m, q)
     return lam
 
 

@@ -16,10 +16,11 @@ membership LP for both.
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector" or
 "optional vector", in constructor order), and the methods
-membership(x, tols), violation(states, tols), sample(count, rng, tols)
-and inward(bp). The module-level functions below validate their
-arguments and call those methods; the rest of the package calls the
-functions.
+membership(x, tol), violation(states), sample(count, rng, tol) and
+inward(bp), where tol is the user's boundary band (the vertex and ray
+forms decide membership by LP and read no band). The module-level
+functions below validate their arguments and call those methods; the
+rest of the package calls the functions.
 """
 
 from __future__ import annotations
@@ -33,16 +34,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ApexPoint, DimensionMismatch, EmptyBoundary, InputError
-from .numerics import (
-    DEFAULT_TOLS,
-    Tolerances,
-    as_matrix,
-    as_vector,
-    canonical_sign,
-    sym_eig,
-)
+from .numerics import as_matrix, as_vector, canonical_sign, sym_eig
 from .solvers import simplex_standard, solve_inequality_lp
 
+DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
+_SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
 _FACET_BOX = 1e6
 _RELINT_TOL = 1e-9
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
@@ -84,24 +80,24 @@ class HPolyhedron:
     def dim(self):
         return self.G.shape[1]
 
-    def membership(self, x, tols: Tolerances) -> Membership:
+    def membership(self, x, tol: float) -> Membership:
         if self.G.shape[0] == 0:
             return Membership.INSIDE
         slack = self.G @ x - self.b
-        bands = tols.boundary_band * (1.0 + np.abs(self.b))
+        bands = tol * (1.0 + np.abs(self.b))
         if np.any(slack > bands):
             return Membership.OUTSIDE
         if np.any(slack >= -bands):
             return Membership.BOUNDARY
         return Membership.INSIDE
 
-    def violation(self, states, tols: Tolerances) -> np.ndarray:
+    def violation(self, states) -> np.ndarray:
         if self.G.shape[0] == 0:
             return np.zeros(states.shape[1])
         slack = (self.G @ states - self.b[:, None]) / (1.0 + np.abs(self.b))[:, None]
         return np.maximum(slack.max(axis=0), 0.0)
 
-    def _facet_anchor(self, i: int, tols: Tolerances):
+    def _facet_anchor(self, i: int, tol: float):
         """A point in the relative interior of facet i, or None if unattained.
 
         An LP point that lies outside the set or off the facet by more than
@@ -122,23 +118,23 @@ class HPolyhedron:
         status, z, _ = solve_inequality_lp(
             c, g_ub=np.array(g_rows), h_ub=np.array(h_vals),
             a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]],
-            box=_FACET_BOX, maximize=True, tols=tols)
+            box=_FACET_BOX, maximize=True)
         if status != "optimal":
             return None
         slack = self.G @ z[:n] - self.b
-        bands = tols.boundary_band * (1.0 + np.abs(self.b))
+        bands = tol * (1.0 + np.abs(self.b))
         if np.any(slack > bands) or slack[i] < -bands[i]:
             return None
         return z[:n]
 
-    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
         """Sample k is the LP anchor of attained facet k (mod their number)
         moved along a random direction within that facet by a random
         fraction of the distance to the first other facet ahead, at most
         1 + |anchor|. A point that leaves the set by more than the band
         (rounding on a row nearly parallel to the direction) stays at the
         anchor."""
-        anchors = [(i, self._facet_anchor(i, tols)) for i in range(self.G.shape[0])]
+        anchors = [(i, self._facet_anchor(i, tol)) for i in range(self.G.shape[0])]
         anchors = [(i, a) for i, a in anchors if a is not None]
         if not anchors:
             raise EmptyBoundary("no facet of the polyhedron is attained")
@@ -156,7 +152,7 @@ class HPolyhedron:
         np.divide(room, rate, out=limit, where=ahead)
         reach = np.minimum(limit.min(axis=1), 1.0 + np.linalg.norm(base, axis=1))
         pts = base + (rng.uniform(size=count) * reach)[:, None] * y
-        bands = tols.boundary_band * (1.0 + np.abs(self.b))
+        bands = tol * (1.0 + np.abs(self.b))
         stray = np.any(pts @ self.G.T - self.b > bands, axis=1)
         pts[stray] = base[stray]
         active = np.abs(pts @ self.G.T - self.b) <= bands
@@ -259,7 +255,7 @@ class _VForm:
         normals = np.array(normals).reshape(-1, r) @ basis.T
         return _Facets(normals, on, u[:, r:].T)
 
-    def _lp(self, x, tols: Tolerances):
+    def _lp(self, x):
         """Feasibility plus relative-interior margin of the combination
         coefficients, via  theta = delta*1 + sigma  and maximizing delta.
 
@@ -278,18 +274,18 @@ class _VForm:
             rhs = np.concatenate([rhs, [float(cap)]])
         c = np.zeros(1 + k + extra)
         c[0] = -1.0
-        status, z, obj = simplex_standard(c, a_std, rhs, tols)
+        status, z, obj = simplex_standard(c, a_std, rhs)
         if status == "infeasible":
             return False, 0.0, obj
         return True, float(z[0]), 0.0
 
-    def membership(self, x, tols: Tolerances) -> Membership:
-        feasible, delta, _ = self._lp(x, tols)
+    def membership(self, x, tol: float) -> Membership:
+        feasible, delta, _ = self._lp(x)
         if not feasible:
             return Membership.OUTSIDE
         return Membership.INSIDE if delta > _RELINT_TOL * self._scale(x) else Membership.BOUNDARY
 
-    def violation(self, states, tols: Tolerances) -> np.ndarray:
+    def violation(self, states) -> np.ndarray:
         """The most negative scaled facet value, or the distance of the lifted
         state from the columns' span if larger; without facets, the
         membership LP's infeasibility, column by column."""
@@ -297,7 +293,7 @@ class _VForm:
         out = np.zeros(states.shape[1])
         if facets is None:
             for k in range(states.shape[1]):
-                feasible, _, infeas = self._lp(states[:, k], tols)
+                feasible, _, infeas = self._lp(states[:, k])
                 out[k] = 0.0 if feasible else infeas
             return out
         lifted = self._lift(states)
@@ -307,7 +303,7 @@ class _VForm:
             out = np.maximum(out, np.abs(facets.eq @ lifted).max(axis=0))
         return out
 
-    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
         """The generators on the relative boundary first, then random
         combinations of one facet's generators (of two random generators,
         kept only when the membership LP says boundary, without facets).
@@ -315,7 +311,7 @@ class _VForm:
         linear subspace) repeats its generators."""
         facets = self._facets
         if facets is None:
-            return self._sample_lp(count, rng, tols)
+            return self._sample_lp(count, rng)
         faces = [f for f in facets.on if f.size or self._HAS_APEX]
         pts = self._points
         if not faces:
@@ -329,17 +325,17 @@ class _VForm:
         out.extend(BoundaryPoint(x, faces[f].tolist()) for x, f in zip(drawn, picks))
         return out
 
-    def _sample_lp(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+    def _sample_lp(self, count: int, rng) -> list[BoundaryPoint]:
         pts = self._points
         l = pts.shape[0]
-        firsts = [j for j in range(l) if membership(self, pts[j], tols) is Membership.BOUNDARY]
+        firsts = [j for j in range(l) if membership(self, pts[j]) is Membership.BOUNDARY]
         firsts = firsts or list(range(l))
         out = [BoundaryPoint(pts[j].copy(), [j]) for j in firsts[:count]]
         for k in range(len(out), count):
             for _ in range(30 if l >= 2 else 0):
                 pair = np.sort(rng.choice(l, size=2, replace=False))
                 cand = self._face_points(rng, pair, 1)[0]
-                if membership(self, cand, tols) is Membership.BOUNDARY:
+                if membership(self, cand) is Membership.BOUNDARY:
                     out.append(BoundaryPoint(cand, pair.tolist()))
                     break
             else:
@@ -424,12 +420,12 @@ class Ellipsoid:
     TAG = "ellipsoid"
     FIELDS = {"Q": "matrix"}
 
-    def __init__(self, q, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, q):
         q = as_matrix(q, "Q")
         if q.shape[0] != q.shape[1]:
             raise DimensionMismatch("Q must be square")
-        eig = sym_eig(q, tols)
-        if eig.eigenvalues.size == 0 or eig.eigenvalues[-1] <= tols.spd_min_eig:
+        eig = sym_eig(q)
+        if eig.eigenvalues.size == 0 or eig.eigenvalues[-1] <= _SPD_MIN_EIG:
             raise InputError("ellipsoid matrix is not positive definite")
         self.Q = 0.5 * (q + q.T)
         self.eigenvalues = eig.eigenvalues
@@ -439,20 +435,20 @@ class Ellipsoid:
     def dim(self):
         return self.Q.shape[0]
 
-    def membership(self, x, tols: Tolerances) -> Membership:
+    def membership(self, x, tol: float) -> Membership:
         v = float(x @ self.Q @ x)
-        b = tols.boundary_band * 2.0
+        b = tol * 2.0
         if v - 1.0 > b:
             return Membership.OUTSIDE
         if abs(v - 1.0) <= b:
             return Membership.BOUNDARY
         return Membership.INSIDE
 
-    def violation(self, states, tols: Tolerances) -> np.ndarray:
+    def violation(self, states) -> np.ndarray:
         quad = np.sum(states * (self.Q @ states), axis=0)
         return np.maximum(quad - 1.0, 0.0)
 
-    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
         vecs = self.eigenvectors
         inv_half = vecs @ np.diag(1.0 / np.sqrt(self.eigenvalues)) @ vecs.T
         u = _unit_rows(rng, count, self.dim)
@@ -481,11 +477,11 @@ class LorenzCone:
     TAG = "lorenz"
     FIELDS = {"Q": "matrix", "u_n": "optional vector"}
 
-    def __init__(self, q, u_n=None, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, q, u_n=None):
         q = as_matrix(q, "Q")
         if q.shape[0] != q.shape[1]:
             raise DimensionMismatch("Q must be square")
-        eig = sym_eig(q, tols)
+        eig = sym_eig(q)
         w = eig.eigenvalues
         negatives = int(np.sum(w < -1e-10))
         near_zero = int(np.sum(np.abs(w) <= 1e-10))
@@ -515,19 +511,19 @@ class LorenzCone:
     def dim(self):
         return self.Q.shape[0]
 
-    def membership(self, x, tols: Tolerances) -> Membership:
+    def membership(self, x, tol: float) -> Membership:
         nx = float(np.linalg.norm(x))
         qv = float(x @ self.Q @ x)
         lv = float(x @ self.Q @ self.u_n)
-        band_q = tols.boundary_band * (1.0 + nx * nx)
-        band_l = tols.boundary_band * (1.0 + nx)
+        band_q = tol * (1.0 + nx * nx)
+        band_l = tol * (1.0 + nx)
         if qv > band_q or lv > band_l:
             return Membership.OUTSIDE
         if abs(qv) <= band_q:
             return Membership.BOUNDARY
         return Membership.INSIDE
 
-    def violation(self, states, tols: Tolerances) -> np.ndarray:
+    def violation(self, states) -> np.ndarray:
         quad = np.sum(states * (self.Q @ states), axis=0)
         lin = (self.Q @ self.u_n) @ states
         nrm2 = np.sum(states * states, axis=0)
@@ -535,7 +531,7 @@ class LorenzCone:
         v_l = lin / (1.0 + np.sqrt(nrm2))
         return np.maximum(np.maximum(v_q, v_l), 0.0)
 
-    def sample(self, count: int, rng, tols: Tolerances) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
         n = self.dim
         out = [BoundaryPoint(np.zeros(n), "apex")]
         extra = count - 1
@@ -584,34 +580,34 @@ def _check_dim(s, x):
     return x
 
 
-def membership(s: ConvexSet, x, tols: Tolerances = DEFAULT_TOLS) -> Membership:
+def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL) -> Membership:
     """Classify a point as inside, boundary, or outside of the set.
 
-    Each defining inequality carries a boundary band of tols.boundary_band
-    relative to its right-hand side; vertex and ray forms are decided by the
+    Each defining inequality carries a boundary band of tol relative to its
+    right-hand side; vertex and ray forms are decided by the
     LP feasibility of the combination coefficients, with "inside" meaning
     the relative interior.
     """
-    return s.membership(_check_dim(s, x), tols)
+    return s.membership(_check_dim(s, x), tol)
 
 
-def active_constraints(p: HPolyhedron, x, tols: Tolerances = DEFAULT_TOLS) -> list[int]:
+def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
     """Indices of rows holding with equality at x (empty for interior points)."""
     x = _check_dim(p, x)
     out = []
     for i in range(p.G.shape[0]):
-        if abs(float(p.G[i] @ x) - p.b[i]) <= tols.boundary_band * (1.0 + abs(p.b[i])):
+        if abs(float(p.G[i] @ x) - p.b[i]) <= tol * (1.0 + abs(p.b[i])):
             out.append(i)
     return out
 
 
-def outside_violation(s: ConvexSet, x, tols: Tolerances = DEFAULT_TOLS) -> float:
+def outside_violation(s: ConvexSet, x) -> float:
     """Scale-adjusted amount by which x violates the set's description (0 if none)."""
     x = _check_dim(s, x)
-    return float(outside_violation_batch(s, x.reshape(-1, 1), tols)[0])
+    return float(outside_violation_batch(s, x.reshape(-1, 1))[0])
 
 
-def outside_violation_batch(s: ConvexSet, states, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def outside_violation_batch(s: ConvexSet, states) -> np.ndarray:
     """Vectorized outside_violation over the columns of states (shape n x N).
 
     For vertex/ray forms it is the most negative facet value (a barycentric
@@ -620,7 +616,7 @@ def outside_violation_batch(s: ConvexSet, states, tols: Tolerances = DEFAULT_TOL
     one product for all columns; only a form with too many candidate facets
     solves the membership LP's phase one column by column.
     """
-    return s.violation(np.asarray(states, dtype=float), tols)
+    return s.violation(np.asarray(states, dtype=float))
 
 
 def _unit_rows(rng, rows, cols):
@@ -634,7 +630,7 @@ def _unit_rows(rng, rows, cols):
 
 
 def sample_boundary(s: ConvexSet, count: int, seed: int,
-                    tols: Tolerances = DEFAULT_TOLS) -> list[BoundaryPoint]:
+                    tol: float = DEFAULT_TOL) -> list[BoundaryPoint]:
     """Deterministic boundary samples driven entirely by the seed.
 
     Ellipsoid: random directions mapped through the inverse square root of Q
@@ -650,7 +646,7 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     """
     if count < 1:
         raise InputError("count must be at least 1")
-    return s.sample(count, np.random.default_rng(seed), tols)
+    return s.sample(count, np.random.default_rng(seed), tol)
 
 
 def inward_direction(s: ConvexSet, bp: BoundaryPoint) -> np.ndarray | None:

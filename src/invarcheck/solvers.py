@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IterationLimit, NumericalFailure, SingularMatrix
-from .numerics import DEFAULT_TOLS, Tolerances, as_matrix, as_vector, solve_linear
+from .numerics import as_matrix, as_vector, solve_linear
 
+_FEASIBILITY_TOL = 1e-9  # LP phase-one residual acceptance
+_KKT_TOL = 1e-7          # primal residual and sign acceptance of lp_dual_check
 _REDCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50000
@@ -73,7 +75,7 @@ def _pivot(tab, basis, i, j):
     basis[i] = j
 
 
-def _rows_within_scale(tab, basis, a_work, b_work, art, tols: Tolerances) -> bool:
+def _rows_within_scale(tab, basis, a_work, b_work, art) -> bool:
     """Whether every artificial row's phase-one residual is within the
     feasibility tolerance relative to the size of that row's own terms.
 
@@ -87,10 +89,10 @@ def _rows_within_scale(tab, basis, a_work, b_work, art, tols: Tolerances) -> boo
     z = np.zeros(n + art.size)
     z[basis] = tab[:-1, -1]
     scale = 1.0 + b_work[art] + np.abs(a_work[art]) @ np.abs(z[:n])
-    return bool(np.all(z[n:] <= tols.feasibility * scale))
+    return bool(np.all(z[n:] <= _FEASIBILITY_TOL * scale))
 
 
-def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS, slacks=()):
+def simplex_standard(c, a_eq, b_eq, slacks=()):
     """min c'z subject to A z = b, z >= 0, by two-phase simplex (Bland).
 
     slacks[r] names the slack column of row r (a unit column with its 1 in
@@ -130,8 +132,8 @@ def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS, slacks=()):
     basis = basis.tolist()
     status = _simplex_iterate(tab, basis, n + art.size)
     phase1 = -tab[m, -1]
-    if status != "optimal" or (phase1 > tols.feasibility and
-                               not _rows_within_scale(tab, basis, a_work, b_eq, art, tols)):
+    if status != "optimal" or (phase1 > _FEASIBILITY_TOL and
+                               not _rows_within_scale(tab, basis, a_work, b_eq, art)):
         return "infeasible", None, float(max(phase1, 0.0))
 
     # drive artificial variables out of the basis; drop redundant rows
@@ -160,7 +162,7 @@ def simplex_standard(c, a_eq, b_eq, tols: Tolerances = DEFAULT_TOLS, slacks=()):
     return "optimal", z, float(-tab2[-1, n])
 
 
-def _solve_split(c, free, a_eq, b_eq, g=None, h=None, tols: Tolerances = DEFAULT_TOLS):
+def _solve_split(c, free, a_eq, b_eq, g=None, h=None):
     """min c'x (zero for c None) over G x <= h, A x = b, x_j >= 0 unless j is free.
 
     Standard form: columns x, -x_j per free j (sorted, distinct), one slack
@@ -185,7 +187,7 @@ def _solve_split(c, free, a_eq, b_eq, g=None, h=None, tols: Tolerances = DEFAULT
     if c is not None:
         c_std[:n] = c
         c_std[n:n + k] = -c[cols]
-    status, z, obj = simplex_standard(c_std, a_std, b_std, tols,
+    status, z, obj = simplex_standard(c_std, a_std, b_std,
                                       slacks=np.arange(n + k, n + k + m_ub))
     x = None if z is None else z[:n].copy()
     if x is not None and k:
@@ -193,7 +195,7 @@ def _solve_split(c, free, a_eq, b_eq, g=None, h=None, tols: Tolerances = DEFAULT
     return status, x, obj
 
 
-def phase_one_feasibility(matrix, rhs, free_indices=(), tols: Tolerances = DEFAULT_TOLS):
+def phase_one_feasibility(matrix, rhs, free_indices=()):
     """Feasibility of  matrix @ a = rhs  with a_j >= 0 except the free ones.
 
     Free coefficients are split into differences of nonnegative variables.
@@ -203,7 +205,7 @@ def phase_one_feasibility(matrix, rhs, free_indices=(), tols: Tolerances = DEFAU
     matrix = as_matrix(matrix, "matrix")
     rhs = as_vector(rhs, "rhs")
     free = sorted(set(int(j) for j in free_indices))
-    status, a, opt = _solve_split(None, free, matrix, rhs, tols=tols)
+    status, a, opt = _solve_split(None, free, matrix, rhs)
     if status == "infeasible":
         return opt, None
     if status != "optimal":
@@ -212,7 +214,7 @@ def phase_one_feasibility(matrix, rhs, free_indices=(), tols: Tolerances = DEFAU
 
 
 def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
-                        box=None, maximize=False, tols: Tolerances = DEFAULT_TOLS):
+                        box=None, maximize=False):
     """Solve max/min c'x over G x <= h, A x = b, optionally |x_i| <= box.
 
     Variables are free; they are split internally. Returns (status, x, value)
@@ -231,7 +233,7 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
     a_eq = as_matrix(a_eq, "A_eq") if has_eq else np.zeros((0, n))
     b_eq = as_vector(b_eq, "b_eq") if has_eq else np.zeros(0)
     sense = -1.0 if maximize else 1.0
-    status, x, obj = _solve_split(sense * c, list(range(n)), a_eq, b_eq, g_all, h_all, tols)
+    status, x, obj = _solve_split(sense * c, list(range(n)), a_eq, b_eq, g_all, h_all)
     if status != "optimal":
         return status, None, (np.inf if maximize and status == "unbounded" else obj)
     return "optimal", x, float(sense * obj)
@@ -310,7 +312,7 @@ class QPProblem:
             raise DimensionMismatch("free_index outside coefficient range")
 
 
-def lp_feasible(p: LPFeasibilityProblem, tols: Tolerances = DEFAULT_TOLS) -> OptResult:
+def lp_feasible(p: LPFeasibilityProblem) -> OptResult:
     """Decide the equality feasibility system of the problem.
 
     When the system is square-or-overdetermined with independent columns the
@@ -321,7 +323,7 @@ def lp_feasible(p: LPFeasibilityProblem, tols: Tolerances = DEFAULT_TOLS) -> Opt
     if m_rows >= k:
         try:
             gram = p.matrix.T @ p.matrix
-            a = solve_linear(gram, p.matrix.T @ p.rhs, tols)
+            a = solve_linear(gram, p.matrix.T @ p.rhs)
         except SingularMatrix:
             a = None
         if a is not None:
@@ -335,14 +337,13 @@ def lp_feasible(p: LPFeasibilityProblem, tols: Tolerances = DEFAULT_TOLS) -> Opt
             # inconsistent overdetermined system only when columns were
             # genuinely independent; a near-singular Gram falls through
             return OptResult("infeasible", None, None, resid)
-    opt, a = phase_one_feasibility(p.matrix, p.rhs, (p.free_index,), tols)
+    opt, a = phase_one_feasibility(p.matrix, p.rhs, (p.free_index,))
     if a is None:
         return OptResult("infeasible", None, None, opt)
     return OptResult("feasible", a, None, 0.0)
 
 
-def lp_dual_check(p: LPFeasibilityProblem, primal: OptResult,
-                  tols: Tolerances = DEFAULT_TOLS) -> bool:
+def lp_dual_check(p: LPFeasibilityProblem, primal: OptResult) -> bool:
     """Certify a feasible primal through the dual optimality system.
 
     The primal objective is constant, so the zero dual vector is optimal and
@@ -353,10 +354,10 @@ def lp_dual_check(p: LPFeasibilityProblem, primal: OptResult,
     a = primal.alpha
     resid = float(np.max(np.abs(p.matrix @ a - p.rhs))) if p.rhs.size else 0.0
     scale = 1.0 + float(np.max(np.abs(p.rhs))) if p.rhs.size else 1.0
-    return not (resid > tols.kkt * scale or np.any(np.delete(a, p.free_index) < -tols.kkt))
+    return not (resid > _KKT_TOL * scale or np.any(np.delete(a, p.free_index) < -_KKT_TOL))
 
 
-def nnls(d_mat, f, max_changes=None, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def nnls(d_mat, f, max_changes=None) -> np.ndarray:
     """Lawson-Hanson active-set solve of min ||D b - f||^2 over b >= 0.
 
     max_changes caps the number of active-set changes; exceeding it raises
@@ -404,7 +405,7 @@ def nnls(d_mat, f, max_changes=None, tols: Tolerances = DEFAULT_TOLS) -> np.ndar
                 raise IterationLimit("active-set change budget exhausted")
 
 
-def qp_nearest(p: QPProblem, tols: Tolerances = DEFAULT_TOLS) -> OptResult:
+def qp_nearest(p: QPProblem) -> OptResult:
     """Nearest point of the sum-zero coefficient cone to the field vector.
 
     The sum constraint is eliminated exactly by writing a_free as minus the
@@ -417,7 +418,7 @@ def qp_nearest(p: QPProblem, tols: Tolerances = DEFAULT_TOLS) -> OptResult:
     l1 = x_mat.shape[1]
     others = [j for j in range(l1) if j != p.free_index]
     d_mat = x_mat[:, others] - x_mat[:, [p.free_index]]
-    beta = nnls(d_mat, p.f, max_changes=10 * l1, tols=tols)
+    beta = nnls(d_mat, p.f, max_changes=10 * l1)
     alpha = np.zeros(l1)
     alpha[others] = beta
     alpha[p.free_index] = -float(np.sum(beta))

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApexPoint, IndexOutOfRange, InputError, NotMember
-from .numerics import DEFAULT_TOLS, Tolerances, as_vector
+from .numerics import as_vector
 from .sets import (
+    DEFAULT_TOL,
     BoundaryPoint,
     Ellipsoid,
     HPolyhedron,
@@ -64,12 +65,13 @@ def _resolve_point(x) -> np.ndarray:
     return as_vector(x, "point")
 
 
-def tangent_h(p: HPolyhedron, x, tols: Tolerances = DEFAULT_TOLS) -> TangentCone:
-    """Tangent cone of a halfspace-form polyhedron at a member point."""
+def tangent_h(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> TangentCone:
+    """Tangent cone of a halfspace-form polyhedron at a member point; the rows
+    within the boundary band tol of the point are active."""
     pt = _resolve_point(x)
-    if membership(p, pt, tols) is Membership.OUTSIDE:
+    if membership(p, pt, tol) is Membership.OUTSIDE:
         raise NotMember("point is outside the polyhedron")
-    active = active_constraints(p, pt, tols)
+    active = active_constraints(p, pt, tol)
     if not active:
         return TangentCone(FULLSPACE)
     return TangentCone(HALFSPACES, normals=p.G[active].copy())
@@ -121,7 +123,7 @@ def _ray_through(c: VCone, pt: np.ndarray) -> list[int]:
     return []
 
 
-def tangent_cone_at(s, bp: BoundaryPoint, tols: Tolerances = DEFAULT_TOLS) -> TangentCone:
+def tangent_cone_at(s, bp: BoundaryPoint, tol: float = DEFAULT_TOL) -> TangentCone:
     """Tangent cone at a boundary point of any supported set.
 
     A point given with active=None is located first: the vertex or ray it
@@ -131,7 +133,7 @@ def tangent_cone_at(s, bp: BoundaryPoint, tols: Tolerances = DEFAULT_TOLS) -> Ta
     sign-free), which reduces to the vertex/ray formulas there.
     """
     if isinstance(s, HPolyhedron):
-        return tangent_h(s, bp, tols)
+        return tangent_h(s, bp, tol)
     pt = _resolve_point(bp)
     if isinstance(s, VPolytope):
         active = _vertex_at(s, pt) if bp.active is None else bp.active
@@ -154,8 +156,7 @@ def tangent_cone_at(s, bp: BoundaryPoint, tols: Tolerances = DEFAULT_TOLS) -> Ta
     raise InputError(f"unsupported set type {type(s).__name__}")
 
 
-def cone_test(t: TangentCone, y, tol: float | None = None,
-              tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, float]:
+def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether direction y lies in the tangent cone within tol, and by how
     much it misses.
 
@@ -164,7 +165,6 @@ def cone_test(t: TangentCone, y, tol: float | None = None,
     the coefficient feasibility LP once and accept an L1 residual up to
     tol*(1 + ||y||). The apex kind uses the cone's own violation measure.
     """
-    tol = tols.cone if tol is None else float(tol)
     y = as_vector(y, "y")
     if t.kind == FULLSPACE:
         return True, 0.0
@@ -186,16 +186,15 @@ def cone_test(t: TangentCone, y, tol: float | None = None,
         if t.free_generator is not None:
             cols.append(t.free_generator.reshape(-1, 1))
             free = (t.generators.shape[0],)
-        opt, _ = phase_one_feasibility(np.hstack(cols), y, free, tols)
+        opt, _ = phase_one_feasibility(np.hstack(cols), y, free)
         return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
-        violation = outside_violation(t.set_ref, y, tols)
+        violation = outside_violation(t.set_ref, y)
         return violation <= tol, violation
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
 
 
-def cone_contains(t: TangentCone, y, tol: float | None = None,
-                  tols: Tolerances = DEFAULT_TOLS) -> bool:
+def cone_contains(t: TangentCone, y, tol: float = DEFAULT_TOL) -> bool:
     """Whether direction y lies in the tangent cone, within tolerance (see
     cone_test)."""
-    return cone_test(t, y, tol, tols)[0]
+    return cone_test(t, y, tol)[0]

@@ -15,7 +15,6 @@ from invarcheck.checkers import (
 )
 from invarcheck.dynamics import falsify
 from invarcheck.errors import EmptySet, InputError, NumericalFailure
-from invarcheck.numerics import DEFAULT_TOLS
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -279,7 +278,7 @@ def _narrow_cap(rng, n, eps):
 
 def _assert_boundary_counterexample(cone, a, v):
     x = v.counterexample.point
-    assert membership(cone, x, DEFAULT_TOLS) is Membership.BOUNDARY
+    assert membership(cone, x) is Membership.BOUNDARY
     assert cone.u_n @ x >= 0.0
     assert x @ cone.Q @ a @ x > 0.0
     assert v.counterexample.violation == pytest.approx(x @ cone.Q @ a @ x, rel=1e-9)

@@ -120,6 +120,8 @@ def test_dimension_mismatch_exits_64(tmp_path, capsys):
     ["check", "--tolerance", "nan"],
     ["check", "--horizon", "-1"],
     ["check", "--step", "20"],
+    ["check", "--samples", "-5"],
+    ["check", "--samples", "0"],
 ])
 def test_bad_numeric_options_exit_64(capsys, argv):
     command, *flags = argv
@@ -144,6 +146,39 @@ def test_non_finite_option_in_file_exits_64(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(f))
     assert code == EXIT_INPUT
     assert "options.horizon" in err
+
+
+def test_sample_count_below_one_in_file_exits_64(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"schema": "nagumo/1", "set": {"type": "orthant", "n": 2},
+                             "system": {"type": "linear", "A": [[1, 0], [0, 1]]},
+                             "options": {"n_samples": 0}}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "check", str(f))
+    assert code == EXIT_INPUT
+    assert "options.n_samples" in err
+
+
+def test_tolerance_flag_reaches_sampled_paths(tmp_path, capsys):
+    # a drift of 1e-6 across the facet x1 = 1 is outward flux above the default
+    # cone tolerance and below 1e-4, so only the verdict moves with the flag
+    f = tmp_path / "drift.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": "hpolyhedron",
+                                     "G": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                     "b": [1, 1, 1, 1]},
+                             "system": {"type": "expression",
+                                        "formulas": ["1e-6 + 0*x1", "0*x2"]}}),
+                 encoding="utf-8")
+    code, _, _ = run_cli(capsys, "check", str(f), "--samples", "50")
+    assert code == EXIT_NOT_INVARIANT
+    code, _, _ = run_cli(capsys, "check", str(f), "--samples", "50", "--tolerance", "1e-4")
+    assert code == EXIT_UNKNOWN
+    # 1e-6 outside the facet: outside the default band, inside a band of 1e-4
+    box = str(PROBLEMS / "hpolyhedron_box.json")
+    code, _, _ = run_cli(capsys, "tangent", box, "[1.000001, 0.5]")
+    assert code == EXIT_NOT_BOUNDARY
+    code, _, _ = run_cli(capsys, "tangent", box, "[1.000001, 0.5]", "--tolerance", "1e-4")
+    assert code == EXIT_INVARIANT
 
 
 def test_tangent_box_corner(tmp_path, capsys):
@@ -248,6 +283,16 @@ def test_version_command(capsys):
     code, out, _ = run_cli(capsys, "version")
     assert code == 0
     assert out.strip() == "0.1.0"
+
+
+def test_public_names_resolve():
+    import invarcheck
+
+    missing = [name for name in invarcheck.__all__ if not hasattr(invarcheck, name)]
+    assert missing == []
+    namespace = {}
+    exec("from invarcheck import *", namespace)
+    assert set(invarcheck.__all__) <= set(namespace)
 
 
 def test_set_serialization_round_trip():

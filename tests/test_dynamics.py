@@ -168,9 +168,9 @@ def test_falsify_integrates_each_distinct_start_once(monkeypatch):
 
     widths = []
 
-    def recorded(s, states, tols=None):
+    def recorded(s, states):
         widths.append(states.shape[1])
-        return real(s, states, tols)
+        return real(s, states)
 
     real = dyn.outside_violation_batch
     monkeypatch.setattr(dyn, "outside_violation_batch", recorded)
