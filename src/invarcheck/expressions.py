@@ -2,23 +2,36 @@
 
 Supported: + - * / ^, unary minus, parentheses, variables x1..xn and t,
 integer/decimal/scientific literals, and the functions sin, cos, exp, tanh.
-Formulas compile to closures that broadcast over numpy arrays, so a system
-built from them can be evaluated on a whole batch of states at once.
+Python's parser reads a formula (^ taken as **); one compile over a whitelist
+of its node types turns the tree into closures that broadcast over numpy
+arrays, so a system built from them evaluates a whole batch of states at
+once. Formula text is never evaluated as Python.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 
 import numpy as np
 
 from .errors import InputError
 from .systems import GeneralSystem
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_STRAY = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]|\*\*")  # powers are written ^, not **
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")  # Python rejects 007; the grammar reads 7
+_VARIABLE = re.compile(r"x([0-9]+)")
+
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -28,126 +41,34 @@ _FUNCTIONS = {
 }
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip():
-                raise InputError(f"unexpected character {text[pos:].strip()[0]!r} "
-                                 f"at position {pos} in formula {text!r}")
-            break
-        if m.lastgroup is None and not m.group().strip():
-            pos = m.end()
-            continue
-        kind = m.lastgroup
-        if kind is not None:
-            out.append((kind, m.group(kind)))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, n_vars, text):
-        self.tokens = tokens
-        self.pos = 0
-        self.n_vars = n_vars
-        self.text = text
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol):
-        kind, value = self.take()
-        if kind != "op" or value != symbol:
-            raise InputError(f"expected {symbol!r} in formula {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise InputError(f"trailing input in formula {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.term()
-                if value == "+":
-                    node = (lambda a, b: lambda t, x: a(t, x) + b(t, x))(node, rhs)
-                else:
-                    node = (lambda a, b: lambda t, x: a(t, x) - b(t, x))(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                rhs = self.unary()
-                if value == "*":
-                    node = (lambda a, b: lambda t, x: a(t, x) * b(t, x))(node, rhs)
-                else:
-                    node = (lambda a, b: lambda t, x: a(t, x) / b(t, x))(node, rhs)
-            else:
-                return node
-
-    def unary(self):
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            inner = self.unary()
-            if value == "-":
-                return (lambda a: lambda t, x: -a(t, x))(inner)
-            return inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            exponent = self.unary()  # right-associative
-            return (lambda a, b: lambda t, x: a(t, x) ** b(t, x))(base, exponent)
-        return base
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "num":
-            const = float(value)
-            return lambda t, x: const
-        if kind == "ident":
-            if value == "t":
-                return lambda t, x: t
-            if value in _FUNCTIONS:
-                fn = _FUNCTIONS[value]
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return (lambda f, a: lambda t, x: f(a(t, x)))(fn, inner)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                idx = int(m.group(1)) - 1
-                if not 0 <= idx < self.n_vars:
-                    raise InputError(f"variable {value} outside x1..x{self.n_vars} "
-                                     f"in formula {self.text!r}")
-                return (lambda i: lambda t, x: x[i])(idx)
-            raise InputError(f"unknown identifier {value!r} in formula {self.text!r}")
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise InputError(f"malformed formula {self.text!r}")
+def _compile(node, source: str, n_vars: int, text: str):
+    """Closure f(t, coords) for one whitelisted node of the parsed source."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a = _compile(node.left, source, n_vars, text)
+        b = _compile(node.right, source, n_vars, text)
+        return lambda t, x: op(a(t, x), b(t, x))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        a = _compile(node.operand, source, n_vars, text)
+        return a if isinstance(node.op, ast.UAdd) else lambda t, x: -a(t, x)
+    segment = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        const = float(segment)
+        return lambda t, x: const
+    if isinstance(node, ast.Name) and node.id == "t":
+        return lambda t, x: t
+    m = _VARIABLE.fullmatch(node.id) if isinstance(node, ast.Name) else None
+    if m:
+        idx = int(m.group(1)) - 1
+        if not 0 <= idx < n_vars:
+            raise InputError(f"variable {node.id} outside x1..x{n_vars} in formula {text!r}")
+        return lambda t, x: x[idx]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        fn = _FUNCTIONS[node.func.id]
+        a = _compile(node.args[0], source, n_vars, text)
+        return lambda t, x: fn(a(t, x))
+    raise InputError(f"unsupported {segment!r} in formula {text!r}")
 
 
 def parse_formula(text: str, n_vars: int):
@@ -155,10 +76,20 @@ def parse_formula(text: str, n_vars: int):
 
     coords is indexable per coordinate; scalars and numpy arrays broadcast.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    source = " ".join(text.split())
+    if not source:
         raise InputError("empty formula")
-    return _Parser(tokens, n_vars, text).parse()
+    stray = _STRAY.search(source)
+    if stray:
+        raise InputError(f"unexpected {stray.group()!r} in formula {text!r}")
+    source = _LEADING_ZEROS.sub("", source.replace("^", "**"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a parser warning (1if, 0in) is a syntax error
+            tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise InputError(f"malformed formula {text!r}") from exc
+    return _compile(tree.body, source, n_vars, text)
 
 
 def build_expression_system(formulas: list[str]) -> GeneralSystem:
@@ -170,12 +101,10 @@ def build_expression_system(formulas: list[str]) -> GeneralSystem:
 
     def func(t, x):
         x = np.asarray(x, dtype=float)
+        out = np.empty((n,) + x.shape[1:])
         with np.errstate(all="ignore"):
-            rows = [np.broadcast_to(np.asarray(fn(t, x), dtype=float), x.shape[1:])
-                    if x.ndim > 1 else np.asarray(fn(t, x), dtype=float)
-                    for fn in compiled]
-        if x.ndim > 1:
-            return np.stack([np.array(r, dtype=float) for r in rows])
-        return np.array([float(r) for r in rows])
+            for i, fn in enumerate(compiled):
+                out[i] = fn(t, x)
+        return out
 
     return GeneralSystem(func, vectorized=True)

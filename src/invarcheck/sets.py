@@ -18,7 +18,8 @@ Each family is one class that owns what only it knows: its JSON tag
 "optional vector", in constructor order), and the methods
 membership(x, tol), violation(states), sample(count, rng, tol) and
 inward(bp), where tol is the user's boundary band (the vertex and ray
-forms decide membership by LP and read no band). The module-level
+forms scale it by scale(x) and hold their membership LP's interior margin
+and infeasibility against it). The module-level
 functions below validate their arguments and call those methods; the
 rest of the package calls the functions.
 """
@@ -40,7 +41,6 @@ from .solvers import simplex_standard, solve_inequality_lp
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
 _SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
 _FACET_BOX = 1e6
-_RELINT_TOL = 1e-9
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
 _FACET_SUBSETS = 5000  # most candidate facet subsets enumerated; above, the LP path
 
@@ -280,10 +280,11 @@ class _VForm:
         return True, float(z[0]), 0.0
 
     def membership(self, x, tol: float) -> Membership:
-        feasible, delta, _ = self._lp(x)
+        feasible, delta, infeas = self._lp(x)
+        band = tol * self._scale(x)
         if not feasible:
-            return Membership.OUTSIDE
-        return Membership.INSIDE if delta > _RELINT_TOL * self._scale(x) else Membership.BOUNDARY
+            return Membership.OUTSIDE if infeas > band else Membership.BOUNDARY
+        return Membership.INSIDE if delta > band else Membership.BOUNDARY
 
     def violation(self, states) -> np.ndarray:
         """The most negative scaled facet value, or the distance of the lifted
@@ -311,7 +312,7 @@ class _VForm:
         linear subspace) repeats its generators."""
         facets = self._facets
         if facets is None:
-            return self._sample_lp(count, rng)
+            return self._sample_lp(count, rng, tol)
         faces = [f for f in facets.on if f.size or self._HAS_APEX]
         pts = self._points
         if not faces:
@@ -325,17 +326,17 @@ class _VForm:
         out.extend(BoundaryPoint(x, faces[f].tolist()) for x, f in zip(drawn, picks))
         return out
 
-    def _sample_lp(self, count: int, rng) -> list[BoundaryPoint]:
+    def _sample_lp(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
         pts = self._points
         l = pts.shape[0]
-        firsts = [j for j in range(l) if membership(self, pts[j]) is Membership.BOUNDARY]
+        firsts = [j for j in range(l) if membership(self, pts[j], tol) is Membership.BOUNDARY]
         firsts = firsts or list(range(l))
         out = [BoundaryPoint(pts[j].copy(), [j]) for j in firsts[:count]]
         for k in range(len(out), count):
             for _ in range(30 if l >= 2 else 0):
                 pair = np.sort(rng.choice(l, size=2, replace=False))
                 cand = self._face_points(rng, pair, 1)[0]
-                if membership(self, cand) is Membership.BOUNDARY:
+                if membership(self, cand, tol) is Membership.BOUNDARY:
                     out.append(BoundaryPoint(cand, pair.tolist()))
                     break
             else:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IterationLimit, NumericalFailure, SingularMatrix
-from .numerics import as_matrix, as_vector, solve_linear
+from .errors import DimensionMismatch, IterationLimit, NumericalFailure
+from .numerics import as_matrix, as_vector
 
 _FEASIBILITY_TOL = 1e-9  # LP phase-one residual acceptance
 _KKT_TOL = 1e-7          # primal residual and sign acceptance of lp_dual_check
@@ -313,30 +313,7 @@ class QPProblem:
 
 
 def lp_feasible(p: LPFeasibilityProblem) -> OptResult:
-    """Decide the equality feasibility system of the problem.
-
-    When the system is square-or-overdetermined with independent columns the
-    unique candidate comes from the normal equations and only its residual
-    and signs need checking; otherwise a phase-one simplex decides.
-    """
-    m_rows, k = p.matrix.shape
-    if m_rows >= k:
-        try:
-            gram = p.matrix.T @ p.matrix
-            a = solve_linear(gram, p.matrix.T @ p.rhs)
-        except SingularMatrix:
-            a = None
-        if a is not None:
-            resid = float(np.max(np.abs(p.matrix @ a - p.rhs))) if m_rows else 0.0
-            scale = 1.0 + (float(np.max(np.abs(p.rhs))) if m_rows else 0.0)
-            if resid <= 1e-8 * scale:
-                worst_sign = float(np.min(np.delete(a, p.free_index), initial=0.0))
-                if worst_sign >= -1e-10:
-                    return OptResult("feasible", a, None, 0.0)
-                return OptResult("infeasible", None, None, float(-worst_sign))
-            # inconsistent overdetermined system only when columns were
-            # genuinely independent; a near-singular Gram falls through
-            return OptResult("infeasible", None, None, resid)
+    """Decide the equality feasibility system of the problem by phase one."""
     opt, a = phase_one_feasibility(p.matrix, p.rhs, (p.free_index,))
     if a is None:
         return OptResult("infeasible", None, None, opt)

@@ -222,6 +222,16 @@ def test_tangent_vertex_and_ray_forms(capsys):
     assert report["cone"]["free_generator"] == [1.0, 0.0]
 
 
+def test_tolerance_reaches_vertex_form_membership(capsys):
+    # 1e-7 outside the triangle's hypotenuse: within a band of 1e-4, not 1e-8
+    # (the same triangle as an H-form answers the same)
+    tri = str(PROBLEMS / "vpolytope_triangle.json")
+    code, _, _ = run_cli(capsys, "tangent", tri, "[0.5000001, 0.5]", "--tolerance", "1e-4")
+    assert code == EXIT_INVARIANT
+    code, _, _ = run_cli(capsys, "tangent", tri, "[0.5000001, 0.5]", "--tolerance", "1e-8")
+    assert code == EXIT_NOT_BOUNDARY
+
+
 def test_falsify_commands(capsys, tmp_path):
     f = tmp_path / "saddle.json"
     f.write_text(json.dumps({"schema": "nagumo/1",

@@ -16,6 +16,12 @@ def test_literals_and_precedence():
     assert f(0.0, [3.0]) == -9.0
     f = parse_formula("6 / 3 / 2", 1)
     assert f(0.0, [0.0]) == 1.0
+    f = parse_formula("007*x1", 1)  # leading zeros, which Python itself rejects
+    assert f(0.0, [2.0]) == 14.0
+    assert parse_formula("1e007", 1)(0.0, [0.0]) == 1e7
+    assert parse_formula("00.5", 1)(0.0, [0.0]) == 0.5
+    f = parse_formula("x1\t+\n2 *\tx1", 1)  # tabs and newlines separate tokens
+    assert f(0.0, [3.0]) == 9.0
 
 
 def test_scientific_notation_and_t():
@@ -38,7 +44,9 @@ def test_variables_bounds():
 
 
 def test_malformed_rejected():
-    for bad in ("", "2 +", "sin 3", "(1", "1 $ 2", "x1 x2"):
+    for bad in ("", "2 +", "sin 3", "(1", "1 $ 2", "x1 x2", "x1**2", "0x1F", "1_0", "1j",
+                "True", "x1.real", "x1[0]", "x1 < 2", "2 // 3", "sin(x1, x2)", "sin(x=1)",
+                "abs(x1)", "x1 if t else 2", "lambda: 1", '"1"'):
         with pytest.raises(InputError):
             parse_formula(bad, 2)
 
