@@ -44,9 +44,8 @@ from .solvers import (
     solve_inequality_lp,
 )
 from .systems import DynamicalSystem, LinearSystem
-from .tangent import cone_contains, cone_test, tangent_cone_at
+from .tangent import cone_test, tangent_cone_at
 
-_UNBOUNDED_BOX = 1e6
 _FACET_OPTIMUM_TOL = 1e-8  # a facet optimum at or below this is non-positive
 _PENCIL_TOL = 1e-9         # a pencil eigenvalue at or below this certifies
 
@@ -84,26 +83,22 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
 
     The pointwise facet condition is reduced to one LP per facet: maximize
     the outward flux g_i'Ax over the facet; the first facet with a positive
-    optimum refutes, and the facets after it are not solved. Unbounded
-    facets are re-solved inside the artificial box |x_i| <= 1e6 * max(1,
-    max|b|) and flagged when the maximizer touches it, since the true
-    supremum may be infinite. A facet that lies outside that box (far from
-    the origin because a row of G is tiny next to its b) makes the re-solve
-    infeasible and raises NumericalFailure.
+    optimum refutes, and the facets after it are not solved. An unbounded
+    facet LP has supremum +inf and refutes too: its witness is any point of
+    the facet with flux g_i'Ax >= 1, found by one feasibility LP, and the
+    violation is that point's flux. If that LP finds no such point the
+    decider raises NumericalFailure.
     """
     a = as_square(a, "A")
     if a.shape[0] != p.dim:
         raise InputError("system dimension does not match the set")
-    m = p.G.shape[0]
     facets = []
     nonempty_checked = False
-    for i in range(m):
+    for i in range(p.G.shape[0]):
         c = a.T @ p.G[i]
+        g_i = p.G[i].reshape(1, -1)
         status, x, val = solve_inequality_lp(
-            c, g_ub=p.G, h_ub=p.b, a_eq=p.G[i].reshape(1, -1), b_eq=[p.b[i]],
-            maximize=True)
-        boxed = False
-        on_box = False
+            c, g_ub=p.G, h_ub=p.b, a_eq=g_i, b_eq=[p.b[i]], maximize=True)
         if status == "infeasible":
             if not nonempty_checked:
                 st_all, _, _ = solve_inequality_lp(
@@ -114,14 +109,12 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
             facets.append({"index": i, "vacuous": True})
             continue
         if status == "unbounded":
-            boxed = True
-            box = _UNBOUNDED_BOX * max(1.0, float(np.max(np.abs(p.b))))
-            status, x, val = solve_inequality_lp(
-                c, g_ub=p.G, h_ub=p.b, a_eq=p.G[i].reshape(1, -1), b_eq=[p.b[i]],
-                box=box, maximize=True)
+            status, x, _ = solve_inequality_lp(
+                np.zeros(p.dim), g_ub=np.vstack([p.G, -c]), h_ub=np.append(p.b, -1.0),
+                a_eq=g_i, b_eq=[p.b[i]])
             if status != "optimal":
-                raise NumericalFailure(f"boxed re-solve of facet {i} returned {status}")
-            on_box = bool(np.any(np.abs(x) >= box * (1.0 - 1e-9)))
+                raise NumericalFailure(f"facet {i}: unbounded flux, no point of flux 1")
+            val = float(c @ x)
         if val > _FACET_OPTIMUM_TOL:
             return Verdict(Decision.NOT_INVARIANT,
                            counterexample=Counterexample(np.asarray(x), float(val)),
@@ -130,8 +123,6 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
             "index": i,
             "optimum": float(val),
             "argmax": [float(v) for v in x],
-            "boxed": boxed,
-            "on_box": on_box,
         })
     return Verdict(Decision.INVARIANT,
                    certificate=Certificate("facet-lp", {"facets": facets}))
@@ -312,8 +303,8 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     for bp in samples:
         t_cone = tangent_cone_at(s, bp, tol)
         y = np.asarray(sys.field(t0, bp.point), dtype=float)
-        if not cone_contains(t_cone, y, tol):
-            _, residual = cone_test(t_cone, y, tol)
+        inside, residual = cone_test(t_cone, y, tol)
+        if not inside:
             return Verdict(Decision.NOT_INVARIANT,
                            counterexample=Counterexample(bp.point.copy(), residual),
                            notes={"active": bp.active if isinstance(bp.active, str)
@@ -333,31 +324,33 @@ _DECOMPOSITION = {
 # the exact deciders of the other families for x' = A x
 _LINEAR = {
     "hpolyhedron": lambda s, a: check_hpoly_linear(s, a),
+    "orthant": lambda s, a: check_orthant_linear(a),
     "ellipsoid": lambda s, a: check_ellipsoid_linear(s, a),
     "lorenz": lambda s, a: check_lorenz_linear(s, a),
 }
 
 
 def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
-          n_samples: int = 10000, seed: int = 0, orthant: bool = False,
+          n_samples: int = 10000, seed: int = 0,
           tol: float = DEFAULT_TOL) -> Verdict:
     """Dispatch to the right decider for the (set family, system kind) pair.
 
-    With orthant=True and a linear system the exact off-diagonal sign test
-    runs regardless of which orthant representation was built. General
-    systems on vertex forms run the vertex/ray refutation first and then the
-    sampled check, reporting both phases in the verdict notes. Only the
-    sampled check reads tol; the exact linear deciders read none.
+    The set's family tag alone picks the decider: for a linear system the
+    orthant gets the off-diagonal sign test and every other halfspace form
+    the facet LPs. General systems on vertex forms run the vertex/ray
+    refutation first and then the sampled check, reporting both phases in
+    the verdict notes. Only the sampled check reads tol; the exact linear
+    deciders read none.
     """
     tag = getattr(s, "TAG", None)
     decompose = _DECOMPOSITION.get(tag)
     if isinstance(sys, LinearSystem):
-        if orthant:
-            return check_orthant_linear(sys.a)
         if decompose is not None:
             return decompose(s, sys, t0)
         if tag not in _LINEAR:
             raise InputError(f"unsupported set type {type(s).__name__}")
+        if sys.a.shape[0] != s.dim:  # the orthant's sign test reads A alone
+            raise InputError("system dimension does not match the set")
         return _LINEAR[tag](s, sys.a)
     if decompose is None:
         return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tol)

@@ -39,7 +39,6 @@ from .sets import (
     BoundaryPoint,
     Membership,
     membership,
-    orthant_h,
 )
 from .systems import LinearSystem
 from .tangent import (
@@ -95,16 +94,21 @@ def _require_matrix(obj, path):
 
 
 def _require_field(d: dict, name: str, kind: str):
-    """Parse set field name as kind: "matrix", "vector" or "optional vector"."""
+    """Parse set field name as kind: "matrix", "vector", "optional vector"
+    or "count" (a positive integer)."""
     value = d.get(name)
     if kind == "optional vector" and value is None:
         return None
+    if kind == "count":
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InputError(f"set.{name}: expected a positive integer")
+        return value
     parse = _require_matrix if kind == "matrix" else _require_vector
     return parse(value, f"set.{name}")
 
 
 def set_from_dict(d: dict):
-    """Build (set object, tag) from a tagged JSON object."""
+    """Build the set of a tagged JSON object."""
     if not isinstance(d, dict) or "type" not in d:
         raise InputError("set: expected an object with a 'type' tag")
     tag = d["type"]
@@ -112,22 +116,17 @@ def set_from_dict(d: dict):
     try:
         if family is not None:
             return family(*[_require_field(d, name, kind)
-                            for name, kind in family.FIELDS.items()]), tag
-        if tag == "orthant":
-            n = d.get("n")
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise InputError("set.n: expected a positive integer")
-            return orthant_h(n), tag
+                            for name, kind in family.FIELDS.items()])
     except ToolkitError as exc:
         raise InputError(f"set: {exc}") from exc
     raise InputError(f"set.type: unknown tag {tag!r}")
 
 
-def set_to_dict(s, tag: str) -> dict:
-    """Canonical JSON form of a set (the quadratic cone exposes its axis sign)."""
-    if tag == "orthant":
-        return {"type": "orthant", "n": s.dim}
-    return {"type": s.TAG, **{name: getattr(s, name).tolist() for name in s.FIELDS}}
+def set_to_dict(s) -> dict:
+    """Canonical JSON form of a set: its family tag and fields (the quadratic
+    cone exposes its axis sign, the orthant only its dimension)."""
+    return {"type": s.TAG,
+            **{name: np.asarray(getattr(s, name)).tolist() for name in s.FIELDS}}
 
 
 def system_from_dict(d: dict, dim: int):
@@ -219,10 +218,10 @@ def load_problem(path: str, args):
         raise InputError("set: missing")
     if "system" not in raw:
         raise InputError("system: missing")
-    s, tag = set_from_dict(raw["set"])
+    s = set_from_dict(raw["set"])
     sys_obj, sys_echo = system_from_dict(raw["system"], s.dim)
     opts = resolve_options(raw.get("options"), args)
-    return s, tag, sys_obj, sys_echo, opts
+    return s, sys_obj, sys_echo, opts
 
 
 def _emit(report: dict, summary: str, args) -> None:
@@ -248,16 +247,16 @@ def _verdict_report(verdict: Verdict) -> dict:
 
 def cmd_check(args) -> int:
     t_start = time.perf_counter()
-    s, tag, sys_obj, sys_echo, opts = load_problem(args.file, args)
+    s, sys_obj, sys_echo, opts = load_problem(args.file, args)
     t_parsed = time.perf_counter()
     verdict = check(s, sys_obj, t0=opts["t0"], n_samples=opts["n_samples"],
-                    seed=opts["seed"], orthant=(tag == "orthant"), tol=opts["tolerance"])
+                    seed=opts["seed"], tol=opts["tolerance"])
     t_done = time.perf_counter()
     report = {
         "schema": SCHEMA,
         "tool_version": __version__,
         "command": "check",
-        "problem": {"set": set_to_dict(s, tag), "system": sys_echo},
+        "problem": {"set": set_to_dict(s), "system": sys_echo},
         "options": opts,
     }
     report.update(_verdict_report(verdict))
@@ -271,7 +270,7 @@ def cmd_check(args) -> int:
 
 def cmd_falsify(args) -> int:
     t_start = time.perf_counter()
-    s, tag, sys_obj, sys_echo, opts = load_problem(args.file, args)
+    s, sys_obj, sys_echo, opts = load_problem(args.file, args)
     t_parsed = time.perf_counter()
     hit = falsify(s, sys_obj, n_starts=opts["n_samples"], horizon=opts["horizon"],
                   step=opts["step"], seed=opts["seed"], t0=opts["t0"], tol=opts["tolerance"])
@@ -280,7 +279,7 @@ def cmd_falsify(args) -> int:
         "schema": SCHEMA,
         "tool_version": __version__,
         "command": "falsify",
-        "problem": {"set": set_to_dict(s, tag), "system": sys_echo},
+        "problem": {"set": set_to_dict(s), "system": sys_echo},
         "options": opts,
         "exit_found": hit is not None,
         "witness": None if hit is None else {"x0": [float(v) for v in hit[0]],
@@ -313,7 +312,7 @@ def _cone_to_dict(t_cone) -> dict:
 
 
 def cmd_tangent(args) -> int:
-    s, tag, _, _, opts = load_problem(args.file, args)
+    s, _, _, opts = load_problem(args.file, args)
     try:
         point = json.loads(args.point)
     except json.JSONDecodeError as exc:
@@ -329,7 +328,7 @@ def cmd_tangent(args) -> int:
         "schema": SCHEMA,
         "tool_version": __version__,
         "command": "tangent",
-        "problem": {"set": set_to_dict(s, tag)},
+        "problem": {"set": set_to_dict(s)},
         "point": x.tolist(),
         "cone": cone,
         "options": opts,

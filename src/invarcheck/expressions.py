@@ -24,6 +24,7 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _STRAY = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]|\*\*")  # powers are written ^, not **
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")  # Python rejects 007; the grammar reads 7
 _VARIABLE = re.compile(r"x([0-9]+)")
+_MAX_DEPTH = 200  # deepest node nesting; evaluation then stays far from the recursion limit
 
 _BINARY = {
     ast.Add: operator.add,
@@ -41,22 +42,27 @@ _FUNCTIONS = {
 }
 
 
-def _compile(node, source: str, n_vars: int, text: str):
-    """Closure f(t, coords) for one whitelisted node of the parsed source."""
+def _compile(node, source: str, n_vars: int, text: str, depth: int = 0):
+    """Closure f(t, coords) for one whitelisted node, depth levels below the
+    root. Constants and t evaluate as numpy floats, like the coordinates, so
+    a division by zero, an overflow or a negative base under a fractional
+    power gives inf or NaN wherever it occurs."""
+    if depth > _MAX_DEPTH:
+        raise InputError(f"formula {text!r} nests deeper than {_MAX_DEPTH} levels")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         op = _BINARY[type(node.op)]
-        a = _compile(node.left, source, n_vars, text)
-        b = _compile(node.right, source, n_vars, text)
+        a = _compile(node.left, source, n_vars, text, depth + 1)
+        b = _compile(node.right, source, n_vars, text, depth + 1)
         return lambda t, x: op(a(t, x), b(t, x))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        a = _compile(node.operand, source, n_vars, text)
+        a = _compile(node.operand, source, n_vars, text, depth + 1)
         return a if isinstance(node.op, ast.UAdd) else lambda t, x: -a(t, x)
     segment = source[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
-        const = float(segment)
+        const = np.float64(float(segment))
         return lambda t, x: const
     if isinstance(node, ast.Name) and node.id == "t":
-        return lambda t, x: t
+        return lambda t, x: np.float64(t)
     m = _VARIABLE.fullmatch(node.id) if isinstance(node, ast.Name) else None
     if m:
         idx = int(m.group(1)) - 1
@@ -66,7 +72,7 @@ def _compile(node, source: str, n_vars: int, text: str):
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
         fn = _FUNCTIONS[node.func.id]
-        a = _compile(node.args[0], source, n_vars, text)
+        a = _compile(node.args[0], source, n_vars, text, depth + 1)
         return lambda t, x: fn(a(t, x))
     raise InputError(f"unsupported {segment!r} in formula {text!r}")
 
@@ -75,6 +81,8 @@ def parse_formula(text: str, n_vars: int):
     """Compile one formula into a closure f(t, coords) -> value.
 
     coords is indexable per coordinate; scalars and numpy arrays broadcast.
+    A formula nested deeper than _MAX_DEPTH levels, or too deep for Python's
+    parser, is an InputError.
     """
     source = " ".join(text.split())
     if not source:
@@ -87,9 +95,11 @@ def parse_formula(text: str, n_vars: int):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a parser warning (1if, 0in) is a syntax error
             tree = ast.parse(source, mode="eval")
+        return _compile(tree.body, source, n_vars, text)
     except SyntaxError as exc:
         raise InputError(f"malformed formula {text!r}") from exc
-    return _compile(tree.body, source, n_vars, text)
+    except RecursionError as exc:
+        raise InputError(f"formula {text!r} nests too deeply") from exc
 
 
 def build_expression_system(formulas: list[str]) -> GeneralSystem:

@@ -1,21 +1,21 @@
 """Convex set families: construction, membership, and boundary sampling.
 
-Five representations are supported: halfspace polyhedra (covering
-polyhedral cones through b = 0), vertex polytopes, ray cones, ellipsoids
-x'Qx <= 1 with Q positive definite, and quadratic cones x'Qx <= 0 cut to
-one branch by x'Q u_n <= 0 where u_n is the eigenvector of the single
-negative eigenvalue. Membership for the vertex/ray forms is decided by
-linear programming over the combination coefficients; "inside" for them
-means the relative interior (for full-dimensional sets this is the
-topological interior). Their violation measure and boundary samples come
-instead from the facets of their generators, enumerated once per set
-(Blanchini, "Set invariance in control", Automatica 1999, states the
-facet conditions); a form with too many candidate facets uses the
-membership LP for both.
+Six families are supported: halfspace polyhedra (covering polyhedral
+cones through b = 0), the orthant x >= 0 (a halfspace form with its own
+tag), vertex polytopes, ray cones, ellipsoids x'Qx <= 1 with Q positive
+definite, and quadratic cones x'Qx <= 0 cut to one branch by x'Q u_n <= 0
+where u_n is the eigenvector of the single negative eigenvalue.
+Membership for the vertex/ray forms is decided by linear programming over
+the combination coefficients; "inside" for them means the relative
+interior (for full-dimensional sets this is the topological interior).
+Their violation measure and boundary samples come instead from the facets
+of their generators, enumerated once per set (Blanchini, "Set invariance
+in control", Automatica 1999, states the facet conditions); a form with
+too many candidate facets uses the membership LP for both.
 
 Each family is one class that owns what only it knows: its JSON tag
-(TAG) and fields (FIELDS, attribute name -> "matrix", "vector" or
-"optional vector", in constructor order), and the methods
+(TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
+"optional vector" or "count", in constructor order), and the methods
 membership(x, tol), violation(states), sample(count, rng, tol) and
 inward(bp), where tol is the user's boundary band (the vertex and ray
 forms scale it by scale(x) and hold their membership LP's interior margin
@@ -40,7 +40,6 @@ from .solvers import simplex_standard, solve_inequality_lp
 
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
 _SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
-_FACET_BOX = 1e6
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
 _FACET_SUBSETS = 5000  # most candidate facet subsets enumerated; above, the LP path
 
@@ -81,8 +80,6 @@ class HPolyhedron:
         return self.G.shape[1]
 
     def membership(self, x, tol: float) -> Membership:
-        if self.G.shape[0] == 0:
-            return Membership.INSIDE
         slack = self.G @ x - self.b
         bands = tol * (1.0 + np.abs(self.b))
         if np.any(slack > bands):
@@ -100,25 +97,22 @@ class HPolyhedron:
     def _facet_anchor(self, i: int, tol: float):
         """A point in the relative interior of facet i, or None if unattained.
 
-        An LP point that lies outside the set or off the facet by more than
-        the boundary band is rejected too, so every anchor is a boundary point.
+        The LP maximizes the margin t, at most 1, by which the other rows
+        hold on the facet, so it is bounded. An LP point that lies outside
+        the set or off the facet by more than the boundary band is rejected
+        too, so every anchor is a boundary point.
         """
         m, n = self.G.shape
-        g_rows = []
-        h_vals = []
-        for j in range(m):
-            if j != i:
-                g_rows.append(np.concatenate([self.G[j], [1.0]]))
-                h_vals.append(self.b[j])
-        g_rows.append(np.concatenate([np.zeros(n), [1.0]]))
-        h_vals.append(1.0)
-        g_rows.append(np.concatenate([np.zeros(n), [-1.0]]))
-        h_vals.append(0.0)
+        others = np.arange(m) != i
+        g = np.zeros((m + 1, n + 1))  # rows G_j x + t <= b_j, then t <= 1, -t <= 0
+        g[:m - 1, :n] = self.G[others]
+        g[:m, n] = 1.0
+        g[m, n] = -1.0
         c = np.concatenate([np.zeros(n), [1.0]])
         status, z, _ = solve_inequality_lp(
-            c, g_ub=np.array(g_rows), h_ub=np.array(h_vals),
+            c, g_ub=g, h_ub=np.concatenate([self.b[others], [1.0, 0.0]]),
             a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]],
-            box=_FACET_BOX, maximize=True)
+            maximize=True)
         if status != "optimal":
             return None
         slack = self.G @ z[:n] - self.b
@@ -165,6 +159,20 @@ class HPolyhedron:
             g = self.G[i]
             d -= g / (np.linalg.norm(g) + 1e-300)
         return d
+
+
+class Orthant(HPolyhedron):
+    """The nonnegative orthant of R^n as -x <= 0: a halfspace form whose tag
+    routes a linear check to the off-diagonal sign test."""
+
+    TAG = "orthant"
+    FIELDS = {"n": "count"}
+
+    def __init__(self, n):
+        if n < 1:
+            raise InputError("orthant dimension must be positive")
+        super().__init__(-np.eye(n), np.zeros(n))
+        self.n = n
 
 
 @dataclass(frozen=True)
@@ -557,14 +565,11 @@ class LorenzCone:
 
 ConvexSet = HPolyhedron | VPolytope | VCone | Ellipsoid | LorenzCone
 
-FAMILIES = {cls.TAG: cls for cls in (HPolyhedron, VPolytope, VCone, Ellipsoid, LorenzCone)}
+FAMILIES = {cls.TAG: cls for cls in (HPolyhedron, Orthant, VPolytope, VCone, Ellipsoid,
+                                     LorenzCone)}
 
 
-def orthant_h(n: int) -> HPolyhedron:
-    """Nonnegative orthant of R^n as -x <= 0."""
-    if n < 1:
-        raise InputError("orthant dimension must be positive")
-    return HPolyhedron(-np.eye(n), np.zeros(n))
+orthant_h = Orthant  # the orthant's halfspace form, beside orthant_v
 
 
 def orthant_v(n: int) -> VCone:

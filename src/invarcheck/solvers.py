@@ -83,7 +83,7 @@ def _rows_within_scale(tab, basis, a_work, b_work, art) -> bool:
     variable n + k; it is judged against 1 + |b_i| + sum_j |A_ij z_j| at the
     phase-one point z. Rounding grows with the terms a row sums, so feasible
     LPs with large data are not rejected, while a row whose terms are small
-    still has to hold tightly beside large ones (such as an artificial box).
+    still has to hold tightly beside large ones.
     """
     n = a_work.shape[1]
     z = np.zeros(n + art.size)
@@ -104,14 +104,10 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     "unbounded"; for "infeasible" the objective is the phase-one optimum
     (the L1 infeasibility of the rows that got artificials) and z is None.
     """
-    a_eq = as_matrix(a_eq, "A")
-    b_eq = as_vector(b_eq, "b").copy()
-    c = as_vector(c, "c")
-    m, n = a_eq.shape
-    if c.shape[0] != n or b_eq.shape[0] != m:
-        raise DimensionMismatch("inconsistent LP dimensions")
-
-    a_work = a_eq.copy()
+    a_work = np.array(a_eq, dtype=float)  # copies: the rows of a negative rhs flip
+    b_eq = np.array(b_eq, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = a_work.shape
     neg = b_eq < 0
     a_work[neg, :] *= -1.0
     b_eq[neg] *= -1.0
@@ -214,26 +210,20 @@ def phase_one_feasibility(matrix, rhs, free_indices=()):
 
 
 def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
-                        box=None, maximize=False):
-    """Solve max/min c'x over G x <= h, A x = b, optionally |x_i| <= box.
+                        maximize=False):
+    """Solve max/min c'x over G x <= h, A x = b.
 
     Variables are free; they are split internally. Returns (status, x, value)
     where value is in the caller's max/min sense.
     """
     c = as_vector(c, "c")
     n = c.shape[0]
-    g_rows = [] if g_ub is None else [as_matrix(g_ub, "G")]
-    h_vals = [] if g_ub is None else [as_vector(h_ub, "h")]
-    if box is not None:
-        g_rows += [np.eye(n), -np.eye(n)]
-        h_vals += [np.full(n, float(box))] * 2
-    g_all = np.vstack(g_rows) if g_rows else None
-    h_all = np.concatenate(h_vals) if h_vals else None
-    has_eq = a_eq is not None
-    a_eq = as_matrix(a_eq, "A_eq") if has_eq else np.zeros((0, n))
-    b_eq = as_vector(b_eq, "b_eq") if has_eq else np.zeros(0)
+    g_ub = None if g_ub is None else as_matrix(g_ub, "G")
+    h_ub = None if g_ub is None else as_vector(h_ub, "h")
+    b_eq = np.zeros(0) if a_eq is None else as_vector(b_eq, "b_eq")
+    a_eq = np.zeros((0, n)) if a_eq is None else as_matrix(a_eq, "A_eq")
     sense = -1.0 if maximize else 1.0
-    status, x, obj = _solve_split(sense * c, list(range(n)), a_eq, b_eq, g_all, h_all)
+    status, x, obj = _solve_split(sense * c, list(range(n)), a_eq, b_eq, g_ub, h_ub)
     if status != "optimal":
         return status, None, (np.inf if maximize and status == "unbounded" else obj)
     return "optimal", x, float(sense * obj)

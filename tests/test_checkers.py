@@ -80,7 +80,7 @@ def test_facet_check_stops_at_first_violating_facet(monkeypatch):
 
 def test_unbounded_facet_outside_default_box_refuted():
     # x1 <= 2e6 under x1' = x2: the flux x2 is unbounded on the facet, which
-    # lies outside a box of half-width 1e6
+    # lies far from the origin (beyond |x_i| <= 1e6)
     v = check_hpoly_linear(HPolyhedron([[1.0, 0.0]], [2e6]), [[0.0, 1.0], [0.0, 0.0]])
     assert v.decision is Decision.NOT_INVARIANT
     assert v.notes["facet"] == 0
@@ -90,8 +90,8 @@ def test_unbounded_facet_outside_default_box_refuted():
 
 
 def test_unattained_parallel_facet_not_sampled():
-    # x1 <= 1.0005 beside x1 <= 1 is never attained; its facet LP, boxed at
-    # 1e6, ends phase one 5e-4 short, which must not pass as rounding
+    # x1 <= 1.0005 beside x1 <= 1 is never attained; its facet-anchor LP
+    # ends phase one 5e-4 short, which must not pass as rounding
     box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]],
                       [1.0, 1.0, 1.0, 1.0, 1.0005])
     for bp in sample_boundary(box, 60, 0):
@@ -101,14 +101,88 @@ def test_unattained_parallel_facet_not_sampled():
     assert sampled.decision is Decision.UNKNOWN
 
 
+def _assert_facet_witness(s, a, v):
+    """The refutation's point lies on its facet and in the set, its flux is
+    positive and is the reported violation, and a trajectory from it exits
+    within time 1."""
+    assert v.decision is Decision.NOT_INVARIANT
+    i = v.notes["facet"]
+    x = v.counterexample.point
+    scale = 1.0 + np.abs(s.b) + np.abs(s.G) @ np.abs(x)
+    assert abs(s.G[i] @ x - s.b[i]) <= 1e-9 * scale[i]
+    assert np.all(s.G @ x - s.b <= 1e-9 * scale)
+    flux = float(s.G[i] @ (a @ x))
+    assert flux > 0.0
+    assert v.counterexample.violation == pytest.approx(flux, rel=1e-12)
+    hit = falsify(s, LinearSystem(a), 4, horizon=1.0, step=1e-3, seed=23, extra_starts=[x])
+    assert hit is not None and hit[1] <= 1.0
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def test_unbounded_facets_refute_with_on_facet_witness():
+    rng = np.random.default_rng(211)
+    shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+    cases = [
+        # the orthant as a plain halfspace form under a non-Metzler field
+        (HPolyhedron(-np.eye(2), np.zeros(2)), np.array([[-1.0, -2.0], [0.0, -3.0]])),
+        (HPolyhedron(-np.eye(3), np.zeros(3)),
+         np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.0], [0.0, -0.1, 2.0]])),
+        # x1 <= 1 under the shear x1' = x2
+        (HPolyhedron([[1.0, 0.0]], [1.0]), shear),
+        # the far facet 1e-7 x1 <= 1, the line x1 = 1e7, under the same shear
+        (HPolyhedron([[1e-7, 0.0]], [1.0]), shear),
+        # the wedge 0 <= x2 <= x1 under a rotation, which turns it outward
+        (HPolyhedron([[0.0, -1.0], [-1.0, 1.0]], [0.0, 0.0]), _rotation(np.pi / 2)),
+        # the wedge 0 <= x2 <= 3 x1 under the shear x1' = -x2
+        (HPolyhedron([[0.0, -1.0], [-3.0, 1.0]], [0.0, 0.0]), -shear),
+    ]
+    for _ in range(8):
+        # a half-plane g'x <= b under the shear along its boundary line,
+        # both rotated by a random angle
+        r = _rotation(rng.uniform(0.0, 2.0 * np.pi))
+        g = r @ np.array([1.0, 0.0])
+        cases.append((HPolyhedron([g], [rng.uniform(-5.0, 5.0)]),
+                      rng.uniform(0.1, 3.0) * r @ shear @ r.T))
+    for s, a in cases:
+        v = check_hpoly_linear(s, a)
+        _assert_facet_witness(s, a, v)
+        assert check(s, LinearSystem(a)).counterexample.violation == v.counterexample.violation
+
+
+def test_unbounded_facet_without_witness_is_numerical_failure(monkeypatch):
+    # an unbounded facet LP whose witness LP then finds no point of flux 1
+    # is a numerical failure, never a verdict
+    replies = iter([("unbounded", None, np.inf), ("infeasible", None, 1.0)])
+    monkeypatch.setattr(checkers, "solve_inequality_lp", lambda *args, **kwargs: next(replies))
+    with pytest.raises(NumericalFailure, match="no point of flux 1"):
+        check_hpoly_linear(HPolyhedron([[1.0, 0.0]], [1.0]), [[0.0, 1.0], [0.0, 0.0]])
+
+
 def test_orthant_h_equals_metzler_test():
-    rng = np.random.default_rng(101)
-    orth = orthant_h(3)
-    for _ in range(25):
-        a = rng.uniform(-1.0, 1.0, size=(3, 3))
-        via_h = check_hpoly_linear(orth, a).decision
-        via_scan = check_orthant_linear(a).decision
-        assert via_h is via_scan
+    # check(orthant_h(n), A) runs the sign test and check(HPolyhedron(-I, 0),
+    # A) the facet LPs, with unbounded facets wherever A is not Metzler; the
+    # two must decide alike
+    rng = np.random.default_rng(307)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        if rng.random() < 0.5:
+            a = np.where(np.eye(n, dtype=bool), a, np.abs(a))
+        via_tag = check(orthant_h(n), LinearSystem(a))
+        via_rows = check(HPolyhedron(-np.eye(n), np.zeros(n)), LinearSystem(a))
+        assert via_tag.decision is via_rows.decision, a
+        if via_tag.decision is Decision.INVARIANT:
+            assert via_tag.certificate.kind == "metzler"
+            assert via_rows.certificate.kind == "facet-lp"
+        else:
+            assert via_tag.notes.keys() == {"entry"}
+            _assert_facet_witness(HPolyhedron(-np.eye(n), np.zeros(n)), a, via_rows)
+        seen.add(via_tag.decision)
+    assert seen == {Decision.INVARIANT, Decision.NOT_INVARIANT}
 
 
 def test_empty_polyhedron_raises():
@@ -396,10 +470,17 @@ def test_dispatch_general_vpolytope_reports_both():
     assert v.notes.get("vertex_conditions") == "passed"
 
 
-def test_dispatch_orthant_flag():
-    v = check(orthant_h(2), LinearSystem([[-1.0, 2.0], [0.0, -3.0]]), orthant=True)
+def test_dispatch_orthant_family():
+    v = check(orthant_h(2), LinearSystem([[-1.0, 2.0], [0.0, -3.0]]))
     assert v.decision is Decision.INVARIANT
     assert v.certificate.kind == "metzler"
+    # the sign test belongs to the orthant alone: the disc is invariant
+    # under a rotation whose off-diagonal entry is negative
+    disc = check(Ellipsoid(np.eye(2)), LinearSystem([[0.0, -1.0], [1.0, 0.0]]))
+    assert disc.decision is Decision.INVARIANT
+    assert disc.certificate.kind == "lyapunov-pencil"
+    with pytest.raises(InputError, match="dimension"):
+        check(orthant_h(3), LinearSystem(-np.eye(2)))
 
 
 def test_dispatch_unsupported_set_is_input_error():

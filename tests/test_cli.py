@@ -316,11 +316,12 @@ def test_set_serialization_round_trip():
         {"type": "orthant", "n": 3},
     ]
     for d in dicts:
-        s, tag = set_from_dict(d)
-        back = set_to_dict(s, tag)
-        s2, tag2 = set_from_dict(back)
-        assert tag2 == tag
-        assert set_to_dict(s2, tag2) == back
+        s = set_from_dict(d)
+        back = set_to_dict(s)
+        assert back["type"] == d["type"]
+        s2 = set_from_dict(back)
+        assert type(s2) is type(s)
+        assert set_to_dict(s2) == back
 
 
 @pytest.mark.parametrize("error, message", [(NumericalFailure, "numerical failure"),
@@ -367,3 +368,62 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == EXIT_INVARIANT
     assert json.loads(proc.stdout)["decision"] == "invariant"
     assert "decision: invariant" in proc.stderr
+
+
+def _expression_problem(tmp_path, formula):
+    f = tmp_path / "field.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": "hpolyhedron", "G": [[1.0], [-1.0]],
+                                     "b": [1.0, 1.0]},
+                             "system": {"type": "expression", "formulas": [formula]}}),
+                 encoding="utf-8")
+    return str(f)
+
+
+@pytest.mark.parametrize("formula, on_coordinate", [
+    ("1/0", "(x1-x1+1)/0"),
+    ("t/0", "(x1-x1+t)/0"),
+    ("10^400", "(x1-x1+10)^400"),
+    ("(0-2)^0.5", "(x1-x1-2)^0.5"),
+], ids=["divide-by-zero", "t-divide-by-zero", "overflow", "negative-base"])
+def test_scalar_formula_parts_behave_as_on_a_coordinate(tmp_path, capsys, formula,
+                                                        on_coordinate):
+    # a constant or t-only part that leaves the reals, divides by zero or
+    # overflows gives inf or NaN, exactly as the same part on a coordinate
+    for command in ("check", "falsify"):
+        args = ("--samples", "5", "--horizon", "0.01", "--no-timing")
+        code, out, err = run_cli(capsys, command, _expression_problem(tmp_path, formula), *args)
+        want = run_cli(capsys, command, _expression_problem(tmp_path, on_coordinate), *args)
+        assert code != 70
+        # the reports differ only in the echoed formula
+        assert (code, out.replace(formula, on_coordinate), err) == want, command
+
+
+@pytest.mark.parametrize("terms", [250, 990, 3000],
+                         ids=["past-the-cap", "compile-recursion", "parse-recursion"])
+def test_deep_formula_exits_64(tmp_path, capsys, terms):
+    # a sum of many terms nests one level per "+": past 200 levels it is an
+    # input error, whether Python's parser, the compiler or the nesting cap
+    # sees it first
+    code, _, err = run_cli(capsys, "check",
+                           _expression_problem(tmp_path, "+".join(["x1"] * terms)),
+                           "--samples", "5", "--no-timing")
+    assert code == EXIT_INPUT
+    assert "nests" in err
+
+
+def test_far_facet_refuted(tmp_path, capsys):
+    # 1e-7 x1 <= 1 is the line x1 = 1e7, where the flux of x1' = x2 is
+    # unbounded: an on-facet witness with positive flux refutes
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": "hpolyhedron", "G": [[1e-7, 0.0]], "b": [1.0]},
+                             "system": {"type": "linear", "A": [[0, 1], [0, 0]]}}),
+                 encoding="utf-8")
+    code, out, _ = run_cli(capsys, "check", str(f), "--no-timing")
+    assert code == EXIT_NOT_INVARIANT
+    report = json.loads(out)
+    x = report["counterexample"]["point"]
+    assert x[0] == pytest.approx(1e7)
+    assert report["counterexample"]["violation"] == pytest.approx(1e-7 * x[1])
+    assert report["counterexample"]["violation"] > 0.0

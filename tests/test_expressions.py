@@ -76,3 +76,25 @@ def test_time_only_formula_broadcasts():
     assert out.shape == (2, 5)
     assert np.allclose(out[0], 3.0)
     assert np.allclose(out[1], 1.0)
+
+
+def test_nesting_cap_keeps_evaluation_off_the_recursion_limit():
+    import sys
+
+    from invarcheck.expressions import _MAX_DEPTH
+
+    # a sum of k terms nests k - 1 levels below its root
+    with pytest.raises(InputError, match="nests deeper"):
+        parse_formula("+".join(["x1"] * (_MAX_DEPTH + 2)), 1)
+    deepest = build_expression_system(["+".join(["x1"] * (_MAX_DEPTH + 1))])
+
+    def at_depth(levels_left):
+        # recurse until only levels_left frames remain below the limit
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        if sys.getrecursionlimit() - depth > levels_left:
+            return at_depth(levels_left)
+        return deepest.field(0.0, np.array([2.0]))
+
+    assert at_depth(_MAX_DEPTH + 20)[0] == 2.0 * (_MAX_DEPTH + 1)

@@ -218,20 +218,19 @@ def test_inequality_lp_box_and_equality():
     assert status == "optimal"
     assert v == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
-    # unbounded without the box, capped with it
+    # max x1 over x1 >= 0 is unbounded
     status, _, _ = solve_inequality_lp([1.0], g_ub=[[-1.0]], h_ub=[0.0], maximize=True)
     assert status == "unbounded"
-    status, x, v = solve_inequality_lp([1.0], g_ub=[[-1.0]], h_ub=[0.0], box=1e6, maximize=True)
-    assert status == "optimal"
-    assert v == pytest.approx(1e6)
 
 
 def test_phase_one_acceptance_relative_to_rhs():
-    # the 1e6 box puts the right-hand side near 1e6; phase one then ends
-    # about 1e-9 above zero on a feasible LP, which an absolute test rejects
+    # the box rows |x_i| <= 1e6 put the right-hand side near 1e6; phase one
+    # then ends about 1e-9 above zero on a feasible LP, which an absolute
+    # test rejects
     g = np.random.default_rng(0).normal(size=(6, 2))
-    status, x, _ = solve_inequality_lp(np.zeros(2), g, np.ones(6), a_eq=g[1:2], b_eq=[1.0],
-                                       box=1e6)
+    g_box = np.vstack([g, np.eye(2), -np.eye(2)])
+    h_box = np.concatenate([np.ones(6), np.full(4, 1e6)])
+    status, x, _ = solve_inequality_lp(np.zeros(2), g_box, h_box, a_eq=g[1:2], b_eq=[1.0])
     assert status == "optimal"
     assert float(g[1] @ x) == pytest.approx(1.0, abs=1e-6)
 
@@ -244,8 +243,8 @@ def test_phase_one_free_split():
 
 
 def test_inequality_lp_matches_vertex_enumeration():
-    # free variables, equality rows and the box, on small integer data so
-    # that degenerate and parallel constraints are common
+    # free variables, equality rows and box rows |x_i| <= 4, on small
+    # integer data so that degenerate and parallel constraints are common
     rng = np.random.default_rng(41)
     seen = set()
     for _ in range(100):
@@ -260,7 +259,11 @@ def test_inequality_lp_matches_vertex_enumeration():
         box = 4.0 if rng.random() < 0.3 else None
         c = rng.integers(-3, 4, size=n).astype(float)
         maximize = bool(rng.random() < 0.5)
-        status, x, value = solve_inequality_lp(c, g, h, a_eq, b_eq, box=box, maximize=maximize)
+        g_all, h_all = g, h
+        if box is not None:
+            g_all = np.vstack([g, np.eye(n), -np.eye(n)])
+            h_all = np.concatenate([h, np.full(2 * n, box)])
+        status, x, value = solve_inequality_lp(c, g_all, h_all, a_eq, b_eq, maximize=maximize)
         sense = -1.0 if maximize else 1.0
         ref_status, ref_value = enumerate_lp(sense * c, g, h, a_eq, b_eq, box=box)
         assert status == ref_status
