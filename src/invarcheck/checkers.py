@@ -7,8 +7,8 @@ families. The quadratic-cone decision is exact by the S-lemma: a shifted
 semidefiniteness certificate, or else a boundary ray with outward flux built
 from the pencil at the optimal shift. General (nonlinear) systems are
 checked by sampling boundary points and testing the field against the local
-tangent cone, which can refute but never certify, so those verdicts cap at
-Unknown.
+tangent cone, all samples in one batch, which can refute but never certify,
+so those verdicts cap at Unknown.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .solvers import (
     qp_nearest,
     solve_inequality_lp,
 )
-from .systems import DynamicalSystem, LinearSystem
-from .tangent import cone_test, tangent_cone_at
+from .systems import DynamicalSystem, LinearSystem, field_batch
+from .tangent import first_outside
 
 _FACET_OPTIMUM_TOL = 1e-8  # a facet optimum at or below this is non-positive
 _PENCIL_TOL = 1e-9         # a pencil eigenvalue at or below this certifies
@@ -298,17 +298,31 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     """Sampled Nagumo test: the field must lie in the tangent cone at every
     sampled boundary point. A violation refutes invariance; a clean pass
     cannot certify the full boundary, so the verdict is Unknown. tol is both
-    the boundary band of the samples and the tangent-cone tolerance."""
+    the boundary band of the samples and the tangent-cone tolerance.
+
+    The field is evaluated once on all samples, and every sample is tested
+    at once (tangent.first_outside): its outward flux against the
+    halfspace rows, facets or quadratic normal that bind there. The lowest
+    refuting sample is the counterexample, with the largest normalised
+    flux as its violation. A field that is not finite at a sample before
+    that one is an InputError naming the point.
+    """
     samples = sample_boundary(s, n_samples, seed, tol)
-    for bp in samples:
-        t_cone = tangent_cone_at(s, bp, tol)
-        y = np.asarray(sys.field(t0, bp.point), dtype=float)
-        inside, residual = cone_test(t_cone, y, tol)
-        if not inside:
-            return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(bp.point.copy(), residual),
-                           notes={"active": bp.active if isinstance(bp.active, str)
-                                  else list(map(int, bp.active or []))})
+    x = np.column_stack([bp.point for bp in samples])
+    active = [bp.active for bp in samples]
+    y = field_batch(sys, t0, x)
+    bad = np.flatnonzero(~np.all(np.isfinite(y), axis=0))
+    stop = int(bad[0]) if bad.size else len(samples)
+    hit = first_outside(s, x[:, :stop], active[:stop], y[:, :stop], tol)
+    if hit is not None:
+        k, residual = hit
+        return Verdict(Decision.NOT_INVARIANT,
+                       counterexample=Counterexample(x[:, k].copy(), residual),
+                       notes={"active": active[k] if isinstance(active[k], str)
+                              else list(map(int, active[k] or []))})
+    if stop < len(samples):
+        raise InputError("the field is not finite at boundary point "
+                         f"{[float(v) for v in x[:, stop]]}")
     return Verdict(Decision.UNKNOWN, notes={"samples_checked": len(samples)})
 
 

@@ -20,7 +20,7 @@ from .sets import (
     DEFAULT_TOL,
     BoundaryPoint,
     ConvexSet,
-    inward_direction,
+    inward_directions,
     outside_violation_batch,
     sample_boundary,
 )
@@ -148,12 +148,10 @@ def _nudged_starts(s: ConvexSet, points) -> np.ndarray:
     boundary starts can flag spurious instant exits under floating point. A
     point whose push leaves the set starts unpushed."""
     x = np.column_stack([bp.point for bp in points])
-    cand = x.copy()
-    for k, bp in enumerate(points):
-        d = inward_direction(s, bp)
-        if d is not None:
-            cand[:, k] = x[:, k] + _INWARD_PUSH * (1.0 + float(np.linalg.norm(x[:, k]))) * d
-    return np.where(outside_violation_batch(s, cand) == 0.0, cand, x)
+    d = inward_directions(s, x, [bp.active for bp in points])
+    cand = x + _INWARD_PUSH * (1.0 + np.linalg.norm(x, axis=0)) * d
+    pushed = np.any(d != 0.0, axis=0) & (outside_violation_batch(s, cand) == 0.0)
+    return np.where(pushed, cand, x)
 
 
 def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
@@ -166,8 +164,10 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     start whose violation exceeds the strict exit band within the horizon,
     or None if no exit is seen.
     An extra start already outside the set by more than that band, a step
-    and horizon outside 0 < step <= horizon < inf, or more than MAX_STEPS
-    steps, raises InputError.
+    and horizon outside 0 < step <= horizon < inf, more than MAX_STEPS
+    steps, or a nonlinear field that is not finite at a start raises
+    InputError. A trajectory whose state turns non-finite or grows past
+    the divergence threshold later on is dropped without an exit.
     tol is the boundary band of the sampled starts.
     Deterministic for a given seed.
     """
@@ -204,6 +204,14 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
             power = power @ (step * a)
             fact *= k
             rk4_map = rk4_map + power / fact
+    else:
+        # a trajectory that is not finite from its first step would be
+        # dropped unseen, so such a field is an input error, not "no exit"
+        f0 = field_batch(sys, t0, x0_all)
+        bad = np.flatnonzero(~np.all(np.isfinite(f0), axis=0))
+        if bad.size:
+            raise InputError("the field is not finite at start "
+                             f"{[float(v) for v in x0_all[:, bad[0]]]}")
 
     n_cols = x0_all.shape[1]
     exit_time = np.full(n_cols, np.inf)

@@ -16,12 +16,17 @@ too many candidate facets uses the membership LP for both.
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
 "optional vector" or "count", in constructor order), and the methods
-membership(x, tol), violation(states), sample(count, rng, tol) and
-inward(bp), where tol is the user's boundary band (the vertex and ray
-forms scale it by scale(x) and hold their membership LP's interior margin
-and infeasibility against it). The module-level
-functions below validate their arguments and call those methods; the
-rest of the package calls the functions.
+membership(x, tol), violation(states), sample(count, rng, tol),
+inward(points, active) and tangent_test(points, active, y, tol), where tol
+is the user's boundary band (the vertex and ray forms scale it by scale(x)
+and hold their membership LP's interior margin and infeasibility against
+it). The batch methods take points as the columns of an n x N array, with
+their active sets as sample_boundary gives them. tangent_test is Nagumo's
+test of the directions y at those points: every family reduces it to
+outward fluxes against the halfspace rows that bind at each point, judged
+by one formula (flux_residual). The module-level functions below validate
+their arguments and call those methods; the rest of the package calls the
+functions.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ApexPoint, DimensionMismatch, EmptyBoundary, InputError
+from .errors import ApexPoint, DimensionMismatch, EmptyBoundary, InputError, NotMember
 from .numerics import as_matrix, as_vector, canonical_sign, sym_eig
 from .solvers import simplex_standard, solve_inequality_lp
 
@@ -42,6 +47,33 @@ DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user s
 _SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
 _FACET_SUBSETS = 5000  # most candidate facet subsets enumerated; above, the LP path
+
+
+def flux_residual(flux, row_norms, y_norms, tol: float, active=None):
+    """Nagumo's test of directions against halfspace rows, column by column.
+
+    flux[i, k] is the outward flux g_i'y_k of row i at sample k; it passes
+    when at most tol*(1 + |g_i||y_k|). row_norms and y_norms broadcast
+    against flux, and active, when given, masks the rows that bind at each
+    sample. Returns per column whether every active row passes, and the
+    residual: the largest active flux/(1 + |g_i||y_k|), or 0 if none is
+    positive.
+    """
+    scale = 1.0 + row_norms * y_norms
+    ratio = flux / scale
+    out = flux > tol * scale
+    if active is not None:
+        ratio = np.where(active, ratio, 0.0)
+        out &= active
+    return ~np.any(out, axis=0), np.max(ratio, axis=0, initial=0.0)
+
+
+def _surface_test(q, x, y, tol: float):
+    """flux_residual against the one row Qx of a quadratic surface at each
+    column of x."""
+    qx = q @ x
+    return flux_residual(np.sum(qx * y, axis=0)[None, :], np.linalg.norm(qx, axis=0),
+                         np.linalg.norm(y, axis=0), tol)
 
 
 class Membership(Enum):
@@ -152,13 +184,24 @@ class HPolyhedron:
         active = np.abs(pts @ self.G.T - self.b) <= bands
         return [BoundaryPoint(pts[k], np.flatnonzero(active[k]).tolist()) for k in range(count)]
 
-    def inward(self, bp: BoundaryPoint) -> np.ndarray:
-        rows = bp.active if isinstance(bp.active, list) else []
-        d = np.zeros(self.dim)
-        for i in rows:
-            g = self.G[i]
-            d -= g / (np.linalg.norm(g) + 1e-300)
-        return d
+    def inward(self, x, active) -> np.ndarray:
+        """Minus the sum of the unit normals of each point's active rows."""
+        held = np.zeros((len(active), self.G.shape[0]))
+        for k, rows in enumerate(active):
+            if isinstance(rows, list):
+                held[k, rows] = 1.0
+        unit = self.G / (np.linalg.norm(self.G, axis=1) + 1e-300)[:, None]
+        return -(held @ unit).T
+
+    def tangent_test(self, x, active, y, tol: float):
+        """The rows within the band tol of each point bind there (its active
+        set is not read); NotMember if a point is outside the band."""
+        slack = self.G @ x - self.b[:, None]
+        bands = (tol * (1.0 + np.abs(self.b)))[:, None]
+        if np.any(slack > bands):
+            raise NotMember("point is outside the polyhedron")
+        return flux_residual(self.G @ y, np.linalg.norm(self.G, axis=1)[:, None],
+                             np.linalg.norm(y, axis=0), tol, np.abs(slack) <= bands)
 
 
 class Orthant(HPolyhedron):
@@ -352,8 +395,32 @@ class _VForm:
                 out.append(BoundaryPoint(pts[j].copy(), [j]))
         return out
 
-    def inward(self, bp: BoundaryPoint) -> np.ndarray:
-        return np.mean(self._points, axis=0) * self._scale(bp.point) - bp.point
+    def inward(self, x, active) -> np.ndarray:
+        """Toward the mean of the generators (scaled to each point's size for
+        a cone)."""
+        return np.mean(self._points, axis=0)[:, None] * self._scale(x) - x
+
+    def tangent_test(self, x, active, y, tol: float):
+        """The facets holding every generator of a point's active set bind
+        there, and the equality rows bind both ways, all cut to the first
+        dim coordinates (a direction lifts with a trailing 0). None without
+        facets: the caller then decides each point by LP."""
+        facets = self._facets
+        if facets is None:
+            return None
+        k = self._points.shape[0]
+        off = np.ones((len(facets.on), k))
+        for i, f in enumerate(facets.on):
+            off[i, f] = 0.0
+        held = np.zeros((k, len(active)))
+        for j, gens in enumerate(active):
+            held[gens, j] = 1.0
+        n = self.dim
+        eq = facets.eq[:, :n]
+        rows = np.vstack([-facets.normals[:, :n], eq, -eq])
+        binds = np.vstack([off @ held == 0.0, np.ones((2 * eq.shape[0], len(active)), bool)])
+        return flux_residual(rows @ y, np.linalg.norm(rows, axis=1)[:, None],
+                             np.linalg.norm(y, axis=0), tol, binds)
 
 
 class VPolytope(_VForm):
@@ -409,7 +476,7 @@ class VCone(_VForm):
         return x
 
     def _scale(self, x):
-        return 1.0 + float(np.linalg.norm(x))
+        return 1.0 + np.linalg.norm(x, axis=0)
 
     _cap = _scale
 
@@ -466,8 +533,11 @@ class Ellipsoid:
         pts = y / scale[:, None]
         return [BoundaryPoint(pts[k], "quadratic-surface") for k in range(count)]
 
-    def inward(self, bp: BoundaryPoint) -> np.ndarray:
-        return -(self.Q @ bp.point)
+    def inward(self, x, active) -> np.ndarray:
+        return -(self.Q @ x)
+
+    def tangent_test(self, x, active, y, tol: float):
+        return _surface_test(self.Q, x, y, tol)
 
     def normal(self, x) -> np.ndarray:
         """Outward normal Qx of the surface at x."""
@@ -553,8 +623,22 @@ class LorenzCone:
             out.extend(BoundaryPoint(pts[k], "quadratic-surface") for k in range(extra))
         return out
 
-    def inward(self, bp: BoundaryPoint) -> np.ndarray:
-        return self.u_n.copy() if bp.active == "apex" else -(self.Q @ bp.point)
+    def inward(self, x, active) -> np.ndarray:
+        d = -(self.Q @ x)
+        d[:, np.array([a == "apex" for a in active], dtype=bool)] = self.u_n[:, None]
+        return d
+
+    def tangent_test(self, x, active, y, tol: float):
+        """One row Qx on the surface; at the apex (a point tagged "apex" or
+        of norm at most 1e-10) the tangent cone is the cone itself, so there
+        the residual is the cone's own violation of y."""
+        inside, residual = _surface_test(self.Q, x, y, tol)
+        apex = np.array([a == "apex" for a in active], dtype=bool)
+        apex |= np.linalg.norm(x, axis=0) <= 1e-10
+        if np.any(apex):
+            residual[apex] = self.violation(y[:, apex])
+            inside[apex] = residual[apex] <= tol
+        return inside, residual
 
     def normal(self, x) -> np.ndarray:
         """Outward normal Qx of the surface at x; the apex has none."""
@@ -655,8 +739,16 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     return s.sample(count, np.random.default_rng(seed), tol)
 
 
+def inward_directions(s: ConvexSet, points, active) -> np.ndarray:
+    """Unit directions from boundary points (the columns of points, with
+    their active sets) toward the set; a zero column where none is clear."""
+    d = s.inward(np.asarray(points, dtype=float), active)
+    nrm = np.linalg.norm(d, axis=0)
+    clear = nrm >= 1e-12
+    return np.where(clear, d / np.where(clear, nrm, 1.0), 0.0)
+
+
 def inward_direction(s: ConvexSet, bp: BoundaryPoint) -> np.ndarray | None:
     """A unit direction from the boundary point toward the set, if one is clear."""
-    d = s.inward(bp)
-    nrm = float(np.linalg.norm(d))
-    return None if nrm < 1e-12 else d / nrm
+    d = inward_directions(s, bp.point.reshape(-1, 1), [bp.active])[:, 0]
+    return d if np.any(d) else None

@@ -8,6 +8,14 @@ extreme ray of a cone the ray itself enters with a sign-free coefficient.
 On the smooth part of a quadratic surface it is the halfspace under the
 outward normal Qx. The apex of a quadratic cone is special: the tangent
 cone there is the cone itself, represented by a membership-backed kind.
+
+tangent_cone_at and cone_test build and test one cone at one point.
+first_outside tests a whole batch of sampled points at once: each set
+family's tangent_test gives the outward flux of every direction against
+the halfspace rows that bind at its point, with facets in place of the
+generated cones of vertex and ray forms, and one formula
+(sets.flux_residual) judges both paths. Only a vertex or ray form with too
+many candidate facets to enumerate still solves one LP per point.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .sets import (
     VCone,
     VPolytope,
     active_constraints,
+    flux_residual,
     membership,
     outside_violation,
 )
@@ -170,16 +179,9 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
         return True, 0.0
     if t.kind == HALFSPACES or t.kind == QUADRATIC:
         rows = t.normals if t.kind == HALFSPACES else t.q_normal.reshape(1, -1)
-        ny = float(np.linalg.norm(y))
-        inside = True
-        worst = 0.0
-        for g in rows:
-            flux = float(g @ y)
-            scale = 1.0 + float(np.linalg.norm(g)) * ny
-            if flux > tol * scale:
-                inside = False
-            worst = max(worst, flux / scale)
-        return inside, worst
+        inside, worst = flux_residual((rows @ y)[:, None], np.linalg.norm(rows, axis=1)[:, None],
+                                      np.linalg.norm(y), tol)
+        return bool(inside[0]), float(worst[0])
     if t.kind == GENERATED:
         cols = [t.generators.T]
         free: tuple[int, ...] = ()
@@ -192,6 +194,30 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
         violation = outside_violation(t.set_ref, y)
         return violation <= tol, violation
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
+
+
+def first_outside(s, points, active, y, tol: float = DEFAULT_TOL) -> tuple[int, float] | None:
+    """The first sampled point whose direction leaves its tangent cone.
+
+    points holds boundary points as columns, with their active sets as
+    sample_boundary gives them, and column k of y is the direction at point
+    k (finite). Returns (k, residual) for the lowest such k, or None when
+    every direction passes within tol. All points are tested at once
+    through the set's tangent_test, whose residual is flux_residual's; a
+    vertex or ray form without enumerated facets tests point by point with
+    tangent_cone_at and cone_test's LP, stopping at the first miss.
+    """
+    tested = s.tangent_test(points, active, y, tol)
+    if tested is None:
+        for k in range(points.shape[1]):
+            inside, residual = cone_test(
+                tangent_cone_at(s, BoundaryPoint(points[:, k], active[k]), tol), y[:, k], tol)
+            if not inside:
+                return k, residual
+        return None
+    inside, residual = tested
+    out = np.flatnonzero(~inside)
+    return (int(out[0]), float(residual[out[0]])) if out.size else None
 
 
 def cone_contains(t: TangentCone, y, tol: float = DEFAULT_TOL) -> bool:

@@ -239,3 +239,51 @@ def enumerate_lp(c, g=None, h=None, a_eq=None, b_eq=None, signed=(), box=None,
     if box is None and clipped(2.0 * far) < v1 - 1e-6 * (1.0 + abs(v1)):
         return "unbounded", -np.inf
     return "optimal", v1
+
+
+def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
+    """Per-sample Nagumo test, the loop the sampled checker ran before it
+    decided every sample in one batch; kept as the reference for the batch.
+
+    Unlike the rest of this module it calls the library: each sample gets
+    its own tangent.tangent_cone_at and one field evaluation, and is then
+    tested as cone_test did before it shared its residual formula: one
+    halfspace row at a time, the phase-one LP for a generated cone, the
+    cone's own violation at a quadratic cone's apex. Returns one
+    (inside, residual) pair per sample. The residual is on the scale of
+    tol: the largest flux/(1 + |g||y|) over the rows (0 if none is
+    positive), or the LP's infeasibility over 1 + |y|, or the violation.
+    """
+    from invarcheck.sets import outside_violation
+    from invarcheck.solvers import phase_one_feasibility
+    from invarcheck.tangent import (
+        FULLSPACE, GENERATED, HALFSPACES, SELF_CONE, tangent_cone_at)
+
+    out = []
+    for bp in samples:
+        t = tangent_cone_at(s, bp, tol)
+        y = np.asarray(sys.field(t0, bp.point), dtype=float)
+        ny = float(np.linalg.norm(y))
+        if t.kind == FULLSPACE:
+            out.append((True, 0.0))
+        elif t.kind == GENERATED:
+            cols = [t.generators.T]
+            free = ()
+            if t.free_generator is not None:
+                cols.append(t.free_generator.reshape(-1, 1))
+                free = (t.generators.shape[0],)
+            opt, _ = phase_one_feasibility(np.hstack(cols), y, free)
+            out.append((opt <= tol * (1.0 + ny), float(opt) / (1.0 + ny)))
+        elif t.kind == SELF_CONE:
+            violation = outside_violation(t.set_ref, y)
+            out.append((violation <= tol, violation))
+        else:
+            rows = t.normals if t.kind == HALFSPACES else t.q_normal.reshape(1, -1)
+            inside, worst = True, 0.0
+            for g in rows:
+                flux = float(g @ y)
+                scale = 1.0 + float(np.linalg.norm(g)) * ny
+                inside = inside and not flux > tol * scale
+                worst = max(worst, flux / scale)
+            out.append((inside, worst))
+    return out

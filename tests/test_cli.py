@@ -399,6 +399,25 @@ def test_scalar_formula_parts_behave_as_on_a_coordinate(tmp_path, capsys, formul
         assert (code, out.replace(formula, on_coordinate), err) == want, command
 
 
+@pytest.mark.parametrize("formula", ["x1/0", "1/0"])
+def test_sampled_check_names_the_point_where_the_field_is_not_finite(tmp_path, capsys,
+                                                                     formula):
+    code, out, err = run_cli(capsys, "check", _expression_problem(tmp_path, formula),
+                             "--samples", "5", "--no-timing")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: the field is not finite at boundary point [1.0]\n"
+
+
+@pytest.mark.parametrize("formula", ["x1/0", "1/0"])
+def test_falsify_on_a_non_finite_field_is_an_input_error(tmp_path, capsys, formula):
+    # the field is inf at every start, so no trajectory could be followed:
+    # an input error, not "no exit found"
+    code, out, err = run_cli(capsys, "falsify", _expression_problem(tmp_path, formula),
+                             "--samples", "5", "--horizon", "0.01", "--no-timing")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: the field is not finite at start [0.999999998]\n"
+
+
 @pytest.mark.parametrize("terms", [250, 990, 3000],
                          ids=["past-the-cap", "compile-recursion", "parse-recursion"])
 def test_deep_formula_exits_64(tmp_path, capsys, terms):

@@ -3,6 +3,7 @@ import pytest
 
 from invarcheck.errors import DimensionMismatch, EmptyBoundary, InputError
 from invarcheck.sets import (
+    BoundaryPoint,
     Ellipsoid,
     HPolyhedron,
     LorenzCone,
@@ -10,6 +11,8 @@ from invarcheck.sets import (
     VCone,
     VPolytope,
     active_constraints,
+    inward_direction,
+    inward_directions,
     membership,
     orthant_h,
     orthant_v,
@@ -299,3 +302,48 @@ def test_facet_bound_falls_back_to_lp(monkeypatch):
     assert (np.abs(xs).sum(axis=0) > 1.0).any() and (np.abs(xs).sum(axis=0) < 1.0).any()
     for bp in sample_boundary(big, 30, seed=4):
         assert membership(big, bp.point) is Membership.BOUNDARY
+
+
+def _inward_reference(s, bp):
+    """The inward direction of one point as computed before the batch."""
+    if isinstance(s, HPolyhedron):
+        d = np.zeros(s.dim)
+        for i in bp.active if isinstance(bp.active, list) else []:
+            d -= s.G[i] / (np.linalg.norm(s.G[i]) + 1e-300)
+    elif isinstance(s, (VPolytope, VCone)):
+        scale = 1.0 + np.linalg.norm(bp.point) if isinstance(s, VCone) else 1.0
+        d = np.mean(s._points, axis=0) * scale - bp.point
+    elif bp.active == "apex":
+        d = s.u_n.copy()
+    else:
+        d = -(s.Q @ bp.point)
+    nrm = np.linalg.norm(d)
+    return None if nrm < 1e-12 else d / nrm
+
+
+@pytest.mark.parametrize("s", [
+    HPolyhedron([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
+                [1.0, 1.0, 1.0, 1.0]),
+    orthant_h(3),
+    VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    VCone([[1.0, 0.2, 0.1], [0.3, 1.0, 0.0], [0.0, 0.4, 1.0]]),
+    Ellipsoid([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]]),
+    LorenzCone(np.diag([1.0, 1.0, -1.0])),
+], ids=lambda s: type(s).__name__)
+def test_inward_directions_match_the_per_point_formula(s):
+    # unit directions, to rounding; none where the formula gives none (an
+    # H-form point without active rows, a V-polytope's vertex mean)
+    points = sample_boundary(s, 60, seed=2)
+    points.append(BoundaryPoint(points[-1].point, None))
+    if isinstance(s, VPolytope):
+        points.append(BoundaryPoint(np.mean(s.vertices, axis=0), [0, 1]))
+    d = inward_directions(s, np.column_stack([bp.point for bp in points]),
+                          [bp.active for bp in points])
+    for k, bp in enumerate(points):
+        ref = _inward_reference(s, bp)
+        one = inward_direction(s, bp)
+        if ref is None:
+            assert one is None and not np.any(d[:, k])
+        else:
+            np.testing.assert_allclose(d[:, k], ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(one, ref, rtol=0, atol=1e-15)
