@@ -304,8 +304,9 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     at once (tangent.first_outside): its outward flux against the
     halfspace rows, facets or quadratic normal that bind there. The lowest
     refuting sample is the counterexample, with the largest normalised
-    flux as its violation. A field that is not finite at a sample before
-    that one is an InputError naming the point.
+    flux as its violation (the L1 infeasibility of its tangent-cone LP for
+    a vertex or ray form without enumerated facets). A field that is not
+    finite at a sample before that one is an InputError naming the point.
     """
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])

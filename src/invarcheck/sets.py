@@ -21,10 +21,11 @@ inward(points, active) and tangent_test(points, active, y, tol), where tol
 is the user's boundary band (the vertex and ray forms scale it by scale(x)
 and hold their membership LP's interior margin and infeasibility against
 it). The batch methods take points as the columns of an n x N array, with
-their active sets as sample_boundary gives them. tangent_test is Nagumo's
-test of the directions y at those points: every family reduces it to
-outward fluxes against the halfspace rows that bind at each point, judged
-by one formula (flux_residual). The module-level functions below validate
+their active sets as sample_boundary gives them; membership takes one
+point or such an array. tangent_test is Nagumo's test of the directions y
+at those points: every family reduces it to outward fluxes against the
+halfspace rows that bind at each point, judged by one formula
+(flux_residual). The module-level functions below validate
 their arguments and call those methods; the rest of the package calls the
 functions.
 """
@@ -82,6 +83,15 @@ class Membership(Enum):
     OUTSIDE = "outside"
 
 
+_CLASSES = np.array(list(Membership), dtype=object)
+
+
+def _classify(outside, boundary):
+    """The Membership of one point from its flags, or an array of them from
+    flag arrays; outside wins over boundary."""
+    return _CLASSES[np.where(outside, 2, np.where(boundary, 1, 0))]
+
+
 @dataclass
 class BoundaryPoint:
     """A boundary point with what is active there.
@@ -111,14 +121,11 @@ class HPolyhedron:
     def dim(self):
         return self.G.shape[1]
 
-    def membership(self, x, tol: float) -> Membership:
-        slack = self.G @ x - self.b
-        bands = tol * (1.0 + np.abs(self.b))
-        if np.any(slack > bands):
-            return Membership.OUTSIDE
-        if np.any(slack >= -bands):
-            return Membership.BOUNDARY
-        return Membership.INSIDE
+    def membership(self, x, tol: float):
+        b = self.b.reshape((-1,) + (1,) * (x.ndim - 1))
+        slack = self.G @ x - b
+        bands = tol * (1.0 + np.abs(b))
+        return _classify(np.any(slack > bands, axis=0), np.any(slack >= -bands, axis=0))
 
     def violation(self, states) -> np.ndarray:
         if self.G.shape[0] == 0:
@@ -195,11 +202,11 @@ class HPolyhedron:
 
     def tangent_test(self, x, active, y, tol: float):
         """The rows within the band tol of each point bind there (its active
-        set is not read); NotMember if a point is outside the band."""
+        set is not read); NotMember if membership puts a point outside."""
+        if np.any(membership(self, x, tol) == Membership.OUTSIDE):
+            raise NotMember("point is outside the polyhedron")
         slack = self.G @ x - self.b[:, None]
         bands = (tol * (1.0 + np.abs(self.b)))[:, None]
-        if np.any(slack > bands):
-            raise NotMember("point is outside the polyhedron")
         return flux_residual(self.G @ y, np.linalg.norm(self.G, axis=1)[:, None],
                              np.linalg.norm(y, axis=0), tol, np.abs(slack) <= bands)
 
@@ -330,7 +337,10 @@ class _VForm:
             return False, 0.0, obj
         return True, float(z[0]), 0.0
 
-    def membership(self, x, tol: float) -> Membership:
+    def membership(self, x, tol: float):
+        """One LP per point (per column of an n x N array)."""
+        if x.ndim == 2:
+            return np.array([self.membership(col, tol) for col in x.T], dtype=object)
         feasible, delta, infeas = self._lp(x)
         band = tol * self._scale(x)
         if not feasible:
@@ -403,8 +413,10 @@ class _VForm:
     def tangent_test(self, x, active, y, tol: float):
         """The facets holding every generator of a point's active set bind
         there, and the equality rows bind both ways, all cut to the first
-        dim coordinates (a direction lifts with a trailing 0). None without
-        facets: the caller then decides each point by LP."""
+        dim coordinates (a direction lifts with a trailing 0) and scaled to
+        unit length, so that the test does not depend on the set's size (a
+        row whose cut is zero is dropped). None without facets: the caller
+        then decides each point by LP."""
         facets = self._facets
         if facets is None:
             return None
@@ -419,8 +431,10 @@ class _VForm:
         eq = facets.eq[:, :n]
         rows = np.vstack([-facets.normals[:, :n], eq, -eq])
         binds = np.vstack([off @ held == 0.0, np.ones((2 * eq.shape[0], len(active)), bool)])
-        return flux_residual(rows @ y, np.linalg.norm(rows, axis=1)[:, None],
-                             np.linalg.norm(y, axis=0), tol, binds)
+        norms = np.linalg.norm(rows, axis=1)
+        keep = norms > 0.0
+        return flux_residual((rows[keep] / norms[keep, None]) @ y, 1.0,
+                             np.linalg.norm(y, axis=0), tol, binds[keep])
 
 
 class VPolytope(_VForm):
@@ -511,14 +525,10 @@ class Ellipsoid:
     def dim(self):
         return self.Q.shape[0]
 
-    def membership(self, x, tol: float) -> Membership:
-        v = float(x @ self.Q @ x)
+    def membership(self, x, tol: float):
+        v = np.sum(x * (self.Q @ x), axis=0)
         b = tol * 2.0
-        if v - 1.0 > b:
-            return Membership.OUTSIDE
-        if abs(v - 1.0) <= b:
-            return Membership.BOUNDARY
-        return Membership.INSIDE
+        return _classify(v - 1.0 > b, np.abs(v - 1.0) <= b)
 
     def violation(self, states) -> np.ndarray:
         quad = np.sum(states * (self.Q @ states), axis=0)
@@ -590,17 +600,13 @@ class LorenzCone:
     def dim(self):
         return self.Q.shape[0]
 
-    def membership(self, x, tol: float) -> Membership:
-        nx = float(np.linalg.norm(x))
-        qv = float(x @ self.Q @ x)
-        lv = float(x @ self.Q @ self.u_n)
+    def membership(self, x, tol: float):
+        nx = np.linalg.norm(x, axis=0)
+        qv = np.sum(x * (self.Q @ x), axis=0)
+        lv = (self.Q @ self.u_n) @ x
         band_q = tol * (1.0 + nx * nx)
         band_l = tol * (1.0 + nx)
-        if qv > band_q or lv > band_l:
-            return Membership.OUTSIDE
-        if abs(qv) <= band_q:
-            return Membership.BOUNDARY
-        return Membership.INSIDE
+        return _classify((qv > band_q) | (lv > band_l), np.abs(qv) <= band_q)
 
     def violation(self, states) -> np.ndarray:
         quad = np.sum(states * (self.Q @ states), axis=0)
@@ -670,14 +676,20 @@ def _check_dim(s, x):
     return x
 
 
-def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL) -> Membership:
-    """Classify a point as inside, boundary, or outside of the set.
+def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
+    """Classify a point as inside, boundary, or outside of the set; given
+    points as the columns of an n x N array, an array with the class of each.
 
     Each defining inequality carries a boundary band of tol relative to its
     right-hand side; vertex and ray forms are decided by the
     LP feasibility of the combination coefficients, with "inside" meaning
     the relative interior.
     """
+    if np.ndim(x) == 2:
+        x = as_matrix(x, "x")
+        if x.shape[0] != s.dim:
+            raise DimensionMismatch(f"points have dimension {x.shape[0]}, set has {s.dim}")
+        return s.membership(x, tol)
     return s.membership(_check_dim(s, x), tol)
 
 
@@ -746,9 +758,3 @@ def inward_directions(s: ConvexSet, points, active) -> np.ndarray:
     nrm = np.linalg.norm(d, axis=0)
     clear = nrm >= 1e-12
     return np.where(clear, d / np.where(clear, nrm, 1.0), 0.0)
-
-
-def inward_direction(s: ConvexSet, bp: BoundaryPoint) -> np.ndarray | None:
-    """A unit direction from the boundary point toward the set, if one is clear."""
-    d = inward_directions(s, bp.point.reshape(-1, 1), [bp.active])[:, 0]
-    return d if np.any(d) else None

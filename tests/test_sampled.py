@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from invarcheck import tangent
-from invarcheck.checkers import Decision, check_nonlinear_sampled
+from invarcheck.checkers import Decision, check, check_nonlinear_sampled
 from invarcheck.sets import (
     DEFAULT_TOL,
+    BoundaryPoint,
     Ellipsoid,
     HPolyhedron,
     LorenzCone,
@@ -74,42 +75,55 @@ def _battery_fields(rng, n):
     ]
 
 
+def _scaled(s, c):
+    """The vertex or ray form s scaled by c; its tangent cone at c x is the
+    one of s at x."""
+    return VPolytope(s.vertices * c) if isinstance(s, VPolytope) else VCone(s.rays * c)
+
+
 def test_batch_matches_per_sample_loop_on_every_family():
     # same decision per sample wherever neither residual lies just past tol
-    # (within 10 tol of it), and the same first counterexample
+    # (within 10 tol of it), and the same first counterexample. Vertex and
+    # ray forms are also tested scaled by 1e-3 and 1e4, against the
+    # reference on the unscaled form at x / c, since the reference LP's
+    # pivot tolerances are absolute
     tol = DEFAULT_TOL
     rng = np.random.default_rng(2024)
     compared = ambiguous = refuted = passed = 0
     for s in _battery_sets(rng):
         for f, sys in enumerate(_battery_fields(rng, s.dim)):
-            samples = sample_boundary(s, 80, seed=f, tol=tol)
-            ref = sampled_nagumo_per_sample(s, sys, 0.0, samples, tol)
-            x = np.column_stack([bp.point for bp in samples])
-            y = field_batch(sys, 0.0, x)
-            inside, residual = s.tangent_test(x, [bp.active for bp in samples], y, tol)
-            first = None
-            for k, ((ref_in, ref_r), new_in, new_r) in enumerate(zip(ref, inside, residual)):
-                if any(0.5 * tol < r <= 11 * tol for r in (ref_r, new_r)):
-                    ambiguous += 1
-                    if first is None:
-                        first = "ambiguous"
+            for c in (1.0, 1e-3, 1e4) if isinstance(s, (VPolytope, VCone)) else (1.0,):
+                t = s if c == 1.0 else _scaled(s, c)
+                samples = sample_boundary(t, 80, seed=f, tol=tol)
+                x = np.column_stack([bp.point for bp in samples])
+                y = field_batch(sys, 0.0, x)
+                ref = sampled_nagumo_per_sample(
+                    s, GeneralSystem(lambda _, z: sys.field(0.0, c * z)), 0.0,
+                    [BoundaryPoint(bp.point / c, bp.active) for bp in samples], tol)
+                inside, residual = t.tangent_test(x, [bp.active for bp in samples], y, tol)
+                first = None
+                for k, ((ref_in, ref_r), new_in, new_r) in enumerate(zip(ref, inside, residual)):
+                    if any(0.5 * tol < r <= 11 * tol for r in (ref_r, new_r)):
+                        ambiguous += 1
+                        if first is None:
+                            first = "ambiguous"
+                        continue
+                    compared += 1
+                    passed += ref_in
+                    assert bool(new_in) == ref_in, (type(t).__name__, c, samples[k], ref_r, new_r)
+                    if not ref_in and first is None:
+                        first = k
+                verdict = check_nonlinear_sampled(t, sys, 0.0, 80, f, tol)
+                if first == "ambiguous":
                     continue
-                compared += 1
-                passed += ref_in
-                assert bool(new_in) == ref_in, (type(s).__name__, samples[k], ref_r, new_r)
-                if not ref_in and first is None:
-                    first = k
-            verdict = check_nonlinear_sampled(s, sys, 0.0, 80, f, tol)
-            if first == "ambiguous":
-                continue
-            if first is None:
-                assert verdict.decision is Decision.UNKNOWN, type(s).__name__
-            else:
-                refuted += 1
-                assert verdict.decision is Decision.NOT_INVARIANT
-                assert np.array_equal(verdict.counterexample.point, samples[first].point)
-    assert compared >= 12000 and ambiguous <= compared // 100
-    assert refuted >= 100 and passed >= 3000
+                if first is None:
+                    assert verdict.decision is Decision.UNKNOWN, type(t).__name__
+                else:
+                    refuted += 1
+                    assert verdict.decision is Decision.NOT_INVARIANT
+                    assert np.array_equal(verdict.counterexample.point, samples[first].point)
+    assert compared >= 27000 and ambiguous <= compared // 100
+    assert refuted >= 240 and passed >= 12000
 
 
 def test_vertex_form_above_subset_cap_takes_the_lp_path(monkeypatch):
@@ -159,6 +173,23 @@ def test_unvectorised_system_gets_the_vectorised_verdict(s, c):
     if v1.counterexample is not None:
         assert np.array_equal(v1.counterexample.point, v2.counterexample.point)
         assert v1.counterexample.violation == v2.counterexample.violation
+
+
+@pytest.mark.parametrize("width", [1e-3, 1.0, 1e4])
+def test_vertex_form_refutation_does_not_depend_on_the_set_size(width):
+    # a square whose field leaves through the right facet at speed 1e-4 but
+    # is tangent at the vertices, so only the sampled check can refute it
+    square = VPolytope(width * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+
+    def field(t, x):
+        return np.stack([1e-4 * (1.0 - (x[1] / width) ** 2), 0.0 * x[0]])
+
+    v = check(square, GeneralSystem(field, vectorized=True), n_samples=50, seed=0)
+    assert v.decision is Decision.NOT_INVARIANT
+    point = v.counterexample.point
+    assert point[0] == pytest.approx(width)
+    flux = field(0.0, point)[0]
+    assert v.counterexample.violation == pytest.approx(flux / (1.0 + flux), rel=1e-12)
 
 
 def test_sampled_check_reports_the_first_of_several_refutations():

@@ -11,7 +11,6 @@ from invarcheck.sets import (
     VCone,
     VPolytope,
     active_constraints,
-    inward_direction,
     inward_directions,
     membership,
     orthant_h,
@@ -341,9 +340,30 @@ def test_inward_directions_match_the_per_point_formula(s):
                           [bp.active for bp in points])
     for k, bp in enumerate(points):
         ref = _inward_reference(s, bp)
-        one = inward_direction(s, bp)
+        one = inward_directions(s, bp.point.reshape(-1, 1), [bp.active])[:, 0]
         if ref is None:
-            assert one is None and not np.any(d[:, k])
+            assert not np.any(one) and not np.any(d[:, k])
         else:
             np.testing.assert_allclose(d[:, k], ref, rtol=0, atol=1e-15)
             np.testing.assert_allclose(one, ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("s", [
+    UNIT_BOX,
+    orthant_h(3),
+    TRIANGLE,
+    VCone([[1.0, 0.2, 0.1], [0.3, 1.0, 0.0], [0.0, 0.4, 1.0]]),
+    Ellipsoid([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]]),
+    ICE3,
+], ids=lambda s: type(s).__name__)
+def test_membership_of_columns_matches_each_point(s):
+    # boundary samples, points pushed in and out of the set, and the origin
+    rng = np.random.default_rng(4)
+    x = np.column_stack([bp.point for bp in sample_boundary(s, 30, seed=3)])
+    x = np.hstack([x, 0.5 * x, 1.5 * x + rng.normal(scale=0.1, size=x.shape),
+                   np.zeros((s.dim, 1))])
+    classes = membership(s, x)
+    assert list(classes) == [membership(s, x[:, k]) for k in range(x.shape[1])]
+    assert set(classes) == set(Membership)
+    with pytest.raises(DimensionMismatch):
+        membership(s, np.zeros((s.dim + 1, 2)))
