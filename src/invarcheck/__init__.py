@@ -20,11 +20,10 @@ from .checkers import (
     check_vcone,
     check_vpolytope,
 )
-from .dynamics import Trajectory, expm, falsify, integrate, integrate_exact
+from .dynamics import Trajectory, falsify, integrate
 from .expressions import build_expression_system, parse_formula
 from .numerics import (
     EigenResult,
-    gen_eig_max,
     minimize_scalar_convex,
     solve_linear,
     sym_eig,
@@ -47,8 +46,6 @@ from .solvers import (
     LPFeasibilityProblem,
     OptResult,
     QPProblem,
-    kkt_residuals,
-    lp_dual_check,
     lp_feasible,
     qp_nearest,
 )
@@ -74,8 +71,7 @@ __all__ = [
     "active_constraints", "build_expression_system", "check",
     "check_ellipsoid_linear", "check_hpoly_linear", "check_lorenz_linear",
     "check_nonlinear_sampled", "check_orthant_linear", "check_vcone",
-    "check_vpolytope", "cone_contains", "expm", "falsify", "gen_eig_max",
-    "integrate", "integrate_exact", "kkt_residuals", "lp_dual_check",
+    "check_vpolytope", "cone_contains", "falsify", "integrate",
     "lp_feasible", "membership", "minimize_scalar_convex", "orthant_h",
     "orthant_v", "parse_formula", "qp_nearest", "sample_boundary",
     "solve_linear", "sym_eig", "tangent_cone_at", "tangent_h",

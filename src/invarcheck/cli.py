@@ -6,13 +6,14 @@ Reports are machine-readable JSON on stdout (deterministic modulo the
 timing block, which --no-timing drops) with a human summary on stderr.
 
 Exit codes: 0 invariant / no exit found, 1 not invariant / exit found,
-2 unknown, 64 input error, 65 point not on the boundary, 70 numerical
-failure or internal error.
+2 unknown, 64 input or usage error, 65 point not on the boundary, 70
+numerical failure or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -342,7 +343,9 @@ def cmd_version(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="invarcheck",
         description="Decide positive invariance of convex sets under continuous dynamics")
@@ -380,7 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, EXIT_UNKNOWN here, after a usage error message
+        return EXIT_INPUT if exc.code else 0
     try:
         return args.func(args)
     except (InputError, EmptySet, EmptyBoundary) as exc:

@@ -1,10 +1,10 @@
 """Trajectory integration and simulation-based falsification.
 
-The integrator is fixed-step classic Runge-Kutta; for linear systems an
-exact propagator through the matrix exponential is available as the
-reference path. The falsifier launches trajectories from boundary samples
-(nudged slightly inward) and reports the first start whose trajectory
-leaves the set beyond a strict band.
+The integrator is fixed-step classic Runge-Kutta, and so is the falsifier,
+which for a linear field applies the RK4 step as one matrix. The falsifier
+launches trajectories from boundary samples (nudged slightly inward) and
+reports the first start whose trajectory leaves the set beyond a strict
+band.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import as_square, as_vector
+from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
     BoundaryPoint,
@@ -56,34 +56,6 @@ class Trajectory:
                 fh.write(text)
 
 
-def _pade6_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by sixth-order Pade with scaling and squaring."""
-    n = a.shape[0]
-    nrm = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
-    squarings = max(0, int(math.ceil(math.log2(nrm / 0.5))) ) if nrm > 0.5 else 0
-    a_s = a / (2.0 ** squarings)
-    m = 6
-    coeff = 1.0
-    num = np.eye(n)
-    den = np.eye(n)
-    power = np.eye(n)
-    for k in range(1, m + 1):
-        coeff *= (m - k + 1) / (k * (2 * m - k + 1))
-        power = power @ a_s
-        num = num + coeff * power
-        den = den + coeff * ((-1.0) ** k) * power
-    # den is the Pade denominator of a matrix of norm <= 0.5, so never singular
-    f = np.linalg.solve(den, num)
-    for _ in range(squarings):
-        f = f @ f
-    return f
-
-
-def expm(a) -> np.ndarray:
-    """exp(A) for a square matrix."""
-    return _pade6_expm(as_square(a, "A"))
-
-
 def _rk4_step(sys_field, t, x, h):
     k1 = sys_field(t, x)
     k2 = sys_field(t + 0.5 * h, x + (0.5 * h) * k1)
@@ -105,14 +77,19 @@ def _step_grid(horizon: float, step: float) -> int:
     return int(round(horizon / step))
 
 
-def _step_loop(advance, x0, t0, nsteps, step) -> Trajectory:
-    """Apply x <- advance(t, x) nsteps times from t0, truncating as integrate says."""
+def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) -> Trajectory:
+    """Classic fixed-step RK4 from t0 over the horizon.
+
+    Truncates with diverged=True when a state goes non-finite or its norm
+    exceeds the divergence threshold.
+    """
+    nsteps = _step_grid(horizon, step)
+    x = as_vector(x0, "x0").copy()
     times = [t0]
-    states = [x0.copy()]
-    x = x0.copy()
+    states = [x.copy()]
     diverged = False
     for k in range(nsteps):
-        x = advance(t0 + k * step, x)
+        x = _rk4_step(sys.field, t0 + k * step, x, step)
         if not np.all(np.isfinite(x)):
             diverged = True
             break
@@ -122,25 +99,6 @@ def _step_loop(advance, x0, t0, nsteps, step) -> Trajectory:
             diverged = True
             break
     return Trajectory(np.array(times), np.array(states), step, diverged)
-
-
-def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) -> Trajectory:
-    """Classic fixed-step RK4 from t0 over the horizon.
-
-    Truncates with diverged=True when a state goes non-finite or its norm
-    exceeds the divergence threshold.
-    """
-    nsteps = _step_grid(horizon, step)
-    return _step_loop(lambda t, x: _rk4_step(sys.field, t, x, step),
-                      as_vector(x0, "x0"), t0, nsteps, step)
-
-
-def integrate_exact(sys: LinearSystem, x0, t0: float, horizon: float,
-                    step: float) -> Trajectory:
-    """Exact linear propagation x(t0 + k h) = exp(A h)^k x0."""
-    nsteps = _step_grid(horizon, step)
-    prop = expm(sys.a * step)
-    return _step_loop(lambda t, x: prop @ x, as_vector(x0, "x0"), t0, nsteps, step)
 
 
 def _nudged_starts(s: ConvexSet, points) -> np.ndarray:
@@ -193,17 +151,9 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
 
     rk4_map = None
     if isinstance(sys, LinearSystem):
-        # for a linear field the RK4 update is exactly the degree-4 Taylor
-        # polynomial of exp(hA), so one matmul advances the whole batch
+        # a linear field's RK4 step is one matrix, the step applied to the identity
         a = sys.a
-        n = a.shape[0]
-        rk4_map = np.eye(n)
-        power = np.eye(n)
-        fact = 1.0
-        for k in range(1, 5):
-            power = power @ (step * a)
-            fact *= k
-            rk4_map = rk4_map + power / fact
+        rk4_map = _rk4_step(lambda t, x: a @ x, t0, np.eye(a.shape[0]), step)
     else:
         # a trajectory that is not finite from its first step would be
         # dropped unseen, so such a field is an input error, not "no exit"

@@ -74,9 +74,6 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.eigenvectors @ np.diag(self.eigenvalues) @ self.eigenvectors.T
-
 
 def solve_linear(a, b) -> np.ndarray:
     """Solve Ax = b by LAPACK; SingularMatrix if cond(A) > 1 / _COND_TOL (inf if singular)."""
@@ -154,12 +151,6 @@ def gen_eig_max_witness(m, q):
     lam = float(res.eigenvalues[0])
     x = np.linalg.solve(low.T, res.eigenvectors[:, 0])
     return lam, x
-
-
-def gen_eig_max(m, q) -> float:
-    """Largest generalized eigenvalue of the symmetric pencil (M, Q), Q SPD."""
-    lam, _ = gen_eig_max_witness(m, q)
-    return lam
 
 
 def gershgorin_radius(m) -> float:

@@ -10,7 +10,8 @@ that slack and only the other rows on artificial variables, so an
 infeasible inequality LP's phase-one value sums the residuals of those
 other rows only; equality-only LPs start every row on an artificial. Beside
 it sits an equality-constrained nonnegative least-squares model whose
-optimal objective is half the squared distance to the generated cone.
+optimal objective is half the squared distance to the generated cone; its
+first-order conditions are checked in the tests, by tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import DimensionMismatch, IterationLimit, NumericalFailure
 from .numerics import as_matrix, as_vector
 
 _FEASIBILITY_TOL = 1e-9  # LP phase-one residual acceptance
-_KKT_TOL = 1e-7          # primal residual and sign acceptance of lp_dual_check
 _REDCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50000
@@ -310,20 +310,6 @@ def lp_feasible(p: LPFeasibilityProblem) -> OptResult:
     return OptResult("feasible", a, None, 0.0)
 
 
-def lp_dual_check(p: LPFeasibilityProblem, primal: OptResult) -> bool:
-    """Certify a feasible primal through the dual optimality system.
-
-    The primal objective is constant, so the zero dual vector is optimal and
-    every dual row holds; only the primal equality and sign rows can fail.
-    """
-    if primal.status != "feasible" or primal.alpha is None:
-        return False
-    a = primal.alpha
-    resid = float(np.max(np.abs(p.matrix @ a - p.rhs))) if p.rhs.size else 0.0
-    scale = 1.0 + float(np.max(np.abs(p.rhs))) if p.rhs.size else 1.0
-    return not (resid > _KKT_TOL * scale or np.any(np.delete(a, p.free_index) < -_KKT_TOL))
-
-
 def nnls(d_mat, f, max_changes=None) -> np.ndarray:
     """Lawson-Hanson active-set solve of min ||D b - f||^2 over b >= 0.
 
@@ -397,26 +383,3 @@ def qp_nearest(p: QPProblem) -> OptResult:
         eta[j] = float(x_mat[:, j] @ r) + eta_eq
     objective = 0.5 * float(r @ r)
     return OptResult("optimal", alpha, eta, objective)
-
-
-def kkt_residuals(p: QPProblem, r: OptResult) -> np.ndarray:
-    """(stationarity, equality, sign, complementarity) residual norms of the
-    nearest-point program's first-order system."""
-    if r.status != "optimal" or r.alpha is None or r.multipliers is None:
-        raise NumericalFailure("kkt_residuals needs an optimal result")
-    x_mat = p.coeff_matrix
-    a = r.alpha
-    eta = r.multipliers
-    l1 = x_mat.shape[1]
-    grad = x_mat.T @ (x_mat @ a - p.f) + eta[p.free_index] * np.ones(l1)
-    ineq_mult = eta.copy()
-    ineq_mult[p.free_index] = 0.0
-    stationarity = float(np.max(np.abs(grad - ineq_mult))) if l1 else 0.0
-    equality = abs(float(np.sum(a)))
-    sign = 0.0
-    comp = 0.0
-    for j in range(l1):
-        if j != p.free_index:
-            sign = max(sign, -float(a[j]))
-            comp += float(eta[j] * a[j])
-    return np.array([stationarity, equality, max(sign, 0.0), abs(comp)])

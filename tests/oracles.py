@@ -37,6 +37,22 @@ def power_iteration_gen_eig_max(m, q, squarings=80):
     return float((v @ m @ v) / (v @ q @ v))
 
 
+def taylor_expm(a, degree):
+    """Taylor polynomial of exp(A) of the given degree, summed term by term.
+
+    The degree-4 polynomial of exp(hA) is what one RK4 step applies to a
+    linear field. With ||A||inf <= 1e-3, degree 12 leaves a remainder far
+    below rounding, so the sum is exp(A) to machine precision.
+    """
+    a = np.asarray(a, dtype=float)
+    term = np.eye(a.shape[0])
+    total = term.copy()
+    for k in range(1, degree + 1):
+        term = term @ a / k
+        total = total + term
+    return total
+
+
 def grid_scan_min(f, bracket, num=1001, stages=3):
     """Telescoped dense-grid minimum of a scalar function over a bracket.
 
@@ -97,6 +113,30 @@ def enumerate_qp_nearest(x_mat, f, free_index, sign_tol=1e-9):
                 best = (obj, alpha)
     assert best is not None, "enumeration found no sign-feasible stationary point"
     return best
+
+
+def kkt_residuals(p, r):
+    """(stationarity, equality, sign, complementarity) residual norms of the
+    nearest-point program's first-order system, for a QPProblem p and the
+    OptResult r of qp_nearest."""
+    if r.status != "optimal" or r.alpha is None or r.multipliers is None:
+        raise ValueError("kkt_residuals needs an optimal result")
+    x_mat = p.coeff_matrix
+    a = r.alpha
+    eta = r.multipliers
+    l1 = x_mat.shape[1]
+    grad = x_mat.T @ (x_mat @ a - p.f) + eta[p.free_index] * np.ones(l1)
+    ineq_mult = eta.copy()
+    ineq_mult[p.free_index] = 0.0
+    stationarity = float(np.max(np.abs(grad - ineq_mult))) if l1 else 0.0
+    equality = abs(float(np.sum(a)))
+    sign = 0.0
+    comp = 0.0
+    for j in range(l1):
+        if j != p.free_index:
+            sign = max(sign, -float(a[j]))
+            comp += float(eta[j] * a[j])
+    return np.array([stationarity, equality, max(sign, 0.0), abs(comp)])
 
 
 def metzler_violation(a, tol=1e-10):

@@ -130,6 +130,27 @@ def test_bad_numeric_options_exit_64(capsys, argv):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["check", "hpolyhedron_box.json", "--bogus"],
+    ["check", "hpolyhedron_box.json", "--samples", "x"],
+    ["frobnicate"],
+], ids=["missing-file", "unknown-flag", "bad-int", "unknown-command"])
+def test_usage_errors_exit_64(capsys, argv):
+    # argparse's own exit code 2 would read as EXIT_UNKNOWN
+    argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert "usage: invarcheck" in out
+
+
 def test_step_count_cap_exits_64(capsys):
     # 1e13 RK4 steps would not finish; the pair is rejected before any step
     code, _, err = run_cli(capsys, "falsify", str(PROBLEMS / "hpolyhedron_box.json"),

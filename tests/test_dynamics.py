@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from invarcheck.dynamics import MAX_STEPS, _step_grid, expm, falsify, integrate, integrate_exact
+from invarcheck import dynamics
+from invarcheck.dynamics import MAX_STEPS, _step_grid, falsify, integrate
 from invarcheck.errors import InputError
 from invarcheck.sets import Ellipsoid, HPolyhedron, LorenzCone, VCone, orthant_h
 from invarcheck.systems import GeneralSystem, LinearSystem
+
+from oracles import taylor_expm
 
 
 def test_zero_field_constant_trajectory():
@@ -29,29 +32,6 @@ def test_rotation_returns_home():
     assert np.allclose(tr.states[-1], [1.0, 0.0], atol=1e-5)
 
 
-def test_expm_zero_is_identity():
-    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
-
-
-def test_expm_inverse_property():
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        n = int(rng.integers(1, 6))
-        a = rng.normal(size=(n, n))
-        nrm = np.max(np.sum(np.abs(a), axis=1))
-        if nrm > 2.0:
-            a *= 2.0 / nrm
-        prod = expm(a) @ expm(-a)
-        assert np.max(np.abs(prod - np.eye(n))) <= 1e-8
-
-
-def test_expm_matches_series_small():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]]) * 0.3
-    # closed form: rotation by 0.3
-    expected = np.array([[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]])
-    assert np.max(np.abs(expm(a) - expected)) <= 1e-12
-
-
 def test_rk4_tracks_exact_linear_path():
     rng = np.random.default_rng(43)
     for _ in range(5):
@@ -61,9 +41,37 @@ def test_rk4_tracks_exact_linear_path():
         x0 = rng.normal(size=n)
         step = 1e-3 / (1.0 + np.max(np.sum(np.abs(a), axis=1)))
         approx = integrate(sys, x0, 0.0, 200 * step, step)
-        exact = integrate_exact(sys, x0, 0.0, 200 * step, step)
-        for xa, xe in zip(approx.states, exact.states):
+        # h||A||inf <= 1e-3, so the degree-12 series is exp(hA) to rounding
+        prop = taylor_expm(step * a, 12)
+        xe = x0
+        assert len(approx.states) == 201
+        for xa in approx.states:
             assert np.max(np.abs(xa - xe)) <= 1e-6 * (1.0 + np.max(np.abs(xe)))
+            xe = prop @ xe
+
+
+def test_falsify_linear_map_is_the_degree_4_taylor_polynomial(monkeypatch):
+    # falsify builds one RK4 step of a linear field, applied to the identity,
+    # and never evaluates the field again; that map is the degree-4 Taylor
+    # polynomial of exp(hA)
+    maps = []
+    rk4_step = dynamics._rk4_step
+
+    def recording_step(*args):
+        maps.append(rk4_step(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(dynamics, "_rk4_step", recording_step)
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        a = rng.normal(size=(n, n))
+        h = float(10.0 ** rng.uniform(-4.0, 0.0))
+        maps.clear()
+        falsify(Ellipsoid(np.eye(n)), LinearSystem(a), 1, h, h, seed=0)
+        assert len(maps) == 1
+        taylor = taylor_expm(h * a, 4)
+        assert np.max(np.abs(maps[0] - taylor)) <= 1e-14 * (1.0 + np.max(np.abs(taylor)))
 
 
 def test_rk4_order_via_step_halving():
