@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySet, InputError, NumericalFailure
+from .errors import EmptySet, InputError, NoConvergence, NumericalFailure
 from .numerics import (
     as_square,
     gen_eig_max_witness,
@@ -232,10 +232,10 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     same flux. Q is indefinite, so by the S-lemma with equality (Polik &
     Terlaky, SIAM Review 2007) the flux is nonpositive on the whole surface
     exactly when some eta makes M - eta*Q negative semidefinite. The convex
-    phi(eta) = lambda_max(M - eta*Q) is minimized by golden section over
-    |eta| <= beta: with r the Gershgorin radius of M, phi(eta) >= -r +
-    |eta|*min|eig Q| and phi(0) <= r, so the minimizer lies in
-    |eta| <= 2r/min|eig Q| < beta.
+    phi(eta) = lambda_max(M - eta*Q) is minimized over |eta| <= beta by
+    bisection on its subgradient -v'Qv, v the top unit eigenvector: with r
+    the Gershgorin radius of M, phi(eta) >= -r + |eta|*min|eig Q| and
+    phi(0) <= r, so the minimizer lies in |eta| <= 2r/min|eig Q| < beta.
 
     phi* <= _PENCIL_TOL certifies invariance with eta*. Otherwise the
     eigenvectors V of M - eta*Q with eigenvalue >= phi*/2 span a subspace
@@ -255,7 +255,12 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     beta = 10.0 * (1.0 + gershgorin_radius(m)) / float(np.min(np.abs(c.eigenvalues)))
 
     def pencil_max(eta):
-        return float(sym_eig(m - eta * c.Q).eigenvalues[0])
+        # m and Q are exactly symmetric, so LAPACK needs no sym_eig checks
+        try:
+            w, v = np.linalg.eigh(m - eta * c.Q)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"eigh did not converge: {exc}") from exc
+        return float(w[-1]), -float(v[:, -1] @ c.Q @ v[:, -1])
 
     tau = max(1e-12, min(1e-10, 1e-10 / (1.0 + gershgorin_radius(c.Q))))
     eta_star, phi_star = minimize_scalar_convex(pencil_max, (-beta, beta), tau)

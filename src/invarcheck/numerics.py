@@ -3,8 +3,8 @@
 Everything here is pure and operates on plain numpy arrays validated at
 entry: linear solves and Cholesky factors on LAPACK with conditioning and
 pivot checks, a symmetric eigensolver on LAPACK's eigh, generalized
-symmetric eigenvalues through a Cholesky reduction, and a golden-section
-minimizer for convex scalar functions.
+symmetric eigenvalues through a Cholesky reduction, and a minimizer for
+convex scalar functions by bisection on a subgradient.
 """
 
 from __future__ import annotations
@@ -161,41 +161,27 @@ def gershgorin_radius(m) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def minimize_scalar_convex(f, bracket, tol: float = 1e-8):
-    """Golden-section minimum of a convex scalar function over a finite bracket.
+    """Minimum of a convex scalar function over a finite bracket, by bisection
+    on a subgradient: f(x) returns (value, slope) with slope a subgradient.
 
-    Returns (argmin, value at argmin); argmin is within tol of a minimizer.
-    When tol is below the float spacing of the bracket, the search stops once
-    the bracket no longer shrinks and returns the best point evaluated.
+    Returns (argmin, value at argmin), the midpoint of the final bracket,
+    which holds a minimizer and is at most tol wide. When tol is below the
+    float spacing of the bracket, the search stops once the bracket no
+    longer shrinks.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise BadBracket(f"bracket ({lo}, {hi}) is degenerate")
     if not (tol > 0.0):
         raise BadBracket("tol must be positive")
-    h = hi - lo
-    if h <= tol:
-        x = 0.5 * (lo + hi)
-        return x, float(f(x))
-    c = hi - _INVPHI * h
-    d = lo + _INVPHI * h
-    yc, yd = float(f(c)), float(f(d))
-    while h > tol:
-        if yc < yd:
-            hi, d, yd = d, c, yc
-            c = hi - _INVPHI * (hi - lo)
-            yc = float(f(c))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # tol is below the float spacing of the bracket
+        if f(mid)[1] >= 0.0:
+            hi = mid
         else:
-            lo, c, yc = c, d, yd
-            d = lo + _INVPHI * (hi - lo)
-            yd = float(f(d))
-        if hi - lo >= h:
-            # tol is below the float spacing of the bracket, which no longer
-            # shrinks: return the best point evaluated
-            return (c, yc) if yc <= yd else (d, yd)
-        h = hi - lo
+            lo = mid
     x = 0.5 * (lo + hi)
-    return x, float(f(x))
+    return x, float(f(x)[0])

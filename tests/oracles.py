@@ -6,6 +6,7 @@ asserted against library output should come from one of these.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -72,6 +73,41 @@ def grid_scan_min(f, bracket, num=1001, stages=3):
         lo = max(blo, best_x - step)
         hi = min(bhi, best_x + step)
     return best_x, best_v
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(f, bracket, tol):
+    """Golden-section minimum of a convex scalar f(x) -> value over a bracket.
+
+    The library's eta search before it became bisection on a subgradient,
+    kept as a value-only reference. Returns (argmin, value); when tol is
+    below the float spacing of the bracket, it stops once the bracket no
+    longer shrinks and returns the best point evaluated.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    h = hi - lo
+    if h <= tol:
+        x = 0.5 * (lo + hi)
+        return x, float(f(x))
+    c = hi - _INVPHI * h
+    d = lo + _INVPHI * h
+    yc, yd = float(f(c)), float(f(d))
+    while h > tol:
+        if yc < yd:
+            hi, d, yd = d, c, yc
+            c = hi - _INVPHI * (hi - lo)
+            yc = float(f(c))
+        else:
+            lo, c, yc = c, d, yd
+            d = lo + _INVPHI * (hi - lo)
+            yd = float(f(d))
+        if hi - lo >= h:
+            return (c, yc) if yc <= yd else (d, yd)
+        h = hi - lo
+    x = 0.5 * (lo + hi)
+    return x, float(f(x))
 
 
 def enumerate_qp_nearest(x_mat, f, free_index, sign_tol=1e-9):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from invarcheck.checkers import (
     check_vpolytope,
 )
 from invarcheck.dynamics import falsify
-from invarcheck.errors import EmptySet, InputError, NumericalFailure
+from invarcheck.errors import EmptySet, InputError, NoConvergence, NumericalFailure
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -29,7 +31,7 @@ from invarcheck.sets import (
 )
 from invarcheck.systems import GeneralSystem, LinearSystem
 
-from oracles import metzler_violation
+from oracles import golden_section_min, metzler_violation
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -393,7 +395,7 @@ def test_lorenz_unconfirmed_ray_is_numerical_failure(monkeypatch):
     # at eta = 10 the top eigenvector of A'Q + QA - eta*Q for A = I is the
     # cone axis, so no boundary ray with outward flux can be built from it
     monkeypatch.setattr(checkers, "minimize_scalar_convex",
-                        lambda f, bracket, tol: (10.0, f(10.0)))
+                        lambda f, bracket, tol: (10.0, f(10.0)[0]))
     with pytest.raises(NumericalFailure):
         check_lorenz_linear(ICE3, np.eye(3))
 
@@ -412,6 +414,120 @@ def test_lorenz_scaled_identity_is_never_refuted():
             except NumericalFailure:
                 continue
             assert v.decision is Decision.INVARIANT, (c, trial)
+
+
+def _lorenz_battery():
+    """Seeded cones (n 3-10) under A = Q^-1 (S -+ P) + cI, where eta = 2c
+    certifies the minus sign and every boundary ray has outward flux under
+    the plus sign; narrow caps and random fields; and the rotated ice-cream
+    cones under c*I of test_lorenz_scaled_identity_is_never_refuted."""
+    rng = np.random.default_rng(610)
+    for trial in range(60):
+        n = int(rng.integers(3, 11))
+        u = _orthogonal(rng, n)
+        w = np.concatenate([rng.uniform(0.5, 2.0, n - 1), [-rng.uniform(0.5, 2.0)]])
+        q = u @ np.diag(w) @ u.T
+        skew = rng.normal(size=(n, n))
+        b = rng.normal(size=(n, n))
+        sign = -1.0 if trial % 2 else 1.0
+        a = (np.linalg.solve(q, skew - skew.T + sign * (b @ b.T + 0.1 * np.eye(n)))
+             + rng.uniform(-1.0, 1.0) * np.eye(n))
+        yield False, LorenzCone(q), a
+    for _ in range(30):
+        yield (False, *_narrow_cap(rng, int(rng.integers(3, 11)), 10.0 ** rng.uniform(-6.0, 0.0)))
+    for _ in range(30):
+        n = int(rng.integers(3, 11))
+        u = _orthogonal(rng, n)
+        w = np.concatenate([rng.uniform(0.5, 2.0, n - 1), [-rng.uniform(0.5, 2.0)]])
+        yield False, LorenzCone(u @ np.diag(w) @ u.T), rng.normal(size=(n, n))
+    rng = np.random.default_rng(604)
+    for c in (1e7, 1e8):
+        for trial in range(40):
+            t = np.eye(3) if trial == 0 else _orthogonal(rng, 3)
+            yield True, LorenzCone(t.T @ ICE3.Q @ t, t.T @ ICE3.u_n), c * np.eye(3)
+
+
+def _lorenz_with_search(monkeypatch, cone, a, search):
+    """check_lorenz_linear's outcome under the given eta search, and phi*."""
+    seen = {}
+
+    def recorded(f, bracket, tol):
+        seen["eta"], seen["phi"] = search(f, bracket, tol)
+        return seen["eta"], seen["phi"]
+
+    monkeypatch.setattr(checkers, "minimize_scalar_convex", recorded)
+    try:
+        return check_lorenz_linear(cone, a), seen["phi"]
+    except NumericalFailure:
+        return None, seen["phi"]
+
+
+def test_lorenz_bisection_matches_golden_section_reference(monkeypatch):
+    bisection = checkers.minimize_scalar_convex
+
+    def golden(f, bracket, tol):
+        return golden_section_min(lambda e: f(e)[0], bracket, tol)
+
+    for trial, (scaled, cone, a) in enumerate(_lorenz_battery()):
+        v_ref, phi_ref = _lorenz_with_search(monkeypatch, cone, a, golden)
+        v, phi = _lorenz_with_search(monkeypatch, cone, a, bisection)
+        m = a.T @ cone.Q + cone.Q @ a
+        m = 0.5 * (m + m.T)
+        assert phi <= phi_ref + 1e-12 * (1.0 + np.linalg.norm(m, 2)), trial
+        if v_ref is None:
+            # every scaled cone is invariant; a search that lands on eta = 2c
+            # exactly may certify where the reference's phi* was rounding noise
+            assert v is None or (scaled and v.decision is Decision.INVARIANT), trial
+            continue
+        assert v is not None and v.decision is v_ref.decision, trial
+        if v.decision is Decision.INVARIANT:
+            eta = v.certificate.data["eta"]
+            assert np.max(np.linalg.eigvalsh(m - eta * cone.Q)) <= checkers._PENCIL_TOL, trial
+        else:
+            _assert_boundary_counterexample(cone, a, v)
+
+
+@pytest.mark.parametrize("seed", [None, 612])
+def test_lorenz_eta_search_eigen_solve_budget(monkeypatch, seed):
+    # each eigen-solve of the search halves the bracket 2*beta until it is
+    # at most tau wide, and one more evaluates the final midpoint
+    if seed is None:
+        cone, a = ICE3, np.eye(3)
+    else:
+        rng = np.random.default_rng(seed)
+        u = _orthogonal(rng, 10)
+        cone = LorenzCone(u @ np.diag(np.append(rng.uniform(0.5, 2.0, 9), -1.0)) @ u.T)
+        a = rng.normal(size=(10, 10))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x.shape) or eigh(x))
+    search = checkers.minimize_scalar_convex
+    seen = {}
+
+    def counted(f, bracket, tol):
+        seen.update(bracket=bracket, tol=tol, before=len(calls))
+        out = search(f, bracket, tol)
+        seen["solves"] = len(calls) - seen["before"]
+        return out
+
+    monkeypatch.setattr(checkers, "minimize_scalar_convex", counted)
+    check_lorenz_linear(cone, a)
+    lo, hi = seen["bracket"]
+    assert 0 < seen["solves"] <= math.ceil(math.log2((hi - lo) / seen["tol"])) + 2
+
+
+def test_lorenz_pencil_lapack_failure_is_no_convergence(monkeypatch):
+    # the eta search calls LAPACK directly, not through sym_eig
+    def failing_eigh(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def no_sym_eig(m):
+        raise AssertionError("the eta search went through sym_eig")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(checkers, "sym_eig", no_sym_eig)
+    with pytest.raises(NoConvergence):
+        check_lorenz_linear(ICE3, np.eye(3))
 
 
 @pytest.mark.parametrize("name, s", [("check_hpoly_linear", UNIT_BOX),

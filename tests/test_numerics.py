@@ -177,20 +177,30 @@ def test_gen_eig_matches_power_iteration_oracle():
         assert np.max(np.abs(m @ x - lam * (q @ x))) <= 1e-8 * (1.0 + np.max(np.abs(x)))
 
 
+def _pencil_top(m, q):
+    """phi(eta) = lambda_max(m - eta*q) with its subgradient -v'qv."""
+    def f(eta):
+        r = sym_eig(m - eta * q)
+        v = r.eigenvectors[:, 0]
+        return float(r.eigenvalues[0]), -float(v @ q @ v)
+
+    return f
+
+
 def test_minimize_quadratic():
-    x, v = minimize_scalar_convex(lambda e: (e - 3.0) ** 2, (-10.0, 10.0), 1e-8)
+    x, v = minimize_scalar_convex(lambda e: ((e - 3.0) ** 2, 2.0 * (e - 3.0)), (-10.0, 10.0), 1e-8)
     assert x == pytest.approx(3.0, abs=1e-7)
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimize_kink():
-    x, _ = minimize_scalar_convex(abs, (-1.0, 2.0), 1e-9)
+    x, _ = minimize_scalar_convex(lambda e: (abs(e), np.sign(e)), (-1.0, 2.0), 1e-9)
     assert x == pytest.approx(0.0, abs=1e-8)
 
 
 def test_minimize_terminates_below_float_spacing():
     # tol 5e-11 is below the spacing of doubles near 2e6 (about 2.3e-10)
-    x, v = minimize_scalar_convex(lambda e: abs(e - 2e6), (-2e7, 2e7), 5e-11)
+    x, v = minimize_scalar_convex(lambda e: (abs(e - 2e6), np.sign(e - 2e6)), (-2e7, 2e7), 5e-11)
     assert abs(x - 2e6) <= np.spacing(2e6)
     assert v == abs(x - 2e6)
 
@@ -198,9 +208,7 @@ def test_minimize_terminates_below_float_spacing():
 def test_minimize_pencil_max_eigenvalue():
     # eigenvalues of diag(2,-2) - eta*diag(1,-1) are 2-eta and -2+eta;
     # their max is piecewise linear with minimum 0 at the crossing eta=2
-    def f(eta):
-        return float(np.max(sym_eig(np.diag([2.0, -2.0]) - eta * np.diag([1.0, -1.0])).eigenvalues))
-
+    f = _pencil_top(np.diag([2.0, -2.0]), np.diag([1.0, -1.0]))
     x, v = minimize_scalar_convex(f, (-40.0, 40.0), 1e-10)
     assert x == pytest.approx(2.0, abs=1e-8)
     assert v == pytest.approx(0.0, abs=1e-9)
@@ -215,8 +223,7 @@ def test_minimize_matches_grid_oracle():
         d = np.sign(rng.normal(size=n)) * (0.5 + rng.random(n))
         q = np.diag(d)
 
-        def f(eta):
-            return float(np.max(sym_eig(m - eta * q).eigenvalues))
+        f = _pencil_top(m, q)
 
         def f_oracle(eta):
             return float(np.max(np.linalg.eigvalsh(m - eta * q)))
@@ -229,9 +236,18 @@ def test_minimize_matches_grid_oracle():
 
 def test_minimize_bad_bracket():
     with pytest.raises(BadBracket):
-        minimize_scalar_convex(abs, (1.0, 1.0), 1e-8)
+        minimize_scalar_convex(lambda e: (abs(e), np.sign(e)), (1.0, 1.0), 1e-8)
     with pytest.raises(BadBracket):
-        minimize_scalar_convex(abs, (0.0, np.inf), 1e-8)
+        minimize_scalar_convex(lambda e: (abs(e), np.sign(e)), (0.0, np.inf), 1e-8)
+
+
+def test_minimize_lands_within_tol_at_a_smooth_minimum():
+    # near a smooth minimum the values agree to rounding far outside tol;
+    # the argmin must still be within tol of the minimizer
+    x, v = minimize_scalar_convex(lambda e: ((e - 0.3) ** 2 + 1.0, 2.0 * (e - 0.3)),
+                                  (-10.0, 10.0), 1e-10)
+    assert abs(x - 0.3) <= 1e-10
+    assert v == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gershgorin_radius_bounds_spectrum():
