@@ -307,25 +307,23 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
 
     The field is evaluated once on all samples, and every sample is tested
     at once (tangent.first_outside): its outward flux against the
-    halfspace rows, facets or quadratic normal that bind there. The lowest
-    refuting sample is the counterexample, with the largest normalised
-    flux as its violation (the L1 infeasibility of its tangent-cone LP for
-    a vertex or ray form without enumerated facets). A field that is not
-    finite at a sample before that one is an InputError naming the point.
+    halfspace rows, facets or quadratic normal that bind there, as read
+    from the point itself. The lowest refuting sample is the
+    counterexample, with the largest normalised flux as its violation (the
+    L1 infeasibility of its tangent-cone LP for a vertex or ray form
+    without enumerated facets). A field that is not finite at a sample
+    before that one is an InputError naming the point.
     """
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])
-    active = [bp.active for bp in samples]
     y = field_batch(sys, t0, x)
     bad = np.flatnonzero(~np.all(np.isfinite(y), axis=0))
     stop = int(bad[0]) if bad.size else len(samples)
-    hit = first_outside(s, x[:, :stop], active[:stop], y[:, :stop], tol)
+    hit = first_outside(s, x[:, :stop], y[:, :stop], tol)
     if hit is not None:
         k, residual = hit
         return Verdict(Decision.NOT_INVARIANT,
-                       counterexample=Counterexample(x[:, k].copy(), residual),
-                       notes={"active": active[k] if isinstance(active[k], str)
-                              else list(map(int, active[k] or []))})
+                       counterexample=Counterexample(x[:, k].copy(), residual))
     if stop < len(samples):
         raise InputError("the field is not finite at boundary point "
                          f"{[float(v) for v in x[:, stop]]}")
@@ -365,12 +363,12 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
     tag = getattr(s, "TAG", None)
     decompose = _DECOMPOSITION.get(tag)
     if isinstance(sys, LinearSystem):
-        if decompose is not None:
-            return decompose(s, sys, t0)
-        if tag not in _LINEAR:
+        if decompose is None and tag not in _LINEAR:
             raise InputError(f"unsupported set type {type(s).__name__}")
         if sys.a.shape[0] != s.dim:  # the orthant's sign test reads A alone
             raise InputError("system dimension does not match the set")
+        if decompose is not None:
+            return decompose(s, sys, t0)
         return _LINEAR[tag](s, sys.a)
     if decompose is None:
         return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tol)

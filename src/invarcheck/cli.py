@@ -37,7 +37,6 @@ from .expressions import build_expression_system
 from .sets import (
     DEFAULT_TOL,
     FAMILIES,
-    BoundaryPoint,
     Membership,
     membership,
 )
@@ -324,7 +323,7 @@ def cmd_tangent(args) -> int:
     if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
         print("point is not on the set boundary", file=sys.stderr)
         return EXIT_NOT_BOUNDARY
-    cone = _cone_to_dict(tangent_cone_at(s, BoundaryPoint(x, None), opts["tolerance"]))
+    cone = _cone_to_dict(tangent_cone_at(s, x, opts["tolerance"]))
     report = {
         "schema": SCHEMA,
         "tool_version": __version__,

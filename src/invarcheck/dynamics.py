@@ -18,7 +18,6 @@ from .errors import InputError
 from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
-    BoundaryPoint,
     ConvexSet,
     inward_directions,
     outside_violation_batch,
@@ -101,12 +100,12 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) 
     return Trajectory(np.array(times), np.array(states), step, diverged)
 
 
-def _nudged_starts(s: ConvexSet, points) -> np.ndarray:
-    """Push boundary points slightly inside, one start per column; exact
+def _nudged_starts(s: ConvexSet, x, tol: float) -> np.ndarray:
+    """Push boundary points (the columns of x) slightly inside, along the
+    inward direction of what binds at each within the band tol; exact
     boundary starts can flag spurious instant exits under floating point. A
     point whose push leaves the set starts unpushed."""
-    x = np.column_stack([bp.point for bp in points])
-    d = inward_directions(s, x, [bp.active for bp in points])
+    d = inward_directions(s, x, tol)
     cand = x + _INWARD_PUSH * (1.0 + np.linalg.norm(x, axis=0)) * d
     pushed = np.any(d != 0.0, axis=0) & (outside_violation_batch(s, cand) == 0.0)
     return np.where(pushed, cand, x)
@@ -121,29 +120,29 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     each distinct start once; returns (x0, t_exit) for the lowest-index
     start whose violation exceeds the strict exit band within the horizon,
     or None if no exit is seen.
-    An extra start already outside the set by more than that band, a step
-    and horizon outside 0 < step <= horizon < inf, more than MAX_STEPS
-    steps, or a nonlinear field that is not finite at a start raises
-    InputError. A trajectory whose state turns non-finite or grows past
-    the divergence threshold later on is dropped without an exit.
-    tol is the boundary band of the sampled starts.
+    A linear system of another dimension than the set, an extra start
+    already outside the set by more than that band, a step and horizon
+    outside 0 < step <= horizon < inf, more than MAX_STEPS steps, or a
+    nonlinear field that is not finite at a start raises InputError. A
+    trajectory whose state turns non-finite or grows past the divergence
+    threshold later on is dropped without an exit.
+    tol is the boundary band of the starts: every start, extra ones too, is
+    nudged inward from what binds within it.
     Deterministic for a given seed.
     """
+    if isinstance(sys, LinearSystem) and sys.a.shape[0] != s.dim:
+        raise InputError("system dimension does not match the set")
     nsteps = _step_grid(horizon, step)
-    points = sample_boundary(s, n_starts, seed, tol)
-    if extra_starts is not None:
-        wrapped = [p if isinstance(p, BoundaryPoint) else BoundaryPoint(as_vector(p, "x0"), None)
-                   for p in extra_starts]
-        if wrapped:
-            viol = outside_violation_batch(
-                s, np.column_stack([bp.point for bp in wrapped]))
-            outside = np.flatnonzero(viol > _EXIT_BAND)
-            if outside.size:
-                k = int(outside[0])
-                raise InputError(f"extra start {k} lies outside the set "
-                                 f"(violation {float(viol[k]):.3e})")
-        points = wrapped + points
-    starts = _nudged_starts(s, points)
+    sampled = [bp.point for bp in sample_boundary(s, n_starts, seed, tol)]
+    extra = [as_vector(p, "x0") for p in (() if extra_starts is None else extra_starts)]
+    if extra:
+        viol = outside_violation_batch(s, np.column_stack(extra))
+        outside = np.flatnonzero(viol > _EXIT_BAND)
+        if outside.size:
+            k = int(outside[0])
+            raise InputError(f"extra start {k} lies outside the set "
+                             f"(violation {float(viol[k]):.3e})")
+    starts = _nudged_starts(s, np.column_stack(extra + sampled), tol)
     # a start repeated later exits exactly when its first copy does, so only
     # first copies are integrated, in order, and the lowest index still wins
     _, first = np.unique(starts, axis=1, return_index=True)

@@ -17,14 +17,17 @@ Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
 "optional vector" or "count", in constructor order), and the methods
 membership(x, tol), violation(states), sample(count, rng, tol),
-inward(points, active) and tangent_test(points, active, y, tol), where tol
-is the user's boundary band (the vertex and ray forms scale it by scale(x)
-and hold their membership LP's interior margin and infeasibility against
-it). The batch methods take points as the columns of an n x N array, with
-their active sets as sample_boundary gives them; membership takes one
-point or such an array. tangent_test is Nagumo's test of the directions y
-at those points: every family reduces it to outward fluxes against the
-halfspace rows that bind at each point, judged by one formula
+inward(points, tol) and tangent_test(points, y, tol), where tol is the
+user's boundary band (the vertex and ray forms scale it by scale(x) and
+hold their membership LP's interior margin and infeasibility against it).
+The batch methods take points as the columns of an n x N array;
+membership takes one point or such an array. A sample is a point and
+nothing more: inward and tangent_test read what binds at each column from
+the column itself (the rows within the band of a halfspace form, the
+facets within the band of a vertex or ray form, the apex of a quadratic
+cone at norm 1e-10 or less). tangent_test is Nagumo's test of the
+directions y at those points: every family reduces it to outward fluxes
+against the halfspace rows that bind at each point, judged by one formula
 (flux_residual). The module-level functions below validate
 their arguments and call those methods; the rest of the package calls the
 functions.
@@ -94,15 +97,9 @@ def _classify(outside, boundary):
 
 @dataclass
 class BoundaryPoint:
-    """A boundary point with what is active there.
-
-    active is a list of constraint indices for halfspace forms, a list of
-    vertex/ray indices for vertex forms, or one of the tags
-    "quadratic-surface" / "apex" for the quadratic families.
-    """
+    """A sampled boundary point."""
 
     point: np.ndarray
-    active: object
 
 
 class HPolyhedron:
@@ -188,27 +185,26 @@ class HPolyhedron:
         bands = tol * (1.0 + np.abs(self.b))
         stray = np.any(pts @ self.G.T - self.b > bands, axis=1)
         pts[stray] = base[stray]
-        active = np.abs(pts @ self.G.T - self.b) <= bands
-        return [BoundaryPoint(pts[k], np.flatnonzero(active[k]).tolist()) for k in range(count)]
+        return [BoundaryPoint(pts[k]) for k in range(count)]
 
-    def inward(self, x, active) -> np.ndarray:
-        """Minus the sum of the unit normals of each point's active rows."""
-        held = np.zeros((len(active), self.G.shape[0]))
-        for k, rows in enumerate(active):
-            if isinstance(rows, list):
-                held[k, rows] = 1.0
+    def _binding(self, x, tol: float) -> np.ndarray:
+        """Which rows lie within the band tol of x: a flag per row, or an
+        m x N array of them for the columns of x."""
+        b = self.b.reshape((-1,) + (1,) * (x.ndim - 1))
+        return np.abs(self.G @ x - b) <= tol * (1.0 + np.abs(b))
+
+    def inward(self, x, tol: float) -> np.ndarray:
+        """Minus the sum of the unit normals of the rows binding at each point."""
         unit = self.G / (np.linalg.norm(self.G, axis=1) + 1e-300)[:, None]
-        return -(held @ unit).T
+        return -(unit.T @ self._binding(x, tol))
 
-    def tangent_test(self, x, active, y, tol: float):
-        """The rows within the band tol of each point bind there (its active
-        set is not read); NotMember if membership puts a point outside."""
+    def tangent_test(self, x, y, tol: float):
+        """The rows within the band tol of each point bind there; NotMember
+        if membership puts a point outside."""
         if np.any(membership(self, x, tol) == Membership.OUTSIDE):
             raise NotMember("point is outside the polyhedron")
-        slack = self.G @ x - self.b[:, None]
-        bands = (tol * (1.0 + np.abs(self.b)))[:, None]
         return flux_residual(self.G @ y, np.linalg.norm(self.G, axis=1)[:, None],
-                             np.linalg.norm(y, axis=0), tol, np.abs(slack) <= bands)
+                             np.linalg.norm(y, axis=0), tol, self._binding(x, tol))
 
 
 class Orthant(HPolyhedron):
@@ -377,14 +373,14 @@ class _VForm:
         faces = [f for f in facets.on if f.size or self._HAS_APEX]
         pts = self._points
         if not faces:
-            return [BoundaryPoint(pts[k % len(pts)].copy(), [k % len(pts)]) for k in range(count)]
+            return [BoundaryPoint(pts[k % len(pts)].copy()) for k in range(count)]
         firsts = sorted({int(j) for f in faces for j in f})
-        out = [BoundaryPoint(pts[j].copy(), [j]) for j in firsts[:count]]
+        out = [BoundaryPoint(pts[j].copy()) for j in firsts[:count]]
         picks = rng.integers(len(faces), size=count - len(out))
         drawn = np.empty((picks.size, self.dim))
         for f in np.unique(picks):
             drawn[picks == f] = self._face_points(rng, faces[f], int(np.sum(picks == f)))
-        out.extend(BoundaryPoint(x, faces[f].tolist()) for x, f in zip(drawn, picks))
+        out.extend(map(BoundaryPoint, drawn))
         return out
 
     def _sample_lp(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
@@ -392,45 +388,43 @@ class _VForm:
         l = pts.shape[0]
         firsts = [j for j in range(l) if membership(self, pts[j], tol) is Membership.BOUNDARY]
         firsts = firsts or list(range(l))
-        out = [BoundaryPoint(pts[j].copy(), [j]) for j in firsts[:count]]
+        out = [BoundaryPoint(pts[j].copy()) for j in firsts[:count]]
         for k in range(len(out), count):
             for _ in range(30 if l >= 2 else 0):
                 pair = np.sort(rng.choice(l, size=2, replace=False))
                 cand = self._face_points(rng, pair, 1)[0]
                 if membership(self, cand, tol) is Membership.BOUNDARY:
-                    out.append(BoundaryPoint(cand, pair.tolist()))
+                    out.append(BoundaryPoint(cand))
                     break
             else:
                 j = firsts[k % len(firsts)]
-                out.append(BoundaryPoint(pts[j].copy(), [j]))
+                out.append(BoundaryPoint(pts[j].copy()))
         return out
 
-    def inward(self, x, active) -> np.ndarray:
+    def inward(self, x, tol: float) -> np.ndarray:
         """Toward the mean of the generators (scaled to each point's size for
         a cone)."""
         return np.mean(self._points, axis=0)[:, None] * self._scale(x) - x
 
-    def tangent_test(self, x, active, y, tol: float):
-        """The facets holding every generator of a point's active set bind
-        there, and the equality rows bind both ways, all cut to the first
-        dim coordinates (a direction lifts with a trailing 0) and scaled to
-        unit length, so that the test does not depend on the set's size (a
-        row whose cut is zero is dropped). None without facets: the caller
-        then decides each point by LP."""
+    def tangent_test(self, x, y, tol: float):
+        """The facets whose value at a lifted point is at most
+        max(tol*scale(x), _FACE_TOL*|lift(x)|) bind there (the floor keeps a
+        face point bound to its facet through rounding at tol = 0), and the
+        equality rows bind both ways, all cut to the first dim coordinates
+        (a direction lifts with a trailing 0) and scaled to unit length, so
+        that the test does not depend on the set's size (a row whose cut is
+        zero is dropped). None without facets: the caller then decides each
+        point by LP."""
         facets = self._facets
         if facets is None:
             return None
-        k = self._points.shape[0]
-        off = np.ones((len(facets.on), k))
-        for i, f in enumerate(facets.on):
-            off[i, f] = 0.0
-        held = np.zeros((k, len(active)))
-        for j, gens in enumerate(active):
-            held[gens, j] = 1.0
+        lifted = self._lift(x)
+        floor = np.maximum(tol * self._scale(x), _FACE_TOL * np.linalg.norm(lifted, axis=0))
         n = self.dim
         eq = facets.eq[:, :n]
         rows = np.vstack([-facets.normals[:, :n], eq, -eq])
-        binds = np.vstack([off @ held == 0.0, np.ones((2 * eq.shape[0], len(active)), bool)])
+        binds = np.vstack([facets.normals @ lifted <= floor,
+                           np.ones((2 * eq.shape[0], x.shape[1]), bool)])
         norms = np.linalg.norm(rows, axis=1)
         keep = norms > 0.0
         return flux_residual((rows[keep] / norms[keep, None]) @ y, 1.0,
@@ -541,12 +535,12 @@ class Ellipsoid:
         y = u @ inv_half.T
         scale = np.sqrt(np.sum(y * (y @ self.Q.T), axis=1))
         pts = y / scale[:, None]
-        return [BoundaryPoint(pts[k], "quadratic-surface") for k in range(count)]
+        return [BoundaryPoint(pts[k]) for k in range(count)]
 
-    def inward(self, x, active) -> np.ndarray:
+    def inward(self, x, tol: float) -> np.ndarray:
         return -(self.Q @ x)
 
-    def tangent_test(self, x, active, y, tol: float):
+    def tangent_test(self, x, y, tol: float):
         return _surface_test(self.Q, x, y, tol)
 
     def normal(self, x) -> np.ndarray:
@@ -618,7 +612,7 @@ class LorenzCone:
 
     def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
         n = self.dim
-        out = [BoundaryPoint(np.zeros(n), "apex")]
+        out = [BoundaryPoint(np.zeros(n))]
         extra = count - 1
         if extra > 0:
             v = _unit_rows(rng, extra, n - 1)
@@ -626,21 +620,25 @@ class LorenzCone:
             axis_part = self.u_n / np.sqrt(-self.eigenvalues[-1])
             pts = v @ pos.T + axis_part
             pts /= np.linalg.norm(pts, axis=1)[:, None]
-            out.extend(BoundaryPoint(pts[k], "quadratic-surface") for k in range(extra))
+            out.extend(BoundaryPoint(pts[k]) for k in range(extra))
         return out
 
-    def inward(self, x, active) -> np.ndarray:
+    @staticmethod
+    def at_apex(x):
+        """Whether x (each column of x) is the apex: norm at most 1e-10."""
+        return np.linalg.norm(x, axis=0) <= 1e-10
+
+    def inward(self, x, tol: float) -> np.ndarray:
+        """-Qx, and the axis u_n at the apex."""
         d = -(self.Q @ x)
-        d[:, np.array([a == "apex" for a in active], dtype=bool)] = self.u_n[:, None]
+        d[:, self.at_apex(x)] = self.u_n[:, None]
         return d
 
-    def tangent_test(self, x, active, y, tol: float):
-        """One row Qx on the surface; at the apex (a point tagged "apex" or
-        of norm at most 1e-10) the tangent cone is the cone itself, so there
-        the residual is the cone's own violation of y."""
+    def tangent_test(self, x, y, tol: float):
+        """One row Qx on the surface; at the apex the tangent cone is the
+        cone itself, so there the residual is the cone's own violation of y."""
         inside, residual = _surface_test(self.Q, x, y, tol)
-        apex = np.array([a == "apex" for a in active], dtype=bool)
-        apex |= np.linalg.norm(x, axis=0) <= 1e-10
+        apex = self.at_apex(x)
         if np.any(apex):
             residual[apex] = self.violation(y[:, apex])
             inside[apex] = residual[apex] <= tol
@@ -694,13 +692,9 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
 
 
 def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
-    """Indices of rows holding with equality at x (empty for interior points)."""
-    x = _check_dim(p, x)
-    out = []
-    for i in range(p.G.shape[0]):
-        if abs(float(p.G[i] @ x) - p.b[i]) <= tol * (1.0 + abs(p.b[i])):
-            out.append(i)
-    return out
+    """Indices of rows holding with equality at x, within the band tol
+    (empty for interior points)."""
+    return np.flatnonzero(p._binding(_check_dim(p, x), tol)).tolist()
 
 
 def outside_violation(s: ConvexSet, x) -> float:
@@ -751,10 +745,11 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     return s.sample(count, np.random.default_rng(seed), tol)
 
 
-def inward_directions(s: ConvexSet, points, active) -> np.ndarray:
-    """Unit directions from boundary points (the columns of points, with
-    their active sets) toward the set; a zero column where none is clear."""
-    d = s.inward(np.asarray(points, dtype=float), active)
+def inward_directions(s: ConvexSet, points, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Unit directions from boundary points (the columns of points) toward
+    the set, from what binds at each within the band tol; a zero column
+    where none is clear."""
+    d = s.inward(np.asarray(points, dtype=float), tol)
     nrm = np.linalg.norm(d, axis=0)
     clear = nrm >= 1e-12
     return np.where(clear, d / np.where(clear, nrm, 1.0), 0.0)

@@ -8,6 +8,8 @@ extreme ray of a cone the ray itself enters with a sign-free coefficient.
 On the smooth part of a quadratic surface it is the halfspace under the
 outward normal Qx. The apex of a quadratic cone is special: the tangent
 cone there is the cone itself, represented by a membership-backed kind.
+Every cone is read from the point alone: which rows bind, which vertex or
+ray the point coincides with, whether it is the apex.
 
 tangent_cone_at and cone_test build and test one cone at one point.
 first_outside tests a whole batch of sampled points at once: each set
@@ -24,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApexPoint, IndexOutOfRange, InputError, NotMember
+from .errors import IndexOutOfRange, InputError, NotMember
 from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
-    BoundaryPoint,
     Ellipsoid,
     HPolyhedron,
     LorenzCone,
@@ -68,16 +69,10 @@ class TangentCone:
     set_ref: object = None
 
 
-def _resolve_point(x) -> np.ndarray:
-    if isinstance(x, BoundaryPoint):
-        return as_vector(x.point, "point")
-    return as_vector(x, "point")
-
-
 def tangent_h(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> TangentCone:
     """Tangent cone of a halfspace-form polyhedron at a member point; the rows
     within the boundary band tol of the point are active."""
-    pt = _resolve_point(x)
+    pt = as_vector(x, "point")
     if membership(p, pt, tol) is Membership.OUTSIDE:
         raise NotMember("point is outside the polyhedron")
     active = active_constraints(p, pt, tol)
@@ -110,58 +105,54 @@ def tangent_vcone(c: VCone, i: int) -> TangentCone:
 
 def tangent_quadratic(s: Ellipsoid | LorenzCone, x) -> TangentCone:
     """Halfspace under the outward normal Qx on the smooth quadratic surface."""
-    if isinstance(x, BoundaryPoint) and x.active == "apex":
-        raise ApexPoint("tangent cone at the apex is the cone itself")
-    return TangentCone(QUADRATIC, q_normal=s.normal(_resolve_point(x)))
+    return TangentCone(QUADRATIC, q_normal=s.normal(as_vector(x, "point")))
 
 
-def _vertex_at(p: VPolytope, pt: np.ndarray) -> list[int]:
-    """[i] for the first vertex i that pt coincides with, else []."""
+def _vertex_at(p: VPolytope, pt: np.ndarray) -> int | None:
+    """The first vertex that pt coincides with, if any."""
     for i, v in enumerate(p.vertices):
         if np.max(np.abs(v - pt)) <= 1e-8 * (1.0 + np.max(np.abs(v))):
-            return [i]
-    return []
+            return i
+    return None
 
 
-def _ray_through(c: VCone, pt: np.ndarray) -> list[int]:
-    """[i] for the first ray i that pt points along, else []."""
+def _ray_through(c: VCone, pt: np.ndarray) -> int | None:
+    """The first ray that pt points along, if any."""
     for i, r in enumerate(c.rays):
         cross = np.linalg.norm(pt) * np.linalg.norm(r)
         if cross > 0 and float(pt @ r) >= (1.0 - 1e-10) * cross:
-            return [i]
-    return []
+            return i
+    return None
 
 
-def tangent_cone_at(s, bp: BoundaryPoint, tol: float = DEFAULT_TOL) -> TangentCone:
-    """Tangent cone at a boundary point of any supported set.
+def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
+    """Tangent cone at a boundary point x of any supported set.
 
-    A point given with active=None is located first: the vertex or ray it
-    coincides with, or the apex of a quadratic cone. Vertex-form points that
-    are not vertices/rays get the general finitely-generated cone
+    The point is located first: the rows binding at it, the vertex or ray
+    it coincides with, or the apex of a quadratic cone. Vertex-form points
+    that are not vertices/rays get the general finitely-generated cone
     (differences to all vertices; all rays plus the point itself
     sign-free), which reduces to the vertex/ray formulas there.
     """
     if isinstance(s, HPolyhedron):
-        return tangent_h(s, bp, tol)
-    pt = _resolve_point(bp)
+        return tangent_h(s, x, tol)
+    pt = as_vector(x, "point")
     if isinstance(s, VPolytope):
-        active = _vertex_at(s, pt) if bp.active is None else bp.active
-        if isinstance(active, list) and len(active) == 1:
-            return tangent_polytope(s, active[0])
+        i = _vertex_at(s, pt)
+        if i is not None:
+            return tangent_polytope(s, i)
         gens = [v - pt for v in s.vertices if np.max(np.abs(v - pt)) > 1e-12]
         gens = np.array(gens) if gens else np.zeros((0, s.dim))
         return TangentCone(GENERATED, generators=gens)
     if isinstance(s, VCone):
-        active = _ray_through(s, pt) if bp.active is None else bp.active
-        if isinstance(active, list) and len(active) == 1:
-            return tangent_vcone(s, active[0])
+        i = _ray_through(s, pt)
+        if i is not None:
+            return tangent_vcone(s, i)
         return TangentCone(GENERATED, generators=s.rays.copy(), free_generator=pt)
-    if isinstance(s, Ellipsoid):
-        return tangent_quadratic(s, bp)
-    if isinstance(s, LorenzCone):
-        if bp.active == "apex" or float(np.linalg.norm(pt)) <= 1e-10:
-            return TangentCone(SELF_CONE, set_ref=s)
-        return tangent_quadratic(s, bp)
+    if isinstance(s, LorenzCone) and s.at_apex(pt):
+        return TangentCone(SELF_CONE, set_ref=s)
+    if isinstance(s, (Ellipsoid, LorenzCone)):
+        return tangent_quadratic(s, pt)
     raise InputError(f"unsupported set type {type(s).__name__}")
 
 
@@ -196,22 +187,22 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
 
 
-def first_outside(s, points, active, y, tol: float = DEFAULT_TOL) -> tuple[int, float] | None:
+def first_outside(s, points, y, tol: float = DEFAULT_TOL) -> tuple[int, float] | None:
     """The first sampled point whose direction leaves its tangent cone.
 
-    points holds boundary points as columns, with their active sets as
-    sample_boundary gives them, and column k of y is the direction at point
-    k (finite). Returns (k, residual) for the lowest such k, or None when
-    every direction passes within tol. All points are tested at once
-    through the set's tangent_test, whose residual is flux_residual's; a
-    vertex or ray form without enumerated facets tests point by point with
-    tangent_cone_at and cone_test's LP, stopping at the first miss.
+    points holds boundary points as columns, and column k of y is the
+    direction at point k (finite). What binds at each point is read from
+    the point within the band tol. Returns (k, residual) for the lowest such
+    k, or None when every direction passes within tol. All points are tested
+    at once through the set's tangent_test, whose residual is
+    flux_residual's; a vertex or ray form without enumerated facets tests
+    point by point with tangent_cone_at and cone_test's LP, stopping at the
+    first miss.
     """
-    tested = s.tangent_test(points, active, y, tol)
+    tested = s.tangent_test(points, y, tol)
     if tested is None:
         for k in range(points.shape[1]):
-            inside, residual = cone_test(
-                tangent_cone_at(s, BoundaryPoint(points[:, k], active[k]), tol), y[:, k], tol)
+            inside, residual = cone_test(tangent_cone_at(s, points[:, k], tol), y[:, k], tol)
             if not inside:
                 return k, residual
         return None

@@ -337,7 +337,7 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
 
     out = []
     for bp in samples:
-        t = tangent_cone_at(s, bp, tol)
+        t = tangent_cone_at(s, bp.point, tol)
         y = np.asarray(sys.field(t0, bp.point), dtype=float)
         ny = float(np.linalg.norm(y))
         if t.kind == FULLSPACE:

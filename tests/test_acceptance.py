@@ -262,9 +262,9 @@ def test_criterion_5_tangent_limit_definition():
     checked = 0
     disagreements = 0
     for s in sets:
-        pts = [bp for bp in sample_boundary(s, 12, seed=55) if bp.active != "apex"]
+        pts = [bp for bp in sample_boundary(s, 12, seed=55) if np.any(bp.point)]
         for bp in pts:
-            t_cone = tangent_cone_at(s, bp)
+            t_cone = tangent_cone_at(s, bp.point)
             for _ in range(5):
                 y = rng.normal(size=s.dim)
                 y /= np.linalg.norm(y)

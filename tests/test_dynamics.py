@@ -158,6 +158,19 @@ def test_falsify_rejects_extra_start_outside_set():
                 extra_starts=[[0.0, 0.0, 1.0], [0.1, 0.1, 0.1]])
 
 
+def test_extra_starts_are_nudged_from_what_binds_at_them():
+    # like a sampled start, an extra start on a facet of a halfspace form is
+    # pushed inward along that facet's normal, and one at the apex of a
+    # Lorenz cone along the axis u_n
+    box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
+    x0, _ = falsify(box, LinearSystem(np.eye(2)), 1, horizon=1.0, step=0.01, seed=0,
+                    extra_starts=[[1.0, 0.5]])
+    assert x0[0] == 1.0 - 1e-9 * (1.0 + math.hypot(1.0, 0.5)) and x0[1] == 0.5
+    cone = LorenzCone(np.diag([1.0, 1.0, -1.0]))
+    starts = dynamics._nudged_starts(cone, np.zeros((3, 1)), 1e-8)
+    np.testing.assert_array_equal(starts[:, 0], 1e-9 * cone.u_n)
+
+
 def test_integrate_caps_step_count():
     assert _step_grid(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
     with pytest.raises(InputError, match="cap"):

@@ -49,6 +49,32 @@ def test_box_corner_and_interior_active_sets():
     assert active_constraints(UNIT_BOX, [0.5, 0.5]) == []
 
 
+def test_halfspace_binding_rule_is_one_rule():
+    # active_constraints, inward_directions and tangent_test read the same
+    # rows at every point, also at points moved inward to just within and
+    # just beyond the band
+    rng = np.random.default_rng(31)
+    p = HPolyhedron(np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(3, 3))]),
+                    np.concatenate([np.ones(6), rng.uniform(0.5, 1.5, 3)]))
+    x = np.column_stack([bp.point for bp in sample_boundary(p, 60, seed=3)])
+    x *= 1.0 - rng.choice([0.0, 1e-9, 5e-9, 3e-8, 1e-7], size=60)
+    y = rng.normal(size=(3, 60))
+    d = inward_directions(p, x)
+    inside, _ = p.tangent_test(x, y, 1e-8)
+    counts = set()
+    for k in range(60):
+        rows = active_constraints(p, x[:, k])
+        counts.add(len(rows))
+        ref = -np.sum(p.G[rows] / np.linalg.norm(p.G[rows], axis=1)[:, None], axis=0)
+        if rows:
+            ref /= np.linalg.norm(ref)
+        np.testing.assert_allclose(d[:, k], ref, rtol=0, atol=1e-15)
+        flux = p.G[rows] @ y[:, k]
+        scale = 1.0 + np.linalg.norm(p.G[rows], axis=1) * np.linalg.norm(y[:, k])
+        assert inside[k] == np.all(flux <= 1e-8 * scale)
+    assert {0, 1} <= counts
+
+
 def test_orthant_face_active_set():
     assert active_constraints(orthant_h(2), [0.0, 2.0]) == [0]
 
@@ -120,7 +146,6 @@ def test_ellipsoid_samples_on_unit_circle():
     assert len(pts) == 4
     for bp in pts:
         assert np.linalg.norm(bp.point) == pytest.approx(1.0, abs=1e-10)
-        assert bp.active == "quadratic-surface"
 
 
 def test_triangle_samples_include_vertices():
@@ -133,7 +158,7 @@ def test_triangle_samples_include_vertices():
 
 def test_lorenz_samples_on_surface():
     pts = sample_boundary(ICE3, 40, seed=11)
-    assert pts[0].active == "apex"
+    assert not np.any(pts[0].point)
     for bp in pts[1:]:
         x = bp.point
         assert abs(x[0] ** 2 + x[1] ** 2 - x[2] ** 2) <= 1e-8
@@ -160,7 +185,6 @@ def test_sampling_deterministic():
     b = sample_boundary(UNIT_BOX, 10, seed=9)
     for p, q in zip(a, b):
         assert np.array_equal(p.point, q.point)
-        assert p.active == q.active
 
 
 def test_membership_invariant_under_row_permutation():
@@ -303,19 +327,21 @@ def test_facet_bound_falls_back_to_lp(monkeypatch):
         assert membership(big, bp.point) is Membership.BOUNDARY
 
 
-def _inward_reference(s, bp):
-    """The inward direction of one point as computed before the batch."""
+def _inward_reference(s, x):
+    """The inward direction of one point as computed before the batch, with
+    the rows within the default band of x binding there."""
     if isinstance(s, HPolyhedron):
         d = np.zeros(s.dim)
-        for i in bp.active if isinstance(bp.active, list) else []:
-            d -= s.G[i] / (np.linalg.norm(s.G[i]) + 1e-300)
+        for i in range(s.G.shape[0]):
+            if abs(float(s.G[i] @ x) - s.b[i]) <= 1e-8 * (1.0 + abs(s.b[i])):
+                d -= s.G[i] / (np.linalg.norm(s.G[i]) + 1e-300)
     elif isinstance(s, (VPolytope, VCone)):
-        scale = 1.0 + np.linalg.norm(bp.point) if isinstance(s, VCone) else 1.0
-        d = np.mean(s._points, axis=0) * scale - bp.point
-    elif bp.active == "apex":
+        scale = 1.0 + np.linalg.norm(x) if isinstance(s, VCone) else 1.0
+        d = np.mean(s._points, axis=0) * scale - x
+    elif isinstance(s, LorenzCone) and np.linalg.norm(x) <= 1e-10:
         d = s.u_n.copy()
     else:
-        d = -(s.Q @ bp.point)
+        d = -(s.Q @ x)
     nrm = np.linalg.norm(d)
     return None if nrm < 1e-12 else d / nrm
 
@@ -331,16 +357,16 @@ def _inward_reference(s, bp):
 ], ids=lambda s: type(s).__name__)
 def test_inward_directions_match_the_per_point_formula(s):
     # unit directions, to rounding; none where the formula gives none (an
-    # H-form point without active rows, a V-polytope's vertex mean)
+    # H-form point without binding rows: the mean of the samples, inside the
+    # set; a V-polytope's vertex mean)
     points = sample_boundary(s, 60, seed=2)
-    points.append(BoundaryPoint(points[-1].point, None))
+    points.append(BoundaryPoint(np.mean([bp.point for bp in points], axis=0)))
     if isinstance(s, VPolytope):
-        points.append(BoundaryPoint(np.mean(s.vertices, axis=0), [0, 1]))
-    d = inward_directions(s, np.column_stack([bp.point for bp in points]),
-                          [bp.active for bp in points])
+        points.append(BoundaryPoint(np.mean(s.vertices, axis=0)))
+    d = inward_directions(s, np.column_stack([bp.point for bp in points]))
     for k, bp in enumerate(points):
-        ref = _inward_reference(s, bp)
-        one = inward_directions(s, bp.point.reshape(-1, 1), [bp.active])[:, 0]
+        ref = _inward_reference(s, bp.point)
+        one = inward_directions(s, bp.point.reshape(-1, 1))[:, 0]
         if ref is None:
             assert not np.any(one) and not np.any(d[:, k])
         else:
