@@ -120,12 +120,12 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     each distinct start once; returns (x0, t_exit) for the lowest-index
     start whose violation exceeds the strict exit band within the horizon,
     or None if no exit is seen.
-    A linear system of another dimension than the set, an extra start
-    already outside the set by more than that band, a step and horizon
-    outside 0 < step <= horizon < inf, more than MAX_STEPS steps, or a
-    nonlinear field that is not finite at a start raises InputError. A
-    trajectory whose state turns non-finite or grows past the divergence
-    threshold later on is dropped without an exit.
+    A linear system or an extra start of another dimension than the set,
+    an extra start already outside the set by more than that band, a step
+    and horizon outside 0 < step <= horizon < inf, more than MAX_STEPS
+    steps, or a nonlinear field that is not finite at a start raises
+    InputError. A trajectory whose state turns non-finite or grows past
+    the divergence threshold later on is dropped without an exit.
     tol is the boundary band of the starts: every start, extra ones too, is
     nudged inward from what binds within it.
     Deterministic for a given seed.
@@ -135,6 +135,8 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     nsteps = _step_grid(horizon, step)
     sampled = [bp.point for bp in sample_boundary(s, n_starts, seed, tol)]
     extra = [as_vector(p, "x0") for p in (() if extra_starts is None else extra_starts)]
+    if any(p.shape != (s.dim,) for p in extra):
+        raise InputError("extra start dimension does not match the set")
     if extra:
         viol = outside_violation_batch(s, np.column_stack(extra))
         outside = np.flatnonzero(viol > _EXIT_BAND)

@@ -646,7 +646,7 @@ class LorenzCone:
 
     def normal(self, x) -> np.ndarray:
         """Outward normal Qx of the surface at x; the apex has none."""
-        if float(np.linalg.norm(x)) <= 1e-12:
+        if np.all(self.at_apex(x)):
             raise ApexPoint("tangent cone at the apex is the cone itself")
         return self.Q @ x
 

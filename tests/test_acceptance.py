@@ -262,7 +262,8 @@ def test_criterion_5_tangent_limit_definition():
     checked = 0
     disagreements = 0
     for s in sets:
-        pts = [bp for bp in sample_boundary(s, 12, seed=55) if np.any(bp.point)]
+        pts = [bp for bp in sample_boundary(s, 12, seed=55)
+               if not (isinstance(s, LorenzCone) and LorenzCone.at_apex(bp.point))]
         for bp in pts:
             t_cone = tangent_cone_at(s, bp.point)
             for _ in range(5):

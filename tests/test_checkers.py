@@ -602,13 +602,16 @@ def test_dispatch_orthant_family():
 @pytest.mark.parametrize("s", [TRIANGLE, orthant_v(2), UNIT_BOX, ICE3],
                          ids=lambda s: type(s).__name__)
 def test_wrong_system_dimension_is_input_error(s):
-    # the vertex and ray deciders and the falsifier's RK4 matrix would
-    # otherwise fail in numpy's matmul
+    # the vertex and ray deciders, the falsifier's RK4 matrix and its extra
+    # starts would otherwise fail in numpy's matmul
     a = -np.eye(s.dim + 1)
     with pytest.raises(InputError, match="dimension"):
         check(s, LinearSystem(a))
     with pytest.raises(InputError, match="dimension"):
         falsify(s, LinearSystem(a), 4, horizon=1.0, step=0.1, seed=0)
+    with pytest.raises(InputError, match="dimension"):
+        falsify(s, LinearSystem(-np.eye(s.dim)), 4, horizon=1.0, step=0.1, seed=0,
+                extra_starts=[np.zeros(s.dim + 1)])
 
 
 def test_dispatch_unsupported_set_is_input_error():

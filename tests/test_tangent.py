@@ -218,7 +218,7 @@ def test_limit_definition_consistency():
     for s in sets:
         pts = sample_boundary(s, 4, seed=17)
         for bp in pts:
-            if not np.any(bp.point):
+            if isinstance(s, LorenzCone) and LorenzCone.at_apex(bp.point):
                 continue
             t_cone = tangent_cone_at(s, bp.point)
             for _ in range(4):
