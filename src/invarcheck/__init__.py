@@ -42,13 +42,7 @@ from .sets import (
     orthant_v,
     sample_boundary,
 )
-from .solvers import (
-    LPFeasibilityProblem,
-    OptResult,
-    QPProblem,
-    lp_feasible,
-    qp_nearest,
-)
+from .solvers import lp_feasible, qp_nearest
 from .systems import DynamicalSystem, GeneralSystem, LinearSystem
 from .tangent import (
     TangentCone,
@@ -65,9 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryPoint", "Certificate", "Counterexample", "Decision",
     "DynamicalSystem", "EigenResult", "Ellipsoid", "GeneralSystem",
-    "HPolyhedron", "LPFeasibilityProblem", "LinearSystem", "LorenzCone",
-    "Membership", "OptResult", "QPProblem", "TangentCone", "Trajectory",
-    "VCone", "VPolytope", "Verdict",
+    "HPolyhedron", "LinearSystem", "LorenzCone", "Membership", "TangentCone",
+    "Trajectory", "VCone", "VPolytope", "Verdict",
     "active_constraints", "build_expression_system", "check",
     "check_ellipsoid_linear", "check_hpoly_linear", "check_lorenz_linear",
     "check_nonlinear_sampled", "check_orthant_linear", "check_vcone",

@@ -36,13 +36,7 @@ from .sets import (
     VPolytope,
     sample_boundary,
 )
-from .solvers import (
-    LPFeasibilityProblem,
-    QPProblem,
-    lp_feasible,
-    qp_nearest,
-    solve_inequality_lp,
-)
+from .solvers import lp_feasible, qp_nearest, solve_inequality_lp
 from .systems import DynamicalSystem, LinearSystem, field_batch
 from .tangent import first_outside
 
@@ -158,37 +152,42 @@ def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0) -> Verd
     the squared distance of its field to the admissible cone.
     """
     return _check_decomposition(
-        p.vertices, "vertex", "vertices", LPFeasibilityProblem.for_vertex,
-        lambda f, i, res: qp_nearest(QPProblem(p.vertices.T, f, i)).objective,
-        sys, t0)
+        p, p.vertices, "vertex", "vertices",
+        lambda f, i, infeas: qp_nearest(p.vertices.T, f, i)[2], sys, t0)
 
 
 def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0) -> Verdict:
     """Ray decomposition test: at every extreme ray the field must combine
     the other rays nonnegatively with a sign-free coefficient on the ray
     itself. Exact for linear systems; Unknown-capped otherwise."""
-    return _check_decomposition(
-        c.rays, "ray", "rays", LPFeasibilityProblem.for_ray,
-        lambda f, i, res: res.objective, sys, t0)
+    return _check_decomposition(c, c.rays, "ray", "rays", lambda f, i, infeas: infeas, sys, t0)
 
 
-def _check_decomposition(gens, name, plural, problem, miss, sys, t0) -> Verdict:
-    """Decomposition feasibility at every row of gens (vertices or rays).
-
-    problem(columns, f, i) builds the LP at row i; the first infeasible row
-    refutes with violation miss(f, i, lp result). name and plural key the
-    notes and the certificate ("vertex"/"vertices", "ray"/"rays").
+def _check_decomposition(s: VPolytope | VCone, gens, name, plural, miss, sys,
+                         t0) -> Verdict:
+    """Decomposition feasibility at every row i of gens (s's vertices or rays):
+    s.columns @ a = f with a_j >= 0 for j != i, on the family's own
+    homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
+    the field f at row i padded with zeros to their height. The first
+    infeasible row refutes with violation miss(f, i, infeasibility); a
+    field not finite at a row before it is an InputError naming the row.
+    name and plural key the notes and the certificate.
     """
+    cols = s.columns
+    pad = np.zeros(cols.shape[0] - s.dim)
     records = []
     for i in range(gens.shape[0]):
         f = np.asarray(sys.field(t0, gens[i]), dtype=float)
-        res = lp_feasible(problem(gens.T, f, i))
-        if res.status != "feasible":
+        if not np.all(np.isfinite(f)):
+            raise InputError(f"the field is not finite at {name} {i} "
+                             f"{[float(v) for v in gens[i]]}")
+        infeas, alpha = lp_feasible(cols, np.concatenate([f, pad]), i)
+        if alpha is None:
             return Verdict(Decision.NOT_INVARIANT,
                            counterexample=Counterexample(gens[i].copy(),
-                                                         float(miss(f, i, res))),
+                                                         float(miss(f, i, infeas))),
                            notes={name: i})
-        records.append({"index": i, "alpha": [float(v) for v in res.alpha]})
+        records.append({"index": i, "alpha": [float(v) for v in alpha]})
     cert = Certificate(f"{name}-decomposition", {plural: records})
     if isinstance(sys, LinearSystem):
         return Verdict(Decision.INVARIANT, certificate=cert)

@@ -51,21 +51,23 @@ DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user s
 _SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
 _FACET_SUBSETS = 5000  # most candidate facet subsets enumerated; above, the LP path
+_ROUNDING = 16 * np.finfo(float).eps  # least relative flux that refutes, whatever tol
 
 
 def flux_residual(flux, row_norms, y_norms, tol: float, active=None):
     """Nagumo's test of directions against halfspace rows, column by column.
 
     flux[i, k] is the outward flux g_i'y_k of row i at sample k; it passes
-    when at most tol*(1 + |g_i||y_k|). row_norms and y_norms broadcast
-    against flux, and active, when given, masks the rows that bind at each
-    sample. Returns per column whether every active row passes, and the
-    residual: the largest active flux/(1 + |g_i||y_k|), or 0 if none is
-    positive.
+    when at most max(tol, _ROUNDING)*(1 + |g_i||y_k|), so that at tol = 0 a
+    flux of rounding size in the rows or the field does not refute.
+    row_norms and y_norms broadcast against flux, and active, when given,
+    masks the rows that bind at each sample. Returns per column whether
+    every active row passes, and the residual: the largest active
+    flux/(1 + |g_i||y_k|), or 0 if none is positive.
     """
     scale = 1.0 + row_norms * y_norms
     ratio = flux / scale
-    out = flux > tol * scale
+    out = flux > max(tol, _ROUNDING) * scale
     if active is not None:
         ratio = np.where(active, ratio, 0.0)
         out &= active
@@ -246,7 +248,8 @@ class _VForm:
     one); a cone's are its rays, and its interior margin is capped at
     scale(x) = 1 + ||x||, since it is otherwise unbounded whenever the rays
     admit a positive circuit. Subclasses set the sampled points (vertices or
-    unit rays) and columns, and define lift, scale, cap and face_points.
+    unit rays) and the columns, which the decomposition LPs of checkers read
+    too, and define lift, scale, cap and face_points.
 
     Violation and sampling use the facets of the columns' cone (_facets),
     computed once; forms with too many candidate facets fall back to the
@@ -255,7 +258,7 @@ class _VForm:
 
     def __init__(self, points, columns):
         self._points = points
-        self._columns = columns
+        self.columns = columns
 
     @property
     def dim(self):
@@ -270,7 +273,7 @@ class _VForm:
         their r-dimensional span, that spans a hyperplane with all columns on
         one side of it is a facet.
         """
-        cols = self._columns
+        cols = self.columns
         rows, k = cols.shape
         if rows == k:
             try:
@@ -315,12 +318,12 @@ class _VForm:
 
         Returns (feasible, delta, infeasibility).
         """
-        n_rows, k = self._columns.shape
+        n_rows, k = self.columns.shape
         cap = self._cap(x)
         extra = 1 if cap is not None else 0
         a_std = np.zeros((n_rows + extra, 1 + k + extra))
-        a_std[:n_rows, 0] = self._columns @ np.ones(k)
-        a_std[:n_rows, 1:1 + k] = self._columns
+        a_std[:n_rows, 0] = self.columns @ np.ones(k)
+        a_std[:n_rows, 1:1 + k] = self.columns
         rhs = self._lift(x)
         if cap is not None:
             a_std[n_rows, 0] = 1.0
@@ -667,7 +670,9 @@ def orthant_v(n: int) -> VCone:
     return VCone(np.eye(n))
 
 
-def _check_dim(s, x):
+def as_point(s, x):
+    """x as a finite vector of the set's dimension, else InputError or
+    DimensionMismatch."""
     x = as_vector(x, "x")
     if x.shape[0] != s.dim:
         raise DimensionMismatch(f"point has dimension {x.shape[0]}, set has {s.dim}")
@@ -688,18 +693,18 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
         if x.shape[0] != s.dim:
             raise DimensionMismatch(f"points have dimension {x.shape[0]}, set has {s.dim}")
         return s.membership(x, tol)
-    return s.membership(_check_dim(s, x), tol)
+    return s.membership(as_point(s, x), tol)
 
 
 def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
     """Indices of rows holding with equality at x, within the band tol
     (empty for interior points)."""
-    return np.flatnonzero(p._binding(_check_dim(p, x), tol)).tolist()
+    return np.flatnonzero(p._binding(as_point(p, x), tol)).tolist()
 
 
 def outside_violation(s: ConvexSet, x) -> float:
     """Scale-adjusted amount by which x violates the set's description (0 if none)."""
-    x = _check_dim(s, x)
+    x = as_point(s, x)
     return float(outside_violation_batch(s, x.reshape(-1, 1))[0])
 
 

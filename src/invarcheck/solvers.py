@@ -8,15 +8,16 @@ reach it through one builder that splits each free variable and adds the
 slacks. Phase one starts each row with a slack and a nonnegative rhs on
 that slack and only the other rows on artificial variables, so an
 infeasible inequality LP's phase-one value sums the residuals of those
-other rows only; equality-only LPs start every row on an artificial. Beside
-it sits an equality-constrained nonnegative least-squares model whose
-optimal objective is half the squared distance to the generated cone; its
-first-order conditions are checked in the tests, by tests/oracles.py.
+other rows only; equality-only LPs start every row on an artificial.
+
+The decomposition programs take plain arrays and return tuples.
+lp_feasible decides a generator's LP on its set's homogenised columns.
+qp_nearest, a nonnegative least-squares model with one equality, gives half
+the squared distance to the generated cone; its first-order conditions are
+checked in the tests, by tests/oracles.py.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,85 +230,24 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
     return "optimal", x, float(sense * obj)
 
 
-@dataclass
-class OptResult:
-    """Outcome of a certification solve.
+def _check_program(matrix, rhs, free_index):
+    """Finite data, one rhs entry per row, and a free index among the columns."""
+    matrix = as_matrix(matrix, "matrix")
+    rhs = as_vector(rhs, "rhs")
+    if matrix.shape[0] != rhs.shape[0]:
+        raise DimensionMismatch("matrix rows and rhs length differ")
+    if not 0 <= free_index < matrix.shape[1]:
+        raise DimensionMismatch("free_index outside coefficient range")
+    return matrix, rhs
 
-    status is "feasible", "infeasible" or "optimal"; alpha the coefficient
-    vector when one exists; multipliers the dual vector (for the QP, entry
-    free_index holds the equality multiplier); objective is 0 for a feasible
-    LP, an L1 infeasibility measure for an infeasible one, and half the
-    squared distance for the QP.
+
+def lp_feasible(columns, rhs, free_index: int):
+    """Decide  columns @ a = rhs  with a_j >= 0 for j != free_index by phase one.
+
+    Returns (infeasibility, a or None) as phase_one_feasibility does: 0.0
+    and the coefficients when feasible, else the phase-one L1 residual.
     """
-
-    status: str
-    alpha: np.ndarray | None
-    multipliers: np.ndarray | None
-    objective: float
-
-
-@dataclass
-class LPFeasibilityProblem:
-    """Equality feasibility system  matrix @ a = rhs, a_j >= 0 for j != free_index."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    free_index: int
-
-    def __post_init__(self):
-        self.matrix = as_matrix(self.matrix, "matrix")
-        self.rhs = as_vector(self.rhs, "rhs")
-        if self.matrix.shape[0] != self.rhs.shape[0]:
-            raise DimensionMismatch("matrix rows and rhs length differ")
-        if not 0 <= self.free_index < self.matrix.shape[1]:
-            raise DimensionMismatch("free_index outside coefficient range")
-
-    @classmethod
-    def for_vertex(cls, vertices, f, i):
-        """Vertex-decomposition system: columns are the vertices with an
-        appended all-ones row forcing the coefficients to sum to zero."""
-        x_mat = as_matrix(vertices, "vertex matrix")
-        f = as_vector(f, "f")
-        if f.shape[0] != x_mat.shape[0]:
-            raise DimensionMismatch("field dimension does not match vertices")
-        aug = np.vstack([x_mat, np.ones((1, x_mat.shape[1]))])
-        rhs = np.concatenate([f, [0.0]])
-        return cls(aug, rhs, int(i))
-
-    @classmethod
-    def for_ray(cls, rays, f, i):
-        """Ray-decomposition system: no sum constraint, coefficient i free."""
-        r_mat = as_matrix(rays, "ray matrix")
-        f = as_vector(f, "f")
-        if f.shape[0] != r_mat.shape[0]:
-            raise DimensionMismatch("field dimension does not match rays")
-        return cls(r_mat.copy(), f.copy(), int(i))
-
-
-@dataclass
-class QPProblem:
-    """Nearest-point program data: min 0.5*||X a - f||^2 with sum(a) = 0 and
-    a_j >= 0 for every j except free_index."""
-
-    coeff_matrix: np.ndarray
-    f: np.ndarray
-    free_index: int
-
-    def __post_init__(self):
-        self.coeff_matrix = as_matrix(self.coeff_matrix, "X")
-        self.f = as_vector(self.f, "f")
-        if self.coeff_matrix.shape[0] != self.f.shape[0]:
-            raise DimensionMismatch("X rows and f length differ")
-        if not 0 <= self.free_index < self.coeff_matrix.shape[1]:
-            raise DimensionMismatch("free_index outside coefficient range")
-
-
-def lp_feasible(p: LPFeasibilityProblem) -> OptResult:
-    """Decide the equality feasibility system of the problem by phase one."""
-    opt, a = phase_one_feasibility(p.matrix, p.rhs, (p.free_index,))
-    if a is None:
-        return OptResult("infeasible", None, None, opt)
-    return OptResult("feasible", a, None, 0.0)
+    return phase_one_feasibility(*_check_program(columns, rhs, free_index), (free_index,))
 
 
 def nnls(d_mat, f, max_changes=None) -> np.ndarray:
@@ -358,28 +298,29 @@ def nnls(d_mat, f, max_changes=None) -> np.ndarray:
                 raise IterationLimit("active-set change budget exhausted")
 
 
-def qp_nearest(p: QPProblem) -> OptResult:
-    """Nearest point of the sum-zero coefficient cone to the field vector.
+def qp_nearest(x_mat, f, free_index: int):
+    """Nearest point of the sum-zero coefficient cone to the field vector:
+    min 0.5*||X a - f||^2 with sum(a) = 0 and a_j >= 0 for j != free_index.
 
     The sum constraint is eliminated exactly by writing a_free as minus the
     sum of the others, turning the program into plain NNLS over the shifted
-    columns; the free coefficient is therefore never sign-clipped. The
-    optimal objective is half the squared distance from f to the cone
-    generated by the column differences.
+    columns; the free coefficient is therefore never sign-clipped. Returns
+    (alpha, multipliers, objective): the multipliers hold the equality
+    multiplier at free_index, and the optimal objective is half the squared
+    distance from f to the cone generated by the column differences.
     """
-    x_mat = p.coeff_matrix
+    x_mat, f = _check_program(x_mat, f, free_index)
     l1 = x_mat.shape[1]
-    others = [j for j in range(l1) if j != p.free_index]
-    d_mat = x_mat[:, others] - x_mat[:, [p.free_index]]
-    beta = nnls(d_mat, p.f, max_changes=10 * l1)
+    others = [j for j in range(l1) if j != free_index]
+    d_mat = x_mat[:, others] - x_mat[:, [free_index]]
+    beta = nnls(d_mat, f, max_changes=10 * l1)
     alpha = np.zeros(l1)
     alpha[others] = beta
-    alpha[p.free_index] = -float(np.sum(beta))
-    r = x_mat @ alpha - p.f
+    alpha[free_index] = -float(np.sum(beta))
+    r = x_mat @ alpha - f
     eta = np.zeros(l1)
-    eta_eq = -float(x_mat[:, p.free_index] @ r)
-    eta[p.free_index] = eta_eq
+    eta_eq = -float(x_mat[:, free_index] @ r)
+    eta[free_index] = eta_eq
     for j in others:
         eta[j] = float(x_mat[:, j] @ r) + eta_eq
-    objective = 0.5 * float(r @ r)
-    return OptResult("optimal", alpha, eta, objective)
+    return alpha, eta, 0.5 * float(r @ r)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InputError, NotMember
+from .errors import DimensionMismatch, IndexOutOfRange, InputError, NotMember
 from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
+    ConvexSet,
     Ellipsoid,
     HPolyhedron,
     LorenzCone,
@@ -37,6 +38,7 @@ from .sets import (
     VCone,
     VPolytope,
     active_constraints,
+    as_point,
     flux_residual,
     membership,
     outside_violation,
@@ -58,7 +60,9 @@ class TangentCone:
     g'y <= 0 for all of them); "generated" uses generators rows with
     nonnegative coefficients plus an optional sign-free generator;
     "quadratic-halfspace" uses the single normal q_normal; "fullspace" has
-    no payload; "cone-itself" defers to membership in set_ref (apex case).
+    no rows in normals (0 x n); "cone-itself" defers to membership in
+    set_ref (apex case). The payload fixes the dimension n of the directions
+    that cone_test accepts.
     """
 
     kind: str
@@ -77,7 +81,7 @@ def tangent_h(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> TangentCone:
         raise NotMember("point is outside the polyhedron")
     active = active_constraints(p, pt, tol)
     if not active:
-        return TangentCone(FULLSPACE)
+        return TangentCone(FULLSPACE, normals=np.zeros((0, p.dim)))
     return TangentCone(HALFSPACES, normals=p.G[active].copy())
 
 
@@ -86,9 +90,7 @@ def tangent_polytope(p: VPolytope, i: int) -> TangentCone:
     l1 = p.vertices.shape[0]
     if not 0 <= i < l1:
         raise IndexOutOfRange(f"vertex index {i} outside 0..{l1 - 1}")
-    gens = np.array([p.vertices[j] - p.vertices[i] for j in range(l1) if j != i])
-    if gens.size == 0:
-        gens = np.zeros((0, p.dim))
+    gens = np.delete(p.vertices, i, axis=0) - p.vertices[i]
     return TangentCone(GENERATED, generators=gens)
 
 
@@ -97,15 +99,13 @@ def tangent_vcone(c: VCone, i: int) -> TangentCone:
     l = c.rays.shape[0]
     if not 0 <= i < l:
         raise IndexOutOfRange(f"ray index {i} outside 0..{l - 1}")
-    gens = np.array([c.rays[j] for j in range(l) if j != i])
-    if gens.size == 0:
-        gens = np.zeros((0, c.dim))
-    return TangentCone(GENERATED, generators=gens, free_generator=c.rays[i].copy())
+    return TangentCone(GENERATED, generators=np.delete(c.rays, i, axis=0),
+                       free_generator=c.rays[i].copy())
 
 
 def tangent_quadratic(s: Ellipsoid | LorenzCone, x) -> TangentCone:
     """Halfspace under the outward normal Qx on the smooth quadratic surface."""
-    return TangentCone(QUADRATIC, q_normal=s.normal(as_vector(x, "point")))
+    return TangentCone(QUADRATIC, q_normal=s.normal(as_point(s, x)))
 
 
 def _vertex_at(p: VPolytope, pt: np.ndarray) -> int | None:
@@ -134,16 +134,17 @@ def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
     (differences to all vertices; all rays plus the point itself
     sign-free), which reduces to the vertex/ray formulas there.
     """
+    if not isinstance(s, ConvexSet):
+        raise InputError(f"unsupported set type {type(s).__name__}")
+    pt = as_point(s, x)
     if isinstance(s, HPolyhedron):
-        return tangent_h(s, x, tol)
-    pt = as_vector(x, "point")
+        return tangent_h(s, pt, tol)
     if isinstance(s, VPolytope):
         i = _vertex_at(s, pt)
         if i is not None:
             return tangent_polytope(s, i)
-        gens = [v - pt for v in s.vertices if np.max(np.abs(v - pt)) > 1e-12]
-        gens = np.array(gens) if gens else np.zeros((0, s.dim))
-        return TangentCone(GENERATED, generators=gens)
+        gens = s.vertices - pt
+        return TangentCone(GENERATED, generators=gens[np.max(np.abs(gens), axis=1) > 1e-12])
     if isinstance(s, VCone):
         i = _ray_through(s, pt)
         if i is not None:
@@ -151,9 +152,7 @@ def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
         return TangentCone(GENERATED, generators=s.rays.copy(), free_generator=pt)
     if isinstance(s, LorenzCone) and s.at_apex(pt):
         return TangentCone(SELF_CONE, set_ref=s)
-    if isinstance(s, (Ellipsoid, LorenzCone)):
-        return tangent_quadratic(s, pt)
-    raise InputError(f"unsupported set type {type(s).__name__}")
+    return tangent_quadratic(s, pt)
 
 
 def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -164,8 +163,14 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     residual is the largest normalized inner product. Generated kinds solve
     the coefficient feasibility LP once and accept an L1 residual up to
     tol*(1 + ||y||). The apex kind uses the cone's own violation measure.
+    A y of another dimension than the cone's is a DimensionMismatch.
     """
     y = as_vector(y, "y")
+    # the payload fixes the dimension; a cone built without one takes any y
+    payload = [v for v in (t.normals, t.generators, t.q_normal) if v is not None]
+    n = t.set_ref.dim if t.kind == SELF_CONE else payload[0].shape[-1] if payload else y.shape[0]
+    if y.shape[0] != n:
+        raise DimensionMismatch(f"direction has dimension {y.shape[0]}, cone has {n}")
     if t.kind == FULLSPACE:
         return True, 0.0
     if t.kind == HALFSPACES or t.kind == QUADRATIC:

@@ -151,25 +151,25 @@ def enumerate_qp_nearest(x_mat, f, free_index, sign_tol=1e-9):
     return best
 
 
-def kkt_residuals(p, r):
+def kkt_residuals(x_mat, f, free_index, alpha, multipliers):
     """(stationarity, equality, sign, complementarity) residual norms of the
-    nearest-point program's first-order system, for a QPProblem p and the
-    OptResult r of qp_nearest."""
-    if r.status != "optimal" or r.alpha is None or r.multipliers is None:
-        raise ValueError("kkt_residuals needs an optimal result")
-    x_mat = p.coeff_matrix
-    a = r.alpha
-    eta = r.multipliers
+    nearest-point program's first-order system min 0.5*||X a - f||^2,
+    sum(a) = 0, a_j >= 0 for j != free_index, at the alpha and multipliers
+    that qp_nearest returns."""
+    x_mat = np.asarray(x_mat, dtype=float)
+    f = np.asarray(f, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    eta = np.asarray(multipliers, dtype=float)
     l1 = x_mat.shape[1]
-    grad = x_mat.T @ (x_mat @ a - p.f) + eta[p.free_index] * np.ones(l1)
+    grad = x_mat.T @ (x_mat @ a - f) + eta[free_index] * np.ones(l1)
     ineq_mult = eta.copy()
-    ineq_mult[p.free_index] = 0.0
+    ineq_mult[free_index] = 0.0
     stationarity = float(np.max(np.abs(grad - ineq_mult))) if l1 else 0.0
     equality = abs(float(np.sum(a)))
     sign = 0.0
     comp = 0.0
     for j in range(l1):
-        if j != p.free_index:
+        if j != free_index:
             sign = max(sign, -float(a[j]))
             comp += float(eta[j] * a[j])
     return np.array([stationarity, equality, max(sign, 0.0), abs(comp)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -717,3 +718,16 @@ def test_counterexamples_produce_exits():
         hit = falsify(s, sys, 4, horizon=1.0, step=1e-3, seed=17,
                       extra_starts=[verdict.counterexample.point])
         assert hit is not None and hit[1] <= 1.0
+
+
+@pytest.mark.parametrize("s, name", [
+    (VPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]), "vertex 1 [1.0, -1.0]"),
+    (orthant_v(2), "ray 1 [0.0, 1.0]"),
+], ids=["vpolytope", "vcone"])
+def test_field_not_finite_at_a_generator_is_an_input_error(s, name):
+    # the field is -x, which passes at generator 0, and NaN at generator 1
+    def field(t, x):
+        return np.full(2, np.nan) if np.array_equal(x, s.columns[:2, 1]) else -x
+
+    with pytest.raises(InputError, match=rf"^the field is not finite at {re.escape(name)}$"):
+        check(s, GeneralSystem(field))

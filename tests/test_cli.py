@@ -467,3 +467,19 @@ def test_far_facet_refuted(tmp_path, capsys):
     assert x[0] == pytest.approx(1e7)
     assert report["counterexample"]["violation"] == pytest.approx(1e-7 * x[1])
     assert report["counterexample"]["violation"] > 0.0
+
+
+@pytest.mark.parametrize("family, generators, formula, name", [
+    ("vpolytope", "vertices", "1/(x1+1)", "vertex 0 [-1.0]"),
+    ("vcone", "rays", "1/(x1-1)", "ray 1 [1.0]"),
+])
+def test_decomposition_names_the_generator_where_the_field_is_not_finite(
+        tmp_path, capsys, family, generators, formula, name):
+    f = tmp_path / "field.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": family, generators: [[-1.0], [1.0]]},
+                             "system": {"type": "expression", "formulas": [formula]}}),
+                 encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(f), "--samples", "5", "--no-timing")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"input error: the field is not finite at {name}\n"

@@ -4,6 +4,7 @@ The reference is the per-sample loop it replaced (oracles.sampled_nagumo_per_sam
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -236,3 +237,20 @@ def test_halfspace_residuals_match_one_row_at_a_time():
             ratios = [float(g @ y) / (1.0 + np.linalg.norm(g) * np.linalg.norm(y)) for g in rows]
             assert worst == pytest.approx(max(0.0, *ratios), rel=1e-12, abs=1e-15)
             assert inside == (max(ratios) <= DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("form", ["vpolytope", "hpolyhedron"])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+def test_rounding_does_not_refute_at_zero_tolerance(theta, form):
+    # x' = R diag(-1, 0) R' x on the square R[-1, 1]^2 is invariant: it is
+    # tangent to two facets and enters through the other two. At tol = 0
+    # the rounding of R leaves fluxes of 1e-17 to 2e-16 on the tangent
+    # facets, which must not refute
+    r = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    m = r @ np.diag([-1.0, 0.0]) @ r.T
+    if form == "vpolytope":
+        s = VPolytope(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) @ r.T)
+    else:
+        s = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]) @ r.T, np.ones(4))
+    v = check(s, GeneralSystem(lambda t, x: m @ x), tol=0.0)
+    assert v.decision is Decision.UNKNOWN

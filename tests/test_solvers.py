@@ -3,11 +3,8 @@ import pytest
 
 from invarcheck import solvers
 from invarcheck.checkers import Decision, check
-from invarcheck.sets import HPolyhedron
+from invarcheck.sets import HPolyhedron, VPolytope
 from invarcheck.solvers import (
-    LPFeasibilityProblem,
-    OptResult,
-    QPProblem,
     lp_feasible,
     nnls,
     phase_one_feasibility,
@@ -22,94 +19,95 @@ from oracles import enumerate_lp, enumerate_qp_nearest, kkt_residuals
 TRIANGLE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # columns are vertices
 
 
+def vertex_lp(x_mat, f):
+    """The vertex decomposition system of the columns of x_mat at field f:
+    the polytope's own columns [X; 1'] and rhs [f; 0]."""
+    return VPolytope(np.asarray(x_mat).T).columns, np.append(np.asarray(f, dtype=float), 0.0)
+
+
 def test_vertex_constructor_invariants():
-    p = LPFeasibilityProblem.for_vertex(TRIANGLE, [0.5, 0.5], 0)
-    assert np.allclose(p.matrix[-1, :], 1.0)
-    assert p.rhs[-1] == 0.0
+    columns, rhs = vertex_lp(TRIANGLE, [0.5, 0.5])
+    assert np.array_equal(columns[:-1], TRIANGLE)
+    assert np.allclose(columns[-1, :], 1.0)
+    assert rhs[-1] == 0.0
 
 
 def test_lp_feasible_triangle_origin_vertex():
     # hand solve: a2 = a3 = 0.5, free a1 = -(a2 + a3) = -1
-    p = LPFeasibilityProblem.for_vertex(TRIANGLE, [0.5, 0.5], 0)
-    r = lp_feasible(p)
-    assert r.status == "feasible"
-    assert np.allclose(r.alpha, [-1.0, 0.5, 0.5], atol=1e-9)
+    infeas, alpha = lp_feasible(*vertex_lp(TRIANGLE, [0.5, 0.5]), 0)
+    assert infeas == 0.0 and alpha is not None
+    assert np.allclose(alpha, [-1.0, 0.5, 0.5], atol=1e-9)
 
 
 def test_lp_infeasible_triangle():
     # f = (-1, 0) forces a2 = -1 against the sign constraint
-    p = LPFeasibilityProblem.for_vertex(TRIANGLE, [-1.0, 0.0], 0)
-    r = lp_feasible(p)
-    assert r.status == "infeasible"
-    assert r.objective > 1e-6
+    infeas, alpha = lp_feasible(*vertex_lp(TRIANGLE, [-1.0, 0.0]), 0)
+    assert alpha is None
+    assert infeas > 1e-6
 
 
 def test_lp_zero_field_feasible():
-    p = LPFeasibilityProblem.for_vertex(TRIANGLE, [0.0, 0.0], 1)
-    r = lp_feasible(p)
-    assert r.status == "feasible"
-    assert np.allclose(r.alpha, 0.0, atol=1e-10)
+    infeas, alpha = lp_feasible(*vertex_lp(TRIANGLE, [0.0, 0.0]), 1)
+    assert alpha is not None
+    assert np.allclose(alpha, 0.0, atol=1e-10)
 
 
 def test_lp_phase_one_path_wide_system():
     # 8 cube vertices in R^3: more columns than rows, simplex path
     cube = np.array([[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)]).T
-    p = LPFeasibilityProblem.for_vertex(cube, -cube[:, 0] + np.array([0.5, 0.5, 0.5]), 0)
-    r = lp_feasible(p)
-    assert r.status == "feasible"
-    assert np.max(np.abs(p.matrix @ r.alpha - p.rhs)) <= 1e-8
+    columns, rhs = vertex_lp(cube, -cube[:, 0] + np.array([0.5, 0.5, 0.5]))
+    _, alpha = lp_feasible(columns, rhs, 0)
+    assert alpha is not None
+    assert np.max(np.abs(columns @ alpha - rhs)) <= 1e-8
     others = [j for j in range(8) if j != 0]
-    assert np.min(r.alpha[others]) >= -1e-10
+    assert np.min(alpha[others]) >= -1e-10
 
 
-def assert_primal_feasible(p, r):
+def assert_primal_feasible(columns, rhs, free_index):
     # the feasibility LP's objective is constant, so a feasible primal is
     # optimal exactly when its equality rows and sign constraints hold
-    assert r.status == "feasible" and r.alpha is not None
-    scale = 1.0 + float(np.max(np.abs(p.rhs)))
-    assert float(np.max(np.abs(p.matrix @ r.alpha - p.rhs))) <= 1e-7 * scale
-    assert not np.any(np.delete(r.alpha, p.free_index) < -1e-7)
+    _, alpha = lp_feasible(columns, rhs, free_index)
+    assert alpha is not None
+    scale = 1.0 + float(np.max(np.abs(rhs)))
+    assert float(np.max(np.abs(columns @ alpha - rhs))) <= 1e-7 * scale
+    assert not np.any(np.delete(alpha, free_index) < -1e-7)
 
 
 def test_dual_check_triangle():
-    p = LPFeasibilityProblem.for_vertex(TRIANGLE, [0.5, 0.5], 0)
-    assert_primal_feasible(p, lp_feasible(p))
+    assert_primal_feasible(*vertex_lp(TRIANGLE, [0.5, 0.5]), 0)
 
 
 def test_dual_check_zero_case():
-    p = LPFeasibilityProblem.for_vertex(TRIANGLE, [0.0, 0.0], 0)
-    assert_primal_feasible(p, lp_feasible(p))
+    assert_primal_feasible(*vertex_lp(TRIANGLE, [0.0, 0.0]), 0)
 
 
 def test_qp_triangle_clipped_coefficient():
     # vertex (1,0), f=(-1,-1): unconstrained solve wants the coefficient of
     # (0,1)-(1,0) negative, so it is clipped to zero; objective from the
     # exhaustive oracle
-    prob = QPProblem(TRIANGLE, [-1.0, -1.0], 1)
-    r = qp_nearest(prob)
-    assert r.status == "optimal"
-    assert r.objective > 1e-9
+    alpha, _, objective = qp_nearest(TRIANGLE, [-1.0, -1.0], 1)
+    assert objective > 1e-9
     obj_ref, _ = enumerate_qp_nearest(TRIANGLE, np.array([-1.0, -1.0]), 1)
-    assert r.objective == pytest.approx(obj_ref, abs=1e-10)
-    assert r.objective == pytest.approx(0.5, abs=1e-10)  # frozen hand value
-    assert abs(r.alpha[2]) <= 1e-12
+    assert objective == pytest.approx(obj_ref, abs=1e-10)
+    assert objective == pytest.approx(0.5, abs=1e-10)  # frozen hand value
+    assert abs(alpha[2]) <= 1e-12
 
 
 def test_qp_generator_direction_exact():
     for j in (0, 2):
         f = TRIANGLE[:, j] - TRIANGLE[:, 1]
-        r = qp_nearest(QPProblem(TRIANGLE, f, 1))
-        assert r.objective <= 1e-12
+        alpha, _, objective = qp_nearest(TRIANGLE, f, 1)
+        assert objective <= 1e-12
         expected = np.zeros(3)
         expected[j] = 1.0
         expected[1] = -1.0
-        assert np.allclose(r.alpha, expected, atol=1e-9)
+        assert np.allclose(alpha, expected, atol=1e-9)
 
 
 def test_qp_zero_field():
-    r = qp_nearest(QPProblem(TRIANGLE, [0.0, 0.0], 0))
-    assert r.objective <= 1e-15
-    assert np.allclose(r.alpha, 0.0, atol=1e-12)
+    alpha, _, objective = qp_nearest(TRIANGLE, [0.0, 0.0], 0)
+    assert objective <= 1e-15
+    assert np.allclose(alpha, 0.0, atol=1e-12)
 
 
 def test_kkt_residuals_at_optimum():
@@ -117,26 +115,25 @@ def test_kkt_residuals_at_optimum():
     for _ in range(30):
         n = int(rng.integers(2, 5))
         l1 = int(rng.integers(2, 8))
-        prob = QPProblem(rng.normal(size=(n, l1)), rng.normal(size=n), int(rng.integers(0, l1)))
-        res = qp_nearest(prob)
-        assert np.max(kkt_residuals(prob, res)) <= 1e-7
+        x_mat, f, i = rng.normal(size=(n, l1)), rng.normal(size=n), int(rng.integers(0, l1))
+        alpha, eta, _ = qp_nearest(x_mat, f, i)
+        assert np.max(kkt_residuals(x_mat, f, i, alpha, eta)) <= 1e-7
 
 
 def test_kkt_equality_residual_direct():
-    prob = QPProblem(TRIANGLE, [0.5, 0.5], 0)
-    res = qp_nearest(prob)
-    bad = OptResult("optimal", res.alpha + np.array([0.1, 0.0, 0.0]), res.multipliers, res.objective)
-    assert kkt_residuals(prob, bad)[1] == pytest.approx(0.1, abs=1e-12)
+    f = np.array([0.5, 0.5])
+    alpha, eta, _ = qp_nearest(TRIANGLE, f, 0)
+    bad = alpha + np.array([0.1, 0.0, 0.0])
+    assert kkt_residuals(TRIANGLE, f, 0, bad, eta)[1] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_kkt_complementarity_residual_direct():
-    prob = QPProblem(TRIANGLE, [-1.0, -1.0], 1)
-    res = qp_nearest(prob)
-    bumped = res.multipliers.copy()
+    f = np.array([-1.0, -1.0])
+    alpha, eta, _ = qp_nearest(TRIANGLE, f, 1)
+    bumped = eta.copy()
     bumped += 0.3  # perturb every multiplier
-    bad = OptResult("optimal", res.alpha, bumped, res.objective)
-    expected = abs(sum(bumped[j] * res.alpha[j] for j in range(3) if j != 1))
-    assert kkt_residuals(prob, bad)[3] == pytest.approx(expected, abs=1e-12)
+    expected = abs(sum(bumped[j] * alpha[j] for j in range(3) if j != 1))
+    assert kkt_residuals(TRIANGLE, f, 1, alpha, bumped)[3] == pytest.approx(expected, abs=1e-12)
 
 
 def test_lp_qp_agreement_random():
@@ -154,11 +151,11 @@ def test_lp_qp_agreement_random():
             f = x_mat @ coeff
         else:
             f = rng.normal(size=n)
-        lp = lp_feasible(LPFeasibilityProblem.for_vertex(x_mat, f, i))
-        qp = qp_nearest(QPProblem(x_mat, f, i))
-        feasible = lp.status == "feasible"
+        _, alpha = lp_feasible(*vertex_lp(x_mat, f), i)
+        objective = qp_nearest(x_mat, f, i)[2]
+        feasible = alpha is not None
         n_feasible += feasible
-        assert feasible == (qp.objective <= 1e-9), (x_mat, f, i)
+        assert feasible == (objective <= 1e-9), (x_mat, f, i)
     assert 20 < n_feasible < 180  # both outcomes well represented
 
 
@@ -170,22 +167,22 @@ def test_qp_matches_bruteforce_enumeration():
         x_mat = rng.normal(size=(n, l1))
         f = rng.normal(size=n)
         i = int(rng.integers(0, l1))
-        r = qp_nearest(QPProblem(x_mat, f, i))
+        objective = qp_nearest(x_mat, f, i)[2]
         obj_ref, _ = enumerate_qp_nearest(x_mat, f, i)
-        assert r.objective == pytest.approx(obj_ref, abs=1e-8)
+        assert objective == pytest.approx(obj_ref, abs=1e-8)
 
 
 def test_simplex_determinism():
     rng = np.random.default_rng(8)
     x_mat = rng.normal(size=(3, 7))
     f = rng.normal(size=3)
-    p = LPFeasibilityProblem.for_vertex(x_mat, f, 2)
-    r1 = lp_feasible(p)
-    r2 = lp_feasible(p)
-    assert r1.status == r2.status
-    if r1.alpha is not None:
-        assert np.array_equal(r1.alpha, r2.alpha)
-    assert r1.objective == r2.objective
+    columns, rhs = vertex_lp(x_mat, f)
+    infeas1, alpha1 = lp_feasible(columns, rhs, 2)
+    infeas2, alpha2 = lp_feasible(columns, rhs, 2)
+    assert (alpha1 is None) == (alpha2 is None)
+    if alpha1 is not None:
+        assert np.array_equal(alpha1, alpha2)
+    assert infeas1 == infeas2
 
 
 def test_simplex_standard_basics():

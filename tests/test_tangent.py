@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invarcheck.errors import ApexPoint, IndexOutOfRange, NotMember
+from invarcheck.errors import ApexPoint, DimensionMismatch, IndexOutOfRange, NotMember
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -20,6 +20,7 @@ from invarcheck.tangent import (
     QUADRATIC,
     SELF_CONE,
     cone_contains,
+    cone_test,
     tangent_cone_at,
     tangent_h,
     tangent_polytope,
@@ -236,3 +237,29 @@ def test_limit_definition_consistency():
                     assert not cone_contains(t_cone, y, 1e-7), (type(s).__name__, bp.point, y)
                     checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("s, point", [
+    (UNIT_BOX, [1.0, 1.0]),
+    (UNIT_BOX, [0.5, 0.5]),
+    (TRIANGLE, [1.0, 0.0]),
+    (TRIANGLE, [0.5, 0.0]),
+    (orthant_v(2), [1.0, 0.0]),
+    (Ellipsoid(np.eye(2)), [1.0, 0.0]),
+    (ICE3, [0.6, 0.8, 1.0]),
+    (ICE3, [0.0, 0.0, 0.0]),
+], ids=["box-corner", "box-interior", "vertex", "polytope-edge", "ray", "ellipsoid",
+        "lorenz-surface", "lorenz-apex"])
+def test_points_and_directions_of_another_size_are_dimension_mismatches(s, point):
+    # every family, and every cone kind, checks the size once at the entry
+    # point instead of failing inside numpy
+    wrong = [0.5] * (len(point) + 1)
+    with pytest.raises(DimensionMismatch):
+        tangent_cone_at(s, wrong)
+    t = tangent_cone_at(s, point)
+    for y in (wrong, wrong[:-2]):
+        with pytest.raises(DimensionMismatch):
+            cone_test(t, y)
+        with pytest.raises(DimensionMismatch):
+            cone_contains(t, y)
+    assert cone_contains(t, np.zeros(len(point)))
