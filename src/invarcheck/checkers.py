@@ -152,28 +152,27 @@ def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0) -> Verd
     the squared distance of its field to the admissible cone.
     """
     return _check_decomposition(
-        p, p.vertices, "vertex", "vertices",
-        lambda f, i, infeas: qp_nearest(p.vertices.T, f, i)[2], sys, t0)
+        p, lambda f, i, infeas: qp_nearest(p.vertices.T, f, i)[2], sys, t0)
 
 
 def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0) -> Verdict:
     """Ray decomposition test: at every extreme ray the field must combine
     the other rays nonnegatively with a sign-free coefficient on the ray
     itself. Exact for linear systems; Unknown-capped otherwise."""
-    return _check_decomposition(c, c.rays, "ray", "rays", lambda f, i, infeas: infeas, sys, t0)
+    return _check_decomposition(c, lambda f, i, infeas: infeas, sys, t0)
 
 
-def _check_decomposition(s: VPolytope | VCone, gens, name, plural, miss, sys,
-                         t0) -> Verdict:
-    """Decomposition feasibility at every row i of gens (s's vertices or rays):
+def _check_decomposition(s: VPolytope | VCone, miss, sys, t0) -> Verdict:
+    """Decomposition feasibility at every generator i of s (a vertex or ray):
     s.columns @ a = f with a_j >= 0 for j != i, on the family's own
     homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
-    the field f at row i padded with zeros to their height. The first
-    infeasible row refutes with violation miss(f, i, infeasibility); a
-    field not finite at a row before it is an InputError naming the row.
-    name and plural key the notes and the certificate.
+    the field f at generator i padded with zeros to their height. The first
+    infeasible one refutes with violation miss(f, i, infeasibility); a field
+    not finite at one before it is an InputError naming it. The set's
+    GENERATOR and GENERATORS words key the notes and the certificate.
     """
-    cols = s.columns
+    name, plural = s.GENERATOR, s.GENERATORS
+    gens, cols = getattr(s, plural), s.columns
     pad = np.zeros(cols.shape[0] - s.dim)
     records = []
     for i in range(gens.shape[0]):
@@ -195,6 +194,15 @@ def _check_decomposition(s: VPolytope | VCone, gens, name, plural, miss, sys,
                    notes={f"{name}_conditions": "passed", "payload": cert.data})
 
 
+def _pencil(s: Ellipsoid | LorenzCone, a):
+    """A, square of the set's dimension (else InputError), and M = A'Q + QA symmetrised."""
+    a = as_square(a, "A")
+    if a.shape[0] != s.dim:
+        raise InputError("system dimension does not match the set")
+    m = a.T @ s.Q + s.Q @ a
+    return a, 0.5 * (m + m.T)
+
+
 def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
     """Eigenvalue criterion for the ellipsoid x'Qx <= 1 under x' = A x.
 
@@ -203,11 +211,7 @@ def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
     scaled onto the unit quadric, witnesses outward flux of half that
     eigenvalue.
     """
-    a = as_square(a, "A")
-    if a.shape[0] != e.dim:
-        raise InputError("system dimension does not match the set")
-    m = a.T @ e.Q + e.Q @ a
-    m = 0.5 * (m + m.T)
+    a, m = _pencil(e, a)
     lam, x = gen_eig_max_witness(m, e.Q)
     if lam <= _PENCIL_TOL:
         witness = float(sym_eig(m - lam * e.Q).eigenvalues[0])
@@ -246,11 +250,7 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     NumericalFailure rather than return a verdict, since at that size the
     gap phi* and the flux may both be rounding noise.
     """
-    a = as_square(a, "A")
-    if a.shape[0] != c.dim:
-        raise InputError("system dimension does not match the set")
-    m = a.T @ c.Q + c.Q @ a
-    m = 0.5 * (m + m.T)
+    a, m = _pencil(c, a)
     beta = 10.0 * (1.0 + gershgorin_radius(m)) / float(np.min(np.abs(c.eigenvalues)))
 
     def pencil_max(eta):

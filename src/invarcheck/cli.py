@@ -42,7 +42,6 @@ from .sets import (
 )
 from .systems import LinearSystem
 from .tangent import (
-    FULLSPACE,
     GENERATED,
     HALFSPACES,
     QUADRATIC,
@@ -182,10 +181,8 @@ def resolve_options(file_options, args) -> dict:
                 opts[key] = value
             else:
                 opts[key] = _require_number(value, f"options.{key}")
-    for key, flag in (("tolerance", "tolerance"), ("seed", "seed"),
-                      ("n_samples", "samples"), ("horizon", "horizon"),
-                      ("step", "step")):
-        val = getattr(args, flag, None)
+    for key in opts:
+        val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
     for key in ("tolerance", "horizon", "step", "t0"):
@@ -245,70 +242,56 @@ def _verdict_report(verdict: Verdict) -> dict:
             "counterexample": cx, "notes": verdict.notes}
 
 
-def cmd_check(args) -> int:
+def _run(args, command: str, decide) -> int:
+    """Load the problem and emit command's report: the problem, the options,
+    the fields of decide(s, sys_obj, opts) -> (fields, summary, exit code)
+    and, unless --no-timing, the timing block."""
     t_start = time.perf_counter()
     s, sys_obj, sys_echo, opts = load_problem(args.file, args)
     t_parsed = time.perf_counter()
-    verdict = check(s, sys_obj, t0=opts["t0"], n_samples=opts["n_samples"],
-                    seed=opts["seed"], tol=opts["tolerance"])
+    fields, summary, code = decide(s, sys_obj, opts)
     t_done = time.perf_counter()
-    report = {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "command": "check",
-        "problem": {"set": set_to_dict(s), "system": sys_echo},
-        "options": opts,
-    }
-    report.update(_verdict_report(verdict))
+    report = {"schema": SCHEMA, "tool_version": __version__, "command": command,
+              "problem": {"set": set_to_dict(s), "system": sys_echo}, "options": opts, **fields}
     if not args.no_timing:
-        report["timing"] = {"parse_s": t_parsed - t_start,
-                            "check_s": t_done - t_parsed,
+        report["timing"] = {"parse_s": t_parsed - t_start, f"{command}_s": t_done - t_parsed,
                             "total_s": t_done - t_start}
-    _emit(report, f"decision: {verdict.decision.value}", args)
-    return _DECISION_EXIT[verdict.decision]
+    _emit(report, summary, args)
+    return code
+
+
+def cmd_check(args) -> int:
+    def decide(s, sys_obj, opts):
+        verdict = check(s, sys_obj, t0=opts["t0"], n_samples=opts["n_samples"],
+                        seed=opts["seed"], tol=opts["tolerance"])
+        return (_verdict_report(verdict), f"decision: {verdict.decision.value}",
+                _DECISION_EXIT[verdict.decision])
+    return _run(args, "check", decide)
 
 
 def cmd_falsify(args) -> int:
-    t_start = time.perf_counter()
-    s, sys_obj, sys_echo, opts = load_problem(args.file, args)
-    t_parsed = time.perf_counter()
-    hit = falsify(s, sys_obj, n_starts=opts["n_samples"], horizon=opts["horizon"],
-                  step=opts["step"], seed=opts["seed"], t0=opts["t0"], tol=opts["tolerance"])
-    t_done = time.perf_counter()
-    report = {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "command": "falsify",
-        "problem": {"set": set_to_dict(s), "system": sys_echo},
-        "options": opts,
-        "exit_found": hit is not None,
-        "witness": None if hit is None else {"x0": [float(v) for v in hit[0]],
-                                             "t_exit": float(hit[1])},
-    }
-    if not args.no_timing:
-        report["timing"] = {"parse_s": t_parsed - t_start,
-                            "falsify_s": t_done - t_parsed,
-                            "total_s": t_done - t_start}
-    summary = "exit found" if hit is not None else "no exit found"
-    _emit(report, summary, args)
-    return EXIT_NOT_INVARIANT if hit is not None else EXIT_INVARIANT
+    def decide(s, sys_obj, opts):
+        hit = falsify(s, sys_obj, n_starts=opts["n_samples"], horizon=opts["horizon"],
+                      step=opts["step"], seed=opts["seed"], t0=opts["t0"], tol=opts["tolerance"])
+        if hit is None:
+            return {"exit_found": False, "witness": None}, "no exit found", EXIT_INVARIANT
+        witness = {"x0": [float(v) for v in hit[0]], "t_exit": float(hit[1])}
+        return {"exit_found": True, "witness": witness}, "exit found", EXIT_NOT_INVARIANT
+    return _run(args, "falsify", decide)
 
 
 def _cone_to_dict(t_cone) -> dict:
-    if t_cone.kind == FULLSPACE:
-        return {"kind": FULLSPACE}
+    # at a boundary point no cone is the whole space: a halfspace form binds a row
     if t_cone.kind == HALFSPACES:
         return {"kind": HALFSPACES, "normals": t_cone.normals.tolist()}
     if t_cone.kind == QUADRATIC:
-        return {"kind": QUADRATIC, "normal": t_cone.q_normal.tolist()}
+        return {"kind": QUADRATIC, "normal": t_cone.normals[0].tolist()}
     if t_cone.kind == GENERATED:
         out = {"kind": GENERATED, "generators": t_cone.generators.tolist()}
         out["free_generator"] = (None if t_cone.free_generator is None
                                  else t_cone.free_generator.tolist())
         return out
-    if t_cone.kind == SELF_CONE:
-        return {"kind": SELF_CONE}
-    raise InputError(f"unknown cone kind {t_cone.kind}")
+    return {"kind": SELF_CONE}
 
 
 def cmd_tangent(args) -> int:
@@ -357,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             "test tolerance; only the sampled checker, falsify and tangent read "
             f"it, and exact linear verdicts read no user tolerance (default {DEFAULT_TOL:g})"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int, default=None)
         p.add_argument("--horizon", type=float, default=None)
         p.add_argument("--step", type=float, default=None)
         p.add_argument("--no-timing", action="store_true")

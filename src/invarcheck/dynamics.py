@@ -102,9 +102,13 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) 
 
 def _nudged_starts(s: ConvexSet, x, tol: float) -> np.ndarray:
     """Push boundary points (the columns of x) slightly inside, along the
-    inward direction of what binds at each within the band tol; exact
-    boundary starts can flag spurious instant exits under floating point. A
-    point whose push leaves the set starts unpushed."""
+    inward direction of what binds at each within the band tol. A point
+    whose push leaves the set starts unpushed. The exit band, not the push,
+    keeps a boundary start from exiting at once. The push gives each start
+    a margin of about _INWARD_PUSH*|g| in every binding constraint g (for a
+    quadric, |Qx| in x'Qx), which masks RK4's drift along a surface the
+    flow is tangent to: without it, falsify reports exits from Lorenz cones
+    that check certifies."""
     d = inward_directions(s, x, tol)
     cand = x + _INWARD_PUSH * (1.0 + np.linalg.norm(x, axis=0)) * d
     pushed = np.any(d != 0.0, axis=0) & (outside_violation_batch(s, cand) == 0.0)
@@ -123,9 +127,10 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     A linear system or an extra start of another dimension than the set,
     an extra start already outside the set by more than that band, a step
     and horizon outside 0 < step <= horizon < inf, more than MAX_STEPS
-    steps, or a nonlinear field that is not finite at a start raises
-    InputError. A trajectory whose state turns non-finite or grows past
-    the divergence threshold later on is dropped without an exit.
+    steps, a tol or seed that sample_boundary rejects, or a nonlinear field
+    that is not finite at a start raises InputError. A trajectory whose
+    state turns non-finite or grows past the divergence threshold later on
+    is dropped without an exit.
     tol is the boundary band of the starts: every start, extra ones too, is
     nudged inward from what binds within it.
     Deterministic for a given seed.

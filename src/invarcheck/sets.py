@@ -74,12 +74,12 @@ def flux_residual(flux, row_norms, y_norms, tol: float, active=None):
     return ~np.any(out, axis=0), np.max(ratio, axis=0, initial=0.0)
 
 
-def _surface_test(q, x, y, tol: float):
-    """flux_residual against the one row Qx of a quadratic surface at each
-    column of x."""
-    qx = q @ x
-    return flux_residual(np.sum(qx * y, axis=0)[None, :], np.linalg.norm(qx, axis=0),
-                         np.linalg.norm(y, axis=0), tol)
+def _check_tol_seed(tol, seed=0) -> None:
+    """InputError unless tol is a finite number >= 0 and seed an integer >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tol: expected a finite nonnegative number, got {tol}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed: expected a nonnegative integer, got {seed!r}")
 
 
 class Membership(Enum):
@@ -439,6 +439,7 @@ class VPolytope(_VForm):
 
     TAG = "vpolytope"
     FIELDS = {"vertices": "matrix"}
+    GENERATOR, GENERATORS = "vertex", "vertices"
     _HAS_APEX = False
 
     def __init__(self, vertices):
@@ -471,6 +472,7 @@ class VCone(_VForm):
 
     TAG = "vcone"
     FIELDS = {"rays": "matrix"}
+    GENERATOR, GENERATORS = "ray", "rays"
     _HAS_APEX = True  # a facet on no ray is the apex of a single-ray cone
 
     def __init__(self, rays):
@@ -501,26 +503,44 @@ class VCone(_VForm):
         return np.where(nrm < 1e-12, cand, cand / np.maximum(nrm, 1e-12))
 
 
-class Ellipsoid:
-    """{x : x'Qx <= 1} with Q symmetric positive definite."""
-
-    TAG = "ellipsoid"
-    FIELDS = {"Q": "matrix"}
+class _Quadric:
+    """What the ellipsoid and the quadratic cone share: Q, validated square
+    and symmetrised, its eigendecomposition (eigenvalues descending), and the
+    surface's outward normal Qx, the one row its tangent test reads."""
 
     def __init__(self, q):
         q = as_matrix(q, "Q")
         if q.shape[0] != q.shape[1]:
             raise DimensionMismatch("Q must be square")
         eig = sym_eig(q)
-        if eig.eigenvalues.size == 0 or eig.eigenvalues[-1] <= _SPD_MIN_EIG:
-            raise InputError("ellipsoid matrix is not positive definite")
         self.Q = 0.5 * (q + q.T)
-        self.eigenvalues = eig.eigenvalues
-        self.eigenvectors = eig.eigenvectors
+        self.eigenvalues, self.eigenvectors = eig.eigenvalues, eig.eigenvectors
 
     @property
     def dim(self):
         return self.Q.shape[0]
+
+    def normal(self, x) -> np.ndarray:
+        """Outward normal Qx of the surface at x."""
+        return self.Q @ x
+
+    def tangent_test(self, x, y, tol: float):
+        """flux_residual against the one row Qx at each column of x."""
+        qx = self.Q @ x
+        return flux_residual(np.sum(qx * y, axis=0)[None, :], np.linalg.norm(qx, axis=0),
+                             np.linalg.norm(y, axis=0), tol)
+
+
+class Ellipsoid(_Quadric):
+    """{x : x'Qx <= 1} with Q symmetric positive definite."""
+
+    TAG = "ellipsoid"
+    FIELDS = {"Q": "matrix"}
+
+    def __init__(self, q):
+        super().__init__(q)
+        if self.eigenvalues.size == 0 or self.eigenvalues[-1] <= _SPD_MIN_EIG:
+            raise InputError("ellipsoid matrix is not positive definite")
 
     def membership(self, x, tol: float):
         v = np.sum(x * (self.Q @ x), axis=0)
@@ -543,15 +563,8 @@ class Ellipsoid:
     def inward(self, x, tol: float) -> np.ndarray:
         return -(self.Q @ x)
 
-    def tangent_test(self, x, y, tol: float):
-        return _surface_test(self.Q, x, y, tol)
 
-    def normal(self, x) -> np.ndarray:
-        """Outward normal Qx of the surface at x."""
-        return self.Q @ x
-
-
-class LorenzCone:
+class LorenzCone(_Quadric):
     """One branch of {x : x'Qx <= 0} for Q with a single negative eigenvalue.
 
     The branch is the side where x'Q u_n <= 0 (equivalently u_n'x >= 0). If
@@ -564,26 +577,20 @@ class LorenzCone:
     FIELDS = {"Q": "matrix", "u_n": "optional vector"}
 
     def __init__(self, q, u_n=None):
-        q = as_matrix(q, "Q")
-        if q.shape[0] != q.shape[1]:
-            raise DimensionMismatch("Q must be square")
-        eig = sym_eig(q)
-        w = eig.eigenvalues
+        super().__init__(q)
+        w = self.eigenvalues
         negatives = int(np.sum(w < -1e-10))
         near_zero = int(np.sum(np.abs(w) <= 1e-10))
         if negatives != 1 or near_zero != 0:
             raise InputError(
                 f"cone matrix needs exactly one negative eigenvalue and none "
                 f"near zero (got {negatives} negative, {near_zero} near zero)")
-        self.Q = 0.5 * (q + q.T)
-        self.eigenvalues = w
-        self.eigenvectors = eig.eigenvectors
-        axis = eig.eigenvectors[:, -1]  # eigenvalues sorted descending
+        axis = self.eigenvectors[:, -1]  # eigenvalues sorted descending
         if u_n is None:
             self.u_n = canonical_sign(axis)
         else:
             u = as_vector(u_n, "u_n")
-            if u.shape[0] != q.shape[0]:
+            if u.shape[0] != self.dim:
                 raise DimensionMismatch("u_n dimension does not match Q")
             nrm = np.linalg.norm(u)
             if nrm < 1e-12:
@@ -592,10 +599,6 @@ class LorenzCone:
             if abs(float(u @ axis)) < 1.0 - 1e-6:
                 raise InputError("u_n is not the negative-eigenvalue eigenvector")
             self.u_n = u
-
-    @property
-    def dim(self):
-        return self.Q.shape[0]
 
     def membership(self, x, tol: float):
         nx = np.linalg.norm(x, axis=0)
@@ -640,7 +643,7 @@ class LorenzCone:
     def tangent_test(self, x, y, tol: float):
         """One row Qx on the surface; at the apex the tangent cone is the
         cone itself, so there the residual is the cone's own violation of y."""
-        inside, residual = _surface_test(self.Q, x, y, tol)
+        inside, residual = super().tangent_test(x, y, tol)
         apex = self.at_apex(x)
         if np.any(apex):
             residual[apex] = self.violation(y[:, apex])
@@ -651,7 +654,7 @@ class LorenzCone:
         """Outward normal Qx of the surface at x; the apex has none."""
         if np.all(self.at_apex(x)):
             raise ApexPoint("tangent cone at the apex is the cone itself")
-        return self.Q @ x
+        return super().normal(x)
 
 
 ConvexSet = HPolyhedron | VPolytope | VCone | Ellipsoid | LorenzCone
@@ -686,8 +689,10 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
     Each defining inequality carries a boundary band of tol relative to its
     right-hand side; vertex and ray forms are decided by the
     LP feasibility of the combination coefficients, with "inside" meaning
-    the relative interior.
+    the relative interior. A tol that is negative or not finite is an
+    InputError.
     """
+    _check_tol_seed(tol)
     if np.ndim(x) == 2:
         x = as_matrix(x, "x")
         if x.shape[0] != s.dim:
@@ -743,10 +748,12 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     (conic, at unit norm) combinations of one facet's generators, boundary
     points by construction. A vertex form with too many candidate facets
     draws two-point combinations instead and keeps those the membership LP
-    calls boundary.
+    calls boundary. A count below 1, a tol that is negative or not finite,
+    or a seed that is not an integer >= 0 is an InputError.
     """
     if count < 1:
         raise InputError("count must be at least 1")
+    _check_tol_seed(tol, seed)
     return s.sample(count, np.random.default_rng(seed), tol)
 
 

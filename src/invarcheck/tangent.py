@@ -6,8 +6,10 @@ against every active row. At a vertex of a polytope it is generated by the
 differences to the other vertices with nonnegative coefficients; at an
 extreme ray of a cone the ray itself enters with a sign-free coefficient.
 On the smooth part of a quadratic surface it is the halfspace under the
-outward normal Qx. The apex of a quadratic cone is special: the tangent
-cone there is the cone itself, represented by a membership-backed kind.
+outward normal Qx, the same object as the cone on a facet: every halfspace
+kind keeps its rows in one payload, normals, which cone_test reads in one
+branch. The apex of a quadratic cone is special: the tangent cone there is
+the cone itself, represented by a membership-backed kind.
 Every cone is read from the point alone: which rows bind, which vertex or
 ray the point coincides with, whether it is the apex.
 
@@ -37,6 +39,7 @@ from .sets import (
     Membership,
     VCone,
     VPolytope,
+    _check_tol_seed,
     active_constraints,
     as_point,
     flux_residual,
@@ -56,11 +59,12 @@ SELF_CONE = "cone-itself"
 class TangentCone:
     """Local cone of admissible directions at a boundary point.
 
-    kind selects the payload: "halfspaces" uses normals (rows g, cone is
-    g'y <= 0 for all of them); "generated" uses generators rows with
-    nonnegative coefficients plus an optional sign-free generator;
-    "quadratic-halfspace" uses the single normal q_normal; "fullspace" has
-    no rows in normals (0 x n); "cone-itself" defers to membership in
+    kind selects the payload. The halfspace kinds keep their rows g in
+    normals (k x n), and the cone is g'y <= 0 for all of them: "halfspaces"
+    holds the binding rows of a halfspace form, "quadratic-halfspace" the
+    one row Qx of a quadratic surface, and "fullspace" no rows (0 x n).
+    "generated" uses generators rows with nonnegative coefficients plus an
+    optional sign-free generator; "cone-itself" defers to membership in
     set_ref (apex case). The payload fixes the dimension n of the directions
     that cone_test accepts.
     """
@@ -69,7 +73,6 @@ class TangentCone:
     normals: np.ndarray | None = None
     generators: np.ndarray | None = None
     free_generator: np.ndarray | None = None
-    q_normal: np.ndarray | None = None
     set_ref: object = None
 
 
@@ -80,9 +83,7 @@ def tangent_h(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> TangentCone:
     if membership(p, pt, tol) is Membership.OUTSIDE:
         raise NotMember("point is outside the polyhedron")
     active = active_constraints(p, pt, tol)
-    if not active:
-        return TangentCone(FULLSPACE, normals=np.zeros((0, p.dim)))
-    return TangentCone(HALFSPACES, normals=p.G[active].copy())
+    return TangentCone(HALFSPACES if active else FULLSPACE, normals=p.G[active])
 
 
 def tangent_polytope(p: VPolytope, i: int) -> TangentCone:
@@ -105,7 +106,7 @@ def tangent_vcone(c: VCone, i: int) -> TangentCone:
 
 def tangent_quadratic(s: Ellipsoid | LorenzCone, x) -> TangentCone:
     """Halfspace under the outward normal Qx on the smooth quadratic surface."""
-    return TangentCone(QUADRATIC, q_normal=s.normal(as_point(s, x)))
+    return TangentCone(QUADRATIC, normals=s.normal(as_point(s, x))[None, :])
 
 
 def _vertex_at(p: VPolytope, pt: np.ndarray) -> int | None:
@@ -132,10 +133,12 @@ def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
     it coincides with, or the apex of a quadratic cone. Vertex-form points
     that are not vertices/rays get the general finitely-generated cone
     (differences to all vertices; all rays plus the point itself
-    sign-free), which reduces to the vertex/ray formulas there.
+    sign-free), which reduces to the vertex/ray formulas there. A tol that
+    is negative or not finite is an InputError.
     """
     if not isinstance(s, ConvexSet):
         raise InputError(f"unsupported set type {type(s).__name__}")
+    _check_tol_seed(tol)
     pt = as_point(s, x)
     if isinstance(s, HPolyhedron):
         return tangent_h(s, pt, tol)
@@ -159,23 +162,23 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     """Whether direction y lies in the tangent cone within tol, and by how
     much it misses.
 
-    Halfspace kinds test every normal against tol scaled by the norms; the
-    residual is the largest normalized inner product. Generated kinds solve
-    the coefficient feasibility LP once and accept an L1 residual up to
-    tol*(1 + ||y||). The apex kind uses the cone's own violation measure.
-    A y of another dimension than the cone's is a DimensionMismatch.
+    The halfspace kinds (fullspace, halfspaces, quadratic-halfspace) test
+    every row of normals against tol scaled by the norms; the residual is
+    the largest normalized inner product, 0 without rows. Generated kinds
+    solve the coefficient feasibility LP once and accept an L1 residual up
+    to tol*(1 + ||y||). The apex kind uses the cone's own violation measure.
+    A y of another dimension than the cone's is a DimensionMismatch, and a
+    tol that is negative or not finite an InputError.
     """
+    _check_tol_seed(tol)
     y = as_vector(y, "y")
-    # the payload fixes the dimension; a cone built without one takes any y
-    payload = [v for v in (t.normals, t.generators, t.q_normal) if v is not None]
-    n = t.set_ref.dim if t.kind == SELF_CONE else payload[0].shape[-1] if payload else y.shape[0]
+    n = t.set_ref.dim if t.kind == SELF_CONE else (
+        t.generators if t.kind == GENERATED else t.normals).shape[1]
     if y.shape[0] != n:
         raise DimensionMismatch(f"direction has dimension {y.shape[0]}, cone has {n}")
-    if t.kind == FULLSPACE:
-        return True, 0.0
-    if t.kind == HALFSPACES or t.kind == QUADRATIC:
-        rows = t.normals if t.kind == HALFSPACES else t.q_normal.reshape(1, -1)
-        inside, worst = flux_residual((rows @ y)[:, None], np.linalg.norm(rows, axis=1)[:, None],
+    if t.kind in (FULLSPACE, HALFSPACES, QUADRATIC):
+        inside, worst = flux_residual((t.normals @ y)[:, None],
+                                      np.linalg.norm(t.normals, axis=1)[:, None],
                                       np.linalg.norm(y), tol)
         return bool(inside[0]), float(worst[0])
     if t.kind == GENERATED:

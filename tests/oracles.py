@@ -333,7 +333,7 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
     from invarcheck.sets import outside_violation
     from invarcheck.solvers import phase_one_feasibility
     from invarcheck.tangent import (
-        FULLSPACE, GENERATED, HALFSPACES, SELF_CONE, tangent_cone_at)
+        FULLSPACE, GENERATED, SELF_CONE, tangent_cone_at)
 
     out = []
     for bp in samples:
@@ -354,9 +354,8 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
             violation = outside_violation(t.set_ref, y)
             out.append((violation <= tol, violation))
         else:
-            rows = t.normals if t.kind == HALFSPACES else t.q_normal.reshape(1, -1)
             inside, worst = True, 0.0
-            for g in rows:
+            for g in t.normals:
                 flux = float(g @ y)
                 scale = 1.0 + float(np.linalg.norm(g)) * ny
                 inside = inside and not flux > tol * scale

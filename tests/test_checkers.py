@@ -194,6 +194,30 @@ def test_empty_polyhedron_raises():
         check_hpoly_linear(empty, np.eye(1))
 
 
+def test_redundant_row_is_a_vacuous_facet():
+    # x1 <= 2 never binds on the box [-1, 1]^2: its facet LP is infeasible
+    box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]],
+                      [1.0, 1.0, 1.0, 1.0, 2.0])
+    v = check(box, LinearSystem(-np.eye(2)))
+    assert v.decision is Decision.INVARIANT
+    assert v.certificate.data["facets"][-1] == {"index": 4, "vacuous": True}
+
+
+def test_vertex_refutes_a_general_field_before_sampling(monkeypatch):
+    # at vertex 0 = (0, 0) the field (-0.3, -0.3) points away from both edges;
+    # half its squared distance to their cone is 0.09
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the vertex refutation must not sample the boundary")
+
+    monkeypatch.setattr(checkers, "sample_boundary", no_sampling)
+    v = check(VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+              GeneralSystem(lambda t, x: x - 0.3))
+    assert v.decision is Decision.NOT_INVARIANT
+    assert v.notes == {"vertex": 0}
+    assert np.array_equal(v.counterexample.point, [0.0, 0.0])
+    assert v.counterexample.violation == pytest.approx(0.09, rel=1e-12)
+
+
 def test_orthant_metzler_example():
     v = check_orthant_linear([[-1.0, 2.0], [0.0, -3.0]])
     assert v.decision is Decision.INVARIANT

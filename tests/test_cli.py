@@ -98,6 +98,52 @@ def test_missing_schema_and_fields_named(tmp_path, capsys):
     assert "schema" in err
 
 
+_BOX = {"type": "hpolyhedron", "G": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [1, 1, 1, 1]}
+_DECAY = {"type": "linear", "A": [[-1, 0], [0, -1]]}
+
+
+def _problem(**fields):
+    """The box under x' = -x, with fields replaced (or dropped when None)."""
+    d = {"schema": "nagumo/1", "set": _BOX, "system": _DECAY, **fields}
+    return {k: v for k, v in d.items() if v is not None}
+
+
+@pytest.mark.parametrize("problem, message", [
+    ([_problem()], "problem: expected a JSON object"),
+    (_problem(set=None), "set: missing"),
+    (_problem(system=None), "system: missing"),
+    (_problem(set={"G": _BOX["G"], "b": _BOX["b"]}), "set: expected an object with a 'type' tag"),
+    (_problem(set={"type": "ball"}), "set.type: unknown tag 'ball'"),
+    (_problem(set={"type": "hpolyhedron", "G": [[1, 0], [1]], "b": [1, 1]}),
+     "set.G[1]: row length 1 != 2"),
+    (_problem(set={"type": "hpolyhedron", "G": [[1, 0]], "b": []}),
+     "set.b: expected a non-empty array of numbers"),
+    (_problem(set={"type": "orthant", "n": 0}), "set.n: expected a positive integer"),
+    (_problem(system={"A": _DECAY["A"]}), "system: expected an object with a 'type' tag"),
+    (_problem(system={"type": "affine"}), "system.type: unknown tag 'affine'"),
+    (_problem(system={"type": "expression", "formulas": [1, 2]}),
+     "system.formulas: expected an array of strings"),
+    (_problem(system={"type": "expression", "formulas": ["-x1"]}),
+     "system.formulas: expected 2 formulas, got 1"),
+    (_problem(options=[1]), "options: expected an object"),
+    (_problem(options={"speed": 1}), "options.speed: unknown option"),
+    (_problem(options={"seed": 1.5}), "options.seed: expected an integer"),
+    (_problem(options={"n_samples": True}), "options.n_samples: expected an integer"),
+    (None, "cannot read"),
+], ids=["top-level array", "no set", "no system", "set without type", "unknown set tag",
+        "ragged G", "empty b", "orthant n 0", "system without type", "unknown system tag",
+        "formulas not strings", "formula count", "options not object", "unknown option",
+        "seed not integer", "boolean n_samples", "unreadable file"])
+def test_every_malformed_problem_exits_64(tmp_path, capsys, problem, message):
+    f = tmp_path / "p.json"
+    if problem is not None:
+        f.write_text(json.dumps(problem), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert message in err
+
+
 def test_dimension_mismatch_exits_64(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"schema": "nagumo/1",
@@ -222,6 +268,13 @@ def test_tangent_ellipsoid_normal(tmp_path, capsys):
     report = json.loads(out)
     assert report["cone"]["kind"] == "quadratic-halfspace"
     assert report["cone"]["normal"] == [0.0, 2.0]
+
+
+def test_tangent_at_lorenz_apex_is_the_cone_itself(capsys):
+    code, out, _ = run_cli(capsys, "tangent", str(PROBLEMS / "lorenz_expanding.json"),
+                           "[0.0, 0.0, 0.0]", "--no-timing")
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["cone"] == {"kind": "cone-itself"}
 
 
 def test_tangent_interior_point_exits_65(capsys):

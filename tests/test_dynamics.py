@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from invarcheck import dynamics
+from invarcheck.checkers import Decision, check
 from invarcheck.dynamics import MAX_STEPS, _step_grid, falsify, integrate
 from invarcheck.errors import InputError
 from invarcheck.sets import Ellipsoid, HPolyhedron, LorenzCone, VCone, orthant_h
@@ -211,3 +212,40 @@ def test_falsify_integrates_each_distinct_start_once(monkeypatch):
     assert single is not None and repeated is not None
     assert np.allclose(single[0], leave, atol=1e-6)
     assert np.array_equal(single[0], repeated[0]) and single[1] == repeated[1]
+
+
+def _nan_after(t, x):
+    """-x up to t = 0.05, NaN from then on."""
+    return np.full_like(x, np.nan) if t > 0.05 else -x
+
+
+def test_field_turning_nan_truncates_and_drops_trajectories():
+    tr = integrate(GeneralSystem(_nan_after), [0.5, 0.5], 0.0, 0.5, 0.01)
+    assert tr.diverged
+    assert tr.states.shape == (6, 2)
+    box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
+    # finite at every start, so no input error; every trajectory turns NaN
+    # at t = 0.05 and is dropped without an exit (and, under -W error, with
+    # no floating-point warning)
+    assert falsify(box, GeneralSystem(_nan_after, vectorized=True), 50, 0.5, 0.01, 0) is None
+
+
+def _surface_tangent_cone():
+    """A Lorenz cone and a linear field with A'Q + QA = 8.5384 Q: the flow
+    runs along the cone's surface, and check certifies the cone."""
+    u = np.array([[-0.4509, -0.1114, -0.8856], [-0.1666, -0.9642, 0.2061],
+                  [-0.8769, 0.2405, 0.4163]])
+    q = u @ np.diag([2379.066, 5.8327, -140.0102]) @ u.T
+    q = 0.5 * (q + q.T)
+    skew = np.array([[0.0, 0.0858, 0.0007], [-0.0858, 0.0, -2.3404], [-0.0007, 2.3404, 0.0]])
+    return LorenzCone(q), LinearSystem(8.5384 * (np.linalg.solve(q, skew) + 0.5 * np.eye(3)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 102])
+def test_falsify_does_not_contradict_check_on_a_surface_flow(seed):
+    # without the inward push of the starts, RK4's drift along the surface
+    # (x'Qx moves by more than the exit band) reports exits at t = 0.35-0.49
+    cone, sys = _surface_tangent_cone()
+    assert check(cone, sys).decision is Decision.INVARIANT
+    assert falsify(cone, sys, 100, 0.5, 0.01, seed) is None
+

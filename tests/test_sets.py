@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from invarcheck.checkers import check
+from invarcheck.dynamics import falsify
+
 from invarcheck.errors import DimensionMismatch, EmptyBoundary, InputError
 from invarcheck.sets import (
+    DEFAULT_TOL,
     BoundaryPoint,
     Ellipsoid,
     HPolyhedron,
@@ -19,6 +25,8 @@ from invarcheck.sets import (
     outside_violation_batch,
     sample_boundary,
 )
+from invarcheck.systems import GeneralSystem
+from invarcheck.tangent import cone_test, tangent_cone_at
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -393,3 +401,33 @@ def test_membership_of_columns_matches_each_point(s):
     assert set(classes) == set(Membership)
     with pytest.raises(DimensionMismatch):
         membership(s, np.zeros((s.dim + 1, 2)))
+
+
+SQUARE = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
+_EXPANDING = GeneralSystem(lambda t, x: x)
+_TOL_ENTRY_POINTS = {
+    "sample_boundary": lambda tol: sample_boundary(SQUARE, 10, 0, tol),
+    "membership": lambda tol: membership(SQUARE, [5.0, 5.0], tol),
+    "tangent_cone_at": lambda tol: tangent_cone_at(SQUARE, [1.0, 0.5], tol),
+    "cone_test": lambda tol: cone_test(tangent_cone_at(SQUARE, [1.0, 0.5]), [1.0, 0.0], tol),
+    "check": lambda tol: check(SQUARE, _EXPANDING, n_samples=10, tol=tol),
+    "falsify": lambda tol: falsify(SQUARE, _EXPANDING, 10, 0.1, 0.01, 0, tol=tol),
+}
+_SEED_ENTRY_POINTS = {
+    "sample_boundary": lambda seed: sample_boundary(SQUARE, 10, seed),
+    "check": lambda seed: check(SQUARE, _EXPANDING, n_samples=10, seed=seed),
+    "falsify": lambda seed: falsify(SQUARE, _EXPANDING, 10, 0.1, 0.01, seed),
+}
+
+
+@pytest.mark.parametrize("entry, knob, value",
+                         [(e, "tol", v) for e in _TOL_ENTRY_POINTS
+                          for v in (math.nan, math.inf, -1.0)]
+                         + [(e, "seed", -1) for e in _SEED_ENTRY_POINTS])
+def test_bad_tolerance_or_seed_is_an_input_error(entry, knob, value):
+    # each of these was accepted or misread before: tol = nan put (5, 5)
+    # inside the square and an outward direction in its tangent cone
+    call = (_TOL_ENTRY_POINTS if knob == "tol" else _SEED_ENTRY_POINTS)[entry]
+    with pytest.raises(InputError, match=knob):
+        call(value)
+    call(DEFAULT_TOL if knob == "tol" else 0)  # a good value goes through

@@ -125,19 +125,19 @@ def test_vcone_single_ray_line():
 def test_quadratic_circle_point():
     t = tangent_quadratic(Ellipsoid(np.eye(2)), [1.0, 0.0])
     assert t.kind == QUADRATIC
-    assert np.allclose(t.q_normal, [1.0, 0.0])
+    assert np.allclose(t.normals[0], [1.0, 0.0])
     assert cone_contains(t, [-1.0, 4.0])
     assert not cone_contains(t, [1.0, 0.0])
 
 
 def test_quadratic_scaled_ellipse():
     t = tangent_quadratic(Ellipsoid(np.diag([1.0, 4.0])), [0.0, 0.5])
-    assert np.allclose(t.q_normal, [0.0, 2.0])
+    assert np.allclose(t.normals[0], [0.0, 2.0])
 
 
 def test_quadratic_lorenz_345():
     t = tangent_quadratic(ICE3, [3.0, 4.0, 5.0])
-    assert np.allclose(t.q_normal, [3.0, 4.0, -5.0])
+    assert np.allclose(t.normals[0], [3.0, 4.0, -5.0])
     assert cone_contains(t, [0.0, 0.0, 1.0])
     assert not cone_contains(t, [1.0, 0.0, 0.0])
 
