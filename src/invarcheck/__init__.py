@@ -48,10 +48,6 @@ from .tangent import (
     TangentCone,
     cone_contains,
     tangent_cone_at,
-    tangent_h,
-    tangent_polytope,
-    tangent_quadratic,
-    tangent_vcone,
 )
 
 __version__ = "0.1.0"
@@ -67,6 +63,5 @@ __all__ = [
     "check_vpolytope", "cone_contains", "falsify", "integrate",
     "lp_feasible", "membership", "minimize_scalar_convex", "orthant_h",
     "orthant_v", "parse_formula", "qp_nearest", "sample_boundary",
-    "solve_linear", "sym_eig", "tangent_cone_at", "tangent_h",
-    "tangent_polytope", "tangent_quadratic", "tangent_vcone",
+    "solve_linear", "sym_eig", "tangent_cone_at",
 ]

@@ -26,7 +26,6 @@ from . import __version__
 from .checkers import Decision, Verdict, check
 from .dynamics import falsify
 from .errors import (
-    ApexPoint,
     EmptyBoundary,
     EmptySet,
     InputError,
@@ -112,13 +111,13 @@ def set_from_dict(d: dict):
         raise InputError("set: expected an object with a 'type' tag")
     tag = d["type"]
     family = FAMILIES.get(tag) if isinstance(tag, str) else None
+    if family is None:
+        raise InputError(f"set.type: unknown tag {tag!r}")
+    fields = [_require_field(d, name, kind) for name, kind in family.FIELDS.items()]
     try:
-        if family is not None:
-            return family(*[_require_field(d, name, kind)
-                            for name, kind in family.FIELDS.items()])
+        return family(*fields)
     except ToolkitError as exc:
         raise InputError(f"set: {exc}") from exc
-    raise InputError(f"set.type: unknown tag {tag!r}")
 
 
 def set_to_dict(s) -> dict:
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
     except (InputError, EmptySet, EmptyBoundary) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotMember, ApexPoint) as exc:
+    except NotMember as exc:
         print(f"boundary error: {exc}", file=sys.stderr)
         return EXIT_NOT_BOUNDARY
     except ToolkitError as exc:

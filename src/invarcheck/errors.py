@@ -37,14 +37,6 @@ class NotMember(ToolkitError):
     """The query point lies outside the set."""
 
 
-class IndexOutOfRange(ToolkitError, IndexError):
-    """Vertex or ray index outside the valid range."""
-
-
-class ApexPoint(ToolkitError):
-    """The quadratic-surface tangent construction was asked at a cone apex."""
-
-
 class NumericalFailure(ToolkitError):
     """A solver failed for numerical reasons (cycling, stalling)."""
 

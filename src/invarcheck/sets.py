@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ApexPoint, DimensionMismatch, EmptyBoundary, InputError, NotMember
+from .errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
 from .numerics import as_matrix, as_vector, canonical_sign, sym_eig
 from .solvers import simplex_standard, solve_inequality_lp
 
@@ -506,7 +506,7 @@ class VCone(_VForm):
 class _Quadric:
     """What the ellipsoid and the quadratic cone share: Q, validated square
     and symmetrised, its eigendecomposition (eigenvalues descending), and the
-    surface's outward normal Qx, the one row its tangent test reads."""
+    tangent test against the surface's outward normal Qx, its one row."""
 
     def __init__(self, q):
         q = as_matrix(q, "Q")
@@ -519,10 +519,6 @@ class _Quadric:
     @property
     def dim(self):
         return self.Q.shape[0]
-
-    def normal(self, x) -> np.ndarray:
-        """Outward normal Qx of the surface at x."""
-        return self.Q @ x
 
     def tangent_test(self, x, y, tol: float):
         """flux_residual against the one row Qx at each column of x."""
@@ -642,19 +638,14 @@ class LorenzCone(_Quadric):
 
     def tangent_test(self, x, y, tol: float):
         """One row Qx on the surface; at the apex the tangent cone is the
-        cone itself, so there the residual is the cone's own violation of y."""
+        cone itself, so there the residual is the cone's own violation of y,
+        refuting above max(tol, _ROUNDING) as flux_residual does."""
         inside, residual = super().tangent_test(x, y, tol)
         apex = self.at_apex(x)
         if np.any(apex):
             residual[apex] = self.violation(y[:, apex])
-            inside[apex] = residual[apex] <= tol
+            inside[apex] = residual[apex] <= max(tol, _ROUNDING)
         return inside, residual
-
-    def normal(self, x) -> np.ndarray:
-        """Outward normal Qx of the surface at x; the apex has none."""
-        if np.all(self.at_apex(x)):
-            raise ApexPoint("tangent cone at the apex is the cone itself")
-        return super().normal(x)
 
 
 ConvexSet = HPolyhedron | VPolytope | VCone | Ellipsoid | LorenzCone

@@ -13,7 +13,8 @@ the cone itself, represented by a membership-backed kind.
 Every cone is read from the point alone: which rows bind, which vertex or
 ray the point coincides with, whether it is the apex.
 
-tangent_cone_at and cone_test build and test one cone at one point.
+tangent_cone_at is the one constructor of a cone, for every family, and
+cone_test tests one direction against it.
 first_outside tests a whole batch of sampled points at once: each set
 family's tangent_test gives the outward flux of every direction against
 the halfspace rows that bind at its point, with facets in place of the
@@ -28,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InputError, NotMember
+from .errors import DimensionMismatch, InputError, NotMember
 from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
+    _ROUNDING,
     ConvexSet,
-    Ellipsoid,
     HPolyhedron,
     LorenzCone,
     Membership,
@@ -76,86 +77,43 @@ class TangentCone:
     set_ref: object = None
 
 
-def tangent_h(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> TangentCone:
-    """Tangent cone of a halfspace-form polyhedron at a member point; the rows
-    within the boundary band tol of the point are active."""
-    pt = as_vector(x, "point")
-    if membership(p, pt, tol) is Membership.OUTSIDE:
-        raise NotMember("point is outside the polyhedron")
-    active = active_constraints(p, pt, tol)
-    return TangentCone(HALFSPACES if active else FULLSPACE, normals=p.G[active])
-
-
-def tangent_polytope(p: VPolytope, i: int) -> TangentCone:
-    """Tangent cone at vertex i: nonnegative combinations of the edges out of it."""
-    l1 = p.vertices.shape[0]
-    if not 0 <= i < l1:
-        raise IndexOutOfRange(f"vertex index {i} outside 0..{l1 - 1}")
-    gens = np.delete(p.vertices, i, axis=0) - p.vertices[i]
-    return TangentCone(GENERATED, generators=gens)
-
-
-def tangent_vcone(c: VCone, i: int) -> TangentCone:
-    """Tangent cone at extreme ray i: that ray sign-free plus the others."""
-    l = c.rays.shape[0]
-    if not 0 <= i < l:
-        raise IndexOutOfRange(f"ray index {i} outside 0..{l - 1}")
-    return TangentCone(GENERATED, generators=np.delete(c.rays, i, axis=0),
-                       free_generator=c.rays[i].copy())
-
-
-def tangent_quadratic(s: Ellipsoid | LorenzCone, x) -> TangentCone:
-    """Halfspace under the outward normal Qx on the smooth quadratic surface."""
-    return TangentCone(QUADRATIC, normals=s.normal(as_point(s, x))[None, :])
-
-
-def _vertex_at(p: VPolytope, pt: np.ndarray) -> int | None:
-    """The first vertex that pt coincides with, if any."""
-    for i, v in enumerate(p.vertices):
-        if np.max(np.abs(v - pt)) <= 1e-8 * (1.0 + np.max(np.abs(v))):
-            return i
-    return None
-
-
-def _ray_through(c: VCone, pt: np.ndarray) -> int | None:
-    """The first ray that pt points along, if any."""
-    for i, r in enumerate(c.rays):
-        cross = np.linalg.norm(pt) * np.linalg.norm(r)
-        if cross > 0 and float(pt @ r) >= (1.0 - 1e-10) * cross:
-            return i
-    return None
-
-
 def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
     """Tangent cone at a boundary point x of any supported set.
 
-    The point is located first: the rows binding at it, the vertex or ray
-    it coincides with, or the apex of a quadratic cone. Vertex-form points
-    that are not vertices/rays get the general finitely-generated cone
-    (differences to all vertices; all rays plus the point itself
-    sign-free), which reduces to the vertex/ray formulas there. A tol that
-    is negative or not finite is an InputError.
+    The point is located first: the rows binding at it (NotMember if it is
+    outside a halfspace form), the first vertex within 1e-8*(1 + |v|) of it
+    (max norms), the first ray it points along, or the apex of a quadratic
+    cone. At vertex i the generators are the edges V - V[i] out of it; along
+    ray i they are the other rays, with ray i sign-free. Other vertex-form
+    points get the general finitely-generated cone (differences to all
+    vertices; all rays plus the point itself sign-free), which reduces to
+    the vertex/ray formulas there. A tol that is negative or not finite is
+    an InputError.
     """
     if not isinstance(s, ConvexSet):
         raise InputError(f"unsupported set type {type(s).__name__}")
     _check_tol_seed(tol)
     pt = as_point(s, x)
     if isinstance(s, HPolyhedron):
-        return tangent_h(s, pt, tol)
+        if membership(s, pt, tol) is Membership.OUTSIDE:
+            raise NotMember("point is outside the polyhedron")
+        active = active_constraints(s, pt, tol)
+        return TangentCone(HALFSPACES if active else FULLSPACE, normals=s.G[active])
     if isinstance(s, VPolytope):
-        i = _vertex_at(s, pt)
-        if i is not None:
-            return tangent_polytope(s, i)
-        gens = s.vertices - pt
+        v = s.vertices
+        at = np.flatnonzero(np.max(np.abs(v - pt), axis=1)
+                            <= 1e-8 * (1.0 + np.max(np.abs(v), axis=1)))
+        gens = v - (v[at[0]] if at.size else pt)
         return TangentCone(GENERATED, generators=gens[np.max(np.abs(gens), axis=1) > 1e-12])
     if isinstance(s, VCone):
-        i = _ray_through(s, pt)
-        if i is not None:
-            return tangent_vcone(s, i)
-        return TangentCone(GENERATED, generators=s.rays.copy(), free_generator=pt)
+        r = s.rays
+        cross = np.linalg.norm(pt) * np.linalg.norm(r, axis=1)
+        along = np.flatnonzero((cross > 0) & (r @ pt >= (1.0 - 1e-10) * cross))[:1]
+        return TangentCone(GENERATED, generators=np.delete(r, along, axis=0),
+                           free_generator=r[along[0]].copy() if along.size else pt)
     if isinstance(s, LorenzCone) and s.at_apex(pt):
         return TangentCone(SELF_CONE, set_ref=s)
-    return tangent_quadratic(s, pt)
+    return TangentCone(QUADRATIC, normals=(s.Q @ pt)[None, :])
 
 
 def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -166,7 +124,8 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     every row of normals against tol scaled by the norms; the residual is
     the largest normalized inner product, 0 without rows. Generated kinds
     solve the coefficient feasibility LP once and accept an L1 residual up
-    to tol*(1 + ||y||). The apex kind uses the cone's own violation measure.
+    to tol*(1 + ||y||). The apex kind uses the cone's own violation measure,
+    refuting only above max(tol, _ROUNDING) as flux_residual does.
     A y of another dimension than the cone's is a DimensionMismatch, and a
     tol that is negative or not finite an InputError.
     """
@@ -191,7 +150,7 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
         return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
         violation = outside_violation(t.set_ref, y)
-        return violation <= tol, violation
+        return bool(violation <= max(tol, _ROUNDING)), violation
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
 
 

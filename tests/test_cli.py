@@ -119,6 +119,8 @@ def _problem(**fields):
     (_problem(set={"type": "hpolyhedron", "G": [[1, 0]], "b": []}),
      "set.b: expected a non-empty array of numbers"),
     (_problem(set={"type": "orthant", "n": 0}), "set.n: expected a positive integer"),
+    (_problem(set={"type": "hpolyhedron", "G": [[1, 0], [0, 1]], "b": [1]}),
+     "set: G rows and b length differ"),
     (_problem(system={"A": _DECAY["A"]}), "system: expected an object with a 'type' tag"),
     (_problem(system={"type": "affine"}), "system.type: unknown tag 'affine'"),
     (_problem(system={"type": "expression", "formulas": [1, 2]}),
@@ -131,9 +133,9 @@ def _problem(**fields):
     (_problem(options={"n_samples": True}), "options.n_samples: expected an integer"),
     (None, "cannot read"),
 ], ids=["top-level array", "no set", "no system", "set without type", "unknown set tag",
-        "ragged G", "empty b", "orthant n 0", "system without type", "unknown system tag",
-        "formulas not strings", "formula count", "options not object", "unknown option",
-        "seed not integer", "boolean n_samples", "unreadable file"])
+        "ragged G", "empty b", "orthant n 0", "G b mismatch", "system without type",
+        "unknown system tag", "formulas not strings", "formula count", "options not object",
+        "unknown option", "seed not integer", "boolean n_samples", "unreadable file"])
 def test_every_malformed_problem_exits_64(tmp_path, capsys, problem, message):
     f = tmp_path / "p.json"
     if problem is not None:
@@ -141,7 +143,10 @@ def test_every_malformed_problem_exits_64(tmp_path, capsys, problem, message):
     code, out, err = run_cli(capsys, "check", str(f))
     assert code == EXIT_INPUT
     assert out == ""
-    assert message in err
+    # the whole line, so that a field is named once; an unreadable file's
+    # line goes on with the operating system's message
+    line = f"input error: {message}"
+    assert err == line + "\n" if problem is not None else err.startswith(line)
 
 
 def test_dimension_mismatch_exits_64(tmp_path, capsys):

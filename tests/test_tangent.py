@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from invarcheck.errors import ApexPoint, DimensionMismatch, IndexOutOfRange, NotMember
+from invarcheck.checkers import Decision, check
+from invarcheck.cli import set_from_dict
+from invarcheck.errors import DimensionMismatch, NotMember
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -13,6 +18,7 @@ from invarcheck.sets import (
     sample_boundary,
 )
 from invarcheck.solvers import nnls
+from invarcheck.systems import GeneralSystem
 from invarcheck.tangent import (
     FULLSPACE,
     GENERATED,
@@ -22,13 +28,12 @@ from invarcheck.tangent import (
     cone_contains,
     cone_test,
     tangent_cone_at,
-    tangent_h,
-    tangent_polytope,
-    tangent_quadratic,
-    tangent_vcone,
 )
 
 from oracles import dist_to_polytope_bruteforce, dist_to_quadric_sublevel, project_box
+from test_sampled import _battery_sets
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -39,7 +44,7 @@ ICE3 = LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[0.0, 0.0, 1.0])
 
 
 def test_box_single_facet():
-    t = tangent_h(UNIT_BOX, [1.0, 0.5])
+    t = tangent_cone_at(UNIT_BOX, [1.0, 0.5])
     assert t.kind == HALFSPACES
     assert np.allclose(t.normals, [[1.0, 0.0]])
     assert cone_contains(t, [-1.0, 7.0])
@@ -47,20 +52,20 @@ def test_box_single_facet():
 
 
 def test_box_corner_two_facets():
-    t = tangent_h(UNIT_BOX, [1.0, 1.0])
+    t = tangent_cone_at(UNIT_BOX, [1.0, 1.0])
     assert t.normals.shape == (2, 2)
     assert cone_contains(t, [-0.3, -0.4])
     assert not cone_contains(t, [0.1, -1.0])
 
 
 def test_box_interior_fullspace():
-    t = tangent_h(UNIT_BOX, [0.5, 0.5])
+    t = tangent_cone_at(UNIT_BOX, [0.5, 0.5])
     assert t.kind == FULLSPACE
     assert cone_contains(t, [100.0, -100.0])
 
 
 def test_orthant_h_face():
-    t = tangent_h(orthant_h(2), [0.0, 3.0])
+    t = tangent_cone_at(orthant_h(2), [0.0, 3.0])
     # the active row is -x1 <= 0, so the cone is y1 >= 0
     assert cone_contains(t, [1.0, -5.0])
     assert not cone_contains(t, [-1.0, 0.0])
@@ -68,11 +73,11 @@ def test_orthant_h_face():
 
 def test_tangent_h_rejects_outside_point():
     with pytest.raises(NotMember):
-        tangent_h(UNIT_BOX, [2.0, 0.0])
+        tangent_cone_at(UNIT_BOX, [2.0, 0.0])
 
 
 def test_polytope_simplex_corner():
-    t = tangent_polytope(TRIANGLE, 0)
+    t = tangent_cone_at(TRIANGLE, [0.0, 0.0])
     assert t.kind == GENERATED
     assert np.allclose(t.generators, [[1.0, 0.0], [0.0, 1.0]])
     assert cone_contains(t, [2.0, 3.0])
@@ -81,7 +86,7 @@ def test_polytope_simplex_corner():
 
 def test_polytope_segment_endpoint():
     seg = VPolytope([[0.0, 0.0], [2.0, 0.0]])
-    t = tangent_polytope(seg, 1)
+    t = tangent_cone_at(seg, [2.0, 0.0])
     assert np.allclose(t.generators, [[-2.0, 0.0]])
     assert cone_contains(t, [-1.0, 0.0])
     assert not cone_contains(t, [1.0, 0.0])
@@ -90,18 +95,13 @@ def test_polytope_segment_endpoint():
 
 def test_polytope_square_corner_generators():
     square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    t = tangent_polytope(square, 2)
+    t = tangent_cone_at(square, [1.0, 1.0])
     assert sorted(map(tuple, t.generators.tolist())) == [
         (-1.0, -1.0), (-1.0, 0.0), (0.0, -1.0)]
 
 
-def test_polytope_index_error():
-    with pytest.raises(IndexOutOfRange):
-        tangent_polytope(TRIANGLE, 3)
-
-
 def test_vcone_orthant_edge():
-    t = tangent_vcone(orthant_v(2), 0)
+    t = tangent_cone_at(orthant_v(2), [1.0, 0.0])
     # free coefficient on e1, nonnegative on e2: the upper halfplane
     assert cone_contains(t, [-3.0, 0.5])
     assert cone_contains(t, [5.0, 0.0])
@@ -110,20 +110,20 @@ def test_vcone_orthant_edge():
 
 def test_vcone_orthant_general_n():
     cone = orthant_v(3)
-    t = tangent_vcone(cone, 1)
+    t = tangent_cone_at(cone, [0.0, 1.0, 0.0])
     assert cone_contains(t, [0.2, -9.0, 0.0])
     assert not cone_contains(t, [-0.2, 1.0, 0.0])
 
 
 def test_vcone_single_ray_line():
-    t = tangent_vcone(VCone([[1.0, 1.0]]), 0)
+    t = tangent_cone_at(VCone([[1.0, 1.0]]), [1.0, 1.0])
     assert cone_contains(t, [-2.0, -2.0])
     assert cone_contains(t, [3.0, 3.0])
     assert not cone_contains(t, [1.0, 0.0])
 
 
 def test_quadratic_circle_point():
-    t = tangent_quadratic(Ellipsoid(np.eye(2)), [1.0, 0.0])
+    t = tangent_cone_at(Ellipsoid(np.eye(2)), [1.0, 0.0])
     assert t.kind == QUADRATIC
     assert np.allclose(t.normals[0], [1.0, 0.0])
     assert cone_contains(t, [-1.0, 4.0])
@@ -131,20 +131,15 @@ def test_quadratic_circle_point():
 
 
 def test_quadratic_scaled_ellipse():
-    t = tangent_quadratic(Ellipsoid(np.diag([1.0, 4.0])), [0.0, 0.5])
+    t = tangent_cone_at(Ellipsoid(np.diag([1.0, 4.0])), [0.0, 0.5])
     assert np.allclose(t.normals[0], [0.0, 2.0])
 
 
 def test_quadratic_lorenz_345():
-    t = tangent_quadratic(ICE3, [3.0, 4.0, 5.0])
+    t = tangent_cone_at(ICE3, [3.0, 4.0, 5.0])
     assert np.allclose(t.normals[0], [3.0, 4.0, -5.0])
     assert cone_contains(t, [0.0, 0.0, 1.0])
     assert not cone_contains(t, [1.0, 0.0, 0.0])
-
-
-def test_apex_raises():
-    with pytest.raises(ApexPoint):
-        tangent_quadratic(ICE3, [0.0, 0.0, 0.0])
 
 
 def test_apex_dispatch_is_cone_itself():
@@ -156,13 +151,76 @@ def test_apex_dispatch_is_cone_itself():
     assert not cone_contains(t, [1.0, 0.0, 0.0])
 
 
+def _shipped_set(name):
+    return set_from_dict(json.loads((PROBLEMS / name).read_text(encoding="utf-8"))["set"])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_vertex_cones_are_the_edges_out_of_the_vertex():
+    # at a vertex, and within the vertex rule of it, the cone is generated
+    # by V - V[i] over the other vertices, bit for bit
+    forms = [_shipped_set("vpolytope_triangle.json")] + [
+        s for s in _battery_sets(np.random.default_rng(2024)) if isinstance(s, VPolytope)]
+    for s in forms:
+        v = s.vertices
+        for i in range(v.shape[0]):
+            for x in (v[i], v[i] + 1e-10):
+                t = tangent_cone_at(s, x)
+                assert t.kind == GENERATED and t.free_generator is None
+                assert _same_bits(t.generators, np.delete(v, i, axis=0) - v[i]), (v, i)
+
+
+def test_ray_cones_free_their_ray():
+    # along ray i the cone is the other rays plus ray i sign-free, bit for bit
+    forms = [_shipped_set("vcone_exchange.json")] + [
+        s for s in _battery_sets(np.random.default_rng(2024)) if isinstance(s, VCone)]
+    for s in forms:
+        r = s.rays
+        for i in range(r.shape[0]):
+            for x in (r[i], 2.5 * r[i]):
+                t = tangent_cone_at(s, x)
+                assert t.kind == GENERATED
+                assert _same_bits(t.generators, np.delete(r, i, axis=0)), (r, i)
+                assert _same_bits(t.free_generator, r[i])
+
+
+def test_edge_points_get_the_general_cone():
+    triangle = _shipped_set("vpolytope_triangle.json")
+    x = np.array([0.5, 0.5])
+    t = tangent_cone_at(triangle, x)
+    assert _same_bits(t.generators, triangle.vertices - x) and t.free_generator is None
+    assert cone_contains(t, [-1.0, 1.0]) and not cone_contains(t, [1.0, 1.0])
+    cone = _shipped_set("vcone_exchange.json")
+    x = np.array([1.0, 1.0])
+    t = tangent_cone_at(cone, x)
+    assert _same_bits(t.generators, cone.rays) and _same_bits(t.free_generator, x)
+
+
+def test_rounding_does_not_refute_at_the_apex_at_zero_tolerance():
+    # c lies on the cone's surface, so x' = c keeps the cone invariant; its
+    # violation at the apex, 7.4e-17, is rounding and must not refute
+    c = np.array([-0.3795520407796806, -0.925170388814936, 1.0])
+    v = check(ICE3, GeneralSystem(lambda t, x: c + 0 * x), n_samples=50, seed=0, tol=0.0)
+    assert v.decision is Decision.UNKNOWN
+    inside, residual = cone_test(tangent_cone_at(ICE3, [0.0, 0.0, 0.0], 0.0), c, 0.0)
+    assert inside is True and residual < 1e-15
+    out = np.array([1.0, 0.0, 0.0])
+    v = check(ICE3, GeneralSystem(lambda t, x: out + 0 * x), n_samples=50, seed=0, tol=0.0)
+    assert v.decision is Decision.NOT_INVARIANT
+    assert not np.any(v.counterexample.point) and v.counterexample.violation == 0.5
+    assert cone_test(tangent_cone_at(ICE3, [0.0, 0.0, 0.0], 0.0), out, 0.0) == (False, 0.5)
+
+
 def test_positive_homogeneity():
     rng = np.random.default_rng(51)
     cones = [
-        tangent_h(UNIT_BOX, [1.0, 1.0]),
-        tangent_polytope(TRIANGLE, 0),
-        tangent_vcone(orthant_v(2), 1),
-        tangent_quadratic(Ellipsoid(np.eye(2)), [1.0, 0.0]),
+        tangent_cone_at(UNIT_BOX, [1.0, 1.0]),
+        tangent_cone_at(TRIANGLE, [0.0, 0.0]),
+        tangent_cone_at(orthant_v(2), [0.0, 1.0]),
+        tangent_cone_at(Ellipsoid(np.eye(2)), [1.0, 0.0]),
     ]
     for t in cones:
         for _ in range(40):
@@ -174,8 +232,8 @@ def test_positive_homogeneity():
 
 def test_square_corner_h_equals_v():
     square_v = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    th = tangent_h(UNIT_BOX, [1.0, 1.0])
-    tv = tangent_polytope(square_v, 2)
+    th = tangent_cone_at(UNIT_BOX, [1.0, 1.0])
+    tv = tangent_cone_at(square_v, [1.0, 1.0])
     rng = np.random.default_rng(61)
     for _ in range(1000):
         y = rng.normal(size=2)
