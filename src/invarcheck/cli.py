@@ -294,29 +294,18 @@ def _cone_to_dict(t_cone) -> dict:
 
 
 def cmd_tangent(args) -> int:
-    s, _, _, opts = load_problem(args.file, args)
-    try:
-        point = json.loads(args.point)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"point: invalid JSON ({exc})") from exc
-    x = np.array(_require_vector(point, "point"))
-    if x.shape[0] != s.dim:
-        raise InputError(f"point: expected dimension {s.dim}, got {x.shape[0]}")
-    if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
-        print("point is not on the set boundary", file=sys.stderr)
-        return EXIT_NOT_BOUNDARY
-    cone = _cone_to_dict(tangent_cone_at(s, x, opts["tolerance"]))
-    report = {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "command": "tangent",
-        "problem": {"set": set_to_dict(s)},
-        "point": x.tolist(),
-        "cone": cone,
-        "options": opts,
-    }
-    _emit(report, f"tangent cone kind: {cone['kind']}", args)
-    return EXIT_INVARIANT
+    def decide(s, sys_obj, opts):
+        try:
+            point = json.loads(args.point)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"point: invalid JSON ({exc})") from exc
+        x = np.array(_require_vector(point, "point"))
+        if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
+            raise NotMember("point is not on the set boundary")
+        cone = _cone_to_dict(tangent_cone_at(s, x, opts["tolerance"]))
+        return ({"point": x.tolist(), "cone": cone}, f"tangent cone kind: {cone['kind']}",
+                EXIT_INVARIANT)
+    return _run(args, "tangent", decide)
 
 
 def cmd_version(_args) -> int:

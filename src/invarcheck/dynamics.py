@@ -41,18 +41,10 @@ class Trajectory:
     diverged: bool = False
 
     def to_csv(self, path) -> None:
-        """Write one row per step: t, x1, ..., xn."""
-        n = self.states.shape[1]
-        header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        lines = [header]
-        for t, x in zip(self.times, self.states):
-            lines.append(",".join("%.17g" % v for v in (t, *x)))
-        text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        """Write one row per step: t, x1, ..., xn (to a path or a stream)."""
+        header = "t," + ",".join(f"x{i + 1}" for i in range(self.states.shape[1]))
+        np.savetxt(path, np.column_stack([self.times, self.states]), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
 
 
 def _rk4_step(sys_field, t, x, h):

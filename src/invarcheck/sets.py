@@ -21,16 +21,18 @@ inward(points, tol) and tangent_test(points, y, tol), where tol is the
 user's boundary band (the vertex and ray forms scale it by scale(x) and
 hold their membership LP's interior margin and infeasibility against it).
 The batch methods take points as the columns of an n x N array;
-membership takes one point or such an array. A sample is a point and
-nothing more: inward and tangent_test read what binds at each column from
-the column itself (the rows within the band of a halfspace form, the
-facets within the band of a vertex or ray form, the apex of a quadratic
-cone at norm 1e-10 or less). tangent_test is Nagumo's test of the
-directions y at those points: every family reduces it to outward fluxes
-against the halfspace rows that bind at each point, judged by one formula
-(flux_residual). The module-level functions below validate
-their arguments and call those methods; the rest of the package calls the
-functions.
+membership takes one point or such an array; sample returns count x n
+rows. Membership, violation and binding rows read one scaled slack per
+row of a halfspace form (_slack) or condition of a quadratic cone
+(_slacks), and an ellipsoid's x'Qx - 1. A sample is a point and nothing
+more: inward and tangent_test read what binds at each column from the
+column itself (the rows within the band of a halfspace form, the facets
+within the band of a vertex or ray form, the apex of a quadratic cone at
+norm 1e-10 or less). tangent_test is Nagumo's test of the directions y at
+those points: every family reduces it to outward fluxes against the
+halfspace rows that bind at each point, judged by one formula
+(flux_residual). The module-level functions below validate their
+arguments and call those methods; the rest of the package calls them.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _classify(outside, boundary):
 
 @dataclass
 class BoundaryPoint:
-    """A sampled boundary point."""
+    """A sampled boundary point, as sample_boundary returns it."""
 
     point: np.ndarray
 
@@ -120,17 +122,17 @@ class HPolyhedron:
     def dim(self):
         return self.G.shape[1]
 
+    def _slack(self, x) -> np.ndarray:
+        """(G x - b)/(1 + |b|) per row (and column of x), held against tol."""
+        b = self.b if x.ndim == 1 else self.b[:, None]
+        return (self.G @ x - b) / (1.0 + np.abs(b))
+
     def membership(self, x, tol: float):
-        b = self.b.reshape((-1,) + (1,) * (x.ndim - 1))
-        slack = self.G @ x - b
-        bands = tol * (1.0 + np.abs(b))
-        return _classify(np.any(slack > bands, axis=0), np.any(slack >= -bands, axis=0))
+        slack = self._slack(x)
+        return _classify(np.any(slack > tol, axis=0), np.any(slack >= -tol, axis=0))
 
     def violation(self, states) -> np.ndarray:
-        if self.G.shape[0] == 0:
-            return np.zeros(states.shape[1])
-        slack = (self.G @ states - self.b[:, None]) / (1.0 + np.abs(self.b))[:, None]
-        return np.maximum(slack.max(axis=0), 0.0)
+        return self._slack(states).max(axis=0, initial=0.0)
 
     def _facet_anchor(self, i: int, tol: float):
         """A point in the relative interior of facet i, or None if unattained.
@@ -153,13 +155,12 @@ class HPolyhedron:
             maximize=True)
         if status != "optimal":
             return None
-        slack = self.G @ z[:n] - self.b
-        bands = tol * (1.0 + np.abs(self.b))
-        if np.any(slack > bands) or slack[i] < -bands[i]:
+        slack = self._slack(z[:n])
+        if np.any(slack > tol) or slack[i] < -tol:
             return None
         return z[:n]
 
-    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> np.ndarray:
         """Sample k is the LP anchor of attained facet k (mod their number)
         moved along a random direction within that facet by a random
         fraction of the distance to the first other facet ahead, at most
@@ -184,16 +185,14 @@ class HPolyhedron:
         np.divide(room, rate, out=limit, where=ahead)
         reach = np.minimum(limit.min(axis=1), 1.0 + np.linalg.norm(base, axis=1))
         pts = base + (rng.uniform(size=count) * reach)[:, None] * y
-        bands = tol * (1.0 + np.abs(self.b))
-        stray = np.any(pts @ self.G.T - self.b > bands, axis=1)
+        stray = np.any(self._slack(pts.T) > tol, axis=0)
         pts[stray] = base[stray]
-        return [BoundaryPoint(pts[k]) for k in range(count)]
+        return pts
 
     def _binding(self, x, tol: float) -> np.ndarray:
         """Which rows lie within the band tol of x: a flag per row, or an
         m x N array of them for the columns of x."""
-        b = self.b.reshape((-1,) + (1,) * (x.ndim - 1))
-        return np.abs(self.G @ x - b) <= tol * (1.0 + np.abs(b))
+        return np.abs(self._slack(x)) <= tol
 
     def inward(self, x, tol: float) -> np.ndarray:
         """Minus the sum of the unit normals of the rows binding at each point."""
@@ -364,7 +363,7 @@ class _VForm:
             out = np.maximum(out, np.abs(facets.eq @ lifted).max(axis=0))
         return out
 
-    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> np.ndarray:
         """The generators on the relative boundary first, then random
         combinations of one facet's generators (of two random generators,
         kept only when the membership LP says boundary, without facets).
@@ -376,33 +375,30 @@ class _VForm:
         faces = [f for f in facets.on if f.size or self._HAS_APEX]
         pts = self._points
         if not faces:
-            return [BoundaryPoint(pts[k % len(pts)].copy()) for k in range(count)]
-        firsts = sorted({int(j) for f in faces for j in f})
-        out = [BoundaryPoint(pts[j].copy()) for j in firsts[:count]]
-        picks = rng.integers(len(faces), size=count - len(out))
+            return pts[np.arange(count) % len(pts)]
+        firsts = sorted({int(j) for f in faces for j in f})[:count]
+        picks = rng.integers(len(faces), size=count - len(firsts))
         drawn = np.empty((picks.size, self.dim))
         for f in np.unique(picks):
             drawn[picks == f] = self._face_points(rng, faces[f], int(np.sum(picks == f)))
-        out.extend(map(BoundaryPoint, drawn))
-        return out
+        return np.vstack([pts[firsts], drawn])
 
-    def _sample_lp(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
+    def _sample_lp(self, count: int, rng, tol: float) -> np.ndarray:
         pts = self._points
         l = pts.shape[0]
         firsts = [j for j in range(l) if membership(self, pts[j], tol) is Membership.BOUNDARY]
         firsts = firsts or list(range(l))
-        out = [BoundaryPoint(pts[j].copy()) for j in firsts[:count]]
+        out = [pts[j] for j in firsts[:count]]
         for k in range(len(out), count):
             for _ in range(30 if l >= 2 else 0):
                 pair = np.sort(rng.choice(l, size=2, replace=False))
                 cand = self._face_points(rng, pair, 1)[0]
                 if membership(self, cand, tol) is Membership.BOUNDARY:
-                    out.append(BoundaryPoint(cand))
+                    out.append(cand)
                     break
             else:
-                j = firsts[k % len(firsts)]
-                out.append(BoundaryPoint(pts[j].copy()))
-        return out
+                out.append(pts[firsts[k % len(firsts)]])
+        return np.array(out)
 
     def inward(self, x, tol: float) -> np.ndarray:
         """Toward the mean of the generators (scaled to each point's size for
@@ -538,23 +534,22 @@ class Ellipsoid(_Quadric):
         if self.eigenvalues.size == 0 or self.eigenvalues[-1] <= _SPD_MIN_EIG:
             raise InputError("ellipsoid matrix is not positive definite")
 
+    def _excess(self, x):
+        """x'Qx - 1, per point (per column of x); the band is 2*tol."""
+        return np.sum(x * (self.Q @ x), axis=0) - 1.0
+
     def membership(self, x, tol: float):
-        v = np.sum(x * (self.Q @ x), axis=0)
-        b = tol * 2.0
-        return _classify(v - 1.0 > b, np.abs(v - 1.0) <= b)
+        e = self._excess(x)
+        return _classify(e > 2.0 * tol, np.abs(e) <= 2.0 * tol)
 
     def violation(self, states) -> np.ndarray:
-        quad = np.sum(states * (self.Q @ states), axis=0)
-        return np.maximum(quad - 1.0, 0.0)
+        return np.maximum(self._excess(states), 0.0)
 
-    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> np.ndarray:
         vecs = self.eigenvectors
         inv_half = vecs @ np.diag(1.0 / np.sqrt(self.eigenvalues)) @ vecs.T
-        u = _unit_rows(rng, count, self.dim)
-        y = u @ inv_half.T
-        scale = np.sqrt(np.sum(y * (y @ self.Q.T), axis=1))
-        pts = y / scale[:, None]
-        return [BoundaryPoint(pts[k]) for k in range(count)]
+        y = _unit_rows(rng, count, self.dim) @ inv_half.T
+        return y / np.sqrt(np.sum(y * (y @ self.Q.T), axis=1))[:, None]
 
     def inward(self, x, tol: float) -> np.ndarray:
         return -(self.Q @ x)
@@ -596,34 +591,25 @@ class LorenzCone(_Quadric):
                 raise InputError("u_n is not the negative-eigenvalue eigenvector")
             self.u_n = u
 
+    def _slacks(self, x):
+        """x'Qx/(1 + |x|^2) and x'Q u_n/(1 + |x|) per column of x, each held against tol."""
+        nrm2 = np.sum(x * x, axis=0)
+        return (np.sum(x * (self.Q @ x), axis=0) / (1.0 + nrm2),
+                (self.Q @ self.u_n) @ x / (1.0 + np.sqrt(nrm2)))
+
     def membership(self, x, tol: float):
-        nx = np.linalg.norm(x, axis=0)
-        qv = np.sum(x * (self.Q @ x), axis=0)
-        lv = (self.Q @ self.u_n) @ x
-        band_q = tol * (1.0 + nx * nx)
-        band_l = tol * (1.0 + nx)
-        return _classify((qv > band_q) | (lv > band_l), np.abs(qv) <= band_q)
+        q, l = self._slacks(x)
+        return _classify((q > tol) | (l > tol), np.abs(q) <= tol)
 
     def violation(self, states) -> np.ndarray:
-        quad = np.sum(states * (self.Q @ states), axis=0)
-        lin = (self.Q @ self.u_n) @ states
-        nrm2 = np.sum(states * states, axis=0)
-        v_q = quad / (1.0 + nrm2)
-        v_l = lin / (1.0 + np.sqrt(nrm2))
-        return np.maximum(np.maximum(v_q, v_l), 0.0)
+        q, l = self._slacks(states)
+        return np.maximum(np.maximum(q, l), 0.0)
 
-    def sample(self, count: int, rng, tol: float) -> list[BoundaryPoint]:
+    def sample(self, count: int, rng, tol: float) -> np.ndarray:
         n = self.dim
-        out = [BoundaryPoint(np.zeros(n))]
-        extra = count - 1
-        if extra > 0:
-            v = _unit_rows(rng, extra, n - 1)
-            pos = self.eigenvectors[:, :n - 1] / np.sqrt(self.eigenvalues[:n - 1])
-            axis_part = self.u_n / np.sqrt(-self.eigenvalues[-1])
-            pts = v @ pos.T + axis_part
-            pts /= np.linalg.norm(pts, axis=1)[:, None]
-            out.extend(BoundaryPoint(pts[k]) for k in range(extra))
-        return out
+        pos = self.eigenvectors[:, :n - 1] / np.sqrt(self.eigenvalues[:n - 1])
+        pts = _unit_rows(rng, count - 1, n - 1) @ pos.T + self.u_n / np.sqrt(-self.eigenvalues[-1])
+        return np.vstack([np.zeros(n), pts / np.linalg.norm(pts, axis=1)[:, None]])
 
     @staticmethod
     def at_apex(x):
@@ -698,17 +684,13 @@ def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]
     return np.flatnonzero(p._binding(as_point(p, x), tol)).tolist()
 
 
-def outside_violation(s: ConvexSet, x) -> float:
-    """Scale-adjusted amount by which x violates the set's description (0 if none)."""
-    x = as_point(s, x)
-    return float(outside_violation_batch(s, x.reshape(-1, 1))[0])
-
-
 def outside_violation_batch(s: ConvexSet, states) -> np.ndarray:
-    """Vectorized outside_violation over the columns of states (shape n x N).
+    """Scale-adjusted amount by which each column of states (shape n x N)
+    violates the set's description (0 if none).
 
-    For vertex/ray forms it is the most negative facet value (a barycentric
-    coordinate for a simplex, whose facet normals are the rows of the
+    A halfspace form or quadric reads the slacks its membership holds
+    against the band. For vertex/ray forms it is the most negative facet
+    value (a barycentric coordinate for a simplex, whose facet normals are the rows of the
     inverse of its columns) or the distance from the generators' span, in
     one product for all columns; only a form with too many candidate facets
     solves the membership LP's phase one column by column.
@@ -745,7 +727,7 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     if count < 1:
         raise InputError("count must be at least 1")
     _check_tol_seed(tol, seed)
-    return s.sample(count, np.random.default_rng(seed), tol)
+    return [BoundaryPoint(p) for p in s.sample(count, np.random.default_rng(seed), tol)]
 
 
 def inward_directions(s: ConvexSet, points, tol: float = DEFAULT_TOL) -> np.ndarray:

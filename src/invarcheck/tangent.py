@@ -45,7 +45,7 @@ from .sets import (
     as_point,
     flux_residual,
     membership,
-    outside_violation,
+    outside_violation_batch,
 )
 from .solvers import phase_one_feasibility
 
@@ -80,23 +80,27 @@ class TangentCone:
 def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
     """Tangent cone at a boundary point x of any supported set.
 
-    The point is located first: the rows binding at it (NotMember if it is
-    outside a halfspace form), the first vertex within 1e-8*(1 + |v|) of it
-    (max norms), the first ray it points along, or the apex of a quadratic
-    cone. At vertex i the generators are the edges V - V[i] out of it; along
-    ray i they are the other rays, with ray i sign-free. Other vertex-form
-    points get the general finitely-generated cone (differences to all
-    vertices; all rays plus the point itself sign-free), which reduces to
-    the vertex/ray formulas there. A tol that is negative or not finite is
-    an InputError.
+    A point that membership puts outside the set is NotMember. Otherwise
+    the point is located: the rows binding at it, the first vertex within
+    1e-8*(1 + |v|) of it (max norms), the first ray it points along, or the
+    apex of a quadratic cone. At vertex i the generators are the edges
+    V - V[i] out of it; along ray i they are the other rays, with ray i
+    sign-free. Other vertex-form points get the general finitely-generated
+    cone (differences to all vertices; all rays plus the point itself
+    sign-free), which reduces to the vertex/ray formulas there. A tol that
+    is negative or not finite is an InputError.
     """
     if not isinstance(s, ConvexSet):
         raise InputError(f"unsupported set type {type(s).__name__}")
-    _check_tol_seed(tol)
     pt = as_point(s, x)
+    if membership(s, pt, tol) is Membership.OUTSIDE:  # membership checks tol too
+        raise NotMember("point is outside the set")
+    return _cone_at(s, pt, tol)
+
+
+def _cone_at(s, pt, tol: float) -> TangentCone:
+    """tangent_cone_at's cone at pt, unchecked (a sample pays no membership LP)."""
     if isinstance(s, HPolyhedron):
-        if membership(s, pt, tol) is Membership.OUTSIDE:
-            raise NotMember("point is outside the polyhedron")
         active = active_constraints(s, pt, tol)
         return TangentCone(HALFSPACES if active else FULLSPACE, normals=s.G[active])
     if isinstance(s, VPolytope):
@@ -149,7 +153,7 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
         opt, _ = phase_one_feasibility(np.hstack(cols), y, free)
         return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
-        violation = outside_violation(t.set_ref, y)
+        violation = float(outside_violation_batch(t.set_ref, y[:, None])[0])
         return bool(violation <= max(tol, _ROUNDING)), violation
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
 
@@ -163,13 +167,13 @@ def first_outside(s, points, y, tol: float = DEFAULT_TOL) -> tuple[int, float] |
     k, or None when every direction passes within tol. All points are tested
     at once through the set's tangent_test, whose residual is
     flux_residual's; a vertex or ray form without enumerated facets tests
-    point by point with tangent_cone_at and cone_test's LP, stopping at the
-    first miss.
+    point by point with tangent_cone_at's cone and cone_test's LP, stopping
+    at the first miss.
     """
     tested = s.tangent_test(points, y, tol)
     if tested is None:
         for k in range(points.shape[1]):
-            inside, residual = cone_test(tangent_cone_at(s, points[:, k], tol), y[:, k], tol)
+            inside, residual = cone_test(_cone_at(s, points[:, k], tol), y[:, k], tol)
             if not inside:
                 return k, residual
         return None

@@ -322,7 +322,9 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
     decided every sample in one batch; kept as the reference for the batch.
 
     Unlike the rest of this module it calls the library: each sample gets
-    its own tangent.tangent_cone_at and one field evaluation, and is then
+    its own tangent cone from tangent._cone_at (tangent_cone_at without the
+    membership check, which boundary samples need not pay an LP for) and
+    one field evaluation, and is then
     tested as cone_test did before it shared its residual formula: one
     halfspace row at a time, the phase-one LP for a generated cone, the
     cone's own violation at a quadratic cone's apex. Returns one
@@ -330,14 +332,13 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
     tol: the largest flux/(1 + |g||y|) over the rows (0 if none is
     positive), or the LP's infeasibility over 1 + |y|, or the violation.
     """
-    from invarcheck.sets import outside_violation
+    from invarcheck.sets import outside_violation_batch
     from invarcheck.solvers import phase_one_feasibility
-    from invarcheck.tangent import (
-        FULLSPACE, GENERATED, SELF_CONE, tangent_cone_at)
+    from invarcheck.tangent import FULLSPACE, GENERATED, SELF_CONE, _cone_at
 
     out = []
     for bp in samples:
-        t = tangent_cone_at(s, bp.point, tol)
+        t = _cone_at(s, bp.point, tol)
         y = np.asarray(sys.field(t0, bp.point), dtype=float)
         ny = float(np.linalg.norm(y))
         if t.kind == FULLSPACE:
@@ -351,7 +352,7 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
             opt, _ = phase_one_feasibility(np.hstack(cols), y, free)
             out.append((opt <= tol * (1.0 + ny), float(opt) / (1.0 + ny)))
         elif t.kind == SELF_CONE:
-            violation = outside_violation(t.set_ref, y)
+            violation = float(outside_violation_batch(t.set_ref, y[:, None])[0])
             out.append((violation <= tol, violation))
         else:
             inside, worst = True, 0.0

@@ -283,10 +283,36 @@ def test_tangent_at_lorenz_apex_is_the_cone_itself(capsys):
 
 
 def test_tangent_interior_point_exits_65(capsys):
-    code, _, err = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"),
-                           "[0.5, 0.5]")
-    assert code == EXIT_NOT_BOUNDARY
-    assert "boundary" in err
+    for point in ("[0.5, 0.5]", "[2.0, 0.5]"):  # inside, then outside
+        code, out, err = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"),
+                                 point)
+        assert code == EXIT_NOT_BOUNDARY and out == ""
+        assert err == "boundary error: point is not on the set boundary\n"
+
+
+def test_tangent_point_of_the_wrong_size_exits_64(capsys):
+    code, out, err = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"),
+                             "[1.0, 1.0, 1.0]")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: point has dimension 3, set has 2\n"
+
+
+def test_tangent_report_has_the_skeleton_of_every_command(capsys):
+    box = str(PROBLEMS / "hpolyhedron_box.json")
+    code, out, err = run_cli(capsys, "tangent", box, "[1.0, 1.0]")
+    assert code == EXIT_INVARIANT and err == "tangent cone kind: halfspaces\n"
+    report = json.loads(out)
+    assert sorted(report) == ["command", "cone", "options", "point", "problem", "schema",
+                              "timing", "tool_version"]
+    assert report["command"] == "tangent"
+    assert report["problem"]["system"] == json.loads(
+        (PROBLEMS / "hpolyhedron_box.json").read_text(encoding="utf-8"))["system"]
+    assert sorted(report["problem"]) == ["set", "system"]
+    assert sorted(report["timing"]) == ["parse_s", "tangent_s", "total_s"]
+    _, out, _ = run_cli(capsys, "tangent", box, "[1.0, 1.0]", "--no-timing")
+    untimed = json.loads(out)
+    del report["timing"]
+    assert untimed == report
 
 
 def test_tangent_vertex_and_ray_forms(capsys):

@@ -133,8 +133,8 @@ def test_vertex_form_above_subset_cap_takes_the_lp_path(monkeypatch):
     s = VPolytope(np.random.default_rng(3).normal(size=(30, 4)))
     assert s._facets is None
     calls = []
-    real = tangent.tangent_cone_at
-    monkeypatch.setattr(tangent, "tangent_cone_at",
+    real = tangent._cone_at
+    monkeypatch.setattr(tangent, "_cone_at",
                         lambda *args: calls.append(1) or real(*args))
     contracting = GeneralSystem(lambda t, x: -x, vectorized=True)
     v = check_nonlinear_sampled(s, contracting, 0.0, 25, seed=0)

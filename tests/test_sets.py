@@ -21,7 +21,6 @@ from invarcheck.sets import (
     membership,
     orthant_h,
     orthant_v,
-    outside_violation,
     outside_violation_batch,
     sample_boundary,
 )
@@ -224,10 +223,11 @@ def test_empty_polyhedron_boundary():
 
 
 def test_outside_violation_measures():
-    assert outside_violation(UNIT_BOX, [0.5, 0.5]) == 0.0
-    assert outside_violation(UNIT_BOX, [1.5, 0.5]) == pytest.approx(0.25)  # slack/(1+|b|)
-    assert outside_violation(Ellipsoid(np.eye(2)), [2.0, 0.0]) == pytest.approx(3.0)
-    assert outside_violation(ICE3, [1.0, 0.0, 0.0]) > 0.0
+    assert outside_violation_batch(UNIT_BOX, [[0.5], [0.5]])[0] == 0.0
+    # slack/(1+|b|)
+    assert outside_violation_batch(UNIT_BOX, [[1.5], [0.5]])[0] == pytest.approx(0.25)
+    assert outside_violation_batch(Ellipsoid(np.eye(2)), [[2.0], [0.0]])[0] == pytest.approx(3.0)
+    assert outside_violation_batch(ICE3, [[1.0], [0.0], [0.0]])[0] > 0.0
 
 
 def test_batch_violation_matches_scalar_lp_path():
@@ -431,3 +431,89 @@ def test_bad_tolerance_or_seed_is_an_input_error(entry, knob, value):
     with pytest.raises(InputError, match=knob):
         call(value)
     call(DEFAULT_TOL if knob == "tol" else 0)  # a good value goes through
+
+
+_BAND_TOLS = (0.0, 1e-12, 1e-8, 1e-4)
+
+
+def _ulp_moves(rng, x_on, copies=6):
+    """x_on (n x N) and copies of it with each coordinate moved by -3..3 ulps."""
+    x = np.tile(x_on, copies)
+    steps = rng.integers(-3, 4, size=x.shape)
+    for _ in range(3):
+        x = np.where(steps > 0, np.nextafter(x, np.inf),
+                     np.where(steps < 0, np.nextafter(x, -np.inf), x))
+        steps -= np.sign(steps)
+    return np.hstack([x_on, x])
+
+
+@pytest.mark.parametrize("tol", _BAND_TOLS)
+def test_halfspace_band_violation_and_binding_are_one_rule(tol):
+    # points placed on a row's band edge (non-power-of-two 1 + |b|) and moved
+    # by a few ulps: outside exactly when the violation exceeds tol, and a
+    # row binds exactly when its scaled slack is within tol
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        g = rng.normal(size=(2 * n + 1, n))
+        b = rng.uniform(0.1, 3.0, size=2 * n + 1) * 1.37
+        p = HPolyhedron(g, b)
+        rows = rng.integers(len(b), size=12)
+        x0 = 0.2 * rng.normal(size=(n, 12))
+        target = b[rows] + rng.choice([-1.0, 1.0], size=12) * tol * (1.0 + b[rows])
+        x = _ulp_moves(rng, x0 + g[rows].T * (target - np.sum(g[rows].T * x0, axis=0))
+                       / np.sum(g[rows] ** 2, axis=1))
+        slack = (g @ x - b[:, None]) / (1.0 + np.abs(b))[:, None]
+        viol = outside_violation_batch(p, x)
+        assert np.array_equal(viol, np.maximum(slack.max(axis=0), 0.0))
+        assert np.array_equal(membership(p, x, tol) == Membership.OUTSIDE, viol > tol)
+        assert np.array_equal(p._binding(x, tol), np.abs(slack) <= tol)
+        for k in range(0, x.shape[1], 7):
+            # one point's product may round apart from the batch's: its own slack
+            one = (g @ x[:, k] - b) / (1.0 + np.abs(b))
+            assert (active_constraints(p, x[:, k], tol)
+                    == np.flatnonzero(np.abs(one) <= tol).tolist())
+            assert (membership(p, x[:, k], tol) is Membership.OUTSIDE) == (one.max() > tol)
+
+
+@pytest.mark.parametrize("tol", _BAND_TOLS)
+def test_quadric_band_and_violation_are_one_rule(tol):
+    # an ellipsoid's band is 2*tol on x'Qx - 1, a Lorenz cone's tol on each
+    # of its two scaled conditions; points on the surface, scaled to the
+    # band edge, reflected onto the other branch and moved by a few ulps
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        n = int(rng.integers(2, 5))
+        a = rng.normal(size=(n, n))
+        ell = Ellipsoid(a @ a.T + 0.2 * np.eye(n))
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        cone = LorenzCone(u @ np.diag(np.concatenate([rng.uniform(0.3, 3.0, n - 1),
+                                                      [-rng.uniform(0.3, 3.0)]])) @ u.T)
+        on = np.array([bp.point for bp in sample_boundary(ell, 20, seed=3)]).T
+        x = _ulp_moves(rng, on * np.sqrt(1.0 + rng.choice([-2.0, 2.0], size=20) * tol))
+        assert np.array_equal(membership(ell, x, tol) == Membership.OUTSIDE,
+                              outside_violation_batch(ell, x) > 2.0 * tol)
+        on = np.array([bp.point for bp in sample_boundary(cone, 20, seed=3)]).T
+        axial = np.outer(cone.u_n, cone.u_n @ on)
+        q_off = np.sum((on - axial) * (cone.Q @ (on - axial)), axis=0)
+        eps = rng.choice([-1.0, 1.0], size=20) * tol * (1.0 + np.sum(on * on, axis=0))
+        edge = axial + (on - axial) * (1.0 + eps / (2.0 * np.where(q_off > 0, q_off, 1.0)))
+        x = _ulp_moves(rng, np.hstack([edge, -edge, 1e-6 * rng.normal(size=(n, 20))]))
+        assert np.array_equal(membership(cone, x, tol) == Membership.OUTSIDE,
+                              outside_violation_batch(cone, x) > tol)
+
+
+@pytest.mark.parametrize("s", [
+    UNIT_BOX, orthant_h(3), TRIANGLE, orthant_v(3), Ellipsoid(np.diag([1.0, 4.0])), ICE3,
+    VPolytope([[1.0, 2.0]]), VCone([[1.0, 1.0]]),
+    VPolytope(np.random.default_rng(3).normal(size=(30, 4))),
+], ids=["hpolyhedron", "orthant", "vpolytope", "vcone", "ellipsoid", "lorenz",
+        "one-vertex", "one-ray", "vpolytope-without-facets"])
+@pytest.mark.parametrize("count", [1, 7])
+def test_every_sampler_returns_one_array_that_sample_boundary_wraps(s, count):
+    rows = s.sample(count, np.random.default_rng(5), DEFAULT_TOL)
+    assert isinstance(rows, np.ndarray) and rows.dtype == float
+    assert rows.shape == (count, s.dim)
+    pts = sample_boundary(s, count, seed=5)
+    assert all(type(bp) is BoundaryPoint for bp in pts)
+    assert np.array_equal(np.array([bp.point for bp in pts]), rows)

@@ -76,6 +76,25 @@ def test_tangent_h_rejects_outside_point():
         tangent_cone_at(UNIT_BOX, [2.0, 0.0])
 
 
+@pytest.mark.parametrize("s,outside,interior", [
+    (UNIT_BOX, [2.0, 0.0], [0.5, 0.5]),
+    (orthant_h(2), [-1.0, 1.0], [1.0, 1.0]),
+    (TRIANGLE, [5.0, 5.0], [0.25, 0.25]),
+    (orthant_v(2), [-1.0, 1.0], [1.0, 1.0]),
+    (Ellipsoid(np.eye(2)), [5.0, 5.0], [0.1, 0.2]),
+    (ICE3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    (ICE3, [0.0, 0.0, -1.0], [0.1, 0.0, 1.0]),
+], ids=["hpolyhedron", "orthant", "vpolytope", "vcone", "ellipsoid", "lorenz", "lorenz-branch"])
+def test_every_family_rejects_an_outside_point(s, outside, interior):
+    # the one membership check runs before the family's cone is built; a
+    # point inside the set still gets its cone (the whole space on an H-form)
+    with pytest.raises(NotMember, match="outside the set"):
+        tangent_cone_at(s, outside)
+    t = tangent_cone_at(s, interior)
+    if isinstance(s, HPolyhedron):
+        assert t.kind == FULLSPACE and t.normals.shape == (0, 2)
+
+
 def test_polytope_simplex_corner():
     t = tangent_cone_at(TRIANGLE, [0.0, 0.0])
     assert t.kind == GENERATED
