@@ -92,7 +92,7 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
         c = a.T @ p.G[i]
         g_i = p.G[i].reshape(1, -1)
         status, x, val = solve_inequality_lp(
-            c, g_ub=p.G, h_ub=p.b, a_eq=g_i, b_eq=[p.b[i]], maximize=True)
+            c, g_ub=p.G, h_ub=p.b, a_eq=g_i, b_eq=[p.b[i]])
         if status == "infeasible":
             if not nonempty_checked:
                 st_all, _, _ = solve_inequality_lp(

@@ -222,10 +222,13 @@ def load_problem(path: str, args):
 
 def _emit(report: dict, summary: str, args) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
+    if getattr(args, "output", None):  # written first: a path it cannot write prints nothing
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     print(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     print(summary, file=sys.stderr)
 
 

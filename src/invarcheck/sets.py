@@ -151,8 +151,7 @@ class HPolyhedron:
         c = np.concatenate([np.zeros(n), [1.0]])
         status, z, _ = solve_inequality_lp(
             c, g_ub=g, h_ub=np.concatenate([self.b[others], [1.0, 0.0]]),
-            a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]],
-            maximize=True)
+            a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]])
         if status != "optimal":
             return None
         slack = self._slack(z[:n])
@@ -607,6 +606,8 @@ class LorenzCone(_Quadric):
 
     def sample(self, count: int, rng, tol: float) -> np.ndarray:
         n = self.dim
+        if n == 1:  # the half-line's boundary is its apex alone
+            return np.zeros((count, 1))
         pos = self.eigenvectors[:, :n - 1] / np.sqrt(self.eigenvalues[:n - 1])
         pts = _unit_rows(rng, count - 1, n - 1) @ pos.T + self.u_n / np.sqrt(-self.eigenvalues[-1])
         return np.vstack([np.zeros(n), pts / np.linalg.norm(pts, axis=1)[:, None]])

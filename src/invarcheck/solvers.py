@@ -1,14 +1,18 @@
 """Certification solvers: linear feasibility and nearest-point programs.
 
 Every LP in the package runs on one core: a two-phase simplex with Bland's
-rule over a standard-form tableau, with one pivot routine (a rank-1 update)
-for both phases. LPs with free variables (the vertex and ray decomposition
-systems, and the inequality LPs of the facet checks and boundary sampling)
-reach it through one builder that splits each free variable and adds the
-slacks. Phase one starts each row with a slack and a nonnegative rhs on
-that slack and only the other rows on artificial variables, so an
-infeasible inequality LP's phase-one value sums the residuals of those
-other rows only; equality-only LPs start every row on an artificial.
+rule over one standard-form tableau for both phases. Its rows are the
+constraints, the phase-two costs and the phase-one costs, and one pivot
+routine (a rank-1 update) keeps all of them current, so phase two goes on
+from where phase one stopped once the artificials are driven out and the
+redundant rows dropped. LPs with free variables (the vertex and ray
+decomposition systems, and the inequality LPs of the facet checks and
+boundary sampling) reach it through one builder that splits each free
+variable and adds the slacks. Phase one starts each row with a slack and a
+nonnegative rhs on that slack and only the other rows on artificial
+variables, so an infeasible inequality LP's phase-one value sums the
+residuals of those other rows only; equality-only LPs start every row on an
+artificial.
 
 The decomposition programs take plain arrays and return tuples.
 lp_feasible decides a generator's LP on its set's homogenised columns.
@@ -30,15 +34,16 @@ _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50000
 
 
-def _simplex_iterate(tab, basis, ncols):
-    """Bland-rule simplex on a tableau whose last row holds reduced costs.
+def _simplex_iterate(tab, basis, ncols, cost_row):
+    """Bland-rule simplex on the constraint rows tab[:m], m = basis.size.
 
-    tab has shape (m+1, ncols+1); column ncols is the rhs. Returns
-    "optimal" or "unbounded"; raises NumericalFailure past the pivot cap.
+    Columns below ncols may enter, priced by the reduced costs in row
+    cost_row; the last column is the rhs. Returns "optimal" or
+    "unbounded"; raises NumericalFailure past the pivot cap.
     """
-    m = tab.shape[0] - 1
-    redcost = tab[m, :ncols]  # views: pivots update tab in place
-    rhs = tab[:m, ncols]
+    m = basis.size
+    redcost = tab[cost_row, :ncols]  # views: pivots update tab in place
+    rhs = tab[:m, -1]
     for _ in range(_MAX_PIVOTS):
         neg = redcost < -_REDCOST_TOL
         enter = int(neg.argmax())
@@ -48,30 +53,19 @@ def _simplex_iterate(tab, basis, ncols):
         rows = (col > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        leave = -1
-        best_ratio = np.inf
-        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
-            if ratio < best_ratio - 1e-12 or (
-                abs(ratio - best_ratio) <= 1e-12
-                and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best_ratio = ratio
-                leave = i
-        _pivot(tab, basis, leave, enter)
+        # Bland's ratio test: of the rows within 1e-12 of the least ratio,
+        # the one whose basic variable has the smallest index leaves
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
     raise NumericalFailure("simplex exceeded its pivot budget")
 
 
 def _pivot(tab, basis, i, j):
-    """Pivot the tableau on entry (i, j): column j enters the basis at row i.
-
-    One rank-1 update. Rows with a zero in column j are put back as they
-    were, since subtracting 0 * row could flip the sign of a zero entry.
-    """
+    """Pivot the tableau on entry (i, j), one rank-1 update: column j
+    enters the basis at row i."""
     row = tab[i, :] / tab[i, j]
-    idle = (tab[:, j] == 0.0).nonzero()[0]
-    kept = tab[idle]
     tab -= tab[:, j, None] * row
-    tab[idle] = kept
     tab[i, :] = row
     basis[i] = j
 
@@ -88,7 +82,7 @@ def _rows_within_scale(tab, basis, a_work, b_work, art) -> bool:
     """
     n = a_work.shape[1]
     z = np.zeros(n + art.size)
-    z[basis] = tab[:-1, -1]
+    z[basis] = tab[:basis.size, -1]
     scale = 1.0 + b_work[art] + np.abs(a_work[art]) @ np.abs(z[:n])
     return bool(np.all(z[n:] <= _FEASIBILITY_TOL * scale))
 
@@ -113,50 +107,46 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     a_work[neg, :] *= -1.0
     b_eq[neg] *= -1.0
 
-    # phase one: a row with a slack and rhs >= 0 starts on its slack, every
-    # other row on an artificial variable; minimize the artificials' sum
+    # a row with a slack and rhs >= 0 starts on its slack, every other row on
+    # an artificial variable. One tableau serves both phases: the constraint
+    # rows, then the phase-two costs priced for this basis (artificials cost
+    # nothing), then the phase-one costs, the artificials' sum
     basis = np.full(m, -1)
     slacks = np.asarray(slacks, dtype=int)
     basis[:slacks.size] = np.where(neg[:slacks.size], -1, slacks)
     art = (basis < 0).nonzero()[0]
     basis[art] = np.arange(n, n + art.size)
-    tab = np.zeros((m + 1, n + art.size + 1))
+    tab = np.zeros((m + 2, n + art.size + 1))
     tab[:m, :n] = a_work
     tab[art, n:-1] = np.eye(art.size)
     tab[:m, -1] = b_eq
-    tab[m, n:-1] = 1.0
-    tab[m, :] -= tab[art].sum(axis=0)
-    basis = basis.tolist()
-    status = _simplex_iterate(tab, basis, n + art.size)
-    phase1 = -tab[m, -1]
+    tab[m, :n] = c
+    tab[m] -= tab[m, basis] @ tab[:m]
+    tab[m + 1, n:-1] = 1.0
+    tab[m + 1] -= tab[art].sum(axis=0)
+    status = _simplex_iterate(tab, basis, n + art.size, m + 1)
+    phase1 = -tab[m + 1, -1]
     if status != "optimal" or (phase1 > _FEASIBILITY_TOL and
                                not _rows_within_scale(tab, basis, a_work, b_eq, art)):
         return "infeasible", None, float(max(phase1, 0.0))
 
-    # drive artificial variables out of the basis; drop redundant rows
-    keep = np.ones(m + 1, dtype=bool)
-    for i in [i for i, col in enumerate(basis) if col >= n]:
+    # drive artificial variables out of the basis; drop redundant rows and
+    # the phase-one row, then go on in phase two over the columns of z
+    keep = np.ones(m + 2, dtype=bool)
+    keep[m + 1] = False
+    for i in (basis >= n).nonzero()[0]:
         cols = (np.abs(tab[i, :n]) > _PIVOT_TOL).nonzero()[0]
         if cols.size:
             _pivot(tab, basis, i, int(cols[0]))
         else:
             keep[i] = False  # redundant constraint row
-
-    # phase two on the kept rows and the columns of z; the reduced costs
-    # c - sum_r c_B[r] * row_r are subtracted in row order, as pivots would
-    tab2 = np.concatenate([tab[keep, :n], tab[keep, -1:]], axis=1)
-    basis2 = [col for col, k in zip(basis, keep) if k]
-    cb = c[basis2]
-    priced = cb.nonzero()[0]
-    tab2[-1, :n] = c
-    tab2[-1, n] = 0.0
-    tab2[-1] = np.subtract.reduce(np.concatenate([tab2[-1:], cb[priced, None] * tab2[priced]]))
-    status = _simplex_iterate(tab2, basis2, n)
-    if status == "unbounded":
+    tab = tab[keep]
+    basis = basis[keep[:m]]
+    if _simplex_iterate(tab, basis, n, basis.size) == "unbounded":
         return "unbounded", None, -np.inf
     z = np.zeros(n)
-    z[basis2] = tab2[:-1, n]
-    return "optimal", z, float(-tab2[-1, n])
+    z[basis] = tab[:-1, -1] + 0.0  # + 0.0 turns a -0.0 left by the pivots into 0.0
+    return "optimal", z, float(0.0 - tab[-1, -1])
 
 
 def _solve_split(c, free, a_eq, b_eq, g=None, h=None):
@@ -208,12 +198,11 @@ def phase_one_feasibility(matrix, rhs, free_indices=()):
     return 0.0, a  # with zero costs phase two is never unbounded
 
 
-def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
-                        maximize=False):
-    """Solve max/min c'x over G x <= h, A x = b.
+def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
+    """Solve max c'x over G x <= h, A x = b.
 
     Variables are free; they are split internally. Returns (status, x, value)
-    where value is in the caller's max/min sense.
+    with value the maximum, +inf when unbounded.
     """
     c = as_vector(c, "c")
     n = c.shape[0]
@@ -221,11 +210,10 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None,
     h_ub = None if g_ub is None else as_vector(h_ub, "h")
     b_eq = np.zeros(0) if a_eq is None else as_vector(b_eq, "b_eq")
     a_eq = np.zeros((0, n)) if a_eq is None else as_matrix(a_eq, "A_eq")
-    sense = -1.0 if maximize else 1.0
-    status, x, obj = _solve_split(sense * c, list(range(n)), a_eq, b_eq, g_ub, h_ub)
+    status, x, obj = _solve_split(-c, list(range(n)), a_eq, b_eq, g_ub, h_ub)
     if status != "optimal":
-        return status, None, (np.inf if maximize and status == "unbounded" else obj)
-    return "optimal", x, float(sense * obj)
+        return status, None, (np.inf if status == "unbounded" else obj)
+    return "optimal", x, 0.0 - obj  # 0.0 - obj, not -obj, so that no -0.0 comes back
 
 
 def _check_program(matrix, rhs, free_index):

@@ -394,6 +394,38 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert json.loads(out_path.read_text(encoding="utf-8")) == json.loads(out)
 
 
+def test_unwritable_output_exits_64(tmp_path, capsys):
+    # an --output path in a missing directory is an input error, checked
+    # before anything is printed
+    missing = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "check", str(PROBLEMS / "hpolyhedron_box.json"),
+                             "--no-timing", "--output", str(missing))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"input error: cannot write {missing}: ")
+
+
+@pytest.mark.parametrize("formula, code, decision", [
+    ("-x1", EXIT_UNKNOWN, "unknown"),
+    ("x1 - 1", EXIT_NOT_INVARIANT, "not_invariant"),
+])
+def test_half_line_lorenz_cone_with_a_formula(tmp_path, capsys, formula, code, decision):
+    # the one-dimensional cone Q = [[-1]] is the half-line x >= 0; its only
+    # boundary point is the apex, where x1 - 1 leaves with violation 0.5
+    f = tmp_path / "half_line.json"
+    f.write_text(json.dumps({"schema": "nagumo/1", "set": {"type": "lorenz", "Q": [[-1]]},
+                             "system": {"type": "expression", "formulas": [formula]}}),
+                 encoding="utf-8")
+    got, out, _ = run_cli(capsys, "check", str(f), "--samples", "5", "--no-timing")
+    report = json.loads(out)
+    assert (got, report["decision"]) == (code, decision)
+    if code == EXIT_NOT_INVARIANT:
+        assert report["counterexample"] == {"point": [0.0], "violation": 0.5}
+    got, out, _ = run_cli(capsys, "falsify", str(f), "--samples", "5", "--horizon", "0.5",
+                          "--no-timing")
+    assert got == (EXIT_INVARIANT if code == EXIT_UNKNOWN else EXIT_NOT_INVARIANT)
+    assert json.loads(out)["exit_found"] is (got == EXIT_NOT_INVARIANT)
+
+
 def test_version_command(capsys):
     code, out, _ = run_cli(capsys, "version")
     assert code == 0

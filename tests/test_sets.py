@@ -173,6 +173,12 @@ def test_lorenz_samples_on_surface():
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_half_line_samples_are_its_apex():
+    # LorenzCone([[-1]]) is the half-line x >= 0, whose boundary is its apex
+    pts = sample_boundary(LorenzCone([[-1.0]]), 3, 0)
+    assert [bp.point.tolist() for bp in pts] == [[0.0]] * 3
+
+
 def test_samples_reclassify_boundary_all_families():
     sets = [
         UNIT_BOX,

@@ -196,6 +196,60 @@ def test_simplex_standard_basics():
     assert status == "unbounded"
 
 
+BEALE_COSTS = [0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0]
+BEALE_ROWS = [[1.0, 0.0, 0.0, 0.25, -60.0, -0.04, 9.0],
+              [0.0, 1.0, 0.0, 0.5, -90.0, -0.02, 3.0],
+              [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("slacks", [(0, 1, 2), ()], ids=["slack-start", "artificial-start"])
+def test_simplex_standard_beale_cycling_example(slacks):
+    # Beale (1955): the textbook largest-coefficient rule cycles here from
+    # the slack basis; Bland's rule must not
+    status, z, obj = simplex_standard(BEALE_COSTS, BEALE_ROWS, [0.0, 0.0, 1.0], slacks=slacks)
+    assert status == "optimal"
+    assert obj == pytest.approx(-0.05, abs=1e-12)
+    assert z[3] == pytest.approx(0.04, abs=1e-12) and z[5] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.array(BEALE_ROWS) @ z, [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_simplex_standard_drops_redundant_rows(monkeypatch):
+    # min x1 + 2 x2 + 3 x3 over x1 + x2 + x3 = 1 and x1 = x2, with the first
+    # row repeated and negated: phase two runs on the two independent rows
+    rows = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, -1.0, 0.0]]
+    sizes = []
+    iterate = solvers._simplex_iterate
+
+    def recording(tab, basis, ncols, cost_row):
+        sizes.append(basis.size)
+        return iterate(tab, basis, ncols, cost_row)
+
+    monkeypatch.setattr(solvers, "_simplex_iterate", recording)
+    status, z, obj = simplex_standard([1.0, 2.0, 3.0], rows, [1.0, 1.0, -1.0, 0.0])
+    assert status == "optimal"
+    assert obj == pytest.approx(1.5, abs=1e-12)
+    assert np.allclose(z, [0.5, 0.5, 0.0], atol=1e-12)
+    assert sizes == [4, 2]
+
+
+def test_lp_results_hold_no_negative_zero():
+    # a ray cone from the probe workload; pivots that subtract 0 * row can
+    # leave -0.0 in the tableau, which must not reach a result
+    rays = np.array([[-0.8149659724787109, -1.061657553527163],
+                     [-0.006919177981175939, 1.528415895539762],
+                     [-0.5004895243518179, 0.6745062124832809]])
+    f = -(1.0 + rays[1] @ rays[1]) * rays[1]
+    infeas, alpha = lp_feasible(rays.T, f, 1)
+    assert alpha is not None
+    assert not np.any(np.signbit(np.append(alpha, infeas)) & (np.append(alpha, infeas) == 0.0))
+    # max x2 over the square [-1, 1] x [-1, 0] is 0
+    status, x, value = solve_inequality_lp(
+        [0.0, 1.0], g_ub=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        h_ub=[1.0, 0.0, 1.0, 1.0])
+    assert status == "optimal" and value == 0.0 and not np.signbit(value)
+    assert not np.any(np.signbit(x) & (x == 0.0))
+
+
 def test_inequality_lp_box_and_equality():
     # max x1 + x2 on the unit square with x2 = x1
     status, x, v = solve_inequality_lp(
@@ -204,13 +258,12 @@ def test_inequality_lp_box_and_equality():
         h_ub=[1.0, 1.0, 0.0, 0.0],
         a_eq=[[1.0, -1.0]],
         b_eq=[0.0],
-        maximize=True,
     )
     assert status == "optimal"
     assert v == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
     # max x1 over x1 >= 0 is unbounded
-    status, _, _ = solve_inequality_lp([1.0], g_ub=[[-1.0]], h_ub=[0.0], maximize=True)
+    status, _, _ = solve_inequality_lp([1.0], g_ub=[[-1.0]], h_ub=[0.0])
     assert status == "unbounded"
 
 
@@ -254,8 +307,10 @@ def test_inequality_lp_matches_vertex_enumeration():
         if box is not None:
             g_all = np.vstack([g, np.eye(n), -np.eye(n)])
             h_all = np.concatenate([h, np.full(2 * n, box)])
-        status, x, value = solve_inequality_lp(c, g_all, h_all, a_eq, b_eq, maximize=maximize)
         sense = -1.0 if maximize else 1.0
+        # min c'x is -max (-c)'x
+        status, x, value = solve_inequality_lp(-sense * c, g_all, h_all, a_eq, b_eq)
+        value = -sense * value
         ref_status, ref_value = enumerate_lp(sense * c, g, h, a_eq, b_eq, box=box)
         assert status == ref_status
         seen.add(status)
