@@ -311,7 +311,9 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     counterexample, with the largest normalised flux as its violation (the
     L1 infeasibility of its tangent-cone LP for a vertex or ray form
     without enumerated facets). A field that is not finite at a sample
-    before that one is an InputError naming the point.
+    before that one is an InputError naming the point. An Unknown verdict
+    notes samples_checked, the number of distinct points tested: samples
+    can repeat (every sample of a half-line is its apex).
     """
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])
@@ -326,7 +328,9 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     if stop < len(samples):
         raise InputError("the field is not finite at boundary point "
                          f"{[float(v) for v in x[:, stop]]}")
-    return Verdict(Decision.UNKNOWN, notes={"samples_checked": len(samples)})
+    xs = x[:, np.lexsort(x)]  # equal columns end up side by side
+    distinct = 1 + int(np.count_nonzero(np.any(xs[:, 1:] != xs[:, :-1], axis=0)))
+    return Verdict(Decision.UNKNOWN, notes={"samples_checked": distinct})
 
 
 # The deciders keyed by set tag. Each entry looks its decider up as a module

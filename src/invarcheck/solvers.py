@@ -1,18 +1,20 @@
 """Certification solvers: linear feasibility and nearest-point programs.
 
-Every LP in the package runs on one core: a two-phase simplex with Bland's
-rule over one standard-form tableau for both phases. Its rows are the
-constraints, the phase-two costs and the phase-one costs, and one pivot
-routine (a rank-1 update) keeps all of them current, so phase two goes on
-from where phase one stopped once the artificials are driven out and the
-redundant rows dropped. LPs with free variables (the vertex and ray
-decomposition systems, and the inequality LPs of the facet checks and
-boundary sampling) reach it through one builder that splits each free
-variable and adds the slacks. Phase one starts each row with a slack and a
-nonnegative rhs on that slack and only the other rows on artificial
-variables, so an infeasible inequality LP's phase-one value sums the
-residuals of those other rows only; equality-only LPs start every row on an
-artificial.
+Every LP in the package runs on one core: a two-phase simplex over one
+standard-form tableau for both phases. Its rows are the constraints, the
+phase-two costs and the phase-one costs, and one pivot routine (a rank-1
+update) keeps all of them current, so phase two goes on from where phase one
+stopped once the artificials are driven out and the redundant rows dropped.
+Columns enter by Dantzig's rule, or by Bland's rule after a run of
+degenerate pivots, which rules out cycling; every few dozen pivots the
+tableau is rebuilt from the unpivoted rows, so rounding does not pile up.
+LPs with free variables (the vertex and ray decomposition systems, and the
+inequality LPs of the facet checks and boundary sampling) reach it through
+one builder that splits each free variable and adds the slacks. Phase one
+starts each row with a slack and a nonnegative rhs on that slack and only
+the other rows on artificial variables, so an infeasible inequality LP's
+phase-one value sums the residuals of those other rows only; equality-only
+LPs start every row on an artificial.
 
 The decomposition programs take plain arrays and return tuples.
 lp_feasible decides a generator's LP on its set's homogenised columns.
@@ -32,22 +34,32 @@ _FEASIBILITY_TOL = 1e-9  # LP phase-one residual acceptance
 _REDCOST_TOL = 1e-10
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50000
+_BLAND_AFTER = 10  # degenerate pivots in a row before pricing by Bland's rule
+_REFACTOR_EVERY = 50  # pivots between rebuilds of the tableau
 
 
-def _simplex_iterate(tab, basis, ncols, cost_row):
-    """Bland-rule simplex on the constraint rows tab[:m], m = basis.size.
+def _simplex_iterate(tab, basis, ncols, cost_row, raw):
+    """Simplex on the constraint rows tab[:m], m = basis.size.
 
     Columns below ncols may enter, priced by the reduced costs in row
-    cost_row; the last column is the rhs. Returns "optimal" or
-    "unbounded"; raises NumericalFailure past the pivot cap.
+    cost_row; the last column is the rhs. The entering column is the most
+    negative reduced cost (Dantzig's rule); after _BLAND_AFTER degenerate
+    pivots in a row it is the first negative one (Bland's rule, which cannot
+    cycle) until a pivot makes progress again. Every _REFACTOR_EVERY pivots
+    the tableau is rebuilt from raw, the unpivoted rows of the same shape,
+    so rounding from the rank-1 updates does not accumulate. Returns
+    "optimal" or "unbounded"; raises NumericalFailure past the pivot cap.
     """
     m = basis.size
     redcost = tab[cost_row, :ncols]  # views: pivots update tab in place
     rhs = tab[:m, -1]
-    for _ in range(_MAX_PIVOTS):
-        neg = redcost < -_REDCOST_TOL
-        enter = int(neg.argmax())
-        if not neg[enter]:
+    degenerate = 0
+    for pivots in range(1, _MAX_PIVOTS + 1):
+        if degenerate < _BLAND_AFTER:
+            enter = int(redcost.argmin())
+        else:
+            enter = int((redcost < -_REDCOST_TOL).argmax())
+        if redcost[enter] >= -_REDCOST_TOL:
             return "optimal"
         col = tab[:m, enter]
         rows = (col > _PIVOT_TOL).nonzero()[0]
@@ -56,8 +68,12 @@ def _simplex_iterate(tab, basis, ncols, cost_row):
         # Bland's ratio test: of the rows within 1e-12 of the least ratio,
         # the one whose basic variable has the smallest index leaves
         ratios = rhs[rows] / col[rows]
-        tied = rows[ratios <= ratios.min() + 1e-12]
+        least = ratios.min()
+        degenerate = degenerate + 1 if least <= 1e-12 else 0
+        tied = rows[ratios <= least + 1e-12]
         _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
+        if pivots % _REFACTOR_EVERY == 0:
+            _refactor(tab, basis, raw)
     raise NumericalFailure("simplex exceeded its pivot budget")
 
 
@@ -68,6 +84,18 @@ def _pivot(tab, basis, i, j):
     tab -= tab[:, j, None] * row
     tab[i, :] = row
     basis[i] = j
+
+
+def _refactor(tab, basis, raw):
+    """Rebuild the tableau for the basis from raw, the unpivoted rows: the
+    constraint rows become B^-1 raw[:m], each cost row its raw costs less
+    its basic costs times those rows."""
+    m = basis.size
+    try:
+        tab[:m] = np.linalg.solve(raw[:m, basis], raw[:m])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("simplex basis became singular") from exc
+    tab[m:] = raw[m:] - raw[m:, basis] @ tab[:m]
 
 
 def _rows_within_scale(tab, basis, a_work, b_work, art) -> bool:
@@ -88,7 +116,7 @@ def _rows_within_scale(tab, basis, a_work, b_work, art) -> bool:
 
 
 def simplex_standard(c, a_eq, b_eq, slacks=()):
-    """min c'z subject to A z = b, z >= 0, by two-phase simplex (Bland).
+    """min c'z subject to A z = b, z >= 0, by two-phase simplex.
 
     slacks[r] names the slack column of row r (a unit column with its 1 in
     row r) for the leading len(slacks) rows. Phase one starts each of those
@@ -116,15 +144,16 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     basis[:slacks.size] = np.where(neg[:slacks.size], -1, slacks)
     art = (basis < 0).nonzero()[0]
     basis[art] = np.arange(n, n + art.size)
-    tab = np.zeros((m + 2, n + art.size + 1))
-    tab[:m, :n] = a_work
-    tab[art, n:-1] = np.eye(art.size)
-    tab[:m, -1] = b_eq
-    tab[m, :n] = c
+    raw = np.zeros((m + 2, n + art.size + 1))
+    raw[:m, :n] = a_work
+    raw[art, n:-1] = np.eye(art.size)
+    raw[:m, -1] = b_eq
+    raw[m, :n] = c
+    raw[m + 1, n:-1] = 1.0
+    tab = raw.copy()
     tab[m] -= tab[m, basis] @ tab[:m]
-    tab[m + 1, n:-1] = 1.0
     tab[m + 1] -= tab[art].sum(axis=0)
-    status = _simplex_iterate(tab, basis, n + art.size, m + 1)
+    status = _simplex_iterate(tab, basis, n + art.size, m + 1, raw)
     phase1 = -tab[m + 1, -1]
     if status != "optimal" or (phase1 > _FEASIBILITY_TOL and
                                not _rows_within_scale(tab, basis, a_work, b_eq, art)):
@@ -140,9 +169,9 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
             _pivot(tab, basis, i, int(cols[0]))
         else:
             keep[i] = False  # redundant constraint row
-    tab = tab[keep]
+    tab, raw = tab[keep], raw[keep]
     basis = basis[keep[:m]]
-    if _simplex_iterate(tab, basis, n, basis.size) == "unbounded":
+    if _simplex_iterate(tab, basis, n, basis.size, raw) == "unbounded":
         return "unbounded", None, -np.inf
     z = np.zeros(n)
     z[basis] = tab[:-1, -1] + 0.0  # + 0.0 turns a -0.0 left by the pivots into 0.0

@@ -591,6 +591,17 @@ def test_sampled_quartic_contraction_unknown():
     assert v.notes["samples_checked"] == 10000
 
 
+@pytest.mark.parametrize("q, distinct", [
+    ([[-1.0]], 1),                   # the half-line x >= 0: every sample is its apex
+    ([[1.0, 0.0], [0.0, -1.0]], 3),  # two boundary rays: the apex and a unit point on each
+], ids=["half-line", "2d-lorenz"])
+def test_sampled_check_counts_distinct_points(q, distinct):
+    sys = GeneralSystem(lambda t, x: -x, vectorized=True)
+    v = check_nonlinear_sampled(LorenzCone(q), sys, 0.0, 10000, seed=0)
+    assert v.decision is Decision.UNKNOWN
+    assert v.notes["samples_checked"] == distinct
+
+
 def test_sampled_radial_growth_refuted():
     disk = Ellipsoid(np.eye(2))
     sys = GeneralSystem(lambda t, x: x.copy())

@@ -220,9 +220,9 @@ def test_simplex_standard_drops_redundant_rows(monkeypatch):
     sizes = []
     iterate = solvers._simplex_iterate
 
-    def recording(tab, basis, ncols, cost_row):
+    def recording(tab, basis, ncols, cost_row, raw):
         sizes.append(basis.size)
-        return iterate(tab, basis, ncols, cost_row)
+        return iterate(tab, basis, ncols, cost_row, raw)
 
     monkeypatch.setattr(solvers, "_simplex_iterate", recording)
     status, z, obj = simplex_standard([1.0, 2.0, 3.0], rows, [1.0, 1.0, -1.0, 0.0])
@@ -355,11 +355,8 @@ def test_phase_one_matches_vertex_enumeration():
     assert seen == {True, False}
 
 
-def test_facet_lp_pivot_budget(monkeypatch):
-    # the rows of G x <= b with b >= 0 start phase one on their slacks; from
-    # an all-artificial start these 60 facet LPs take 11,498 pivots
-    n = 20
-    g = np.random.default_rng(0).normal(size=(3 * n, n))
+def _count_pivots(monkeypatch, s, a):
+    """The decision of check(s, x' = A x) and the number of pivots it took."""
     pivots = []
     pivot = solvers._pivot
 
@@ -368,9 +365,65 @@ def test_facet_lp_pivot_budget(monkeypatch):
         pivot(*args)
 
     monkeypatch.setattr(solvers, "_pivot", counting)
-    verdict = check(HPolyhedron(g, np.ones(3 * n)), LinearSystem(-np.eye(n)))
+    return check(s, LinearSystem(a)).decision, len(pivots)
+
+
+def test_facet_lp_pivot_budget(monkeypatch):
+    # the rows of G x <= b with b >= 0 start phase one on their slacks; from
+    # an all-artificial start these 60 facet LPs take 11,498 pivots
+    n = 20
+    g = np.random.default_rng(0).normal(size=(3 * n, n))
+    decision, pivots = _count_pivots(monkeypatch, HPolyhedron(g, np.ones(3 * n)), -np.eye(n))
+    assert decision is Decision.INVARIANT
+    assert pivots < 2000
+
+
+def test_perturbed_facet_lp_pivot_budget(monkeypatch):
+    # 120 Gaussian facets in R^40 under A = -I + 0.01 R: pricing by Bland's
+    # rule alone takes 68,047 pivots over the 120 facet LPs, Dantzig's rule
+    # 14,420
+    n = 40
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(3 * n, n))
+    a = -np.eye(n) + 0.01 * rng.normal(size=(n, n))
+    decision, pivots = _count_pivots(monkeypatch, HPolyhedron(g, np.ones(3 * n)), a)
+    assert decision is Decision.INVARIANT
+    assert pivots < 25000
+
+
+def test_desk_scale_v_polytope_phase_one_stays_nonnegative(monkeypatch):
+    # +-e_i and 40 Gaussian points in R^40 hold the origin inside, so x' = -x
+    # keeps them invariant. On Bland's rule with no rebuild of the tableau
+    # the rank-1 updates drifted: a vertex LP's phase-one objective, a sum of
+    # artificials, fell to -4.6e-3 and the LP hit the pivot cap
+    n = 40
+    points = np.random.default_rng(0).normal(size=(n, n))
+    lows = []
+    pivot = solvers._pivot
+
+    def recording(tab, basis, i, j):
+        pivot(tab, basis, i, j)
+        if tab.shape[0] == basis.size + 2:  # phase one, whose cost row is last
+            lows.append(-tab[-1, -1])
+
+    monkeypatch.setattr(solvers, "_pivot", recording)
+    verdict = check(VPolytope(np.vstack([np.eye(n), -np.eye(n), points])),
+                    LinearSystem(-np.eye(n)))
     assert verdict.decision is Decision.INVARIANT
-    assert len(pivots) < 2000
+    assert lows and min(lows) >= -solvers._FEASIBILITY_TOL
+
+
+def test_degenerate_vertex_lp_does_not_cycle():
+    # vertex 15 (-e_3) of +-e_i and 13 Gaussian points in R^13 under x' = -x:
+    # pricing by Dantzig's rule alone cycles here, phase one staying at 1.0
+    # up to the pivot cap; falling back to Bland's rule ends the cycle
+    n = 13
+    v = np.vstack([np.eye(n), -np.eye(n), np.random.default_rng(10).normal(size=(n, n))])
+    columns, rhs = vertex_lp(v.T, -v[15])
+    infeas, alpha = lp_feasible(columns, rhs, 15)
+    assert infeas == 0.0 and alpha is not None
+    assert np.allclose(columns @ alpha, rhs, atol=1e-12)
+    assert np.all(np.delete(alpha, 15) >= -1e-12)
 
 
 def test_nnls_simple():
