@@ -104,13 +104,9 @@ def sym_eig(m) -> EigenResult:
     raises NoConvergence if LAPACK reports a failure to converge.
     """
     m = as_square(m, "M")
-    n = m.shape[0]
     _require_symmetric(m, "M")
-    a = 0.5 * (m + m.T)
-    if n == 0 or not a.any():
-        return EigenResult(np.zeros(n), np.eye(n))
     try:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(0.5 * (m + m.T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")

@@ -10,8 +10,8 @@ the combination coefficients; "inside" for them means the relative
 interior (for full-dimensional sets this is the topological interior).
 Their violation measure and boundary samples come instead from the facets
 of their generators, enumerated once per set (Blanchini, "Set invariance
-in control", Automatica 1999, states the facet conditions); a form with
-too many candidate facets uses the membership LP for both.
+in control", Automatica 1999, states the facet conditions) by double
+description; a form above its cap (_FACET_RAYS) uses the LP for both.
 
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
@@ -37,7 +37,6 @@ arguments and call those methods; the rest of the package calls them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +51,9 @@ from .solvers import simplex_standard, solve_inequality_lp
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
 _SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
-_FACET_SUBSETS = 5000  # most candidate facet subsets enumerated; above, the LP path
+# most rays the facet enumeration holds at any stage; above, the LP path. At the
+# default 10,000 samples each facet costs tangent_test about 0.3 MB of peak memory
+_FACET_RAYS = 1000
 _ROUNDING = 16 * np.finfo(float).eps  # least relative flux that refutes, whatever tol
 
 
@@ -229,7 +230,8 @@ class _Facets:
     normals @ y >= 0. Row i of normals is facet i's inward normal, scaled so
     that its largest value over the columns is 1 (for a simplex these are
     the barycentric coordinates); on[i] holds the indices of the columns on
-    facet i. eq spans the orthogonal complement of the columns' span.
+    facet i, the facets sorted by on. eq spans the orthogonal complement of
+    the columns' span.
     """
 
     normals: np.ndarray
@@ -250,8 +252,8 @@ class _VForm:
     too, and define lift, scale, cap and face_points.
 
     Violation and sampling use the facets of the columns' cone (_facets),
-    computed once; forms with too many candidate facets fall back to the
-    membership LP for both.
+    computed once; forms above the facet cap fall back to the membership LP
+    for both.
     """
 
     def __init__(self, points, columns):
@@ -264,51 +266,53 @@ class _VForm:
 
     @cached_property
     def _facets(self) -> _Facets | None:
-        """The columns' facets, or None above _FACET_SUBSETS candidate subsets.
+        """The columns' facets by double description (Fukuda & Prodon 1996),
+        or None once a stage holds more than _FACET_RAYS rays.
 
-        Square invertible columns (a simplicial form) have the rows of their
-        inverse as normals. Otherwise every (r-1)-subset of the columns, in
-        their r-dimensional span, that spans a hyperplane with all columns on
-        one side of it is a facet.
+        The facet normals are the extreme rays of {h : c_j'h >= 0 for every
+        column c_j} in the columns' r-dimensional span; those of r independent
+        columns are the rows of their inverse. Each further column keeps the
+        rays it leaves nonnegative and adds the combination, zero on it, of
+        each adjacent positive and negative ray: two rays that share at least
+        r - 2 zero columns, on all of which no third ray is zero.
         """
-        cols = self.columns
-        rows, k = cols.shape
-        if rows == k:
-            try:
-                inverse = np.linalg.inv(cols)
-            except np.linalg.LinAlgError:
-                inverse = None
-            if inverse is not None:
-                on = [np.delete(np.arange(k), i) for i in range(k)]
-                return _Facets(inverse, on, np.zeros((0, rows)))
-        u, sv, _ = np.linalg.svd(cols)
+        u, sv, _ = np.linalg.svd(self.columns)
         r = int(np.sum(sv > _FACE_TOL * sv[0]))
-        if math.comb(k, r - 1) > _FACET_SUBSETS:
-            return None
-        basis = u[:, :r]
-        coords = basis.T @ cols
-        if r == 1:
-            cand = np.ones((1, 1))
-        else:
-            subsets = np.array(list(itertools.combinations(range(k), r - 1)))
-            _, s_sub, vt = np.linalg.svd(coords.T[subsets])
-            cand = vt[s_sub[:, -1] > _FACE_TOL * s_sub[:, 0], -1, :]
-        vals = cand @ coords
+        coords = u[:, :r].T @ self.columns
         tol = _FACE_TOL * np.linalg.norm(coords, axis=0)
-        up = np.all(vals >= -tol, axis=1)
-        down = np.all(vals <= tol, axis=1)
-        sign = np.where(up, 1.0, -1.0)[up != down]
-        cand = cand[up != down] * sign[:, None]
-        vals = vals[up != down] * sign[:, None]
-        normals, on, seen = [], [], set()
-        for h, v in zip(cand, vals):
-            face = np.abs(v) <= tol
-            if face.tobytes() not in seen:
-                seen.add(face.tobytes())
-                normals.append(h / v.max())
-                on.append(np.flatnonzero(face))
-        normals = np.array(normals).reshape(-1, r) @ basis.T
-        return _Facets(normals, on, u[:, r:].T)
+        rest, left = coords.copy(), np.ones(coords.shape[1], bool)
+        for _ in range(r):  # Gram-Schmidt taking the largest residual column
+            j = np.einsum("ij,ij->j", rest, rest).argmax()
+            left[j] = False
+            rest -= np.outer(rest[:, j], rest[:, j] @ rest / (rest[:, j] @ rest[:, j]))
+        rays = np.linalg.inv(coords[:, ~left])
+        zero = np.zeros((r, left.size), bool)  # zero[i, j]: ray i is zero on column j
+        zero[:, ~left] = ~np.eye(r, dtype=bool)
+        for j in np.flatnonzero(left):
+            rays /= np.linalg.norm(rays, axis=1)[:, None]
+            v = rays @ coords[:, j]
+            keep = v >= -tol[j]
+            zero[:, j] = np.abs(v) <= tol[j]
+            z = zero.astype(float)  # its products count common zeros exactly
+            pos, neg = np.flatnonzero(v > tol[j]), np.flatnonzero(~keep)
+            p, n = np.nonzero(z[pos] @ z[neg].T >= r - 2)
+            p, n = pos[p], neg[n]
+            adjacent = np.zeros(p.size, bool)
+            step = max(1, (1 << 22) // sum(z.shape))  # at most 4M pair x (ray or column) cells
+            for s in range(0, p.size, step):
+                both = z[p[s:s + step]] * z[n[s:s + step]]
+                adjacent[s:s + step] = np.sum(z @ both.T == both.sum(axis=1), axis=0) == 2
+                if np.sum(keep) + np.sum(adjacent) > _FACET_RAYS:
+                    return None
+            p, n = p[adjacent], n[adjacent]
+            rays = np.vstack([rays[keep], v[p, None] * rays[n] - v[n, None] * rays[p]])
+            zero = np.vstack([zero[keep], zero[p] & zero[n] | (np.arange(left.size) == j)])
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+        vals = rays @ coords
+        on = [face.nonzero()[0] for face in np.abs(vals) <= tol]
+        order = sorted(range(len(on)), key=lambda i: on[i].tolist())
+        normals = (rays / vals.max(axis=1)[:, None])[order] @ u[:, :r].T
+        return _Facets(normals, [on[i] for i in order], u[:, r:].T)
 
     def _lp(self, x):
         """Feasibility plus relative-interior margin of the combination
@@ -691,10 +695,10 @@ def outside_violation_batch(s: ConvexSet, states) -> np.ndarray:
 
     A halfspace form or quadric reads the slacks its membership holds
     against the band. For vertex/ray forms it is the most negative facet
-    value (a barycentric coordinate for a simplex, whose facet normals are the rows of the
-    inverse of its columns) or the distance from the generators' span, in
-    one product for all columns; only a form with too many candidate facets
-    solves the membership LP's phase one column by column.
+    value (a barycentric coordinate for a simplex) or the distance from the
+    generators' span, in one product for all columns; only a form above the
+    facet cap (_FACET_RAYS) solves the membership LP's phase one column by
+    column.
     """
     return s.violation(np.asarray(states, dtype=float))
 
@@ -720,7 +724,7 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     distance along its facet, up to the nearest other facet. Vertex forms:
     the vertices (rays) on the relative boundary first, then random convex
     (conic, at unit norm) combinations of one facet's generators, boundary
-    points by construction. A vertex form with too many candidate facets
+    points by construction. A vertex form above the facet cap (_FACET_RAYS)
     draws two-point combinations instead and keeps those the membership LP
     calls boundary. A count below 1, a tol that is negative or not finite,
     or a seed that is not an integer >= 0 is an InputError.

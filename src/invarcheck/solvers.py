@@ -174,7 +174,7 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     if _simplex_iterate(tab, basis, n, basis.size, raw) == "unbounded":
         return "unbounded", None, -np.inf
     z = np.zeros(n)
-    z[basis] = tab[:-1, -1] + 0.0  # + 0.0 turns a -0.0 left by the pivots into 0.0
+    z[basis] = np.maximum(tab[:-1, -1], 0.0)  # rounding can leave a basic value just below 0
     return "optimal", z, float(0.0 - tab[-1, -1])
 
 
@@ -265,17 +265,16 @@ def lp_feasible(columns, rhs, free_index: int):
     return phase_one_feasibility(*_check_program(columns, rhs, free_index), (free_index,))
 
 
-def nnls(d_mat, f, max_changes=None) -> np.ndarray:
+def nnls(d_mat, f) -> np.ndarray:
     """Lawson-Hanson active-set solve of min ||D b - f||^2 over b >= 0.
 
-    max_changes caps the number of active-set changes; exceeding it raises
+    More than max(30, 10*(k + 1)) active-set changes for k columns raise
     IterationLimit.
     """
     d_mat = as_matrix(d_mat, "D")
     f = as_vector(f, "f")
     k = d_mat.shape[1]
-    if max_changes is None:
-        max_changes = max(30, 10 * (k + 1))
+    max_changes = max(30, 10 * (k + 1))
     beta = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     grad_scale = 1.0 + (float(np.max(np.abs(d_mat.T @ f))) if k else 0.0)
@@ -328,7 +327,7 @@ def qp_nearest(x_mat, f, free_index: int):
     l1 = x_mat.shape[1]
     others = [j for j in range(l1) if j != free_index]
     d_mat = x_mat[:, others] - x_mat[:, [free_index]]
-    beta = nnls(d_mat, f, max_changes=10 * l1)
+    beta = nnls(d_mat, f)
     alpha = np.zeros(l1)
     alpha[others] = beta
     alpha[free_index] = -float(np.sum(beta))

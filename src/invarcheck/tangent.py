@@ -19,8 +19,8 @@ first_outside tests a whole batch of sampled points at once: each set
 family's tangent_test gives the outward flux of every direction against
 the halfspace rows that bind at its point, with facets in place of the
 generated cones of vertex and ray forms, and one formula
-(sets.flux_residual) judges both paths. Only a vertex or ray form with too
-many candidate facets to enumerate still solves one LP per point.
+(sets.flux_residual) judges both paths. Only a vertex or ray form above
+the facet cap (sets._FACET_RAYS) still solves one LP per point.
 """
 
 from __future__ import annotations

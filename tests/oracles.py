@@ -363,3 +363,37 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
                 worst = max(worst, flux / scale)
             out.append((inside, worst))
     return out
+
+
+def facets_by_subsets(columns, tol=1e-10):
+    """Facets of the cone spanned by the columns, by brute force.
+
+    In the columns' span (rank r), every (r-1)-subset of the columns that
+    spans a hyperplane with all columns on one side of it, within tol times
+    each column's norm, gives a facet. Returns {on: normal}: on is the tuple
+    of the indices of the columns on the facet, normal its inward normal (a
+    vector of the columns' height), scaled so that its largest value over
+    the columns is 1.
+    """
+    cols = np.asarray(columns, dtype=float)
+    u, sv, _ = np.linalg.svd(cols)
+    r = int(np.sum(sv > tol * sv[0]))
+    basis = u[:, :r]
+    coords = basis.T @ cols
+    band = tol * np.linalg.norm(coords, axis=0)
+    facets = {}
+    for subset in itertools.combinations(range(cols.shape[1]), r - 1):
+        if r == 1:
+            h = np.ones(1)
+        else:
+            _, s, vt = np.linalg.svd(coords[:, list(subset)].T)
+            if s[-1] <= tol * s[0]:
+                continue
+            h = vt[-1]
+        vals = h @ coords
+        if np.all(vals <= band):
+            h, vals = -h, -vals
+        if np.all(vals >= -band):
+            on = tuple(np.flatnonzero(np.abs(vals) <= band).tolist())
+            facets.setdefault(on, (h / vals.max()) @ basis.T)
+    return facets

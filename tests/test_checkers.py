@@ -691,6 +691,21 @@ def test_ray_certificate_resubstitutes():
         assert min(alpha[j] for j in range(2) if j != i) >= -1e-10
 
 
+def test_decomposition_coefficients_keep_their_sign_exactly():
+    # rounding in the simplex's pivots can leave a basic value just below 0;
+    # unclipped, this certificate held 502 alpha_j < 0 (j not the vertex),
+    # down to -5.1e-14
+    n = 20
+    v = np.vstack([np.eye(n), -np.eye(n), np.random.default_rng(0).normal(size=(n, n))])
+    res = check_vpolytope(VPolytope(v), LinearSystem(-np.eye(n)))
+    assert res.decision is Decision.INVARIANT
+    for rec in res.certificate.data["vertices"]:
+        i, alpha = rec["index"], np.array(rec["alpha"])
+        assert np.all(np.delete(alpha, i) >= 0.0)
+        assert np.max(np.abs(v.T @ alpha + v[i])) <= 1e-8
+        assert abs(np.sum(alpha)) <= 1e-8
+
+
 def test_ellipsoid_certificate_rayleigh_revalidation():
     q = np.diag([1.0, 4.0])
     a = np.array([[-1.0, 0.5], [-0.5, -2.0]])

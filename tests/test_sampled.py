@@ -127,10 +127,23 @@ def test_batch_matches_per_sample_loop_on_every_family():
     assert refuted >= 240 and passed >= 12000
 
 
-def test_vertex_form_above_subset_cap_takes_the_lp_path(monkeypatch):
-    # 30 vertices in R^4 have C(30, 4) = 27,405 candidate facet subsets, more
-    # than the facet enumeration takes: each sample is decided by its own LP
-    s = VPolytope(np.random.default_rng(3).normal(size=(30, 4)))
+def test_five_cube_sampled_check_runs_on_facets(monkeypatch):
+    # 32 vertices in R^5 but 10 facets: the default sampled check reads them
+    # and solves no LP per sample
+    s = VPolytope(np.array(list(itertools.product([-1.0, 1.0], repeat=5))))
+    calls = []
+    real = tangent._cone_at
+    monkeypatch.setattr(tangent, "_cone_at",
+                        lambda *args: calls.append(1) or real(*args))
+    v = check(s, GeneralSystem(lambda t, x: -x ** 3, vectorized=True))
+    assert v.decision is Decision.UNKNOWN and calls == []
+    assert s._facets is not None and s._facets.normals.shape == (10, 6)
+
+
+def test_vertex_form_above_the_facet_cap_takes_the_lp_path(monkeypatch):
+    # the cross-polytope in R^11 has 2,048 facets, more than the facet
+    # enumeration holds: each sample is decided by its own LP
+    s = VPolytope(np.vstack([np.eye(11), -np.eye(11)]))
     assert s._facets is None
     calls = []
     real = tangent._cone_at

@@ -1,4 +1,7 @@
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from invarcheck.sets import (
 )
 from invarcheck.systems import GeneralSystem
 from invarcheck.tangent import cone_test, tangent_cone_at
+
+from oracles import facets_by_subsets
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -271,10 +276,10 @@ def test_interior_generators_not_sampled(s):
         assert membership(s, bp.point) is Membership.BOUNDARY, bp.point
 
 
-def _random_forms(rng):
+def _random_forms(rng, dims=(2, 3)):
     """V-forms of every kind the facet enumeration must get right."""
     forms = []
-    for n in (2, 3):
+    for n in dims:
         for _ in range(4):
             # full-dimensional, with interior vertices and edge midpoints
             vs = rng.normal(size=(n + 3, n))
@@ -316,7 +321,78 @@ def test_facet_violation_and_samples_match_lp():
             assert membership(s, bp.point) is Membership.BOUNDARY, (s.TAG, gens.tolist(), bp)
 
 
-def test_facet_bound_falls_back_to_lp(monkeypatch):
+def _cube(d):
+    return np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
+
+
+def _cross(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+@pytest.mark.parametrize("family, d, facets, size", [
+    *[("cube", d, 2 * d, 2 ** (d - 1)) for d in range(1, 9)],
+    *[("cross-polytope", d, 2 ** d, d) for d in range(1, 10)],
+    *[("simplex", d, d + 1, d) for d in range(1, 9)]])
+def test_double_description_finds_the_known_facets(family, d, facets, size):
+    # every facet of a d-cube holds 2^(d-1) vertices, of a cross-polytope d
+    # and of a simplex d; each is met by no other vertex
+    vs = {"cube": _cube, "cross-polytope": _cross,
+          "simplex": lambda d: np.vstack([np.zeros(d), np.eye(d)])}[family](d)
+    f = VPolytope(vs)._facets
+    assert f.normals.shape == (facets, d + 1) and f.eq.shape == (0, d + 1)
+    assert all(on.size == size for on in f.on)
+    vals = f.normals @ VPolytope(vs).columns
+    assert np.allclose(vals.max(axis=1), 1.0) and np.all(vals >= -1e-12)
+    assert all(np.array_equal(np.flatnonzero(np.abs(v) <= 1e-12), on) for v, on in zip(vals, f.on))
+
+
+def _same_facets(s, reference):
+    """The form's facets against {on: normal} from facets_by_subsets."""
+    f = s._facets
+    assert sorted(tuple(on.tolist()) for on in f.on) == sorted(reference), s.columns.T.tolist()
+    for on, h in zip(f.on, f.normals):
+        assert np.allclose(h, reference[tuple(on.tolist())], rtol=1e-9, atol=1e-9)
+
+
+def test_double_description_matches_the_subset_enumeration():
+    # the facets, their normals and the columns on each, against every
+    # (r-1)-subset of the columns; the 40 points in R^3 have 9,880 subsets
+    rng = np.random.default_rng(71)
+    forms = _random_forms(rng, dims=(2, 3, 4, 5))
+    forms.append(VPolytope(np.random.default_rng(0).normal(size=(40, 3))))
+    # cones that are a subspace: no facets, and a plane's one equality row
+    forms += [VCone(_cross(3)), VCone(_cross(3)[[0, 1, 3, 4]])]
+    for s in forms:
+        _same_facets(s, facets_by_subsets(s.columns))
+        assert np.allclose(np.abs(s._facets.eq @ s.columns), 0.0, atol=1e-12)
+
+
+def test_double_description_does_not_depend_on_the_generator_order():
+    rng = np.random.default_rng(72)
+    for s in _random_forms(rng, dims=(2, 3, 4)) + [VPolytope(_cube(4)), VCone(_cross(3))]:
+        gens = s.vertices if isinstance(s, VPolytope) else s.rays
+        perm = rng.permutation(len(gens))
+        t = type(s)(gens[perm])
+        on = {tuple(sorted(perm[f].tolist())): h for f, h in zip(t._facets.on, t._facets.normals)}
+        _same_facets(s, on)
+
+
+def test_double_description_gives_up_early_above_the_ray_cap():
+    # 40 Gaussian points in R^8 have 6,713 facets; the enumeration stops
+    # at the cap without building the rays or pair tables past it
+    s = VPolytope(np.random.default_rng(0).normal(size=(40, 8)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert s._facets is None
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 2.0 and peak < 64e6, (seconds, peak)
+
+
+def test_facet_cap_falls_back_to_lp(monkeypatch):
     import invarcheck.sets as sets_mod
 
     calls = []
@@ -327,11 +403,11 @@ def test_facet_bound_falls_back_to_lp(monkeypatch):
 
     real = sets_mod.simplex_standard
     monkeypatch.setattr(sets_mod, "simplex_standard", counted)
-    xs = np.random.default_rng(43).normal(scale=0.13, size=(8, 12))
-    small = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))  # C(8, 4) = 70 subsets
+    xs = np.random.default_rng(43).normal(scale=0.11, size=(11, 12))
+    small = VPolytope(_cross(4))  # 16 facets
     outside_violation_batch(small, xs[:4])
     assert calls == []
-    big = VPolytope(np.vstack([np.eye(8), -np.eye(8)]))  # C(16, 8) = 12,870 subsets
+    big = VPolytope(_cross(11))  # 2,048 facets, above the cap
     viol = outside_violation_batch(big, xs)
     assert len(calls) == 12
     for x, v in zip(xs.T, viol):
@@ -512,7 +588,7 @@ def test_quadric_band_and_violation_are_one_rule(tol):
 @pytest.mark.parametrize("s", [
     UNIT_BOX, orthant_h(3), TRIANGLE, orthant_v(3), Ellipsoid(np.diag([1.0, 4.0])), ICE3,
     VPolytope([[1.0, 2.0]]), VCone([[1.0, 1.0]]),
-    VPolytope(np.random.default_rng(3).normal(size=(30, 4))),
+    VPolytope(_cross(11)),
 ], ids=["hpolyhedron", "orthant", "vpolytope", "vcone", "ellipsoid", "lorenz",
         "one-vertex", "one-ray", "vpolytope-without-facets"])
 @pytest.mark.parametrize("count", [1, 7])

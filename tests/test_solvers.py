@@ -432,9 +432,19 @@ def test_nnls_simple():
     assert np.allclose(nnls(d, [-1.0, 2.0]), [0.0, 2.0])
 
 
-def test_nnls_change_budget_enforced():
+def test_nnls_change_budget_enforced(monkeypatch):
+    # an inner solve that never makes progress (every passive coefficient
+    # comes back negative) adds and drops a column over and over: the budget
+    # of max(30, 10*(k + 1)) = 50 changes for k = 4 stops it after 50 solves
     from invarcheck.errors import IterationLimit
 
-    d = np.array([[1.0, 0.0], [0.0, 1.0]])
+    calls = []
+
+    def stalled(a, b, rcond=None):
+        calls.append(1)
+        return -np.ones(a.shape[1]), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", stalled)
     with pytest.raises(IterationLimit):
-        nnls(d, [2.0, 3.0], max_changes=0)
+        nnls(np.eye(4), [2.0, 3.0, 4.0, 5.0])
+    assert len(calls) == 50
