@@ -162,8 +162,7 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
                              f"{[float(v) for v in x0_all[:, bad[0]]]}")
 
     n_cols = x0_all.shape[1]
-    exit_time = np.full(n_cols, np.inf)
-    best = n_cols  # columns with index >= best can no longer win
+    best, best_time = n_cols, math.inf  # columns with index >= best can no longer win
     cur = x0_all.copy()
     idx_map = np.arange(n_cols)
     div2 = _DIVERGENCE ** 2
@@ -180,15 +179,13 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
             cur[:, ~finite] = 0.0
         viol = outside_violation_batch(s, cur)
         exited = (viol > _EXIT_BAND) & finite
-        if np.any(exited):
-            hit_idx = idx_map[exited]
-            exit_time[hit_idx] = (k + 1) * step
-            best = min(best, int(hit_idx[0]))
+        if np.any(exited):  # every live column is below best, so the first exit wins
+            best, best_time = int(idx_map[exited][0]), (k + 1) * step
         keep = finite & ~exited & (np.einsum("ij,ij->j", cur, cur) <= div2)
         keep &= idx_map < best
         if not np.all(keep):
             cur = cur[:, keep]
             idx_map = idx_map[keep]
     if best < n_cols:
-        return x0_all[:, best].copy(), float(exit_time[best])
+        return x0_all[:, best].copy(), best_time
     return None

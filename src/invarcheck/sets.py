@@ -5,25 +5,25 @@ cones through b = 0), the orthant x >= 0 (a halfspace form with its own
 tag), vertex polytopes, ray cones, ellipsoids x'Qx <= 1 with Q positive
 definite, and quadratic cones x'Qx <= 0 cut to one branch by x'Q u_n <= 0
 where u_n is the eigenvector of the single negative eigenvalue.
-Membership for the vertex/ray forms is decided by linear programming over
-the combination coefficients; "inside" for them means the relative
-interior (for full-dimensional sets this is the topological interior).
-Their violation measure and boundary samples come instead from the facets
-of their generators, enumerated once per set (Blanchini, "Set invariance
-in control", Automatica 1999, states the facet conditions) by double
-description; a form above its cap (_FACET_RAYS) uses the LP for both.
+The vertex/ray forms read membership, violation, binding facets and
+boundary samples from the facets of their generators, enumerated once per
+set (Blanchini, "Set invariance in control", Automatica 1999, states the
+facet conditions) by double description; "inside" for them means the
+relative interior (for full-dimensional sets this is the topological
+interior). A form above its cap (_FACET_RAYS) solves an LP over the
+combination coefficients per point instead.
 
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
 "optional vector" or "count", in constructor order), and the methods
 membership(x, tol), violation(states), sample(count, rng, tol),
 inward(points, tol) and tangent_test(points, y, tol), where tol is the
-user's boundary band (the vertex and ray forms scale it by scale(x) and
-hold their membership LP's interior margin and infeasibility against it).
+user's boundary band (the vertex and ray forms scale it by scale(x)).
 The batch methods take points as the columns of an n x N array;
 membership takes one point or such an array; sample returns count x n
 rows. Membership, violation and binding rows read one scaled slack per
-row of a halfspace form (_slack) or condition of a quadratic cone
+row of a halfspace form (_slack), facet or equality row of a vertex or
+ray form (_slack, held against _band) or condition of a quadratic cone
 (_slacks), and an ellipsoid's x'Qx - 1. A sample is a point and nothing
 more: inward and tangent_test read what binds at each column from the
 column itself (the rows within the band of a halfspace form, the facets
@@ -251,9 +251,10 @@ class _VForm:
     unit rays) and the columns, which the decomposition LPs of checkers read
     too, and define lift, scale, cap and face_points.
 
-    Violation and sampling use the facets of the columns' cone (_facets),
-    computed once; forms above the facet cap fall back to the membership LP
-    for both.
+    Membership, violation, sampling and the tangent test read the facets of
+    the columns' cone (_facets), computed once, through one slack and one
+    band; forms above the facet cap fall back to the membership LP (_lp)
+    for all of them.
     """
 
     def __init__(self, points, columns):
@@ -318,7 +319,7 @@ class _VForm:
         """Feasibility plus relative-interior margin of the combination
         coefficients, via  theta = delta*1 + sigma  and maximizing delta.
 
-        Returns (feasible, delta, infeasibility).
+        Returns (delta, infeasibility): (0, phase one's optimum) if infeasible.
         """
         n_rows, k = self.columns.shape
         cap = self._cap(x)
@@ -334,37 +335,39 @@ class _VForm:
         c = np.zeros(1 + k + extra)
         c[0] = -1.0
         status, z, obj = simplex_standard(c, a_std, rhs)
-        if status == "infeasible":
-            return False, 0.0, obj
-        return True, float(z[0]), 0.0
+        return (0.0, obj) if status == "infeasible" else (float(z[0]), 0.0)
+
+    def _slack(self, x) -> np.ndarray:
+        """Minus each facet's value at lift(x), then the size of each
+        equality row's value: a row per facet and equality row (and a column
+        per column of x), held against _band."""
+        facets, lifted = self._facets, self._lift(x)
+        return np.concatenate([-(facets.normals @ lifted), np.abs(facets.eq @ lifted)])
+
+    def _band(self, x, tol: float):
+        """max(tol*scale(x), _FACE_TOL*|lift(x)|), per point: the floor keeps a
+        face point on its facet through rounding at tol = 0."""
+        return np.maximum(tol * self._scale(x), _FACE_TOL * np.linalg.norm(self._lift(x), axis=0))
 
     def membership(self, x, tol: float):
-        """One LP per point (per column of an n x N array)."""
+        """Outside when a slack exceeds the band, boundary when a facet's is
+        within it; without facets, one LP per point (per column of x)."""
+        if self._facets is not None:
+            slack, band = self._slack(x), self._band(x, tol)
+            facet = slack[:self._facets.normals.shape[0]]
+            return _classify(np.any(slack > band, axis=0), np.any(facet >= -band, axis=0))
         if x.ndim == 2:
             return np.array([self.membership(col, tol) for col in x.T], dtype=object)
-        feasible, delta, infeas = self._lp(x)
+        delta, infeas = self._lp(x)
         band = tol * self._scale(x)
-        if not feasible:
-            return Membership.OUTSIDE if infeas > band else Membership.BOUNDARY
-        return Membership.INSIDE if delta > band else Membership.BOUNDARY
+        return _classify(infeas > band, delta <= band)
 
     def violation(self, states) -> np.ndarray:
-        """The most negative scaled facet value, or the distance of the lifted
-        state from the columns' span if larger; without facets, the
+        """The largest slack, 0 if none is positive; without facets, the
         membership LP's infeasibility, column by column."""
-        facets = self._facets
-        out = np.zeros(states.shape[1])
-        if facets is None:
-            for k in range(states.shape[1]):
-                feasible, _, infeas = self._lp(states[:, k])
-                out[k] = 0.0 if feasible else infeas
-            return out
-        lifted = self._lift(states)
-        if facets.normals.shape[0]:
-            out = np.maximum(-(facets.normals @ lifted).min(axis=0), 0.0)
-        if facets.eq.shape[0]:
-            out = np.maximum(out, np.abs(facets.eq @ lifted).max(axis=0))
-        return out
+        if self._facets is not None:
+            return self._slack(states).max(axis=0, initial=0.0)
+        return np.array([self._lp(col)[1] for col in states.T], dtype=float)
 
     def sample(self, count: int, rng, tol: float) -> np.ndarray:
         """The generators on the relative boundary first, then random
@@ -409,23 +412,19 @@ class _VForm:
         return np.mean(self._points, axis=0)[:, None] * self._scale(x) - x
 
     def tangent_test(self, x, y, tol: float):
-        """The facets whose value at a lifted point is at most
-        max(tol*scale(x), _FACE_TOL*|lift(x)|) bind there (the floor keeps a
-        face point bound to its facet through rounding at tol = 0), and the
-        equality rows bind both ways, all cut to the first dim coordinates
-        (a direction lifts with a trailing 0) and scaled to unit length, so
-        that the test does not depend on the set's size (a row whose cut is
-        zero is dropped). None without facets: the caller then decides each
-        point by LP."""
+        """The facets whose slack at a point is within its band bind there,
+        and the equality rows bind both ways, all cut to the first dim
+        coordinates (a direction lifts with a trailing 0) and scaled to unit
+        length, so that the test does not depend on the set's size (a row
+        whose cut is zero is dropped). None without facets: the caller then
+        decides each point by LP."""
         facets = self._facets
         if facets is None:
             return None
-        lifted = self._lift(x)
-        floor = np.maximum(tol * self._scale(x), _FACE_TOL * np.linalg.norm(lifted, axis=0))
-        n = self.dim
+        n, m = self.dim, facets.normals.shape[0]
         eq = facets.eq[:, :n]
         rows = np.vstack([-facets.normals[:, :n], eq, -eq])
-        binds = np.vstack([facets.normals @ lifted <= floor,
+        binds = np.vstack([self._slack(x)[:m] >= -self._band(x, tol),
                            np.ones((2 * eq.shape[0], x.shape[1]), bool)])
         norms = np.linalg.norm(rows, axis=1)
         keep = norms > 0.0
@@ -445,10 +444,10 @@ class VPolytope(_VForm):
         vs = as_matrix(np.atleast_2d(vertices), "vertices")
         if vs.shape[0] < 1:
             raise InputError("a polytope needs at least one vertex")
-        for i in range(vs.shape[0]):
-            for j in range(i + 1, vs.shape[0]):
-                if np.max(np.abs(vs[i] - vs[j])) <= 1e-9:
-                    raise InputError(f"vertices {i} and {j} coincide")
+        for i in range(vs.shape[0]):  # each vertex against all later ones
+            same = np.flatnonzero(np.max(np.abs(vs[i + 1:] - vs[i]), axis=1) <= 1e-9)
+            if same.size:
+                raise InputError(f"vertices {i} and {i + 1 + same[0]} coincide")
         self.vertices = vs
         super().__init__(vs, np.vstack([vs.T, np.ones((1, vs.shape[0]))]))
 
@@ -669,10 +668,11 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
     points as the columns of an n x N array, an array with the class of each.
 
     Each defining inequality carries a boundary band of tol relative to its
-    right-hand side; vertex and ray forms are decided by the
-    LP feasibility of the combination coefficients, with "inside" meaning
-    the relative interior. A tol that is negative or not finite is an
-    InputError.
+    right-hand side. Vertex and ray forms hold their facets and equality
+    rows against tol*scale(x), at least _FACE_TOL*|lift(x)|, with "inside"
+    meaning the relative interior; a form above the facet cap
+    (_FACET_RAYS) is decided by the LP feasibility of the combination
+    coefficients. A tol that is negative or not finite is an InputError.
     """
     _check_tol_seed(tol)
     if np.ndim(x) == 2:
@@ -693,12 +693,11 @@ def outside_violation_batch(s: ConvexSet, states) -> np.ndarray:
     """Scale-adjusted amount by which each column of states (shape n x N)
     violates the set's description (0 if none).
 
-    A halfspace form or quadric reads the slacks its membership holds
-    against the band. For vertex/ray forms it is the most negative facet
-    value (a barycentric coordinate for a simplex) or the distance from the
-    generators' span, in one product for all columns; only a form above the
-    facet cap (_FACET_RAYS) solves the membership LP's phase one column by
-    column.
+    Every family reads the slacks its membership holds against the band;
+    for vertex/ray forms these are minus the facet values (a barycentric
+    coordinate for a simplex) and the distance from the generators' span,
+    in one product for all columns. Only a form above the facet cap
+    (_FACET_RAYS) solves the membership LP's phase one column by column.
     """
     return s.violation(np.asarray(states, dtype=float))
 

@@ -327,6 +327,16 @@ def test_tangent_vertex_and_ray_forms(capsys):
     assert report["cone"]["free_generator"] == [1.0, 0.0]
 
 
+def test_tangent_on_the_triangle_reads_its_facets(capsys):
+    # inside the triangle is not boundary (65); on the hypotenuse the cone is
+    # generated
+    tri = str(PROBLEMS / "vpolytope_triangle.json")
+    code, out, _ = run_cli(capsys, "tangent", tri, "[0.2, 0.2]")
+    assert code == EXIT_NOT_BOUNDARY and out == ""
+    code, out, _ = run_cli(capsys, "tangent", tri, "[0.5, 0.5]", "--no-timing")
+    assert code == EXIT_INVARIANT and json.loads(out)["cone"]["kind"] == "generated"
+
+
 def test_tolerance_reaches_vertex_form_membership(capsys):
     # 1e-7 outside the triangle's hypotenuse: within a band of 1e-4, not 1e-8
     # (the same triangle as an H-form answers the same)

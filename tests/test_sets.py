@@ -119,6 +119,17 @@ def test_degenerate_polytope_rejected():
         VPolytope([[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_coinciding_vertices_name_the_first_pair():
+    # within 1e-9 in the max norm: pairs (1, 3) and (2, 4) coincide, and
+    # the error names the first
+    vs = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1e-10], [0.0, 1.0]]
+    with pytest.raises(InputError, match="vertices 1 and 3 coincide"):
+        VPolytope(vs)
+    with pytest.raises(InputError, match="vertices 2 and 3 coincide"):
+        VPolytope([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [5.0, 5.0 + 5e-10]])
+    VPolytope([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [5.0, 5.0 + 2e-9]])
+
+
 def test_zero_ray_rejected():
     with pytest.raises(InputError):
         VCone([[0.0, 0.0]])
@@ -241,6 +252,16 @@ def test_outside_violation_measures():
     assert outside_violation_batch(ICE3, [[1.0], [0.0], [0.0]])[0] > 0.0
 
 
+def _lp_membership(s, x, tol=DEFAULT_TOL):
+    """The class the membership LP (_lp) gives x: the reference the facet
+    rule is held against, as the LP path above the facet cap decides."""
+    delta, infeas = s._lp(np.asarray(x, dtype=float))
+    band = tol * s._scale(x)
+    if infeas > band:
+        return Membership.OUTSIDE
+    return Membership.BOUNDARY if delta <= band else Membership.INSIDE
+
+
 def test_batch_violation_matches_scalar_lp_path():
     # square (non-simplicial) polytope: facet violation against the membership LP
     square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -248,7 +269,7 @@ def test_batch_violation_matches_scalar_lp_path():
     xs = rng.uniform(-0.5, 1.5, size=(2, 40))
     batch = outside_violation_batch(square, xs)
     for k in range(40):
-        inside = membership(square, xs[:, k]) is not Membership.OUTSIDE
+        inside = _lp_membership(square, xs[:, k]) is not Membership.OUTSIDE
         assert (batch[k] == 0.0) == inside
 
 
@@ -257,12 +278,12 @@ def test_batch_simplicial_path_agrees_with_lp():
     xs = rng.uniform(-0.6, 1.2, size=(2, 60))
     batch = outside_violation_batch(TRIANGLE, xs)
     for k in range(60):
-        outside = membership(TRIANGLE, xs[:, k]) is Membership.OUTSIDE
+        outside = _lp_membership(TRIANGLE, xs[:, k]) is Membership.OUTSIDE
         assert (batch[k] > 1e-9) == outside
     cone = orthant_v(2)
     batch_c = outside_violation_batch(cone, xs)
     for k in range(60):
-        outside = membership(cone, xs[:, k]) is Membership.OUTSIDE
+        outside = _lp_membership(cone, xs[:, k]) is Membership.OUTSIDE
         assert (batch_c[k] > 1e-9) == outside
 
 
@@ -310,7 +331,7 @@ def test_facet_violation_and_samples_match_lp():
                         + 0.3 * rng.normal(size=(30, len(gens))) @ gens / len(gens)])
         viol = outside_violation_batch(s, xs.T)
         for x, v in zip(xs, viol):
-            outside = membership(s, x) is Membership.OUTSIDE
+            outside = _lp_membership(s, x) is Membership.OUTSIDE
             assert outside == (v > band), (s.TAG, gens.tolist(), x.tolist(), v)
         pts = sample_boundary(s, 25, seed=int(rng.integers(1000)))
         if isinstance(s, VPolytope) and len(gens) == 1:
@@ -318,6 +339,7 @@ def test_facet_violation_and_samples_match_lp():
             assert all(np.array_equal(bp.point, gens[0]) for bp in pts)
             continue
         for bp in pts:
+            assert _lp_membership(s, bp.point) is Membership.BOUNDARY, (s.TAG, gens.tolist(), bp)
             assert membership(s, bp.point) is Membership.BOUNDARY, (s.TAG, gens.tolist(), bp)
 
 
@@ -415,6 +437,111 @@ def test_facet_cap_falls_back_to_lp(monkeypatch):
     assert (np.abs(xs).sum(axis=0) > 1.0).any() and (np.abs(xs).sum(axis=0) < 1.0).any()
     for bp in sample_boundary(big, 30, seed=4):
         assert membership(big, bp.point) is Membership.BOUNDARY
+
+
+UNIT_SQUARE = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def test_membership_tangent_test_and_cone_agree_near_a_square_facet():
+    # 1.5e-8 inside the facet x1 <= 1, beyond the band 1e-8: no facet binds,
+    # so the point is inside, tangent_test passes the outward (1, 0) and the
+    # tangent cone holds it; at 0.5e-8 the facet binds and (1, 0) is refuted
+    x, y = np.array([1.0 - 1.5e-8, 0.5]), np.array([1.0, 0.0])
+    assert membership(UNIT_SQUARE, x, 1e-8) is Membership.INSIDE
+    assert UNIT_SQUARE.tangent_test(x[:, None], y[:, None], 1e-8)[0][0]
+    assert cone_test(tangent_cone_at(UNIT_SQUARE, x, 1e-8), y, 1e-8)[0]
+    x = np.array([1.0 - 0.5e-8, 0.5])
+    assert membership(UNIT_SQUARE, x, 1e-8) is Membership.BOUNDARY
+    assert not UNIT_SQUARE.tangent_test(x[:, None], y[:, None], 1e-8)[0][0]
+
+
+@pytest.mark.parametrize("s", [UNIT_SQUARE, TRIANGLE, VPolytope(_cube(3))],
+                         ids=["square", "triangle", "cube"])
+def test_facet_samples_are_boundary_at_zero_tolerance(s):
+    # a face point's facet value is rounding alone; the band's floor
+    # _FACE_TOL*|lift(x)| keeps it on the facet, as tangent_test reads it
+    x = np.column_stack([bp.point for bp in sample_boundary(s, 1000, 0, tol=0.0)])
+    assert np.all(membership(s, x, 0.0) == Membership.BOUNDARY)
+    assert all(membership(s, p, 0.0) is Membership.BOUNDARY for p in x.T)
+
+
+def test_faceted_membership_and_tangent_cone_solve_no_lp(monkeypatch):
+    import invarcheck.sets as sets_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simplex_standard called")
+
+    monkeypatch.setattr(sets_mod, "simplex_standard", refuse)
+    for s, x in [(UNIT_SQUARE, [1.0, 0.5]), (TRIANGLE, [0.0, 0.0]), (orthant_v(3), [0.0, 1.0, 2.0]),
+                 (VPolytope(_cross(4)), [0.5, 0.5, 0.0, 0.0])]:
+        assert membership(s, x) is Membership.BOUNDARY
+        assert membership(s, np.array(x)[:, None])[0] is Membership.BOUNDARY
+        tangent_cone_at(s, x)
+
+
+def _band_edge_points(s, rng, tol, count=40):
+    """Face samples moved across the facet each is on to about its band
+    edge, within the form's span: the facet's slack lands on -band, 0 or
+    +band, each times 1 - 1e-6, 1 or 1 + 1e-6. Returns the points and the
+    projection onto the span's directions."""
+    f, n = s._facets, s.dim
+    e = f.eq[:, :n]
+    proj = np.eye(n) - np.linalg.pinv(e) @ e if e.size else np.eye(n)
+    x0 = np.column_stack([bp.point for bp in sample_boundary(s, count, 1, tol)])
+    slack = s._slack(x0)[:f.normals.shape[0]]
+    i = slack.argmax(axis=0)  # the facet each sample is on
+    out = -(proj @ f.normals[i, :n].T)  # lowers facet i's value at the rate below
+    rate = np.einsum("ij,ji->i", f.normals[i, :n], out)
+    c = rng.choice([-1.0, 0.0, 1.0], size=count) * rng.choice([1 - 1e-6, 1.0, 1 + 1e-6], size=count)
+    return x0 + out * ((slack[i, np.arange(count)] - c * s._band(x0, tol)) / rate), proj
+
+
+def test_vform_membership_violation_and_tangent_test_read_one_band():
+    # on every form with facets, at points around a facet's band edge:
+    # outside exactly when violation exceeds the band, and not inside
+    # exactly when some facet binds in tangent_test, which then refutes the
+    # direction out of that facet
+    rng = np.random.default_rng(59)
+    forms = [f for f in _random_forms(rng) if len(f._points) > 1 and f._facets.normals.size]
+    forms += [UNIT_SQUARE, VPolytope(_cube(3)), orthant_v(3)]
+    classes = set()
+    for s in forms:
+        for tol in (0.0, 1e-8, 1e-4):
+            x, proj = _band_edge_points(s, rng, tol)
+            cls = membership(s, x, tol)
+            classes.update(cls.tolist())
+            assert np.array_equal(cls == Membership.OUTSIDE,
+                                  outside_violation_batch(s, x) > s._band(x, tol))
+            binds = np.zeros(x.shape[1], bool)
+            for g in s._facets.normals[:, :s.dim]:
+                y = -(proj @ g)
+                if np.linalg.norm(y) > 1e-3 * np.linalg.norm(g):
+                    y = np.repeat((y / np.linalg.norm(y))[:, None], x.shape[1], axis=1)
+                    binds |= ~s.tangent_test(x, y, tol)[0]
+            assert np.array_equal(cls != Membership.INSIDE, binds), (s.TAG, tol)
+    assert classes == set(Membership)
+
+
+def test_facet_membership_matches_the_lp_away_from_the_band():
+    # points around each form, in its span and on its boundary; a point with
+    # a slack within a factor 100 of the band is left out, since there the
+    # LP's margin and the facet values may judge apart
+    rng = np.random.default_rng(61)
+    checked = total = 0
+    for tol in (1e-8, 1e-4):
+        for s in _random_forms(rng):
+            gens = s.vertices if isinstance(s, VPolytope) else s.rays
+            xs = np.vstack([2.0 * rng.normal(size=(20, s.dim)),
+                            rng.dirichlet(np.ones(len(gens)), size=20) @ gens
+                            + 0.3 * rng.normal(size=(20, len(gens))) @ gens / len(gens),
+                            [bp.point for bp in sample_boundary(s, 20, 1, tol)]]).T
+            slack, band = np.abs(s._slack(xs)), s._band(xs, tol)
+            far = ~np.any((slack > band / 100) & (slack < 100 * band), axis=0)
+            cls = membership(s, xs, tol)
+            for k in np.flatnonzero(far):
+                assert cls[k] is _lp_membership(s, xs[:, k], tol), (s.TAG, xs[:, k].tolist())
+            checked, total = checked + int(far.sum()), total + far.size
+    assert checked > 0.9 * total
 
 
 def _inward_reference(s, x):
