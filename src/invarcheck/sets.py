@@ -16,23 +16,24 @@ combination coefficients per point instead.
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
 "optional vector" or "count", in constructor order), and the methods
-membership(x, tol), violation(states), sample(count, rng, tol),
-inward(points, tol) and tangent_test(points, y, tol), where tol is the
-user's boundary band (the vertex and ray forms scale it by scale(x)).
-The batch methods take points as the columns of an n x N array;
-membership takes one point or such an array; sample returns count x n
-rows. Membership, violation and binding rows read one scaled slack per
-row of a halfspace form (_slack), facet or equality row of a vertex or
-ray form (_slack, held against _band) or condition of a quadratic cone
-(_slacks), and an ellipsoid's x'Qx - 1. A sample is a point and nothing
-more: inward and tangent_test read what binds at each column from the
-column itself (the rows within the band of a halfspace form, the facets
-within the band of a vertex or ray form, the apex of a quadratic cone at
-norm 1e-10 or less). tangent_test is Nagumo's test of the directions y at
-those points: every family reduces it to outward fluxes against the
-halfspace rows that bind at each point, judged by one formula
-(flux_residual). The module-level functions below validate their
-arguments and call those methods; the rest of the package calls them.
+membership(x, tol), violation(states), sample(count, rng, tol) and
+tangent_test(points, y, tol), where tol is the user's boundary band (the
+vertex and ray forms scale it by scale(x)). The batch methods take points
+as the columns of an n x N array; membership takes one point or such an
+array; sample returns count x n rows. Membership, violation and binding
+rows read one scaled slack per row of a halfspace form (_slack), facet or
+equality row of a vertex or ray form (_slack, held against _band) or
+condition of a quadratic cone (_slacks), and an ellipsoid's x'Qx - 1. A
+sample is a point and nothing more: tangent_test reads what binds at each
+column from the column itself (the rows within the band of a halfspace
+form, the facets within the band of a vertex or ray form, the apex of a
+quadratic cone at norm 1e-10 or less), and the falsifier starts from the
+samples as drawn and confirms each exit at half the step. tangent_test is
+Nagumo's test of the directions y at those points: every family reduces
+it to outward fluxes against the halfspace rows that bind at each point,
+judged by one formula (flux_residual). The module-level functions below
+validate their arguments and call those methods; the rest of the package
+calls them.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def _check_tol_seed(tol, seed=0) -> None:
         raise InputError(f"tol: expected a finite nonnegative number, got {tol}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError(f"seed: expected a nonnegative integer, got {seed!r}")
+
+
+def _check_count(count, name: str) -> None:
+    """InputError unless count (of samples or dimensions) is an int >= 1, not a bool."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise InputError(f"{name}: expected a positive integer, got {count!r}")
 
 
 class Membership(Enum):
@@ -194,11 +201,6 @@ class HPolyhedron:
         m x N array of them for the columns of x."""
         return np.abs(self._slack(x)) <= tol
 
-    def inward(self, x, tol: float) -> np.ndarray:
-        """Minus the sum of the unit normals of the rows binding at each point."""
-        unit = self.G / (np.linalg.norm(self.G, axis=1) + 1e-300)[:, None]
-        return -(unit.T @ self._binding(x, tol))
-
     def tangent_test(self, x, y, tol: float):
         """The rows within the band tol of each point bind there; NotMember
         if membership puts a point outside."""
@@ -216,8 +218,7 @@ class Orthant(HPolyhedron):
     FIELDS = {"n": "count"}
 
     def __init__(self, n):
-        if n < 1:
-            raise InputError("orthant dimension must be positive")
+        _check_count(n, "orthant dimension")
         super().__init__(-np.eye(n), np.zeros(n))
         self.n = n
 
@@ -406,11 +407,6 @@ class _VForm:
                 out.append(pts[firsts[k % len(firsts)]])
         return np.array(out)
 
-    def inward(self, x, tol: float) -> np.ndarray:
-        """Toward the mean of the generators (scaled to each point's size for
-        a cone)."""
-        return np.mean(self._points, axis=0)[:, None] * self._scale(x) - x
-
     def tangent_test(self, x, y, tol: float):
         """The facets whose slack at a point is within its band bind there,
         and the equality rows bind both ways, all cut to the first dim
@@ -553,9 +549,6 @@ class Ellipsoid(_Quadric):
         y = _unit_rows(rng, count, self.dim) @ inv_half.T
         return y / np.sqrt(np.sum(y * (y @ self.Q.T), axis=1))[:, None]
 
-    def inward(self, x, tol: float) -> np.ndarray:
-        return -(self.Q @ x)
-
 
 class LorenzCone(_Quadric):
     """One branch of {x : x'Qx <= 0} for Q with a single negative eigenvalue.
@@ -620,12 +613,6 @@ class LorenzCone(_Quadric):
         """Whether x (each column of x) is the apex: norm at most 1e-10."""
         return np.linalg.norm(x, axis=0) <= 1e-10
 
-    def inward(self, x, tol: float) -> np.ndarray:
-        """-Qx, and the axis u_n at the apex."""
-        d = -(self.Q @ x)
-        d[:, self.at_apex(x)] = self.u_n[:, None]
-        return d
-
     def tangent_test(self, x, y, tol: float):
         """One row Qx on the surface; at the apex the tangent cone is the
         cone itself, so there the residual is the cone's own violation of y,
@@ -649,8 +636,7 @@ orthant_h = Orthant  # the orthant's halfspace form, beside orthant_v
 
 def orthant_v(n: int) -> VCone:
     """Nonnegative orthant of R^n generated by the standard basis rays."""
-    if n < 1:
-        raise InputError("orthant dimension must be positive")
+    _check_count(n, "orthant dimension")
     return VCone(np.eye(n))
 
 
@@ -685,7 +671,11 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
 
 def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
     """Indices of rows holding with equality at x, within the band tol
-    (empty for interior points)."""
+    (empty for interior points); InputError for a set with no rows, one
+    that is not a halfspace form."""
+    if not isinstance(p, HPolyhedron):
+        raise InputError(f"active constraints are rows of a halfspace form, "
+                         f"not of a {type(p).__name__}")
     return np.flatnonzero(p._binding(as_point(p, x), tol)).tolist()
 
 
@@ -725,20 +715,11 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     (conic, at unit norm) combinations of one facet's generators, boundary
     points by construction. A vertex form above the facet cap (_FACET_RAYS)
     draws two-point combinations instead and keeps those the membership LP
-    calls boundary. A count below 1, a tol that is negative or not finite,
-    or a seed that is not an integer >= 0 is an InputError.
+    calls boundary. A count that is not an integer >= 1, a tol that is
+    negative or not finite, or a seed that is not an integer >= 0 is an
+    InputError.
     """
-    if count < 1:
-        raise InputError("count must be at least 1")
+    _check_count(count, "count")
     _check_tol_seed(tol, seed)
     return [BoundaryPoint(p) for p in s.sample(count, np.random.default_rng(seed), tol)]
 
-
-def inward_directions(s: ConvexSet, points, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unit directions from boundary points (the columns of points) toward
-    the set, from what binds at each within the band tol; a zero column
-    where none is clear."""
-    d = s.inward(np.asarray(points, dtype=float), tol)
-    nrm = np.linalg.norm(d, axis=0)
-    clear = nrm >= 1e-12
-    return np.where(clear, d / np.where(clear, nrm, 1.0), 0.0)

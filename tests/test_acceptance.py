@@ -193,8 +193,11 @@ def _battery():
         (LorenzCone(np.diag([1.0, 1.0, 1.0, -1.0])), 0.5 * np.eye(4)),
         (ice3, np.diag([5.0, 1.0, 1.0])), (ice3, -np.eye(3)),
         (ice3, skew_axis), (LorenzCone(q_rot), a_rot),
+        # rotation about the axis and growth: the flow runs along the surface
+        (ice3, 10.0 * (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+                       + np.eye(3))),
     ]
-    assert len(pairs) == 50
+    assert len(pairs) == 51
     return pairs
 
 
@@ -222,7 +225,7 @@ def test_criterion_4_checker_simulation_soundness():
                     contradictions.append((idx, "exit not from the counterexample", hit))
     ok = (not contradictions and counts[Decision.INVARIANT] >= 15
           and counts[Decision.NOT_INVARIANT] >= 10)
-    _report(4, "checker vs simulation soundness over the 50-pair battery", ok,
+    _report(4, "checker vs simulation soundness over the 51-pair battery", ok,
             f"(invariant {counts[Decision.INVARIANT]}, "
             f"not-invariant {counts[Decision.NOT_INVARIANT]}, "
             f"unknown {counts[Decision.UNKNOWN]}; contradictions {contradictions})")

@@ -562,7 +562,7 @@ def test_falsify_on_a_non_finite_field_is_an_input_error(tmp_path, capsys, formu
     code, out, err = run_cli(capsys, "falsify", _expression_problem(tmp_path, formula),
                              "--samples", "5", "--horizon", "0.01", "--no-timing")
     assert (code, out) == (EXIT_INPUT, "")
-    assert err == "input error: the field is not finite at start [0.999999998]\n"
+    assert err == "input error: the field is not finite at start [1.0]\n"
 
 
 @pytest.mark.parametrize("terms", [250, 990, 3000],

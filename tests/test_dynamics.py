@@ -1,3 +1,4 @@
+import collections
 import io
 import math
 
@@ -8,7 +9,15 @@ from invarcheck import dynamics
 from invarcheck.checkers import Decision, check
 from invarcheck.dynamics import MAX_STEPS, _step_grid, falsify, integrate
 from invarcheck.errors import InputError
-from invarcheck.sets import Ellipsoid, HPolyhedron, LorenzCone, VCone, orthant_h
+from invarcheck.sets import (
+    Ellipsoid,
+    HPolyhedron,
+    LorenzCone,
+    VCone,
+    VPolytope,
+    orthant_h,
+    sample_boundary,
+)
 from invarcheck.systems import GeneralSystem, LinearSystem
 
 from oracles import taylor_expm
@@ -53,14 +62,14 @@ def test_rk4_tracks_exact_linear_path():
 
 def test_falsify_linear_map_is_the_degree_4_taylor_polynomial(monkeypatch):
     # falsify builds one RK4 step of a linear field, applied to the identity,
-    # and never evaluates the field again; that map is the degree-4 Taylor
-    # polynomial of exp(hA)
+    # at the step h and at h/2, and never evaluates the field again; each
+    # map is the degree-4 Taylor polynomial of exp(hA) at its step
     maps = []
     rk4_step = dynamics._rk4_step
 
     def recording_step(*args):
-        maps.append(rk4_step(*args))
-        return maps[-1]
+        maps.append((args[3], rk4_step(*args)))
+        return maps[-1][1]
 
     monkeypatch.setattr(dynamics, "_rk4_step", recording_step)
     rng = np.random.default_rng(61)
@@ -70,9 +79,10 @@ def test_falsify_linear_map_is_the_degree_4_taylor_polynomial(monkeypatch):
         h = float(10.0 ** rng.uniform(-4.0, 0.0))
         maps.clear()
         falsify(Ellipsoid(np.eye(n)), LinearSystem(a), 1, h, h, seed=0)
-        assert len(maps) == 1
-        taylor = taylor_expm(h * a, 4)
-        assert np.max(np.abs(maps[0] - taylor)) <= 1e-14 * (1.0 + np.max(np.abs(taylor)))
+        assert [step for step, _ in maps] == [h, 0.5 * h]
+        for step, rk4_map in maps:
+            taylor = taylor_expm(step * a, 4)
+            assert np.max(np.abs(rk4_map - taylor)) <= 1e-14 * (1.0 + np.max(np.abs(taylor)))
 
 
 def test_rk4_order_via_step_halving():
@@ -159,17 +169,72 @@ def test_falsify_rejects_extra_start_outside_set():
                 extra_starts=[[0.0, 0.0, 1.0], [0.1, 0.1, 0.1]])
 
 
-def test_extra_starts_are_nudged_from_what_binds_at_them():
-    # like a sampled start, an extra start on a facet of a halfspace form is
-    # pushed inward along that facet's normal, and one at the apex of a
-    # Lorenz cone along the axis u_n
+def _record_steps(monkeypatch):
+    """Patch falsify's steppers to record, per step size, how many columns
+    each RK4 step advances and the states of its first step."""
+    widths, firsts = collections.defaultdict(list), {}
+    real = dynamics._stepper
+
+    def recording(sys, h):
+        step = real(sys, h)
+
+        def recorded(t, x):
+            widths[h].append(x.shape[1])
+            firsts.setdefault(h, x.copy())
+            return step(t, x)
+        return recorded
+
+    monkeypatch.setattr(dynamics, "_stepper", recording)
+    return widths, firsts
+
+
+def test_extra_starts_are_taken_as_given(monkeypatch):
+    # an extra start on a facet of a halfspace form is the witness exactly as
+    # given, and one at the apex of a Lorenz cone is stepped from the apex
     box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
     x0, _ = falsify(box, LinearSystem(np.eye(2)), 1, horizon=1.0, step=0.01, seed=0,
                     extra_starts=[[1.0, 0.5]])
-    assert x0[0] == 1.0 - 1e-9 * (1.0 + math.hypot(1.0, 0.5)) and x0[1] == 0.5
+    assert x0.tolist() == [1.0, 0.5]
+    _, firsts = _record_steps(monkeypatch)
     cone = LorenzCone(np.diag([1.0, 1.0, -1.0]))
-    starts = dynamics._nudged_starts(cone, np.zeros((3, 1)), 1e-8)
-    np.testing.assert_array_equal(starts[:, 0], 1e-9 * cone.u_n)
+    falsify(cone, LinearSystem(-np.eye(3)), 1, horizon=0.1, step=0.01, seed=0,
+            extra_starts=[[0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(firsts[0.01][:, 0], np.zeros(3))
+
+
+@pytest.mark.parametrize("s", [
+    HPolyhedron([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
+                [1.0, 1.0, 1.0, 1.0]),
+    orthant_h(3),
+    VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    VCone([[1.0, 0.2, 0.1], [0.3, 1.0, 0.0], [0.0, 0.4, 1.0]]),
+    Ellipsoid([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]]),
+    LorenzCone(np.diag([1.0, 1.0, -1.0])),
+], ids=lambda s: type(s).__name__)
+def test_falsify_starts_from_the_samples_as_drawn(s, monkeypatch):
+    # no start is pushed inward: the first step starts from the boundary
+    # samples exactly as sample_boundary draws them, each distinct one once
+    widths, firsts = _record_steps(monkeypatch)
+    assert falsify(s, LinearSystem(-np.eye(3)), 60, 0.05, 0.01, seed=2) is None
+    drawn = np.column_stack([bp.point for bp in sample_boundary(s, 60, seed=2)])
+    _, first = np.unique(drawn, axis=1, return_index=True)
+    np.testing.assert_array_equal(firsts[0.01], drawn[:, np.sort(first)])
+    assert 0.005 not in widths  # no candidate exit, so no half step
+
+
+def test_exit_confirmation_costs_at_most_twice_the_search(monkeypatch):
+    # the half-step copy starts at the first candidate exit, so a run without
+    # one takes no extra step; after it, two half steps per search step
+    widths, _ = _record_steps(monkeypatch)
+    disk = Ellipsoid(np.eye(2))
+    assert falsify(disk, LinearSystem(-np.eye(2)), 200, 1.0, 0.01, seed=3) is None
+    assert sum(widths[0.01]) == 200 * 100 and 0.005 not in widths
+    widths.clear()
+    # 2,000 starts on the surface-flow cone: RK4's drift raises candidates,
+    # and the half step confirms none of them
+    cone, sys = _surface_tangent_cone()
+    assert falsify(cone, sys, 2000, 2.0, 0.01, seed=0) is None
+    assert 0 < sum(widths[0.005]) <= 2 * sum(widths[0.01])
 
 
 def test_integrate_caps_step_count():
@@ -199,8 +264,7 @@ def test_falsify_integrates_each_distinct_start_once(monkeypatch):
     # a 2-ray cone in the plane has two boundary points, its rays
     cone = VCone([[1.0, 0.0], [0.0, 1.0]])
     assert falsify(cone, LinearSystem([[-1.0, 0.0], [0.0, -1.0]]), 50, 0.05, 0.01, seed=1) is None
-    assert widths[0] == 50  # one nudge for all starts
-    assert set(widths[1:]) == {2}  # then the two distinct starts, every step
+    assert set(widths) == {2}  # the two distinct starts, every step
     sys = LinearSystem([[1.0, 0.0], [0.0, -1.0]])
     stay, leave = [0.0, 0.5], [0.5, 0.5]
     disk = Ellipsoid(np.eye(2))
@@ -208,7 +272,7 @@ def test_falsify_integrates_each_distinct_start_once(monkeypatch):
     widths.clear()
     repeated = falsify(disk, sys, 1, 1.0, 0.01, seed=3,
                        extra_starts=[stay, stay, leave, stay, leave])
-    assert widths[2] == 3  # stay, leave and the one boundary sample
+    assert widths[1] == 3  # stay, leave and the one boundary sample
     assert single is not None and repeated is not None
     assert np.allclose(single[0], leave, atol=1e-6)
     assert np.array_equal(single[0], repeated[0]) and single[1] == repeated[1]
@@ -243,9 +307,21 @@ def _surface_tangent_cone():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 102])
 def test_falsify_does_not_contradict_check_on_a_surface_flow(seed):
-    # without the inward push of the starts, RK4's drift along the surface
-    # (x'Qx moves by more than the exit band) reports exits at t = 0.35-0.49
+    # RK4's drift along the surface moves x'Qx by more than the exit band
+    # (candidate exits from t = 0.34 on), but the same starts integrated at
+    # half the step stay within it, so no exit is confirmed
     cone, sys = _surface_tangent_cone()
     assert check(cone, sys).decision is Decision.INVARIANT
     assert falsify(cone, sys, 100, 0.5, 0.01, seed) is None
 
+
+@pytest.mark.parametrize("step", [1e-2, 5e-3])
+def test_falsify_confirms_no_drift_exit_on_a_rotating_cone(step):
+    # the axis rotation R plus growth keeps the cone: check certifies it. At
+    # these steps RK4's drift off the surface passes the exit band, but not
+    # at half the step, so no exit is confirmed
+    cone = LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[0.0, 0.0, 1.0])
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    sys = LinearSystem(10.0 * (rot + np.eye(3)))
+    assert check(cone, sys).decision is Decision.INVARIANT
+    assert falsify(cone, sys, 200, 1.0, step, seed=0) is None

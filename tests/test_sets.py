@@ -20,14 +20,13 @@ from invarcheck.sets import (
     VCone,
     VPolytope,
     active_constraints,
-    inward_directions,
     membership,
     orthant_h,
     orthant_v,
     outside_violation_batch,
     sample_boundary,
 )
-from invarcheck.systems import GeneralSystem
+from invarcheck.systems import GeneralSystem, LinearSystem
 from invarcheck.tangent import cone_test, tangent_cone_at
 
 from oracles import facets_by_subsets
@@ -62,25 +61,19 @@ def test_box_corner_and_interior_active_sets():
 
 
 def test_halfspace_binding_rule_is_one_rule():
-    # active_constraints, inward_directions and tangent_test read the same
-    # rows at every point, also at points moved inward to just within and
-    # just beyond the band
+    # active_constraints and tangent_test read the same rows at every point,
+    # also at points moved inward to just within and just beyond the band
     rng = np.random.default_rng(31)
     p = HPolyhedron(np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(3, 3))]),
                     np.concatenate([np.ones(6), rng.uniform(0.5, 1.5, 3)]))
     x = np.column_stack([bp.point for bp in sample_boundary(p, 60, seed=3)])
     x *= 1.0 - rng.choice([0.0, 1e-9, 5e-9, 3e-8, 1e-7], size=60)
     y = rng.normal(size=(3, 60))
-    d = inward_directions(p, x)
     inside, _ = p.tangent_test(x, y, 1e-8)
     counts = set()
     for k in range(60):
         rows = active_constraints(p, x[:, k])
         counts.add(len(rows))
-        ref = -np.sum(p.G[rows] / np.linalg.norm(p.G[rows], axis=1)[:, None], axis=0)
-        if rows:
-            ref /= np.linalg.norm(ref)
-        np.testing.assert_allclose(d[:, k], ref, rtol=0, atol=1e-15)
         flux = p.G[rows] @ y[:, k]
         scale = 1.0 + np.linalg.norm(p.G[rows], axis=1) * np.linalg.norm(y[:, k])
         assert inside[k] == np.all(flux <= 1e-8 * scale)
@@ -89,6 +82,39 @@ def test_halfspace_binding_rule_is_one_rule():
 
 def test_orthant_face_active_set():
     assert active_constraints(orthant_h(2), [0.0, 2.0]) == [0]
+
+
+@pytest.mark.parametrize("s", [TRIANGLE, VCone([[1.0, 0.0], [0.0, 1.0]]), Ellipsoid(np.eye(2)),
+                               ICE3], ids=lambda s: type(s).__name__)
+def test_active_constraints_of_a_set_without_rows_is_an_input_error(s):
+    with pytest.raises(InputError, match=f"halfspace form, not of a {type(s).__name__}"):
+        active_constraints(s, np.zeros(s.dim))
+
+
+_COUNTS = {
+    "sample-float": lambda: sample_boundary(UNIT_BOX, 2.5, 0),
+    "sample-bool": lambda: sample_boundary(UNIT_BOX, True, 0),
+    "sample-zero": lambda: sample_boundary(UNIT_BOX, 0, 0),
+    "check-float": lambda: check(UNIT_BOX, GeneralSystem(lambda t, x: -x), n_samples=2.5),
+    "falsify-float": lambda: falsify(UNIT_BOX, LinearSystem(-np.eye(2)), 2.5, 1.0, 0.1, 0),
+    "orthant-float": lambda: orthant_h(2.5),
+    "orthant-bool": lambda: orthant_h(True),
+    "orthant-zero": lambda: orthant_h(0),
+    "orthant_v-float": lambda: orthant_v(2.5),
+    "orthant_v-bool": lambda: orthant_v(True),
+}
+
+
+@pytest.mark.parametrize("call", _COUNTS.values(), ids=_COUNTS)
+def test_counts_are_positive_integers(call):
+    # a float or bool count would reach numpy as an IndexError or TypeError
+    with pytest.raises(InputError, match="expected a positive integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_counts():
+    assert len(sample_boundary(UNIT_BOX, np.int64(3), 0)) == 3
+    assert orthant_h(np.int64(2)).dim == orthant_v(np.int64(2)).dim == 2
 
 
 def test_membership_dimension_mismatch():
@@ -542,53 +568,6 @@ def test_facet_membership_matches_the_lp_away_from_the_band():
                 assert cls[k] is _lp_membership(s, xs[:, k], tol), (s.TAG, xs[:, k].tolist())
             checked, total = checked + int(far.sum()), total + far.size
     assert checked > 0.9 * total
-
-
-def _inward_reference(s, x):
-    """The inward direction of one point as computed before the batch, with
-    the rows within the default band of x binding there."""
-    if isinstance(s, HPolyhedron):
-        d = np.zeros(s.dim)
-        for i in range(s.G.shape[0]):
-            if abs(float(s.G[i] @ x) - s.b[i]) <= 1e-8 * (1.0 + abs(s.b[i])):
-                d -= s.G[i] / (np.linalg.norm(s.G[i]) + 1e-300)
-    elif isinstance(s, (VPolytope, VCone)):
-        scale = 1.0 + np.linalg.norm(x) if isinstance(s, VCone) else 1.0
-        d = np.mean(s._points, axis=0) * scale - x
-    elif isinstance(s, LorenzCone) and np.linalg.norm(x) <= 1e-10:
-        d = s.u_n.copy()
-    else:
-        d = -(s.Q @ x)
-    nrm = np.linalg.norm(d)
-    return None if nrm < 1e-12 else d / nrm
-
-
-@pytest.mark.parametrize("s", [
-    HPolyhedron([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
-                [1.0, 1.0, 1.0, 1.0]),
-    orthant_h(3),
-    VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    VCone([[1.0, 0.2, 0.1], [0.3, 1.0, 0.0], [0.0, 0.4, 1.0]]),
-    Ellipsoid([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]]),
-    LorenzCone(np.diag([1.0, 1.0, -1.0])),
-], ids=lambda s: type(s).__name__)
-def test_inward_directions_match_the_per_point_formula(s):
-    # unit directions, to rounding; none where the formula gives none (an
-    # H-form point without binding rows: the mean of the samples, inside the
-    # set; a V-polytope's vertex mean)
-    points = sample_boundary(s, 60, seed=2)
-    points.append(BoundaryPoint(np.mean([bp.point for bp in points], axis=0)))
-    if isinstance(s, VPolytope):
-        points.append(BoundaryPoint(np.mean(s.vertices, axis=0)))
-    d = inward_directions(s, np.column_stack([bp.point for bp in points]))
-    for k, bp in enumerate(points):
-        ref = _inward_reference(s, bp.point)
-        one = inward_directions(s, bp.point.reshape(-1, 1))[:, 0]
-        if ref is None:
-            assert not np.any(one) and not np.any(d[:, k])
-        else:
-            np.testing.assert_allclose(d[:, k], ref, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(one, ref, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("s", [
