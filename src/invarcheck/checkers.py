@@ -235,10 +235,13 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     same flux. Q is indefinite, so by the S-lemma with equality (Polik &
     Terlaky, SIAM Review 2007) the flux is nonpositive on the whole surface
     exactly when some eta makes M - eta*Q negative semidefinite. The convex
-    phi(eta) = lambda_max(M - eta*Q) is minimized over |eta| <= beta by
-    bisection on its subgradient -v'Qv, v the top unit eigenvector: with r
-    the Gershgorin radius of M, phi(eta) >= -r + |eta|*min|eig Q| and
-    phi(0) <= r, so the minimizer lies in |eta| <= 2r/min|eig Q| < beta.
+    phi(eta) = lambda_max(M - eta*Q) is minimized over |eta| <= beta by a
+    safeguarded Newton search on its slope -v'Qv, v the top unit eigenvector,
+    and its curvature 2 sum_j (v_j'Qv)^2 / (lambda - lambda_j) over the other
+    eigenpairs, all from one eigh (no curvature, so a bisection step, where
+    the top eigenvalue is repeated to rounding): with r the Gershgorin radius
+    of M, phi(eta) >= -r + |eta|*min|eig Q| and phi(0) <= r, so the minimizer
+    lies in |eta| <= 2r/min|eig Q| < beta.
 
     phi* <= _PENCIL_TOL certifies invariance with eta*. Otherwise the
     eigenvectors V of M - eta*Q with eigenvalue >= phi*/2 span a subspace
@@ -251,7 +254,8 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     gap phi* and the flux may both be rounding noise.
     """
     a, m = _pencil(c, a)
-    beta = 10.0 * (1.0 + gershgorin_radius(m)) / float(np.min(np.abs(c.eigenvalues)))
+    rm, rq = gershgorin_radius(m), gershgorin_radius(c.Q)
+    beta = 10.0 * (1.0 + rm) / float(np.min(np.abs(c.eigenvalues)))
 
     def pencil_max(eta):
         # m and Q are exactly symmetric, so LAPACK needs no sym_eig checks
@@ -259,9 +263,13 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
             w, v = np.linalg.eigh(m - eta * c.Q)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"eigh did not converge: {exc}") from exc
-        return float(w[-1]), -float(v[:, -1] @ c.Q @ v[:, -1])
+        g = v.T @ (c.Q @ v[:, -1])
+        gap = w[-1] - w[:-1]
+        if not gap.size or gap[-1] <= 1e-12 * (rm + abs(eta) * rq):
+            return float(w[-1]), -float(g[-1]), 0.0  # top repeated to rounding: a kink
+        return float(w[-1]), -float(g[-1]), 2.0 * float(np.sum(g[:-1] ** 2 / gap))
 
-    tau = max(1e-12, min(1e-10, 1e-10 / (1.0 + gershgorin_radius(c.Q))))
+    tau = max(1e-12, min(1e-10, 1e-10 / (1.0 + rq)))
     eta_star, phi_star = minimize_scalar_convex(pencil_max, (-beta, beta), tau)
     if phi_star <= _PENCIL_TOL:
         return Verdict(Decision.INVARIANT, certificate=Certificate(

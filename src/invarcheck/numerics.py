@@ -4,7 +4,8 @@ Everything here is pure and operates on plain numpy arrays validated at
 entry: linear solves and Cholesky factors on LAPACK with conditioning and
 pivot checks, a symmetric eigensolver on LAPACK's eigh, generalized
 symmetric eigenvalues through a Cholesky reduction, and a minimizer for
-convex scalar functions by bisection on a subgradient.
+convex scalar functions by a Newton search on the slope, safeguarded by
+bisection.
 """
 
 from __future__ import annotations
@@ -158,26 +159,46 @@ def gershgorin_radius(m) -> float:
 
 
 def minimize_scalar_convex(f, bracket, tol: float = 1e-8):
-    """Minimum of a convex scalar function over a finite bracket, by bisection
-    on a subgradient: f(x) returns (value, slope) with slope a subgradient.
+    """Minimum of a convex scalar function over a finite bracket by a
+    safeguarded Newton search: f(x) returns (value, slope, curvature), slope
+    a subgradient and curvature the second derivative.
 
-    Returns (argmin, value at argmin), the midpoint of the final bracket,
-    which holds a minimizer and is at most tol wide. When tol is below the
-    float spacing of the bracket, the search stops once the bracket no
-    longer shrinks.
+    The bracket keeps a minimizer: slope >= 0 moves its right end to x, else
+    its left end. The next point is the Newton step from the point with the
+    shortest one (at least tol/2 long) if it lies inside the bracket and is
+    under half the previous move, moved toward the midpoint as far as needed
+    for f never to be called more often than by bisection; otherwise the
+    midpoint. A curvature <= 0, nan or inf (0.0 at a kink) gives no Newton
+    step. Returns (argmin, value at argmin), the midpoint of the final
+    bracket, at most tol wide. When tol is below the float spacing of the
+    bracket, the search stops once the bracket no longer shrinks.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise BadBracket(f"bracket ({lo}, {hi}) is degenerate")
     if not (tol > 0.0):
         raise BadBracket("tol must be positive")
+    left, w = 1, 0.5 * hi - 0.5 * lo  # left: evaluations bisection still makes
+    while w > tol:
+        left, w = left + 1, 0.5 * w
+    ulp = 2.0 * math.ulp(max(abs(lo), abs(hi)))  # a midpoint's rounding, doubled
+    newton, step = None, hi - lo
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        t = 0.5 * (lo + hi)
+        if not lo < t < hi:
             break  # tol is below the float spacing of the bracket
-        if f(mid)[1] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        if newton is not None:
+            x, d = newton
+            d = math.copysign(max(abs(d), 0.5 * tol), d)
+            room = math.ldexp(tol - ulp, left - 1) + ulp  # what left - 1 bisections close
+            s = min(max(x + d, hi - room), lo + room)
+            if abs(d) < 0.5 * step and lo < x + d < hi and max(s - lo, hi - s) <= room:
+                t = s
+            step = abs(t - x)
+        _, slope, curv = f(t)
+        left -= 1
+        if 0.0 < curv < math.inf and (newton is None or abs(slope / curv) < abs(newton[1])):
+            newton = t, -slope / curv
+        lo, hi = (lo, t) if slope >= 0.0 else (t, hi)
     x = 0.5 * (lo + hi)
     return x, float(f(x)[0])

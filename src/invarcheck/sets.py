@@ -219,7 +219,7 @@ class Orthant(HPolyhedron):
 
     def __init__(self, n):
         _check_count(n, "orthant dimension")
-        super().__init__(-np.eye(n), np.zeros(n))
+        super().__init__(np.diag(np.full(n, -1.0)), np.zeros(n))  # +0.0 off the diagonal
         self.n = n
 
 

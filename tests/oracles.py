@@ -110,6 +110,27 @@ def golden_section_min(f, bracket, tol):
     return x, float(f(x))
 
 
+def bisection_min(f, bracket, tol):
+    """Bisection on a subgradient: f(x) -> (value, slope, ...) over a bracket.
+
+    The library's eta search before it took Newton steps, kept as the
+    reference for its results and its evaluation count. Returns (argmin,
+    value); when tol is below the float spacing of the bracket, it stops
+    once the midpoint no longer falls strictly inside.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if f(mid)[1] >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    x = 0.5 * (lo + hi)
+    return x, float(f(x)[0])
+
+
 def enumerate_qp_nearest(x_mat, f, free_index, sign_tol=1e-9):
     """Exhaustive active-set oracle for min 0.5*||X a - f||^2, sum(a)=0,
     a_j >= 0 for j != free_index.

@@ -32,7 +32,7 @@ from invarcheck.sets import (
 )
 from invarcheck.systems import GeneralSystem, LinearSystem
 
-from oracles import golden_section_min, metzler_violation
+from oracles import bisection_min, golden_section_min, metzler_violation
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -488,14 +488,14 @@ def _lorenz_with_search(monkeypatch, cone, a, search):
 
 
 def test_lorenz_bisection_matches_golden_section_reference(monkeypatch):
-    bisection = checkers.minimize_scalar_convex
+    search = checkers.minimize_scalar_convex
 
     def golden(f, bracket, tol):
         return golden_section_min(lambda e: f(e)[0], bracket, tol)
 
     for trial, (scaled, cone, a) in enumerate(_lorenz_battery()):
         v_ref, phi_ref = _lorenz_with_search(monkeypatch, cone, a, golden)
-        v, phi = _lorenz_with_search(monkeypatch, cone, a, bisection)
+        v, phi = _lorenz_with_search(monkeypatch, cone, a, search)
         m = a.T @ cone.Q + cone.Q @ a
         m = 0.5 * (m + m.T)
         assert phi <= phi_ref + 1e-12 * (1.0 + np.linalg.norm(m, 2)), trial
@@ -539,6 +539,63 @@ def test_lorenz_eta_search_eigen_solve_budget(monkeypatch, seed):
     check_lorenz_linear(cone, a)
     lo, hi = seen["bracket"]
     assert 0 < seen["solves"] <= math.ceil(math.log2((hi - lo) / seen["tol"])) + 2
+
+
+def _counted_search(search):
+    """search wrapped to record the number of f calls of its last run."""
+    seen = {}
+
+    def counted(f, bracket, tol):
+        seen["calls"] = 0
+
+        def g(eta):
+            seen["calls"] += 1
+            return f(eta)
+
+        return search(g, bracket, tol)
+
+    return counted, seen
+
+
+def test_lorenz_newton_search_needs_fewer_eigen_solves_than_bisection(monkeypatch):
+    newton, seen = _counted_search(checkers.minimize_scalar_convex)
+    bisect, seen_ref = _counted_search(bisection_min)
+    solves = []
+    for trial, (scaled, cone, a) in enumerate(_lorenz_battery()):
+        v, _ = _lorenz_with_search(monkeypatch, cone, a, newton)
+        v_ref, _ = _lorenz_with_search(monkeypatch, cone, a, bisect)
+        assert (v is None) == (v_ref is None), trial
+        assert v is None or v.decision is v_ref.decision, trial
+        assert seen["calls"] <= seen_ref["calls"], trial
+        if not scaled:
+            solves.append(seen["calls"])
+    # bisection takes about 46 on each of these 120 cones, the search 12.3
+    assert len(solves) == 120 and np.mean(solves) <= 13.0
+
+
+@pytest.mark.parametrize("seed", [None, 625])
+def test_lorenz_kink_takes_the_bisection_path_bit_for_bit(monkeypatch, seed):
+    # lorenz_expanding (seed None) and a rotated copy: A = I, so M = 2Q and
+    # M - eta*Q = (2 - eta) Q has a top eigenvalue repeated (to rounding once
+    # rotated) below eta = 2 and uncoupled to the rest (to rounding) above it
+    t = np.eye(3) if seed is None else _orthogonal(np.random.default_rng(seed), 3)
+    cone = LorenzCone(t.T @ ICE3.Q @ t, t.T @ ICE3.u_n)
+    curvatures = {}
+
+    def recorded(f, bracket, tol):
+        def g(eta):
+            out = f(eta)
+            curvatures[eta] = out[2]
+            return out
+
+        return bisection_min(g, bracket, tol)
+
+    v = check_lorenz_linear(cone, np.eye(3))
+    monkeypatch.setattr(checkers, "minimize_scalar_convex", recorded)
+    v_ref = check_lorenz_linear(cone, np.eye(3))
+    assert v.certificate.data == v_ref.certificate.data
+    below = [k for eta, k in curvatures.items() if eta < 2.0 or seed is None]
+    assert len(below) > 10 and set(below) == {0.0}
 
 
 def test_lorenz_pencil_lapack_failure_is_no_convergence(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from invarcheck.numerics import (
     sym_eig,
 )
 
-from oracles import grid_scan_min, power_iteration_gen_eig_max
+from oracles import bisection_min, grid_scan_min, power_iteration_gen_eig_max
 
 
 def test_validation_rejects_nonfinite():
@@ -178,29 +180,35 @@ def test_gen_eig_matches_power_iteration_oracle():
 
 
 def _pencil_top(m, q):
-    """phi(eta) = lambda_max(m - eta*q) with its subgradient -v'qv."""
+    """phi(eta) = lambda_max(m - eta*q) with its subgradient -v'qv and its
+    second derivative 2 sum_j (v_j'qv)^2 / (lambda - lambda_j), 0.0 where
+    the top eigenvalue is repeated."""
     def f(eta):
         r = sym_eig(m - eta * q)
-        v = r.eigenvectors[:, 0]
-        return float(r.eigenvalues[0]), -float(v @ q @ v)
+        lam = r.eigenvalues
+        g = r.eigenvectors.T @ q @ r.eigenvectors[:, 0]
+        curv = 0.0
+        if lam[0] - lam[1] > 1e-12 * np.max(np.abs(lam)):
+            curv = 2.0 * float(np.sum(g[1:] ** 2 / (lam[0] - lam[1:])))
+        return float(lam[0]), -float(g[0]), curv
 
     return f
 
 
 def test_minimize_quadratic():
-    x, v = minimize_scalar_convex(lambda e: ((e - 3.0) ** 2, 2.0 * (e - 3.0)), (-10.0, 10.0), 1e-8)
+    x, v = minimize_scalar_convex(lambda e: ((e - 3.0) ** 2, 2.0 * (e - 3.0), 2.0), (-10.0, 10.0), 1e-8)
     assert x == pytest.approx(3.0, abs=1e-7)
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimize_kink():
-    x, _ = minimize_scalar_convex(lambda e: (abs(e), np.sign(e)), (-1.0, 2.0), 1e-9)
+    x, _ = minimize_scalar_convex(lambda e: (abs(e), np.sign(e), 0.0), (-1.0, 2.0), 1e-9)
     assert x == pytest.approx(0.0, abs=1e-8)
 
 
 def test_minimize_terminates_below_float_spacing():
     # tol 5e-11 is below the spacing of doubles near 2e6 (about 2.3e-10)
-    x, v = minimize_scalar_convex(lambda e: (abs(e - 2e6), np.sign(e - 2e6)), (-2e7, 2e7), 5e-11)
+    x, v = minimize_scalar_convex(lambda e: (abs(e - 2e6), np.sign(e - 2e6), 0.0), (-2e7, 2e7), 5e-11)
     assert abs(x - 2e6) <= np.spacing(2e6)
     assert v == abs(x - 2e6)
 
@@ -236,18 +244,89 @@ def test_minimize_matches_grid_oracle():
 
 def test_minimize_bad_bracket():
     with pytest.raises(BadBracket):
-        minimize_scalar_convex(lambda e: (abs(e), np.sign(e)), (1.0, 1.0), 1e-8)
+        minimize_scalar_convex(lambda e: (abs(e), np.sign(e), 0.0), (1.0, 1.0), 1e-8)
     with pytest.raises(BadBracket):
-        minimize_scalar_convex(lambda e: (abs(e), np.sign(e)), (0.0, np.inf), 1e-8)
+        minimize_scalar_convex(lambda e: (abs(e), np.sign(e), 0.0), (0.0, np.inf), 1e-8)
 
 
 def test_minimize_lands_within_tol_at_a_smooth_minimum():
     # near a smooth minimum the values agree to rounding far outside tol;
     # the argmin must still be within tol of the minimizer
-    x, v = minimize_scalar_convex(lambda e: ((e - 0.3) ** 2 + 1.0, 2.0 * (e - 0.3)),
+    x, v = minimize_scalar_convex(lambda e: ((e - 0.3) ** 2 + 1.0, 2.0 * (e - 0.3), 2.0),
                                   (-10.0, 10.0), 1e-10)
     assert abs(x - 0.3) <= 1e-10
     assert v == pytest.approx(1.0, abs=1e-15)
+
+
+def _counted(f, bracket):
+    """f wrapped to record every point it is called at and to require each
+    to lie in what is left of the bracket after the slopes seen before it."""
+    seen, ends = [], [bracket[0], bracket[1]]
+
+    def g(x):
+        assert ends[0] <= x <= ends[1], (x, ends)
+        seen.append(x)
+        out = f(x)
+        ends[int(out[1] >= 0.0)] = x
+        return out
+
+    return g, seen
+
+
+def test_minimize_takes_newton_steps_on_a_quadratic():
+    # 20/1e-8 is just below 2^31, so the first points stay near the midpoint
+    # to keep within bisection's 32 calls; then the Newton step lands on 3,
+    # a step of tol/2 closes the bracket, and the final midpoint is evaluated
+    f, seen = _counted(lambda e: ((e - 3.0) ** 2, 2.0 * (e - 3.0), 2.0), (-10.0, 10.0))
+    x, _ = minimize_scalar_convex(f, (-10.0, 10.0), 1e-8)
+    assert abs(x - 3.0) <= 1e-8
+    assert seen[-3:-1] == [3.0, 3.0 - 0.5e-8]
+    assert len(seen) <= 7
+
+
+@pytest.mark.parametrize("f, bracket, tol", [
+    (_pencil_top(np.diag([2.0, -2.0]), np.diag([1.0, -1.0])), (-40.0, 40.0), 1e-10),
+    (lambda e: (abs(e), np.sign(e), 0.0), (-1.0, 2.0), 1e-9),
+    (lambda e: (abs(e - 2e6), np.sign(e - 2e6), 0.0), (-2e7, 2e7), 5e-11),
+], ids=["diagonal-pencil", "kink", "below-float-spacing"])
+def test_minimize_without_curvature_is_bisection_bit_for_bit(f, bracket, tol):
+    g, seen = _counted(f, bracket)
+    h, seen_ref = _counted(f, bracket)
+    assert minimize_scalar_convex(g, bracket, tol) == bisection_min(h, bracket, tol)
+    assert seen == seen_ref
+
+
+@pytest.mark.parametrize("curvature", [math.nan, math.inf, -1.0, -0.0])
+def test_minimize_bad_curvature_never_leaves_the_bracket(curvature):
+    f, _ = _counted(lambda e: ((e - 0.3) ** 2, 2.0 * (e - 0.3), curvature), (-10.0, 10.0))
+    x, v = minimize_scalar_convex(f, (-10.0, 10.0), 1e-10)
+    assert abs(x - 0.3) <= 1e-10
+    assert (x, v) == bisection_min(lambda e: ((e - 0.3) ** 2, 2.0 * (e - 0.3)), (-10.0, 10.0), 1e-10)
+
+
+def test_minimize_never_calls_f_more_often_than_bisection():
+    # convex |e - c|^p with the true curvature, a random one and one off by a
+    # random factor: the bound must hold, and no point may leave the
+    # bracket, whatever curvature f reports
+    rng = np.random.default_rng(25)
+    for trial in range(600):
+        c, p, scale = rng.uniform(-50.0, 50.0), rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]), 10.0 ** rng.uniform(-3, 3)
+        noise = [lambda k: k, lambda k: float(rng.uniform(0.0, 10.0) ** 3),
+                 lambda k: k * rng.uniform(0.1, 10.0)][trial % 3]
+
+        def f(e):
+            r = e - c
+            k = scale * p * (p - 1.0) * abs(r) ** (p - 2.0) if r != 0.0 or p >= 2.0 else math.inf
+            return scale * abs(r) ** p, scale * p * abs(r) ** (p - 1.0) * math.copysign(1.0, r), noise(k)
+
+        bracket = (c - 10.0 ** rng.uniform(-2, 6), c + 10.0 ** rng.uniform(-2, 6))
+        tol = 10.0 ** rng.uniform(-13, -3)
+        g, seen = _counted(f, bracket)
+        h, seen_ref = _counted(f, bracket)
+        x, _ = minimize_scalar_convex(g, bracket, tol)
+        bisection_min(h, bracket, tol)
+        assert len(seen) <= len(seen_ref), trial
+        assert abs(x - c) <= max(tol, 4.0 * math.ulp(max(map(abs, bracket)))), trial
 
 
 def test_gershgorin_radius_bounds_spectrum():

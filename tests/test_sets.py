@@ -84,6 +84,13 @@ def test_orthant_face_active_set():
     assert active_constraints(orthant_h(2), [0.0, 2.0]) == [0]
 
 
+def test_orthant_rows_hold_no_negative_zero():
+    # a -0.0 off the diagonal would print as a normal [-1.0, -0.0]
+    g = orthant_h(3).G
+    assert np.array_equal(g, -np.eye(3))
+    assert not np.any(np.signbit(g[~np.eye(3, dtype=bool)]))
+
+
 @pytest.mark.parametrize("s", [TRIANGLE, VCone([[1.0, 0.0], [0.0, 1.0]]), Ellipsoid(np.eye(2)),
                                ICE3], ids=lambda s: type(s).__name__)
 def test_active_constraints_of_a_set_without_rows_is_an_input_error(s):
