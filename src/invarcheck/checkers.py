@@ -21,6 +21,7 @@ import numpy as np
 from .errors import EmptySet, InputError, NoConvergence, NumericalFailure
 from .numerics import (
     as_square,
+    canonical_sign,
     gen_eig_max_witness,
     gershgorin_radius,
     minimize_scalar_convex,
@@ -36,7 +37,7 @@ from .sets import (
     VPolytope,
     sample_boundary,
 )
-from .solvers import lp_feasible, qp_nearest, solve_inequality_lp
+from .solvers import lp_feasible, solve_inequality_lp
 from .systems import DynamicalSystem, LinearSystem, field_batch
 from .tangent import first_outside
 
@@ -148,28 +149,25 @@ def check_vpolytope(p: VPolytope, sys: DynamicalSystem, t0: float = 0.0) -> Verd
 
     Exact for linear systems. For general systems a failing vertex still
     refutes invariance, but an all-pass cannot certify the faces between
-    vertices, so the verdict caps at Unknown. A failing vertex reports half
-    the squared distance of its field to the admissible cone.
-    """
-    return _check_decomposition(
-        p, lambda f, i, infeas: qp_nearest(p.vertices.T, f, i)[2], sys, t0)
+    vertices, so the verdict caps at Unknown."""
+    return _check_decomposition(p, sys, t0)
 
 
 def check_vcone(c: VCone, sys: DynamicalSystem, t0: float = 0.0) -> Verdict:
     """Ray decomposition test: at every extreme ray the field must combine
     the other rays nonnegatively with a sign-free coefficient on the ray
     itself. Exact for linear systems; Unknown-capped otherwise."""
-    return _check_decomposition(c, lambda f, i, infeas: infeas, sys, t0)
+    return _check_decomposition(c, sys, t0)
 
 
-def _check_decomposition(s: VPolytope | VCone, miss, sys, t0) -> Verdict:
+def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     """Decomposition feasibility at every generator i of s (a vertex or ray):
     s.columns @ a = f with a_j >= 0 for j != i, on the family's own
     homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
     the field f at generator i padded with zeros to their height. The first
-    infeasible one refutes with violation miss(f, i, infeasibility); a field
-    not finite at one before it is an InputError naming it. The set's
-    GENERATOR and GENERATORS words key the notes and the certificate.
+    infeasible one refutes with phase one's infeasibility as its violation;
+    a field not finite at one before it is an InputError naming it. The
+    set's GENERATOR and GENERATORS words key the notes and the certificate.
     """
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
@@ -183,8 +181,7 @@ def _check_decomposition(s: VPolytope | VCone, miss, sys, t0) -> Verdict:
         infeas, alpha = lp_feasible(cols, np.concatenate([f, pad]), i)
         if alpha is None:
             return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(gens[i].copy(),
-                                                         float(miss(f, i, infeas))),
+                           counterexample=Counterexample(gens[i].copy(), float(infeas)),
                            notes={name: i})
         records.append({"index": i, "alpha": [float(v) for v in alpha]})
     cert = Certificate(f"{name}-decomposition", {plural: records})
@@ -257,12 +254,15 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     rm, rq = gershgorin_radius(m), gershgorin_radius(c.Q)
     beta = 10.0 * (1.0 + rm) / float(np.min(np.abs(c.eigenvalues)))
 
+    last = []  # the latest eigenpairs; the search's last evaluation is at eta*
+
     def pencil_max(eta):
         # m and Q are exactly symmetric, so LAPACK needs no sym_eig checks
         try:
             w, v = np.linalg.eigh(m - eta * c.Q)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"eigh did not converge: {exc}") from exc
+        last[:] = w, v
         g = v.T @ (c.Q @ v[:, -1])
         gap = w[-1] - w[:-1]
         if not gap.size or gap[-1] <= 1e-12 * (rm + abs(eta) * rq):
@@ -275,8 +275,8 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "cone-pencil", {"eta": eta_star, "witness_max_eig": phi_star}))
 
-    eig = sym_eig(m - eta_star * c.Q)
-    v = eig.eigenvectors[:, eig.eigenvalues >= 0.5 * phi_star]
+    w, v = last  # as sym_eig orders and signs them: descending, canonical_sign
+    v = canonical_sign(v[:, w >= 0.5 * phi_star][:, ::-1])
     r = sym_eig(v.T @ c.Q @ v)
     hi, lo = float(r.eigenvalues[0]), float(r.eigenvalues[-1])
     # a null vector of Q when lo <= 0 <= hi, else the eigenvector nearest null

@@ -252,10 +252,10 @@ class _VForm:
     unit rays) and the columns, which the decomposition LPs of checkers read
     too, and define lift, scale, cap and face_points.
 
-    Membership, violation, sampling and the tangent test read the facets of
-    the columns' cone (_facets), computed once, through one slack and one
-    band; forms above the facet cap fall back to the membership LP (_lp)
-    for all of them.
+    Membership, violation, sampling, the tangent test and the tangent cone
+    (tangent_cone_at, from the same _rows) read the facets of the columns'
+    cone (_facets), computed once, through one slack and one band; forms
+    above the facet cap fall back to LPs for all of them.
     """
 
     def __init__(self, points, columns):
@@ -280,6 +280,7 @@ class _VForm:
         """
         u, sv, _ = np.linalg.svd(self.columns)
         r = int(np.sum(sv > _FACE_TOL * sv[0]))
+        u = np.eye(r) if r == len(u) else u  # full row rank: exact columns give exact rows
         coords = u[:, :r].T @ self.columns
         tol = _FACE_TOL * np.linalg.norm(coords, axis=0)
         rest, left = coords.copy(), np.ones(coords.shape[1], bool)
@@ -407,13 +408,13 @@ class _VForm:
                 out.append(pts[firsts[k % len(firsts)]])
         return np.array(out)
 
-    def tangent_test(self, x, y, tol: float):
-        """The facets whose slack at a point is within its band bind there,
-        and the equality rows bind both ways, all cut to the first dim
-        coordinates (a direction lifts with a trailing 0) and scaled to unit
-        length, so that the test does not depend on the set's size (a row
-        whose cut is zero is dropped). None without facets: the caller then
-        decides each point by LP."""
+    def _rows(self, x, tol: float):
+        """The rows of Nagumo's test and which bind at each column of x, or
+        None without facets. The facets whose slack at a point is within its
+        band bind there, and the equality rows bind both ways, all cut to the
+        first dim coordinates (a direction lifts with a trailing 0) and scaled
+        to unit length, so that the test does not depend on the set's size (a
+        row whose cut is zero is dropped). No row holds a -0.0."""
         facets = self._facets
         if facets is None:
             return None
@@ -424,8 +425,16 @@ class _VForm:
                            np.ones((2 * eq.shape[0], x.shape[1]), bool)])
         norms = np.linalg.norm(rows, axis=1)
         keep = norms > 0.0
-        return flux_residual((rows[keep] / norms[keep, None]) @ y, 1.0,
-                             np.linalg.norm(y, axis=0), tol, binds[keep])
+        return rows[keep] / norms[keep, None] + 0.0, binds[keep]
+
+    def tangent_test(self, x, y, tol: float):
+        """flux_residual against the rows that _rows finds binding; None
+        without facets: the caller then decides each point by LP."""
+        bound = self._rows(x, tol)
+        if bound is None:
+            return None
+        rows, binds = bound
+        return flux_residual(rows @ y, 1.0, np.linalg.norm(y, axis=0), tol, binds)
 
 
 class VPolytope(_VForm):

@@ -18,9 +18,10 @@ LPs start every row on an artificial.
 
 The decomposition programs take plain arrays and return tuples.
 lp_feasible decides a generator's LP on its set's homogenised columns.
+A refuting generator reports lp_feasible's phase-one infeasibility.
 qp_nearest, a nonnegative least-squares model with one equality, gives half
-the squared distance to the generated cone; its first-order conditions are
-checked in the tests, by tests/oracles.py.
+the squared distance to the generated cone; no decider calls it, and its
+first-order conditions are checked in the tests, by tests/oracles.py.
 """
 
 from __future__ import annotations

@@ -1,26 +1,22 @@
 """Tangent cones at boundary points and membership of directions in them.
 
-At an interior point the tangent cone is the whole space. On a facet of a
-halfspace form it is the set of directions with nonpositive inner product
-against every active row. At a vertex of a polytope it is generated by the
-differences to the other vertices with nonnegative coefficients; at an
-extreme ray of a cone the ray itself enters with a sign-free coefficient.
-On the smooth part of a quadratic surface it is the halfspace under the
-outward normal Qx, the same object as the cone on a facet: every halfspace
-kind keeps its rows in one payload, normals, which cone_test reads in one
-branch. The apex of a quadratic cone is special: the tangent cone there is
-the cone itself, represented by a membership-backed kind.
-Every cone is read from the point alone: which rows bind, which vertex or
-ray the point coincides with, whether it is the apex.
+At an interior point the tangent cone is the whole space. On the boundary
+of a polyhedron it is the set of directions with nonpositive inner product
+against every row that binds there: the rows of a halfspace form, or the
+facets and equality rows of a vertex or ray form, within the band. On the
+smooth part of a quadratic surface it is the halfspace under the outward
+normal Qx. Every halfspace kind keeps its rows in one payload, normals,
+which cone_test reads in one branch. At the apex of a quadratic cone the
+tangent cone is the cone itself, a membership-backed kind. Only a vertex
+or ray form above the facet cap (sets._FACET_RAYS) gets a generated cone,
+tested by an LP: the differences to all vertices, or all rays plus the
+point sign-free. Every cone is read from the point alone.
 
 tangent_cone_at is the one constructor of a cone, for every family, and
-cone_test tests one direction against it.
-first_outside tests a whole batch of sampled points at once: each set
-family's tangent_test gives the outward flux of every direction against
-the halfspace rows that bind at its point, with facets in place of the
-generated cones of vertex and ray forms, and one formula
-(sets.flux_residual) judges both paths. Only a vertex or ray form above
-the facet cap (sets._FACET_RAYS) still solves one LP per point.
+cone_test tests one direction against it. first_outside tests a whole
+batch of sampled points at once through each family's tangent_test, which
+reads the rows tangent_cone_at holds, and one formula (sets.flux_residual)
+judges both paths.
 """
 
 from __future__ import annotations
@@ -62,10 +58,11 @@ class TangentCone:
 
     kind selects the payload. The halfspace kinds keep their rows g in
     normals (k x n), and the cone is g'y <= 0 for all of them: "halfspaces"
-    holds the binding rows of a halfspace form, "quadratic-halfspace" the
-    one row Qx of a quadratic surface, and "fullspace" no rows (0 x n).
-    "generated" uses generators rows with nonnegative coefficients plus an
-    optional sign-free generator; "cone-itself" defers to membership in
+    holds the binding rows of a halfspace, vertex or ray form,
+    "quadratic-halfspace" the one row Qx of a quadratic surface, and
+    "fullspace" no rows (0 x n). "generated" (a vertex or ray form above
+    the facet cap) uses generators rows with nonnegative coefficients plus
+    an optional sign-free generator; "cone-itself" defers to membership in
     set_ref (apex case). The payload fixes the dimension n of the directions
     that cone_test accepts.
     """
@@ -81,14 +78,12 @@ def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
     """Tangent cone at a boundary point x of any supported set.
 
     A point that membership puts outside the set is NotMember. Otherwise
-    the point is located: the rows binding at it, the first vertex within
-    1e-8*(1 + |v|) of it (max norms), the first ray it points along, or the
-    apex of a quadratic cone. At vertex i the generators are the edges
-    V - V[i] out of it; along ray i they are the other rays, with ray i
-    sign-free. Other vertex-form points get the general finitely-generated
-    cone (differences to all vertices; all rays plus the point itself
-    sign-free), which reduces to the vertex/ray formulas there. A tol that
-    is negative or not finite is an InputError.
+    the cone is read from the point: the rows binding at it (a vertex or
+    ray form's are the rows its tangent_test reads, so the two agree), the
+    apex of a quadratic cone, or, for a vertex or ray form above the facet
+    cap, the general finitely-generated cone (differences to all vertices;
+    all rays plus the point itself sign-free). A tol that is negative or
+    not finite is an InputError.
     """
     if not isinstance(s, ConvexSet):
         raise InputError(f"unsupported set type {type(s).__name__}")
@@ -103,18 +98,14 @@ def _cone_at(s, pt, tol: float) -> TangentCone:
     if isinstance(s, HPolyhedron):
         active = active_constraints(s, pt, tol)
         return TangentCone(HALFSPACES if active else FULLSPACE, normals=s.G[active])
-    if isinstance(s, VPolytope):
-        v = s.vertices
-        at = np.flatnonzero(np.max(np.abs(v - pt), axis=1)
-                            <= 1e-8 * (1.0 + np.max(np.abs(v), axis=1)))
-        gens = v - (v[at[0]] if at.size else pt)
-        return TangentCone(GENERATED, generators=gens[np.max(np.abs(gens), axis=1) > 1e-12])
-    if isinstance(s, VCone):
-        r = s.rays
-        cross = np.linalg.norm(pt) * np.linalg.norm(r, axis=1)
-        along = np.flatnonzero((cross > 0) & (r @ pt >= (1.0 - 1e-10) * cross))[:1]
-        return TangentCone(GENERATED, generators=np.delete(r, along, axis=0),
-                           free_generator=r[along[0]].copy() if along.size else pt)
+    if isinstance(s, (VPolytope, VCone)):
+        bound = s._rows(pt[:, None], tol)
+        if bound is not None:
+            rows = bound[0][bound[1][:, 0]]
+            return TangentCone(HALFSPACES if rows.size else FULLSPACE, normals=rows)
+        if isinstance(s, VPolytope):
+            return TangentCone(GENERATED, generators=s.vertices - pt)
+        return TangentCone(GENERATED, generators=s.rays, free_generator=pt)
     if isinstance(s, LorenzCone) and s.at_apex(pt):
         return TangentCone(SELF_CONE, set_ref=s)
     return TangentCone(QUADRATIC, normals=(s.Q @ pt)[None, :])
@@ -145,12 +136,10 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
                                       np.linalg.norm(y), tol)
         return bool(inside[0]), float(worst[0])
     if t.kind == GENERATED:
-        cols = [t.generators.T]
-        free: tuple[int, ...] = ()
+        gens, free = t.generators, ()
         if t.free_generator is not None:
-            cols.append(t.free_generator.reshape(-1, 1))
-            free = (t.generators.shape[0],)
-        opt, _ = phase_one_feasibility(np.hstack(cols), y, free)
+            gens, free = np.vstack([gens, t.free_generator]), (len(gens),)
+        opt, _ = phase_one_feasibility(gens.T, y, free)
         return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
         violation = float(outside_violation_batch(t.set_ref, y[:, None])[0])

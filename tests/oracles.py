@@ -342,36 +342,39 @@ def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
     """Per-sample Nagumo test, the loop the sampled checker ran before it
     decided every sample in one batch; kept as the reference for the batch.
 
-    Unlike the rest of this module it calls the library: each sample gets
-    its own tangent cone from tangent._cone_at (tangent_cone_at without the
-    membership check, which boundary samples need not pay an LP for) and
-    one field evaluation, and is then
+    Unlike the rest of this module it calls the library. A vertex or ray
+    form's sample gets the generated cone built here from the generators
+    (the differences to all vertices; all rays plus the point sign-free),
+    decided by the phase-one LP, so the facet rows of the batch test meet
+    an independent LP. Every other sample gets its own tangent cone from
+    tangent._cone_at (tangent_cone_at without the membership check) and is
     tested as cone_test did before it shared its residual formula: one
-    halfspace row at a time, the phase-one LP for a generated cone, the
-    cone's own violation at a quadratic cone's apex. Returns one
-    (inside, residual) pair per sample. The residual is on the scale of
-    tol: the largest flux/(1 + |g||y|) over the rows (0 if none is
-    positive), or the LP's infeasibility over 1 + |y|, or the violation.
+    halfspace row at a time, or the cone's own violation at a quadratic
+    cone's apex. Each sample has one field evaluation. Returns one (inside,
+    residual) pair per sample. The residual is on the scale of tol: the
+    largest flux/(1 + |g||y|) over the rows (0 if none is positive), or the
+    LP's infeasibility over 1 + |y|, or the violation.
     """
-    from invarcheck.sets import outside_violation_batch
+    from invarcheck.sets import VCone, VPolytope, outside_violation_batch
     from invarcheck.solvers import phase_one_feasibility
-    from invarcheck.tangent import FULLSPACE, GENERATED, SELF_CONE, _cone_at
+    from invarcheck.tangent import FULLSPACE, SELF_CONE, _cone_at
 
     out = []
     for bp in samples:
-        t = _cone_at(s, bp.point, tol)
-        y = np.asarray(sys.field(t0, bp.point), dtype=float)
+        x = bp.point
+        y = np.asarray(sys.field(t0, x), dtype=float)
         ny = float(np.linalg.norm(y))
+        if isinstance(s, (VPolytope, VCone)):
+            if isinstance(s, VPolytope):
+                cols, free = (s.vertices - x).T, ()
+            else:
+                cols, free = np.column_stack([s.rays.T, x]), (s.rays.shape[0],)
+            opt, _ = phase_one_feasibility(cols, y, free)
+            out.append((opt <= tol * (1.0 + ny), float(opt) / (1.0 + ny)))
+            continue
+        t = _cone_at(s, x, tol)
         if t.kind == FULLSPACE:
             out.append((True, 0.0))
-        elif t.kind == GENERATED:
-            cols = [t.generators.T]
-            free = ()
-            if t.free_generator is not None:
-                cols.append(t.free_generator.reshape(-1, 1))
-                free = (t.generators.shape[0],)
-            opt, _ = phase_one_feasibility(np.hstack(cols), y, free)
-            out.append((opt <= tol * (1.0 + ny), float(opt) / (1.0 + ny)))
         elif t.kind == SELF_CONE:
             violation = float(outside_violation_batch(t.set_ref, y[:, None])[0])
             out.append((violation <= tol, violation))

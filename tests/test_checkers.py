@@ -205,7 +205,8 @@ def test_redundant_row_is_a_vacuous_facet():
 
 def test_vertex_refutes_a_general_field_before_sampling(monkeypatch):
     # at vertex 0 = (0, 0) the field (-0.3, -0.3) points away from both edges;
-    # half its squared distance to their cone is 0.09
+    # phase one's infeasibility is 0.6, the L1 size of the field, since no
+    # nonnegative combination of the edges (1, 0) and (0, 1) reduces it
     def no_sampling(*args, **kwargs):
         raise AssertionError("the vertex refutation must not sample the boundary")
 
@@ -215,7 +216,7 @@ def test_vertex_refutes_a_general_field_before_sampling(monkeypatch):
     assert v.decision is Decision.NOT_INVARIANT
     assert v.notes == {"vertex": 0}
     assert np.array_equal(v.counterexample.point, [0.0, 0.0])
-    assert v.counterexample.violation == pytest.approx(0.09, rel=1e-12)
+    assert v.counterexample.violation == pytest.approx(0.6, rel=1e-12)
 
 
 def test_orthant_metzler_example():

@@ -316,25 +316,43 @@ def test_tangent_report_has_the_skeleton_of_every_command(capsys):
 
 
 def test_tangent_vertex_and_ray_forms(capsys):
+    # the facets through the vertex, and the one through the ray, bind
     code, out, _ = run_cli(capsys, "tangent", str(PROBLEMS / "vpolytope_triangle.json"),
                            "[0.0, 0.0]", "--no-timing")
     assert code == EXIT_INVARIANT
-    assert json.loads(out)["cone"]["generators"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert json.loads(out)["cone"] == {"kind": "halfspaces",
+                                       "normals": [[0.0, -1.0], [-1.0, 0.0]]}
     code, out, _ = run_cli(capsys, "tangent", str(PROBLEMS / "vcone_exchange.json"),
                            "[2.0, 0.0]", "--no-timing")
     assert code == EXIT_INVARIANT
-    report = json.loads(out)
-    assert report["cone"]["free_generator"] == [1.0, 0.0]
+    assert json.loads(out)["cone"] == {"kind": "halfspaces", "normals": [[0.0, -1.0]]}
 
 
 def test_tangent_on_the_triangle_reads_its_facets(capsys):
-    # inside the triangle is not boundary (65); on the hypotenuse the cone is
-    # generated
+    # inside the triangle is not boundary (65); on the hypotenuse its facet binds
     tri = str(PROBLEMS / "vpolytope_triangle.json")
     code, out, _ = run_cli(capsys, "tangent", tri, "[0.2, 0.2]")
     assert code == EXIT_NOT_BOUNDARY and out == ""
     code, out, _ = run_cli(capsys, "tangent", tri, "[0.5, 0.5]", "--no-timing")
-    assert code == EXIT_INVARIANT and json.loads(out)["cone"]["kind"] == "generated"
+    assert code == EXIT_INVARIANT
+    cone = json.loads(out)["cone"]
+    assert cone["kind"] == "halfspaces" and np.allclose(cone["normals"], [[0.5 ** 0.5] * 2])
+
+
+def test_tangent_above_the_facet_cap_prints_a_generated_cone(tmp_path, capsys):
+    # the cross-polytope in R^10 has 1,024 facets, above the cap: its vertex
+    # e_1 gets the differences to all vertices
+    v = np.vstack([np.eye(10), -np.eye(10)])
+    f = tmp_path / "cross10.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": "vpolytope", "vertices": v.tolist()},
+                             "system": {"type": "linear", "A": (-np.eye(10)).tolist()}}),
+                 encoding="utf-8")
+    code, out, _ = run_cli(capsys, "tangent", str(f), json.dumps(v[0].tolist()), "--no-timing")
+    assert code == EXIT_INVARIANT
+    cone = json.loads(out)["cone"]
+    assert cone["kind"] == "generated" and cone["free_generator"] is None
+    assert cone["generators"] == (v - v[0]).tolist()
 
 
 def test_tolerance_reaches_vertex_form_membership(capsys):

@@ -478,7 +478,7 @@ UNIT_SQUARE = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 def test_membership_tangent_test_and_cone_agree_near_a_square_facet():
     # 1.5e-8 inside the facet x1 <= 1, beyond the band 1e-8: no facet binds,
     # so the point is inside, tangent_test passes the outward (1, 0) and the
-    # tangent cone holds it; at 0.5e-8 the facet binds and (1, 0) is refuted
+    # tangent cone holds it; at 0.5e-8 the facet binds and both refute (1, 0)
     x, y = np.array([1.0 - 1.5e-8, 0.5]), np.array([1.0, 0.0])
     assert membership(UNIT_SQUARE, x, 1e-8) is Membership.INSIDE
     assert UNIT_SQUARE.tangent_test(x[:, None], y[:, None], 1e-8)[0][0]
@@ -486,6 +486,7 @@ def test_membership_tangent_test_and_cone_agree_near_a_square_facet():
     x = np.array([1.0 - 0.5e-8, 0.5])
     assert membership(UNIT_SQUARE, x, 1e-8) is Membership.BOUNDARY
     assert not UNIT_SQUARE.tangent_test(x[:, None], y[:, None], 1e-8)[0][0]
+    assert cone_test(tangent_cone_at(UNIT_SQUARE, x, 1e-8), y, 1e-8) == (False, 0.5)
 
 
 @pytest.mark.parametrize("s", [UNIT_SQUARE, TRIANGLE, VPolytope(_cube(3))],
@@ -499,17 +500,22 @@ def test_facet_samples_are_boundary_at_zero_tolerance(s):
 
 
 def test_faceted_membership_and_tangent_cone_solve_no_lp(monkeypatch):
+    # the cone holds the facet rows, so building and testing it solves no LP
     import invarcheck.sets as sets_mod
+    import invarcheck.tangent as tangent_mod
 
     def refuse(*args, **kwargs):
-        raise AssertionError("simplex_standard called")
+        raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(sets_mod, "simplex_standard", refuse)
+    monkeypatch.setattr(tangent_mod, "phase_one_feasibility", refuse)
     for s, x in [(UNIT_SQUARE, [1.0, 0.5]), (TRIANGLE, [0.0, 0.0]), (orthant_v(3), [0.0, 1.0, 2.0]),
                  (VPolytope(_cross(4)), [0.5, 0.5, 0.0, 0.0])]:
         assert membership(s, x) is Membership.BOUNDARY
         assert membership(s, np.array(x)[:, None])[0] is Membership.BOUNDARY
-        tangent_cone_at(s, x)
+        t = tangent_cone_at(s, x)
+        assert t.kind == "halfspaces"
+        cone_test(t, np.ones(len(x)))
 
 
 def _band_edge_points(s, rng, tol, count=40):

@@ -96,27 +96,31 @@ def test_every_family_rejects_an_outside_point(s, outside, interior):
 
 
 def test_polytope_simplex_corner():
+    # the facets through the vertex bind: their outward rows, exact and
+    # without -0.0, as the batch test reads them
     t = tangent_cone_at(TRIANGLE, [0.0, 0.0])
-    assert t.kind == GENERATED
-    assert np.allclose(t.generators, [[1.0, 0.0], [0.0, 1.0]])
+    assert t.kind == HALFSPACES
+    assert _same_bits(t.normals, np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert cone_contains(t, [2.0, 3.0])
     assert not cone_contains(t, [-1.0, 0.0])
 
 
 def test_polytope_segment_endpoint():
+    # the endpoint's facet, and the equality row of the segment's line both ways
     seg = VPolytope([[0.0, 0.0], [2.0, 0.0]])
     t = tangent_cone_at(seg, [2.0, 0.0])
-    assert np.allclose(t.generators, [[-2.0, 0.0]])
+    assert t.kind == HALFSPACES
+    assert t.normals.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     assert cone_contains(t, [-1.0, 0.0])
     assert not cone_contains(t, [1.0, 0.0])
     assert not cone_contains(t, [-1.0, 0.5])
 
 
-def test_polytope_square_corner_generators():
+def test_polytope_square_corner_rows():
     square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     t = tangent_cone_at(square, [1.0, 1.0])
-    assert sorted(map(tuple, t.generators.tolist())) == [
-        (-1.0, -1.0), (-1.0, 0.0), (0.0, -1.0)]
+    assert t.kind == HALFSPACES
+    assert sorted(map(tuple, t.normals.tolist())) == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_vcone_orthant_edge():
@@ -178,44 +182,77 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _cross(n):
+    return np.vstack([np.eye(n), -np.eye(n)])
+
+
+# 1,024 facets each: above the facet cap, so their tangent cones are generated
+CROSS10 = VPolytope(_cross(10))
+CROSS_CONE11 = VCone(np.hstack([_cross(10), np.ones((20, 1))]))
+
+
 def test_vertex_cones_are_the_edges_out_of_the_vertex():
-    # at a vertex, and within the vertex rule of it, the cone is generated
-    # by V - V[i] over the other vertices, bit for bit
-    forms = [_shipped_set("vpolytope_triangle.json")] + [
-        s for s in _battery_sets(np.random.default_rng(2024)) if isinstance(s, VPolytope)]
-    for s in forms:
-        v = s.vertices
-        for i in range(v.shape[0]):
-            for x in (v[i], v[i] + 1e-10):
-                t = tangent_cone_at(s, x)
-                assert t.kind == GENERATED and t.free_generator is None
-                assert _same_bits(t.generators, np.delete(v, i, axis=0) - v[i]), (v, i)
+    # above the facet cap the cone at any point x is generated by V - x, bit
+    # for bit: at vertex i, the differences to the other vertices (a superset
+    # of the edges out of it) and its own zero row
+    s = CROSS10
+    assert s._facets is None
+    v = s.vertices
+    for i in (0, 7, 13):
+        for x in (v[i], v[i] + 1e-10):
+            t = tangent_cone_at(s, x)
+            assert t.kind == GENERATED and t.free_generator is None
+            assert _same_bits(t.generators, v - x), i
+        t = tangent_cone_at(s, v[i])
+        assert cone_contains(t, -v[i]) and cone_contains(t, v[(i + 1) % 20] - v[i])
+        assert not cone_contains(t, v[i])
 
 
 def test_ray_cones_free_their_ray():
-    # along ray i the cone is the other rays plus ray i sign-free, bit for bit
-    forms = [_shipped_set("vcone_exchange.json")] + [
-        s for s in _battery_sets(np.random.default_rng(2024)) if isinstance(s, VCone)]
-    for s in forms:
-        r = s.rays
-        for i in range(r.shape[0]):
-            for x in (r[i], 2.5 * r[i]):
-                t = tangent_cone_at(s, x)
-                assert t.kind == GENERATED
-                assert _same_bits(t.generators, np.delete(r, i, axis=0)), (r, i)
-                assert _same_bits(t.free_generator, r[i])
+    # above the facet cap the cone at x is all rays plus x sign-free, bit for
+    # bit: along ray i, the ray enters both ways
+    s = CROSS_CONE11
+    assert s._facets is None
+    r = s.rays
+    for i in (0, 7, 13):
+        for x in (r[i], 2.5 * r[i]):
+            t = tangent_cone_at(s, x)
+            assert t.kind == GENERATED
+            assert _same_bits(t.generators, r) and _same_bits(t.free_generator, x)
+        t = tangent_cone_at(s, r[i])
+        assert cone_contains(t, r[i]) and cone_contains(t, -r[i])
+        assert not cone_contains(t, -r[(i + 10) % 20])
 
 
 def test_edge_points_get_the_general_cone():
+    # on a form with facets an edge point gets the rows of the facets through
+    # it; above the cap, the same generated cone as at a vertex
     triangle = _shipped_set("vpolytope_triangle.json")
-    x = np.array([0.5, 0.5])
-    t = tangent_cone_at(triangle, x)
-    assert _same_bits(t.generators, triangle.vertices - x) and t.free_generator is None
+    t = tangent_cone_at(triangle, [0.5, 0.5])
+    assert t.kind == HALFSPACES and np.allclose(t.normals, [[0.5 ** 0.5, 0.5 ** 0.5]])
     assert cone_contains(t, [-1.0, 1.0]) and not cone_contains(t, [1.0, 1.0])
-    cone = _shipped_set("vcone_exchange.json")
-    x = np.array([1.0, 1.0])
-    t = tangent_cone_at(cone, x)
-    assert _same_bits(t.generators, cone.rays) and _same_bits(t.free_generator, x)
+    x = 0.5 * (CROSS10.vertices[0] + CROSS10.vertices[1])
+    t = tangent_cone_at(CROSS10, x)
+    assert t.kind == GENERATED and _same_bits(t.generators, CROSS10.vertices - x)
+    assert cone_contains(t, -x) and not cone_contains(t, x)
+
+
+def test_tangent_cone_agrees_with_the_batch_test_on_every_vertex_and_ray_form():
+    # the cone of a form with facets holds the rows tangent_test reads at the
+    # point, so the two decide every sample alike
+    forms = [s for s in _battery_sets(np.random.default_rng(2024))
+             if isinstance(s, (VPolytope, VCone))]
+    forms += [_shipped_set("vpolytope_triangle.json"), _shipped_set("vcone_exchange.json")]
+    rng = np.random.default_rng(83)
+    flags = []
+    for s in forms:
+        x = np.column_stack([bp.point for bp in sample_boundary(s, 300, seed=5)])
+        y = rng.normal(size=x.shape)
+        batch = s.tangent_test(x, y, 1e-8)[0]
+        for k in range(x.shape[1]):
+            assert cone_test(tangent_cone_at(s, x[:, k]), y[:, k])[0] == batch[k], (s.TAG, k)
+        flags += batch.tolist()
+    assert len(forms) == 34 and len(flags) == 10200 and 0 < sum(flags) < len(flags)
 
 
 def test_rounding_does_not_refute_at_the_apex_at_zero_tolerance():
