@@ -73,6 +73,14 @@ class Verdict:
     notes: dict = field(default_factory=dict)
 
 
+def _matrix(s: ConvexSet, a) -> np.ndarray:
+    """A as a square matrix of the set's dimension, else InputError."""
+    a = as_square(a, "A")
+    if a.shape[0] != s.dim:
+        raise InputError("system dimension does not match the set")
+    return a
+
+
 def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     """Decide invariance of a halfspace-form polyhedron under x' = A x.
 
@@ -84,9 +92,7 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     violation is that point's flux. If that LP finds no such point the
     decider raises NumericalFailure.
     """
-    a = as_square(a, "A")
-    if a.shape[0] != p.dim:
-        raise InputError("system dimension does not match the set")
+    a = _matrix(p, a)
     facets = []
     nonempty_checked = False
     for i in range(p.G.shape[0]):
@@ -131,7 +137,7 @@ def check_orthant_linear(a) -> Verdict:
     n = a.shape[0]
     off = ~np.eye(n, dtype=bool)
     min_off = float(np.min(a[off])) if n > 1 else 0.0
-    hits = np.argwhere(((a < -1e-10) & off).T)  # (ray i, row j), lowest ray first
+    hits = np.argwhere(((a < 0.0) & off).T)  # (ray i, row j), lowest ray first
     if hits.size:
         i, j = map(int, hits[0])
         e_i = np.zeros(n)
@@ -168,7 +174,10 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     infeasible one refutes with phase one's infeasibility as its violation;
     a field not finite at one before it is an InputError naming it. The
     set's GENERATOR and GENERATORS words key the notes and the certificate.
+    A linear system of another dimension than the set is an InputError.
     """
+    if isinstance(sys, LinearSystem):
+        _matrix(s, sys.a)
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
     pad = np.zeros(cols.shape[0] - s.dim)
@@ -193,9 +202,7 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
 
 def _pencil(s: Ellipsoid | LorenzCone, a):
     """A, square of the set's dimension (else InputError), and M = A'Q + QA symmetrised."""
-    a = as_square(a, "A")
-    if a.shape[0] != s.dim:
-        raise InputError("system dimension does not match the set")
+    a = _matrix(s, a)
     m = a.T @ s.Q + s.Q @ a
     return a, 0.5 * (m + m.T)
 
@@ -321,8 +328,11 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     without enumerated facets). A field that is not finite at a sample
     before that one is an InputError naming the point. An Unknown verdict
     notes samples_checked, the number of distinct points tested: samples
-    can repeat (every sample of a half-line is its apex).
+    can repeat (every sample of a half-line is its apex). A linear system of
+    another dimension than the set is an InputError.
     """
+    if isinstance(sys, LinearSystem):
+        _matrix(s, sys.a)
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])
     y = field_batch(sys, t0, x)
@@ -376,8 +386,7 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
     if isinstance(sys, LinearSystem):
         if decompose is None and tag not in _LINEAR:
             raise InputError(f"unsupported set type {type(s).__name__}")
-        if sys.a.shape[0] != s.dim:  # the orthant's sign test reads A alone
-            raise InputError("system dimension does not match the set")
+        _matrix(s, sys.a)  # the orthant's sign test reads A alone
         if decompose is not None:
             return decompose(s, sys, t0)
         return _LINEAR[tag](s, sys.a)

@@ -15,25 +15,25 @@ combination coefficients per point instead.
 
 Each family is one class that owns what only it knows: its JSON tag
 (TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
-"optional vector" or "count", in constructor order), and the methods
-membership(x, tol), violation(states), sample(count, rng, tol) and
-tangent_test(points, y, tol), where tol is the user's boundary band (the
-vertex and ray forms scale it by scale(x)). The batch methods take points
-as the columns of an n x N array; membership takes one point or such an
-array; sample returns count x n rows. Membership, violation and binding
-rows read one scaled slack per row of a halfspace form (_slack), facet or
-equality row of a vertex or ray form (_slack, held against _band) or
-condition of a quadratic cone (_slacks), and an ellipsoid's x'Qx - 1. A
-sample is a point and nothing more: tangent_test reads what binds at each
-column from the column itself (the rows within the band of a halfspace
-form, the facets within the band of a vertex or ray form, the apex of a
-quadratic cone at norm 1e-10 or less), and the falsifier starts from the
-samples as drawn and confirms each exit at half the step. tangent_test is
-Nagumo's test of the directions y at those points: every family reduces
-it to outward fluxes against the halfspace rows that bind at each point,
-judged by one formula (flux_residual). The module-level functions below
-validate their arguments and call those methods; the rest of the package
-calls them.
+"optional vector" or "count", in constructor order), and _slack(x),
+_band(x, tol), _faces, sample(count, rng, tol) and tangent_test(points,
+y, tol), where tol is the user's boundary band; points are the columns of
+an n x N array, and sample returns count x n rows. _slack has a row per
+condition and a column per point, held against _band; its first _faces
+rows (all for None) are faces. One rule reads them (membership and
+outside_violation_batch): a column is outside when a slack exceeds its
+band, on the boundary when a face row is within it, inside otherwise, and
+its violation is its largest slack, 0 if none is positive. A single point
+is a one-column batch. A sample is a point and nothing more: tangent_test
+reads what binds at each column from the column itself (the rows within
+the band of a halfspace form, the facets within the band of a vertex or
+ray form, the apex of a quadratic cone at norm 1e-10 or less), and the
+falsifier starts from the samples as drawn and confirms each exit at half
+the step. tangent_test is Nagumo's test of the directions y at those
+points: every family reduces it to outward fluxes against the halfspace
+rows that bind at each point, judged by one formula (flux_residual). The
+module-level functions below validate their arguments and call those
+methods; the rest of the package calls them.
 """
 
 from __future__ import annotations
@@ -101,12 +101,6 @@ class Membership(Enum):
 _CLASSES = np.array(list(Membership), dtype=object)
 
 
-def _classify(outside, boundary):
-    """The Membership of one point from its flags, or an array of them from
-    flag arrays; outside wins over boundary."""
-    return _CLASSES[np.where(outside, 2, np.where(boundary, 1, 0))]
-
-
 @dataclass
 class BoundaryPoint:
     """A sampled boundary point, as sample_boundary returns it."""
@@ -130,17 +124,14 @@ class HPolyhedron:
     def dim(self):
         return self.G.shape[1]
 
+    _faces = None  # every row is a face
+
     def _slack(self, x) -> np.ndarray:
-        """(G x - b)/(1 + |b|) per row (and column of x), held against tol."""
-        b = self.b if x.ndim == 1 else self.b[:, None]
-        return (self.G @ x - b) / (1.0 + np.abs(b))
+        """(G x - b)/(1 + |b|) per row and column of x, held against tol."""
+        return (self.G @ x - self.b[:, None]) / (1.0 + np.abs(self.b))[:, None]
 
-    def membership(self, x, tol: float):
-        slack = self._slack(x)
-        return _classify(np.any(slack > tol, axis=0), np.any(slack >= -tol, axis=0))
-
-    def violation(self, states) -> np.ndarray:
-        return self._slack(states).max(axis=0, initial=0.0)
+    def _band(self, x, tol: float):
+        return tol
 
     def _facet_anchor(self, i: int, tol: float):
         """A point in the relative interior of facet i, or None if unattained.
@@ -162,7 +153,7 @@ class HPolyhedron:
             a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]])
         if status != "optimal":
             return None
-        slack = self._slack(z[:n])
+        slack = self._slack(z[:n, None])[:, 0]
         if np.any(slack > tol) or slack[i] < -tol:
             return None
         return z[:n]
@@ -197,8 +188,7 @@ class HPolyhedron:
         return pts
 
     def _binding(self, x, tol: float) -> np.ndarray:
-        """Which rows lie within the band tol of x: a flag per row, or an
-        m x N array of them for the columns of x."""
+        """Which rows lie within the band tol of each column of x, m x N."""
         return np.abs(self._slack(x)) <= tol
 
     def tangent_test(self, x, y, tol: float):
@@ -329,7 +319,7 @@ class _VForm:
         a_std = np.zeros((n_rows + extra, 1 + k + extra))
         a_std[:n_rows, 0] = self.columns @ np.ones(k)
         a_std[:n_rows, 1:1 + k] = self.columns
-        rhs = self._lift(x)
+        rhs = self._lift(x[:, None])[:, 0]
         if cap is not None:
             a_std[n_rows, 0] = 1.0
             a_std[n_rows, 1 + k] = 1.0
@@ -341,35 +331,26 @@ class _VForm:
 
     def _slack(self, x) -> np.ndarray:
         """Minus each facet's value at lift(x), then the size of each
-        equality row's value: a row per facet and equality row (and a column
-        per column of x), held against _band."""
-        facets, lifted = self._facets, self._lift(x)
+        equality row's value, per column of x; without facets, minus the
+        membership LP's margin, then its infeasibility."""
+        facets = self._facets
+        if facets is None:
+            return np.array([(0.0 - d, f) for d, f in map(self._lp, x.T)]).reshape(-1, 2).T
+        lifted = self._lift(x)
         return np.concatenate([-(facets.normals @ lifted), np.abs(facets.eq @ lifted)])
 
     def _band(self, x, tol: float):
         """max(tol*scale(x), _FACE_TOL*|lift(x)|), per point: the floor keeps a
-        face point on its facet through rounding at tol = 0."""
-        return np.maximum(tol * self._scale(x), _FACE_TOL * np.linalg.norm(self._lift(x), axis=0))
-
-    def membership(self, x, tol: float):
-        """Outside when a slack exceeds the band, boundary when a facet's is
-        within it; without facets, one LP per point (per column of x)."""
-        if self._facets is not None:
-            slack, band = self._slack(x), self._band(x, tol)
-            facet = slack[:self._facets.normals.shape[0]]
-            return _classify(np.any(slack > band, axis=0), np.any(facet >= -band, axis=0))
-        if x.ndim == 2:
-            return np.array([self.membership(col, tol) for col in x.T], dtype=object)
-        delta, infeas = self._lp(x)
+        face point on its facet through rounding at tol = 0 (tol*scale(x)
+        without facets)."""
         band = tol * self._scale(x)
-        return _classify(infeas > band, delta <= band)
+        lifted = 0.0 if self._facets is None else np.linalg.norm(self._lift(x), axis=0)
+        return np.maximum(band, _FACE_TOL * lifted)
 
-    def violation(self, states) -> np.ndarray:
-        """The largest slack, 0 if none is positive; without facets, the
-        membership LP's infeasibility, column by column."""
-        if self._facets is not None:
-            return self._slack(states).max(axis=0, initial=0.0)
-        return np.array([self._lp(col)[1] for col in states.T], dtype=float)
+    @property
+    def _faces(self) -> int:
+        """The facet rows lead _slack (the margin row, without facets)."""
+        return 1 if self._facets is None else self._facets.normals.shape[0]
 
     def sample(self, count: int, rng, tol: float) -> np.ndarray:
         """The generators on the relative boundary first, then random
@@ -457,7 +438,7 @@ class VPolytope(_VForm):
         super().__init__(vs, np.vstack([vs.T, np.ones((1, vs.shape[0]))]))
 
     def _lift(self, x):
-        return np.concatenate([x, np.ones((1,) + x.shape[1:])])
+        return np.vstack([x, np.ones((1, x.shape[1]))])
 
     def _scale(self, x):
         return 1.0
@@ -523,6 +504,11 @@ class _Quadric:
     def dim(self):
         return self.Q.shape[0]
 
+    _faces = 1  # the surface row leads _slack
+
+    def _band(self, x, tol: float):
+        return tol
+
     def tangent_test(self, x, y, tol: float):
         """flux_residual against the one row Qx at each column of x."""
         qx = self.Q @ x
@@ -541,16 +527,12 @@ class Ellipsoid(_Quadric):
         if self.eigenvalues.size == 0 or self.eigenvalues[-1] <= _SPD_MIN_EIG:
             raise InputError("ellipsoid matrix is not positive definite")
 
-    def _excess(self, x):
-        """x'Qx - 1, per point (per column of x); the band is 2*tol."""
-        return np.sum(x * (self.Q @ x), axis=0) - 1.0
+    def _slack(self, x):
+        """The one row x'Qx - 1 per column of x, held against 2*tol."""
+        return (np.sum(x * (self.Q @ x), axis=0) - 1.0)[None, :]
 
-    def membership(self, x, tol: float):
-        e = self._excess(x)
-        return _classify(e > 2.0 * tol, np.abs(e) <= 2.0 * tol)
-
-    def violation(self, states) -> np.ndarray:
-        return np.maximum(self._excess(states), 0.0)
+    def _band(self, x, tol: float):
+        return 2.0 * tol
 
     def sample(self, count: int, rng, tol: float) -> np.ndarray:
         vecs = self.eigenvectors
@@ -595,19 +577,14 @@ class LorenzCone(_Quadric):
                 raise InputError("u_n is not the negative-eigenvalue eigenvector")
             self.u_n = u
 
-    def _slacks(self, x):
-        """x'Qx/(1 + |x|^2) and x'Q u_n/(1 + |x|) per column of x, each held against tol."""
+    def _slack(self, x):
+        """The rows x'Qx/(1 + |x|^2), then x'Q u_n/(1 + |x|), per column of
+        x, each held against tol."""
         nrm2 = np.sum(x * x, axis=0)
-        return (np.sum(x * (self.Q @ x), axis=0) / (1.0 + nrm2),
-                (self.Q @ self.u_n) @ x / (1.0 + np.sqrt(nrm2)))
-
-    def membership(self, x, tol: float):
-        q, l = self._slacks(x)
-        return _classify((q > tol) | (l > tol), np.abs(q) <= tol)
-
-    def violation(self, states) -> np.ndarray:
-        q, l = self._slacks(states)
-        return np.maximum(np.maximum(q, l), 0.0)
+        out = np.empty((2, x.shape[1]))
+        np.divide(np.sum(x * (self.Q @ x), axis=0), 1.0 + nrm2, out=out[0])
+        np.divide((self.Q @ self.u_n) @ x, 1.0 + np.sqrt(nrm2), out=out[1])
+        return out
 
     def sample(self, count: int, rng, tol: float) -> np.ndarray:
         n = self.dim
@@ -629,7 +606,7 @@ class LorenzCone(_Quadric):
         inside, residual = super().tangent_test(x, y, tol)
         apex = self.at_apex(x)
         if np.any(apex):
-            residual[apex] = self.violation(y[:, apex])
+            residual[apex] = outside_violation_batch(self, y[:, apex])
             inside[apex] = residual[apex] <= max(tol, _ROUNDING)
         return inside, residual
 
@@ -662,20 +639,24 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
     """Classify a point as inside, boundary, or outside of the set; given
     points as the columns of an n x N array, an array with the class of each.
 
-    Each defining inequality carries a boundary band of tol relative to its
-    right-hand side. Vertex and ray forms hold their facets and equality
-    rows against tol*scale(x), at least _FACE_TOL*|lift(x)|, with "inside"
-    meaning the relative interior; a form above the facet cap
-    (_FACET_RAYS) is decided by the LP feasibility of the combination
-    coefficients. A tol that is negative or not finite is an InputError.
+    Outside when a slack exceeds its band, boundary when a face row is
+    within it, inside otherwise. Each defining inequality carries a band of
+    tol relative to its right-hand side. Vertex and ray forms hold their
+    facets and equality rows against tol*scale(x), at least
+    _FACE_TOL*|lift(x)|, with "inside" meaning the relative interior; a form
+    above the facet cap (_FACET_RAYS) is decided by the LP feasibility of
+    the combination coefficients. A tol that is negative or not finite is
+    an InputError.
     """
     _check_tol_seed(tol)
-    if np.ndim(x) == 2:
-        x = as_matrix(x, "x")
-        if x.shape[0] != s.dim:
-            raise DimensionMismatch(f"points have dimension {x.shape[0]}, set has {s.dim}")
-        return s.membership(x, tol)
-    return s.membership(as_point(s, x), tol)
+    one = np.ndim(x) != 2  # a single point is a one-column batch
+    x = as_point(s, x)[:, None] if one else as_matrix(x, "x")
+    if x.shape[0] != s.dim:
+        raise DimensionMismatch(f"points have dimension {x.shape[0]}, set has {s.dim}")
+    slack, band = s._slack(x), s._band(x, tol)
+    cls = _CLASSES[np.where(np.any(slack > band, axis=0), 2,
+                            np.where(np.any(slack[:s._faces] >= -band, axis=0), 1, 0))]
+    return cls[0] if one else cls
 
 
 def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
@@ -685,20 +666,19 @@ def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]
     if not isinstance(p, HPolyhedron):
         raise InputError(f"active constraints are rows of a halfspace form, "
                          f"not of a {type(p).__name__}")
-    return np.flatnonzero(p._binding(as_point(p, x), tol)).tolist()
+    return np.flatnonzero(p._binding(as_point(p, x)[:, None], tol)[:, 0]).tolist()
 
 
 def outside_violation_batch(s: ConvexSet, states) -> np.ndarray:
     """Scale-adjusted amount by which each column of states (shape n x N)
-    violates the set's description (0 if none).
+    violates the set's description: its largest slack, 0 if none is positive.
 
-    Every family reads the slacks its membership holds against the band;
-    for vertex/ray forms these are minus the facet values (a barycentric
-    coordinate for a simplex) and the distance from the generators' span,
-    in one product for all columns. Only a form above the facet cap
-    (_FACET_RAYS) solves the membership LP's phase one column by column.
+    For vertex/ray forms the slacks are minus the facet values (a
+    barycentric coordinate for a simplex) and the distance from the
+    generators' span, in one product for all columns. Only a form above the
+    facet cap (_FACET_RAYS) solves the membership LP column by column.
     """
-    return s.violation(np.asarray(states, dtype=float))
+    return s._slack(np.asarray(states, dtype=float)).max(axis=0, initial=0.0)
 
 
 def _unit_rows(rng, rows, cols):

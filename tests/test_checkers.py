@@ -260,8 +260,28 @@ def test_metzler_equivalence_scan():
     for _ in range(100):
         a = rng.uniform(-1.0, 1.0, size=(5, 5))
         verdict = check_orthant_linear(a).decision
-        expect = Decision.INVARIANT if metzler_violation(a) is None else Decision.NOT_INVARIANT
+        expect = (Decision.INVARIANT if metzler_violation(a, tol=0.0) is None
+                  else Decision.NOT_INVARIANT)
         assert verdict is expect
+
+
+@pytest.mark.parametrize("a", [[[0.0, -1e-11], [0.0, 0.0]], [[-1.0, -1e-11], [0.0, -1.0]]],
+                         ids=["zero-diagonal", "stable-diagonal"])
+def test_orthant_sign_test_is_exact(a):
+    # neither A is Metzler: the ray e_2 leaves the orthant through x1 = 0
+    # at rate -1e-11, however small
+    v = check_orthant_linear(a)
+    assert v.decision is Decision.NOT_INVARIANT
+    assert v.notes["entry"] == [0, 1]
+    assert np.array_equal(v.counterexample.point, [0.0, 1.0])
+    assert v.counterexample.violation == -1e-11
+    assert check(orthant_h(2), LinearSystem(a)).decision is Decision.NOT_INVARIANT
+
+
+def test_orthant_negative_zero_is_metzler():
+    v = check_orthant_linear([[0.0, -0.0], [-0.0, 0.0]])
+    assert v.decision is Decision.INVARIANT
+    assert v.certificate.data["min_offdiagonal"] == 0.0
 
 
 def test_triangle_contraction_invariant():
@@ -706,6 +726,24 @@ def test_wrong_system_dimension_is_input_error(s):
     with pytest.raises(InputError, match="dimension"):
         falsify(s, LinearSystem(-np.eye(s.dim)), 4, horizon=1.0, step=0.1, seed=0,
                 extra_starts=[np.zeros(s.dim + 1)])
+
+
+_WRONG_DIM = LinearSystem(-np.eye(3))  # every set below lives in R^2
+
+
+@pytest.mark.parametrize("decide", [
+    lambda: check(UNIT_BOX, _WRONG_DIM),
+    lambda: check_hpoly_linear(UNIT_BOX, _WRONG_DIM.a),
+    lambda: check_vpolytope(TRIANGLE, _WRONG_DIM),
+    lambda: check_vcone(VCone(np.eye(2)), _WRONG_DIM),
+    lambda: check_ellipsoid_linear(Ellipsoid(np.eye(2)), _WRONG_DIM.a),
+    lambda: check_lorenz_linear(LorenzCone(np.diag([1.0, -1.0])), _WRONG_DIM.a),
+    lambda: check_nonlinear_sampled(HPolyhedron(np.eye(2), np.ones(2)), _WRONG_DIM, 0.0, 10, 0),
+], ids=["check", "hpolyhedron", "vpolytope", "vcone", "ellipsoid", "lorenz", "sampled"])
+def test_every_decider_rejects_a_system_of_another_dimension(decide):
+    # the vertex, ray and sampled deciders raised numpy's matmul ValueError
+    with pytest.raises(InputError, match="system dimension does not match the set"):
+        decide()
 
 
 def test_dispatch_unsupported_set_is_input_error():

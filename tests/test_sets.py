@@ -472,6 +472,48 @@ def test_facet_cap_falls_back_to_lp(monkeypatch):
         assert membership(big, bp.point) is Membership.BOUNDARY
 
 
+def _l1_points(rng, n, radii, count=4):
+    """count points of l1 norm r for each r in radii, random signs and
+    weights (radius 1 is the cross-polytope's boundary), as columns, then
+    the vertices e_1 and -e_n."""
+    w = rng.dirichlet(np.ones(n), size=(len(radii) * count)).T
+    x = rng.choice([-1.0, 1.0], size=w.shape) * w * np.repeat(radii, count)
+    return np.hstack([x, np.eye(n)[:, :1], -np.eye(n)[:, -1:]])
+
+
+def test_lp_rows_above_the_facet_cap_are_the_membership_lp():
+    # above the cap a V-form's slack rows are minus the membership LP's
+    # margin and its infeasibility: one batch membership call classifies
+    # every point as that LP does alone, and the violation is the LP's
+    # infeasibility; every class occurs on each form, and points off the
+    # span of the flat polytope are outside
+    rng = np.random.default_rng(67)
+    inner = _l1_points(rng, 10, [0.5, 1.0, 1.5])
+    forms = {
+        "cross-polytope-R11": (VPolytope(_cross(11)), _l1_points(rng, 11, [0.5, 1.0, 1.5])),
+        # the cone over the R^10 cross-polytope: (y, t) with |y|_1 <= t;
+        # the points at t = -1 are outside
+        "cross-cone-R11": (VCone(np.hstack([_cross(10), np.ones((20, 1))])),
+                           np.vstack([np.hstack([inner, inner[:, :4]]),
+                                      np.repeat([1.0, -1.0], [inner.shape[1], 4])[None, :]])),
+        # the R^10 cross-polytope in the hyperplane x_11 = 0, and off it
+        "flat-cross-R11": (VPolytope(np.hstack([_cross(10), np.zeros((20, 1))])),
+                           np.vstack([np.hstack([inner, inner]),
+                                      np.repeat([0.0, 0.3], inner.shape[1])[None, :]])),
+    }
+    for name, (s, x) in forms.items():
+        assert s._facets is None, name
+        cls = membership(s, x)
+        assert list(cls) == [_lp_membership(s, x[:, k]) for k in range(x.shape[1])], name
+        assert set(cls) == set(Membership), name
+        viol = outside_violation_batch(s, x)
+        assert np.array_equal(viol, [s._lp(x[:, k])[1] for k in range(x.shape[1])]), name
+        assert np.array_equal(cls == Membership.OUTSIDE, viol > DEFAULT_TOL * s._scale(x)), name
+    flat, x = forms["flat-cross-R11"]
+    off = x[-1] != 0.0
+    assert np.all(membership(flat, x)[off] == Membership.OUTSIDE)
+
+
 UNIT_SQUARE = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
