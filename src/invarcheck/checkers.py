@@ -8,7 +8,9 @@ semidefiniteness certificate, or else a boundary ray with outward flux built
 from the pencil at the optimal shift. General (nonlinear) systems are
 checked by sampling boundary points and testing the field against the local
 tangent cone, all samples in one batch, which can refute but never certify,
-so those verdicts cap at Unknown.
+so those verdicts cap at Unknown. check picks the decider from one table
+keyed by family tag; a decider that takes a raw A checks its dimension in
+_matrix, the others through LinearSystem.field.
 """
 
 from __future__ import annotations
@@ -176,8 +178,6 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     set's GENERATOR and GENERATORS words key the notes and the certificate.
     A linear system of another dimension than the set is an InputError.
     """
-    if isinstance(sys, LinearSystem):
-        _matrix(s, sys.a)
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
     pad = np.zeros(cols.shape[0] - s.dim)
@@ -289,10 +289,9 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     # a null vector of Q when lo <= 0 <= hi, else the eigenvector nearest null
     x = v @ (np.sqrt(max(-lo, 0.0)) * r.eigenvectors[:, 0]
              + np.sqrt(max(hi, 0.0)) * r.eigenvectors[:, -1])
-    axis = c.eigenvectors[:, -1] * np.sign(c.eigenvectors[:, -1] @ c.u_n)
-    t = float(axis @ x)
-    p = np.copysign(1.0, t) * (x - t * axis)
-    x = p + np.sqrt(max(float(p @ c.Q @ p), 0.0) / -float(c.eigenvalues[-1])) * axis
+    t = float(c.u_n @ x)
+    p = np.copysign(1.0, t) * (x - t * c.u_n)
+    x = p + np.sqrt(max(float(p @ c.Q @ p), 0.0) / -float(c.eigenvalues[-1])) * c.u_n
     nx = float(np.linalg.norm(x))
     if nx > 0.0:
         x = x / nx
@@ -327,12 +326,11 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     L1 infeasibility of its tangent-cone LP for a vertex or ray form
     without enumerated facets). A field that is not finite at a sample
     before that one is an InputError naming the point. An Unknown verdict
-    notes samples_checked, the number of distinct points tested: samples
-    can repeat (every sample of a half-line is its apex). A linear system of
-    another dimension than the set is an InputError.
+    notes samples_checked, the number of distinct points tested, counted as
+    falsify counts its starts: samples can repeat (every sample of a
+    half-line is its apex). A linear system of another dimension than the
+    set is an InputError.
     """
-    if isinstance(sys, LinearSystem):
-        _matrix(s, sys.a)
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])
     y = field_batch(sys, t0, x)
@@ -346,26 +344,20 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     if stop < len(samples):
         raise InputError("the field is not finite at boundary point "
                          f"{[float(v) for v in x[:, stop]]}")
-    xs = x[:, np.lexsort(x)]  # equal columns end up side by side
-    distinct = 1 + int(np.count_nonzero(np.any(xs[:, 1:] != xs[:, :-1], axis=0)))
-    return Verdict(Decision.UNKNOWN, notes={"samples_checked": distinct})
+    return Verdict(Decision.UNKNOWN, notes={"samples_checked": np.unique(x, axis=1).shape[1]})
 
 
-# The deciders keyed by set tag. Each entry looks its decider up as a module
-# global at call time, so that a wrapper patched onto the module (a tracer,
-# a mock) still sees the call.
-# The vertex/ray deciders are exact for x' = A x and are necessary conditions
-# for any field, so they also refute general systems before the sampled check.
-_DECOMPOSITION = {
+# The exact deciders for x' = A x by set tag, each looking its decider up as a
+# module global at call time, so that a wrapper patched onto the module (a
+# tracer, a mock) still sees the call. The vertex/ray tests (sets with
+# GENERATORS) are necessary for any field, so they refute general ones first.
+_DECIDERS = {
+    "hpolyhedron": lambda s, sys, t0: check_hpoly_linear(s, sys.a),
+    "orthant": lambda s, sys, t0: check_orthant_linear(_matrix(s, sys.a)),
     "vpolytope": lambda s, sys, t0: check_vpolytope(s, sys, t0),
     "vcone": lambda s, sys, t0: check_vcone(s, sys, t0),
-}
-# the exact deciders of the other families for x' = A x
-_LINEAR = {
-    "hpolyhedron": lambda s, a: check_hpoly_linear(s, a),
-    "orthant": lambda s, a: check_orthant_linear(a),
-    "ellipsoid": lambda s, a: check_ellipsoid_linear(s, a),
-    "lorenz": lambda s, a: check_lorenz_linear(s, a),
+    "ellipsoid": lambda s, sys, t0: check_ellipsoid_linear(s, sys.a),
+    "lorenz": lambda s, sys, t0: check_lorenz_linear(s, sys.a),
 }
 
 
@@ -374,25 +366,20 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
           tol: float = DEFAULT_TOL) -> Verdict:
     """Dispatch to the right decider for the (set family, system kind) pair.
 
-    The set's family tag alone picks the decider: for a linear system the
+    The set's family tag alone picks the decider, from one table for both
+    system kinds (an unknown tag is an InputError): for a linear system the
     orthant gets the off-diagonal sign test and every other halfspace form
     the facet LPs. General systems on vertex forms run the vertex/ray
     refutation first and then the sampled check, reporting both phases in
     the verdict notes. Only the sampled check reads tol; the exact linear
     deciders read none.
     """
-    tag = getattr(s, "TAG", None)
-    decompose = _DECOMPOSITION.get(tag)
+    decide = _DECIDERS.get(getattr(s, "TAG", None))
+    if decide is None:
+        raise InputError(f"unsupported set type {type(s).__name__}")
     if isinstance(sys, LinearSystem):
-        if decompose is None and tag not in _LINEAR:
-            raise InputError(f"unsupported set type {type(s).__name__}")
-        _matrix(s, sys.a)  # the orthant's sign test reads A alone
-        if decompose is not None:
-            return decompose(s, sys, t0)
-        return _LINEAR[tag](s, sys.a)
-    if decompose is None:
-        return check_nonlinear_sampled(s, sys, t0, n_samples, seed, tol)
-    first = decompose(s, sys, t0)
+        return decide(s, sys, t0)
+    first = decide(s, sys, t0) if hasattr(s, "GENERATORS") else Verdict(Decision.UNKNOWN)
     if first.decision is Decision.NOT_INVARIANT:
         return first
     sampled = check_nonlinear_sampled(s, sys, t0, n_samples, seed, tol)

@@ -1,13 +1,15 @@
 """Trajectory integration and simulation-based falsification.
 
 The integrator is fixed-step classic Runge-Kutta, and so is the falsifier,
-which for a linear field applies the RK4 step as one matrix. The falsifier
-launches trajectories from the boundary samples as drawn and reports the
-first start whose trajectory leaves the set beyond a strict band, once the
-same start integrated at half the step confirms the exit: RK4's drift
-along a surface the flow is tangent to shrinks about 16-fold at half the
-step (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4), a real exit
-does not.
+which for a linear field applies the RK4 step as one matrix. Both evaluate
+the field through the system, whose own rule rejects a state of another
+dimension, and take a finite t0 and a step grid checked in _step_grid. The
+falsifier launches trajectories from the boundary samples as drawn and
+reports the first start whose trajectory leaves the set beyond a strict
+band, once the same start integrated at half the step confirms the exit:
+RK4's drift along a surface the flow is tangent to shrinks about 16-fold at
+half the step (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4), a
+real exit does not.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ def _rk4_step(sys_field, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_grid(horizon: float, step: float) -> int:
-    """Step count of a fixed-step integration; InputError unless
-    0 < step <= horizon < inf (which also rejects NaN) and the count is at
-    most MAX_STEPS, so that every integration ends."""
+def _step_grid(horizon: float, step: float, t0: float) -> int:
+    """Step count of a fixed-step integration from t0; InputError unless t0
+    is finite, 0 < step <= horizon < inf (which also rejects NaN) and the
+    count is at most MAX_STEPS, so that every integration ends."""
+    if not math.isfinite(t0):
+        raise InputError(f"t0: expected a finite number, got {t0}")
     if not 0.0 < step <= horizon < math.inf:
         raise InputError(f"need 0 < step <= horizon < inf, got step {step} "
                          f"and horizon {horizon}")
@@ -73,9 +77,10 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) 
     """Classic fixed-step RK4 from t0 over the horizon.
 
     Truncates with diverged=True when a state goes non-finite or its norm
-    exceeds the divergence threshold.
+    exceeds the divergence threshold. A linear system of another dimension
+    than x0, or a t0 or grid that _step_grid rejects, is an InputError.
     """
-    nsteps = _step_grid(horizon, step)
+    nsteps = _step_grid(horizon, step, t0)
     x = as_vector(x0, "x0").copy()
     times = [t0]
     states = [x.copy()]
@@ -127,18 +132,15 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     confirm is RK4's drift, not an exit, and its start is dropped. Returns
     None if no exit is confirmed within the horizon.
     A linear system or an extra start of another dimension than the set,
-    an extra start already outside the set by more than that band, a step
-    and horizon outside 0 < step <= horizon < inf, more than MAX_STEPS
-    steps, a sample count, tol or seed that sample_boundary rejects, or a
-    nonlinear field that is not finite at a start raises InputError. A
-    trajectory whose state turns non-finite or grows past the divergence
-    threshold later on, at either step, is dropped without an exit.
-    tol is the boundary band of the samples.
+    an extra start already outside the set by more than that band, a t0,
+    step or horizon that _step_grid rejects, a sample count, tol or seed
+    that sample_boundary rejects, or a field that is not finite at a start
+    raises InputError. A trajectory whose state turns non-finite or grows
+    past the divergence threshold later on, at either step, is dropped
+    without an exit. tol is the boundary band of the samples.
     Deterministic for a given seed.
     """
-    if isinstance(sys, LinearSystem) and sys.a.shape[0] != s.dim:
-        raise InputError("system dimension does not match the set")
-    nsteps = _step_grid(horizon, step)
+    nsteps = _step_grid(horizon, step, t0)
     sampled = [bp.point for bp in sample_boundary(s, n_starts, seed, tol)]
     extra = [as_vector(p, "x0") for p in (() if extra_starts is None else extra_starts)]
     if any(p.shape != (s.dim,) for p in extra):
@@ -155,14 +157,13 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     # first copies are integrated, in order, and the lowest index still wins
     _, first = np.unique(starts, axis=1, return_index=True)
     x0_all = starts[:, np.sort(first)]
-    if not isinstance(sys, LinearSystem):
-        # a trajectory that is not finite from its first step would be
-        # dropped unseen, so such a field is an input error, not "no exit"
-        f0 = field_batch(sys, t0, x0_all)
-        bad = np.flatnonzero(~np.all(np.isfinite(f0), axis=0))
-        if bad.size:
-            raise InputError("the field is not finite at start "
-                             f"{[float(v) for v in x0_all[:, bad[0]]]}")
+    # a trajectory that is not finite from its first step would be dropped
+    # unseen, so such a field is an input error, not "no exit"
+    f0 = field_batch(sys, t0, x0_all)  # a linear system checks its dimension
+    bad = np.flatnonzero(~np.all(np.isfinite(f0), axis=0))
+    if bad.size:
+        raise InputError("the field is not finite at start "
+                         f"{[float(v) for v in x0_all[:, bad[0]]]}")
     full, half = _stepper(sys, step), _stepper(sys, 0.5 * step)
 
     n_cols = x0_all.shape[1]

@@ -4,7 +4,7 @@ Six families are supported: halfspace polyhedra (covering polyhedral
 cones through b = 0), the orthant x >= 0 (a halfspace form with its own
 tag), vertex polytopes, ray cones, ellipsoids x'Qx <= 1 with Q positive
 definite, and quadratic cones x'Qx <= 0 cut to one branch by x'Q u_n <= 0
-where u_n is the eigenvector of the single negative eigenvalue.
+where u_n, stored once, is the eigenvector of the single negative eigenvalue.
 The vertex/ray forms read membership, violation, binding facets and
 boundary samples from the facets of their generators, enumerated once per
 set (Blanchini, "Set invariance in control", Automatica 1999, states the
@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
-from .numerics import as_matrix, as_vector, canonical_sign, sym_eig
+from .numerics import _require_symmetric, as_matrix, as_square, as_vector, sym_eig
 from .solvers import simplex_standard, solve_inequality_lp
 
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
@@ -488,14 +488,14 @@ class VCone(_VForm):
 
 
 class _Quadric:
-    """What the ellipsoid and the quadratic cone share: Q, validated square
-    and symmetrised, its eigendecomposition (eigenvalues descending), and the
-    tangent test against the surface's outward normal Qx, its one row."""
+    """What the ellipsoid and the quadratic cone share: Q, checked square and
+    symmetric under its own name, then symmetrised, its eigendecomposition
+    (eigenvalues descending), and the tangent test against the surface's
+    outward normal Qx, its one row."""
 
     def __init__(self, q):
-        q = as_matrix(q, "Q")
-        if q.shape[0] != q.shape[1]:
-            raise DimensionMismatch("Q must be square")
+        q = as_square(q, "Q")
+        _require_symmetric(q, "Q")
         eig = sym_eig(q)
         self.Q = 0.5 * (q + q.T)
         self.eigenvalues, self.eigenvectors = eig.eigenvalues, eig.eigenvectors
@@ -544,10 +544,10 @@ class Ellipsoid(_Quadric):
 class LorenzCone(_Quadric):
     """One branch of {x : x'Qx <= 0} for Q with a single negative eigenvalue.
 
-    The branch is the side where x'Q u_n <= 0 (equivalently u_n'x >= 0). If
-    u_n is not supplied, the negative-eigenvalue eigenvector with its
-    largest-magnitude entry positive is used; the stored sign is part of the
-    serialized form.
+    The branch is the side where x'Q u_n <= 0 (equivalently u_n'x >= 0).
+    u_n is the negative-eigenvalue eigenvector itself, signed as the given
+    u_n (whose cosine with it must be 1 - 1e-6 or more in size) or else with
+    its largest-magnitude entry positive; that sign is part of the serialized form.
     """
 
     TAG = "lorenz"
@@ -562,20 +562,19 @@ class LorenzCone(_Quadric):
             raise InputError(
                 f"cone matrix needs exactly one negative eigenvalue and none "
                 f"near zero (got {negatives} negative, {near_zero} near zero)")
-        axis = self.eigenvectors[:, -1]  # eigenvalues sorted descending
-        if u_n is None:
-            self.u_n = canonical_sign(axis)
-        else:
+        axis = self.eigenvectors[:, -1]  # eigenvalues descending, signed by canonical_sign
+        cos = 1.0
+        if u_n is not None:
             u = as_vector(u_n, "u_n")
             if u.shape[0] != self.dim:
                 raise DimensionMismatch("u_n dimension does not match Q")
             nrm = np.linalg.norm(u)
             if nrm < 1e-12:
                 raise InputError("u_n is numerically zero")
-            u = u / nrm
-            if abs(float(u @ axis)) < 1.0 - 1e-6:
+            cos = float(u @ axis) / nrm
+            if abs(cos) < 1.0 - 1e-6:
                 raise InputError("u_n is not the negative-eigenvalue eigenvector")
-            self.u_n = u
+        self.u_n = math.copysign(1.0, cos) * axis + 0.0  # the one copy of the axis
 
     def _slack(self, x):
         """The rows x'Qx/(1 + |x|^2), then x'Q u_n/(1 + |x|), per column of

@@ -1,4 +1,5 @@
-"""Dynamical-system descriptions accepted by the checkers and integrator."""
+"""Dynamical-system descriptions accepted by the checkers and integrator;
+LinearSystem.field holds the rule that a state has the system's dimension."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputError
 from .numerics import as_square
 
 
@@ -25,6 +26,9 @@ class LinearSystem:
         return self.a.shape[0]
 
     def field(self, t, x):
+        """A x, for a state or an (n, N) batch; InputError unless x has n rows."""
+        if np.shape(x)[0] != self.dim:
+            raise InputError("system dimension does not match the set")
         return self.a @ x
 
 
@@ -52,10 +56,8 @@ DynamicalSystem = LinearSystem | GeneralSystem
 
 
 def field_batch(sys: DynamicalSystem, t: float, states: np.ndarray) -> np.ndarray:
-    """Evaluate the field on an (n, N) batch of states."""
-    if isinstance(sys, LinearSystem):
-        return sys.a @ states
-    if sys.vectorized:
+    """Evaluate the field on an (n, N) batch of states, in one call if linear or vectorized."""
+    if isinstance(sys, LinearSystem) or sys.vectorized:
         return sys.field(t, states)
     out = np.empty_like(states)
     for k in range(states.shape[1]):

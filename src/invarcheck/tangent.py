@@ -7,7 +7,8 @@ facets and equality rows of a vertex or ray form, within the band. On the
 smooth part of a quadratic surface it is the halfspace under the outward
 normal Qx. Every halfspace kind keeps its rows in one payload, normals,
 which cone_test reads in one branch. At the apex of a quadratic cone the
-tangent cone is the cone itself, a membership-backed kind. Only a vertex
+tangent cone is the cone itself, which cone_test hands to the cone's own
+tangent_test at the apex. Only a vertex
 or ray form above the facet cap (sets._FACET_RAYS) gets a generated cone,
 tested by an LP: the differences to all vertices, or all rays plus the
 point sign-free. Every cone is read from the point alone.
@@ -29,7 +30,6 @@ from .errors import DimensionMismatch, InputError, NotMember
 from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
-    _ROUNDING,
     ConvexSet,
     HPolyhedron,
     LorenzCone,
@@ -41,7 +41,6 @@ from .sets import (
     as_point,
     flux_residual,
     membership,
-    outside_violation_batch,
 )
 from .solvers import phase_one_feasibility
 
@@ -62,8 +61,8 @@ class TangentCone:
     "quadratic-halfspace" the one row Qx of a quadratic surface, and
     "fullspace" no rows (0 x n). "generated" (a vertex or ray form above
     the facet cap) uses generators rows with nonnegative coefficients plus
-    an optional sign-free generator; "cone-itself" defers to membership in
-    set_ref (apex case). The payload fixes the dimension n of the directions
+    an optional sign-free generator; "cone-itself" defers to set_ref's
+    tangent_test at the apex. The payload fixes the dimension n of the directions
     that cone_test accepts.
     """
 
@@ -119,8 +118,8 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     every row of normals against tol scaled by the norms; the residual is
     the largest normalized inner product, 0 without rows. Generated kinds
     solve the coefficient feasibility LP once and accept an L1 residual up
-    to tol*(1 + ||y||). The apex kind uses the cone's own violation measure,
-    refuting only above max(tol, _ROUNDING) as flux_residual does.
+    to tol*(1 + ||y||). The apex kind is the set's own tangent_test at the
+    apex, which holds y against the cone itself.
     A y of another dimension than the cone's is a DimensionMismatch, and a
     tol that is negative or not finite an InputError.
     """
@@ -142,8 +141,8 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
         opt, _ = phase_one_feasibility(gens.T, y, free)
         return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
-        violation = float(outside_violation_batch(t.set_ref, y[:, None])[0])
-        return bool(violation <= max(tol, _ROUNDING)), violation
+        inside, residual = t.set_ref.tangent_test(np.zeros((n, 1)), y[:, None], tol)
+        return bool(inside[0]), float(residual[0])
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
 
 

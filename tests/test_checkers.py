@@ -16,7 +16,7 @@ from invarcheck.checkers import (
     check_vcone,
     check_vpolytope,
 )
-from invarcheck.dynamics import falsify
+from invarcheck.dynamics import falsify, integrate
 from invarcheck.errors import EmptySet, InputError, NoConvergence, NumericalFailure
 from invarcheck.sets import (
     Ellipsoid,
@@ -680,6 +680,32 @@ def test_sampled_check_counts_distinct_points(q, distinct):
     assert v.notes["samples_checked"] == distinct
 
 
+# The cone I - 2aa' with a = (1, 2, 2)/3: x' = -x keeps it invariant. Its axis
+# typed to 6 digits, or tilted off a within the 1 - 1e-6 cosine check, must
+# still give one axis to the samples, the slack, the decider and the falsifier.
+_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+_AXIS_CONE_Q = np.eye(3) - 2.0 * np.outer(_AXIS, _AXIS)
+
+
+def test_lorenz_axis_typed_to_six_digits_gives_one_verdict():
+    cone = LorenzCone(_AXIS_CONE_Q, u_n=[0.333333, 0.666667, 0.666667])
+    assert check(cone, LinearSystem(-np.eye(3))).decision is Decision.INVARIANT
+    sys = GeneralSystem(lambda t, x: -x, vectorized=True)
+    assert check(cone, sys, n_samples=200).decision is Decision.UNKNOWN
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("tilt", [1e-7, 1e-5, 1e-3])
+def test_lorenz_axis_is_the_eigenvector_on_the_given_side(tilt, sign):
+    off = np.array([2.0, 1.0, -2.0]) / 3.0  # a unit vector orthogonal to the axis
+    cone = LorenzCone(_AXIS_CONE_Q, u_n=sign * (np.cos(tilt) * _AXIS + np.sin(tilt) * off))
+    assert np.array_equal(cone.u_n, sign * cone.eigenvectors[:, -1])
+    assert np.max(np.abs(cone.u_n - sign * _AXIS)) <= 1e-15
+    x = np.column_stack([bp.point for bp in sample_boundary(cone, 200, seed=0)])
+    assert np.all(membership(cone, x) == Membership.BOUNDARY)
+    assert falsify(cone, LinearSystem(-np.eye(3)), 200, horizon=1.0, step=0.01, seed=0) is None
+
+
 def test_sampled_radial_growth_refuted():
     disk = Ellipsoid(np.eye(2))
     sys = GeneralSystem(lambda t, x: x.copy())
@@ -739,9 +765,13 @@ _WRONG_DIM = LinearSystem(-np.eye(3))  # every set below lives in R^2
     lambda: check_ellipsoid_linear(Ellipsoid(np.eye(2)), _WRONG_DIM.a),
     lambda: check_lorenz_linear(LorenzCone(np.diag([1.0, -1.0])), _WRONG_DIM.a),
     lambda: check_nonlinear_sampled(HPolyhedron(np.eye(2), np.ones(2)), _WRONG_DIM, 0.0, 10, 0),
-], ids=["check", "hpolyhedron", "vpolytope", "vcone", "ellipsoid", "lorenz", "sampled"])
+    lambda: falsify(UNIT_BOX, _WRONG_DIM, 4, horizon=1.0, step=0.1, seed=0),
+    lambda: integrate(_WRONG_DIM, [1.0, 0.0], 0.0, 1.0, 0.1),
+], ids=["check", "hpolyhedron", "vpolytope", "vcone", "ellipsoid", "lorenz", "sampled",
+        "falsify", "integrate"])
 def test_every_decider_rejects_a_system_of_another_dimension(decide):
-    # the vertex, ray and sampled deciders raised numpy's matmul ValueError
+    # the vertex, ray and sampled deciders and the integrator raised numpy's
+    # matmul ValueError; LinearSystem.field now holds the rule for all of them
     with pytest.raises(InputError, match="system dimension does not match the set"):
         decide()
 
@@ -749,6 +779,9 @@ def test_every_decider_rejects_a_system_of_another_dimension(decide):
 def test_dispatch_unsupported_set_is_input_error():
     with pytest.raises(InputError, match="unsupported set type"):
         check(object(), LinearSystem(-np.eye(2)))
+    # a general system reads the same decider table
+    with pytest.raises(InputError, match="unsupported set type"):
+        check(object(), GeneralSystem(lambda t, x: -x))
 
 
 def test_cube_h_v_checker_agreement():

@@ -238,9 +238,18 @@ def test_exit_confirmation_costs_at_most_twice_the_search(monkeypatch):
 
 
 def test_integrate_caps_step_count():
-    assert _step_grid(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    assert _step_grid(1.0, 1.0 / MAX_STEPS, 0.0) == MAX_STEPS
     with pytest.raises(InputError, match="cap"):
         integrate(LinearSystem(-np.eye(2)), [1.0, 0.0], 0.0, 1.0, 0.5 / MAX_STEPS)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_non_finite_t0_is_input_error(t0):
+    # integrate returned all-NaN (all-inf) times, and falsify accepted it
+    with pytest.raises(InputError, match="t0"):
+        integrate(LinearSystem(-np.eye(2)), [1.0, 0.0], t0, 1.0, 0.1)
+    with pytest.raises(InputError, match="t0"):
+        falsify(Ellipsoid(np.eye(2)), LinearSystem(-np.eye(2)), 4, 1.0, 0.1, seed=0, t0=t0)
 
 
 def test_falsify_rejects_negative_step():

@@ -197,6 +197,20 @@ def test_lorenz_wrong_axis_rejected():
         LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[1.0, 0.0, 0.0])
 
 
+def test_lorenz_axis_stores_no_negative_zero():
+    cone = LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[0.0, 1e-9, -2.0])
+    assert cone.u_n.tolist() == [0.0, 0.0, -1.0]
+    assert not np.any(np.signbit(cone.u_n[:2]))
+
+
+@pytest.mark.parametrize("family", [Ellipsoid, LorenzCone])
+def test_quadric_shape_errors_name_q(family):
+    with pytest.raises(InputError, match="Q is not symmetric"):
+        family([[1.0, 0.5], [0.0, -1.0]])
+    with pytest.raises(DimensionMismatch, match="Q must be square"):
+        family([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+
 def test_ellipsoid_samples_on_unit_circle():
     pts = sample_boundary(Ellipsoid(np.eye(2)), 4, seed=7)
     assert len(pts) == 4
