@@ -172,27 +172,34 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     """Decomposition feasibility at every generator i of s (a vertex or ray):
     s.columns @ a = f with a_j >= 0 for j != i, on the family's own
     homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
-    the field f at generator i padded with zeros to their height. The first
-    infeasible one refutes with phase one's infeasibility as its violation;
-    a field not finite at one before it is an InputError naming it. The
-    set's GENERATOR and GENERATORS words key the notes and the certificate.
-    A linear system of another dimension than the set is an InputError.
+    the field f at generator i padded with zeros to their height, in one
+    call up to the first non-finite f. The first infeasible one refutes with
+    phase one's infeasibility as its violation; else a non-finite f is an
+    InputError naming its generator. The set's GENERATOR and GENERATORS words
+    key the notes and the certificate. A linear system of another dimension
+    than the set is an InputError.
     """
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
-    pad = np.zeros(cols.shape[0] - s.dim)
-    records = []
-    for i in range(gens.shape[0]):
-        f = np.asarray(sys.field(t0, gens[i]), dtype=float)
+    rhs = np.zeros((cols.shape[0], gens.shape[0]))
+    finite = 0
+    for g in gens:
+        f = sys.field(t0, g)
         if not np.all(np.isfinite(f)):
-            raise InputError(f"the field is not finite at {name} {i} "
-                             f"{[float(v) for v in gens[i]]}")
-        infeas, alpha = lp_feasible(cols, np.concatenate([f, pad]), i)
-        if alpha is None:
-            return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(gens[i].copy(), float(infeas)),
-                           notes={name: i})
-        records.append({"index": i, "alpha": [float(v) for v in alpha]})
+            break
+        rhs[:s.dim, finite] = f
+        finite += 1
+    results = lp_feasible(cols, rhs[:, :finite], range(finite))
+    if results and results[-1][1] is None:
+        i = len(results) - 1
+        return Verdict(Decision.NOT_INVARIANT,
+                       counterexample=Counterexample(gens[i].copy(), results[i][0]),
+                       notes={name: i})
+    if finite < gens.shape[0]:
+        raise InputError(f"the field is not finite at {name} {finite} "
+                         f"{[float(v) for v in gens[finite]]}")
+    records = [{"index": i, "alpha": [float(v) for v in alpha]}
+               for i, (_, alpha) in enumerate(results)]
     cert = Certificate(f"{name}-decomposition", {plural: records})
     if isinstance(sys, LinearSystem):
         return Verdict(Decision.INVARIANT, certificate=cert)

@@ -16,9 +16,14 @@ the other rows on artificial variables, so an infeasible inequality LP's
 phase-one value sums the residuals of those other rows only; equality-only
 LPs start every row on an artificial.
 
+The core solves one LP, or a stack of decomposition LPs in lockstep: one
+V-form's vertex or ray LPs differ only in rhs and free column, so they pivot
+as one (LP x row x column) tableau, each with simplex_standard's result.
+
 The decomposition programs take plain arrays and return tuples.
-lp_feasible decides a generator's LP on its set's homogenised columns.
-A refuting generator reports lp_feasible's phase-one infeasibility.
+lp_feasible decides a generator's LP, or every generator's in order, on
+its set's homogenised columns. A refuting generator reports lp_feasible's
+phase-one infeasibility.
 qp_nearest, a nonnegative least-squares model with one equality, gives half
 the squared distance to the generated cone; no decider calls it, and its
 first-order conditions are checked in the tests, by tests/oracles.py.
@@ -37,6 +42,7 @@ _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50000
 _BLAND_AFTER = 10  # degenerate pivots in a row before pricing by Bland's rule
 _REFACTOR_EVERY = 50  # pivots between rebuilds of the tableau
+_STACK_CELLS = 1 << 16  # tableau cells in one lockstep stack of decomposition LPs
 
 
 def _simplex_iterate(tab, basis, ncols, cost_row, raw):
@@ -85,6 +91,15 @@ def _pivot(tab, basis, i, j):
     tab -= tab[:, j, None] * row
     tab[i, :] = row
     basis[i] = j
+
+
+def _pivot_stack(tab, basis, rows, enter):
+    """Pivot each tableau s of the stack on (rows[s], enter[s]) as _pivot does."""
+    s = np.arange(tab.shape[0])
+    row = tab[s, rows, :] / tab[s, rows, enter][:, None]
+    tab -= tab[s, :, enter][:, :, None] * row[:, None, :]
+    tab[s, rows, :] = row
+    basis[s, rows] = enter
 
 
 def _refactor(tab, basis, raw):
@@ -154,7 +169,13 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     tab = raw.copy()
     tab[m] -= tab[m, basis] @ tab[:m]
     tab[m + 1] -= tab[art].sum(axis=0)
-    status = _simplex_iterate(tab, basis, n + art.size, m + 1, raw)
+    return _after_phase_one(tab, basis, raw, a_work, b_eq, art,
+                            _simplex_iterate(tab, basis, n + art.size, m + 1, raw))
+
+
+def _after_phase_one(tab, basis, raw, a_work, b_eq, art, status):
+    """simplex_standard on from where phase one stopped with status (a_work z = b_eq)."""
+    m, n = a_work.shape
     phase1 = -tab[m + 1, -1]
     if status != "optimal" or (phase1 > _FEASIBILITY_TOL and
                                not _rows_within_scale(tab, basis, a_work, b_eq, art)):
@@ -247,23 +268,95 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
 
 
 def _check_program(matrix, rhs, free_index):
-    """Finite data, one rhs entry per row, and a free index among the columns."""
+    """Finite data, one rhs row per matrix row, and free indices among the
+    columns, one per rhs column (a 1-D array of them is returned)."""
     matrix = as_matrix(matrix, "matrix")
-    rhs = as_vector(rhs, "rhs")
+    rhs = (as_vector if np.ndim(free_index) == 0 else as_matrix)(rhs, "rhs")
+    free = np.atleast_1d(np.asarray(free_index, dtype=int))
     if matrix.shape[0] != rhs.shape[0]:
         raise DimensionMismatch("matrix rows and rhs length differ")
-    if not 0 <= free_index < matrix.shape[1]:
+    if rhs.ndim == 2 and free.shape != rhs.shape[1:]:
+        raise DimensionMismatch("one free index per rhs column")
+    if not np.all((0 <= free) & (free < matrix.shape[1])):
         raise DimensionMismatch("free_index outside coefficient range")
-    return matrix, rhs
+    return matrix, rhs, free
 
 
-def lp_feasible(columns, rhs, free_index: int):
+def _phase_one_stack(columns, rhs, free):
+    """Phase one of  columns @ a = rhs[:, s], a_j >= 0 for j != free[s], for
+    every s: phase_one_feasibility's outcomes, bit for bit, up to the first
+    infeasible one. Slice s of the (LP x row x column) tableau is the one
+    simplex_standard builds for LP s (its zero phase-two cost row too, so
+    that _refactor sees the same shapes); all pivot in lockstep by
+    _simplex_iterate's rules. An LP leaves the stack when it finishes, and
+    so does every LP after an infeasible one."""
+    (m, n), k = columns.shape, free.size
+    n1, art = n + 1, np.arange(m)
+    sign = np.where(rhs < 0, -1.0, 1.0).T  # the rows of a negative rhs flip
+    raw = np.zeros((k, m + 2, n1 + m + 1))
+    raw[:, :m, :n] = columns * sign[:, :, None]
+    raw[:, :m, n] = -columns[:, free].T * sign
+    raw[:, :m, n1:-1] = np.eye(m)
+    raw[:, :m, -1] = rhs.T * sign
+    raw[:, m + 1, n1:-1] = 1.0
+    tab = raw.copy()
+    tab[:, m + 1] -= tab[:, :m].sum(axis=1)
+    basis = np.tile(np.arange(n1, n1 + m), (k, 1))
+    lps, degenerate = np.arange(k), np.zeros(k, dtype=int)
+    results, first_bad = {}, k
+    for pivots in range(1, _MAX_PIVOTS + 1):
+        s = np.arange(lps.size)
+        redcost = tab[:, m + 1, :n1 + m]
+        enter = np.where(degenerate < _BLAND_AFTER, redcost.argmin(axis=1),
+                         (redcost < -_REDCOST_TOL).argmax(axis=1))
+        optimal = redcost[s, enter] >= -_REDCOST_TOL
+        col = tab[s, :m, enter]
+        up = col > _PIVOT_TOL
+        done = optimal | ~up.any(axis=1)
+        for t in done.nonzero()[0]:
+            _, z, infeas = _after_phase_one(tab[t], basis[t], raw[t], raw[t, :m, :n1], raw[t, :m, -1],
+                                            art, "optimal" if optimal[t] else "unbounded")
+            if z is None:
+                results[lps[t]], first_bad = (infeas, None), min(first_bad, lps[t])
+            else:
+                z[free[lps[t]]] -= z[n]
+                results[lps[t]] = 0.0, z[:n]
+        keep = ~done & (lps < first_bad)
+        if not keep.any():
+            return [results[i] for i in range(min(first_bad + 1, k))]
+        if not keep.all():
+            tab, raw, basis, lps, degenerate, enter, col, up = (
+                v[keep] for v in (tab, raw, basis, lps, degenerate, enter, col, up))
+        # Bland's ratio test on each LP, as in _simplex_iterate
+        ratios = np.divide(tab[:, :m, -1], col, out=np.full(col.shape, np.inf), where=up)
+        least = ratios.min(axis=1)
+        degenerate = np.where(least <= 1e-12, degenerate + 1, 0)
+        tied = up & (ratios <= least[:, None] + 1e-12)
+        _pivot_stack(tab, basis, np.where(tied, basis, n1 + m).argmin(axis=1), enter)
+        if pivots % _REFACTOR_EVERY == 0:
+            for t in range(lps.size):
+                _refactor(tab[t], basis[t], raw[t])
+    raise NumericalFailure("simplex exceeded its pivot budget")
+
+
+def lp_feasible(columns, rhs, free_index):
     """Decide  columns @ a = rhs  with a_j >= 0 for j != free_index by phase one.
 
     Returns (infeasibility, a or None) as phase_one_feasibility does: 0.0
     and the coefficients when feasible, else the phase-one L1 residual.
+    An (rows x k) rhs and k free indices give the k LPs' results up to the
+    first infeasible one, solved in order in stacks of _STACK_CELLS cells.
     """
-    return phase_one_feasibility(*_check_program(columns, rhs, free_index), (free_index,))
+    columns, rhs, free = _check_program(columns, rhs, free_index)
+    m, n = columns.shape
+    per = max(1, _STACK_CELLS // ((m + 2) * (n + m + 2)))
+    stack = rhs.reshape(m, -1)
+    results = []
+    for start in range(0, free.size, per):
+        results += _phase_one_stack(columns, stack[:, start:start + per], free[start:start + per])
+        if results[-1][1] is None:
+            break
+    return results if rhs.ndim == 2 else results[0]
 
 
 def nnls(d_mat, f) -> np.ndarray:
@@ -324,7 +417,7 @@ def qp_nearest(x_mat, f, free_index: int):
     multiplier at free_index, and the optimal objective is half the squared
     distance from f to the cone generated by the column differences.
     """
-    x_mat, f = _check_program(x_mat, f, free_index)
+    x_mat, f, _ = _check_program(x_mat, f, free_index)
     l1 = x_mat.shape[1]
     others = [j for j in range(l1) if j != free_index]
     d_mat = x_mat[:, others] - x_mat[:, [free_index]]

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from invarcheck import checkers
+from invarcheck import checkers, solvers
 from invarcheck.checkers import (
     Decision,
     check,
@@ -910,3 +910,37 @@ def test_field_not_finite_at_a_generator_is_an_input_error(s, name):
 
     with pytest.raises(InputError, match=rf"^the field is not finite at {re.escape(name)}$"):
         check(s, GeneralSystem(field))
+
+
+@pytest.mark.parametrize("s, name", [
+    (VPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]), "vertex"),
+    (orthant_v(2), "ray"),
+], ids=["vpolytope", "vcone"])
+def test_refutation_before_a_field_not_finite_wins(s, name):
+    # the field (x2, -x1) leaves at generator 0 and is NaN at generator 1:
+    # the generators before the first non-finite field are decided first
+    def field(t, x):
+        return np.full(2, np.nan) if np.array_equal(x, s.columns[:2, 1]) else np.array([x[1], -x[0]])
+
+    verdict = check(s, GeneralSystem(field))
+    assert verdict.decision is Decision.NOT_INVARIANT
+    assert verdict.notes == {name: 0}
+
+
+def test_desk_scale_v_polytope_refuted_at_vertex_0_in_one_stack(monkeypatch):
+    # +-e_i and 40 Gaussian points in R^40 under x' = x: vertex 0's LP is
+    # infeasible, so the first stack of vertex LPs is the only one solved
+    n = 40
+    v = np.vstack([np.eye(n), -np.eye(n), np.random.default_rng(0).normal(size=(n, n))])
+    stacks = []
+    phase_one_stack = solvers._phase_one_stack
+
+    def counted(columns, rhs, free):
+        stacks.append(free.size)
+        return phase_one_stack(columns, rhs, free)
+
+    monkeypatch.setattr(solvers, "_phase_one_stack", counted)
+    verdict = check(VPolytope(v), LinearSystem(np.eye(n)))
+    assert verdict.decision is Decision.NOT_INVARIANT
+    assert verdict.notes == {"vertex": 0}
+    assert len(stacks) == 1 and 1 < stacks[0] < v.shape[0]

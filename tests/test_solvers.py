@@ -3,7 +3,8 @@ import pytest
 
 from invarcheck import solvers
 from invarcheck.checkers import Decision, check
-from invarcheck.sets import HPolyhedron, VPolytope
+from invarcheck.errors import DimensionMismatch, NumericalFailure
+from invarcheck.sets import HPolyhedron, VCone, VPolytope
 from invarcheck.solvers import (
     lp_feasible,
     nnls,
@@ -395,22 +396,121 @@ def test_desk_scale_v_polytope_phase_one_stays_nonnegative(monkeypatch):
     # +-e_i and 40 Gaussian points in R^40 hold the origin inside, so x' = -x
     # keeps them invariant. On Bland's rule with no rebuild of the tableau
     # the rank-1 updates drifted: a vertex LP's phase-one objective, a sum of
-    # artificials, fell to -4.6e-3 and the LP hit the pivot cap
+    # artificials, fell to -4.6e-3 and the LP hit the pivot cap. Every
+    # phase-one objective of every stack of vertex LPs is recorded
     n = 40
     points = np.random.default_rng(0).normal(size=(n, n))
     lows = []
-    pivot = solvers._pivot
+    pivot_stack = solvers._pivot_stack
 
-    def recording(tab, basis, i, j):
-        pivot(tab, basis, i, j)
-        if tab.shape[0] == basis.size + 2:  # phase one, whose cost row is last
-            lows.append(-tab[-1, -1])
+    def recording(tab, basis, rows, enter):
+        pivot_stack(tab, basis, rows, enter)
+        lows.extend(-tab[:, -1, -1])  # each LP's phase-one cost row is its last
 
-    monkeypatch.setattr(solvers, "_pivot", recording)
+    monkeypatch.setattr(solvers, "_pivot_stack", recording)
     verdict = check(VPolytope(np.vstack([np.eye(n), -np.eye(n), points])),
                     LinearSystem(-np.eye(n)))
     assert verdict.decision is Decision.INVARIANT
     assert lows and min(lows) >= -solvers._FEASIBILITY_TOL
+
+
+def _same_outcome(got, want):
+    """Bit for bit, signs of zeros included."""
+    (infeas, alpha), (ref_infeas, ref_alpha) = got, want
+    if infeas != ref_infeas or np.signbit(infeas) != np.signbit(ref_infeas):
+        return False
+    if alpha is None or ref_alpha is None:
+        return alpha is None and ref_alpha is None
+    return np.array_equal(alpha, ref_alpha) and np.array_equal(np.signbit(alpha), np.signbit(ref_alpha))
+
+
+def _decomposition_lps():
+    """(columns, rhs) of every generator's decomposition LP: seeded
+    cross-polytopes, simplices and redundant V-cones at n 2-12 under x' = -x
+    (invariant), under a Gaussian A (refuting, mostly at generator 0), and
+    under x' = -x with the Gaussian field at one generator (refuting inside
+    a stack); then the degenerate vertex instance below under x' = -x, and
+    the n=40 desk polytope under x' = -x but for x' = x at vertex 20."""
+    rng = np.random.default_rng(29)
+    sets = []
+    for n in range(2, 13):
+        t = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(rng.uniform(0.5, 2.0, n))
+        faces = rng.uniform(size=(n, max(1, n // 2))) * (rng.uniform(size=(n, max(1, n // 2))) < 0.5)
+        sets += [VPolytope(np.vstack([t.T, -t.T])[rng.permutation(2 * n)]),
+                 VPolytope(np.vstack([np.eye(n), -np.ones(n) / n]) @ t.T),
+                 VCone(np.vstack([t.T, (t @ faces).T + 1e-3 * t[:, 0]]))]
+    out = []
+    for s in sets:
+        gens = getattr(s, s.GENERATORS)
+        rhs = np.zeros((s.columns.shape[0], gens.shape[0]))
+        rhs[:s.dim] = -gens.T
+        r = rng.normal(size=(s.dim, s.dim))
+        mixed = rhs.copy()
+        j = rng.integers(gens.shape[0])
+        mixed[:s.dim, j] = r @ gens[j]
+        out += [(s.columns, rhs), (s.columns, np.vstack([r @ gens.T, rhs[s.dim:]])), (s.columns, mixed)]
+    for n, seed in ((13, 10), (40, 0)):
+        v = np.vstack([np.eye(n), -np.eye(n), np.random.default_rng(seed).normal(size=(n, n))])
+        out.append((VPolytope(v).columns, np.vstack([-v.T, np.zeros(v.shape[0])])))
+    out[-1][1][:-1, 20] *= -1.0  # x' = x at vertex 20: 21 of the 120 LPs in three stacks
+    return out
+
+
+def test_stacked_decomposition_lps_match_one_lp_at_a_time(monkeypatch):
+    # every generator's outcome on the stack is phase_one_feasibility's, bit
+    # for bit, up to the first infeasible one; below n=40 (whose LPs already
+    # span three stacks) again with a cell budget of three LPs per stack, and
+    # each LP alone, the infeasible ones after the first too
+    inside = 0
+    for columns, rhs in _decomposition_lps():
+        (m, n), k = columns.shape, rhs.shape[1]
+        want = []
+        for i in range(k):
+            want.append(phase_one_feasibility(columns, rhs[:, i], (i,)))
+            if want[-1][1] is None:
+                inside += i > 0
+                break
+        for budget in (solvers._STACK_CELLS, 3 * (m + 2) * (n + m + 2))[:1 + (m < 40)]:
+            monkeypatch.setattr(solvers, "_STACK_CELLS", budget)
+            got = lp_feasible(columns, rhs, range(k))
+            assert len(got) == len(want)
+            assert all(_same_outcome(g, w) for g, w in zip(got, want))
+        for i in range(k if m < 40 else 0):
+            assert _same_outcome(lp_feasible(columns, rhs[:, i], i),
+                                 phase_one_feasibility(columns, rhs[:, i], (i,)))
+    assert inside >= 10
+
+
+def test_stack_stops_at_a_refutation_before_a_later_lp_exhausts_the_budget(monkeypatch):
+    # vertex 0 of +-e_i and 13 Gaussian points in R^13 under x' = x refutes in
+    # fewer pivots than vertex 2 under x' = -x needs. With the pivot budget
+    # just above the refuting LP's, the later LP alone runs out of pivots,
+    # but in a stack after the refuting LP it is never finished
+    n = 13
+    v = np.vstack([np.eye(n), -np.eye(n), np.random.default_rng(10).normal(size=(n, n))])
+    columns = VPolytope(v).columns
+    rhs = np.column_stack([np.append(v[0], 0.0), np.append(-v[2], 0.0)])
+    budget = 1
+    while True:
+        monkeypatch.setattr(solvers, "_MAX_PIVOTS", budget)
+        try:
+            infeas, alpha = phase_one_feasibility(columns, rhs[:, 0], (0,))
+            break
+        except NumericalFailure:
+            budget += 1
+    assert alpha is None
+    with pytest.raises(NumericalFailure):
+        phase_one_feasibility(columns, rhs[:, 1], (2,))
+    assert lp_feasible(columns, rhs, [0, 2]) == [(infeas, None)]
+
+
+def test_lp_feasible_stack_checks_its_shapes():
+    columns = VPolytope(TRIANGLE.T).columns
+    assert lp_feasible(columns, np.zeros((3, 0)), []) == []
+    with pytest.raises(DimensionMismatch, match="one free index per rhs column"):
+        lp_feasible(columns, np.zeros((3, 2)), [0])
+    with pytest.raises(DimensionMismatch, match="outside"):
+        lp_feasible(columns, np.zeros((3, 2)), [0, 3])
 
 
 def test_degenerate_vertex_lp_does_not_cycle():
