@@ -303,7 +303,7 @@ def _phase_one_stack(columns, rhs, free):
     tab[:, m + 1] -= tab[:, :m].sum(axis=1)
     basis = np.tile(np.arange(n1, n1 + m), (k, 1))
     lps, degenerate = np.arange(k), np.zeros(k, dtype=int)
-    results, first_bad = {}, k
+    results, first_bad = [None] * k, k
     for pivots in range(1, _MAX_PIVOTS + 1):
         s = np.arange(lps.size)
         redcost = tab[:, m + 1, :n1 + m]
@@ -323,7 +323,7 @@ def _phase_one_stack(columns, rhs, free):
                 results[lps[t]] = 0.0, z[:n]
         keep = ~done & (lps < first_bad)
         if not keep.any():
-            return [results[i] for i in range(min(first_bad + 1, k))]
+            return results[:first_bad + 1]
         if not keep.all():
             tab, raw, basis, lps, degenerate, enter, col, up = (
                 v[keep] for v in (tab, raw, basis, lps, degenerate, enter, col, up))
