@@ -37,6 +37,8 @@ from .sets import (
     LorenzCone,
     VCone,
     VPolytope,
+    _check_sampling,
+    _check_t0,
     sample_boundary,
 )
 from .solvers import lp_feasible, solve_inequality_lp
@@ -176,9 +178,10 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     call up to the first non-finite f. The first infeasible one refutes with
     phase one's infeasibility as its violation; else a non-finite f is an
     InputError naming its generator. The set's GENERATOR and GENERATORS words
-    key the notes and the certificate. A linear system of another dimension
-    than the set is an InputError.
+    key the notes and the certificate. A bad t0, or a linear system of
+    another dimension than the set, is an InputError.
     """
+    _check_t0(t0, "t0")
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
     rhs = np.zeros((cols.shape[0], gens.shape[0]))
@@ -335,9 +338,11 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     before that one is an InputError naming the point. An Unknown verdict
     notes samples_checked, the number of distinct points tested, counted as
     falsify counts its starts: samples can repeat (every sample of a
-    half-line is its apex). A linear system of another dimension than the
-    set is an InputError.
+    half-line is its apex). A bad t0, n_samples, seed or tol, or a linear
+    system of another dimension than the set, is an InputError.
     """
+    _check_t0(t0, "t0")
+    _check_sampling(n_samples, seed, tol, "n_samples")
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])
     y = field_batch(sys, t0, x)
@@ -378,9 +383,11 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
     orthant gets the off-diagonal sign test and every other halfspace form
     the facet LPs. General systems on vertex forms run the vertex/ray
     refutation first and then the sampled check, reporting both phases in
-    the verdict notes. Only the sampled check reads tol; the exact linear
-    deciders read none.
+    the verdict notes. Only the sampled check reads tol; every call checks
+    all four options.
     """
+    _check_t0(t0, "t0")
+    _check_sampling(n_samples, seed, tol, "n_samples")
     decide = _DECIDERS.get(getattr(s, "TAG", None))
     if decide is None:
         raise InputError(f"unsupported set type {type(s).__name__}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 import traceback
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .checkers import Decision, Verdict, check
-from .dynamics import falsify
+from .dynamics import _check_grid, falsify
 from .errors import (
     EmptyBoundary,
     EmptySet,
@@ -37,6 +36,9 @@ from .sets import (
     DEFAULT_TOL,
     FAMILIES,
     Membership,
+    _check_sampling,
+    _check_t0,
+    as_point,
     membership,
 )
 from .systems import LinearSystem
@@ -80,26 +82,18 @@ def _require_matrix(obj, path):
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{path}: expected a non-empty array of rows")
     rows = []
-    width = None
     for k, row in enumerate(obj):
-        vals = _require_vector(row, f"{path}[{k}]")
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise InputError(f"{path}[{k}]: row length {len(vals)} != {width}")
-        rows.append(vals)
+        rows.append(_require_vector(row, f"{path}[{k}]"))
+        if len(rows[k]) != len(rows[0]):
+            raise InputError(f"{path}[{k}]: row length {len(rows[k])} != {len(rows[0])}")
     return rows
 
 
 def _require_field(d: dict, name: str, kind: str):
     """Parse set field name as kind: "matrix", "vector", "optional vector"
-    or "count" (a positive integer)."""
+    or "count" (as given: the family's constructor holds it to its rule)."""
     value = d.get(name)
-    if kind == "optional vector" and value is None:
-        return None
-    if kind == "count":
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InputError(f"set.{name}: expected a positive integer")
+    if kind == "count" or (kind == "optional vector" and value is None):
         return value
     parse = _require_matrix if kind == "matrix" else _require_vector
     return parse(value, f"set.{name}")
@@ -160,12 +154,9 @@ _OPTION_DEFAULTS = {
 
 
 def resolve_options(file_options, args) -> dict:
-    """Defaults, overridden by the problem file, overridden by flags.
-
-    A non-finite number, a negative tolerance or seed, a sample count
-    below 1, or a step and horizon outside 0 < step <= horizon is an
-    InputError, for every command; falsify also caps the step count
-    horizon / step.
+    """Defaults, overridden by the problem file, overridden by flags, then
+    held to the library's own rules under the names options.<key>, for
+    every command (falsify also caps the step count horizon / step).
     """
     opts = dict(_OPTION_DEFAULTS)
     if file_options is not None:
@@ -174,27 +165,17 @@ def resolve_options(file_options, args) -> dict:
         for key, value in file_options.items():
             if key not in opts:
                 raise InputError(f"options.{key}: unknown option")
-            if key in ("seed", "n_samples"):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise InputError(f"options.{key}: expected an integer")
-                opts[key] = value
-            else:
-                opts[key] = _require_number(value, f"options.{key}")
+            # the integer options go to their rules as given: 3.0 is no seed
+            opts[key] = (value if key in ("seed", "n_samples")
+                         else _require_number(value, f"options.{key}"))
     for key in opts:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
-    for key in ("tolerance", "horizon", "step", "t0"):
-        if not math.isfinite(opts[key]):
-            raise InputError(f"options.{key}: expected a finite number, got {opts[key]}")
-    for key in ("tolerance", "seed"):
-        if opts[key] < 0:
-            raise InputError(f"options.{key}: expected a nonnegative number, got {opts[key]}")
-    if opts["n_samples"] < 1:
-        raise InputError(f"options.n_samples: expected at least 1, got {opts['n_samples']}")
-    if not 0.0 < opts["step"] <= opts["horizon"]:
-        raise InputError(f"options: need 0 < step <= horizon, got step {opts['step']} "
-                         f"and horizon {opts['horizon']}")
+    _check_sampling(opts["n_samples"], opts["seed"], opts["tolerance"],
+                    "options.n_samples", "options.seed", "options.tolerance")
+    _check_t0(opts["t0"], "options.t0")
+    _check_grid(opts["step"], opts["horizon"], "options.step", "options.horizon")
     return opts
 
 
@@ -302,7 +283,7 @@ def cmd_tangent(args) -> int:
             point = json.loads(args.point)
         except json.JSONDecodeError as exc:
             raise InputError(f"point: invalid JSON ({exc})") from exc
-        x = np.array(_require_vector(point, "point"))
+        x = as_point(s, _require_vector(point, "point"), "point")
         if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
             raise NotMember("point is not on the set boundary")
         cone = _cone_to_dict(tangent_cone_at(s, x, opts["tolerance"]))

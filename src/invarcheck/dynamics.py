@@ -24,6 +24,9 @@ from .numerics import as_vector
 from .sets import (
     DEFAULT_TOL,
     ConvexSet,
+    _check_sampling,
+    _check_t0,
+    as_point,
     outside_violation_batch,
     sample_boundary,
 )
@@ -58,15 +61,19 @@ def _rk4_step(sys_field, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_grid(step, horizon, step_name: str, horizon_name: str) -> None:
+    """InputError naming both unless 0 < step <= horizon < inf (so no NaN)."""
+    if not 0.0 < step <= horizon < math.inf:
+        raise InputError(f"need 0 < {step_name} <= {horizon_name} < inf, got "
+                         f"{step_name} {step} and {horizon_name} {horizon}")
+
+
 def _step_grid(horizon: float, step: float, t0: float) -> int:
     """Step count of a fixed-step integration from t0; InputError unless t0
-    is finite, 0 < step <= horizon < inf (which also rejects NaN) and the
-    count is at most MAX_STEPS, so that every integration ends."""
-    if not math.isfinite(t0):
-        raise InputError(f"t0: expected a finite number, got {t0}")
-    if not 0.0 < step <= horizon < math.inf:
-        raise InputError(f"need 0 < step <= horizon < inf, got step {step} "
-                         f"and horizon {horizon}")
+    and the grid keep their rules and the count is at most MAX_STEPS, so
+    that every integration ends."""
+    _check_t0(t0, "t0")
+    _check_grid(step, horizon, "step", "horizon")
     if not horizon / step <= MAX_STEPS:
         raise InputError(f"horizon / step is {horizon / step:.3g} steps, "
                          f"more than the cap of {MAX_STEPS}")
@@ -131,27 +138,23 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     band at some half step up to t_exit. An exit that the half step does not
     confirm is RK4's drift, not an exit, and its start is dropped. Returns
     None if no exit is confirmed within the horizon.
-    A linear system or an extra start of another dimension than the set,
-    an extra start already outside the set by more than that band, a t0,
-    step or horizon that _step_grid rejects, a sample count, tol or seed
-    that sample_boundary rejects, or a field that is not finite at a start
-    raises InputError. A trajectory whose state turns non-finite or grows
-    past the divergence threshold later on, at either step, is dropped
+    A bad n_starts, seed, tol, t0, step or horizon, a linear system or an
+    extra start of another dimension than the set, an extra start already
+    outside the set by more than that band, or a field that is not finite at
+    a start raises InputError. A trajectory whose state turns non-finite or
+    grows past the divergence threshold later on, at either step, is dropped
     without an exit. tol is the boundary band of the samples.
     Deterministic for a given seed.
     """
+    _check_sampling(n_starts, seed, tol, "n_starts")
     nsteps = _step_grid(horizon, step, t0)
     sampled = [bp.point for bp in sample_boundary(s, n_starts, seed, tol)]
-    extra = [as_vector(p, "x0") for p in (() if extra_starts is None else extra_starts)]
-    if any(p.shape != (s.dim,) for p in extra):
-        raise InputError("extra start dimension does not match the set")
-    if extra:
-        viol = outside_violation_batch(s, np.column_stack(extra))
-        outside = np.flatnonzero(viol > _EXIT_BAND)
-        if outside.size:
-            k = int(outside[0])
-            raise InputError(f"extra start {k} lies outside the set "
-                             f"(violation {float(viol[k]):.3e})")
+    extra = [as_point(s, p, f"extra_starts[{k}]")
+             for k, p in enumerate(() if extra_starts is None else extra_starts)]
+    viol = outside_violation_batch(s, np.column_stack(extra)) if extra else np.zeros(0)
+    if np.any(viol > _EXIT_BAND):
+        k = int(np.argmax(viol > _EXIT_BAND))
+        raise InputError(f"extra start {k} lies outside the set (violation {viol[k]:.3e})")
     starts = np.column_stack(extra + sampled)
     # a start repeated later exits exactly when its first copy does, so only
     # first copies are integrated, in order, and the lowest index still wins

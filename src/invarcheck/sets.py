@@ -78,18 +78,35 @@ def flux_residual(flux, row_norms, y_norms, tol: float, active=None):
     return ~np.any(out, axis=0), np.max(ratio, axis=0, initial=0.0)
 
 
-def _check_tol_seed(tol, seed=0) -> None:
-    """InputError unless tol is a finite number >= 0 and seed an integer >= 0."""
+def _check_tol(tol, name: str) -> None:
+    """InputError unless tol is a finite number >= 0."""
     if not 0.0 <= tol < math.inf:
-        raise InputError(f"tol: expected a finite nonnegative number, got {tol}")
+        raise InputError(f"{name}: expected a finite nonnegative number, got {tol}")
+
+
+def _check_seed(seed, name: str) -> None:
+    """InputError unless seed is an int >= 0, not a bool."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed: expected a nonnegative integer, got {seed!r}")
+        raise InputError(f"{name}: expected a nonnegative integer, got {seed!r}")
 
 
 def _check_count(count, name: str) -> None:
     """InputError unless count (of samples or dimensions) is an int >= 1, not a bool."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise InputError(f"{name}: expected a positive integer, got {count!r}")
+
+
+def _check_t0(t0, name: str) -> None:
+    """InputError unless t0 is a finite number."""
+    if not math.isfinite(t0):
+        raise InputError(f"{name}: expected a finite number, got {t0}")
+
+
+def _check_sampling(count, seed, tol, count_name: str, seed_name="seed", tol_name="tol") -> None:
+    """The count, seed and tol rules, under the caller's names."""
+    _check_count(count, count_name)
+    _check_seed(seed, seed_name)
+    _check_tol(tol, tol_name)
 
 
 class Membership(Enum):
@@ -208,7 +225,7 @@ class Orthant(HPolyhedron):
     FIELDS = {"n": "count"}
 
     def __init__(self, n):
-        _check_count(n, "orthant dimension")
+        _check_count(n, "n")
         super().__init__(np.diag(np.full(n, -1.0)), np.zeros(n))  # +0.0 off the diagonal
         self.n = n
 
@@ -249,6 +266,8 @@ class _VForm:
     """
 
     def __init__(self, points, columns):
+        if points.shape[0] < 1:
+            raise InputError(f"a {self.TAG} needs at least one {self.GENERATOR}")
         self._points = points
         self.columns = columns
 
@@ -428,8 +447,6 @@ class VPolytope(_VForm):
 
     def __init__(self, vertices):
         vs = as_matrix(np.atleast_2d(vertices), "vertices")
-        if vs.shape[0] < 1:
-            raise InputError("a polytope needs at least one vertex")
         for i in range(vs.shape[0]):  # each vertex against all later ones
             same = np.flatnonzero(np.max(np.abs(vs[i + 1:] - vs[i]), axis=1) <= 1e-9)
             if same.size:
@@ -461,8 +478,6 @@ class VCone(_VForm):
 
     def __init__(self, rays):
         rs = as_matrix(np.atleast_2d(rays), "rays")
-        if rs.shape[0] < 1:
-            raise InputError("a cone needs at least one ray")
         for i, row in enumerate(rs):
             if np.linalg.norm(row) < 1e-9:
                 raise InputError(f"ray {i} is numerically zero")
@@ -565,9 +580,7 @@ class LorenzCone(_Quadric):
         axis = self.eigenvectors[:, -1]  # eigenvalues descending, signed by canonical_sign
         cos = 1.0
         if u_n is not None:
-            u = as_vector(u_n, "u_n")
-            if u.shape[0] != self.dim:
-                raise DimensionMismatch("u_n dimension does not match Q")
+            u = as_point(self, u_n, "u_n")
             nrm = np.linalg.norm(u)
             if nrm < 1e-12:
                 raise InputError("u_n is numerically zero")
@@ -621,17 +634,17 @@ orthant_h = Orthant  # the orthant's halfspace form, beside orthant_v
 
 def orthant_v(n: int) -> VCone:
     """Nonnegative orthant of R^n generated by the standard basis rays."""
-    _check_count(n, "orthant dimension")
+    _check_count(n, "n")
     return VCone(np.eye(n))
 
 
-def as_point(s, x):
-    """x as a finite vector of the set's dimension, else InputError or
-    DimensionMismatch."""
-    x = as_vector(x, "x")
+def as_point(s, x, name: str, batch: bool = False):
+    """x as a finite vector of the dimension of s (a set or tangent cone), or
+    with batch as n x N columns (a vector one column); else an InputError naming name."""
+    x = as_matrix(x, name) if batch and np.ndim(x) == 2 else as_vector(x, name)
     if x.shape[0] != s.dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, set has {s.dim}")
-    return x
+        raise DimensionMismatch(f"{name} has dimension {x.shape[0]}, set has {s.dim}")
+    return x[:, None] if batch and x.ndim == 1 else x
 
 
 def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
@@ -644,14 +657,11 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
     facets and equality rows against tol*scale(x), at least
     _FACE_TOL*|lift(x)|, with "inside" meaning the relative interior; a form
     above the facet cap (_FACET_RAYS) is decided by the LP feasibility of
-    the combination coefficients. A tol that is negative or not finite is
-    an InputError.
+    the combination coefficients. A bad tol or x is an InputError.
     """
-    _check_tol_seed(tol)
+    _check_tol(tol, "tol")
     one = np.ndim(x) != 2  # a single point is a one-column batch
-    x = as_point(s, x)[:, None] if one else as_matrix(x, "x")
-    if x.shape[0] != s.dim:
-        raise DimensionMismatch(f"points have dimension {x.shape[0]}, set has {s.dim}")
+    x = as_point(s, x, "x", batch=True)
     slack, band = s._slack(x), s._band(x, tol)
     cls = _CLASSES[np.where(np.any(slack > band, axis=0), 2,
                             np.where(np.any(slack[:s._faces] >= -band, axis=0), 1, 0))]
@@ -660,12 +670,13 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
 
 def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
     """Indices of rows holding with equality at x, within the band tol
-    (empty for interior points); InputError for a set with no rows, one
-    that is not a halfspace form."""
+    (empty for interior points); InputError for a bad tol or a set with no
+    rows, one that is not a halfspace form."""
     if not isinstance(p, HPolyhedron):
         raise InputError(f"active constraints are rows of a halfspace form, "
                          f"not of a {type(p).__name__}")
-    return np.flatnonzero(p._binding(as_point(p, x)[:, None], tol)[:, 0]).tolist()
+    _check_tol(tol, "tol")
+    return np.flatnonzero(p._binding(as_point(p, x, "x")[:, None], tol)[:, 0]).tolist()
 
 
 def outside_violation_batch(s: ConvexSet, states) -> np.ndarray:
@@ -703,11 +714,8 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     (conic, at unit norm) combinations of one facet's generators, boundary
     points by construction. A vertex form above the facet cap (_FACET_RAYS)
     draws two-point combinations instead and keeps those the membership LP
-    calls boundary. A count that is not an integer >= 1, a tol that is
-    negative or not finite, or a seed that is not an integer >= 0 is an
-    InputError.
+    calls boundary. A bad count, seed or tol is an InputError.
     """
-    _check_count(count, "count")
-    _check_tol_seed(tol, seed)
+    _check_sampling(count, seed, tol, "count")
     return [BoundaryPoint(p) for p in s.sample(count, np.random.default_rng(seed), tol)]
 

@@ -114,20 +114,21 @@ def _refactor(tab, basis, raw):
     tab[m:] = raw[m:] - raw[m:, basis] @ tab[:m]
 
 
-def _rows_within_scale(tab, basis, a_work, b_work, art) -> bool:
+def _rows_within_scale(tab, basis, raw, art) -> bool:
     """Whether every artificial row's phase-one residual is within the
     feasibility tolerance relative to the size of that row's own terms.
 
-    The residual of artificial row art[k] is the value of its artificial
-    variable n + k; it is judged against 1 + |b_i| + sum_j |A_ij z_j| at the
-    phase-one point z. Rounding grows with the terms a row sums, so feasible
-    LPs with large data are not rejected, while a row whose terms are small
-    still has to hold tightly beside large ones.
+    The rows A z = b lead raw, over the columns of z, then the artificials
+    and b. The residual of artificial row art[k] is the value of its
+    artificial variable n + k; it is judged against 1 + |b_i| + sum_j |A_ij
+    z_j| at the phase-one point z. Rounding grows with the terms a row sums,
+    so feasible LPs with large data are not rejected, while a row whose
+    terms are small still has to hold tightly beside large ones.
     """
-    n = a_work.shape[1]
+    n = raw.shape[1] - 1 - art.size
     z = np.zeros(n + art.size)
     z[basis] = tab[:basis.size, -1]
-    scale = 1.0 + b_work[art] + np.abs(a_work[art]) @ np.abs(z[:n])
+    scale = 1.0 + raw[art, -1] + np.abs(raw[art, :n]) @ np.abs(z[:n])
     return bool(np.all(z[n:] <= _FEASIBILITY_TOL * scale))
 
 
@@ -169,16 +170,16 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     tab = raw.copy()
     tab[m] -= tab[m, basis] @ tab[:m]
     tab[m + 1] -= tab[art].sum(axis=0)
-    return _after_phase_one(tab, basis, raw, a_work, b_eq, art,
+    return _after_phase_one(tab, basis, raw, art,
                             _simplex_iterate(tab, basis, n + art.size, m + 1, raw))
 
 
-def _after_phase_one(tab, basis, raw, a_work, b_eq, art, status):
-    """simplex_standard on from where phase one stopped with status (a_work z = b_eq)."""
-    m, n = a_work.shape
+def _after_phase_one(tab, basis, raw, art, status):
+    """simplex_standard on from phase one's status (raw as in _rows_within_scale)."""
+    m, n = basis.size, raw.shape[1] - 1 - art.size
     phase1 = -tab[m + 1, -1]
     if status != "optimal" or (phase1 > _FEASIBILITY_TOL and
-                               not _rows_within_scale(tab, basis, a_work, b_eq, art)):
+                               not _rows_within_scale(tab, basis, raw, art)):
         return "infeasible", None, float(max(phase1, 0.0))
 
     # drive artificial variables out of the basis; drop redundant rows and
@@ -314,8 +315,8 @@ def _phase_one_stack(columns, rhs, free):
         up = col > _PIVOT_TOL
         done = optimal | ~up.any(axis=1)
         for t in done.nonzero()[0]:
-            _, z, infeas = _after_phase_one(tab[t], basis[t], raw[t], raw[t, :m, :n1], raw[t, :m, -1],
-                                            art, "optimal" if optimal[t] else "unbounded")
+            _, z, infeas = _after_phase_one(tab[t], basis[t], raw[t], art,
+                                            "optimal" if optimal[t] else "unbounded")
             if z is None:
                 results[lps[t]], first_bad = (infeas, None), min(first_bad, lps[t])
             else:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NotMember
-from .numerics import as_vector
+from .errors import InputError, NotMember
 from .sets import (
     DEFAULT_TOL,
     ConvexSet,
@@ -36,7 +35,7 @@ from .sets import (
     Membership,
     VCone,
     VPolytope,
-    _check_tol_seed,
+    _check_tol,
     active_constraints,
     as_point,
     flux_residual,
@@ -62,8 +61,8 @@ class TangentCone:
     "fullspace" no rows (0 x n). "generated" (a vertex or ray form above
     the facet cap) uses generators rows with nonnegative coefficients plus
     an optional sign-free generator; "cone-itself" defers to set_ref's
-    tangent_test at the apex. The payload fixes the dimension n of the directions
-    that cone_test accepts.
+    tangent_test at the apex. The payload fixes dim, the dimension of the
+    directions that cone_test accepts.
     """
 
     kind: str
@@ -71,6 +70,11 @@ class TangentCone:
     generators: np.ndarray | None = None
     free_generator: np.ndarray | None = None
     set_ref: object = None
+
+    @property
+    def dim(self) -> int:
+        payload = self.generators if self.kind == GENERATED else self.normals
+        return self.set_ref.dim if self.kind == SELF_CONE else payload.shape[1]
 
 
 def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
@@ -81,12 +85,11 @@ def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
     ray form's are the rows its tangent_test reads, so the two agree), the
     apex of a quadratic cone, or, for a vertex or ray form above the facet
     cap, the general finitely-generated cone (differences to all vertices;
-    all rays plus the point itself sign-free). A tol that is negative or
-    not finite is an InputError.
+    all rays plus the point itself sign-free). A bad tol or x is an InputError.
     """
     if not isinstance(s, ConvexSet):
         raise InputError(f"unsupported set type {type(s).__name__}")
-    pt = as_point(s, x)
+    pt = as_point(s, x, "x")
     if membership(s, pt, tol) is Membership.OUTSIDE:  # membership checks tol too
         raise NotMember("point is outside the set")
     return _cone_at(s, pt, tol)
@@ -120,15 +123,10 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     solve the coefficient feasibility LP once and accept an L1 residual up
     to tol*(1 + ||y||). The apex kind is the set's own tangent_test at the
     apex, which holds y against the cone itself.
-    A y of another dimension than the cone's is a DimensionMismatch, and a
-    tol that is negative or not finite an InputError.
+    A y of another dimension than the cone's, or a bad tol, is an InputError.
     """
-    _check_tol_seed(tol)
-    y = as_vector(y, "y")
-    n = t.set_ref.dim if t.kind == SELF_CONE else (
-        t.generators if t.kind == GENERATED else t.normals).shape[1]
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"direction has dimension {y.shape[0]}, cone has {n}")
+    _check_tol(tol, "tol")
+    y = as_point(t, y, "y")
     if t.kind in (FULLSPACE, HALFSPACES, QUADRATIC):
         inside, worst = flux_residual((t.normals @ y)[:, None],
                                       np.linalg.norm(t.normals, axis=1)[:, None],
@@ -141,7 +139,7 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
         opt, _ = phase_one_feasibility(gens.T, y, free)
         return opt <= tol * (1.0 + float(np.linalg.norm(y))), float(opt)
     if t.kind == SELF_CONE:
-        inside, residual = t.set_ref.tangent_test(np.zeros((n, 1)), y[:, None], tol)
+        inside, residual = t.set_ref.tangent_test(np.zeros((t.dim, 1)), y[:, None], tol)
         return bool(inside[0]), float(residual[0])
     raise InputError(f"unknown tangent cone kind {t.kind!r}")
 

@@ -118,7 +118,7 @@ def _problem(**fields):
      "set.G[1]: row length 1 != 2"),
     (_problem(set={"type": "hpolyhedron", "G": [[1, 0]], "b": []}),
      "set.b: expected a non-empty array of numbers"),
-    (_problem(set={"type": "orthant", "n": 0}), "set.n: expected a positive integer"),
+    (_problem(set={"type": "orthant", "n": 0}), "set: n: expected a positive integer, got 0"),
     (_problem(set={"type": "hpolyhedron", "G": [[1, 0], [0, 1]], "b": [1]}),
      "set: G rows and b length differ"),
     (_problem(system={"A": _DECAY["A"]}), "system: expected an object with a 'type' tag"),
@@ -129,8 +129,9 @@ def _problem(**fields):
      "system.formulas: expected 2 formulas, got 1"),
     (_problem(options=[1]), "options: expected an object"),
     (_problem(options={"speed": 1}), "options.speed: unknown option"),
-    (_problem(options={"seed": 1.5}), "options.seed: expected an integer"),
-    (_problem(options={"n_samples": True}), "options.n_samples: expected an integer"),
+    (_problem(options={"seed": 1.5}), "options.seed: expected a nonnegative integer, got 1.5"),
+    (_problem(options={"n_samples": True}),
+     "options.n_samples: expected a positive integer, got True"),
     (None, "cannot read"),
 ], ids=["top-level array", "no set", "no system", "set without type", "unknown set tag",
         "ragged G", "empty b", "orthant n 0", "G b mismatch", "system without type",
@@ -228,6 +229,33 @@ def test_sample_count_below_one_in_file_exits_64(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(f))
     assert code == EXIT_INPUT
     assert "options.n_samples" in err
+
+
+@pytest.mark.parametrize("command", ["check", "falsify"])
+@pytest.mark.parametrize("options, line", [
+    ({"tolerance": -1}, "options.tolerance: expected a finite nonnegative number, got -1.0"),
+    ({"tolerance": float("inf")},
+     "options.tolerance: expected a finite nonnegative number, got inf"),
+    ({"seed": -3}, "options.seed: expected a nonnegative integer, got -3"),
+    ({"n_samples": 2.5}, "options.n_samples: expected a positive integer, got 2.5"),
+    ({"t0": float("nan")}, "options.t0: expected a finite number, got nan"),
+    ({"step": 2.0, "horizon": 1.0}, "need 0 < options.step <= options.horizon < inf, "
+                                    "got options.step 2.0 and options.horizon 1.0"),
+], ids=["negative tolerance", "infinite tolerance", "negative seed", "float n_samples", "nan t0",
+        "step above horizon"])
+def test_bad_option_is_one_line_naming_options_key(tmp_path, capsys, command, options, line):
+    # the library's own rules, under the CLI's names, for every command
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(_problem(options=options)), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(f))
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {line}\n")
+
+
+def test_large_horizon_is_accepted_by_check(capsys):
+    # the step cap belongs to falsify alone, so check takes any finite grid
+    code, _, _ = run_cli(capsys, "check", str(PROBLEMS / "hpolyhedron_box.json"),
+                         "--horizon", "1e7", "--no-timing")
+    assert code == EXIT_INVARIANT
 
 
 def test_tolerance_flag_reaches_sampled_paths(tmp_path, capsys):

@@ -662,17 +662,21 @@ def test_membership_of_columns_matches_each_point(s):
 
 SQUARE = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
 _EXPANDING = GeneralSystem(lambda t, x: x)
+_DECAY = LinearSystem(-np.eye(2))  # the exact decider reads none of the options
 _TOL_ENTRY_POINTS = {
     "sample_boundary": lambda tol: sample_boundary(SQUARE, 10, 0, tol),
     "membership": lambda tol: membership(SQUARE, [5.0, 5.0], tol),
+    "active_constraints": lambda tol: active_constraints(SQUARE, [1.0, 0.5], tol),
     "tangent_cone_at": lambda tol: tangent_cone_at(SQUARE, [1.0, 0.5], tol),
     "cone_test": lambda tol: cone_test(tangent_cone_at(SQUARE, [1.0, 0.5]), [1.0, 0.0], tol),
     "check": lambda tol: check(SQUARE, _EXPANDING, n_samples=10, tol=tol),
+    "check_linear": lambda tol: check(SQUARE, _DECAY, tol=tol),
     "falsify": lambda tol: falsify(SQUARE, _EXPANDING, 10, 0.1, 0.01, 0, tol=tol),
 }
 _SEED_ENTRY_POINTS = {
     "sample_boundary": lambda seed: sample_boundary(SQUARE, 10, seed),
     "check": lambda seed: check(SQUARE, _EXPANDING, n_samples=10, seed=seed),
+    "check_linear": lambda seed: check(SQUARE, _DECAY, seed=seed),
     "falsify": lambda seed: falsify(SQUARE, _EXPANDING, 10, 0.1, 0.01, seed),
 }
 
@@ -683,11 +687,37 @@ _SEED_ENTRY_POINTS = {
                          + [(e, "seed", -1) for e in _SEED_ENTRY_POINTS])
 def test_bad_tolerance_or_seed_is_an_input_error(entry, knob, value):
     # each of these was accepted or misread before: tol = nan put (5, 5)
-    # inside the square and an outward direction in its tangent cone
+    # inside the square and an outward direction in its tangent cone, and
+    # the linear check and active_constraints read no rule at all
     call = (_TOL_ENTRY_POINTS if knob == "tol" else _SEED_ENTRY_POINTS)[entry]
-    with pytest.raises(InputError, match=knob):
+    with pytest.raises(InputError, match=f"^{knob}: "):
         call(value)
     call(DEFAULT_TOL if knob == "tol" else 0)  # a good value goes through
+
+
+# entry -> (the name of its parameter, a call with that value, a good value)
+_COUNT_AND_T0_ENTRY_POINTS = {
+    "check-count": ("n_samples", lambda n: check(SQUARE, _EXPANDING, n_samples=n), 10),
+    "check_linear-count": ("n_samples", lambda n: check(SQUARE, _DECAY, n_samples=n), 10),
+    "falsify-count": ("n_starts", lambda n: falsify(SQUARE, _EXPANDING, n, 0.1, 0.01, 0), 10),
+    "check-t0": ("t0", lambda t0: check(SQUARE, _EXPANDING, t0=t0, n_samples=10), 0.0),
+    "check_linear-t0": ("t0", lambda t0: check(SQUARE, _DECAY, t0=t0), 0.0),
+    "falsify-t0": ("t0", lambda t0: falsify(SQUARE, _EXPANDING, 10, 0.1, 0.01, 0, t0=t0), 0.0),
+}
+
+
+@pytest.mark.parametrize("entry, value",
+                         [(e, v) for e in _COUNT_AND_T0_ENTRY_POINTS if e.endswith("count")
+                          for v in (0, 2.5, True)]
+                         + [(e, v) for e in _COUNT_AND_T0_ENTRY_POINTS if e.endswith("t0")
+                            for v in (math.nan, math.inf)])
+def test_bad_count_or_t0_is_an_input_error_naming_the_parameter(entry, value):
+    # the linear check read neither, a sampled check read no t0, and falsify
+    # named its sample count "count"
+    name, call, good = _COUNT_AND_T0_ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match=f"^{name}: "):
+        call(value)
+    call(good)
 
 
 _BAND_TOLS = (0.0, 1e-12, 1e-8, 1e-4)
