@@ -10,11 +10,21 @@ checked by sampling boundary points and testing the field against the local
 tangent cone, all samples in one batch, which can refute but never certify,
 so those verdicts cap at Unknown. check picks the decider from one table
 keyed by family tag; a decider that takes a raw A checks its dimension in
-_matrix, the others through LinearSystem.field.
+_matrix, the others through LinearSystem.field, both by
+numerics.of_dimension.
+
+Scaling A by c > 0 only rescales time, so it cannot change the answer. The
+exact deciders therefore decide on A (on the field values, for the vertex
+and ray forms) scaled by the power of two 2^-e that brings its largest
+entry into [1, 2), which is exact in floats, and scale every reported value
+that is linear in A back by 2^e (Blanchini, "Set invariance in control",
+Automatica 1999). Their fixed tolerances then see the same numbers under
+every uniform power-of-two scale of A.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,11 +32,15 @@ import numpy as np
 
 from .errors import EmptySet, InputError, NoConvergence, NumericalFailure
 from .numerics import (
+    _check_real,
+    _check_sampling,
     as_square,
     canonical_sign,
     gen_eig_max_witness,
     gershgorin_radius,
     minimize_scalar_convex,
+    of_dimension,
+    pow2_exponent,
     sym_eig,
 )
 from .sets import (
@@ -37,8 +51,6 @@ from .sets import (
     LorenzCone,
     VCone,
     VPolytope,
-    _check_sampling,
-    _check_t0,
     sample_boundary,
 )
 from .solvers import lp_feasible, solve_inequality_lp
@@ -77,12 +89,12 @@ class Verdict:
     notes: dict = field(default_factory=dict)
 
 
-def _matrix(s: ConvexSet, a) -> np.ndarray:
-    """A as a square matrix of the set's dimension, else InputError."""
-    a = as_square(a, "A")
-    if a.shape[0] != s.dim:
-        raise InputError("system dimension does not match the set")
-    return a
+def _matrix(s: ConvexSet, a) -> tuple[np.ndarray, int]:
+    """A, square of the set's dimension (else InputError), scaled by 2^-e so
+    that its largest entry lies in [1, 2), and e."""
+    a = of_dimension(as_square(a, "A"), s.dim)
+    e = pow2_exponent(a)
+    return np.ldexp(a, -e), e
 
 
 def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
@@ -94,9 +106,10 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     facet LP has supremum +inf and refutes too: its witness is any point of
     the facet with flux g_i'Ax >= 1, found by one feasibility LP, and the
     violation is that point's flux. If that LP finds no such point the
-    decider raises NumericalFailure.
+    decider raises NumericalFailure. The LPs read A scaled by 2^-e (see
+    _matrix), and each optimum and violation is reported times 2^e.
     """
-    a = _matrix(p, a)
+    a, e = _matrix(p, a)
     facets = []
     nonempty_checked = False
     for i in range(p.G.shape[0]):
@@ -122,11 +135,11 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
             val = float(c @ x)
         if val > _FACET_OPTIMUM_TOL:
             return Verdict(Decision.NOT_INVARIANT,
-                           counterexample=Counterexample(np.asarray(x), float(val)),
+                           counterexample=Counterexample(np.asarray(x), math.ldexp(val, e)),
                            notes={"facet": i})
         facets.append({
             "index": i,
-            "optimum": float(val),
+            "optimum": math.ldexp(val, e),
             "argmax": [float(v) for v in x],
         })
     return Verdict(Decision.INVARIANT,
@@ -175,13 +188,15 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     s.columns @ a = f with a_j >= 0 for j != i, on the family's own
     homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
     the field f at generator i padded with zeros to their height, in one
-    call up to the first non-finite f. The first infeasible one refutes with
-    phase one's infeasibility as its violation; else a non-finite f is an
-    InputError naming its generator. The set's GENERATOR and GENERATORS words
-    key the notes and the certificate. A bad t0, or a linear system of
-    another dimension than the set, is an InputError.
+    call up to the first non-finite f, all of them scaled by the power of two
+    2^-e that brings the largest |f| into [1, 2). The first infeasible one
+    refutes with phase one's infeasibility as its violation; else a
+    non-finite f is an InputError naming its generator. The violation and
+    every coefficient are reported times 2^e. The set's GENERATOR and
+    GENERATORS words key the notes and the certificate. A bad t0, or a linear
+    system of another dimension than the set, is an InputError.
     """
-    _check_t0(t0, "t0")
+    _check_real(t0, "t0")
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
     rhs = np.zeros((cols.shape[0], gens.shape[0]))
@@ -192,16 +207,17 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
             break
         rhs[:s.dim, finite] = f
         finite += 1
-    results = lp_feasible(cols, rhs[:, :finite], range(finite))
+    e = pow2_exponent(rhs[:, :finite])
+    results = lp_feasible(cols, np.ldexp(rhs[:, :finite], -e), range(finite))
     if results and results[-1][1] is None:
         i = len(results) - 1
         return Verdict(Decision.NOT_INVARIANT,
-                       counterexample=Counterexample(gens[i].copy(), results[i][0]),
+                       counterexample=Counterexample(gens[i].copy(), math.ldexp(results[i][0], e)),
                        notes={name: i})
     if finite < gens.shape[0]:
         raise InputError(f"the field is not finite at {name} {finite} "
                          f"{[float(v) for v in gens[finite]]}")
-    records = [{"index": i, "alpha": [float(v) for v in alpha]}
+    records = [{"index": i, "alpha": np.ldexp(alpha, e).tolist()}
                for i, (_, alpha) in enumerate(results)]
     cert = Certificate(f"{name}-decomposition", {plural: records})
     if isinstance(sys, LinearSystem):
@@ -211,10 +227,11 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
 
 
 def _pencil(s: Ellipsoid | LorenzCone, a):
-    """A, square of the set's dimension (else InputError), and M = A'Q + QA symmetrised."""
-    a = _matrix(s, a)
+    """A scaled by 2^-e as _matrix scales it, M = A'Q + QA of that A
+    symmetrised, and e."""
+    a, e = _matrix(s, a)
     m = a.T @ s.Q + s.Q @ a
-    return a, 0.5 * (m + m.T)
+    return a, 0.5 * (m + m.T), e
 
 
 def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
@@ -223,22 +240,23 @@ def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
     Invariant exactly when the largest generalized eigenvalue of
     (A'Q + QA, Q) is nonpositive; otherwise the maximizing eigenvector,
     scaled onto the unit quadric, witnesses outward flux of half that
-    eigenvalue.
+    eigenvalue. The pencil is that of A scaled by 2^-ex (see _matrix); eta,
+    the eigenvalues and the violation are reported times 2^ex.
     """
-    a, m = _pencil(e, a)
+    a, m, ex = _pencil(e, a)
     lam, x = gen_eig_max_witness(m, e.Q)
     if lam <= _PENCIL_TOL:
         witness = float(sym_eig(m - lam * e.Q).eigenvalues[0])
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "lyapunov-pencil",
-            {"eta": lam, "witness_max_eig": witness,
+            {"eta": math.ldexp(lam, ex), "witness_max_eig": math.ldexp(witness, ex),
              "eigenvector": [float(v) for v in x]}))
     scale = float(x @ e.Q @ x)
     x_unit = x / np.sqrt(scale)
     violation = float(x_unit @ e.Q @ (a @ x_unit))
     return Verdict(Decision.NOT_INVARIANT,
-                   counterexample=Counterexample(x_unit, violation),
-                   notes={"pencil_max_eig": lam})
+                   counterexample=Counterexample(x_unit, math.ldexp(violation, ex)),
+                   notes={"pencil_max_eig": math.ldexp(lam, ex)})
 
 
 def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
@@ -265,9 +283,11 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     the counterexample. The decision is exact in exact arithmetic only: a
     built point whose flux is not above 1e-8*(1 + |QA|) raises
     NumericalFailure rather than return a verdict, since at that size the
-    gap phi* and the flux may both be rounding noise.
+    gap phi* and the flux may both be rounding noise. All of this runs on A
+    scaled by 2^-ex (see _matrix); eta, phi* and the flux are reported times
+    2^ex.
     """
-    a, m = _pencil(c, a)
+    a, m, ex = _pencil(c, a)
     rm, rq = gershgorin_radius(m), gershgorin_radius(c.Q)
     beta = 10.0 * (1.0 + rm) / float(np.min(np.abs(c.eigenvalues)))
 
@@ -290,7 +310,8 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     eta_star, phi_star = minimize_scalar_convex(pencil_max, (-beta, beta), tau)
     if phi_star <= _PENCIL_TOL:
         return Verdict(Decision.INVARIANT, certificate=Certificate(
-            "cone-pencil", {"eta": eta_star, "witness_max_eig": phi_star}))
+            "cone-pencil", {"eta": math.ldexp(eta_star, ex),
+                            "witness_max_eig": math.ldexp(phi_star, ex)}))
 
     w, v = last  # as sym_eig orders and signs them: descending, canonical_sign
     v = canonical_sign(v[:, w >= 0.5 * phi_star][:, ::-1])
@@ -311,13 +332,14 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     # the flux of a ray built from that noise is itself noise of size
     # eps*|QA|: only a flux clear of this floor refutes
     floor = 1e-8 * (1.0 + float(np.linalg.norm(qa)))
+    gap, flux, floor = (math.ldexp(v, ex) for v in (phi_star, flux, floor))
     if not flux > floor:
         raise NumericalFailure(
-            f"no certificate (gap {phi_star:.3e}) and the built boundary ray has "
+            f"no certificate (gap {gap:.3e}) and the built boundary ray has "
             f"flux {flux:.3e}, not above the rounding floor {floor:.3e}")
     return Verdict(Decision.NOT_INVARIANT,
                    counterexample=Counterexample(x, flux),
-                   notes={"certificate_gap": phi_star})
+                   notes={"certificate_gap": gap})
 
 
 def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
@@ -341,7 +363,7 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     half-line is its apex). A bad t0, n_samples, seed or tol, or a linear
     system of another dimension than the set, is an InputError.
     """
-    _check_t0(t0, "t0")
+    _check_real(t0, "t0")
     _check_sampling(n_samples, seed, tol, "n_samples")
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.column_stack([bp.point for bp in samples])
@@ -365,7 +387,7 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
 # GENERATORS) are necessary for any field, so they refute general ones first.
 _DECIDERS = {
     "hpolyhedron": lambda s, sys, t0: check_hpoly_linear(s, sys.a),
-    "orthant": lambda s, sys, t0: check_orthant_linear(_matrix(s, sys.a)),
+    "orthant": lambda s, sys, t0: check_orthant_linear(of_dimension(sys.a, s.dim)),
     "vpolytope": lambda s, sys, t0: check_vpolytope(s, sys, t0),
     "vcone": lambda s, sys, t0: check_vcone(s, sys, t0),
     "ellipsoid": lambda s, sys, t0: check_ellipsoid_linear(s, sys.a),
@@ -386,7 +408,7 @@ def check(s: ConvexSet, sys: DynamicalSystem, t0: float = 0.0,
     the verdict notes. Only the sampled check reads tol; every call checks
     all four options.
     """
-    _check_t0(t0, "t0")
+    _check_real(t0, "t0")
     _check_sampling(n_samples, seed, tol, "n_samples")
     decide = _DECIDERS.get(getattr(s, "TAG", None))
     if decide is None:

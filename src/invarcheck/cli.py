@@ -2,6 +2,9 @@
 
 Problems arrive as JSON files with a required schema field "nagumo/1", a
 tagged set object, a tagged system object, and optional solver options.
+Each field goes as given to the library call that reads it, so the one copy
+of every type, shape, dimension and range rule (in numerics) checks it, and
+an error names the field's path: set.G[1], system.A, options.step.
 Reports are machine-readable JSON on stdout (deterministic modulo the
 timing block, which --no-timing drops) with a human summary on stderr.
 
@@ -13,8 +16,10 @@ numerical failure or internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import re
 import sys
 import time
 import traceback
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .checkers import Decision, Verdict, check
-from .dynamics import _check_grid, falsify
+from .dynamics import falsify
 from .errors import (
     EmptyBoundary,
     EmptySet,
@@ -32,15 +37,8 @@ from .errors import (
     ToolkitError,
 )
 from .expressions import build_expression_system
-from .sets import (
-    DEFAULT_TOL,
-    FAMILIES,
-    Membership,
-    _check_sampling,
-    _check_t0,
-    as_point,
-    membership,
-)
+from .numerics import _check_grid, _check_int, _check_real, as_point, of_dimension
+from .sets import DEFAULT_TOL, FAMILIES, Membership, membership
 from .systems import LinearSystem
 from .tangent import (
     GENERATED,
@@ -66,52 +64,29 @@ _DECISION_EXIT = {
 }
 
 
-def _require_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+_FIELD_PATH = re.compile(r"\w+(\[\d+\])*: ")  # a library message that starts with a field
 
 
-def _require_vector(obj, path):
-    if not isinstance(obj, list) or not obj:
-        raise InputError(f"{path}: expected a non-empty array of numbers")
-    return [_require_number(v, f"{path}[{k}]") for k, v in enumerate(obj)]
-
-
-def _require_matrix(obj, path):
-    if not isinstance(obj, list) or not obj:
-        raise InputError(f"{path}: expected a non-empty array of rows")
-    rows = []
-    for k, row in enumerate(obj):
-        rows.append(_require_vector(row, f"{path}[{k}]"))
-        if len(rows[k]) != len(rows[0]):
-            raise InputError(f"{path}[{k}]: row length {len(rows[k])} != {len(rows[0])}")
-    return rows
-
-
-def _require_field(d: dict, name: str, kind: str):
-    """Parse set field name as kind: "matrix", "vector", "optional vector"
-    or "count" (as given: the family's constructor holds it to its rule)."""
-    value = d.get(name)
-    if kind == "count" or (kind == "optional vector" and value is None):
-        return value
-    parse = _require_matrix if kind == "matrix" else _require_vector
-    return parse(value, f"set.{name}")
+@contextlib.contextmanager
+def _at(path: str):
+    """A library error while building the JSON object at path as an InputError:
+    path.G[1]: ... when the message starts with the field it names, else path: ..."""
+    try:
+        yield
+    except ToolkitError as exc:
+        raise InputError(f"{path}{'.' if _FIELD_PATH.match(str(exc)) else ': '}{exc}") from exc
 
 
 def set_from_dict(d: dict):
-    """Build the set of a tagged JSON object."""
+    """Build the set of a tagged JSON object, its fields as given."""
     if not isinstance(d, dict) or "type" not in d:
         raise InputError("set: expected an object with a 'type' tag")
     tag = d["type"]
     family = FAMILIES.get(tag) if isinstance(tag, str) else None
     if family is None:
         raise InputError(f"set.type: unknown tag {tag!r}")
-    fields = [_require_field(d, name, kind) for name, kind in family.FIELDS.items()]
-    try:
-        return family(*fields)
-    except ToolkitError as exc:
-        raise InputError(f"set: {exc}") from exc
+    with _at("set"):
+        return family(*(d.get(name) for name in family.FIELDS))
 
 
 def set_to_dict(s) -> dict:
@@ -126,20 +101,18 @@ def system_from_dict(d: dict, dim: int):
         raise InputError("system: expected an object with a 'type' tag")
     tag = d["type"]
     if tag == "linear":
-        a = _require_matrix(d.get("A"), "system.A")
-        if len(a) != dim or len(a[0]) != dim:
-            raise InputError(f"system.A: expected a {dim}x{dim} matrix")
-        return LinearSystem(a), {"type": "linear", "A": a}
+        with _at("system"):
+            sys_obj = LinearSystem(d.get("A"))
+            of_dimension(sys_obj.a, dim)
+        return sys_obj, {"type": "linear", "A": sys_obj.a.tolist()}
     if tag == "expression":
         formulas = d.get("formulas")
         if not isinstance(formulas, list) or not all(isinstance(f, str) for f in formulas):
             raise InputError("system.formulas: expected an array of strings")
         if len(formulas) != dim:
             raise InputError(f"system.formulas: expected {dim} formulas, got {len(formulas)}")
-        try:
+        with _at("system.formulas"):
             return build_expression_system(formulas), {"type": "expression", "formulas": formulas}
-        except InputError as exc:
-            raise InputError(f"system.formulas: {exc}") from exc
     raise InputError(f"system.type: unknown tag {tag!r}")
 
 
@@ -156,7 +129,8 @@ _OPTION_DEFAULTS = {
 def resolve_options(file_options, args) -> dict:
     """Defaults, overridden by the problem file, overridden by flags, then
     held to the library's own rules under the names options.<key>, for
-    every command (falsify also caps the step count horizon / step).
+    every command (falsify also caps the step count horizon / step); each
+    option is kept as its rule returns it (a float, or an integer as given).
     """
     opts = dict(_OPTION_DEFAULTS)
     if file_options is not None:
@@ -165,17 +139,17 @@ def resolve_options(file_options, args) -> dict:
         for key, value in file_options.items():
             if key not in opts:
                 raise InputError(f"options.{key}: unknown option")
-            # the integer options go to their rules as given: 3.0 is no seed
-            opts[key] = (value if key in ("seed", "n_samples")
-                         else _require_number(value, f"options.{key}"))
+            opts[key] = value
     for key in opts:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
-    _check_sampling(opts["n_samples"], opts["seed"], opts["tolerance"],
-                    "options.n_samples", "options.seed", "options.tolerance")
-    _check_t0(opts["t0"], "options.t0")
-    _check_grid(opts["step"], opts["horizon"], "options.step", "options.horizon")
+    opts["n_samples"] = _check_int(opts["n_samples"], "options.n_samples", 1)
+    opts["seed"] = _check_int(opts["seed"], "options.seed", 0)
+    opts["tolerance"] = _check_real(opts["tolerance"], "options.tolerance", nonnegative=True)
+    opts["t0"] = _check_real(opts["t0"], "options.t0")
+    opts["step"], opts["horizon"] = _check_grid(opts["step"], opts["horizon"],
+                                                "options.step", "options.horizon")
     return opts
 
 
@@ -283,7 +257,7 @@ def cmd_tangent(args) -> int:
             point = json.loads(args.point)
         except json.JSONDecodeError as exc:
             raise InputError(f"point: invalid JSON ({exc})") from exc
-        x = as_point(s, _require_vector(point, "point"), "point")
+        x = as_point(s, point, "point")
         if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
             raise NotMember("point is not on the set boundary")
         cone = _cone_to_dict(tangent_cone_at(s, x, opts["tolerance"]))

@@ -20,16 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import as_vector
-from .sets import (
-    DEFAULT_TOL,
-    ConvexSet,
-    _check_sampling,
-    _check_t0,
-    as_point,
-    outside_violation_batch,
-    sample_boundary,
-)
+from .numerics import _check_grid, _check_real, _check_sampling, as_point, as_vector
+from .sets import DEFAULT_TOL, ConvexSet, outside_violation_batch, sample_boundary
 from .systems import DynamicalSystem, LinearSystem, field_batch
 
 MAX_STEPS = 1_000_000  # integration steps per trajectory; the defaults take 10,000
@@ -61,19 +53,12 @@ def _rk4_step(sys_field, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_grid(step, horizon, step_name: str, horizon_name: str) -> None:
-    """InputError naming both unless 0 < step <= horizon < inf (so no NaN)."""
-    if not 0.0 < step <= horizon < math.inf:
-        raise InputError(f"need 0 < {step_name} <= {horizon_name} < inf, got "
-                         f"{step_name} {step} and {horizon_name} {horizon}")
-
-
 def _step_grid(horizon: float, step: float, t0: float) -> int:
     """Step count of a fixed-step integration from t0; InputError unless t0
     and the grid keep their rules and the count is at most MAX_STEPS, so
     that every integration ends."""
-    _check_t0(t0, "t0")
-    _check_grid(step, horizon, "step", "horizon")
+    _check_real(t0, "t0")
+    step, horizon = _check_grid(step, horizon, "step", "horizon")
     if not horizon / step <= MAX_STEPS:
         raise InputError(f"horizon / step is {horizon / step:.3g} steps, "
                          f"more than the cap of {MAX_STEPS}")

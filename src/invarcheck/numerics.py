@@ -1,11 +1,13 @@
-"""Dense real linear-algebra kernels used by every other module.
+"""Input rules and the dense real linear-algebra kernels of every other module.
 
-Everything here is pure and operates on plain numpy arrays validated at
-entry: linear solves and Cholesky factors on LAPACK with conditioning and
-pivot checks, a symmetric eigensolver on LAPACK's eigh, generalized
-symmetric eigenvalues through a Cholesky reduction, and a minimizer for
-convex scalar functions by a Newton search on the slope, safeguarded by
-bisection.
+Every type, shape, dimension and range rule on numbers, vectors and
+matrices lives here, each naming the argument its caller passes first in
+its message. Everything else is pure and operates on plain numpy arrays
+validated at entry: linear solves and Cholesky factors on LAPACK with
+conditioning and pivot checks, a symmetric eigensolver on LAPACK's eigh,
+generalized symmetric eigenvalues through a Cholesky reduction, and a
+minimizer for convex scalar functions by a Newton search on the slope,
+safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -29,31 +31,125 @@ _COND_TOL = 1e-12            # relative: condition number above 1/_COND_TOL is s
 _CHOLESKY_PIVOT_TOL = 1e-10  # Cholesky pivot floor for positive definiteness
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-D float array with finite entries."""
+_SEQUENCE = (list, tuple, np.ndarray)
+_PLAIN = {float, int, np.float64}  # entry types that need no closer look
+
+
+def _walk(a, path: str) -> tuple:
+    """The shape of a, nested sequences of real numbers; else InputError at the
+    path of the first entry that is no real number or row not shaped as the first."""
+    if isinstance(a, np.ndarray):
+        if a.dtype.kind in "fiu":
+            return a.shape
+        a = a.item() if a.ndim == 0 else a  # a 0-d array is the entry it holds
+    if not isinstance(a, _SEQUENCE):
+        _check_real(a, path)
+        return ()
+    if _PLAIN.issuperset(map(type, a)):  # a row of plain numbers, checked without a loop
+        return (len(a),)
+    shapes = [_walk(v, f"{path}[{k}]") for k, v in enumerate(a)]
+    if len(set(shapes)) > 1:
+        k = next(k for k, shape in enumerate(shapes) if shape != shapes[0])
+        raise InputError(f"{path}[{k}]: shape {shapes[k]} != {shapes[0]}")
+    return (len(a),) + (shapes[0] if shapes else ())
+
+
+def _as_array(a, name: str, ndims: tuple, nonempty: bool = False) -> np.ndarray:
+    """a as a float array of one of the ndims with finite entries (at least one
+    if nonempty), else InputError naming name; only a float or integer array
+    skips the walk."""
+    if not isinstance(a, _SEQUENCE):
+        raise InputError(f"{name}: expected an array of numbers, got {type(a).__name__}")
+    _walk(a, name)
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise InputError(f"{name} must be 2-D, got shape {m.shape}")
+    if m.ndim not in ndims:
+        raise InputError(f"{name}: expected a {' or '.join(f'{d}-D' for d in ndims)} array, "
+                         f"got shape {m.shape}")
+    if nonempty and m.size == 0:
+        raise InputError(f"{name}: expected a non-empty array of numbers")
     if m.size and not np.all(np.isfinite(m)):
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError(f"{name}: contains non-finite entries")
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate and return a 1-D float array with finite entries."""
-    v = np.asarray(a, dtype=float)
-    if v.ndim != 1:
-        raise InputError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size and not np.all(np.isfinite(v)):
-        raise InputError(f"{name} contains non-finite entries")
-    return v
+def as_matrix(a, name: str = "matrix", nonempty: bool = False) -> np.ndarray:
+    """a as a 2-D float array with finite entries, else InputError naming name."""
+    return _as_array(a, name, (2,), nonempty)
 
 
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, name)
+def as_vector(a, name: str = "vector", nonempty: bool = False) -> np.ndarray:
+    """a as a 1-D float array with finite entries, else InputError naming name."""
+    return _as_array(a, name, (1,), nonempty)
+
+
+def as_square(a, name: str = "matrix", nonempty: bool = False) -> np.ndarray:
+    """a as a square float matrix with finite entries, else InputError naming name."""
+    m = _as_array(a, name, (2,), nonempty)
     if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+        raise DimensionMismatch(f"{name}: expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_point(s, x, name: str, batch: bool = False) -> np.ndarray:
+    """x as a finite vector of the dimension of s (a set or tangent cone), or
+    with batch also as n x N columns of one; else an InputError naming name."""
+    x = _as_array(x, name, (1, 2) if batch else (1,))
+    if x.shape[0] != s.dim:
+        raise DimensionMismatch(f"{name} has dimension {x.shape[0]}, set has {s.dim}")
+    return x
+
+
+def of_dimension(a: np.ndarray, dim: int, name: str = "A") -> np.ndarray:
+    """a, a system's square matrix, if it is dim x dim, else DimensionMismatch."""
+    if a.shape[0] != dim:
+        raise DimensionMismatch(f"{name}: system dimension does not match the set "
+                                f"({a.shape[0]} x {a.shape[0]} against dimension {dim})")
+    return a
+
+
+def pow2_exponent(a: np.ndarray) -> int:
+    """The e with max|a| * 2^-e in [1, 2), 0 for an a without a nonzero entry.
+    Scaling by 2^-e (np.ldexp) is exact in floats."""
+    top = float(np.max(np.abs(a), initial=0.0))
+    return int(np.frexp(top)[1]) - 1 if top > 0.0 else 0
+
+
+def _check_real(value, name: str, nonnegative: bool = False) -> float:
+    """value as a float, else InputError naming name unless it is a finite
+    real number (a bool is none), and >= 0 if nonnegative."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name}: expected a number, got {type(value).__name__}")
+    if not (math.isfinite(value) and (value >= 0.0 or not nonnegative)):
+        raise InputError(f"{name}: expected a finite {'nonnegative ' * nonnegative}number, "
+                         f"got {float(value)}")
+    return float(value)
+
+
+def _check_int(value, name: str, least: int) -> int:
+    """value, else InputError naming name unless it is an int (a bool is
+    none) of at least least, 0 (a seed) or 1 (a count of samples or
+    dimensions)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name}: expected a {('nonnegative', 'positive')[least]} integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _check_sampling(count, seed, tol, count_name: str) -> None:
+    """The count, seed and tol rules, the count under the caller's name."""
+    _check_int(count, count_name, 1)
+    _check_int(seed, "seed", 0)
+    _check_real(tol, "tol", nonnegative=True)
+
+
+def _check_grid(step, horizon, step_name: str, horizon_name: str) -> tuple[float, float]:
+    """(step, horizon) as floats, else InputError unless both are finite
+    numbers with 0 < step <= horizon, naming both."""
+    step, horizon = _check_real(step, step_name), _check_real(horizon, horizon_name)
+    if not 0.0 < step <= horizon:
+        raise InputError(f"need 0 < {step_name} <= {horizon_name} < inf, got "
+                         f"{step_name} {step} and {horizon_name} {horizon}")
+    return step, horizon
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -96,16 +192,17 @@ def _require_symmetric(m: np.ndarray, name: str) -> None:
         raise InputError(f"{name} is not symmetric within tolerance")
 
 
-def sym_eig(m) -> EigenResult:
+def sym_eig(m, name: str = "M") -> EigenResult:
     """Eigendecomposition of a symmetric matrix by LAPACK's eigh.
 
-    The input is symmetrized as (M + M')/2 after a near-symmetry check.
+    The input is symmetrized as (M + M')/2 after a near-symmetry check, whose
+    error names it name.
     Eigenvalues come back sorted descending with orthonormal eigenvector
     columns aligned to them, each column sign-normalized by canonical_sign;
     raises NoConvergence if LAPACK reports a failure to converge.
     """
-    m = as_square(m, "M")
-    _require_symmetric(m, "M")
+    m = as_square(m, name)
+    _require_symmetric(m, name)
     try:
         w, v = np.linalg.eigh(0.5 * (m + m.T))
     except np.linalg.LinAlgError as exc:

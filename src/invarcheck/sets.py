@@ -14,8 +14,7 @@ interior). A form above its cap (_FACET_RAYS) solves an LP over the
 combination coefficients per point instead.
 
 Each family is one class that owns what only it knows: its JSON tag
-(TAG) and fields (FIELDS, attribute name -> "matrix", "vector",
-"optional vector" or "count", in constructor order), and _slack(x),
+(TAG) and field names (FIELDS, in constructor order), and _slack(x),
 _band(x, tol), _faces, sample(count, rng, tol) and tangent_test(points,
 y, tol), where tol is the user's boundary band; points are the columns of
 an n x N array, and sample returns count x n rows. _slack has a row per
@@ -46,7 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
-from .numerics import _require_symmetric, as_matrix, as_square, as_vector, sym_eig
+from .numerics import (_check_int, _check_real, _check_sampling, as_matrix, as_point, as_square,
+                       as_vector, sym_eig)
 from .solvers import simplex_standard, solve_inequality_lp
 
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
@@ -56,6 +56,7 @@ _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumerati
 # default 10,000 samples each facet costs tangent_test about 0.3 MB of peak memory
 _FACET_RAYS = 1000
 _ROUNDING = 16 * np.finfo(float).eps  # least relative flux that refutes, whatever tol
+_PAIR_CELLS = 1 << 20  # vertex pair x coordinate cells in one block of the duplicate check
 
 
 def flux_residual(flux, row_norms, y_norms, tol: float, active=None):
@@ -78,37 +79,6 @@ def flux_residual(flux, row_norms, y_norms, tol: float, active=None):
     return ~np.any(out, axis=0), np.max(ratio, axis=0, initial=0.0)
 
 
-def _check_tol(tol, name: str) -> None:
-    """InputError unless tol is a finite number >= 0."""
-    if not 0.0 <= tol < math.inf:
-        raise InputError(f"{name}: expected a finite nonnegative number, got {tol}")
-
-
-def _check_seed(seed, name: str) -> None:
-    """InputError unless seed is an int >= 0, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"{name}: expected a nonnegative integer, got {seed!r}")
-
-
-def _check_count(count, name: str) -> None:
-    """InputError unless count (of samples or dimensions) is an int >= 1, not a bool."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise InputError(f"{name}: expected a positive integer, got {count!r}")
-
-
-def _check_t0(t0, name: str) -> None:
-    """InputError unless t0 is a finite number."""
-    if not math.isfinite(t0):
-        raise InputError(f"{name}: expected a finite number, got {t0}")
-
-
-def _check_sampling(count, seed, tol, count_name: str, seed_name="seed", tol_name="tol") -> None:
-    """The count, seed and tol rules, under the caller's names."""
-    _check_count(count, count_name)
-    _check_seed(seed, seed_name)
-    _check_tol(tol, tol_name)
-
-
 class Membership(Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"
@@ -129,11 +99,11 @@ class HPolyhedron:
     """{x : G x <= b}; with b = 0 this is a polyhedral cone."""
 
     TAG = "hpolyhedron"
-    FIELDS = {"G": "matrix", "b": "vector"}
+    FIELDS = ("G", "b")
 
     def __init__(self, g, b):
-        self.G = as_matrix(g, "G")
-        self.b = as_vector(b, "b")
+        self.G = as_matrix(g, "G", nonempty=True)
+        self.b = as_vector(b, "b", nonempty=True)
         if self.G.shape[0] != self.b.shape[0]:
             raise DimensionMismatch("G rows and b length differ")
 
@@ -222,10 +192,10 @@ class Orthant(HPolyhedron):
     routes a linear check to the off-diagonal sign test."""
 
     TAG = "orthant"
-    FIELDS = {"n": "count"}
+    FIELDS = ("n",)
 
     def __init__(self, n):
-        _check_count(n, "n")
+        _check_int(n, "n", 1)
         super().__init__(np.diag(np.full(n, -1.0)), np.zeros(n))  # +0.0 off the diagonal
         self.n = n
 
@@ -266,8 +236,6 @@ class _VForm:
     """
 
     def __init__(self, points, columns):
-        if points.shape[0] < 1:
-            raise InputError(f"a {self.TAG} needs at least one {self.GENERATOR}")
         self._points = points
         self.columns = columns
 
@@ -441,16 +409,20 @@ class VPolytope(_VForm):
     """Convex hull of finitely many pairwise-distinct vertices."""
 
     TAG = "vpolytope"
-    FIELDS = {"vertices": "matrix"}
+    FIELDS = ("vertices",)
     GENERATOR, GENERATORS = "vertex", "vertices"
     _HAS_APEX = False
 
     def __init__(self, vertices):
-        vs = as_matrix(np.atleast_2d(vertices), "vertices")
-        for i in range(vs.shape[0]):  # each vertex against all later ones
-            same = np.flatnonzero(np.max(np.abs(vs[i + 1:] - vs[i]), axis=1) <= 1e-9)
-            if same.size:
-                raise InputError(f"vertices {i} and {i + 1 + same[0]} coincide")
+        vs = as_matrix(vertices, "vertices", nonempty=True)
+        k, n = vs.shape
+        rows = max(1, _PAIR_CELLS // (k * n))
+        for i0 in range(0, k, rows):  # each block of vertices against all later ones
+            near = np.max(np.abs(vs[i0:i0 + rows, None] - vs), axis=2) <= 1e-9
+            near &= np.arange(k) > np.arange(i0, min(i0 + rows, k))[:, None]
+            pairs = np.argwhere(near)  # row-major: the lowest i, then the lowest j
+            if pairs.size:
+                raise InputError(f"vertices {i0 + pairs[0, 0]} and {pairs[0, 1]} coincide")
         self.vertices = vs
         super().__init__(vs, np.vstack([vs.T, np.ones((1, vs.shape[0]))]))
 
@@ -472,15 +444,15 @@ class VCone(_VForm):
     """Conic hull of finitely many nonzero generator rays."""
 
     TAG = "vcone"
-    FIELDS = {"rays": "matrix"}
+    FIELDS = ("rays",)
     GENERATOR, GENERATORS = "ray", "rays"
     _HAS_APEX = True  # a facet on no ray is the apex of a single-ray cone
 
     def __init__(self, rays):
-        rs = as_matrix(np.atleast_2d(rays), "rays")
-        for i, row in enumerate(rs):
-            if np.linalg.norm(row) < 1e-9:
-                raise InputError(f"ray {i} is numerically zero")
+        rs = as_matrix(rays, "rays", nonempty=True)
+        zero = np.flatnonzero(np.linalg.norm(rs, axis=1) < 1e-9)
+        if zero.size:
+            raise InputError(f"ray {zero[0]} is numerically zero")
         self.rays = rs
         super().__init__(rs / np.linalg.norm(rs, axis=1)[:, None], rs.T)
 
@@ -509,9 +481,8 @@ class _Quadric:
     outward normal Qx, its one row."""
 
     def __init__(self, q):
-        q = as_square(q, "Q")
-        _require_symmetric(q, "Q")
-        eig = sym_eig(q)
+        q = as_square(q, "Q", nonempty=True)
+        eig = sym_eig(q, "Q")
         self.Q = 0.5 * (q + q.T)
         self.eigenvalues, self.eigenvectors = eig.eigenvalues, eig.eigenvectors
 
@@ -535,11 +506,11 @@ class Ellipsoid(_Quadric):
     """{x : x'Qx <= 1} with Q symmetric positive definite."""
 
     TAG = "ellipsoid"
-    FIELDS = {"Q": "matrix"}
+    FIELDS = ("Q",)
 
     def __init__(self, q):
         super().__init__(q)
-        if self.eigenvalues.size == 0 or self.eigenvalues[-1] <= _SPD_MIN_EIG:
+        if self.eigenvalues[-1] <= _SPD_MIN_EIG:
             raise InputError("ellipsoid matrix is not positive definite")
 
     def _slack(self, x):
@@ -566,7 +537,7 @@ class LorenzCone(_Quadric):
     """
 
     TAG = "lorenz"
-    FIELDS = {"Q": "matrix", "u_n": "optional vector"}
+    FIELDS = ("Q", "u_n")
 
     def __init__(self, q, u_n=None):
         super().__init__(q)
@@ -634,17 +605,7 @@ orthant_h = Orthant  # the orthant's halfspace form, beside orthant_v
 
 def orthant_v(n: int) -> VCone:
     """Nonnegative orthant of R^n generated by the standard basis rays."""
-    _check_count(n, "n")
-    return VCone(np.eye(n))
-
-
-def as_point(s, x, name: str, batch: bool = False):
-    """x as a finite vector of the dimension of s (a set or tangent cone), or
-    with batch as n x N columns (a vector one column); else an InputError naming name."""
-    x = as_matrix(x, name) if batch and np.ndim(x) == 2 else as_vector(x, name)
-    if x.shape[0] != s.dim:
-        raise DimensionMismatch(f"{name} has dimension {x.shape[0]}, set has {s.dim}")
-    return x[:, None] if batch and x.ndim == 1 else x
+    return VCone(np.eye(_check_int(n, "n", 1)))
 
 
 def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
@@ -659,13 +620,13 @@ def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):
     above the facet cap (_FACET_RAYS) is decided by the LP feasibility of
     the combination coefficients. A bad tol or x is an InputError.
     """
-    _check_tol(tol, "tol")
-    one = np.ndim(x) != 2  # a single point is a one-column batch
+    _check_real(tol, "tol", nonnegative=True)
     x = as_point(s, x, "x", batch=True)
-    slack, band = s._slack(x), s._band(x, tol)
+    pts = x if x.ndim == 2 else x[:, None]  # a single point is a one-column batch
+    slack, band = s._slack(pts), s._band(pts, tol)
     cls = _CLASSES[np.where(np.any(slack > band, axis=0), 2,
                             np.where(np.any(slack[:s._faces] >= -band, axis=0), 1, 0))]
-    return cls[0] if one else cls
+    return cls[0] if x.ndim == 1 else cls
 
 
 def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]:
@@ -675,7 +636,7 @@ def active_constraints(p: HPolyhedron, x, tol: float = DEFAULT_TOL) -> list[int]
     if not isinstance(p, HPolyhedron):
         raise InputError(f"active constraints are rows of a halfspace form, "
                          f"not of a {type(p).__name__}")
-    _check_tol(tol, "tol")
+    _check_real(tol, "tol", nonnegative=True)
     return np.flatnonzero(p._binding(as_point(p, x, "x")[:, None], tol)[:, 0]).tolist()
 
 

@@ -1,5 +1,5 @@
 """Dynamical-system descriptions accepted by the checkers and integrator;
-LinearSystem.field holds the rule that a state has the system's dimension."""
+LinearSystem.field holds a state to the system's dimension (of_dimension)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
-from .numerics import as_square
+from .errors import DimensionMismatch
+from .numerics import as_square, of_dimension
 
 
 @dataclass
@@ -21,15 +21,9 @@ class LinearSystem:
     def __post_init__(self):
         self.a = as_square(self.a, "A")
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
     def field(self, t, x):
         """A x, for a state or an (n, N) batch; InputError unless x has n rows."""
-        if np.shape(x)[0] != self.dim:
-            raise InputError("system dimension does not match the set")
-        return self.a @ x
+        return of_dimension(self.a, np.shape(x)[0]) @ x
 
 
 @dataclass

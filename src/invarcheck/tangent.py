@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotMember
+from .numerics import _check_real, as_point
 from .sets import (
     DEFAULT_TOL,
     ConvexSet,
@@ -35,9 +36,7 @@ from .sets import (
     Membership,
     VCone,
     VPolytope,
-    _check_tol,
     active_constraints,
-    as_point,
     flux_residual,
     membership,
 )
@@ -125,7 +124,7 @@ def cone_test(t: TangentCone, y, tol: float = DEFAULT_TOL) -> tuple[bool, float]
     apex, which holds y against the cone itself.
     A y of another dimension than the cone's, or a bad tol, is an InputError.
     """
-    _check_tol(tol, "tol")
+    _check_real(tol, "tol", nonnegative=True)
     y = as_point(t, y, "y")
     if t.kind in (FULLSPACE, HALFSPACES, QUADRATIC):
         inside, worst = flux_residual((t.normals @ y)[:, None],

@@ -18,6 +18,7 @@ from invarcheck.checkers import (
 )
 from invarcheck.dynamics import falsify, integrate
 from invarcheck.errors import EmptySet, InputError, NoConvergence, NumericalFailure
+from invarcheck.numerics import pow2_exponent
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -527,8 +528,11 @@ def test_lorenz_bisection_matches_golden_section_reference(monkeypatch):
             continue
         assert v is not None and v.decision is v_ref.decision, trial
         if v.decision is Decision.INVARIANT:
+            # the decider certifies A scaled by 2^-e, so its tolerance
+            # holds at A's power-of-two scale 2^e
             eta = v.certificate.data["eta"]
-            assert np.max(np.linalg.eigvalsh(m - eta * cone.Q)) <= checkers._PENCIL_TOL, trial
+            bound = math.ldexp(checkers._PENCIL_TOL, pow2_exponent(a))
+            assert np.max(np.linalg.eigvalsh(m - eta * cone.Q)) <= bound, trial
         else:
             _assert_boundary_counterexample(cone, a, v)
 

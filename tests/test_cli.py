@@ -115,10 +115,10 @@ def _problem(**fields):
     (_problem(set={"G": _BOX["G"], "b": _BOX["b"]}), "set: expected an object with a 'type' tag"),
     (_problem(set={"type": "ball"}), "set.type: unknown tag 'ball'"),
     (_problem(set={"type": "hpolyhedron", "G": [[1, 0], [1]], "b": [1, 1]}),
-     "set.G[1]: row length 1 != 2"),
+     "set.G[1]: shape (1,) != (2,)"),
     (_problem(set={"type": "hpolyhedron", "G": [[1, 0]], "b": []}),
      "set.b: expected a non-empty array of numbers"),
-    (_problem(set={"type": "orthant", "n": 0}), "set: n: expected a positive integer, got 0"),
+    (_problem(set={"type": "orthant", "n": 0}), "set.n: expected a positive integer, got 0"),
     (_problem(set={"type": "hpolyhedron", "G": [[1, 0], [0, 1]], "b": [1]}),
      "set: G rows and b length differ"),
     (_problem(system={"A": _DECAY["A"]}), "system: expected an object with a 'type' tag"),

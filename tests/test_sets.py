@@ -163,6 +163,31 @@ def test_coinciding_vertices_name_the_first_pair():
     VPolytope([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [5.0, 5.0 + 2e-9]])
 
 
+@pytest.mark.parametrize("pair_cells", [1, 1 << 20], ids=["one row a block", "one block"])
+def test_two_coinciding_pairs_name_the_lowest_first_vertex(monkeypatch, pair_cells):
+    # pairs (0, 5) and (1, 2) coincide: the lowest first vertex wins, not the
+    # lowest second one, however the rows are cut into blocks
+    monkeypatch.setattr("invarcheck.sets._PAIR_CELLS", pair_cells)
+    vs = [[0.0, 0.0], [1.0, 0.0], [1.0, 5e-10], [0.0, 1.0], [2.0, 2.0], [-5e-10, 0.0]]
+    with pytest.raises(InputError, match="^vertices 0 and 5 coincide$"):
+        VPolytope(vs)
+    # vertex 1 coincides with 3 and 4: the lowest second vertex is named
+    with pytest.raises(InputError, match="^vertices 1 and 3 coincide$"):
+        VPolytope([[3.0, 3.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1e-10], [1.0, -1e-10]])
+
+
+def test_duplicate_check_on_the_ten_cube_stays_in_bounded_memory():
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=10)))
+    tracemalloc.start()
+    VPolytope(cube)
+    with pytest.raises(InputError, match="^vertices 37 and 1024 coincide$"):
+        VPolytope(np.vstack([cube, cube[37]]))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # one block of _PAIR_CELLS float differences is 8 MB
+    assert peak < 32 * 2 ** 20
+
+
 def test_zero_ray_rejected():
     with pytest.raises(InputError):
         VCone([[0.0, 0.0]])
@@ -207,7 +232,7 @@ def test_lorenz_axis_stores_no_negative_zero():
 def test_quadric_shape_errors_name_q(family):
     with pytest.raises(InputError, match="Q is not symmetric"):
         family([[1.0, 0.5], [0.0, -1.0]])
-    with pytest.raises(DimensionMismatch, match="Q must be square"):
+    with pytest.raises(DimensionMismatch, match="Q: expected a square matrix"):
         family([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 
