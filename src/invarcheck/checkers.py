@@ -14,12 +14,12 @@ _matrix, the others through LinearSystem.field, both by
 numerics.of_dimension.
 
 Scaling A by c > 0 only rescales time, so it cannot change the answer. The
-exact deciders therefore decide on A (on the field values, for the vertex
-and ray forms) scaled by the power of two 2^-e that brings its largest
-entry into [1, 2), which is exact in floats, and scale every reported value
-that is linear in A back by 2^e (Blanchini, "Set invariance in control",
-Automatica 1999). Their fixed tolerances then see the same numbers under
-every uniform power-of-two scale of A.
+exact deciders therefore decide on A (on the field values A v, for the
+vertex and ray forms) scaled by the power of two 2^-e that brings A's
+largest entry into [1, 2), which is exact in floats, and scale every
+reported value that is linear in A back by 2^e (Blanchini, "Set invariance
+in control", Automatica 1999). Their fixed tolerances then see the same
+numbers under every uniform power-of-two scale of A.
 """
 
 from __future__ import annotations
@@ -188,13 +188,15 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     s.columns @ a = f with a_j >= 0 for j != i, on the family's own
     homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
     the field f at generator i padded with zeros to their height, in one
-    call up to the first non-finite f, all of them scaled by the power of two
-    2^-e that brings the largest |f| into [1, 2). The first infeasible one
-    refutes with phase one's infeasibility as its violation; else a
-    non-finite f is an InputError naming its generator. The violation and
-    every coefficient are reported times 2^e. The set's GENERATOR and
-    GENERATORS words key the notes and the certificate. A bad t0, or a linear
-    system of another dimension than the set, is an InputError.
+    call up to the first non-finite f. A linear system's f is scaled by
+    2^-e, e from A as in _matrix, which keeps the rounding noise in A v as
+    small against 1 as at A's own scale; a general field is not scaled,
+    since its values may all be noise. The first infeasible one refutes with
+    phase one's infeasibility as its violation; else a non-finite f is an
+    InputError naming its generator. The violation and every coefficient are
+    reported times 2^e. The set's GENERATOR and GENERATORS words key the
+    notes and the certificate. A bad t0, or a linear system of another
+    dimension than the set, is an InputError.
     """
     _check_real(t0, "t0")
     name, plural = s.GENERATOR, s.GENERATORS
@@ -207,7 +209,7 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
             break
         rhs[:s.dim, finite] = f
         finite += 1
-    e = pow2_exponent(rhs[:, :finite])
+    e = pow2_exponent(sys.a) if isinstance(sys, LinearSystem) else 0
     results = lp_feasible(cols, np.ldexp(rhs[:, :finite], -e), range(finite))
     if results and results[-1][1] is None:
         i = len(results) - 1

@@ -35,19 +35,20 @@ _SEQUENCE = (list, tuple, np.ndarray)
 _PLAIN = {float, int, np.float64}  # entry types that need no closer look
 
 
-def _walk(a, path: str) -> tuple:
-    """The shape of a, nested sequences of real numbers; else InputError at the
-    path of the first entry that is no real number or row not shaped as the first."""
+def _walk(a, path: str, depth: int) -> tuple:
+    """The shape of a, sequences of real numbers nested at most depth deep;
+    else InputError at the path of the first entry that is no real number (a
+    sequence below that depth is none) or row not shaped as the first."""
     if isinstance(a, np.ndarray):
         if a.dtype.kind in "fiu":
             return a.shape
         a = a.item() if a.ndim == 0 else a  # a 0-d array is the entry it holds
-    if not isinstance(a, _SEQUENCE):
+    if not isinstance(a, _SEQUENCE) or depth == 0:
         _check_real(a, path)
         return ()
     if _PLAIN.issuperset(map(type, a)):  # a row of plain numbers, checked without a loop
         return (len(a),)
-    shapes = [_walk(v, f"{path}[{k}]") for k, v in enumerate(a)]
+    shapes = [_walk(v, f"{path}[{k}]", depth - 1) for k, v in enumerate(a)]
     if len(set(shapes)) > 1:
         k = next(k for k, shape in enumerate(shapes) if shape != shapes[0])
         raise InputError(f"{path}[{k}]: shape {shapes[k]} != {shapes[0]}")
@@ -60,7 +61,7 @@ def _as_array(a, name: str, ndims: tuple, nonempty: bool = False) -> np.ndarray:
     skips the walk."""
     if not isinstance(a, _SEQUENCE):
         raise InputError(f"{name}: expected an array of numbers, got {type(a).__name__}")
-    _walk(a, name)
+    _walk(a, name, max(ndims))
     m = np.asarray(a, dtype=float)
     if m.ndim not in ndims:
         raise InputError(f"{name}: expected a {' or '.join(f'{d}-D' for d in ndims)} array, "
@@ -99,10 +100,10 @@ def as_point(s, x, name: str, batch: bool = False) -> np.ndarray:
     return x
 
 
-def of_dimension(a: np.ndarray, dim: int, name: str = "A") -> np.ndarray:
-    """a, a system's square matrix, if it is dim x dim, else DimensionMismatch."""
+def of_dimension(a: np.ndarray, dim: int) -> np.ndarray:
+    """a, a system's square matrix A, if it is dim x dim, else DimensionMismatch."""
     if a.shape[0] != dim:
-        raise DimensionMismatch(f"{name}: system dimension does not match the set "
+        raise DimensionMismatch("A: system dimension does not match the set "
                                 f"({a.shape[0]} x {a.shape[0]} against dimension {dim})")
     return a
 

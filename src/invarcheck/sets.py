@@ -418,11 +418,12 @@ class VPolytope(_VForm):
         k, n = vs.shape
         rows = max(1, _PAIR_CELLS // (k * n))
         for i0 in range(0, k, rows):  # each block of vertices against all later ones
-            near = np.max(np.abs(vs[i0:i0 + rows, None] - vs), axis=2) <= 1e-9
-            near &= np.arange(k) > np.arange(i0, min(i0 + rows, k))[:, None]
+            near = np.max(np.abs(vs[i0:i0 + rows, None] - vs[i0 + 1:]), axis=2) <= 1e-9
+            near &= np.arange(i0 + 1, k) > np.arange(i0, min(i0 + rows, k))[:, None]
             pairs = np.argwhere(near)  # row-major: the lowest i, then the lowest j
             if pairs.size:
-                raise InputError(f"vertices {i0 + pairs[0, 0]} and {pairs[0, 1]} coincide")
+                i, j = i0 + pairs[0, 0], i0 + 1 + pairs[0, 1]
+                raise InputError(f"vertices {i} and {j} coincide")
         self.vertices = vs
         super().__init__(vs, np.vstack([vs.T, np.ones((1, vs.shape[0]))]))
 

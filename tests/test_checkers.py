@@ -528,10 +528,11 @@ def test_lorenz_bisection_matches_golden_section_reference(monkeypatch):
             continue
         assert v is not None and v.decision is v_ref.decision, trial
         if v.decision is Decision.INVARIANT:
-            # the decider certifies A scaled by 2^-e, so its tolerance
-            # holds at A's power-of-two scale 2^e
+            # the decider certifies A scaled by 2^-e, so for the cones under
+            # c = 1e7 and 1e8 its tolerance holds at A's scale 2^e, where
+            # the residual left by rounding reaches about 1e-3
             eta = v.certificate.data["eta"]
-            bound = math.ldexp(checkers._PENCIL_TOL, pow2_exponent(a))
+            bound = math.ldexp(checkers._PENCIL_TOL, pow2_exponent(a) if scaled else 0)
             assert np.max(np.linalg.eigvalsh(m - eta * cone.Q)) <= bound, trial
         else:
             _assert_boundary_counterexample(cone, a, v)

@@ -119,6 +119,19 @@ def test_values_the_cli_rejected_are_still_rejected(tmp_path, capsys, problem, l
     assert (code, out, err) == (EXIT_INPUT, "", f"input error: {line}\n")
 
 
+@pytest.mark.parametrize("depth", [70, 500])
+def test_a_matrix_nested_too_deep_is_exit_64(tmp_path, capsys, depth):
+    # the walk stops at a matrix's two levels, before numpy's dimension
+    # limit or the recursion limit is reached
+    g = 1.0
+    for _ in range(depth):
+        g = [g]
+    code, out, err = _run(tmp_path, capsys, "check",
+                          _problem({"type": "hpolyhedron", "G": g, "b": [1]}))
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: set.G[0][0]: expected a number, "
+                                                "got list\n")
+
+
 def test_tangent_point_goes_through_the_same_rule(capsys):
     box = str(Path(__file__).resolve().parent.parent / "problems" / "hpolyhedron_box.json")
     for point, line in (('[1, "0"]', "point[1]: expected a number, got str"),
@@ -138,11 +151,12 @@ def test_tangent_point_goes_through_the_same_rule(capsys):
     (np.array([[1 + 2j]]), "M[0][0]: expected a number, got complex128"),
     ([[1.0, 2.0], [3.0]], "M[1]: shape (1,) != (2,)"),
     ([[1.0, 2.0], 3.0], "M[1]: shape () != (2,)"),
+    ([[[1.0]]], "M[0][0]: expected a number, got list"),
     ("12", "M: expected an array of numbers, got str"),
     (None, "M: expected an array of numbers, got NoneType"),
     (np.array(None, dtype=object), "M: expected a number, got NoneType"),
 ], ids=["bool", "string", "None", "object array", "bool array", "complex array", "ragged",
-        "row and number", "string", "None", "0-d object array"])
+        "row and number", "nested", "string", "None", "0-d object array"])
 def test_matrix_rules_name_the_first_bad_entry(rule, value, message):
     with pytest.raises(InputError) as err:
         rule(value, "M")

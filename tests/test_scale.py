@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from invarcheck.checkers import Decision, check
+from invarcheck.expressions import build_expression_system
 from invarcheck.sets import Ellipsoid, HPolyhedron, LorenzCone, VCone, VPolytope
 from invarcheck.systems import LinearSystem
 
@@ -143,3 +144,20 @@ def test_a_single_small_entry_is_seen_at_its_power_of_two_scale():
     cone = HPolyhedron(-np.eye(2), np.zeros(2))
     v = check(cone, LinearSystem([[0.0, -1e-11], [0.0, 0.0]]))
     assert v.decision is Decision.NOT_INVARIANT
+
+
+def test_field_values_that_are_rounding_noise_are_not_scaled_up():
+    # the square's faces are equilibria of sin(pi x), so it is invariant;
+    # the field at each vertex is sin(pi) = 1.2e-16 outward, rounding noise
+    # that a scale by the largest field value would blow up to [1, 2)
+    square = VPolytope([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    sines = build_expression_system(["sin(3.141592653589793*x1)", "sin(3.141592653589793*x2)"])
+    assert check(square, sines).decision is Decision.UNKNOWN
+    # A kills the plane x1 + x2 = x3 that holds the cone, but A (0.1, 0.2,
+    # 0.3) rounds to 5.6e-17 (1, 1, 1), out of that plane: the V-form
+    # scales it by A's power of two, 1, so the noise stays noise
+    cone = VCone([[0.1, 0.2, 0.3], [1.0, 0.0, 1.0]])
+    a = np.array([[1.0, 1.0, -1.0]] * 3)
+    assert np.all(a @ [0.1, 0.2, 0.3] > 0.0)
+    for c in (1.0, 2.0 ** -40, 2.0 ** 30):
+        assert check(cone, LinearSystem(c * a)).decision is Decision.INVARIANT, c
