@@ -106,30 +106,24 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     facet LP has supremum +inf and refutes too: its witness is any point of
     the facet with flux g_i'Ax >= 1, found by one feasibility LP, and the
     violation is that point's flux. If that LP finds no such point the
-    decider raises NumericalFailure. The LPs read A scaled by 2^-e (see
-    _matrix), and each optimum and violation is reported times 2^e.
+    decider raises NumericalFailure. A feasible facet LP holds a point of
+    the polyhedron; only when none is feasible does one more LP decide
+    whether the polyhedron is empty (EmptySet). The LPs read A scaled by
+    2^-e (see _matrix), and each optimum and violation is reported times 2^e.
     """
     a, e = _matrix(p, a)
     facets = []
-    nonempty_checked = False
     for i in range(p.G.shape[0]):
         c = a.T @ p.G[i]
-        g_i = p.G[i].reshape(1, -1)
-        status, x, val = solve_inequality_lp(
-            c, g_ub=p.G, h_ub=p.b, a_eq=g_i, b_eq=[p.b[i]])
+        g_i, b_i = p.G[i:i + 1], p.b[i:i + 1]
+        status, x, val = solve_inequality_lp(c, g_ub=p.G, h_ub=p.b, a_eq=g_i, b_eq=b_i)
         if status == "infeasible":
-            if not nonempty_checked:
-                st_all, _, _ = solve_inequality_lp(
-                    np.zeros(p.dim), g_ub=p.G, h_ub=p.b)
-                if st_all != "optimal":
-                    raise EmptySet("the polyhedron has no points")
-                nonempty_checked = True
             facets.append({"index": i, "vacuous": True})
             continue
         if status == "unbounded":
             status, x, _ = solve_inequality_lp(
                 np.zeros(p.dim), g_ub=np.vstack([p.G, -c]), h_ub=np.append(p.b, -1.0),
-                a_eq=g_i, b_eq=[p.b[i]])
+                a_eq=g_i, b_eq=b_i)
             if status != "optimal":
                 raise NumericalFailure(f"facet {i}: unbounded flux, no point of flux 1")
             val = float(c @ x)
@@ -142,6 +136,9 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
             "optimum": math.ldexp(val, e),
             "argmax": [float(v) for v in x],
         })
+    if all("vacuous" in f for f in facets) and \
+            solve_inequality_lp(np.zeros(p.dim), g_ub=p.G, h_ub=p.b)[0] != "optimal":
+        raise EmptySet("the polyhedron has no points")
     return Verdict(Decision.INVARIANT,
                    certificate=Certificate("facet-lp", {"facets": facets}))
 

@@ -107,12 +107,11 @@ def system_from_dict(d: dict, dim: int):
         return sys_obj, {"type": "linear", "A": sys_obj.a.tolist()}
     if tag == "expression":
         formulas = d.get("formulas")
-        if not isinstance(formulas, list) or not all(isinstance(f, str) for f in formulas):
-            raise InputError("system.formulas: expected an array of strings")
-        if len(formulas) != dim:
+        with _at("system"):
+            sys_obj = build_expression_system(formulas)
+        if len(formulas) != dim:  # the tangent command never evaluates the field
             raise InputError(f"system.formulas: expected {dim} formulas, got {len(formulas)}")
-        with _at("system.formulas"):
-            return build_expression_system(formulas), {"type": "expression", "formulas": formulas}
+        return sys_obj, {"type": "expression", "formulas": formulas}
     raise InputError(f"system.type: unknown tag {tag!r}")
 
 

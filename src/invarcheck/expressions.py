@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionMismatch, InputError
 from .systems import GeneralSystem
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
@@ -103,14 +103,26 @@ def parse_formula(text: str, n_vars: int):
 
 
 def build_expression_system(formulas: list[str]) -> GeneralSystem:
-    """A batch-capable system whose coordinates follow the given formulas."""
+    """A batch-capable system whose coordinates follow the given formulas, a
+    non-empty list or tuple of strings (else InputError, naming formulas[k]
+    for a formula that does not parse). Its field takes a state, or states
+    as columns, of one row per formula (else DimensionMismatch)."""
+    if not isinstance(formulas, (list, tuple)) or not all(isinstance(f, str) for f in formulas):
+        raise InputError("formulas: expected an array of strings")
     n = len(formulas)
     if n == 0:
-        raise InputError("system needs at least one formula")
-    compiled = [parse_formula(f, n) for f in formulas]
+        raise InputError("formulas: expected at least one formula")
+    compiled = []
+    for k, text in enumerate(formulas):
+        try:
+            compiled.append(parse_formula(text, n))
+        except InputError as exc:
+            raise InputError(f"formulas[{k}]: {exc}") from exc
 
     def func(t, x):
         x = np.asarray(x, dtype=float)
+        if x.shape[:1] != (n,):
+            raise DimensionMismatch(f"x: expected {n} rows, one per formula, got shape {x.shape}")
         out = np.empty((n,) + x.shape[1:])
         with np.errstate(all="ignore"):
             for i, fn in enumerate(compiled):

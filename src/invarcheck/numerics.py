@@ -62,7 +62,10 @@ def _as_array(a, name: str, ndims: tuple, nonempty: bool = False) -> np.ndarray:
     if not isinstance(a, _SEQUENCE):
         raise InputError(f"{name}: expected an array of numbers, got {type(a).__name__}")
     _walk(a, name, max(ndims))
-    m = np.asarray(a, dtype=float)
+    try:
+        m = np.asarray(a, dtype=float)
+    except OverflowError:
+        raise InputError(f"{name}: contains an integer beyond the float range") from None
     if m.ndim not in ndims:
         raise InputError(f"{name}: expected a {' or '.join(f'{d}-D' for d in ndims)} array, "
                          f"got shape {m.shape}")
@@ -96,7 +99,7 @@ def as_point(s, x, name: str, batch: bool = False) -> np.ndarray:
     with batch also as n x N columns of one; else an InputError naming name."""
     x = _as_array(x, name, (1, 2) if batch else (1,))
     if x.shape[0] != s.dim:
-        raise DimensionMismatch(f"{name} has dimension {x.shape[0]}, set has {s.dim}")
+        raise DimensionMismatch(f"{name}: expected dimension {s.dim}, got {x.shape[0]}")
     return x
 
 
@@ -117,13 +120,19 @@ def pow2_exponent(a: np.ndarray) -> int:
 
 def _check_real(value, name: str, nonnegative: bool = False) -> float:
     """value as a float, else InputError naming name unless it is a finite
-    real number (a bool is none), and >= 0 if nonnegative."""
+    real number (a bool or an int beyond the float range is none), and >= 0
+    if nonnegative."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InputError(f"{name}: expected a number, got {type(value).__name__}")
-    if not (math.isfinite(value) and (value >= 0.0 or not nonnegative)):
+    try:
+        real = float(value)
+    except OverflowError:
+        raise InputError(f"{name}: expected a finite number, got an integer beyond the "
+                         "float range") from None
+    if not (math.isfinite(real) and (real >= 0.0 or not nonnegative)):
         raise InputError(f"{name}: expected a finite {'nonnegative ' * nonnegative}number, "
-                         f"got {float(value)}")
-    return float(value)
+                         f"got {real}")
+    return real
 
 
 def _check_int(value, name: str, least: int) -> int:
@@ -187,23 +196,18 @@ def solve_linear(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _require_symmetric(m: np.ndarray, name: str) -> None:
-    """Raise InputError unless m is symmetric within 1e-9 of its largest entry."""
-    if m.size and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + float(np.max(np.abs(m)))):
-        raise InputError(f"{name} is not symmetric within tolerance")
-
-
 def sym_eig(m, name: str = "M") -> EigenResult:
     """Eigendecomposition of a symmetric matrix by LAPACK's eigh.
 
-    The input is symmetrized as (M + M')/2 after a near-symmetry check, whose
-    error names it name.
+    The input is symmetrized as (M + M')/2 after a near-symmetry check
+    (within 1e-9 of its largest entry), whose error names it name.
     Eigenvalues come back sorted descending with orthonormal eigenvector
     columns aligned to them, each column sign-normalized by canonical_sign;
     raises NoConvergence if LAPACK reports a failure to converge.
     """
     m = as_square(m, name)
-    _require_symmetric(m, name)
+    if m.size and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + float(np.max(np.abs(m)))):
+        raise InputError(f"{name} is not symmetric within tolerance")
     try:
         w, v = np.linalg.eigh(0.5 * (m + m.T))
     except np.linalg.LinAlgError as exc:
@@ -214,8 +218,8 @@ def sym_eig(m, name: str = "M") -> EigenResult:
 
 def cholesky_lower(q) -> np.ndarray:
     """Lower Cholesky factor of an SPD matrix by LAPACK, from its lower triangle;
-    NotPositiveDefinite if LAPACK fails or a pivot L[i, i]^2 is below _CHOLESKY_PIVOT_TOL."""
-    q = as_square(q, "Q")
+    NotPositiveDefinite if LAPACK fails or a pivot L[i, i]^2 is below _CHOLESKY_PIVOT_TOL.
+    q is a square float array the package built, not checked again."""
     try:
         low = np.linalg.cholesky(q)
     except np.linalg.LinAlgError as exc:
@@ -229,16 +233,12 @@ def cholesky_lower(q) -> np.ndarray:
 def gen_eig_max_witness(m, q):
     """Largest lambda with M x = lambda Q x for symmetric M and SPD Q, plus x.
 
-    Reduces to a standard symmetric problem through the Cholesky factor of Q,
-    which is also the positive-definiteness test. M is symmetrized.
+    M and Q are float arrays of one nonempty square shape that the package
+    built, Q symmetric (a quadric's, checked and symmetrised where the set
+    is built); neither is checked again. Reduces to a standard symmetric
+    problem through the Cholesky factor of Q, which is also the
+    positive-definiteness test. M is symmetrized.
     """
-    m = as_square(m, "M")
-    q = as_square(q, "Q")
-    if m.shape != q.shape:
-        raise DimensionMismatch("M and Q must have matching shapes")
-    if q.shape[0] == 0:
-        raise NotPositiveDefinite("Q is empty")
-    _require_symmetric(q, "Q")
     low = cholesky_lower(q)
     y = np.linalg.solve(low, 0.5 * (m + m.T))
     w = np.linalg.solve(low, y.T)
@@ -249,11 +249,9 @@ def gen_eig_max_witness(m, q):
 
 
 def gershgorin_radius(m) -> float:
-    """Upper bound on the spectral radius from Gershgorin discs."""
-    m = as_square(m, "M")
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+    """Upper bound on the spectral radius from Gershgorin discs, of a square
+    float array the package built (not checked again)."""
+    return float(np.max(np.sum(np.abs(m), axis=1), initial=0.0))
 
 
 def minimize_scalar_convex(f, bracket, tol: float = 1e-8):

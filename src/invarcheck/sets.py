@@ -137,7 +137,7 @@ class HPolyhedron:
         c = np.concatenate([np.zeros(n), [1.0]])
         status, z, _ = solve_inequality_lp(
             c, g_ub=g, h_ub=np.concatenate([self.b[others], [1.0, 0.0]]),
-            a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=[self.b[i]])
+            a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=self.b[i:i + 1])
         if status != "optimal":
             return None
         slack = self._slack(z[:n, None])[:, 0]

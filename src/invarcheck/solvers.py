@@ -237,12 +237,12 @@ def _solve_split(c, free, a_eq, b_eq, g=None, h=None):
 def phase_one_feasibility(matrix, rhs, free_indices=()):
     """Feasibility of  matrix @ a = rhs  with a_j >= 0 except the free ones.
 
-    Free coefficients are split into differences of nonnegative variables.
+    matrix and rhs are float arrays the package built, one rhs entry per
+    row, and are not checked again. Free coefficients are split into
+    differences of nonnegative variables.
     Returns (phase-one optimum, a or None); the optimum is an L1 residual,
     so values at or below the feasibility tolerance mean feasible.
     """
-    matrix = as_matrix(matrix, "matrix")
-    rhs = as_vector(rhs, "rhs")
     free = sorted(set(int(j) for j in free_indices))
     status, a, opt = _solve_split(None, free, matrix, rhs)
     if status == "infeasible":
@@ -253,15 +253,14 @@ def phase_one_feasibility(matrix, rhs, free_indices=()):
 def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
     """Solve max c'x over G x <= h, A x = b.
 
+    Every argument is a float array the package built (c of length n, G and
+    A of n columns, h and b one entry per row), not checked again.
     Variables are free; they are split internally. Returns (status, x, value)
     with value the maximum, +inf when unbounded.
     """
-    c = as_vector(c, "c")
     n = c.shape[0]
-    g_ub = None if g_ub is None else as_matrix(g_ub, "G")
-    h_ub = None if g_ub is None else as_vector(h_ub, "h")
-    b_eq = np.zeros(0) if a_eq is None else as_vector(b_eq, "b_eq")
-    a_eq = np.zeros((0, n)) if a_eq is None else as_matrix(a_eq, "A_eq")
+    if a_eq is None:
+        a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
     status, x, obj = _solve_split(-c, list(range(n)), a_eq, b_eq, g_ub, h_ub)
     if status != "optimal":
         return status, None, (np.inf if status == "unbounded" else obj)

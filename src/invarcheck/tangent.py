@@ -36,7 +36,6 @@ from .sets import (
     Membership,
     VCone,
     VPolytope,
-    active_constraints,
     flux_residual,
     membership,
 )
@@ -97,8 +96,8 @@ def tangent_cone_at(s, x, tol: float = DEFAULT_TOL) -> TangentCone:
 def _cone_at(s, pt, tol: float) -> TangentCone:
     """tangent_cone_at's cone at pt, unchecked (a sample pays no membership LP)."""
     if isinstance(s, HPolyhedron):
-        active = active_constraints(s, pt, tol)
-        return TangentCone(HALFSPACES if active else FULLSPACE, normals=s.G[active])
+        active = s._binding(pt[:, None], tol)[:, 0]
+        return TangentCone(HALFSPACES if active.any() else FULLSPACE, normals=s.G[active])
     if isinstance(s, (VPolytope, VCone)):
         bound = s._rows(pt[:, None], tol)
         if bound is not None:

@@ -195,6 +195,30 @@ def test_empty_polyhedron_raises():
         check_hpoly_linear(empty, np.eye(1))
 
 
+def test_emptiness_lp_runs_only_when_no_facet_lp_is_feasible(monkeypatch):
+    # a feasible facet LP holds a point of the polyhedron, so the vacuous row
+    # 0'x <= 1 before the refuting facet x1 <= 1 asks for no emptiness LP
+    solve, asked = checkers.solve_inequality_lp, []
+
+    def spied(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
+        asked.append("facet" if a_eq is not None else "emptiness")
+        return solve(c, g_ub, h_ub, a_eq=a_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(checkers, "solve_inequality_lp", spied)
+    v = check_hpoly_linear(HPolyhedron([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0]), np.eye(2))
+    assert (v.decision, v.notes, asked) == (Decision.NOT_INVARIANT, {"facet": 1},
+                                            ["facet", "facet"])
+    # with every facet LP infeasible, one emptiness LP tells a whole space
+    # from an empty set
+    asked.clear()
+    v = check_hpoly_linear(HPolyhedron([[0.0, 0.0]], [1.0]), np.eye(2))
+    assert v.decision is Decision.INVARIANT and asked == ["facet", "emptiness"]
+    asked.clear()
+    with pytest.raises(EmptySet):
+        check_hpoly_linear(HPolyhedron([[1.0], [-1.0]], [-1.0, -2.0]), np.eye(1))
+    assert asked == ["facet", "facet", "emptiness"]
+
+
 def test_redundant_row_is_a_vacuous_facet():
     # x1 <= 2 never binds on the box [-1, 1]^2: its facet LP is infeasible
     box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]],

@@ -322,7 +322,7 @@ def test_tangent_point_of_the_wrong_size_exits_64(capsys):
     code, out, err = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"),
                              "[1.0, 1.0, 1.0]")
     assert code == EXIT_INPUT and out == ""
-    assert err == "input error: point has dimension 3, set has 2\n"
+    assert err == "input error: point: expected dimension 2, got 3\n"
 
 
 def test_tangent_report_has_the_skeleton_of_every_command(capsys):

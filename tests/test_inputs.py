@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invarcheck import numerics
 from invarcheck.checkers import check
 from invarcheck.cli import EXIT_INPUT, main
 from invarcheck.dynamics import falsify
-from invarcheck.errors import InputError
+from invarcheck.errors import DimensionMismatch, InputError
+from invarcheck.expressions import build_expression_system
 from invarcheck.numerics import (_check_grid, _check_int, _check_real, as_matrix, as_square,
                                  as_vector)
-from invarcheck.sets import HPolyhedron
+from invarcheck.sets import HPolyhedron, LorenzCone
 from invarcheck.systems import LinearSystem
 
 _G = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
@@ -67,6 +69,24 @@ _BAD_VALUES = {
     "bool b": (lambda: HPolyhedron(_G, [True, 1, 1, 1]), "b[0]: expected a number, got bool",
                "check", _problem({"type": "hpolyhedron", "G": _G, "b": [True, 1, 1, 1]}),
                "set.b[0]: expected a number, got bool"),
+    "400-digit G": (lambda: HPolyhedron([[10**400, 0]] + _G[1:], [1] * 4),
+                    "G: contains an integer beyond the float range",
+                    "check", _problem({"type": "hpolyhedron", "G": [[10**400, 0]] + _G[1:],
+                                       "b": [1] * 4}),
+                    "set.G: contains an integer beyond the float range"),
+    "400-digit tol": (lambda: check(_BOX, _DECAY, tol=10**400),
+                      "tol: expected a finite number, got an integer beyond the float range",
+                      "check", _problem(options={"tolerance": 10**400}),
+                      "options.tolerance: expected a finite number, got an integer beyond"),
+    "formulas a string": (lambda: build_expression_system("-x1"),
+                          "formulas: expected an array of strings",
+                          "check", _problem(system={"type": "expression", "formulas": "-x1"}),
+                          "system.formulas: expected an array of strings"),
+    "u_n of the wrong size": (lambda: LorenzCone([[1, 0], [0, -1]], [0, 0, 1]),
+                              "u_n: expected dimension 2, got 3",
+                              "check", _problem({"type": "lorenz", "Q": [[1, 0], [0, -1]],
+                                                 "u_n": [0, 0, 1]}),
+                              "set.u_n: expected dimension 2, got 3"),
     "A of the wrong size": (lambda: check(_BOX, LinearSystem(-np.eye(3))),
                             "A: system dimension does not match the set",
                             "check",
@@ -197,3 +217,53 @@ def test_number_rules_return_what_the_report_echoes_and_refuse_bools_and_strings
     for bad in (True, "1", None, [1.0]):
         with pytest.raises(InputError):
             rule(bad)
+
+
+@pytest.mark.parametrize("formulas", [5, None, [1], ["-x1", None], {"f": "-x1"}])
+def test_formulas_are_a_list_of_strings(formulas):
+    with pytest.raises(InputError, match="^formulas: expected an array of strings$"):
+        build_expression_system(formulas)
+
+
+def test_formula_errors_name_the_formula(tmp_path, capsys):
+    with pytest.raises(InputError, match=r"^formulas\[1\]: malformed formula 'x1 \+'$"):
+        build_expression_system(["-x1", "x1 +"])
+    with pytest.raises(InputError, match="^formulas: expected at least one formula$"):
+        build_expression_system([])
+    code, out, err = _run(tmp_path, capsys, "check",
+                          _problem(system={"type": "expression", "formulas": ["-x1", "x1 +"]}))
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: system.formulas[1]: "
+                                                "malformed formula 'x1 +'\n")
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 5), (4, 5)])
+def test_a_state_needs_one_row_per_formula(shape):
+    field = build_expression_system(["-x1", "-x2", "-x3"]).field
+    with pytest.raises(DimensionMismatch, match=r"^x: expected 3 rows, one per formula"):
+        field(0.0, np.zeros(shape))
+    assert field(0.0, np.ones(3)).tolist() == [-1.0, -1.0, -1.0]
+
+
+def _polygon(m):
+    """The regular m-gon around the origin as m halfspace rows."""
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return HPolyhedron(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(m))
+
+
+def test_a_linear_check_checks_its_inputs_once_whatever_the_facet_count(monkeypatch):
+    # the facet LPs take the package's own arrays: only the entries call the
+    # array rules, so their count does not grow with the rows
+    rule, counts = numerics._as_array, {}
+    for m in (4, 24):
+        s, calls = _polygon(m), []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_as_array", counted)
+        v = check(s, _DECAY)
+        monkeypatch.undo()
+        assert v.decision.value == "invariant" and len(v.certificate.data["facets"]) == m
+        counts[m] = calls
+    assert counts[4] == counts[24]

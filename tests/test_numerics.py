@@ -160,12 +160,6 @@ def test_gen_eig_rejects_indefinite_q():
         gen_eig_max_witness(np.eye(2), np.diag([1.0, -1.0]))[0]
 
 
-def test_gen_eig_rejects_asymmetric_q():
-    # the Cholesky factor reads only the lower triangle, which is the identity here
-    with pytest.raises(InputError):
-        gen_eig_max_witness(np.eye(2), [[1.0, 0.5], [0.0, 1.0]])[0]
-
-
 def test_gen_eig_matches_power_iteration_oracle():
     rng = np.random.default_rng(21)
     for _ in range(60):

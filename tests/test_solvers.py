@@ -245,8 +245,8 @@ def test_lp_results_hold_no_negative_zero():
     assert not np.any(np.signbit(np.append(alpha, infeas)) & (np.append(alpha, infeas) == 0.0))
     # max x2 over the square [-1, 1] x [-1, 0] is 0
     status, x, value = solve_inequality_lp(
-        [0.0, 1.0], g_ub=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-        h_ub=[1.0, 0.0, 1.0, 1.0])
+        np.array([0.0, 1.0]), g_ub=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        h_ub=np.array([1.0, 0.0, 1.0, 1.0]))
     assert status == "optimal" and value == 0.0 and not np.signbit(value)
     assert not np.any(np.signbit(x) & (x == 0.0))
 
@@ -254,17 +254,18 @@ def test_lp_results_hold_no_negative_zero():
 def test_inequality_lp_box_and_equality():
     # max x1 + x2 on the unit square with x2 = x1
     status, x, v = solve_inequality_lp(
-        [1.0, 1.0],
-        g_ub=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-        h_ub=[1.0, 1.0, 0.0, 0.0],
-        a_eq=[[1.0, -1.0]],
-        b_eq=[0.0],
+        np.array([1.0, 1.0]),
+        g_ub=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        h_ub=np.array([1.0, 1.0, 0.0, 0.0]),
+        a_eq=np.array([[1.0, -1.0]]),
+        b_eq=np.array([0.0]),
     )
     assert status == "optimal"
     assert v == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
     # max x1 over x1 >= 0 is unbounded
-    status, _, _ = solve_inequality_lp([1.0], g_ub=[[-1.0]], h_ub=[0.0])
+    status, _, _ = solve_inequality_lp(np.array([1.0]), g_ub=np.array([[-1.0]]),
+                                       h_ub=np.array([0.0]))
     assert status == "unbounded"
 
 
