@@ -29,6 +29,7 @@ from .errors import (
 
 _COND_TOL = 1e-12            # relative: condition number above 1/_COND_TOL is singular
 _CHOLESKY_PIVOT_TOL = 1e-10  # Cholesky pivot floor for positive definiteness
+_MAX_DIM = math.isqrt(np.iinfo(np.intp).max // 8)  # largest n whose n x n float64 array numpy can size
 
 
 _SEQUENCE = (list, tuple, np.ndarray)
@@ -142,6 +143,17 @@ def _check_int(value, name: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise InputError(f"{name}: expected a {('nonnegative', 'positive')[least]} integer, "
                          f"got {value!r}")
+    return value
+
+
+def _check_dim(value, name: str) -> int:
+    """value, else InputError naming name unless it is a positive int whose
+    n x n float array numpy can represent (an int too large for that would
+    reach numpy as a ValueError)."""
+    _check_int(value, name, 1)
+    if value > _MAX_DIM:
+        raise InputError(f"{name}: expected at most {_MAX_DIM}, the largest n of an n x n "
+                         f"numpy array, got an integer of {int(value).bit_length()} bits")
     return value
 
 

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
-from .numerics import (_check_int, _check_real, _check_sampling, as_matrix, as_point, as_square,
+from .numerics import (_check_dim, _check_real, _check_sampling, as_matrix, as_point, as_square,
                        as_vector, sym_eig)
 from .solvers import simplex_standard, solve_inequality_lp
 
@@ -195,7 +195,7 @@ class Orthant(HPolyhedron):
     FIELDS = ("n",)
 
     def __init__(self, n):
-        _check_int(n, "n", 1)
+        _check_dim(n, "n")
         super().__init__(np.diag(np.full(n, -1.0)), np.zeros(n))  # +0.0 off the diagonal
         self.n = n
 
@@ -606,7 +606,7 @@ orthant_h = Orthant  # the orthant's halfspace form, beside orthant_v
 
 def orthant_v(n: int) -> VCone:
     """Nonnegative orthant of R^n generated by the standard basis rays."""
-    return VCone(np.eye(_check_int(n, "n", 1)))
+    return VCone(np.eye(_check_dim(n, "n")))
 
 
 def membership(s: ConvexSet, x, tol: float = DEFAULT_TOL):

@@ -5,8 +5,10 @@ game here, as are brute-force enumerations and closed forms. Anything
 asserted against library output should come from one of these.
 """
 
+import ast
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -421,3 +423,30 @@ def facets_by_subsets(columns, tol=1e-10):
             on = tuple(np.flatnonzero(np.abs(vals) <= band).tolist())
             facets.setdefault(on, (h / vals.max()) @ basis.T)
     return facets
+
+
+def recursive_formula(text, t, x):
+    """Value of a well-formed formula of the expression grammar at (t, x).
+
+    One recursive walk of Python's ast per call, the semantics of a tree of
+    closures: every subterm is computed where it occurs, every power goes
+    through numpy's pow, constants and t are numpy floats and x is indexed
+    per coordinate (x1 is x[0]). Formulas with leading zeros are not read.
+    """
+    binary = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
+    functions = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
+
+    def value(node):
+        if isinstance(node, ast.BinOp):
+            return binary[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp):
+            return value(node.operand) if isinstance(node.op, ast.UAdd) else -value(node.operand)
+        if isinstance(node, ast.Constant):
+            return np.float64(node.value)
+        if isinstance(node, ast.Call):
+            return functions[node.func.id](value(node.args[0]))
+        return np.float64(t) if node.id == "t" else x[int(node.id[1:]) - 1]
+
+    with np.errstate(all="ignore"):
+        return value(ast.parse(" ".join(text.split()).replace("^", "**"), mode="eval").body)

@@ -150,6 +150,15 @@ def test_every_malformed_problem_exits_64(tmp_path, capsys, problem, message):
     assert err == line + "\n" if problem is not None else err.startswith(line)
 
 
+@pytest.mark.parametrize("n", [10**400, 2**63], ids=["1e400", "2^63"])
+def test_orthant_dimension_numpy_cannot_size_exits_64(tmp_path, capsys, n):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(_problem(set={"type": "orthant", "n": n})), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: set.n: expected at most ")
+
+
 def test_dimension_mismatch_exits_64(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"schema": "nagumo/1",

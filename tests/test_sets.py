@@ -10,6 +10,7 @@ from invarcheck.checkers import check
 from invarcheck.dynamics import falsify
 
 from invarcheck.errors import DimensionMismatch, EmptyBoundary, InputError
+from invarcheck.numerics import _MAX_DIM
 from invarcheck.sets import (
     DEFAULT_TOL,
     BoundaryPoint,
@@ -117,6 +118,15 @@ def test_counts_are_positive_integers(call):
     # a float or bool count would reach numpy as an IndexError or TypeError
     with pytest.raises(InputError, match="expected a positive integer"):
         call()
+
+
+@pytest.mark.parametrize("n", [10**400, 2**63, _MAX_DIM + 1], ids=["1e400", "2^63", "max+1"])
+@pytest.mark.parametrize("build", [orthant_h, orthant_v])
+def test_orthant_dimension_numpy_cannot_size_is_an_input_error(build, n):
+    # refused before any array is built; a dimension numpy can size but
+    # memory cannot hold would allocate, so it is not tried
+    with pytest.raises(InputError, match=rf"^n: expected at most {_MAX_DIM}, .* {int(n).bit_length()} bits$"):
+        build(n)
 
 
 def test_numpy_integer_counts_are_counts():
