@@ -53,7 +53,7 @@ from .sets import (
     VPolytope,
     sample_boundary,
 )
-from .solvers import lp_feasible, solve_inequality_lp
+from .solvers import _facet_lp, lp_feasible, solve_inequality_lp
 from .systems import DynamicalSystem, LinearSystem, field_batch
 from .tangent import first_outside
 
@@ -112,18 +112,17 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     2^-e (see _matrix), and each optimum and violation is reported times 2^e.
     """
     a, e = _matrix(p, a)
-    facets = []
+    facets, facet_lp = [], _facet_lp(p.G, p.b)
     for i in range(p.G.shape[0]):
         c = a.T @ p.G[i]
-        g_i, b_i = p.G[i:i + 1], p.b[i:i + 1]
-        status, x, val = solve_inequality_lp(c, g_ub=p.G, h_ub=p.b, a_eq=g_i, b_eq=b_i)
+        status, x, val = facet_lp(i, c)
         if status == "infeasible":
             facets.append({"index": i, "vacuous": True})
             continue
         if status == "unbounded":
             status, x, _ = solve_inequality_lp(
                 np.zeros(p.dim), g_ub=np.vstack([p.G, -c]), h_ub=np.append(p.b, -1.0),
-                a_eq=g_i, b_eq=b_i)
+                a_eq=p.G[i:i + 1], b_eq=p.b[i:i + 1])
             if status != "optimal":
                 raise NumericalFailure(f"facet {i}: unbounded flux, no point of flux 1")
             val = float(c @ x)

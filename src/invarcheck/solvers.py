@@ -10,15 +10,19 @@ degenerate pivots, which rules out cycling; every few dozen pivots the
 tableau is rebuilt from the unpivoted rows, so rounding does not pile up.
 LPs with free variables (the vertex and ray decomposition systems, and the
 inequality LPs of the facet checks and boundary sampling) reach it through
-one builder that splits each free variable and adds the slacks. Phase one
-starts each row with a slack and a nonnegative rhs on that slack and only
-the other rows on artificial variables, so an infeasible inequality LP's
-phase-one value sums the residuals of those other rows only; equality-only
-LPs start every row on an artificial.
+one builder that splits each free variable and adds the slacks; one
+H-form's facet LPs share its standard form, whose equality row, rhs and
+costs alone change from facet to facet. Phase one starts each row with a
+slack and a nonnegative rhs on that slack and only the other rows on
+artificial variables, so an infeasible inequality LP's phase-one value sums
+the residuals of those other rows only; equality-only LPs start every row on
+an artificial.
 
 The core solves one LP, or a stack of decomposition LPs in lockstep: one
 V-form's vertex or ray LPs differ only in rhs and free column, so they pivot
-as one (LP x row x column) tableau, each with simplex_standard's result.
+as one (LP x row x column) tableau, each with simplex_standard's result. An
+LP that ends phase one feasible with no artificial basic reads off its point
+in one vectorised step.
 
 The decomposition programs take plain arrays and return tuples.
 lp_feasible decides a generator's LP, or every generator's in order, on
@@ -144,27 +148,26 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     "unbounded"; for "infeasible" the objective is the phase-one optimum
     (the L1 infeasibility of the rows that got artificials) and z is None.
     """
-    a_work = np.array(a_eq, dtype=float)  # copies: the rows of a negative rhs flip
-    b_eq = np.array(b_eq, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = a_work.shape
+    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
+    m, n = a_eq.shape
     neg = b_eq < 0
-    a_work[neg, :] *= -1.0
-    b_eq[neg] *= -1.0
 
     # a row with a slack and rhs >= 0 starts on its slack, every other row on
     # an artificial variable. One tableau serves both phases: the constraint
-    # rows, then the phase-two costs priced for this basis (artificials cost
-    # nothing), then the phase-one costs, the artificials' sum
+    # rows (those of a negative rhs flipped), then the phase-two costs priced
+    # for this basis (artificials cost nothing), then the phase-one costs,
+    # the artificials' sum
     basis = np.full(m, -1)
     slacks = np.asarray(slacks, dtype=int)
     basis[:slacks.size] = np.where(neg[:slacks.size], -1, slacks)
     art = (basis < 0).nonzero()[0]
     basis[art] = np.arange(n, n + art.size)
     raw = np.zeros((m + 2, n + art.size + 1))
-    raw[:m, :n] = a_work
-    raw[art, n:-1] = np.eye(art.size)
+    raw[:m, :n] = a_eq
     raw[:m, -1] = b_eq
+    if neg.any():
+        raw[neg.nonzero()[0]] *= -1.0  # every such row is an artificial's, set below
+    raw[art, n:-1] = np.eye(art.size)
     raw[m, :n] = c
     raw[m + 1, n:-1] = 1.0
     tab = raw.copy()
@@ -192,8 +195,8 @@ def _after_phase_one(tab, basis, raw, art, status):
             _pivot(tab, basis, i, int(cols[0]))
         else:
             keep[i] = False  # redundant constraint row
-    tab, raw = tab[keep], raw[keep]
-    basis = basis[keep[:m]]
+    rows = slice(m + 1) if keep[:m].all() else keep  # a slice copies nothing
+    tab, raw, basis = tab[rows], raw[rows], basis[keep[:m]]
     if _simplex_iterate(tab, basis, n, basis.size, raw) == "unbounded":
         return "unbounded", None, -np.inf
     z = np.zeros(n)
@@ -201,11 +204,14 @@ def _after_phase_one(tab, basis, raw, art, status):
     return "optimal", z, float(0.0 - tab[-1, -1])
 
 
-def _solve_split(c, free, a_eq, b_eq, g=None, h=None):
-    """min c'x (zero for c None) over G x <= h, A x = b, x_j >= 0 unless j is free.
+def _split_form(free, a_eq, b_eq, g=None, h=None):
+    """min c'x (zero for c None) over G x <= h, A x = b, x_j >= 0 unless j is
+    free, in standard form: columns x, -x_j per free j (sorted, distinct),
+    one slack per row of G; rows G, then A.
 
-    Standard form: columns x, -x_j per free j (sorted, distinct), one slack
-    per row of G; rows G, then A. Returns (status, unsplit x, objective).
+    Returns (a_std, b_std, solve): solve(c) gives (status, unsplit x,
+    objective) on a_std and b_std as they are when it is called, so a caller
+    may overwrite rows of them between calls.
     """
     m_eq, n = a_eq.shape
     m_ub = 0 if g is None else g.shape[0]
@@ -222,16 +228,20 @@ def _solve_split(c, free, a_eq, b_eq, g=None, h=None):
         if m_eq:
             a_std[m_ub:, :n] = a_eq
             a_std[m_ub:, n:n + k] = -a_eq[:, cols]
-    c_std = np.zeros(n + k + m_ub)
-    if c is not None:
-        c_std[:n] = c
-        c_std[n:n + k] = -c[cols]
-    status, z, obj = simplex_standard(c_std, a_std, b_std,
-                                      slacks=np.arange(n + k, n + k + m_ub))
-    x = None if z is None else z[:n].copy()
-    if x is not None and k:
-        x[cols] -= z[n:n + k]
-    return status, x, obj
+    slacks = np.arange(n + k, n + k + m_ub)
+
+    def solve(c):
+        c_std = np.zeros(n + k + m_ub)
+        if c is not None:
+            c_std[:n] = c
+            c_std[n:n + k] = -c[cols]
+        status, z, obj = simplex_standard(c_std, a_std, b_std, slacks=slacks)
+        x = None if z is None else z[:n].copy()
+        if x is not None and k:
+            x[cols] -= z[n:n + k]
+        return status, x, obj
+
+    return a_std, b_std, solve
 
 
 def phase_one_feasibility(matrix, rhs, free_indices=()):
@@ -244,7 +254,7 @@ def phase_one_feasibility(matrix, rhs, free_indices=()):
     so values at or below the feasibility tolerance mean feasible.
     """
     free = sorted(set(int(j) for j in free_indices))
-    status, a, opt = _solve_split(None, free, matrix, rhs)
+    status, a, opt = _split_form(free, matrix, rhs)[2](None)
     if status == "infeasible":
         return opt, None
     return 0.0, a  # with zero costs phase two is never unbounded
@@ -261,7 +271,27 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
     n = c.shape[0]
     if a_eq is None:
         a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    status, x, obj = _solve_split(-c, list(range(n)), a_eq, b_eq, g_ub, h_ub)
+    return _maximum(_split_form(list(range(n)), a_eq, b_eq, g_ub, h_ub)[2](-c))
+
+
+def _facet_lp(g, h):
+    """The facet LPs of G x <= h as one function of (i, c): the reply of
+    solve_inequality_lp(c, G, h, G[i:i+1], h[i:i+1]), bit for bit. The
+    standard form [G | -G | I] with its one equality row is built once, and
+    each call overwrites only that row, its rhs and the costs."""
+    m, n = g.shape
+    a_std, b_std, solve = _split_form(list(range(n)), g[:1], h[:1], g, h)
+
+    def facet(i, c):
+        a_std[m, :n], a_std[m, n:2 * n], b_std[m] = g[i], -g[i], h[i]
+        return _maximum(solve(-c))
+
+    return facet
+
+
+def _maximum(reply):
+    """solve_inequality_lp's reply from the split minimum of -c'x."""
+    status, x, obj = reply
     if status != "optimal":
         return status, None, (np.inf if status == "unbounded" else obj)
     return "optimal", x, 0.0 - obj  # 0.0 - obj, not -obj, so that no -0.0 comes back
@@ -307,26 +337,36 @@ def _phase_one_stack(columns, rhs, free):
     for pivots in range(1, _MAX_PIVOTS + 1):
         s = np.arange(lps.size)
         redcost = tab[:, m + 1, :n1 + m]
-        enter = np.where(degenerate < _BLAND_AFTER, redcost.argmin(axis=1),
-                         (redcost < -_REDCOST_TOL).argmax(axis=1))
+        enter = redcost.argmin(axis=1)
+        if degenerate.max() >= _BLAND_AFTER:
+            enter = np.where(degenerate < _BLAND_AFTER, enter,
+                             (redcost < -_REDCOST_TOL).argmax(axis=1))
         optimal = redcost[s, enter] >= -_REDCOST_TOL
         col = tab[s, :m, enter]
         up = col > _PIVOT_TOL
         done = optimal | ~up.any(axis=1)
-        for t in done.nonzero()[0]:
-            _, z, infeas = _after_phase_one(tab[t], basis[t], raw[t], art,
-                                            "optimal" if optimal[t] else "unbounded")
-            if z is None:
-                results[lps[t]], first_bad = (infeas, None), min(first_bad, lps[t])
-            else:
-                z[free[lps[t]]] -= z[n]
-                results[lps[t]] = 0.0, z[:n]
-        keep = ~done & (lps < first_bad)
-        if not keep.any():
-            return results[:first_bad + 1]
-        if not keep.all():
-            tab, raw, basis, lps, degenerate, enter, col, up = (
-                v[keep] for v in (tab, raw, basis, lps, degenerate, enter, col, up))
+        if done.any():
+            # an LP ending phase one optimal, feasible, with no artificial basic reads
+            # off its point here, as _after_phase_one would; the rest go there
+            easy = done & optimal & (tab[:, m + 1, -1] >= -_FEASIBILITY_TOL) & (basis < n1).all(axis=1)
+            z, r = np.zeros((easy.sum(), n1)), np.arange(easy.sum())
+            z[r[:, None], basis[easy]] = np.maximum(tab[easy, :m, -1], 0.0)
+            z[r, free[lps[easy]]] -= z[:, n]
+            for lp, z_lp in zip(lps[easy], z):
+                results[lp] = 0.0, z_lp[:n]
+            for t in (done & ~easy).nonzero()[0]:
+                _, z_t, infeas = _after_phase_one(tab[t], basis[t], raw[lps[t]], art,
+                                                  "optimal" if optimal[t] else "unbounded")
+                if z_t is None:
+                    results[lps[t]], first_bad = (infeas, None), min(first_bad, lps[t])
+                else:
+                    z_t[free[lps[t]]] -= z_t[n]
+                    results[lps[t]] = 0.0, z_t[:n]
+            keep = ~done & (lps < first_bad)
+            if not keep.any():
+                return results[:first_bad + 1]
+            tab, basis, lps, degenerate, enter, col, up = (
+                v[keep] for v in (tab, basis, lps, degenerate, enter, col, up))
         # Bland's ratio test on each LP, as in _simplex_iterate
         ratios = np.divide(tab[:, :m, -1], col, out=np.full(col.shape, np.inf), where=up)
         least = ratios.min(axis=1)
@@ -335,7 +375,7 @@ def _phase_one_stack(columns, rhs, free):
         _pivot_stack(tab, basis, np.where(tied, basis, n1 + m).argmin(axis=1), enter)
         if pivots % _REFACTOR_EVERY == 0:
             for t in range(lps.size):
-                _refactor(tab[t], basis[t], raw[t])
+                _refactor(tab[t], basis[t], raw[lps[t]])
     raise NumericalFailure("simplex exceeded its pivot budget")
 
 

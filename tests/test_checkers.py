@@ -69,17 +69,22 @@ def test_facet_check_stops_at_first_violating_facet(monkeypatch):
 
     box = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4)
     calls = []
-    solve = checkers.solve_inequality_lp
+    facet_lp = checkers._facet_lp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(g, h):
+        solve = facet_lp(g, h)
 
-    monkeypatch.setattr(checkers, "solve_inequality_lp", counted)
+        def facet(i, c):
+            calls.append(i)
+            return solve(i, c)
+
+        return facet
+
+    monkeypatch.setattr(checkers, "_facet_lp", counted)
     v = check_hpoly_linear(box, np.eye(2))
     assert v.decision is Decision.NOT_INVARIANT
     assert v.notes == {"facet": 0}
-    assert len(calls) == 1
+    assert calls == [0]
 
 
 def test_unbounded_facet_outside_default_box_refuted():
@@ -159,8 +164,8 @@ def test_unbounded_facets_refute_with_on_facet_witness():
 def test_unbounded_facet_without_witness_is_numerical_failure(monkeypatch):
     # an unbounded facet LP whose witness LP then finds no point of flux 1
     # is a numerical failure, never a verdict
-    replies = iter([("unbounded", None, np.inf), ("infeasible", None, 1.0)])
-    monkeypatch.setattr(checkers, "solve_inequality_lp", lambda *args, **kwargs: next(replies))
+    monkeypatch.setattr(checkers, "_facet_lp", lambda g, h: lambda i, c: ("unbounded", None, np.inf))
+    monkeypatch.setattr(checkers, "solve_inequality_lp", lambda *args, **kwargs: ("infeasible", None, 1.0))
     with pytest.raises(NumericalFailure, match="no point of flux 1"):
         check_hpoly_linear(HPolyhedron([[1.0, 0.0]], [1.0]), [[0.0, 1.0], [0.0, 0.0]])
 
@@ -198,16 +203,25 @@ def test_empty_polyhedron_raises():
 def test_emptiness_lp_runs_only_when_no_facet_lp_is_feasible(monkeypatch):
     # a feasible facet LP holds a point of the polyhedron, so the vacuous row
     # 0'x <= 1 before the refuting facet x1 <= 1 asks for no emptiness LP
-    solve, asked = checkers.solve_inequality_lp, []
+    solve, facet_lp, asked = checkers.solve_inequality_lp, checkers._facet_lp, []
 
     def spied(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
-        asked.append("facet" if a_eq is not None else "emptiness")
+        asked.append("witness" if a_eq is not None else "emptiness")
         return solve(c, g_ub, h_ub, a_eq=a_eq, b_eq=b_eq)
 
+    def facet_spied(g, h):
+        facet = facet_lp(g, h)
+        return lambda i, c: asked.append("facet") or facet(i, c)
+
     monkeypatch.setattr(checkers, "solve_inequality_lp", spied)
+    monkeypatch.setattr(checkers, "_facet_lp", facet_spied)
     v = check_hpoly_linear(HPolyhedron([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0]), np.eye(2))
     assert (v.decision, v.notes, asked) == (Decision.NOT_INVARIANT, {"facet": 1},
                                             ["facet", "facet"])
+    # nor when that facet holds: the set is certified with no emptiness LP
+    asked.clear()
+    v = check_hpoly_linear(HPolyhedron([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0]), -np.eye(2))
+    assert v.decision is Decision.INVARIANT and asked == ["facet", "facet"]
     # with every facet LP infeasible, one emptiness LP tells a whole space
     # from an empty set
     asked.clear()

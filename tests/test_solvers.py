@@ -482,6 +482,78 @@ def test_stacked_decomposition_lps_match_one_lp_at_a_time(monkeypatch):
     assert inside >= 10
 
 
+def test_stack_tail_matches_one_lp_at_a_time_where_phase_one_keeps_an_artificial(monkeypatch):
+    # rays spanning a plane in R^3 leave one row redundant: its artificial
+    # stays basic at zero, so those LPs leave the stack through
+    # _after_phase_one, while full-rank columns read off their points in the
+    # vectorised step; every outcome is phase_one_feasibility's, bit for bit
+    rng = np.random.default_rng(41)
+    after, stack_calls = solvers._after_phase_one, []
+
+    def spied(*args):
+        stack_calls.append(1)
+        return after(*args)
+
+    cases = []
+    for _ in range(6):
+        basis = rng.normal(size=(3, 2))
+        flat = basis @ rng.normal(size=(2, 5))  # rank 2: one redundant row
+        cases += [(flat, basis @ rng.normal(size=(2, 5))),
+                  (flat, -flat),
+                  (rng.normal(size=(3, 6)), rng.normal(size=(3, 6)))]
+    for columns, rhs in cases:
+        k = rhs.shape[1]
+        want = []
+        for i in range(k):
+            want.append(phase_one_feasibility(columns, rhs[:, i], (i,)))
+            if want[-1][1] is None:
+                break
+        monkeypatch.setattr(solvers, "_after_phase_one", spied)
+        got = lp_feasible(columns, rhs, range(k))
+        monkeypatch.setattr(solvers, "_after_phase_one", after)
+        assert len(got) == len(want)
+        assert all(_same_outcome(g, w) for g, w in zip(got, want))
+    # the redundant row sent LPs through _after_phase_one, but not every LP
+    assert 0 < len(stack_calls) < sum(rhs.shape[1] for _, rhs in cases)
+
+
+def _facet_battery():
+    """(G, b, costs) of seeded H-forms whose facet LPs hold rows with a
+    negative rhs, a duplicated row, a vacuous row, a facet never attained
+    and unbounded facets."""
+    rng = np.random.default_rng(43)
+    out = []
+    for n in (2, 3, 5, 8):
+        g = rng.normal(size=(2 * n + 2, n))
+        shift = 3.0 * rng.normal(size=n)  # moves the origin out: some rhs < 0
+        b = g @ shift + rng.uniform(0.5, 2.0, size=2 * n + 2)
+        g = np.vstack([g, g[1], np.zeros(n), g[2]])
+        b = np.append(b, [b[1], 1.0, b[2] + 5.0])  # duplicate, 0'x <= 1, never attained
+        out.append((g, b, rng.normal(size=(g.shape[0], n))))
+        cone = rng.normal(size=(n, n))  # a cone at the shift: unbounded facets
+        out.append((cone, cone @ shift, rng.normal(size=(n, n))))
+    return out
+
+
+def test_facet_lp_equals_inequality_lp_bit_for_bit():
+    # one standard form per H-form, facets solved in a shuffled order
+    rng = np.random.default_rng(47)
+    statuses, negative = set(), False
+    for g, b, costs in _facet_battery():
+        negative |= bool(np.any(b < 0))
+        facet = solvers._facet_lp(g, b)
+        for i in rng.permutation(g.shape[0]):
+            got = facet(i, costs[i])
+            want = solve_inequality_lp(costs[i], g, b, g[i:i + 1], b[i:i + 1])
+            assert got[0] == want[0]
+            assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+            assert (got[1] is None) == (want[1] is None)
+            if got[1] is not None:
+                assert got[1].tobytes() == want[1].tobytes()
+            statuses.add(got[0])
+    assert negative and statuses == {"optimal", "infeasible", "unbounded"}
+
+
 def test_stack_stops_at_a_refutation_before_a_later_lp_exhausts_the_budget(monkeypatch):
     # vertex 0 of +-e_i and 13 Gaussian points in R^13 under x' = x refutes in
     # fewer pivots than vertex 2 under x' = -x needs. With the pivot budget
