@@ -186,6 +186,18 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.where(cols[k, np.arange(cols.shape[1])] < 0, -v, v)
 
 
+def distinct_columns(x: np.ndarray) -> np.ndarray:
+    """Increasing indices of the first copy of each distinct column of the
+    n x N array x, as np.unique(x, axis=1, return_index=True) finds them:
+    a stable lexsort puts equal columns (float equality, so -0.0 == 0.0)
+    next to each other, first copy first."""
+    order = np.lexsort(x[::-1])
+    xs = x[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(xs[:, 1:] != xs[:, :-1], axis=0)
+    return np.sort(order[new])
+
+
 @dataclass
 class EigenResult:
     """Symmetric eigendecomposition, eigenvalues descending, columns aligned."""

@@ -199,6 +199,12 @@ class Orthant(HPolyhedron):
         super().__init__(np.diag(np.full(n, -1.0)), np.zeros(n))  # +0.0 off the diagonal
         self.n = n
 
+    def _facet_anchor(self, i: int, tol: float):
+        """1 - e_i, the point facet i's anchor LP finds, without the LP."""
+        anchor = np.ones(self.n)
+        anchor[i] = 0.0
+        return anchor
+
 
 @dataclass(frozen=True)
 class _Facets:
@@ -670,8 +676,9 @@ def sample_boundary(s: ConvexSet, count: int, seed: int,
     Ellipsoid: random directions mapped through the inverse square root of Q
     and rescaled onto the unit quadric. Quadratic cone: the apex first, then
     unit-norm points of the surface built from its spectral factorization.
-    Halfspace form: per-facet anchors found by LP, each moved a random
-    distance along its facet, up to the nearest other facet. Vertex forms:
+    Halfspace form: per-facet anchors found by LP (the orthant's are the
+    points 1 - e_i), each moved a random distance along its facet, up to
+    the nearest other facet. Vertex forms:
     the vertices (rays) on the relative boundary first, then random convex
     (conic, at unit norm) combinations of one facet's generators, boundary
     points by construction. A vertex form above the facet cap (_FACET_RAYS)

@@ -450,3 +450,66 @@ def recursive_formula(text, t, x):
 
     with np.errstate(all="ignore"):
         return value(ast.parse(" ".join(text.split()).replace("^", "**"), mode="eval").body)
+
+
+def falsify_per_step(s, sys, n_starts, horizon, step, seed, extra_starts=(), t0=0.0):
+    """The falsifier's search one RK4 step at a time, the loop falsify ran
+    before it classified a block of steps per call; kept as the reference
+    for the block loop. Returns (x0, t_exit) or None as falsify does, for
+    starts that falsify accepts (its input checks are not repeated).
+
+    Unlike the rest of this module it calls the library: the samples, the
+    RK4 steps, the violation and the exit band and divergence bound are
+    falsify's own. Each step classifies the live columns, and a column
+    leaves at its first step that is not finite, beyond the band or past
+    the bound. From the first candidate exit on, a copy of the live
+    columns from t0 at half the step keeps pace, two half steps a step,
+    and confirms a candidate that it saw beyond the band through the same
+    time without turning non-finite. The lowest-index confirmed start wins.
+    """
+    from invarcheck import dynamics
+    from invarcheck.sets import outside_violation_batch, sample_boundary
+    def step_out(stepper, t, x):
+        x = stepper(t, x)
+        finite = np.all(np.isfinite(x), axis=0)
+        if not np.all(finite):
+            x[:, ~finite] = 0.0
+        return x, finite, (outside_violation_batch(s, x) > dynamics._EXIT_BAND) & finite
+
+    nsteps = dynamics._step_grid(horizon, step, t0)
+    starts = np.column_stack([np.asarray(p, dtype=float) for p in extra_starts]
+                             + [bp.point for bp in sample_boundary(s, n_starts, seed)])
+    _, first = np.unique(starts, axis=1, return_index=True)
+    x0_all = starts[:, np.sort(first)]
+    full, half = dynamics._stepper(sys, step), dynamics._stepper(sys, 0.5 * step)
+    n_cols = x0_all.shape[1]
+    best, best_time = n_cols, math.inf
+    cur = x0_all.copy()
+    idx_map = np.arange(n_cols)
+    div2 = dynamics._DIVERGENCE ** 2
+    halved = None
+    for k in range(nsteps):
+        if idx_map.size == 0:
+            break
+        cur, finite, exited = step_out(full, t0 + k * step, cur)
+        if halved is None and np.any(exited):
+            halved, seen, j0 = x0_all[:, idx_map], np.zeros(idx_map.size, bool), 0
+        if halved is not None:
+            for j in range(j0, 2 * k + 2):
+                halved, ok, out = step_out(half, t0 + 0.5 * j * step, halved)
+                finite &= ok
+                seen |= out
+            j0 = 2 * k + 2
+            confirmed = exited & seen & finite
+            if np.any(confirmed):
+                best, best_time = int(idx_map[confirmed][0]), (k + 1) * step
+        keep = finite & ~exited & (np.einsum("ij,ij->j", cur, cur) <= div2)
+        keep &= idx_map < best
+        if not np.all(keep):
+            cur = cur[:, keep]
+            idx_map = idx_map[keep]
+            if halved is not None:
+                halved, seen = halved[:, keep], seen[keep]
+    if best < n_cols:
+        return x0_all[:, best].copy(), best_time
+    return None

@@ -170,22 +170,23 @@ def test_falsify_rejects_extra_start_outside_set():
 
 
 def _record_steps(monkeypatch):
-    """Patch falsify's steppers to record, per step size, how many columns
-    each RK4 step advances and the states of its first step."""
-    widths, firsts = collections.defaultdict(list), {}
+    """Patch falsify's steppers to count, per step size, the column-steps of
+    its RK4 steps (one per column of each state a step advances), and to
+    record the states of each step size's first step."""
+    column_steps, firsts = collections.Counter(), {}
     real = dynamics._stepper
 
     def recording(sys, h):
         step = real(sys, h)
 
         def recorded(t, x):
-            widths[h].append(x.shape[1])
+            column_steps[h] += x.shape[1]
             firsts.setdefault(h, x.copy())
             return step(t, x)
         return recorded
 
     monkeypatch.setattr(dynamics, "_stepper", recording)
-    return widths, firsts
+    return column_steps, firsts
 
 
 def test_extra_starts_are_taken_as_given(monkeypatch):
@@ -214,27 +215,41 @@ def test_extra_starts_are_taken_as_given(monkeypatch):
 def test_falsify_starts_from_the_samples_as_drawn(s, monkeypatch):
     # no start is pushed inward: the first step starts from the boundary
     # samples exactly as sample_boundary draws them, each distinct one once
-    widths, firsts = _record_steps(monkeypatch)
+    column_steps, firsts = _record_steps(monkeypatch)
     assert falsify(s, LinearSystem(-np.eye(3)), 60, 0.05, 0.01, seed=2) is None
     drawn = np.column_stack([bp.point for bp in sample_boundary(s, 60, seed=2)])
     _, first = np.unique(drawn, axis=1, return_index=True)
     np.testing.assert_array_equal(firsts[0.01], drawn[:, np.sort(first)])
-    assert 0.005 not in widths  # no candidate exit, so no half step
+    assert column_steps[0.01] == 5 * first.size  # each distinct start, every step
+    assert column_steps[0.005] == 0  # no candidate exit, so no half step
 
 
 def test_exit_confirmation_costs_at_most_twice_the_search(monkeypatch):
     # the half-step copy starts at the first candidate exit, so a run without
     # one takes no extra step; after it, two half steps per search step
-    widths, _ = _record_steps(monkeypatch)
+    column_steps, _ = _record_steps(monkeypatch)
     disk = Ellipsoid(np.eye(2))
     assert falsify(disk, LinearSystem(-np.eye(2)), 200, 1.0, 0.01, seed=3) is None
-    assert sum(widths[0.01]) == 200 * 100 and 0.005 not in widths
-    widths.clear()
+    assert column_steps[0.01] == 200 * 100 and column_steps[0.005] == 0
+    column_steps.clear()
     # 2,000 starts on the surface-flow cone: RK4's drift raises candidates,
     # and the half step confirms none of them
     cone, sys = _surface_tangent_cone()
     assert falsify(cone, sys, 2000, 2.0, 0.01, seed=0) is None
-    assert 0 < sum(widths[0.005]) <= 2 * sum(widths[0.01])
+    assert 0 < column_steps[0.005] <= 2 * column_steps[0.01]
+
+
+def test_the_first_group_with_an_exit_ends_the_search(monkeypatch):
+    # the starts are searched in groups of at most _BLOCK_COLUMNS, in index
+    # order: every start leaves the disk at once, so the first start wins
+    # and no later group takes a step
+    column_steps, firsts = _record_steps(monkeypatch)
+    monkeypatch.setattr(dynamics, "_BLOCK_COLUMNS", 8)
+    disk = Ellipsoid(np.eye(2))
+    x0, t_exit = falsify(disk, LinearSystem(np.eye(2)), 40, 1.0, 0.01, seed=0)
+    assert x0.tolist() == sample_boundary(disk, 40, seed=0)[0].point.tolist() and t_exit == 0.01
+    assert firsts[0.01].shape[1] == 8 and column_steps[0.01] == 8
+    assert column_steps[0.005] == 2 * 8
 
 
 def test_integrate_caps_step_count():
@@ -260,28 +275,19 @@ def test_falsify_rejects_negative_step():
 
 
 def test_falsify_integrates_each_distinct_start_once(monkeypatch):
-    import invarcheck.dynamics as dyn
-
-    widths = []
-
-    def recorded(s, states):
-        widths.append(states.shape[1])
-        return real(s, states)
-
-    real = dyn.outside_violation_batch
-    monkeypatch.setattr(dyn, "outside_violation_batch", recorded)
+    column_steps, firsts = _record_steps(monkeypatch)
     # a 2-ray cone in the plane has two boundary points, its rays
     cone = VCone([[1.0, 0.0], [0.0, 1.0]])
     assert falsify(cone, LinearSystem([[-1.0, 0.0], [0.0, -1.0]]), 50, 0.05, 0.01, seed=1) is None
-    assert set(widths) == {2}  # the two distinct starts, every step
+    assert firsts[0.01].shape[1] == 2 and column_steps[0.01] == 2 * 5  # the two, every step
     sys = LinearSystem([[1.0, 0.0], [0.0, -1.0]])
     stay, leave = [0.0, 0.5], [0.5, 0.5]
     disk = Ellipsoid(np.eye(2))
     single = falsify(disk, sys, 1, 1.0, 0.01, seed=3, extra_starts=[stay, leave])
-    widths.clear()
+    firsts.clear()
     repeated = falsify(disk, sys, 1, 1.0, 0.01, seed=3,
                        extra_starts=[stay, stay, leave, stay, leave])
-    assert widths[1] == 3  # stay, leave and the one boundary sample
+    assert firsts[0.01].shape[1] == 3  # stay, leave and the one boundary sample
     assert single is not None and repeated is not None
     assert np.allclose(single[0], leave, atol=1e-6)
     assert np.array_equal(single[0], repeated[0]) and single[1] == repeated[1]

@@ -18,6 +18,7 @@ from invarcheck.sets import (
     HPolyhedron,
     LorenzCone,
     Membership,
+    Orthant,
     VCone,
     VPolytope,
     active_constraints,
@@ -90,6 +91,22 @@ def test_orthant_rows_hold_no_negative_zero():
     g = orthant_h(3).G
     assert np.array_equal(g, -np.eye(3))
     assert not np.any(np.signbit(g[~np.eye(3, dtype=bool)]))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orthant_anchors_are_the_facet_lp_anchors(n):
+    # the orthant returns 1 - e_i without solving facet i's anchor LP; the
+    # halfspace form of the same rows solves it and finds the same bits
+    lp_form = HPolyhedron(-np.eye(n), np.zeros(n))
+    for i in range(n):
+        anchor = Orthant(n)._facet_anchor(i, DEFAULT_TOL)
+        assert anchor.tobytes() == lp_form._facet_anchor(i, DEFAULT_TOL).tobytes()
+        assert anchor.tobytes() == (1.0 - np.eye(n)[i]).tobytes()
+    # so the samples are those of the halfspace form with the orthant's rows
+    rows = HPolyhedron(Orthant(n).G, np.zeros(n))
+    for seed in range(3):
+        drawn = Orthant(n).sample(50, np.random.default_rng(seed), DEFAULT_TOL)
+        assert drawn.tobytes() == rows.sample(50, np.random.default_rng(seed), DEFAULT_TOL).tobytes()
 
 
 @pytest.mark.parametrize("s", [TRIANGLE, VCone([[1.0, 0.0], [0.0, 1.0]]), Ellipsoid(np.eye(2)),
