@@ -30,13 +30,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySet, InputError, NoConvergence, NumericalFailure
+from .errors import EmptySet, InputError, NumericalFailure
 from .numerics import (
     _check_real,
     _check_sampling,
     as_square,
     canonical_sign,
     distinct_columns,
+    eigh,
     gen_eig_max_witness,
     gershgorin_radius,
     minimize_scalar_convex,
@@ -154,10 +155,8 @@ def check_orthant_linear(a) -> Verdict:
     hits = np.argwhere(((a < 0.0) & off).T)  # (ray i, row j), lowest ray first
     if hits.size:
         i, j = map(int, hits[0])
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
         return Verdict(Decision.NOT_INVARIANT,
-                       counterexample=Counterexample(e_i, float(a[j, i])),
+                       counterexample=Counterexample(np.eye(n)[i], float(a[j, i])),
                        notes={"entry": [j, i]})
     return Verdict(Decision.INVARIANT,
                    certificate=Certificate("metzler", {"min_offdiagonal": float(min_off)}))
@@ -239,19 +238,19 @@ def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
     Invariant exactly when the largest generalized eigenvalue of
     (A'Q + QA, Q) is nonpositive; otherwise the maximizing eigenvector,
     scaled onto the unit quadric, witnesses outward flux of half that
-    eigenvalue. The pencil is that of A scaled by 2^-ex (see _matrix); eta,
-    the eigenvalues and the violation are reported times 2^ex.
+    eigenvalue, both from gen_eig_max_witness on the eigenpairs Q holds. The
+    pencil is that of A scaled by 2^-ex (see _matrix); eta, the eigenvalues
+    and the violation are reported times 2^ex.
     """
     a, m, ex = _pencil(e, a)
-    lam, x = gen_eig_max_witness(m, e.Q)
+    lam, x = gen_eig_max_witness(m, e.eigenvalues, e.eigenvectors)
     if lam <= _PENCIL_TOL:
-        witness = float(sym_eig(m - lam * e.Q).eigenvalues[0])
+        witness = float(eigh(m - lam * e.Q, vectors=False)[-1])
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "lyapunov-pencil",
             {"eta": math.ldexp(lam, ex), "witness_max_eig": math.ldexp(witness, ex),
              "eigenvector": [float(v) for v in x]}))
-    scale = float(x @ e.Q @ x)
-    x_unit = x / np.sqrt(scale)
+    x_unit = x / math.sqrt(float(x @ e.Q @ x))
     violation = float(x_unit @ e.Q @ (a @ x_unit))
     return Verdict(Decision.NOT_INVARIANT,
                    counterexample=Counterexample(x_unit, math.ldexp(violation, ex)),
@@ -294,10 +293,7 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
 
     def pencil_max(eta):
         # m and Q are exactly symmetric, so LAPACK needs no sym_eig checks
-        try:
-            w, v = np.linalg.eigh(m - eta * c.Q)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"eigh did not converge: {exc}") from exc
+        w, v = eigh(m - eta * c.Q)
         last[:] = w, v
         g = v.T @ (c.Q @ v[:, -1])
         gap = w[-1] - w[:-1]
@@ -322,9 +318,7 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     t = float(c.u_n @ x)
     p = np.copysign(1.0, t) * (x - t * c.u_n)
     x = p + np.sqrt(max(float(p @ c.Q @ p), 0.0) / -float(c.eigenvalues[-1])) * c.u_n
-    nx = float(np.linalg.norm(x))
-    if nx > 0.0:
-        x = x / nx
+    x = x / (float(np.linalg.norm(x)) or 1.0)
     qa = c.Q @ a
     flux = float(x @ (qa @ x))
     # at large |QA| the rounding in M - eta*Q alone exceeds _PENCIL_TOL, and

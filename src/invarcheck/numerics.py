@@ -5,7 +5,7 @@ matrices lives here, each naming the argument its caller passes first in
 its message. Everything else is pure and operates on plain numpy arrays
 validated at entry: linear solves and Cholesky factors on LAPACK with
 conditioning and pivot checks, a symmetric eigensolver on LAPACK's eigh,
-generalized symmetric eigenvalues through a Cholesky reduction, and a
+a pencil's top generalized eigenpair through its quadric's eigenpairs, and a
 minimizer for convex scalar functions by a Newton search on the slope,
 safeguarded by bisection.
 """
@@ -220,6 +220,14 @@ def solve_linear(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def eigh(m, vectors: bool = True):
+    """LAPACK's eigh (eigvalsh unless vectors) of a built symmetric array; NoConvergence."""
+    try:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+
+
 def sym_eig(m, name: str = "M") -> EigenResult:
     """Eigendecomposition of a symmetric matrix by LAPACK's eigh.
 
@@ -232,10 +240,7 @@ def sym_eig(m, name: str = "M") -> EigenResult:
     m = as_square(m, name)
     if m.size and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + float(np.max(np.abs(m)))):
         raise InputError(f"{name} is not symmetric within tolerance")
-    try:
-        w, v = np.linalg.eigh(0.5 * (m + m.T))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    w, v = eigh(0.5 * (m + m.T))
     order = np.argsort(-w, kind="stable")
     return EigenResult(w[order], canonical_sign(v[:, order]))
 
@@ -254,22 +259,18 @@ def cholesky_lower(q) -> np.ndarray:
     return low
 
 
-def gen_eig_max_witness(m, q):
+def gen_eig_max_witness(m, eigenvalues, eigenvectors):
     """Largest lambda with M x = lambda Q x for symmetric M and SPD Q, plus x.
 
-    M and Q are float arrays of one nonempty square shape that the package
-    built, Q symmetric (a quadric's, checked and symmetrised where the set
-    is built); neither is checked again. Reduces to a standard symmetric
-    problem through the Cholesky factor of Q, which is also the
-    positive-definiteness test. M is symmetrized.
+    Q = U diag(d) U' comes as a quadric holds it, d > 0, and M symmetric of
+    its shape, neither checked again. S = U diag(d)^-1/2 has S'QS = I, so one
+    eigh of S'MS gives lambda (its top eigenvalue, the first of ties as in
+    sym_eig) and x = S v, signed by canonical_sign (Golub & Van Loan, 8.7).
     """
-    low = cholesky_lower(q)
-    y = np.linalg.solve(low, 0.5 * (m + m.T))
-    w = np.linalg.solve(low, y.T)
-    res = sym_eig(0.5 * (w + w.T))
-    lam = float(res.eigenvalues[0])
-    x = np.linalg.solve(low.T, res.eigenvectors[:, 0])
-    return lam, x
+    s = eigenvectors / np.sqrt(eigenvalues)
+    w, v = eigh(s.T @ m @ s)
+    k = int(np.argmax(w))
+    return float(w[k]), canonical_sign(s @ v[:, k])
 
 
 def gershgorin_radius(m) -> float:

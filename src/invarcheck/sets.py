@@ -50,7 +50,7 @@ from .numerics import (_check_dim, _check_real, _check_sampling, as_matrix, as_p
 from .solvers import simplex_standard, solve_inequality_lp
 
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
-_SPD_MIN_EIG = 1e-10  # minimum eigenvalue accepted as positive definite
+_SPD_MIN_EIG = 1e-10  # least ratio of an ellipsoid's eigenvalues: scaling Q moves no decision
 _FACE_TOL = 1e-10  # relative rank and on-facet tolerance of the facet enumeration
 # most rays the facet enumeration holds at any stage; above, the LP path. At the
 # default 10,000 samples each facet costs tangent_test about 0.3 MB of peak memory
@@ -510,19 +510,21 @@ class _Quadric:
 
 
 class Ellipsoid(_Quadric):
-    """{x : x'Qx <= 1} with Q symmetric positive definite."""
+    """{x : x'Qx <= 1} with Q symmetric positive definite (see _SPD_MIN_EIG)."""
 
     TAG = "ellipsoid"
     FIELDS = ("Q",)
 
     def __init__(self, q):
         super().__init__(q)
-        if self.eigenvalues[-1] <= _SPD_MIN_EIG:
-            raise InputError("ellipsoid matrix is not positive definite")
+        if not self.eigenvalues[-1] > _SPD_MIN_EIG * self.eigenvalues[0]:
+            raise InputError("ellipsoid Q is not positive definite (eigenvalue ratio <= 1e-10)")
 
     def _slack(self, x):
         """The one row x'Qx - 1 per column of x, held against 2*tol."""
-        return (np.sum(x * (self.Q @ x), axis=0) - 1.0)[None, :]
+        qx = self.Q @ x
+        qx *= x
+        return (np.sum(qx, axis=0) - 1.0)[None, :]
 
     def _band(self, x, tol: float):
         return 2.0 * tol
@@ -566,14 +568,17 @@ class LorenzCone(_Quadric):
             if abs(cos) < 1.0 - 1e-6:
                 raise InputError("u_n is not the negative-eigenvalue eigenvector")
         self.u_n = math.copysign(1.0, cos) * axis + 0.0  # the one copy of the axis
+        self._qu = self.Q @ self.u_n
 
     def _slack(self, x):
         """The rows x'Qx/(1 + |x|^2), then x'Q u_n/(1 + |x|), per column of
         x, each held against tol."""
         nrm2 = np.sum(x * x, axis=0)
+        qx = self.Q @ x
+        qx *= x
         out = np.empty((2, x.shape[1]))
-        np.divide(np.sum(x * (self.Q @ x), axis=0), 1.0 + nrm2, out=out[0])
-        np.divide((self.Q @ self.u_n) @ x, 1.0 + np.sqrt(nrm2), out=out[1])
+        np.divide(np.sum(qx, axis=0), 1.0 + nrm2, out=out[0])
+        np.divide(self._qu @ x, 1.0 + np.sqrt(nrm2), out=out[1])
         return out
 
     def sample(self, count: int, rng, tol: float) -> np.ndarray:

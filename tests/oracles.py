@@ -19,7 +19,7 @@ def power_iteration_gen_eig_max(m, q, squarings=80):
     The iteration matrix inv(Q) @ M + sigma*I is raised to a huge power by
     repeated squaring (with normalization), which is power iteration run for
     2**squarings steps; the eigenvalue is read off as a pencil Rayleigh
-    quotient. Independent of the library's Cholesky and LAPACK eigh path.
+    quotient. Independent of the library's reduction and LAPACK eigh path.
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)

@@ -33,7 +33,8 @@ from invarcheck.sets import (
 )
 from invarcheck.systems import GeneralSystem, LinearSystem
 
-from oracles import bisection_min, golden_section_min, metzler_violation
+from oracles import (bisection_min, golden_section_min, metzler_violation,
+                     power_iteration_gen_eig_max)
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -676,6 +677,19 @@ def test_lorenz_pencil_lapack_failure_is_no_convergence(monkeypatch):
         check_lorenz_linear(ICE3, np.eye(3))
 
 
+def test_ellipsoid_lapack_failure_is_no_convergence(monkeypatch):
+    # the pencil's eigh and the certificate's eigvalsh both map LAPACK's error
+    def failing(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    e = Ellipsoid(np.diag([1.0, 4.0]))
+    for name in ("eigh", "eigvalsh"):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, name, failing)
+            with pytest.raises(NoConvergence):
+                check_ellipsoid_linear(e, -np.eye(2))
+
+
 @pytest.mark.parametrize("name, s", [("check_hpoly_linear", UNIT_BOX),
                                      ("check_ellipsoid_linear", Ellipsoid(np.eye(2))),
                                      ("check_lorenz_linear", ICE3)])
@@ -890,6 +904,63 @@ def test_ellipsoid_certificate_rayleigh_revalidation():
         x = rng.normal(size=2)
         x /= np.linalg.norm(x)
         assert x @ m @ x <= 1e-8
+
+
+def test_ellipsoid_decides_without_cholesky_or_solve(monkeypatch):
+    # the pencil is reduced through the eigenpairs the ellipsoid holds
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ellipsoid check factored or solved")
+
+    e = Ellipsoid(np.diag([1.0, 4.0]))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert check_ellipsoid_linear(e, -np.eye(2)).decision is Decision.INVARIANT
+    assert check_ellipsoid_linear(e, np.eye(2)).decision is Decision.NOT_INVARIANT
+
+
+def _spread_ellipsoid_battery():
+    """(Q, A, invariant) with Q's eigenvalues spread over 1e-4..1e4, n = 2..16,
+    and A = Q^-1 (S -+ P): S = Q^1/2 K Q^1/2 skew and P = Q^1/2 W Q^1/2 with
+    W's eigenvalues in [0.5, 2], so the flux x'QAx = -+x'Px decides, and the
+    pencil's eigenvalues are -+2 times W's."""
+    rng = np.random.default_rng(611)
+    for trial in range(160):
+        n = 2 + trial % 15
+        u = _orthogonal(rng, n)
+        d = np.logspace(-4.0, 4.0, n)[rng.permutation(n)]
+        half, inv_half = u * np.sqrt(d) @ u.T, u / np.sqrt(d) @ u.T
+        k = rng.normal(size=(n, n))
+        v = _orthogonal(rng, n)
+        w = v * rng.uniform(0.5, 2.0, n) @ v.T
+        invariant = trial % 2 == 0
+        a = inv_half @ (k - k.T + (-w if invariant else w)) @ half
+        yield u * d @ u.T, a, invariant
+
+
+def test_ellipsoid_spread_spectrum_battery():
+    # at cond(Q) = 1e8 the rounding of M moves the pencil's top eigenvalue
+    # by up to about 2e-6 relative, in this reduction as in a Cholesky one
+    for trial, (q, a, invariant) in enumerate(_spread_ellipsoid_battery()):
+        v = check_ellipsoid_linear(Ellipsoid(q), a)
+        m = a.T @ q + q @ a
+        lam_oracle = power_iteration_gen_eig_max(m, q)
+        if invariant:
+            assert v.decision is Decision.INVARIANT, trial
+            data = v.certificate.data
+            assert data["eta"] == pytest.approx(lam_oracle, rel=1e-5), trial
+            top = float(np.max(np.linalg.eigvalsh(m - data["eta"] * q)))
+            assert top <= 1e-10 * np.max(np.abs(m)), trial
+            assert abs(top - data["witness_max_eig"]) <= 1e-10 * np.max(np.abs(m)), trial
+            x = np.array(data["eigenvector"])
+        else:
+            assert v.decision is Decision.NOT_INVARIANT, trial
+            assert v.notes["pencil_max_eig"] == pytest.approx(lam_oracle, rel=1e-5), trial
+            x = v.counterexample.point
+            # on x'Qx = 1 to the rounding of terms of size |x|^2 |Q|
+            assert abs(float(x @ q @ x) - 1.0) <= 1e-14 * float(x @ x) * np.max(np.abs(q)), trial
+            flux = float(x @ q @ (a @ x))
+            assert flux > 0.0 and v.counterexample.violation == pytest.approx(flux, rel=1e-7), trial
+        assert x[np.argmax(np.abs(x))] > 0.0, trial
 
 
 def test_lorenz_verdicts_sound_against_dense_boundary_scan():

@@ -19,6 +19,7 @@ from invarcheck.numerics import (
     solve_linear,
     sym_eig,
 )
+from invarcheck.sets import Ellipsoid
 
 from oracles import bisection_min, grid_scan_min, power_iteration_gen_eig_max
 
@@ -140,24 +141,26 @@ def test_sym_eig_lapack_failure_is_no_convergence(monkeypatch):
         sym_eig([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _gen_eig(m, q):
+    """gen_eig_max_witness on Q's eigenpairs as an ellipsoid holds them."""
+    e = Ellipsoid(q)
+    return gen_eig_max_witness(np.asarray(m, dtype=float), e.eigenvalues, e.eigenvectors)
+
+
 def test_gen_eig_standard_case():
-    assert gen_eig_max_witness(-2.0 * np.eye(2), np.eye(2))[0] == pytest.approx(-2.0, abs=1e-10)
+    assert _gen_eig(-2.0 * np.eye(2), np.eye(2))[0] == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_gen_eig_hand_pencil():
     # det(M - lambda Q) = (2 - lambda)(-2 - 4 lambda) = 0 -> lambda in {2, -1/2}
-    lam = gen_eig_max_witness(np.diag([2.0, -2.0]), np.diag([1.0, 4.0]))[0]
+    lam, x = _gen_eig(np.diag([2.0, -2.0]), np.diag([1.0, 4.0]))
     assert lam == pytest.approx(2.0, abs=1e-10)
+    assert np.allclose(x, [1.0, 0.0], atol=1e-12)
 
 
 def test_gen_eig_zero_matrix():
     b = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert gen_eig_max_witness(np.zeros((2, 2)), b)[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_gen_eig_rejects_indefinite_q():
-    with pytest.raises(NotPositiveDefinite):
-        gen_eig_max_witness(np.eye(2), np.diag([1.0, -1.0]))[0]
+    assert _gen_eig(np.zeros((2, 2)), b)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gen_eig_matches_power_iteration_oracle():
@@ -168,9 +171,27 @@ def test_gen_eig_matches_power_iteration_oracle():
         q = b @ b.T + np.eye(n)
         m = rng.normal(size=(n, n))
         m = m + m.T
-        lam, x = gen_eig_max_witness(m, q)
+        lam, x = _gen_eig(m, q)
         assert lam == pytest.approx(power_iteration_gen_eig_max(m, q), abs=1e-9)
         assert np.max(np.abs(m @ x - lam * (q @ x))) <= 1e-8 * (1.0 + np.max(np.abs(x)))
+
+
+def test_gen_eig_witness_has_its_largest_entry_positive():
+    # canonical_sign in the user's coordinates, after the map x = S v
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        b = rng.normal(size=(n, n))
+        m = rng.normal(size=(n, n))
+        _, x = _gen_eig(m + m.T, b @ b.T + 0.1 * np.eye(n))
+        assert x[np.argmax(np.abs(x))] > 0.0
+
+
+def test_gen_eig_ties_take_the_first_eigenvector():
+    # Q = I and M = 0: every vector is an eigenvector, and the first one
+    # eigh returns, e_1, is the witness, as sym_eig's stable order takes it
+    lam, x = _gen_eig(np.zeros((3, 3)), np.eye(3))
+    assert lam == 0.0 and x.tolist() == [1.0, 0.0, 0.0]
 
 
 def _pencil_top(m, q):

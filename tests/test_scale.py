@@ -129,6 +129,24 @@ def test_power_of_two_scale_scales_every_linear_value_exactly(name, s, a, want, 
     assert scaled == _times(base, math.ldexp(1.0, k))
 
 
+def test_ellipsoid_decision_does_not_move_under_a_uniform_scale_of_q():
+    # c*Q has the pencil (c M, c Q) of Q, so the same eigenvalues: the
+    # positive-definiteness floor is relative, and a ball of radius 1e6
+    # (c = 1e-12) is an ellipsoid like any other
+    rng = np.random.default_rng(37)
+    for trial in range(150):
+        n = int(rng.integers(2, 9))
+        q, a = _spd(rng, n), rng.normal(size=(n, n))
+        base = check(Ellipsoid(q), LinearSystem(a))
+        key = "pencil_max_eig" if base.certificate is None else "eta"
+        value = (base.notes if base.certificate is None else base.certificate.data)[key]
+        for c in SCALES:
+            v = check(Ellipsoid(c * q), LinearSystem(a))
+            assert v.decision is base.decision, (trial, c)
+            got = (v.notes if v.certificate is None else v.certificate.data)[key]
+            assert got == pytest.approx(value, rel=1e-12, abs=1e-12), (trial, c)
+
+
 @pytest.mark.parametrize("c", [1e-8, 1e-9, 1e-10, 1e-12])
 def test_uniform_scale_defects_are_refuted(c):
     for _, s, a, want in _defect_cases():
