@@ -103,7 +103,8 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     """Decide invariance of a halfspace-form polyhedron under x' = A x.
 
     The pointwise facet condition is reduced to one LP per facet: maximize
-    the outward flux g_i'Ax over the facet; the first facet with a positive
+    the outward flux g_i'Ax over the facet, G x <= b with row i held at
+    equality in place (solvers._facet_lp); the first facet with a positive
     optimum refutes, and the facets after it are not solved. An unbounded
     facet LP has supremum +inf and refutes too: its witness is any point of
     the facet with flux g_i'Ax >= 1, found by one feasibility LP, and the

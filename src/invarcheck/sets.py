@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
 from .numerics import (_check_dim, _check_real, _check_sampling, as_matrix, as_point, as_square,
                        as_vector, sym_eig)
-from .solvers import simplex_standard, solve_inequality_lp
+from .solvers import _facet_lp, simplex_standard
 
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
 _SPD_MIN_EIG = 1e-10  # least ratio of an ellipsoid's eigenvalues: scaling Q moves no decision
@@ -124,20 +124,18 @@ class HPolyhedron:
         """A point in the relative interior of facet i, or None if unattained.
 
         The LP maximizes the margin t, at most 1, by which the other rows
-        hold on the facet, so it is bounded. An LP point that lies outside
-        the set or off the facet by more than the boundary band is rejected
-        too, so every anchor is a boundary point.
+        hold on the facet, so it is bounded; row i holds at equality in
+        place, as in a facet LP. An LP point that lies outside the set or
+        off the facet by more than the boundary band is rejected too, so
+        every anchor is a boundary point.
         """
         m, n = self.G.shape
-        others = np.arange(m) != i
-        g = np.zeros((m + 1, n + 1))  # rows G_j x + t <= b_j, then t <= 1, -t <= 0
-        g[:m - 1, :n] = self.G[others]
-        g[:m, n] = 1.0
-        g[m, n] = -1.0
+        g = np.zeros((m + 2, n + 1))  # rows G_j x + t <= b_j (no t in row i), t <= 1, -t <= 0
+        g[:m, :n] = self.G
+        g[:, n] = 1.0
+        g[i, n], g[m + 1, n] = 0.0, -1.0
         c = np.concatenate([np.zeros(n), [1.0]])
-        status, z, _ = solve_inequality_lp(
-            c, g_ub=g, h_ub=np.concatenate([self.b[others], [1.0, 0.0]]),
-            a_eq=np.concatenate([self.G[i], [0.0]]).reshape(1, -1), b_eq=self.b[i:i + 1])
+        status, z, _ = _facet_lp(g, np.concatenate([self.b, [1.0, 0.0]]))(i, c)
         if status != "optimal":
             return None
         slack = self._slack(z[:n, None])[:, 0]

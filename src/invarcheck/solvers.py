@@ -11,12 +11,12 @@ tableau is rebuilt from the unpivoted rows, so rounding does not pile up.
 LPs with free variables (the vertex and ray decomposition systems, and the
 inequality LPs of the facet checks and boundary sampling) reach it through
 one builder that splits each free variable and adds the slacks; one
-H-form's facet LPs share its standard form, whose equality row, rhs and
-costs alone change from facet to facet. Phase one starts each row with a
-slack and a nonnegative rhs on that slack and only the other rows on
-artificial variables, so an infeasible inequality LP's phase-one value sums
-the residuals of those other rows only; equality-only LPs start every row on
-an artificial.
+H-form's facet LPs share its standard form, and facet i holds row i at
+equality in place by taking that row's slack away for its solve. Phase one
+starts each row with a slack and a nonnegative rhs on that slack and only
+the other rows on artificial variables, so an infeasible inequality LP's
+phase-one value sums the residuals of those other rows only; equality-only
+LPs start every row on an artificial.
 
 The core solves one LP, or a stack of decomposition LPs in lockstep: one
 V-form's vertex or ray LPs differ only in rhs and free column, so they pivot
@@ -140,9 +140,10 @@ def simplex_standard(c, a_eq, b_eq, slacks=()):
     """min c'z subject to A z = b, z >= 0, by two-phase simplex.
 
     slacks[r] names the slack column of row r (a unit column with its 1 in
-    row r) for the leading len(slacks) rows. Phase one starts each of those
-    rows whose rhs is >= 0 on its slack, and every other row on an
-    artificial variable.
+    row r) for the leading len(slacks) rows; a negative entry names none.
+    Phase one starts each of those rows whose rhs is >= 0 on its slack, and
+    every other row, a row of a negative entry among them, on an artificial
+    variable.
 
     Returns (status, z, objective) with status "optimal", "infeasible" or
     "unbounded"; for "infeasible" the objective is the phase-one optimum
@@ -209,9 +210,10 @@ def _split_form(free, a_eq, b_eq, g=None, h=None):
     free, in standard form: columns x, -x_j per free j (sorted, distinct),
     one slack per row of G; rows G, then A.
 
-    Returns (a_std, b_std, solve): solve(c) gives (status, unsplit x,
-    objective) on a_std and b_std as they are when it is called, so a caller
-    may overwrite rows of them between calls.
+    Returns (a_std, b_std, slacks, solve): solve(c) gives (status, unsplit
+    x, objective) on a_std, b_std and the slack columns (simplex_standard's
+    slacks) as they are when it is called, so a caller may overwrite
+    entries of them between calls.
     """
     m_eq, n = a_eq.shape
     m_ub = 0 if g is None else g.shape[0]
@@ -241,7 +243,7 @@ def _split_form(free, a_eq, b_eq, g=None, h=None):
             x[cols] -= z[n:n + k]
         return status, x, obj
 
-    return a_std, b_std, solve
+    return a_std, b_std, slacks, solve
 
 
 def phase_one_feasibility(matrix, rhs, free_indices=()):
@@ -254,7 +256,7 @@ def phase_one_feasibility(matrix, rhs, free_indices=()):
     so values at or below the feasibility tolerance mean feasible.
     """
     free = sorted(set(int(j) for j in free_indices))
-    status, a, opt = _split_form(free, matrix, rhs)[2](None)
+    status, a, opt = _split_form(free, matrix, rhs)[3](None)
     if status == "infeasible":
         return opt, None
     return 0.0, a  # with zero costs phase two is never unbounded
@@ -271,20 +273,24 @@ def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
     n = c.shape[0]
     if a_eq is None:
         a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    return _maximum(_split_form(list(range(n)), a_eq, b_eq, g_ub, h_ub)[2](-c))
+    return _maximum(_split_form(list(range(n)), a_eq, b_eq, g_ub, h_ub)[3](-c))
 
 
 def _facet_lp(g, h):
-    """The facet LPs of G x <= h as one function of (i, c): the reply of
-    solve_inequality_lp(c, G, h, G[i:i+1], h[i:i+1]), bit for bit. The
-    standard form [G | -G | I] with its one equality row is built once, and
-    each call overwrites only that row, its rhs and the costs."""
-    m, n = g.shape
-    a_std, b_std, solve = _split_form(list(range(n)), g[:1], h[:1], g, h)
+    """The facet LPs of G x <= h as one function of (i, c): max c'x over
+    G x <= h with row i held at equality, replied as solve_inequality_lp
+    replies. The standard form [G | -G | I] is built once; each call zeroes
+    row i's slack, so that row starts phase one on an artificial, and puts
+    it back after the solve."""
+    n = g.shape[1]
+    a_std, _, slacks, solve = _split_form(list(range(n)), np.zeros((0, n)), np.zeros(0), g, h)
 
     def facet(i, c):
-        a_std[m, :n], a_std[m, n:2 * n], b_std[m] = g[i], -g[i], h[i]
-        return _maximum(solve(-c))
+        s = slacks[i]
+        a_std[i, s], slacks[i] = 0.0, -1
+        reply = _maximum(solve(-c))
+        a_std[i, s], slacks[i] = 1.0, s
+        return reply
 
     return facet
 

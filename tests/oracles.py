@@ -340,6 +340,30 @@ def enumerate_lp(c, g=None, h=None, a_eq=None, b_eq=None, signed=(), box=None,
     return "optimal", v1
 
 
+def facet_vertex_flux(c, g, h, i, tol=1e-9):
+    """The vertices of facet i of G x <= h and the largest flux c'x among
+    them, by brute force: row i held tight with each choice of n - 1 other
+    rows, solved where those n rows have rank n, and kept where the point
+    meets every row within tol times its scale 1 + |h_j| + |G_j| |x|.
+
+    Returns (vertices, largest flux, or None when the facet has no vertex).
+    A facet of a pointed polyhedron has a vertex when it has a point, and a
+    bounded facet LP attains its maximum at one; small n keeps the
+    enumeration short.
+    """
+    m, n = g.shape
+    others = [j for j in range(m) if j != i]
+    vertices = []
+    for rows in itertools.combinations(others, n - 1):
+        tight = [i, *rows]
+        if np.linalg.matrix_rank(g[tight]) < n:
+            continue
+        x = np.linalg.solve(g[tight], h[tight])
+        if np.all(g @ x - h <= tol * (1.0 + np.abs(h) + np.abs(g) @ np.abs(x))):
+            vertices.append(x)
+    return vertices, (max(float(c @ x) for x in vertices) if vertices else None)
+
+
 def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
     """Per-sample Nagumo test, the loop the sampled checker ran before it
     decided every sample in one batch; kept as the reference for the batch.

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from invarcheck import expressions
-from invarcheck.errors import InputError
+from invarcheck.errors import DimensionMismatch, InputError
 from invarcheck.expressions import build_expression_system, parse_formula
 
 
@@ -78,6 +78,27 @@ def test_time_only_formula_broadcasts():
     assert out.shape == (2, 5)
     assert np.allclose(out[0], 3.0)
     assert np.allclose(out[1], 1.0)
+
+
+def test_field_hands_on_the_tape_func_reply_with_no_second_check():
+    # func converts and shape-checks the state once; field adds nothing, so a
+    # wrapper put on func (as the benchmark's tracer does) sees every call
+    sys = build_expression_system(["-x2", "x1 * t"])
+    func, seen = sys.func, []
+
+    def wrapped(t, x):
+        seen.append(np.shape(x))
+        return func(t, x)
+
+    sys.func = wrapped
+    x = [[1.0, 2.0], [4.0, 5.0]]
+    assert np.array_equal(sys.field(2.0, x), [[-4.0, -5.0], [2.0, 4.0]])
+    assert seen == [(2, 2)]
+    with pytest.raises(DimensionMismatch, match=r"^x: expected 2 rows, one per formula, got shape \(3,\)"):
+        sys.field(0.0, np.ones(3))
+    reply = object()
+    sys.func = lambda t, x: reply
+    assert sys.field(0.0, x) is reply
 
 
 def test_nesting_cap_keeps_evaluation_off_the_recursion_limit():
