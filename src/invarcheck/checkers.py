@@ -107,8 +107,9 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     equality in place (solvers._facet_lp); the first facet with a positive
     optimum refutes, and the facets after it are not solved. An unbounded
     facet LP has supremum +inf and refutes too: its witness is any point of
-    the facet with flux g_i'Ax >= 1, found by one feasibility LP, and the
-    violation is that point's flux. If that LP finds no such point the
+    the facet with flux g_i'Ax >= 1, found by one feasibility LP over G
+    and the row -g_i'Ax <= -1, with row i held in place as in the facet
+    LPs, and the violation is that point's flux. If that LP finds no such point the
     decider raises NumericalFailure. A feasible facet LP holds a point of
     the polyhedron; only when none is feasible does one more LP decide
     whether the polyhedron is empty (EmptySet). The LPs read A scaled by
@@ -123,9 +124,7 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
             facets.append({"index": i, "vacuous": True})
             continue
         if status == "unbounded":
-            status, x, _ = solve_inequality_lp(
-                np.zeros(p.dim), g_ub=np.vstack([p.G, -c]), h_ub=np.append(p.b, -1.0),
-                a_eq=p.G[i:i + 1], b_eq=p.b[i:i + 1])
+            status, x, _ = _facet_lp(np.vstack([p.G, -c]), np.append(p.b, -1.0))(i, np.zeros(p.dim))
             if status != "optimal":
                 raise NumericalFailure(f"facet {i}: unbounded flux, no point of flux 1")
             val = float(c @ x)

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
 from .numerics import (_check_dim, _check_real, _check_sampling, as_matrix, as_point, as_square,
                        as_vector, sym_eig)
-from .solvers import _facet_lp, simplex_standard
+from .solvers import _facet_lp, _split_form
 
 DEFAULT_TOL = 1e-8  # boundary band and tangent-cone tolerance unless the user sets one
 _SPD_MIN_EIG = 1e-10  # least ratio of an ellipsoid's eigenvalues: scaling Q moves no decision
@@ -300,24 +300,20 @@ class _VForm:
 
     def _lp(self, x):
         """Feasibility plus relative-interior margin of the combination
-        coefficients, via  theta = delta*1 + sigma  and maximizing delta.
+        coefficients: maximise delta subject to
+        columns @ (delta*1 + sigma) = lift(x), delta, sigma >= 0, and, for a
+        cone, the one inequality row delta <= cap(x); solvers._split_form
+        lays it out.
 
         Returns (delta, infeasibility): (0, phase one's optimum) if infeasible.
         """
-        n_rows, k = self.columns.shape
+        k = self.columns.shape[1]
         cap = self._cap(x)
-        extra = 1 if cap is not None else 0
-        a_std = np.zeros((n_rows + extra, 1 + k + extra))
-        a_std[:n_rows, 0] = self.columns @ np.ones(k)
-        a_std[:n_rows, 1:1 + k] = self.columns
-        rhs = self._lift(x[:, None])[:, 0]
-        if cap is not None:
-            a_std[n_rows, 0] = 1.0
-            a_std[n_rows, 1 + k] = 1.0
-            rhs = np.concatenate([rhs, [float(cap)]])
-        c = np.zeros(1 + k + extra)
+        rows = () if cap is None else (np.eye(1, 1 + k), np.array([float(cap)]))
+        c = np.zeros(1 + k)
         c[0] = -1.0
-        status, z, obj = simplex_standard(c, a_std, rhs)
+        status, z, obj = _split_form([], np.column_stack([self.columns @ np.ones(k), self.columns]),
+                                     self._lift(x[:, None])[:, 0], *rows)[3](c)
         return (0.0, obj) if status == "infeasible" else (float(z[0]), 0.0)
 
     def _slack(self, x) -> np.ndarray:

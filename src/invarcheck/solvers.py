@@ -8,9 +8,13 @@ stopped once the artificials are driven out and the redundant rows dropped.
 Columns enter by Dantzig's rule, or by Bland's rule after a run of
 degenerate pivots, which rules out cycling; every few dozen pivots the
 tableau is rebuilt from the unpivoted rows, so rounding does not pile up.
-LPs with free variables (the vertex and ray decomposition systems, and the
-inequality LPs of the facet checks and boundary sampling) reach it through
-one builder that splits each free variable and adds the slacks; one
+This module is the only one that lays out a standard form: every single
+LP reaches the core through one builder (_split_form) that splits each
+free variable and adds the slacks. Those are the facet LPs, facet anchors
+and unbounded-flux witnesses of an H-form (_facet_lp), its emptiness LP
+(solve_inequality_lp), the generated tangent cone's LP
+(phase_one_feasibility) and a V-form's membership LP above its facet cap,
+which has no free variable and, for a cone, one inequality row. One
 H-form's facet LPs share its standard form, and facet i holds row i at
 equality in place by taking that row's slack away for its solve. Phase one
 starts each row with a slack and a nonnegative rhs on that slack and only
@@ -262,18 +266,16 @@ def phase_one_feasibility(matrix, rhs, free_indices=()):
     return 0.0, a  # with zero costs phase two is never unbounded
 
 
-def solve_inequality_lp(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
-    """Solve max c'x over G x <= h, A x = b.
+def solve_inequality_lp(c, g_ub, h_ub):
+    """Solve max c'x over G x <= h, x free: the emptiness LP of an H-form.
 
-    Every argument is a float array the package built (c of length n, G and
-    A of n columns, h and b one entry per row), not checked again.
-    Variables are free; they are split internally. Returns (status, x, value)
-    with value the maximum, +inf when unbounded.
+    Every argument is a float array the package built (c of length n, G of
+    n columns, h one entry per row), not checked again. Variables are split
+    internally. Returns (status, x, value) with value the maximum, +inf when
+    unbounded.
     """
     n = c.shape[0]
-    if a_eq is None:
-        a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    return _maximum(_split_form(list(range(n)), a_eq, b_eq, g_ub, h_ub)[3](-c))
+    return _maximum(_split_form(list(range(n)), np.zeros((0, n)), np.zeros(0), g_ub, h_ub)[3](-c))
 
 
 def _facet_lp(g, h):

@@ -364,6 +364,46 @@ def facet_vertex_flux(c, g, h, i, tol=1e-9):
     return vertices, (max(float(c @ x) for x in vertices) if vertices else None)
 
 
+def inequality_lp_with_equalities(c, g, h, a_eq, b_eq):
+    """max c'x over G x <= h, A x = b with x free, replied as
+    solvers.solve_inequality_lp replies: the LP that function solved while
+    it took equality rows, on the same builder and core (so it calls the
+    library), now that no caller in the package passes equality rows."""
+    from invarcheck.solvers import _maximum, _split_form
+
+    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
+    return _maximum(_split_form(range(c.shape[0]), a_eq, b_eq, g, h)[3](-c))
+
+
+def membership_lp_by_hand(s, x):
+    """A V-form's membership LP as _VForm._lp laid it out by hand before
+    solvers._split_form did: variables (delta, sigma, then a cone's cap
+    slack), every row on an artificial, the cap row last; kept as the
+    reference for the builder's layout. Returns (delta, infeasibility):
+    (0, phase one's optimum) if infeasible.
+
+    Unlike most of this module it calls the library: the columns, lift and
+    cap are the set's own, and the LP runs on simplex_standard.
+    """
+    from invarcheck.solvers import simplex_standard
+
+    n_rows, k = s.columns.shape
+    cap = s._cap(x)
+    extra = 1 if cap is not None else 0
+    a_std = np.zeros((n_rows + extra, 1 + k + extra))
+    a_std[:n_rows, 0] = s.columns @ np.ones(k)
+    a_std[:n_rows, 1:1 + k] = s.columns
+    rhs = s._lift(x[:, None])[:, 0]
+    if cap is not None:
+        a_std[n_rows, 0] = 1.0
+        a_std[n_rows, 1 + k] = 1.0
+        rhs = np.concatenate([rhs, [float(cap)]])
+    c = np.zeros(1 + k + extra)
+    c[0] = -1.0
+    status, z, obj = simplex_standard(c, a_std, rhs)
+    return (0.0, obj) if status == "infeasible" else (float(z[0]), 0.0)
+
+
 def sampled_nagumo_per_sample(s, sys, t0, samples, tol):
     """Per-sample Nagumo test, the loop the sampled checker ran before it
     decided every sample in one batch; kept as the reference for the batch.

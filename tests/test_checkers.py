@@ -33,8 +33,8 @@ from invarcheck.sets import (
 )
 from invarcheck.systems import GeneralSystem, LinearSystem
 
-from oracles import (bisection_min, golden_section_min, metzler_violation,
-                     power_iteration_gen_eig_max)
+from oracles import (bisection_min, golden_section_min, inequality_lp_with_equalities,
+                     metzler_violation, power_iteration_gen_eig_max)
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -164,11 +164,79 @@ def test_unbounded_facets_refute_with_on_facet_witness():
 
 def test_unbounded_facet_without_witness_is_numerical_failure(monkeypatch):
     # an unbounded facet LP whose witness LP then finds no point of flux 1
-    # is a numerical failure, never a verdict
-    monkeypatch.setattr(checkers, "_facet_lp", lambda g, h: lambda i, c: ("unbounded", None, np.inf))
-    monkeypatch.setattr(checkers, "solve_inequality_lp", lambda *args, **kwargs: ("infeasible", None, 1.0))
+    # is a numerical failure, never a verdict: the set's one-row form replies
+    # unbounded, the witness form with the flux row added infeasible
+    def facet_lp(g, h):
+        reply = ("unbounded", None, np.inf) if g.shape[0] == 1 else ("infeasible", None, 1.0)
+        return lambda i, c: reply
+
+    monkeypatch.setattr(checkers, "_facet_lp", facet_lp)
     with pytest.raises(NumericalFailure, match="no point of flux 1"):
         check_hpoly_linear(HPolyhedron([[1.0, 0.0]], [1.0]), [[0.0, 1.0], [0.0, 0.0]])
+
+
+def _unbounded_facet_cones(rng, count=60):
+    """Seeded cones G(x - shift) <= 0 in R^2..R^8, with n to n + 2 rows, each
+    with an A under which some facet LP is unbounded: (set, A) pairs."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 9))
+        g = rng.normal(size=(n + int(rng.integers(0, 3)), n))
+        s, a = HPolyhedron(g, g @ (3.0 * rng.normal(size=n))), rng.normal(size=(n, n))
+        facet_lp = solvers._facet_lp(s.G, s.b)
+        if any(facet_lp(i, a.T @ s.G[i])[0] == "unbounded" for i in range(s.G.shape[0])):
+            out.append((s, a))
+    return out
+
+
+def _copied_row_forms(m):
+    """checkers._facet_lp for a set of m rows, with the witness form (m + 1
+    rows) solved with a copy of row i as an equality row: the reference."""
+    def forms(g, h):
+        if g.shape[0] == m:
+            return solvers._facet_lp(g, h)
+        return lambda i, c: inequality_lp_with_equalities(c, g, h, g[i:i + 1], h[i:i + 1])
+
+    return forms
+
+
+def test_unbounded_facet_witness_holds_its_row_in_place(monkeypatch):
+    # the witness LP is the facet LP's form with the row -c'x <= -1 added and
+    # row i held in place: m + 1 rows, with no copy of row i. It refutes at the
+    # facet the copied-row LP refutes at, with a point in the set, on facet
+    # i, of scaled flux at least 1
+    simplex, rows = solvers.simplex_standard, []
+
+    def spied(c, a_eq, b_eq, slacks=()):
+        rows.append(len(b_eq))
+        return simplex(c, a_eq, b_eq, slacks=slacks)
+
+    refuted = 0
+    for s, a in _unbounded_facet_cones(np.random.default_rng(223)):
+        m = s.G.shape[0]
+        with monkeypatch.context() as mp:
+            mp.setattr(checkers, "_facet_lp", _copied_row_forms(m))
+            want = check_hpoly_linear(s, a)
+        with monkeypatch.context() as mp:
+            rows.clear()
+            mp.setattr(solvers, "simplex_standard", spied)
+            v = check_hpoly_linear(s, a)
+        assert (v.decision, v.notes) == (want.decision, want.notes)
+        if v.decision is not Decision.NOT_INVARIANT:
+            continue
+        i, x = v.notes["facet"], v.counterexample.point
+        a_s, e = checkers._matrix(s, a)
+        c = a_s.T @ s.G[i]
+        if not np.isinf(solvers._facet_lp(s.G, s.b)(i, c)[2]):
+            continue  # refuted at a bounded facet: no witness LP
+        refuted += 1
+        assert rows == [m] * (len(rows) - 1) + [m + 1]
+        scale = 1.0 + np.abs(s.b) + np.abs(s.G) @ np.abs(x)
+        assert np.all(s.G @ x - s.b <= 1e-12 * scale)
+        assert abs(s.G[i] @ x - s.b[i]) <= 1e-12 * scale[i]
+        assert c @ x >= 1.0 - 1e-12 * (1.0 + np.abs(c) @ np.abs(x))
+        assert v.counterexample.violation == math.ldexp(float(c @ x), e)
+    assert refuted >= 40
 
 
 def test_orthant_h_equals_metzler_test():
@@ -206,9 +274,9 @@ def test_emptiness_lp_runs_only_when_no_facet_lp_is_feasible(monkeypatch):
     # 0'x <= 1 before the refuting facet x1 <= 1 asks for no emptiness LP
     solve, facet_lp, asked = checkers.solve_inequality_lp, checkers._facet_lp, []
 
-    def spied(c, g_ub=None, h_ub=None, a_eq=None, b_eq=None):
-        asked.append("witness" if a_eq is not None else "emptiness")
-        return solve(c, g_ub, h_ub, a_eq=a_eq, b_eq=b_eq)
+    def spied(c, g_ub, h_ub):
+        asked.append("emptiness")
+        return solve(c, g_ub, h_ub)
 
     def facet_spied(g, h):
         facet = facet_lp(g, h)

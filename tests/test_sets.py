@@ -31,7 +31,7 @@ from invarcheck.sets import (
 from invarcheck.systems import GeneralSystem, LinearSystem
 from invarcheck.tangent import cone_test, tangent_cone_at
 
-from oracles import facets_by_subsets
+from oracles import facets_by_subsets, membership_lp_by_hand
 
 UNIT_BOX = HPolyhedron(
     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -514,7 +514,8 @@ def test_double_description_gives_up_early_above_the_ray_cap():
 
 
 def test_facet_cap_falls_back_to_lp(monkeypatch):
-    import invarcheck.sets as sets_mod
+    # every LP reaches the core through solvers, so a spy there sees them all
+    import invarcheck.solvers as solvers_mod
 
     calls = []
 
@@ -522,8 +523,8 @@ def test_facet_cap_falls_back_to_lp(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    real = sets_mod.simplex_standard
-    monkeypatch.setattr(sets_mod, "simplex_standard", counted)
+    real = solvers_mod.simplex_standard
+    monkeypatch.setattr(solvers_mod, "simplex_standard", counted)
     xs = np.random.default_rng(43).normal(scale=0.11, size=(11, 12))
     small = VPolytope(_cross(4))  # 16 facets
     outside_violation_batch(small, xs[:4])
@@ -547,15 +548,11 @@ def _l1_points(rng, n, radii, count=4):
     return np.hstack([x, np.eye(n)[:, :1], -np.eye(n)[:, -1:]])
 
 
-def test_lp_rows_above_the_facet_cap_are_the_membership_lp():
-    # above the cap a V-form's slack rows are minus the membership LP's
-    # margin and its infeasibility: one batch membership call classifies
-    # every point as that LP does alone, and the violation is the LP's
-    # infeasibility; every class occurs on each form, and points off the
-    # span of the flat polytope are outside
-    rng = np.random.default_rng(67)
+def _above_cap_forms(rng):
+    """Three V-forms in R^11 above the facet cap, each with points of every
+    class: name -> (form, points as columns)."""
     inner = _l1_points(rng, 10, [0.5, 1.0, 1.5])
-    forms = {
+    return {
         "cross-polytope-R11": (VPolytope(_cross(11)), _l1_points(rng, 11, [0.5, 1.0, 1.5])),
         # the cone over the R^10 cross-polytope: (y, t) with |y|_1 <= t;
         # the points at t = -1 are outside
@@ -567,6 +564,15 @@ def test_lp_rows_above_the_facet_cap_are_the_membership_lp():
                            np.vstack([np.hstack([inner, inner]),
                                       np.repeat([0.0, 0.3], inner.shape[1])[None, :]])),
     }
+
+
+def test_lp_rows_above_the_facet_cap_are_the_membership_lp():
+    # above the cap a V-form's slack rows are minus the membership LP's
+    # margin and its infeasibility: one batch membership call classifies
+    # every point as that LP does alone, and the violation is the LP's
+    # infeasibility; every class occurs on each form, and points off the
+    # span of the flat polytope are outside
+    forms = _above_cap_forms(np.random.default_rng(67))
     for name, (s, x) in forms.items():
         assert s._facets is None, name
         cls = membership(s, x)
@@ -578,6 +584,36 @@ def test_lp_rows_above_the_facet_cap_are_the_membership_lp():
     flat, x = forms["flat-cross-R11"]
     off = x[-1] != 0.0
     assert np.all(membership(flat, x)[off] == Membership.OUTSIDE)
+
+
+def test_membership_lp_through_the_builder_matches_its_hand_layout():
+    # the builder lays out a V-polytope's membership LP as it was laid out by
+    # hand, so the values are the same bits; a V-cone's cap row now leads and
+    # starts on its slack, so its values may move in the last digits, but no
+    # class does. The forms' points at four seeds, every class at each
+    for seed in (67, 71, 72, 73):
+        for name, (s, x) in _above_cap_forms(np.random.default_rng(seed)).items():
+            classes = set()
+            for k in range(x.shape[1]):
+                got, want = s._lp(x[:, k]), membership_lp_by_hand(s, x[:, k])
+                if isinstance(s, VPolytope):
+                    assert got == want, (seed, name, k)
+                else:
+                    assert np.allclose(got, want, rtol=1e-12, atol=0.0), (seed, name, k, got, want)
+                band = DEFAULT_TOL * s._scale(x[:, k])
+                cls = [(f > band, d <= band) for d, f in (got, want)]
+                assert cls[0] == cls[1], (seed, name, k)
+                classes.add(cls[0])
+            assert len(classes) == 3, (seed, name)
+    # the cross-cone with -e_11 added is all of R^11, yet above the cap at a
+    # stage of the enumeration: its margin is bounded by the cap row alone,
+    # so every point is inside at delta = cap(x)
+    whole = VCone(np.vstack([np.hstack([_cross(10), np.ones((20, 1))]), -np.eye(11)[10:]]))
+    assert whole._facets is None
+    for x in np.random.default_rng(74).normal(size=(20, 11)):
+        got, want = whole._lp(x), membership_lp_by_hand(whole, x)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), (x, got, want)
+        assert got[0] == pytest.approx(whole._cap(x), rel=1e-12) and got[1] == 0.0
 
 
 UNIT_SQUARE = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -609,13 +645,13 @@ def test_facet_samples_are_boundary_at_zero_tolerance(s):
 
 def test_faceted_membership_and_tangent_cone_solve_no_lp(monkeypatch):
     # the cone holds the facet rows, so building and testing it solves no LP
-    import invarcheck.sets as sets_mod
+    import invarcheck.solvers as solvers_mod
     import invarcheck.tangent as tangent_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(sets_mod, "simplex_standard", refuse)
+    monkeypatch.setattr(solvers_mod, "simplex_standard", refuse)
     monkeypatch.setattr(tangent_mod, "phase_one_feasibility", refuse)
     for s, x in [(UNIT_SQUARE, [1.0, 0.5]), (TRIANGLE, [0.0, 0.0]), (orthant_v(3), [0.0, 1.0, 2.0]),
                  (VPolytope(_cross(4)), [0.5, 0.5, 0.0, 0.0])]:

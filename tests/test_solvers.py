@@ -15,7 +15,8 @@ from invarcheck.solvers import (
 )
 from invarcheck.systems import LinearSystem
 
-from oracles import enumerate_lp, enumerate_qp_nearest, facet_vertex_flux, kkt_residuals
+from oracles import (enumerate_lp, enumerate_qp_nearest, facet_vertex_flux, inequality_lp_with_equalities,
+                     kkt_residuals)
 
 TRIANGLE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # columns are vertices
 
@@ -253,12 +254,12 @@ def test_lp_results_hold_no_negative_zero():
 
 def test_inequality_lp_box_and_equality():
     # max x1 + x2 on the unit square with x2 = x1
-    status, x, v = solve_inequality_lp(
+    status, x, v = inequality_lp_with_equalities(
         np.array([1.0, 1.0]),
-        g_ub=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-        h_ub=np.array([1.0, 1.0, 0.0, 0.0]),
-        a_eq=np.array([[1.0, -1.0]]),
-        b_eq=np.array([0.0]),
+        np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        np.array([1.0, 1.0, 0.0, 0.0]),
+        np.array([[1.0, -1.0]]),
+        np.array([0.0]),
     )
     assert status == "optimal"
     assert v == pytest.approx(2.0, abs=1e-9)
@@ -276,7 +277,7 @@ def test_phase_one_acceptance_relative_to_rhs():
     g = np.random.default_rng(0).normal(size=(6, 2))
     g_box = np.vstack([g, np.eye(2), -np.eye(2)])
     h_box = np.concatenate([np.ones(6), np.full(4, 1e6)])
-    status, x, _ = solve_inequality_lp(np.zeros(2), g_box, h_box, a_eq=g[1:2], b_eq=[1.0])
+    status, x, _ = inequality_lp_with_equalities(np.zeros(2), g_box, h_box, g[1:2], [1.0])
     assert status == "optimal"
     assert float(g[1] @ x) == pytest.approx(1.0, abs=1e-6)
 
@@ -311,7 +312,10 @@ def test_inequality_lp_matches_vertex_enumeration():
             h_all = np.concatenate([h, np.full(2 * n, box)])
         sense = -1.0 if maximize else 1.0
         # min c'x is -max (-c)'x
-        status, x, value = solve_inequality_lp(-sense * c, g_all, h_all, a_eq, b_eq)
+        if a_eq is None:
+            status, x, value = solve_inequality_lp(-sense * c, g_all, h_all)
+        else:
+            status, x, value = inequality_lp_with_equalities(-sense * c, g_all, h_all, a_eq, b_eq)
         value = -sense * value
         ref_status, ref_value = enumerate_lp(sense * c, g, h, a_eq, b_eq, box=box)
         assert status == ref_status
@@ -549,7 +553,7 @@ def test_facet_lp_holding_row_i_matches_the_inequality_lp_with_its_copy():
         facet = solvers._facet_lp(g, b)
         for i in rng.permutation(g.shape[0]):
             status, x, value = facet(i, costs[i])
-            want = solve_inequality_lp(costs[i], g, b, g[i:i + 1], b[i:i + 1])
+            want = inequality_lp_with_equalities(costs[i], g, b, g[i:i + 1], b[i:i + 1])
             assert status == want[0]
             statuses.add(status)
             vertices, flux = facet_vertex_flux(costs[i], g, b, i) if g.shape[1] <= 4 else (None, None)
