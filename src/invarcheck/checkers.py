@@ -37,9 +37,9 @@ from .numerics import (
     as_square,
     canonical_sign,
     distinct_columns,
-    eigh,
     gen_eig_max_witness,
     gershgorin_radius,
+    lapack_eig,
     minimize_scalar_convex,
     of_dimension,
     pow2_exponent,
@@ -245,7 +245,7 @@ def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
     a, m, ex = _pencil(e, a)
     lam, x = gen_eig_max_witness(m, e.eigenvalues, e.eigenvectors)
     if lam <= _PENCIL_TOL:
-        witness = float(eigh(m - lam * e.Q, vectors=False)[-1])
+        witness = float(lapack_eig(np.linalg.eigvalsh, m - lam * e.Q)[-1])
         return Verdict(Decision.INVARIANT, certificate=Certificate(
             "lyapunov-pencil",
             {"eta": math.ldexp(lam, ex), "witness_max_eig": math.ldexp(witness, ex),
@@ -260,32 +260,48 @@ def check_ellipsoid_linear(e: Ellipsoid, a) -> Verdict:
 def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     """Exact quadratic-cone decision under x' = A x.
 
-    On the boundary x'Qx = 0 the outward flux is x'QAx = x'Mx/2 with
-    M = A'Q + QA, an even form, so both branches of the surface carry the
-    same flux. Q is indefinite, so by the S-lemma with equality (Polik &
-    Terlaky, SIAM Review 2007) the flux is nonpositive on the whole surface
-    exactly when some eta makes M - eta*Q negative semidefinite. The convex
-    phi(eta) = lambda_max(M - eta*Q) is minimized over |eta| <= beta by a
-    safeguarded Newton search on its slope -v'Qv, v the top unit eigenvector,
-    and its curvature 2 sum_j (v_j'Qv)^2 / (lambda - lambda_j) over the other
-    eigenpairs, all from one eigh (no curvature, so a bisection step, where
-    the top eigenvalue is repeated to rounding): with r the Gershgorin radius
-    of M, phi(eta) >= -r + |eta|*min|eig Q| and phi(0) <= r, so the minimizer
-    lies in |eta| <= 2r/min|eig Q| < beta.
+    On the boundary x'Qx = 0 the outward flux is x'QAx = x'Mx/2, M = A'Q + QA,
+    the same on both branches. By the S-lemma (Polik & Terlaky, SIAM Review
+    2007) it is nonpositive there exactly when some eta makes M - eta*Q
+    negative semidefinite; for an invariant cone those eta fill the interval
+    between the two largest eigenvalues of the pencil (M, Q) (Stern &
+    Wolkowicz, SIAM J. Matrix Anal. Appl. 1991). So eta is the midpoint of
+    the two largest real parts of the eigenvalues of diag(sign w) S'MS,
+    S = U|w|^-1/2 from the cone's Q = U diag(w) U' (the largest alone when
+    n = 1), and certifies if lambda_max(M - eta*Q) <= _PENCIL_TOL; else
+    _lorenz_search decides. All on A scaled by 2^-ex (see _matrix); eta,
+    lambda_max and the flux are reported times 2^ex.
+    """
+    a, m, ex = _pencil(c, a)
+    s = c.eigenvectors / np.sqrt(np.abs(c.eigenvalues))
+    k = np.sign(c.eigenvalues)[:, None] * (s.T @ m @ s)
+    top = np.sort(lapack_eig(np.linalg.eigvals, k).real)[-2:]
+    eta = 0.5 * float(top[0] + top[-1])
+    phi = float(lapack_eig(np.linalg.eigvalsh, m - eta * c.Q)[-1])
+    if phi > _PENCIL_TOL:
+        return _lorenz_search(c, a, m, ex)
+    return Verdict(Decision.INVARIANT, certificate=Certificate(
+        "cone-pencil", {"eta": math.ldexp(eta, ex), "witness_max_eig": math.ldexp(phi, ex)}))
+
+
+def _lorenz_search(c: LorenzCone, a: np.ndarray, m: np.ndarray, ex: int) -> Verdict:
+    """check_lorenz_linear by a search for eta, on its scaled A and M: the
+    convex phi(eta) = lambda_max(M - eta*Q) is minimized over |eta| <= beta
+    by a safeguarded Newton search on its slope -v'Qv, v the top unit
+    eigenvector, and its curvature 2 sum_j (v_j'Qv)^2 / (lambda - lambda_j)
+    over the other eigenpairs, all from one eigh (no curvature, so a
+    bisection step, where the top eigenvalue is repeated to rounding): with
+    r the Gershgorin radius of M, phi(eta) >= -r + |eta|*min|eig Q| and
+    phi(0) <= r, so the minimizer lies in |eta| <= 2r/min|eig Q| < beta.
 
     phi* <= _PENCIL_TOL certifies invariance with eta*. Otherwise the
     eigenvectors V of M - eta*Q with eigenvalue >= phi*/2 span a subspace
-    that, by optimality of eta*, holds a null vector x of Q, and there
+    that, by optimality of eta*, holds a null vector x of Q, where
     x'QAx >= phi*/4 |x|^2. x is built from the extreme eigenpairs of V'QV,
-    moved onto the branch u_n'x >= 0 and onto the surface, and returned as
-    the counterexample. The decision is exact in exact arithmetic only: a
-    built point whose flux is not above 1e-8*(1 + |QA|) raises
-    NumericalFailure rather than return a verdict, since at that size the
-    gap phi* and the flux may both be rounding noise. All of this runs on A
-    scaled by 2^-ex (see _matrix); eta, phi* and the flux are reported times
-    2^ex.
+    moved onto the branch u_n'x >= 0 and onto the surface, and refutes if
+    its flux is above 1e-8*(1 + |QA|); else, since the gap phi* and the flux
+    may both be rounding noise at that size, NumericalFailure.
     """
-    a, m, ex = _pencil(c, a)
     rm, rq = gershgorin_radius(m), gershgorin_radius(c.Q)
     beta = 10.0 * (1.0 + rm) / float(np.min(np.abs(c.eigenvalues)))
 
@@ -293,7 +309,7 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
 
     def pencil_max(eta):
         # m and Q are exactly symmetric, so LAPACK needs no sym_eig checks
-        w, v = eigh(m - eta * c.Q)
+        w, v = lapack_eig(np.linalg.eigh, m - eta * c.Q)
         last[:] = w, v
         g = v.T @ (c.Q @ v[:, -1])
         gap = w[-1] - w[:-1]
@@ -304,9 +320,8 @@ def check_lorenz_linear(c: LorenzCone, a) -> Verdict:
     tau = max(1e-12, min(1e-10, 1e-10 / (1.0 + rq)))
     eta_star, phi_star = minimize_scalar_convex(pencil_max, (-beta, beta), tau)
     if phi_star <= _PENCIL_TOL:
-        return Verdict(Decision.INVARIANT, certificate=Certificate(
-            "cone-pencil", {"eta": math.ldexp(eta_star, ex),
-                            "witness_max_eig": math.ldexp(phi_star, ex)}))
+        return Verdict(Decision.INVARIANT, certificate=Certificate("cone-pencil", {
+            "eta": math.ldexp(eta_star, ex), "witness_max_eig": math.ldexp(phi_star, ex)}))
 
     w, v = last  # as sym_eig orders and signs them: descending, canonical_sign
     v = canonical_sign(v[:, w >= 0.5 * phi_star][:, ::-1])

@@ -4,10 +4,10 @@ Every type, shape, dimension and range rule on numbers, vectors and
 matrices lives here, each naming the argument its caller passes first in
 its message. Everything else is pure and operates on plain numpy arrays
 validated at entry: linear solves and Cholesky factors on LAPACK with
-conditioning and pivot checks, a symmetric eigensolver on LAPACK's eigh,
-a pencil's top generalized eigenpair through its quadric's eigenpairs, and a
-minimizer for convex scalar functions by a Newton search on the slope,
-safeguarded by bisection.
+conditioning and pivot checks, LAPACK's eigensolvers with one convergence
+rule, a pencil's top generalized eigenpair through its quadric's
+eigenpairs, and a minimizer for convex scalar functions by a Newton search
+on the slope, safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -220,12 +220,12 @@ def solve_linear(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def eigh(m, vectors: bool = True):
-    """LAPACK's eigh (eigvalsh unless vectors) of a built symmetric array; NoConvergence."""
+def lapack_eig(solve, m):
+    """solve(m), np.linalg's eigh, eigvalsh or eigvals of a built array; NoConvergence."""
     try:
-        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+        return solve(m)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+        raise NoConvergence(f"{solve.__name__} did not converge: {exc}") from exc
 
 
 def sym_eig(m, name: str = "M") -> EigenResult:
@@ -240,7 +240,7 @@ def sym_eig(m, name: str = "M") -> EigenResult:
     m = as_square(m, name)
     if m.size and float(np.max(np.abs(m - m.T))) > 1e-9 * (1.0 + float(np.max(np.abs(m)))):
         raise InputError(f"{name} is not symmetric within tolerance")
-    w, v = eigh(0.5 * (m + m.T))
+    w, v = lapack_eig(np.linalg.eigh, 0.5 * (m + m.T))
     order = np.argsort(-w, kind="stable")
     return EigenResult(w[order], canonical_sign(v[:, order]))
 
@@ -268,7 +268,7 @@ def gen_eig_max_witness(m, eigenvalues, eigenvectors):
     sym_eig) and x = S v, signed by canonical_sign (Golub & Van Loan, 8.7).
     """
     s = eigenvectors / np.sqrt(eigenvalues)
-    w, v = eigh(s.T @ m @ s)
+    w, v = lapack_eig(np.linalg.eigh, s.T @ m @ s)
     k = int(np.argmax(w))
     return float(w[k]), canonical_sign(s @ v[:, k])
 

@@ -545,13 +545,19 @@ def test_lorenz_wedges_match_two_ray_closed_form():
             _assert_boundary_counterexample(cone, a, v)
 
 
+def _search(cone, a):
+    """check_lorenz_linear's eta search alone, as it runs when the pencil's
+    spectrum gives no certificate: on A and M scaled as the decider scales them."""
+    return checkers._lorenz_search(cone, *checkers._pencil(cone, a))
+
+
 def test_lorenz_unconfirmed_ray_is_numerical_failure(monkeypatch):
     # at eta = 10 the top eigenvector of A'Q + QA - eta*Q for A = I is the
     # cone axis, so no boundary ray with outward flux can be built from it
     monkeypatch.setattr(checkers, "minimize_scalar_convex",
                         lambda f, bracket, tol: (10.0, f(10.0)[0]))
     with pytest.raises(NumericalFailure):
-        check_lorenz_linear(ICE3, np.eye(3))
+        _search(ICE3, np.eye(3))
 
 
 def test_lorenz_scaled_identity_is_never_refuted():
@@ -568,6 +574,22 @@ def test_lorenz_scaled_identity_is_never_refuted():
             except NumericalFailure:
                 continue
             assert v.decision is Decision.INVARIANT, (c, trial)
+
+
+def _random_cone(rng, n):
+    """A cone x'Qx <= 0 with Q = U diag(w) U', w > 0 but for one negative entry."""
+    u = _orthogonal(rng, n)
+    return LorenzCone(u @ np.diag(np.append(rng.uniform(0.5, 2.0, n - 1),
+                                            -rng.uniform(0.5, 2.0))) @ u.T)
+
+
+def _skew_field(rng, cone, sign):
+    """A = Q^-1 (S + sign P) + cI: eta = 2c certifies sign -1, and under
+    sign +1 every boundary ray has outward flux x'Px > 0."""
+    n = cone.dim
+    skew, b = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    return (np.linalg.solve(cone.Q, skew - skew.T + sign * (b @ b.T + 0.1 * np.eye(n)))
+            + rng.uniform(-1.0, 1.0) * np.eye(n))
 
 
 def _lorenz_battery():
@@ -602,7 +624,7 @@ def _lorenz_battery():
 
 
 def _lorenz_with_search(monkeypatch, cone, a, search):
-    """check_lorenz_linear's outcome under the given eta search, and phi*."""
+    """The eta search's outcome (_search) under the given minimizer, and phi*."""
     seen = {}
 
     def recorded(f, bracket, tol):
@@ -611,7 +633,7 @@ def _lorenz_with_search(monkeypatch, cone, a, search):
 
     monkeypatch.setattr(checkers, "minimize_scalar_convex", recorded)
     try:
-        return check_lorenz_linear(cone, a), seen["phi"]
+        return _search(cone, a), seen["phi"]
     except NumericalFailure:
         return None, seen["phi"]
 
@@ -669,7 +691,7 @@ def test_lorenz_eta_search_eigen_solve_budget(monkeypatch, seed):
         return out
 
     monkeypatch.setattr(checkers, "minimize_scalar_convex", counted)
-    check_lorenz_linear(cone, a)
+    _search(cone, a)
     lo, hi = seen["bracket"]
     assert 0 < seen["solves"] <= math.ceil(math.log2((hi - lo) / seen["tol"])) + 2
 
@@ -723,26 +745,135 @@ def test_lorenz_kink_takes_the_bisection_path_bit_for_bit(monkeypatch, seed):
 
         return bisection_min(g, bracket, tol)
 
-    v = check_lorenz_linear(cone, np.eye(3))
+    v = _search(cone, np.eye(3))
     monkeypatch.setattr(checkers, "minimize_scalar_convex", recorded)
-    v_ref = check_lorenz_linear(cone, np.eye(3))
+    v_ref = _search(cone, np.eye(3))
     assert v.certificate.data == v_ref.certificate.data
     below = [k for eta, k in curvatures.items() if eta < 2.0 or seed is None]
     assert len(below) > 10 and set(below) == {0.0}
 
 
 def test_lorenz_pencil_lapack_failure_is_no_convergence(monkeypatch):
-    # the eta search calls LAPACK directly, not through sym_eig
-    def failing_eigh(x):
+    # the spectrum's eigvals, the certificate's eigvalsh and, on a cone the
+    # spectrum cannot certify, the eta search's eigh all call LAPACK
+    # directly, not through sym_eig, and each maps LAPACK's error
+    def failing(x):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def no_sym_eig(m):
-        raise AssertionError("the eta search went through sym_eig")
+        raise AssertionError("the pencil went through sym_eig")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     monkeypatch.setattr(checkers, "sym_eig", no_sym_eig)
-    with pytest.raises(NoConvergence):
-        check_lorenz_linear(ICE3, np.eye(3))
+    for name, a in [("eigvals", np.eye(3)), ("eigvalsh", np.eye(3)),
+                    ("eigh", np.diag([3.0, 3.0, 1.0]))]:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, name, failing)
+            with pytest.raises(NoConvergence):
+                check_lorenz_linear(ICE3, a)
+
+
+def _spectral_battery():
+    """_lorenz_battery, then 400 seeded ops (n 2-8) of each of four kinds:
+    near-skew A = Q^-1 S + 10^-k R (M = 0 at R = 0), Gaussian A, A
+    invariant by construction and near-scalar A = cI + 1e-12 R; then the
+    degenerate pencils, whose eigenvalues are all repeated or zero (A = +-I,
+    A = 0, a Lorentz boost and A = Q^-1 S); then half-lines (n = 1, invariant
+    under any A) and 2-D wedges."""
+    yield from _lorenz_battery()
+    rng = np.random.default_rng(640)
+    for kind in range(4):
+        for _ in range(400):
+            cone = _random_cone(rng, int(rng.integers(2, 9)))
+            n, r = cone.dim, rng.normal(size=(cone.dim, cone.dim))
+            skew = r - r.T
+            if kind == 0:
+                a = (np.linalg.solve(cone.Q, skew)
+                     + 10.0 ** -rng.uniform(1.0, 12.0) * rng.normal(size=(n, n)))
+            elif kind == 1:
+                a = r
+            elif kind == 2:
+                a = _skew_field(rng, cone, -1.0)
+            else:
+                a = rng.uniform(-2.0, 2.0) * np.eye(n) + 1e-12 * r
+            yield False, cone, a
+    boost = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for cone in (ICE3, _random_cone(rng, 3), _random_cone(rng, 6)):
+        n, r = cone.dim, rng.normal(size=(cone.dim, cone.dim))
+        for a in (np.eye(n), -np.eye(n), np.zeros((n, n)), np.linalg.solve(cone.Q, r - r.T)):
+            yield False, cone, a
+    for c in (0.0, 1.0, -1.0):
+        yield False, ICE3, boost + c * np.eye(3)
+    for _ in range(40):
+        yield False, LorenzCone([[-rng.uniform(0.5, 2.0)]]), rng.normal(size=(1, 1))
+    for _ in range(100):
+        yield False, _random_cone(rng, 2), rng.normal(size=(2, 2))
+
+
+def _outcome(decide, cone, a):
+    try:
+        return decide(cone, a)
+    except NumericalFailure:
+        return None
+
+
+def test_lorenz_spectral_certificate_matches_the_search():
+    # the spectrum's eta only ever certifies, and only where the search
+    # certifies too; everything else is the search's verdict bit for bit
+    spectral = 0
+    for trial, (scaled, cone, a) in enumerate(_spectral_battery()):
+        v, v_ref = _outcome(check_lorenz_linear, cone, a), _outcome(_search, cone, a)
+        if v_ref is None or v_ref.decision is Decision.NOT_INVARIANT:
+            assert (v is None) == (v_ref is None), trial
+            if v is not None:
+                assert v.decision is v_ref.decision and v.notes == v_ref.notes, trial
+                assert np.array_equal(v.counterexample.point, v_ref.counterexample.point), trial
+                assert v.counterexample.violation == v_ref.counterexample.violation, trial
+            continue
+        assert v is not None and v.decision is Decision.INVARIANT, trial
+        spectral += v.certificate.data != v_ref.certificate.data
+        # the certificate holds at A's own scale 2^e, whatever e is
+        m = a.T @ cone.Q + cone.Q @ a
+        m = 0.5 * (m + m.T)
+        bound = math.ldexp(checkers._PENCIL_TOL, pow2_exponent(a))
+        assert np.max(np.linalg.eigvalsh(m - v.certificate.data["eta"] * cone.Q)) <= bound, trial
+    assert spectral > 500
+
+
+def test_lorenz_spectral_certificate_budget(monkeypatch):
+    # an invariant cone costs one eigvals and one eigvalsh, and no search; a
+    # refuted one makes one search over the bracket |eta| <= 10(1 + r)/min|w|,
+    # r the Gershgorin radius of M
+    rng = np.random.default_rng(641)
+    cases = [(ICE3, np.eye(3), True), (ICE3, np.diag([3.0, 3.0, 1.0]), False)]
+    for n in (3, 10, 14):
+        cone = _random_cone(rng, n)
+        cases += [(cone, _skew_field(rng, cone, -1.0), True),
+                  (cone, _skew_field(rng, cone, 1.0), False)]
+    calls = {}
+    for name in ("eigvals", "eigvalsh", "eigh"):
+        def spy(x, name=name, solve=getattr(np.linalg, name)):
+            calls[name] += 1
+            return solve(x)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    search = checkers.minimize_scalar_convex
+
+    def recorded(f, bracket, tol):
+        calls["brackets"].append(bracket)
+        return search(f, bracket, tol)
+
+    monkeypatch.setattr(checkers, "minimize_scalar_convex", recorded)
+    for trial, (cone, a, invariant) in enumerate(cases):
+        calls.update(eigvals=0, eigvalsh=0, eigh=0, brackets=[])
+        v = check_lorenz_linear(cone, a)
+        assert (v.decision is Decision.INVARIANT) is invariant, trial
+        assert calls["eigvals"] == 1 and calls["eigvalsh"] == 1, trial
+        if invariant:
+            assert calls["eigh"] == 0 and calls["brackets"] == [], trial
+            continue
+        _, m, _ = checkers._pencil(cone, a)
+        beta = 10.0 * (1.0 + np.max(np.sum(np.abs(m), axis=1))) / np.min(np.abs(cone.eigenvalues))
+        assert calls["brackets"] == [(-beta, beta)], trial
 
 
 def test_ellipsoid_lapack_failure_is_no_convergence(monkeypatch):
