@@ -9,7 +9,8 @@ reports the first start whose trajectory leaves the set beyond a strict
 band, once the same start integrated at half the step confirms the exit:
 RK4's drift along a surface the flow is tangent to shrinks about 16-fold at
 half the step (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4), a
-real exit does not.
+real exit does not. Only candidate exits are integrated at half the step.
+Both take the whole steps within the horizon (see _step_grid).
 The falsifier advances its trajectories in blocks of steps, each block
 classified in one call (see falsify); every trajectory is still the one a
 step-by-step RK4 loop integrates, bit for bit.
@@ -60,15 +61,18 @@ def _rk4_step(sys_field, t, x, h):
 
 
 def _step_grid(horizon: float, step: float, t0: float) -> int:
-    """Step count of a fixed-step integration from t0; InputError unless t0
-    and the grid keep their rules and the count is at most MAX_STEPS, so
-    that every integration ends."""
+    """Step count of a fixed-step integration from t0: the largest whole
+    number of steps that does not pass the horizon, up to the rounding of
+    horizon / step. InputError unless t0 and the grid keep their rules and
+    the count is at most MAX_STEPS, so that every integration ends."""
     _check_real(t0, "t0")
     step, horizon = _check_grid(step, horizon, "step", "horizon")
-    if not horizon / step <= MAX_STEPS:
-        raise InputError(f"horizon / step is {horizon / step:.3g} steps, "
-                         f"more than the cap of {MAX_STEPS}")
-    return int(round(horizon / step))
+    ratio = horizon / step
+    # a quotient within its rounding (4 ulps) below a whole number is that number
+    nsteps = ratio + 4 * math.ulp(ratio)
+    if not nsteps < MAX_STEPS + 1:
+        raise InputError(f"horizon / step is {ratio:.3g} steps, more than the cap of {MAX_STEPS}")
+    return math.floor(nsteps)
 
 
 def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) -> Trajectory:
@@ -166,7 +170,8 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     step: the same start integrated from t0 with step/2 also exceeds the
     band at some half step up to t_exit. An exit that the half step does not
     confirm is RK4's drift, not an exit, and its start is dropped. Returns
-    None if no exit is confirmed within the horizon.
+    None if no exit is confirmed within the horizon, whose steps are the
+    whole ones that fit in it (see _step_grid).
     A bad n_starts, seed, tol, t0, step or horizon, a linear system or an
     extra start of another dimension than the set, an extra start already
     outside the set by more than that band, or a field that is not finite at
@@ -184,11 +189,11 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     in one call; a column's first step that is not finite, beyond the band
     or past the divergence bound ends it, and only that step can be its
     exit. An ended column is 0 in the next step's input, so nothing past the
-    end of a trajectory is stepped. From the group's first candidate exit
-    on, one copy of its live trajectories at step/2 keeps pace, two half
-    steps a step, in blocks of the same size; a candidate at step k is
-    confirmed when its copy is finite through half step 2k + 2 and beyond
-    the band at one of those half steps.
+    end of a trajectory is stepped. After each block, only its candidate
+    exits are integrated from t0 at step/2, in blocks of the same size (see
+    _confirm); a candidate at step k is confirmed when that run is finite
+    through half step 2k + 2 and beyond the band at one of those half steps.
+    A start that never becomes a candidate is never half-stepped.
     """
     _check_sampling(n_starts, seed, tol, "n_starts")
     nsteps = _step_grid(horizon, step, t0)
@@ -229,10 +234,6 @@ def _search(s: ConvexSet, full, half, x0, nsteps: int, step: float, t0: float):
     n_cols = x0.shape[1]
     best, best_time = n_cols, math.inf  # columns with index >= best can no longer win
     live, cur = np.arange(n_cols), x0
-    # per live column, its first half step beyond the band and its first one
-    # not finite, once the half-step copy runs
-    seen, fail = np.full(n_cols, _NEVER), np.full(n_cols, _NEVER)
-    halved = None  # the live columns at step/2, from the first candidate exit on
     k, length = 0, 1
     while k < nsteps and live.size:
         k0, count = k, min(length, nsteps - k, max(1, _BLOCK_COLUMNS // live.size))
@@ -240,40 +241,37 @@ def _search(s: ConvexSet, full, half, x0, nsteps: int, step: float, t0: float):
         cur, ended, _, exited = _block(s, full, lambda j: t0 + (k0 + j) * step, cur, count,
                                        _past_bound)
         stop = exited if ended is None else exited | ended
-        if halved is None and not np.any(stop):
+        if not np.any(stop):
             continue
         at = _first(stop, k0)  # each column's stopping step
-        stopped = at < _NEVER
-        candidate = exited[np.minimum(at - k0, count - 1), np.arange(live.size)]
-        if halved is None and np.any(candidate):
-            # start the half-step copy from t0; it then keeps pace, two half
-            # steps a step, so it costs at most twice the search's own steps
-            halved, hj = x0[:, live], 0
-        if halved is not None:
-            # the last half step that each column's confirmation reads; a
-            # column is set to 0 past it
-            last = np.where(candidate, 2 * at + 2, np.where(stopped, 0, _NEVER))
-            upto = min(int(last.max()), 2 * k)
-
-            def ends(j, x):
-                done, bad = last <= hj + j + 1, _not_finite(x)
-                return done if bad is None else done | bad
-
-            while hj < upto:
-                hcount = min(upto - hj, max(1, _BLOCK_COLUMNS // live.size))
-                halved, _, finite, out = _block(s, half, lambda j: t0 + 0.5 * (hj + j) * step,
-                                                halved, hcount, ends)
-                seen = np.minimum(seen, _first(out, hj + 1))
-                if finite is not None:
-                    fail = np.minimum(fail, _first(~finite, hj + 1))
-                hj += hcount
-            confirmed = candidate & (seen <= last) & (fail > last)
-            if np.any(confirmed):  # every live column is below best, so the first wins
-                c = int(np.argmax(confirmed))
-                best, best_time = int(live[c]), (int(at[c]) + 1) * step
-        keep = ~stopped & (live < best) & (fail > 2 * k)
-        if not np.all(keep):
-            live, cur, seen, fail = live[keep], cur[:, keep], seen[keep], fail[keep]
-            if halved is not None:
-                halved = halved[:, keep]
+        cand = np.flatnonzero(exited[np.minimum(at - k0, count - 1), np.arange(live.size)])
+        if cand.size:  # every live column is below best, so the first confirmed wins
+            c = _confirm(s, half, x0[:, live[cand]], 2 * at[cand] + 2, step, t0)
+            if c is not None:
+                best, best_time = int(live[cand[c]]), (int(at[cand[c]]) + 1) * step
+        keep = (at == _NEVER) & (live < best)  # not stopped, and can still win
+        live, cur = live[keep], cur[:, keep]
     return (best, best_time) if best < n_cols else None
+
+
+def _confirm(s: ConvexSet, half, x0, last, step: float, t0: float):
+    """The index of the first column of x0 whose exit is confirmed: from t0
+    at step/2 it is finite through half step last (per column) and beyond
+    the band at one of those half steps; None when none is."""
+    # per column, its first half step beyond the band and its first one not finite
+    seen, fail = np.full(last.size, _NEVER), np.full(last.size, _NEVER)
+    x, hj, upto = x0, 0, int(last.max())
+
+    def ends(j, x):  # a column is set to 0 past its last half step
+        done, bad = last <= hj + j + 1, _not_finite(x)
+        return done if bad is None else done | bad
+
+    while hj < upto:
+        count = min(upto - hj, max(1, _BLOCK_COLUMNS // last.size))
+        x, _, finite, out = _block(s, half, lambda j: t0 + 0.5 * (hj + j) * step, x, count, ends)
+        seen = np.minimum(seen, _first(out, hj + 1))
+        if finite is not None:
+            fail = np.minimum(fail, _first(~finite, hj + 1))
+        hj += count
+    confirmed = (seen <= last) & (fail > last)
+    return int(np.argmax(confirmed)) if np.any(confirmed) else None

@@ -9,6 +9,7 @@ from invarcheck import dynamics
 from invarcheck.checkers import Decision, check
 from invarcheck.dynamics import MAX_STEPS, _step_grid, falsify, integrate
 from invarcheck.errors import InputError
+from invarcheck.expressions import build_expression_system
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -225,8 +226,8 @@ def test_falsify_starts_from_the_samples_as_drawn(s, monkeypatch):
 
 
 def test_exit_confirmation_costs_at_most_twice_the_search(monkeypatch):
-    # the half-step copy starts at the first candidate exit, so a run without
-    # one takes no extra step; after it, two half steps per search step
+    # only candidate exits are half-stepped, so a run without one takes no
+    # half step; a candidate at step k takes 2k + 2 of them
     column_steps, _ = _record_steps(monkeypatch)
     disk = Ellipsoid(np.eye(2))
     assert falsify(disk, LinearSystem(-np.eye(2)), 200, 1.0, 0.01, seed=3) is None
@@ -237,6 +238,17 @@ def test_exit_confirmation_costs_at_most_twice_the_search(monkeypatch):
     cone, sys = _surface_tangent_cone()
     assert falsify(cone, sys, 2000, 2.0, 0.01, seed=0) is None
     assert 0 < column_steps[0.005] <= 2 * column_steps[0.01]
+
+
+def test_only_candidate_exits_are_half_stepped(monkeypatch):
+    # the apex never leaves the rotating cone; the drifting extra start is
+    # the only candidate, half-stepped up to its own half step 2k + 2, far
+    # fewer than the horizon's 200 half steps
+    column_steps, _ = _record_steps(monkeypatch)
+    cone = LorenzCone(np.diag([1.0, 1.0, -1.0]))
+    sys = LinearSystem([[10.0, -10.0, 0.0], [10.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
+    assert falsify(cone, sys, 1, 1.0, 0.01, seed=0, extra_starts=[[0.6, 0.8, 1.0]]) is None
+    assert 0 < column_steps[0.005] < 200
 
 
 def test_the_first_group_with_an_exit_ends_the_search(monkeypatch):
@@ -256,6 +268,33 @@ def test_integrate_caps_step_count():
     assert _step_grid(1.0, 1.0 / MAX_STEPS, 0.0) == MAX_STEPS
     with pytest.raises(InputError, match="cap"):
         integrate(LinearSystem(-np.eye(2)), [1.0, 0.0], 0.0, 1.0, 0.5 / MAX_STEPS)
+
+
+@pytest.mark.parametrize("horizon, step, nsteps", [
+    (0.55, 0.1, 5), (0.29, 0.1, 2), (0.3, 0.1, 3), (10.0, 1e-3, 10_000)])
+def test_the_step_grid_does_not_pass_the_horizon(horizon, step, nsteps):
+    # the largest whole number of steps within the horizon, up to the
+    # rounding of horizon / step: 0.3 / 0.1 is 2.9999999999999996
+    assert _step_grid(horizon, step, 0.0) == nsteps
+    tr = integrate(LinearSystem(-np.eye(2)), [1.0, 0.0], 0.0, horizon, step)
+    assert len(tr.times) == nsteps + 1
+    assert tr.times[-1] <= horizon or tr.times[-1] == pytest.approx(horizon, rel=1e-15)
+
+
+def test_the_step_cap_allows_for_rounding():
+    # 0.9 / 9e-7 is 1000000.0000000001: MAX_STEPS steps, not past the cap
+    assert _step_grid(0.9, 9e-7, 0.0) == MAX_STEPS
+    with pytest.raises(InputError, match="cap"):
+        _step_grid(1.0, 1.0 / (MAX_STEPS + 1), 0.0)
+
+
+def test_falsify_reports_no_exit_past_the_horizon():
+    # x <= 1 under x' = 20 (t - 0.25) from x = 1: x(t) = 1 + 5t(2t - 1),
+    # outside only after t = 0.5, first at the step t = 0.6
+    half_line, sys = HPolyhedron([[1.0]], [1.0]), build_expression_system(["20*(t - 0.25)"])
+    assert falsify(half_line, sys, 1, 0.55, 0.1, seed=0) is None
+    x0, t_exit = falsify(half_line, sys, 1, 0.65, 0.1, seed=0)
+    assert x0.tolist() == [1.0] and t_exit == pytest.approx(0.6)
 
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])

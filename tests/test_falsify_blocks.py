@@ -73,12 +73,15 @@ def _same(s, sys, *args, **kwargs):
     return got
 
 
-@pytest.mark.parametrize("columns", BLOCK_COLUMNS)
-def test_block_loop_matches_the_per_step_loop_on_every_family(columns, monkeypatch):
+@pytest.mark.parametrize("columns, t0", [
+    pytest.param(c, t0, id=str(c) if t0 == 0.0 else f"{c}-t0={t0}")
+    for t0 in (0.0, 1.5, -0.7) for c in BLOCK_COLUMNS])
+def test_block_loop_matches_the_per_step_loop_on_every_family(columns, t0, monkeypatch):
+    # a nonzero t0 shifts the time of every full and half step
     monkeypatch.setattr(dynamics, "_BLOCK_COLUMNS", columns)
     found = 0
     for k, (s, sys) in enumerate(_battery()):
-        found += _same(s, sys, 40, 0.4, 0.01, seed=k) is not None
+        found += _same(s, sys, 40, 0.4, 0.01, seed=k, t0=t0) is not None
     assert 10 <= found < 48  # exits and runs without one
 
 
