@@ -56,7 +56,7 @@ from .sets import (
     sample_boundary,
 )
 from .solvers import _facet_lp, lp_feasible, solve_inequality_lp
-from .systems import DynamicalSystem, LinearSystem, field_batch
+from .systems import DynamicalSystem, LinearSystem
 from .tangent import first_outside
 
 _FACET_OPTIMUM_TOL = 1e-8  # a facet optimum at or below this is non-positive
@@ -183,8 +183,9 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     """Decomposition feasibility at every generator i of s (a vertex or ray):
     s.columns @ a = f with a_j >= 0 for j != i, on the family's own
     homogenised columns ([V'; 1'], so the coefficients sum to zero, or R'),
-    the field f at generator i padded with zeros to their height, in one
-    call up to the first non-finite f. A linear system's f is scaled by
+    the field f at generator i padded with zeros to their height. Every f
+    comes from one field call, and is decided in one call up to the first
+    non-finite f. A linear system's f is scaled by
     2^-e, e from A as in _matrix, which keeps the rounding noise in A v as
     small against 1 as at A's own scale; a general field is not scaled,
     since its values may all be noise. The first infeasible one refutes with
@@ -197,16 +198,13 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     _check_real(t0, "t0")
     name, plural = s.GENERATOR, s.GENERATORS
     gens, cols = getattr(s, plural), s.columns
-    rhs = np.zeros((cols.shape[0], gens.shape[0]))
-    finite = 0
-    for g in gens:
-        f = sys.field(t0, g)
-        if not np.all(np.isfinite(f)):
-            break
-        rhs[:s.dim, finite] = f
-        finite += 1
+    f = sys.field(t0, gens.T)
+    bad = np.flatnonzero(~np.all(np.isfinite(f), axis=0))
+    finite = int(bad[0]) if bad.size else gens.shape[0]
     e = pow2_exponent(sys.a) if isinstance(sys, LinearSystem) else 0
-    results = lp_feasible(cols, np.ldexp(rhs[:, :finite], -e), range(finite))
+    rhs = np.zeros((cols.shape[0], finite))
+    rhs[:s.dim] = np.ldexp(f[:, :finite], -e)
+    results = lp_feasible(cols, rhs, range(finite))
     if results and results[-1][1] is None:
         i = len(results) - 1
         return Verdict(Decision.NOT_INVARIANT,
@@ -375,7 +373,7 @@ def check_nonlinear_sampled(s: ConvexSet, sys: DynamicalSystem, t0: float,
     _check_sampling(n_samples, seed, tol, "n_samples")
     samples = sample_boundary(s, n_samples, seed, tol)
     x = np.ascontiguousarray(np.array([bp.point for bp in samples]).T)
-    y = field_batch(sys, t0, x)
+    y = sys.field(t0, x)
     bad = np.flatnonzero(~np.all(np.isfinite(y), axis=0))
     stop = int(bad[0]) if bad.size else len(samples)
     hit = first_outside(s, x[:, :stop], y[:, :stop], tol)

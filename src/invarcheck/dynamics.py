@@ -1,9 +1,9 @@
 """Trajectory integration and simulation-based falsification.
 
-The integrator is fixed-step classic Runge-Kutta, and so is the falsifier,
-which for a linear field applies the RK4 step as one matrix. Both evaluate
-the field through the system, whose own rule rejects a state of another
-dimension, and take a finite t0 and a step grid checked in _step_grid. The
+The integrator and the falsifier take one fixed-step classic Runge-Kutta
+step (_stepper), one matrix for a linear field. Both evaluate the field
+through the system, whose own rule rejects a state of another dimension,
+and take a finite t0 and a step grid checked in _step_grid. The
 falsifier launches trajectories from the boundary samples as drawn and
 reports the first start whose trajectory leaves the set beyond a strict
 band, once the same start integrated at half the step confirms the exit:
@@ -27,7 +27,7 @@ from .errors import InputError
 from .numerics import (_check_grid, _check_real, _check_sampling, as_point, as_vector,
                        distinct_columns)
 from .sets import DEFAULT_TOL, ConvexSet, outside_violation_batch, sample_boundary
-from .systems import DynamicalSystem, LinearSystem, field_batch
+from .systems import DynamicalSystem, LinearSystem
 
 MAX_STEPS = 1_000_000  # integration steps per trajectory; the defaults take 10,000
 _EXIT_BAND = 1e-6      # a violation above this is a strict exit
@@ -76,7 +76,7 @@ def _step_grid(horizon: float, step: float, t0: float) -> int:
 
 
 def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) -> Trajectory:
-    """Classic fixed-step RK4 from t0 over the horizon.
+    """Classic fixed-step RK4 from t0 over the horizon, by falsify's own step.
 
     Truncates with diverged=True when a state goes non-finite or its norm
     exceeds the divergence threshold. A linear system of another dimension
@@ -84,11 +84,13 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) 
     """
     nsteps = _step_grid(horizon, step, t0)
     x = as_vector(x0, "x0").copy()
+    sys.field(t0, x)  # a linear system checks its dimension
+    advance = _stepper(sys, step)
     times = [t0]
     states = [x.copy()]
     diverged = False
     for k in range(nsteps):
-        x = _rk4_step(sys.field, t0 + k * step, x, step)
+        x = advance(t0 + k * step, x)
         if not np.all(np.isfinite(x)):
             diverged = True
             break
@@ -107,7 +109,7 @@ def _stepper(sys: DynamicalSystem, h: float):
         a = sys.a
         rk4_map = _rk4_step(lambda t, x: a @ x, 0.0, np.eye(a.shape[0]), h)
         return lambda t, x: rk4_map @ x
-    return lambda t, x: _rk4_step(lambda tt, xx: field_batch(sys, tt, xx), t, x, h)
+    return lambda t, x: _rk4_step(sys.field, t, x, h)
 
 
 def _not_finite(x):
@@ -137,7 +139,7 @@ def _block(s: ConvexSet, stepper, t_of, x, count, ends):
     states, ended = [], None
     for j in range(count):
         x = stepper(t_of(j), x)
-        states.append(x)
+        states.append(x.copy())
         end = ends(j, x)
         if end is not None and np.any(end):
             if ended is None:
@@ -210,7 +212,7 @@ def falsify(s: ConvexSet, sys: DynamicalSystem, n_starts: int, horizon: float,
     x0_all = starts[:, distinct_columns(starts)]
     # a trajectory that is not finite from its first step would be dropped
     # unseen, so such a field is an input error, not "no exit"
-    f0 = field_batch(sys, t0, x0_all)  # a linear system checks its dimension
+    f0 = sys.field(t0, x0_all)  # a linear system checks its dimension
     bad = np.flatnonzero(~np.all(np.isfinite(f0), axis=0))
     if bad.size:
         raise InputError("the field is not finite at start "

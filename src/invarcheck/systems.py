@@ -1,5 +1,5 @@
-"""Dynamical-system descriptions accepted by the checkers and integrator;
-LinearSystem.field holds a state to the system's dimension (of_dimension)."""
+"""Dynamical-system descriptions; each field(t, x) takes a state or an (n, N)
+batch of states as columns, held by LinearSystem.field to A's dimension."""
 
 from __future__ import annotations
 
@@ -31,14 +31,21 @@ class GeneralSystem:
     """Opaque field evaluator f(t, x); only sampling checks apply.
 
     Set vectorized=True when the evaluator broadcasts over a batch of states
-    given as an (n, N) array; the falsifier then integrates all starts at
-    once.
+    given as an (n, N) array; field then evaluates a batch in one call, and
+    the falsifier integrates all starts at once.
     """
 
     func: Callable
     vectorized: bool = False
 
     def field(self, t, x):
+        """f(t, x) for a state or an (n, N) batch, column by column unless
+        vectorized; DimensionMismatch unless the evaluator returns x's shape."""
+        if np.ndim(x) == 2 and not self.vectorized:
+            out = np.empty(x.shape)
+            for k in range(x.shape[1]):
+                out[:, k] = self.field(t, x[:, k])
+            return out
         out = np.asarray(self.func(t, x), dtype=float)
         if out.shape != np.shape(x):
             raise DimensionMismatch(
@@ -47,13 +54,3 @@ class GeneralSystem:
 
 
 DynamicalSystem = LinearSystem | GeneralSystem
-
-
-def field_batch(sys: DynamicalSystem, t: float, states: np.ndarray) -> np.ndarray:
-    """Evaluate the field on an (n, N) batch of states, in one call if linear or vectorized."""
-    if isinstance(sys, LinearSystem) or sys.vectorized:
-        return sys.field(t, states)
-    out = np.empty_like(states)
-    for k in range(states.shape[1]):
-        out[:, k] = sys.field(t, states[:, k])
-    return out

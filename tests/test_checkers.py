@@ -327,6 +327,31 @@ def test_vertex_refutes_a_general_field_before_sampling(monkeypatch):
     assert v.counterexample.violation == pytest.approx(0.6, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [
+    VPolytope([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)]),
+    orthant_v(3),
+], ids=["vpolytope", "vcone"])
+def test_the_generators_take_one_field_call(s):
+    # the field is evaluated at every generator in one call, for a linear
+    # and a vectorised general field; a general field that passes there is
+    # evaluated once more, on the boundary samples
+    gens = getattr(s, s.GENERATORS)
+    for sys, decision, calls in [
+        (LinearSystem(-np.eye(s.dim)), Decision.INVARIANT, 1),
+        (GeneralSystem(lambda t, x: x - 1.0, vectorized=True), Decision.NOT_INVARIANT, 1),
+        (GeneralSystem(lambda t, x: -x, vectorized=True), Decision.UNKNOWN, 2),
+    ]:
+        shapes, field = [], sys.field
+
+        def spy(t, x, shapes=shapes, field=field):
+            shapes.append(np.shape(x))
+            return field(t, x)
+
+        sys.field = spy
+        assert check(s, sys, n_samples=50).decision is decision
+        assert len(shapes) == calls and shapes[0] == gens.T.shape
+
+
 def test_orthant_metzler_example():
     v = check_orthant_linear([[-1.0, 2.0], [0.0, -3.0]])
     assert v.decision is Decision.INVARIANT

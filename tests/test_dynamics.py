@@ -86,6 +86,40 @@ def test_falsify_linear_map_is_the_degree_4_taylor_polynomial(monkeypatch):
             assert np.max(np.abs(rk4_map - taylor)) <= 1e-14 * (1.0 + np.max(np.abs(taylor)))
 
 
+def test_integrate_takes_the_falsifier_step():
+    # integrate steps with _stepper, falsify's own RK4 step, so its states
+    # are the stepper's bit for bit: a linear field's step is the one RK4
+    # matrix, and a general field's the RK4 step through its field
+    rng = np.random.default_rng(41)
+    systems = [LinearSystem(rng.normal(size=(n, n))) for n in range(1, 7) for _ in range(30)]
+    systems.append(GeneralSystem(lambda t, x: np.sin(t) - x ** 3 + np.roll(x, 1)))
+    t0, step = 0.25, 0.01
+    for sys in systems:
+        x = rng.normal(size=sys.a.shape[0] if isinstance(sys, LinearSystem) else 3)
+        tr = integrate(sys, x, t0, 100 * step, step)
+        advance = dynamics._stepper(sys, step)
+        states = [x]
+        for k in range(100):
+            states.append(advance(t0 + k * step, states[-1]))
+        assert not tr.diverged
+        assert np.array_equal(tr.states, states)
+        assert np.array_equal(tr.times, [t0 + k * step for k in range(101)])
+
+
+def test_linear_integrate_evaluates_the_field_once():
+    # the one call checks the dimension; every step is the RK4 matrix
+    sys = LinearSystem([[0.0, 1.0], [-1.0, 0.0]])
+    calls, field = [], sys.field
+
+    def spy(t, x):
+        calls.append(t)
+        return field(t, x)
+
+    sys.field = spy
+    tr = integrate(sys, [1.0, 0.0], 0.5, 1.0, 0.01)
+    assert calls == [0.5] and len(tr.states) == 101
+
+
 def test_rk4_order_via_step_halving():
     sys = LinearSystem([[-1.0]])
     exact = math.exp(-1.0)

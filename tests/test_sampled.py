@@ -23,7 +23,7 @@ from invarcheck.sets import (
     orthant_v,
     sample_boundary,
 )
-from invarcheck.systems import GeneralSystem, LinearSystem, field_batch
+from invarcheck.systems import GeneralSystem, LinearSystem
 
 from oracles import sampled_nagumo_per_sample
 
@@ -97,7 +97,7 @@ def test_batch_matches_per_sample_loop_on_every_family():
                 t = s if c == 1.0 else _scaled(s, c)
                 samples = sample_boundary(t, 80, seed=f, tol=tol)
                 x = np.column_stack([bp.point for bp in samples])
-                y = field_batch(sys, 0.0, x)
+                y = sys.field(0.0, x)
                 ref = sampled_nagumo_per_sample(
                     s, GeneralSystem(lambda _, z: sys.field(0.0, c * z)), 0.0,
                     [BoundaryPoint(bp.point / c) for bp in samples], tol)
@@ -163,6 +163,16 @@ def test_vertex_form_above_the_facet_cap_takes_the_lp_path(monkeypatch):
     assert np.array_equal(v.counterexample.point, samples[k].point)
     assert v.counterexample.violation == pytest.approx(
         ref[k][1] * (1.0 + np.linalg.norm(samples[k].point)), rel=1e-12)
+
+
+def test_unvectorised_field_takes_a_batch_column_by_column():
+    # -x ||x|| on a 2 x 3 batch: each column's own norm, not the batch's
+    # Frobenius norm, which the evaluator computes if handed the whole batch
+    sys = GeneralSystem(lambda t, x: -x * np.linalg.norm(x))
+    x = np.array([[1.0, 0.0, 3.0], [2.0, -1.0, 4.0]])
+    columns = np.column_stack([sys.field(0.0, x[:, k]) for k in range(3)])
+    assert np.array_equal(sys.field(0.0, x), columns)
+    assert np.array_equal(columns, [[-5.0 ** 0.5, 0.0, -15.0], [-2.0 * 5.0 ** 0.5, 1.0, -20.0]])
 
 
 @pytest.mark.parametrize("s", [
