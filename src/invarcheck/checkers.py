@@ -99,6 +99,21 @@ def _matrix(s: ConvexSet, a) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
+def _antipodes(rows, images):
+    """mate with rows[mate[i]] == images[i] for every i, matched by their
+    exact bytes after + 0.0 (so -0.0 matches 0.0), or None unless every
+    image is a row and mate pairs them up (mate[mate] is the identity)."""
+    rows, images = rows + 0.0, images + 0.0
+    index = {r.tobytes(): k for k, r in enumerate(rows)}
+    mate = np.empty(len(rows), dtype=int)
+    for i, r in enumerate(images):
+        k = index.get(r.tobytes())
+        if k is None:
+            return None
+        mate[i] = k
+    return mate if np.array_equal(mate[mate], np.arange(mate.size)) else None
+
+
 def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     """Decide invariance of a halfspace-form polyhedron under x' = A x.
 
@@ -114,10 +129,25 @@ def check_hpoly_linear(p: HPolyhedron, a) -> Verdict:
     the polyhedron; only when none is feasible does one more LP decide
     whether the polyhedron is empty (EmptySet). The LPs read A scaled by
     2^-e (see _matrix), and each optimum and violation is reported times 2^e.
+
+    On a centrally symmetric polyhedron, where every row (g, b) has its
+    exact antipode (-g, b) (_antipodes), only the lower facet of each pair
+    is solved: the other, mate[i] < i, takes its partner's status and
+    optimum with the argmax 0.0 - x. Since P = -P and A(-x) = -Ax, x
+    ranges over facet mate[i] exactly when -x ranges over facet i, with the
+    same flux. A pair's lower facet refutes first, so the refuting facet
+    and its witness are those of solving every facet.
     """
     a, e = _matrix(p, a)
+    mate = _antipodes(np.column_stack([p.G, p.b]), np.column_stack([-p.G, p.b]))
     facets, facet_lp = [], _facet_lp(p.G, p.b)
     for i in range(p.G.shape[0]):
+        if mate is not None and mate[i] < i:
+            twin = facets[mate[i]]
+            facets.append({"index": i, "vacuous": True} if "vacuous" in twin else
+                          {"index": i, "optimum": twin["optimum"],
+                           "argmax": [0.0 - v for v in twin["argmax"]]})
+            continue
         c = a.T @ p.G[i]
         status, x, val = facet_lp(i, c)
         if status == "infeasible":
@@ -194,6 +224,15 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     reported times 2^e. The set's GENERATOR and GENERATORS words key the
     notes and the certificate. A bad t0, or a linear system of another
     dimension than the set, is an InputError.
+
+    Under a linear system on a centrally symmetric set, where every
+    generator v has -v among the generators (_antipodes), only generators
+    i <= mate[i] are solved, and generator i with mate[i] < i takes its
+    partner's infeasibility and coefficients alpha[mate]: if
+    sum_j alpha_j v_j = A v, then sum_j alpha_mate[j] v_j = -A v = A(-v),
+    with the same sum and alpha_mate[j] >= 0 for j != i. A pair's lower
+    generator refutes first, as when every generator is solved. A general
+    field need not be odd, so it is never mirrored.
     """
     _check_real(t0, "t0")
     name, plural = s.GENERATOR, s.GENERATORS
@@ -201,22 +240,30 @@ def _check_decomposition(s: VPolytope | VCone, sys, t0) -> Verdict:
     f = sys.field(t0, gens.T)
     bad = np.flatnonzero(~np.all(np.isfinite(f), axis=0))
     finite = int(bad[0]) if bad.size else gens.shape[0]
-    e = pow2_exponent(sys.a) if isinstance(sys, LinearSystem) else 0
-    rhs = np.zeros((cols.shape[0], finite))
-    rhs[:s.dim] = np.ldexp(f[:, :finite], -e)
-    results = lp_feasible(cols, rhs, range(finite))
-    if results and results[-1][1] is None:
-        i = len(results) - 1
-        return Verdict(Decision.NOT_INVARIANT,
-                       counterexample=Counterexample(gens[i].copy(), math.ldexp(results[i][0], e)),
-                       notes={name: i})
+    linear = isinstance(sys, LinearSystem)
+    e = pow2_exponent(sys.a) if linear else 0
+    mate = _antipodes(gens, -gens) if linear else None
+    solve = np.arange(finite)
+    if mate is not None:
+        solve = solve[solve <= mate[:finite]]
+    rhs = np.zeros((cols.shape[0], solve.size))
+    rhs[:s.dim] = np.ldexp(f[:, solve], -e)
+    solved = dict(zip(solve.tolist(), lp_feasible(cols, rhs, solve)))
+    for i in range(finite):
+        if i not in solved:  # mate[i] < i, and mate[i] was feasible
+            violation, alpha = solved[mate[i]]
+            solved[i] = violation, alpha[mate]
+        violation, alpha = solved[i]
+        if alpha is None:
+            return Verdict(Decision.NOT_INVARIANT,
+                           counterexample=Counterexample(gens[i].copy(), math.ldexp(violation, e)),
+                           notes={name: i})
     if finite < gens.shape[0]:
         raise InputError(f"the field is not finite at {name} {finite} "
                          f"{[float(v) for v in gens[finite]]}")
-    records = [{"index": i, "alpha": np.ldexp(alpha, e).tolist()}
-               for i, (_, alpha) in enumerate(results)]
+    records = [{"index": i, "alpha": np.ldexp(solved[i][1], e).tolist()} for i in range(finite)]
     cert = Certificate(f"{name}-decomposition", {plural: records})
-    if isinstance(sys, LinearSystem):
+    if linear:
         return Verdict(Decision.INVARIANT, certificate=cert)
     return Verdict(Decision.UNKNOWN,
                    notes={f"{name}_conditions": "passed", "payload": cert.data})

@@ -84,7 +84,8 @@ def integrate(sys: DynamicalSystem, x0, t0: float, horizon: float, step: float) 
     """
     nsteps = _step_grid(horizon, step, t0)
     x = as_vector(x0, "x0").copy()
-    sys.field(t0, x)  # a linear system checks its dimension
+    if isinstance(sys, LinearSystem):
+        sys.field(t0, x)  # checks the dimension, which its step matrix does not
     advance = _stepper(sys, step)
     times = [t0]
     states = [x.copy()]

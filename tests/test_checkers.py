@@ -352,6 +352,195 @@ def test_the_generators_take_one_field_call(s):
         assert len(shapes) == calls and shapes[0] == gens.T.shape
 
 
+def _dominant(rng, n, axis, invariant):
+    """A0 with a negative diagonal that outweighs its row (axis=1) or column
+    (axis=0) off-diagonal sums, except in one when not invariant: the
+    infinity-norm (rows) or 1-norm (columns) ball is then invariant, or not."""
+    a0 = rng.normal(size=(n, n)) / np.sqrt(n)
+    np.fill_diagonal(a0, 0.0)
+    margin = rng.uniform(0.1, 1.0, n)
+    if not invariant:
+        margin[rng.integers(n)] *= -1.0
+    np.fill_diagonal(a0, -(np.sum(np.abs(a0), axis=axis) + margin))
+    return a0
+
+
+def _symmetric_hforms(rng):
+    """Seeded centrally symmetric H-forms in R^2..R^8, each with an
+    invariant and a refuting A: boxes, {|T^-1 x|_inf <= 1} and
+    {|Gx|_inf <= 1} with its rows shuffled, so that mates sit anywhere."""
+    out = []
+    for n in range(2, 9):
+        w = rng.uniform(0.5, 2.0, n)
+        t = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        ti = np.linalg.inv(t)
+        g = rng.normal(size=(n + int(rng.integers(1, 4)), n))
+        for s, conj in [
+            (HPolyhedron(np.vstack([np.eye(n), -np.eye(n)]), np.append(w, w)), np.diag(w)),
+            (HPolyhedron(np.vstack([ti, -ti]), np.ones(2 * n)), t),
+        ]:
+            for invariant in (True, False):
+                a0 = _dominant(rng, n, 1, invariant)
+                out.append((s, conj @ np.linalg.solve(conj.T, a0.T).T))
+        rows = np.vstack([g, -g])[rng.permutation(2 * g.shape[0])]
+        s = HPolyhedron(rows, np.ones(rows.shape[0]))
+        out += [(s, -rng.uniform(0.5, 2.0) * np.eye(n) + 0.01 * rng.normal(size=(n, n))),
+                (s, rng.normal(size=(n, n)))]
+    return out
+
+
+def _every_facet(s, a):
+    """check_hpoly_linear's decision, refuting facet and per-facet replies,
+    from solvers._facet_lp on every facet in order: the reference."""
+    a_s, e = checkers._matrix(s, a)
+    facet_lp, replies = solvers._facet_lp(s.G, s.b), []
+    for i in range(s.G.shape[0]):
+        status, x, val = facet_lp(i, a_s.T @ s.G[i])
+        if status == "unbounded" or (status == "optimal" and val > checkers._FACET_OPTIMUM_TOL):
+            return Decision.NOT_INVARIANT, i, replies
+        replies.append((status, math.ldexp(val, e) if status == "optimal" else None))
+    return Decision.INVARIANT, None, replies
+
+
+def test_symmetric_hform_mirrors_agree_with_every_facet_solved():
+    # the lower facet of each antipodal pair is solved, and the other reads
+    # its status and optimum off it, with the argmax negated
+    decisions = set()
+    for s, a in _symmetric_hforms(np.random.default_rng(401)):
+        v = check_hpoly_linear(s, a)
+        decision, refuting, replies = _every_facet(s, a)
+        decisions.add(decision)
+        assert v.decision is decision
+        if decision is Decision.NOT_INVARIANT:
+            assert v.notes == {"facet": refuting}
+            continue
+        facets = v.certificate.data["facets"]
+        assert [f["index"] for f in facets] == list(range(s.G.shape[0]))
+        for f, (status, optimum) in zip(facets, replies):
+            assert ("vacuous" in f) == (status == "infeasible")
+            if "vacuous" in f:
+                continue
+            assert abs(f["optimum"] - optimum) <= 1e-12 * abs(optimum)
+            x = np.array(f["argmax"])
+            scale = 1.0 + np.abs(s.b) + np.abs(s.G) @ np.abs(x)
+            assert abs(s.G[f["index"]] @ x - s.b[f["index"]]) <= 1e-12 * scale[f["index"]]
+            assert np.all(s.G @ x - s.b <= 1e-12 * scale)
+            assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in f["argmax"])
+    assert decisions == {Decision.INVARIANT, Decision.NOT_INVARIANT}
+
+
+def _facet_lp_count(monkeypatch, s, a):
+    """The decision of check_hpoly_linear and the facet LPs it solved."""
+    calls, facet_lp = [], checkers._facet_lp
+
+    def counted(g, h):
+        solve = facet_lp(g, h)
+        return lambda i, c: calls.append(i) or solve(i, c)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(checkers, "_facet_lp", counted)
+        return check_hpoly_linear(s, a).decision, len(calls)
+
+
+def test_only_complete_exact_pairings_halve_the_facet_lps(monkeypatch):
+    # m/2 LPs on the box [-1, 1]^3 under a contraction; a row without an
+    # antipode, or one pair with unequal b, leaves every facet to its own LP
+    g, a = np.vstack([np.eye(3), -np.eye(3)]), -np.eye(3) + 0.1 * np.ones((3, 3))
+    for s, lps in [
+        (HPolyhedron(g, np.ones(6)), 3),
+        (HPolyhedron(np.vstack([g, [1.0, 1.0, 1.0]]), np.ones(7)), 7),
+        (HPolyhedron(g, [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]), 6),
+        # -0.0 is 0.0: the rows (0, 1) and (-0, -1) are antipodes
+        (HPolyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [0.0, -1.0]], np.ones(4)), 2),
+    ]:
+        assert _facet_lp_count(monkeypatch, s, a[:s.dim, :s.dim]) == (Decision.INVARIANT, lps)
+
+
+def _symmetric_vforms(rng):
+    """Cross-polytopes {|T^-1 x|_1 <= 1} in R^2..R^8 with shuffled vertices,
+    and the cone over +-e1, +-e2 in R^3 (the plane x3 = 0), each with an
+    invariant and a refuting A."""
+    out = []
+    for n in range(2, 9):
+        t = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        s = VPolytope(np.vstack([t.T, -t.T])[rng.permutation(2 * n)])
+        for invariant in (True, False):
+            a0 = _dominant(rng, n, 0, invariant)
+            out.append((s, t @ np.linalg.solve(t.T, a0.T).T))
+    plane = VCone(np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    a = rng.normal(size=(3, 3))
+    keep = a.copy()
+    keep[2, :2] = 0.0  # x3' = a33 x3 keeps the plane
+    return out + [(plane, keep), (plane, a)]
+
+
+def _every_generator(s, a):
+    """The first generator whose decomposition LP is infeasible, each LP
+    solved on its own, or None: the reference."""
+    f = np.ldexp(a @ s.columns[:s.dim], -pow2_exponent(a))
+    for i in range(s.columns.shape[1]):
+        rhs = np.zeros(s.columns.shape[0])
+        rhs[:s.dim] = f[:, i]
+        if solvers.lp_feasible(s.columns, rhs, i)[1] is None:
+            return i
+    return None
+
+
+def _lp_feasible_columns(monkeypatch, s, sys):
+    """The verdict of check on s under sys and the rhs columns given to
+    lp_feasible."""
+    columns, lp_feasible = [], checkers.lp_feasible
+
+    def spied(cols, rhs, free):
+        columns.append(rhs.shape[1])
+        return lp_feasible(cols, rhs, free)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(checkers, "lp_feasible", spied)
+        return check(s, sys, n_samples=20), sum(columns)
+
+
+def test_symmetric_vform_mirrors_decompose_the_field(monkeypatch):
+    # under a linear field generator i with mate[i] < i takes its partner's
+    # coefficients, permuted by the pairing: they still decompose A v_i
+    decisions = set()
+    for s, a in _symmetric_vforms(np.random.default_rng(409)):
+        gens = getattr(s, s.GENERATORS)
+        v, columns = _lp_feasible_columns(monkeypatch, s, LinearSystem(a))
+        decisions.add(v.decision)
+        refuting = _every_generator(s, a)
+        if refuting is not None:
+            assert v.decision is Decision.NOT_INVARIANT
+            assert v.notes == {s.GENERATOR: refuting}
+            continue
+        assert v.decision is Decision.INVARIANT and columns == gens.shape[0] // 2
+        records = v.certificate.data[s.GENERATORS]
+        assert [r["index"] for r in records] == list(range(gens.shape[0]))
+        for r in records:
+            i, alpha = r["index"], np.array(r["alpha"])
+            f = a @ gens[i]
+            scale = 1.0 + np.abs(gens.T) @ np.abs(alpha) + np.abs(f)
+            assert np.all(np.abs(gens.T @ alpha - f) <= 1e-12 * scale)
+            assert np.all(np.delete(alpha, i) >= 0.0)
+            if isinstance(s, VPolytope):
+                assert abs(alpha.sum()) <= 1e-12 * (1.0 + np.abs(alpha).sum())
+    assert decisions == {Decision.INVARIANT, Decision.NOT_INVARIANT}
+
+
+def test_a_general_field_is_never_mirrored(monkeypatch):
+    # an expression field need not be odd: every vertex of the cross-polytope
+    # has its own LP, where x' = -x as a linear system solves half of them
+    from invarcheck.expressions import build_expression_system
+
+    n = 4
+    s = VPolytope(np.vstack([np.eye(n), -np.eye(n)]))
+    v, columns = _lp_feasible_columns(monkeypatch, s, LinearSystem(-np.eye(n)))
+    assert v.decision is Decision.INVARIANT and columns == n
+    sys = build_expression_system([f"-x{k + 1}" for k in range(n)])
+    v, columns = _lp_feasible_columns(monkeypatch, s, sys)
+    assert v.decision is Decision.UNKNOWN and columns == 2 * n
+
+
 def test_orthant_metzler_example():
     v = check_orthant_linear([[-1.0, 2.0], [0.0, -3.0]])
     assert v.decision is Decision.INVARIANT

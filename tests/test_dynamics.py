@@ -120,6 +120,19 @@ def test_linear_integrate_evaluates_the_field_once():
     assert calls == [0.5] and len(tr.states) == 101
 
 
+def test_general_integrate_evaluates_only_the_rk4_stages():
+    # four stages a step; the first stage is the one evaluation at (t0, x0)
+    calls = []
+
+    def func(t, x):
+        calls.append(t)
+        return -x ** 3
+
+    tr = integrate(GeneralSystem(func), [1.0, 0.5], 0.5, 1.0, 0.01)
+    assert len(tr.states) == 101 and len(calls) == 4 * 100
+    assert calls[0] == 0.5
+
+
 def test_rk4_order_via_step_halving():
     sys = LinearSystem([[-1.0]])
     exact = math.exp(-1.0)
