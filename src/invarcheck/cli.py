@@ -40,13 +40,7 @@ from .expressions import build_expression_system
 from .numerics import _check_grid, _check_int, _check_real, as_point, of_dimension
 from .sets import DEFAULT_TOL, FAMILIES, Membership, membership
 from .systems import LinearSystem
-from .tangent import (
-    GENERATED,
-    HALFSPACES,
-    QUADRATIC,
-    SELF_CONE,
-    tangent_cone_at,
-)
+from .tangent import GENERATED, HALFSPACES, QUADRATIC, SELF_CONE, _cone_at
 
 SCHEMA = "nagumo/1"
 
@@ -259,7 +253,7 @@ def cmd_tangent(args) -> int:
         x = as_point(s, point, "point")
         if membership(s, x, opts["tolerance"]) is not Membership.BOUNDARY:
             raise NotMember("point is not on the set boundary")
-        cone = _cone_to_dict(tangent_cone_at(s, x, opts["tolerance"]))
+        cone = _cone_to_dict(_cone_at(s, x, opts["tolerance"]))  # x is classified once
         return ({"point": x.tolist(), "cone": cone}, f"tangent cone kind: {cone['kind']}",
                 EXIT_INVARIANT)
     return _run(args, "tangent", decide)

@@ -143,8 +143,9 @@ class _Tape:
             vals[0] = np.float64(t)
             for i in xs:
                 vals[i] = coords[i - 1]
-            for k, op, a, b in steps:  # one input or two
-                vals[k] = op(vals[a]) if b is None else op(vals[a], vals[b])
+            with np.errstate(all="ignore"):  # inf and NaN are values, not warnings
+                for k, op, a, b in steps:  # one input or two
+                    vals[k] = op(vals[a]) if b is None else op(vals[a], vals[b])
             return [vals[r] for r in roots]
 
         return run
@@ -153,20 +154,12 @@ class _Tape:
 def parse_formula(text: str, n_vars: int):
     """One formula as a function f(t, coords) -> value, from a tape of one
     formula (InputError as _Tape.add). coords is indexable per coordinate;
-    scalars and numpy arrays broadcast."""
+    scalars and numpy arrays broadcast. A scalar coordinate is read as a numpy
+    float, so 1/x1 at 0 is inf, as in a system's field."""
     tape = _Tape(n_vars)
     tape.add(text)
     run = tape.evaluator()
-    return lambda t, coords: run(t, coords)[0]
-
-
-class _TapeSystem(GeneralSystem):
-    """A GeneralSystem whose func converts and shape-checks the state itself
-    and returns a float array of the state's shape, so that field hands its
-    reply on with no second conversion or check."""
-
-    def field(self, t, x):
-        return self.func(t, x)
+    return lambda t, coords: run(t, [np.float64(c) if np.isscalar(c) else c for c in coords])[0]
 
 
 def build_expression_system(formulas: list[str]) -> GeneralSystem:
@@ -193,9 +186,8 @@ def build_expression_system(formulas: list[str]) -> GeneralSystem:
         if x.shape[:1] != (n,):
             raise DimensionMismatch(f"x: expected {n} rows, one per formula, got shape {x.shape}")
         out = np.empty((n,) + x.shape[1:])
-        with np.errstate(all="ignore"):
-            for i, value in enumerate(run(t, x)):
-                out[i] = value
+        for i, value in enumerate(run(t, x)):
+            out[i] = value
         return out
 
-    return _TapeSystem(func, vectorized=True)
+    return GeneralSystem(func, vectorized=True)

@@ -106,6 +106,7 @@ class HPolyhedron:
         self.b = as_vector(b, "b", nonempty=True)
         if self.G.shape[0] != self.b.shape[0]:
             raise DimensionMismatch("G rows and b length differ")
+        self._zero = np.flatnonzero(~self.G.any(axis=1)).tolist()  # rows 0 x <= b, faces of nothing
 
     @property
     def dim(self):
@@ -114,8 +115,12 @@ class HPolyhedron:
     _faces = None  # every row is a face
 
     def _slack(self, x) -> np.ndarray:
-        """(G x - b)/(1 + |b|) per row and column of x, held against tol."""
-        return (self.G @ x - self.b[:, None]) / (1.0 + np.abs(self.b))[:, None]
+        """(G x - b)/(1 + |b|) per row and column of x, held against tol; a
+        zero row binds nowhere: -inf, or +inf (every point outside) if b < 0."""
+        slack = (self.G @ x - self.b[:, None]) / (1.0 + np.abs(self.b))[:, None]
+        if self._zero:
+            slack[self._zero] = np.where(self.b[self._zero] < 0, np.inf, -np.inf)[:, None]
+        return slack
 
     def _band(self, x, tol: float):
         return tol
@@ -125,14 +130,16 @@ class HPolyhedron:
 
         The LP maximizes the margin t, at most 1, by which the other rows
         hold on the facet, so it is bounded; row i holds at equality in
-        place, as in a facet LP. An LP point that lies outside the set or
-        off the facet by more than the boundary band is rejected too, so
-        every anchor is a boundary point.
+        place, as in a facet LP, and a zero row takes no margin. An LP point
+        that lies outside the set or off the facet by more than the boundary
+        band is rejected too, so every anchor is a boundary point and a zero
+        row, which binds nowhere, has none.
         """
         m, n = self.G.shape
         g = np.zeros((m + 2, n + 1))  # rows G_j x + t <= b_j (no t in row i), t <= 1, -t <= 0
         g[:m, :n] = self.G
         g[:, n] = 1.0
+        g[self._zero, n] = 0.0
         g[i, n], g[m + 1, n] = 0.0, -1.0
         c = np.concatenate([np.zeros(n), [1.0]])
         status, z, _ = _facet_lp(g, np.concatenate([self.b, [1.0, 0.0]]))(i, c)

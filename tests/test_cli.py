@@ -17,6 +17,7 @@ from invarcheck.cli import (
     set_to_dict,
 )
 from invarcheck.errors import NumericalFailure
+from invarcheck.sets import membership
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -327,6 +328,48 @@ def test_tangent_interior_point_exits_65(capsys):
         assert err == "boundary error: point is not on the set boundary\n"
 
 
+def test_tangent_point_that_is_not_json_exits_64(capsys):
+    code, out, err = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"), "[1.0,")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("input error: point: invalid JSON (")
+
+
+def test_tangent_classifies_its_point_once(monkeypatch, capsys):
+    # the command's own membership check is the only one: the cone is built
+    # from the classified point, so the report matches the golden one
+    from invarcheck import cli, tangent
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "membership", spy)
+    monkeypatch.setattr(tangent, "membership", spy)
+    code, out, _ = run_cli(capsys, "tangent", str(PROBLEMS / "vpolytope_triangle.json"),
+                           "[0.0, 0.0]", "--no-timing")
+    assert code == EXIT_INVARIANT and len(calls) == 1
+    assert out == (Path(__file__).resolve().parent / "golden"
+                   / "vpolytope_triangle.tangent.json").read_text(encoding="utf-8")
+
+
+def test_tangent_at_an_interior_point_of_a_strip_with_a_zero_row_exits_65(tmp_path, capsys):
+    # 0 x <= 0 binds nowhere, so [0.5, 0] is inside |x1| <= 1, not on a face
+    f = tmp_path / "strip.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": "hpolyhedron", "G": [[0, 0], [1, 0], [-1, 0]],
+                                     "b": [0, 1, 1]},
+                             "system": {"type": "linear", "A": [[0, 0], [0, 0]]}}),
+                 encoding="utf-8")
+    code, out, err = run_cli(capsys, "tangent", str(f), "[0.5, 0.0]")
+    assert code == EXIT_NOT_BOUNDARY and out == ""
+    assert err == "boundary error: point is not on the set boundary\n"
+    code, out, _ = run_cli(capsys, "tangent", str(f), "[1.0, 0.0]", "--no-timing")
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["cone"] == {"kind": "halfspaces", "normals": [[1.0, 0.0]]}
+
+
 def test_tangent_point_of_the_wrong_size_exits_64(capsys):
     code, out, err = run_cli(capsys, "tangent", str(PROBLEMS / "hpolyhedron_box.json"),
                              "[1.0, 1.0, 1.0]")
@@ -390,6 +433,22 @@ def test_tangent_above_the_facet_cap_prints_a_generated_cone(tmp_path, capsys):
     cone = json.loads(out)["cone"]
     assert cone["kind"] == "generated" and cone["free_generator"] is None
     assert cone["generators"] == (v - v[0]).tolist()
+
+
+def test_tangent_on_a_ray_form_above_the_facet_cap_prints_its_free_generator(tmp_path, capsys):
+    # the cone over the cross-polytope in R^10 has 1,024 facets, above the
+    # cap: at its ray (e_1, 1) the cone holds all rays and the point sign-free
+    rays = np.hstack([np.vstack([np.eye(10), -np.eye(10)]), np.ones((20, 1))])
+    f = tmp_path / "crosscone.json"
+    f.write_text(json.dumps({"schema": "nagumo/1",
+                             "set": {"type": "vcone", "rays": rays.tolist()},
+                             "system": {"type": "linear", "A": (-np.eye(11)).tolist()}}),
+                 encoding="utf-8")
+    code, out, _ = run_cli(capsys, "tangent", str(f), json.dumps(rays[0].tolist()), "--no-timing")
+    assert code == EXIT_INVARIANT
+    cone = json.loads(out)["cone"]
+    assert cone["kind"] == "generated" and cone["generators"] == rays.tolist()
+    assert cone["free_generator"] == rays[0].tolist()
 
 
 def test_tolerance_reaches_vertex_form_membership(capsys):

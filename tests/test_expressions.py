@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import oracles
 from invarcheck import expressions
 from invarcheck.errors import DimensionMismatch, InputError
 from invarcheck.expressions import build_expression_system, parse_formula
+from invarcheck.systems import GeneralSystem
 
 
 def test_literals_and_precedence():
@@ -80,10 +83,12 @@ def test_time_only_formula_broadcasts():
     assert np.allclose(out[1], 1.0)
 
 
-def test_field_hands_on_the_tape_func_reply_with_no_second_check():
-    # func converts and shape-checks the state once; field adds nothing, so a
-    # wrapper put on func (as the benchmark's tracer does) sees every call
+def test_field_is_one_general_system_call_of_the_tape_func():
+    # a formula system is a plain GeneralSystem: each field call is one call
+    # of func, so a wrapper put on func (as the benchmark's tracer does) sees
+    # every call, and field holds func's reply to the state's shape
     sys = build_expression_system(["-x2", "x1 * t"])
+    assert type(sys) is GeneralSystem and sys.vectorized
     func, seen = sys.func, []
 
     def wrapped(t, x):
@@ -93,12 +98,27 @@ def test_field_hands_on_the_tape_func_reply_with_no_second_check():
     sys.func = wrapped
     x = [[1.0, 2.0], [4.0, 5.0]]
     assert np.array_equal(sys.field(2.0, x), [[-4.0, -5.0], [2.0, 4.0]])
-    assert seen == [(2, 2)]
+    assert np.array_equal(sys.field(2.0, [1.0, 4.0]), [-4.0, 2.0])
+    assert seen == [(2, 2), (2,)]
     with pytest.raises(DimensionMismatch, match=r"^x: expected 2 rows, one per formula, got shape \(3,\)"):
         sys.field(0.0, np.ones(3))
-    reply = object()
-    sys.func = lambda t, x: reply
-    assert sys.field(0.0, x) is reply
+    sys.func = lambda t, x: func(t, x)[:, :1]
+    with pytest.raises(DimensionMismatch, match=r"^field evaluator returned shape \(2, 1\) "
+                                                 r"for state shape \(2, 2\)"):
+        sys.field(0.0, x)
+
+
+def test_parse_formula_follows_the_systems_floating_point_rule():
+    # inf and NaN are values on both paths, with no warning (the suite runs
+    # under -W error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = build_expression_system(["1/x1", "(0-2)^0.5", "x1/x2"]).field(0.0, np.zeros(3))
+        assert field[0] == np.inf and np.isnan(field[1]) and np.isnan(field[2])
+        assert parse_formula("1/x1", 1)(0.0, [0.0]) == np.inf
+        assert np.isnan(parse_formula("(0-2)^0.5", 1)(0.0, [0.0]))
+        assert np.isnan(parse_formula("x1/x2", 2)(0.0, [0.0, 0]))  # plain Python numbers too
+        assert parse_formula("10^400", 1)(0.0, [0.0]) == np.inf
 
 
 def test_nesting_cap_keeps_evaluation_off_the_recursion_limit():

@@ -262,6 +262,9 @@ def test_minimize_bad_bracket():
         minimize_scalar_convex(lambda e: (abs(e), np.sign(e), 0.0), (1.0, 1.0), 1e-8)
     with pytest.raises(BadBracket):
         minimize_scalar_convex(lambda e: (abs(e), np.sign(e), 0.0), (0.0, np.inf), 1e-8)
+    for tol in (0.0, -1e-8, np.nan):
+        with pytest.raises(BadBracket, match="tol must be positive"):
+            minimize_scalar_convex(lambda e: (abs(e), np.sign(e), 0.0), (-1.0, 1.0), tol)
 
 
 def test_minimize_lands_within_tol_at_a_smooth_minimum():

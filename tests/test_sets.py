@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from invarcheck.checkers import check
 from invarcheck.dynamics import falsify
 
-from invarcheck.errors import DimensionMismatch, EmptyBoundary, InputError
+from invarcheck.errors import DimensionMismatch, EmptyBoundary, InputError, NotMember
 from invarcheck.numerics import _MAX_DIM
 from invarcheck.sets import (
     DEFAULT_TOL,
@@ -249,6 +250,11 @@ def test_lorenz_wrong_axis_rejected():
         LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[1.0, 0.0, 0.0])
 
 
+def test_lorenz_zero_axis_rejected():
+    with pytest.raises(InputError, match="u_n is numerically zero"):
+        LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[0.0, 1e-13, 0.0])
+
+
 def test_lorenz_axis_stores_no_negative_zero():
     cone = LorenzCone(np.diag([1.0, 1.0, -1.0]), u_n=[0.0, 1e-9, -2.0])
     assert cone.u_n.tolist() == [0.0, 0.0, -1.0]
@@ -341,6 +347,36 @@ def test_empty_polyhedron_boundary():
     empty = HPolyhedron([[1.0], [-1.0]], [-1.0, -2.0])  # x <= -1 and x >= 2
     with pytest.raises(EmptyBoundary):
         sample_boundary(empty, 3, seed=0)
+
+
+def test_a_zero_row_binds_nowhere():
+    # the strip |x1| <= 1 with the row 0 x <= 0 is the strip without it: no
+    # point is on that row, it takes no anchor and caps no anchor's margin
+    strip = HPolyhedron([[0, 0], [1, 0], [-1, 0]], [0, 1, 1])
+    plain = HPolyhedron([[1, 0], [-1, 0]], [1, 1])
+    for x in itertools.product(np.linspace(-1.5, 1.5, 7), [-1.0, 0.0, 2.0]):
+        assert membership(strip, x) is membership(plain, x), x
+        assert [i - 1 for i in active_constraints(strip, x)] == active_constraints(plain, x), x
+    assert membership(strip, [0.5, 0.0]) is Membership.INSIDE
+    assert np.array_equal(strip._facet_anchor(1, DEFAULT_TOL), plain._facet_anchor(0, DEFAULT_TOL))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = np.array([bp.point for bp in sample_boundary(strip, 8, seed=0)])
+        contracting = GeneralSystem(lambda t, x: -x, vectorized=True)
+        assert check(strip, contracting, n_samples=50).decision.value == "unknown"
+        assert falsify(strip, contracting, 50, horizon=0.5, step=0.1, seed=0) is None
+    assert np.array_equal(np.abs(points[:, 0]), np.ones(8))
+    # 0 x <= -1 holds nowhere: the set stays empty
+    empty = HPolyhedron([[0, 0], [1, 0], [-1, 0]], [-1, 1, 1])
+    assert membership(empty, [0.5, 0.0]) is Membership.OUTSIDE
+    assert active_constraints(empty, [1.0, 0.0]) == [1]
+    with pytest.raises(EmptyBoundary):
+        sample_boundary(empty, 3, seed=0)
+
+
+def test_tangent_test_rejects_a_point_outside_the_polyhedron():
+    with pytest.raises(NotMember, match="outside the polyhedron"):
+        UNIT_BOX.tangent_test(np.array([[1.0, 2.0], [0.0, 0.0]]), np.zeros((2, 2)), DEFAULT_TOL)
 
 
 def test_outside_violation_measures():

@@ -6,7 +6,7 @@ import pytest
 
 from invarcheck.checkers import Decision, check
 from invarcheck.cli import set_from_dict
-from invarcheck.errors import DimensionMismatch, NotMember
+from invarcheck.errors import DimensionMismatch, InputError, NotMember
 from invarcheck.sets import (
     Ellipsoid,
     HPolyhedron,
@@ -69,6 +69,11 @@ def test_orthant_h_face():
     # the active row is -x1 <= 0, so the cone is y1 >= 0
     assert cone_contains(t, [1.0, -5.0])
     assert not cone_contains(t, [-1.0, 0.0])
+
+
+def test_tangent_cone_of_an_object_that_is_not_a_set_is_an_input_error():
+    with pytest.raises(InputError, match="unsupported set type dict"):
+        tangent_cone_at({"G": [[1.0]], "b": [1.0]}, [1.0])
 
 
 def test_tangent_h_rejects_outside_point():
